@@ -4,9 +4,8 @@
 //! `CompiledMode::run_batch` pass on three circuits: ISCAS c17, the
 //! inverter array, and a random gate netlist. The batch pass does 64
 //! simulations' worth of work per iteration, so an iteration that is
-//! less than 64× slower than the scalar one is a net win; the precise
-//! throughput numbers (events/sec, element-evals/sec, speedup) come from
-//! the `bench2` harness binary, which writes `BENCH_2.json`.
+//! less than 64× slower than the scalar one is a net win; end-to-end
+//! throughput numbers come from the benchmark in `benchmark/`.
 //!
 //! Setting `PARSIM_BENCH_QUICK` shrinks sample counts and measurement
 //! windows so CI can smoke-test the benchmark without paying for

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use parsim_bench::quick;
 use parsim_logic::{evaluate, ElemState, ElementKind, Value};
-use parsim_queue::{channel, grid, ActivationState, CentralQueue};
+use parsim_queue::{channel, grid, ActivationState};
 
 fn spsc_throughput(c: &mut Criterion) {
     let q = quick();
@@ -19,19 +19,6 @@ fn spsc_throughput(c: &mut Criterion) {
             }
             let mut sum = 0u64;
             while let Some(v) = rx.recv() {
-                sum = sum.wrapping_add(v);
-            }
-            sum
-        })
-    });
-    g.bench_function("central_queue_1k", |b| {
-        b.iter(|| {
-            let q = CentralQueue::new();
-            for i in 0..1000u64 {
-                q.push(i);
-            }
-            let mut sum = 0u64;
-            while let Some(v) = q.pop() {
                 sum = sum.wrapping_add(v);
             }
             sum

@@ -48,7 +48,6 @@
 //! asserts on the tombstone value) instead of dereferencing freed memory.
 
 use std::mem::MaybeUninit;
-use std::ops::Deref;
 use std::ptr;
 
 use parsim_logic::Value;
@@ -70,118 +69,75 @@ pub struct Chunk {
     /// Global index of `slots[0]`.
     base: u64,
     next: AtomicPtr<Chunk>,
-    /// Whether the memory came from a worker arena (retire through the
-    /// arena) or the global allocator (free with `Box::from_raw`). Plain
-    /// field: written at allocation, read only by the exclusive writer's
-    /// GC and by `Drop`.
-    from_arena: bool,
 }
 
-/// The chunk allocation policy for one writer: a worker's slab arena
-/// when the engine runs with one, the global allocator otherwise (and
-/// always under the model, where the slab layer does not exist).
-///
-/// Carried by the writer (`&mut`) through [`NodeState::push`] /
-/// [`NodeState::gc`] so chunk traffic is counted per thread without
-/// atomics.
+/// Process-wide count of chunks allocated and not yet freed. Debug builds
+/// only: in release builds both functions are empty.
+#[cfg(debug_assertions)]
+mod live {
+    use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+
+    static CHUNKS: AtomicI64 = AtomicI64::new(0);
+
+    pub fn add(delta: i64) {
+        CHUNKS.fetch_add(delta, Relaxed);
+    }
+
+    pub fn get() -> i64 {
+        CHUNKS.load(Relaxed)
+    }
+}
+
+#[cfg(not(debug_assertions))]
+mod live {
+    #[inline(always)]
+    pub fn add(_delta: i64) {}
+
+    pub fn get() -> i64 {
+        0
+    }
+}
+
+/// Number of live behavior-list chunks in the process: a leak probe for
+/// tests (every engine run must return it to where it started, early
+/// exits included). Always `0` in release builds, where nothing counts.
+pub fn live_chunks() -> i64 {
+    live::get()
+}
+
+/// One writer's chunk-allocation tally. Chunks are `Box`es from the
+/// global allocator; the handle is carried by the writer (`&mut`)
+/// through [`NodeState::push`] / [`NodeState::gc`] so chunk traffic is
+/// counted per thread without atomics.
+#[derive(Debug, Default)]
 pub struct ChunkAlloc {
-    #[cfg(not(parsim_model))]
-    arena: Option<std::rc::Rc<parsim_queue::WorkerArena>>,
     /// Chunks allocated through this handle.
     pub allocs: u64,
-    /// Chunks retired/freed through this handle.
+    /// Chunks freed through this handle.
     pub frees: u64,
 }
 
 impl ChunkAlloc {
-    /// Global-allocator policy (the `--no-arena` ablation and the model).
-    pub fn global() -> ChunkAlloc {
-        ChunkAlloc {
-            #[cfg(not(parsim_model))]
-            arena: None,
-            allocs: 0,
-            frees: 0,
-        }
-    }
-
-    /// Arena-backed policy: chunks are carved from `arena`'s slabs and
-    /// retired through the epoch quarantine.
-    #[cfg(not(parsim_model))]
-    pub fn arena(arena: std::rc::Rc<parsim_queue::WorkerArena>) -> ChunkAlloc {
-        ChunkAlloc {
-            arena: Some(arena),
-            allocs: 0,
-            frees: 0,
-        }
-    }
-
     fn alloc(&mut self, base: u64) -> *mut Chunk {
         self.allocs += 1;
-        #[cfg(not(parsim_model))]
-        if let Some(arena) = &self.arena {
-            let p = arena.alloc(std::mem::size_of::<Chunk>()) as *mut Chunk;
-            // SAFETY: fresh, exclusively-owned, size-checked allocation.
-            unsafe {
-                ptr::write(
-                    p,
-                    Chunk {
-                        slots: [const { UnsafeCell::new(MaybeUninit::uninit()) }; CHUNK],
-                        base,
-                        next: AtomicPtr::new(ptr::null_mut()),
-                        from_arena: true,
-                    },
-                );
-            }
-            return p;
-        }
+        live::add(1);
         Box::into_raw(Box::new(Chunk {
             slots: [const { UnsafeCell::new(MaybeUninit::uninit()) }; CHUNK],
             base,
             next: AtomicPtr::new(ptr::null_mut()),
-            from_arena: false,
         }))
     }
 
     /// # Safety
     ///
-    /// `chunk` must be unlinked, allocated by this policy's backing
-    /// (arena blocks retire to their owning domain regardless of which
-    /// worker's handle frees them), and never freed twice.
+    /// `chunk` must be unlinked, unreachable by any consumer, and never
+    /// freed twice.
+    #[cfg(not(parsim_model))]
     unsafe fn free(&mut self, chunk: *mut Chunk) {
         self.frees += 1;
-        // (u64, Value) is Copy: no per-slot drop needed either way.
-        #[cfg(not(parsim_model))]
-        if (*chunk).from_arena {
-            match &self.arena {
-                Some(arena) => arena.retire(chunk as *mut u8),
-                None => parsim_queue::arena::retire_remote(chunk as *mut u8),
-            }
-            return;
-        }
+        live::add(-1);
+        // (u64, Value) is Copy: no per-slot drop needed.
         drop(Box::from_raw(chunk));
-    }
-}
-
-/// A node's consumption-cursor array: either node-owned (the default)
-/// or a view into a partition-contiguous SoA block the engine carved
-/// from the owning worker's arena (cache-line packing, first-touch
-/// placement).
-pub enum CursorSlots {
-    Owned(Box<[AtomicU64]>),
-    /// External slots; the engine guarantees the block outlives the node.
-    Ext { ptr: *const AtomicU64, len: usize },
-}
-
-impl Deref for CursorSlots {
-    type Target = [AtomicU64];
-
-    fn deref(&self) -> &[AtomicU64] {
-        match self {
-            CursorSlots::Owned(b) => b,
-            // SAFETY: `Ext` construction contract — `ptr..ptr+len` is an
-            // initialized AtomicU64 block outliving this node.
-            CursorSlots::Ext { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-        }
     }
 }
 
@@ -193,14 +149,13 @@ pub struct NodeState {
     tail: UnsafeCell<*mut Chunk>,
     /// Published event count (release store by the writer).
     len: AtomicU64,
-    /// Inline validity horizon, used unless `valid_ext` is set.
-    valid_inline: AtomicU64,
-    /// Optional external `valid_until` slot in a partition-contiguous
-    /// SoA block (see [`NodeState::set_ext_slots`]).
-    valid_ext: *const AtomicU64,
+    /// Behavior is known for every t <= valid_until. Monotone; written
+    /// only by the node's exclusive driver (see the module docs for why
+    /// the writer's own loads may be `Relaxed`).
+    pub valid_until: AtomicU64,
     /// Per-fanout-entry consumption cursor (global event index), release
     /// stored by the consumer, acquire loaded by [`NodeState::gc`].
-    pub consumed: CursorSlots,
+    pub consumed: Box<[AtomicU64]>,
     /// Reclaimed-but-not-freed chunks (writer-owned). See module docs.
     #[cfg(parsim_model)]
     quarantine: UnsafeCell<Vec<*mut Chunk>>,
@@ -221,50 +176,18 @@ impl NodeState {
             head: AtomicPtr::new(chunk),
             tail: UnsafeCell::new(chunk),
             len: AtomicU64::new(0),
-            valid_inline: AtomicU64::new(0),
-            valid_ext: ptr::null(),
-            consumed: CursorSlots::Owned((0..fanouts).map(|_| AtomicU64::new(0)).collect()),
+            valid_until: AtomicU64::new(0),
+            consumed: (0..fanouts).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(parsim_model)]
             quarantine: UnsafeCell::new(Vec::new()),
         }
-    }
-
-    /// The node's validity horizon (`t <= valid_until` is known
-    /// behavior). Resolves to the external SoA slot when the engine
-    /// installed one, the inline atomic otherwise.
-    #[inline(always)]
-    pub fn valid_until(&self) -> &AtomicU64 {
-        if self.valid_ext.is_null() {
-            &self.valid_inline
-        } else {
-            // SAFETY: `set_ext_slots` contract — the slot outlives self.
-            unsafe { &*self.valid_ext }
-        }
-    }
-
-    /// Points this node's scheduling state (`valid_until` + consumption
-    /// cursors) at externally-owned slots, for partition-contiguous SoA
-    /// packing. Must be called before the node is shared.
-    ///
-    /// # Safety
-    ///
-    /// Both blocks must be zero-initialized `AtomicU64`s that outlive
-    /// this node; `consumed` must span at least as many slots as the
-    /// node's fan-out count.
-    pub unsafe fn set_ext_slots(&mut self, valid: *const AtomicU64, consumed: *const AtomicU64) {
-        debug_assert_eq!(self.valid_inline.load(Ordering::Relaxed), 0);
-        self.valid_ext = valid;
-        let len = self.consumed.len();
-        self.consumed = CursorSlots::Ext { ptr: consumed, len };
     }
 
     /// Appends one event. Caller must be the node's (exclusive) writer.
     ///
     /// # Safety
     ///
-    /// Only one thread may call this at a time (activation exclusivity),
-    /// and arena-backed nodes must always be pushed through a handle of
-    /// the same arena domain.
+    /// Only one thread may call this at a time (activation exclusivity).
     pub unsafe fn push(&self, t: u64, v: Value, alloc: &mut ChunkAlloc) {
         let len = self.len.load(Ordering::Relaxed);
         let mut tail = self.tail.with(|p| *p);
@@ -293,8 +216,7 @@ impl NodeState {
     ///
     /// # Safety
     ///
-    /// Only one thread may call this at a time (activation exclusivity);
-    /// same arena-domain contract as [`NodeState::push`].
+    /// Only one thread may call this at a time (activation exclusivity).
     pub unsafe fn gc(&self, alloc: &mut ChunkAlloc) -> u64 {
         let min_consumed = self
             .consumed
@@ -345,14 +267,9 @@ impl Drop for NodeState {
         while !chunk.is_null() {
             // SAFETY: chunks were allocated and unlinked exactly once.
             let next = unsafe { (*chunk).next.load(Ordering::Acquire) };
-            // Arena-backed chunks are slab-owned: their memory is
-            // released wholesale when the arena domain drops (which the
-            // engine orders after the nodes), so only global-allocator
-            // chunks are freed here. (u64, Value) is Copy: no per-slot
-            // drop needed.
-            if unsafe { !(*chunk).from_arena } {
-                drop(unsafe { Box::from_raw(chunk) });
-            }
+            // (u64, Value) is Copy: no per-slot drop needed.
+            drop(unsafe { Box::from_raw(chunk) });
+            live::add(-1);
             chunk = next;
         }
         #[cfg(parsim_model)]
@@ -361,6 +278,7 @@ impl Drop for NodeState {
                 // SAFETY: quarantined chunks were unlinked exactly once
                 // and are unreachable from the head chain freed above.
                 drop(unsafe { Box::from_raw(c) });
+                live::add(-1);
             }
         });
     }
@@ -444,7 +362,7 @@ mod tests {
 
     #[test]
     fn push_peek_consume_single_thread() {
-        let mut a = ChunkAlloc::global();
+        let mut a = ChunkAlloc::default();
         let node = NodeState::new(1, &mut a);
         // SAFETY: single-threaded test — trivially exclusive.
         unsafe {
@@ -463,7 +381,7 @@ mod tests {
 
     #[test]
     fn gc_frees_only_fully_consumed_chunks() {
-        let mut a = ChunkAlloc::global();
+        let mut a = ChunkAlloc::default();
         let node = NodeState::new(1, &mut a);
         // SAFETY: single-threaded test — trivially exclusive.
         unsafe {

@@ -70,8 +70,6 @@
 //! [`SimConfig::without_local_queue`] /
 //! [`SimConfig::with_partition`](crate::SimConfig).
 
-#[cfg(not(parsim_model))]
-use std::rc::Rc;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -79,8 +77,6 @@ use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::{evaluate, expand_generator, transition_delay, Bit, Delay, ElemState, ElementKind, Time, Value};
 use parsim_netlist::partition::cone_cluster;
 use parsim_netlist::{Netlist, NodeId};
-#[cfg(not(parsim_model))]
-use parsim_queue::{ArenaDomain, WorkerArena};
 use parsim_queue::{grid, ActivationState, Backoff, GridSender, IdBatch};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
@@ -319,11 +315,6 @@ struct Ctx<'a> {
     capture: bool,
     lookahead: bool,
     gc: bool,
-    /// Declared last: the domain must outlive `nodes` (arena-backed
-    /// chunks and SoA blocks live in its spans) and drop-order is
-    /// declaration order.
-    #[cfg(not(parsim_model))]
-    domain: Option<ArenaDomain>,
 }
 
 impl Ctx<'_> {
@@ -427,9 +418,7 @@ impl ChaoticAsync {
 
         // Owner assignment: the explicitly configured partition if any,
         // else fan-out cone clustering. Unused (and empty) when the local
-        // queue is ablated — the grid scatter needs no owners. Computed
-        // before the nodes are built so the SoA scheduling-state blocks
-        // below can be grouped partition-contiguously.
+        // queue is ablated — the grid scatter needs no owners.
         let use_local = config.local_queue;
         let owner: Vec<u32> = if use_local {
             match &config.partition {
@@ -447,38 +436,12 @@ impl ChaoticAsync {
             Vec::new()
         };
 
-        // The arena domain for this run: per-worker slab arenas plus the
-        // builder slot used by this (constructing) thread. `None` under
-        // `--no-arena` (and nonexistent under the model cfg, where every
-        // chunk comes from the global allocator).
-        #[cfg(not(parsim_model))]
-        let domain = if config.arena {
-            Some(ArenaDomain::new(n_threads))
-        } else {
-            None
-        };
-        #[cfg(not(parsim_model))]
-        let mut seed_alloc = match &domain {
-            Some(d) => ChunkAlloc::arena(Rc::new(d.builder())),
-            None => ChunkAlloc::global(),
-        };
-        #[cfg(parsim_model)]
-        let mut seed_alloc = ChunkAlloc::global();
-
-        #[allow(unused_mut)]
-        let mut nodes: Vec<NodeState> = netlist
+        let mut seed_alloc = ChunkAlloc::default();
+        let nodes: Vec<NodeState> = netlist
             .nodes()
             .iter()
             .map(|nd| NodeState::new(nd.fanout().len(), &mut seed_alloc))
             .collect();
-        // Cache-line-packed SoA scheduling state: each node's
-        // `valid_until` and consumption cursors move into blocks carved
-        // partition-contiguously from the owning worker's arena. Must
-        // happen before any validity store below (the slots start at 0).
-        #[cfg(not(parsim_model))]
-        if let Some(d) = &domain {
-            install_soa_slots(&mut nodes, netlist, &owner, d);
-        }
 
         // ---- initialization (§4 step 1) -----------------------------------
         // Per-thread change buffers; index 0 doubles as the init buffer.
@@ -522,21 +485,21 @@ impl ChaoticAsync {
                             }
                         }
                     }
-                    nodes[i].valid_until().store(end, Ordering::Relaxed);
+                    nodes[i].valid_until.store(end, Ordering::Relaxed);
                 }
                 Some(_) => match t0 {
                     // Driven by logic: implicit X at time zero.
                     None => unsafe { nodes[i].push(0, Value::x(nd.width()), &mut seed_alloc) },
                     // Resumed: the cursor baselines carry the value at the
                     // previous cut; behavior is known through it.
-                    Some(t0) => nodes[i].valid_until().store(t0, Ordering::Relaxed),
+                    Some(t0) => nodes[i].valid_until.store(t0, Ordering::Relaxed),
                 },
                 None => {
                     // Floating: X forever, known for all time.
                     if t0.is_none() {
                         unsafe { nodes[i].push(0, Value::x(nd.width()), &mut seed_alloc) };
                     }
-                    nodes[i].valid_until().store(end, Ordering::Relaxed);
+                    nodes[i].valid_until.store(end, Ordering::Relaxed);
                 }
             }
         }
@@ -615,14 +578,6 @@ impl ChaoticAsync {
             }
         }
 
-        // Build-phase chunk traffic folds into the run totals; the
-        // builder arena must drop before workers spawn so its slab
-        // counters are flushed (and its spans graveyarded) by the time
-        // the post-join `stats()` harvest runs.
-        let seed_chunk_allocs = seed_alloc.allocs;
-        let seed_chunk_frees = seed_alloc.frees;
-        drop(seed_alloc);
-
         // Activation flags, grouped by owning worker with a cache line's
         // worth of padding between partitions so one partition's CAS
         // traffic does not false-share its neighbor's flags. `act_of`
@@ -665,8 +620,9 @@ impl ChaoticAsync {
             pending: AtomicI64::new(0),
             activations: AtomicU64::new(0),
             chunks_freed: AtomicU64::new(0),
-            chunk_allocs: AtomicU64::new(seed_chunk_allocs),
-            chunk_frees: AtomicU64::new(seed_chunk_frees),
+            // Build-phase chunk traffic folds into the run totals.
+            chunk_allocs: AtomicU64::new(seed_alloc.allocs),
+            chunk_frees: AtomicU64::new(seed_alloc.frees),
             watched,
             owner,
             use_local,
@@ -675,8 +631,6 @@ impl ChaoticAsync {
             capture,
             lookahead: config.lookahead,
             gc: config.gc,
-            #[cfg(not(parsim_model))]
-            domain,
         };
 
         // Initial activation: every non-generator element (matches the
@@ -762,19 +716,7 @@ impl ChaoticAsync {
                                 let mut my_acts = 0u64;
                                 let mut since_flush = 0u64;
                                 let mut sched = Sched::new(w, tx, init, ctx.use_local);
-                                // Created on this thread so slab spans
-                                // are first-touched by their owner; the
-                                // drop (even via unwind) graveyards the
-                                // spans and flushes slab counters.
-                                let mut mem = WorkerMem::new(ctx, w);
-                                #[cfg(not(parsim_model))]
-                                if let Some(a) = &mem.arena {
-                                    // SAFETY: sched and its senders live
-                                    // and die on this thread; ctx.domain
-                                    // outlives the thread scope (and so
-                                    // every segment retired into it).
-                                    unsafe { sched.tx.use_arena(a) };
-                                }
+                                let mut alloc = ChunkAlloc::default();
                                 let mut backoff = Backoff::new();
                                 let mut idle_since: Option<Instant> = None;
                                 let mut processed = 0u64;
@@ -817,12 +759,6 @@ impl ChaoticAsync {
                                             ctx.act(e).begin_run();
                                             ctx.activations.fetch_add(1, Ordering::Relaxed);
                                             my_acts += 1;
-                                            // Epoch-pinned while the run
-                                            // may traverse cross-worker
-                                            // chunks; unpinned before the
-                                            // idle branch so peers' grace
-                                            // periods keep advancing.
-                                            mem.pin();
                                             // SAFETY: activation machine grants
                                             // exclusive element access.
                                             unsafe {
@@ -832,12 +768,11 @@ impl ChaoticAsync {
                                                     &mut sched,
                                                     &mut changes,
                                                     &mut overflow,
-                                                    &mut mem.alloc,
+                                                    &mut alloc,
                                                     &mut tm,
                                                     &mut tr,
                                                 )
                                             };
-                                            mem.unpin();
                                             if ctx.act(e).finish_run() {
                                                 sched.enqueue(ctx, e as u32, &mut tm, &mut tr);
                                             } else {
@@ -877,10 +812,6 @@ impl ChaoticAsync {
                                                 // lull sees current totals.
                                                 flush_shard(&shard, &tm, my_acts, &mut published);
                                                 shard.set_gauge(Gauge::QueueDepth, 0);
-                                                // Reclamation progress
-                                                // even when this worker
-                                                // stops allocating.
-                                                mem.maintain();
                                             }
                                             if backoff.snooze_traced(&mut tr) {
                                                 tm.sched.backoff_parks += 1;
@@ -899,9 +830,9 @@ impl ChaoticAsync {
                                 shard.add(Counter::BusyNs, tm.busy.as_nanos() as u64);
                                 shard.add(Counter::IdleNs, tm.idle.as_nanos() as u64);
                                 ctx.chunk_allocs
-                                    .fetch_add(mem.alloc.allocs, Ordering::Relaxed);
+                                    .fetch_add(alloc.allocs, Ordering::Relaxed);
                                 ctx.chunk_frees
-                                    .fetch_add(mem.alloc.frees, Ordering::Relaxed);
+                                    .fetch_add(alloc.frees, Ordering::Relaxed);
                                 (changes, tm, tr, overflow)
                             }),
                         );
@@ -944,7 +875,7 @@ impl ChaoticAsync {
                 min_valid_until: ctx
                     .nodes
                     .iter()
-                    .map(|n| n.valid_until().load(Ordering::Acquire))
+                    .map(|n| n.valid_until.load(Ordering::Acquire))
                     .min()
                     .map(Time),
                 sim_time: None,
@@ -981,30 +912,18 @@ impl ChaoticAsync {
             carry.extend(of);
         }
         // Workers are joined, so every per-thread `ChunkAlloc` tally has
-        // been flushed into the ctx atomics and every `WorkerArena` has
-        // pushed its slab counters into the domain.
-        #[allow(unused_mut)]
-        let mut arena_counters = ArenaCounters {
-            enabled: false,
+        // been flushed into the ctx atomics; the totals publish once here,
+        // on the driver shard.
+        let arena_counters = ArenaCounters {
             chunk_allocs: ctx.chunk_allocs.load(Ordering::Relaxed),
             chunk_frees: ctx.chunk_frees.load(Ordering::Relaxed),
             mailbox_recycled: 0,
-            slab: Default::default(),
         };
-        #[cfg(not(parsim_model))]
-        if let Some(d) = &ctx.domain {
-            arena_counters.enabled = true;
-            arena_counters.slab = d.stats();
-        }
-        // Memory-subsystem totals are only harvestable post-join (worker
-        // tallies flush into the ctx atomics / arena domain on drop), so
-        // they publish once here, on the driver shard.
         {
             let d = registry.driver();
             d.add(Counter::GcChunksFreed, ctx.chunks_freed.load(Ordering::Relaxed));
             d.add(Counter::ArenaChunkAllocs, arena_counters.chunk_allocs);
             d.add(Counter::ArenaChunkFrees, arena_counters.chunk_frees);
-            arena_counters.slab.publish(&d);
         }
         let metrics = Metrics {
             events_processed,
@@ -1077,147 +996,6 @@ impl ChaoticAsync {
     }
 }
 
-/// Per-worker hot-path memory handle: the chunk-allocation policy plus,
-/// in arena mode, the worker's slab arena (shared between the policy and
-/// the epoch pin/unpin calls). Everything degrades to a no-op when the
-/// arena is ablated or under the model cfg.
-struct WorkerMem {
-    alloc: ChunkAlloc,
-    #[cfg(not(parsim_model))]
-    arena: Option<Rc<WorkerArena>>,
-}
-
-impl WorkerMem {
-    fn new(ctx: &Ctx<'_>, w: usize) -> WorkerMem {
-        #[cfg(not(parsim_model))]
-        if let Some(d) = &ctx.domain {
-            let arena = Rc::new(d.worker(w));
-            return WorkerMem {
-                alloc: ChunkAlloc::arena(Rc::clone(&arena)),
-                arena: Some(arena),
-            };
-        }
-        #[cfg(parsim_model)]
-        let _ = (ctx, w);
-        WorkerMem {
-            alloc: ChunkAlloc::global(),
-            #[cfg(not(parsim_model))]
-            arena: None,
-        }
-    }
-
-    /// Pins this worker's epoch slot around one element run, so blocks
-    /// it may be traversing cannot leave quarantine underneath it.
-    #[inline]
-    fn pin(&self) {
-        #[cfg(not(parsim_model))]
-        if let Some(a) = &self.arena {
-            a.pin();
-        }
-    }
-
-    #[inline]
-    fn unpin(&self) {
-        #[cfg(not(parsim_model))]
-        if let Some(a) = &self.arena {
-            a.unpin();
-        }
-    }
-
-    /// Idle-loop housekeeping: drains this worker's return stack, helps
-    /// the epoch advance, and promotes grace-cleared blocks.
-    fn maintain(&self) {
-        #[cfg(not(parsim_model))]
-        if let Some(a) = &self.arena {
-            a.maintain();
-        }
-    }
-}
-
-/// Moves each node's `valid_until` and consumption-cursor atomics into
-/// cache-line-packed SoA blocks carved from its home worker's arena —
-/// all of a partition's `valid_until` words first (one contiguous run),
-/// then its cursor arrays. Driverless nodes (and all nodes when no
-/// partition exists) group under the builder slot. A node whose cursor
-/// array exceeds one arena block keeps its inline storage.
-#[cfg(not(parsim_model))]
-fn install_soa_slots(
-    nodes: &mut [NodeState],
-    netlist: &Netlist,
-    owner: &[u32],
-    domain: &ArenaDomain,
-) {
-    use parsim_queue::arena::MAX_CLASS;
-
-    const SLOT: usize = std::mem::size_of::<AtomicU64>();
-
-    let n_workers = domain.n_workers();
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n_workers + 1];
-    for (i, nd) in netlist.nodes().iter().enumerate() {
-        let home = match nd.driver() {
-            Some((drv, _)) if !owner.is_empty() => owner[drv.index()] as usize,
-            _ => n_workers,
-        };
-        groups[home].push(i);
-    }
-
-    /// Bump carver over zeroed MAX_CLASS blocks. The blocks are never
-    /// individually retired: their spans are released wholesale when the
-    /// domain drops (which the engine orders after the nodes).
-    struct Carver<'a> {
-        arena: &'a WorkerArena,
-        cur: *mut u8,
-        left: usize,
-    }
-    impl Carver<'_> {
-        fn take(&mut self, slots: usize) -> *const AtomicU64 {
-            let bytes = slots * SLOT;
-            debug_assert!(0 < bytes && bytes <= MAX_CLASS);
-            if bytes > self.left {
-                let block = self.arena.alloc(MAX_CLASS);
-                // SAFETY: a fresh, exclusively-owned MAX_CLASS-byte
-                // block; zeroed AtomicU64s start at 0 as
-                // `set_ext_slots` requires.
-                unsafe { std::ptr::write_bytes(block, 0, MAX_CLASS) };
-                self.cur = block;
-                self.left = MAX_CLASS;
-            }
-            let p = self.cur as *const AtomicU64;
-            // SAFETY: bounds-checked against `left` just above.
-            self.cur = unsafe { self.cur.add(bytes) };
-            self.left -= bytes;
-            p
-        }
-    }
-
-    for (w, group) in groups.iter().enumerate() {
-        let eligible: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|&i| netlist.nodes()[i].fanout().len().max(1) * SLOT <= MAX_CLASS)
-            .collect();
-        if eligible.is_empty() {
-            continue;
-        }
-        // A transient arena handle for slot `w`: its spans outlive it
-        // (graveyarded into the domain on drop), only its free lists die.
-        let arena = domain.worker(w);
-        let mut carver = Carver {
-            arena: &arena,
-            cur: std::ptr::null_mut(),
-            left: 0,
-        };
-        let valids: Vec<*const AtomicU64> =
-            eligible.iter().map(|_| carver.take(1)).collect();
-        for (k, &i) in eligible.iter().enumerate() {
-            let cursors = carver.take(netlist.nodes()[i].fanout().len().max(1));
-            // SAFETY: zeroed AtomicU64 slots in domain-owned spans that
-            // outlive the nodes (`Ctx` declares `domain` last).
-            unsafe { nodes[i].set_ext_slots(valids[k], cursors) };
-        }
-    }
-}
-
 /// Executes one element activation: §4's "get as much of the new output
 /// behavior from the inputs as possible".
 ///
@@ -1251,7 +1029,7 @@ unsafe fn run_element(
     let min_valid = meta
         .inputs
         .iter()
-        .map(|&(node, _)| ctx.nodes[node as usize].valid_until().load(Ordering::Acquire))
+        .map(|&(node, _)| ctx.nodes[node as usize].valid_until.load(Ordering::Acquire))
         .min()
         .unwrap_or(ctx.end);
 
@@ -1332,7 +1110,7 @@ unsafe fn run_element(
                     });
                 }
             }
-            let vu = ctx.nodes[out_node].valid_until();
+            let vu = &ctx.nodes[out_node].valid_until;
             // Relaxed is sufficient: `valid_until` of an output node is
             // stored only by this element's run, and successive runs are
             // ordered by the activation machine's AcqRel RMW chain
@@ -1374,7 +1152,7 @@ unsafe fn run_element(
                 let node = &ctx.nodes[node as usize];
                 let hold_end = match run.cursors[i].peek(node) {
                     Some((t, _)) => t.saturating_sub(1),
-                    None => node.valid_until().load(Ordering::Acquire),
+                    None => node.valid_until.load(Ordering::Acquire),
                 };
                 pin_end = pin_end.max(hold_end);
                 pinned = true;
@@ -1412,7 +1190,7 @@ unsafe fn run_element(
     // ---- extend output valid times (incremental clock values) --------------
     let out_valid = effective_valid.saturating_add(meta.delay).min(ctx.end);
     for &out in &meta.outputs {
-        let vu = ctx.nodes[out as usize].valid_until();
+        let vu = &ctx.nodes[out as usize].valid_until;
         // Relaxed load justified by writer exclusivity — same argument as
         // the `known_through` site above (and the same model test).
         if vu.load(Ordering::Relaxed) < out_valid {

@@ -151,14 +151,6 @@ pub struct SimConfig {
     /// [`BatchSync`]). Defaults to [`BatchSync::Neighbor`]. Never changes
     /// waveforms.
     pub batch_sync: BatchSync,
-    /// Per-worker slab arenas with epoch-based reclamation for the
-    /// asynchronous engine's hot-path allocations (behavior chunks, SPSC
-    /// segments, SoA scheduling state). On by default; the
-    /// `PARSIM_NO_ARENA` environment variable flips the default off and
-    /// [`SimConfig::without_arena`] disables it per run (the ablation:
-    /// every chunk becomes one global-allocator call). Never changes
-    /// waveforms.
-    pub arena: bool,
     /// In-run telemetry sampling period. `None` (the default) leaves the
     /// always-on metrics registry running but takes no periodic samples;
     /// `Some(p)` makes the watchdog/monitor thread snapshot the registry
@@ -195,7 +187,6 @@ impl SimConfig {
             checkpoint: None,
             lane_width: None,
             batch_sync: BatchSync::default(),
-            arena: std::env::var_os("PARSIM_NO_ARENA").is_none(),
             sample_every: None,
             sample_capacity: parsim_telemetry::DEFAULT_RING_CAPACITY,
             telemetry_hub: None,
@@ -330,15 +321,6 @@ impl SimConfig {
         self
     }
 
-    /// Disables the asynchronous engine's per-worker slab arenas,
-    /// reverting every behavior-chunk allocation to the global allocator
-    /// (the `BENCH_5.json` ablation baseline).
-    #[must_use]
-    pub fn without_arena(mut self) -> SimConfig {
-        self.arena = false;
-        self
-    }
-
     /// Supplies an explicit element→processor partition for the
     /// asynchronous engine's locality-aware scheduler (ablation /
     /// experimentation knob; the default is a fan-out cone clustering
@@ -462,8 +444,7 @@ mod tests {
             .without_gc()
             .with_timing_wheel()
             .without_activity_gating()
-            .without_local_queue()
-            .without_arena();
+            .without_local_queue();
         assert_eq!(cfg.end_time, Time(5));
         assert_eq!(cfg.watch, vec![n0, n1]);
         assert_eq!(cfg.threads, 3);
@@ -472,9 +453,6 @@ mod tests {
         assert!(cfg.timing_wheel);
         assert!(!cfg.activity_gating);
         assert!(!cfg.local_queue);
-        assert!(!cfg.arena);
-        // The default honors PARSIM_NO_ARENA; unset in the test env.
-        assert!(SimConfig::new(Time(5)).arena);
         assert!(SimConfig::new(Time(5)).activity_gating);
         assert!(SimConfig::new(Time(5)).local_queue);
         assert!(SimConfig::new(Time(5)).partition.is_none());

@@ -323,8 +323,8 @@ pub struct Metrics {
     /// engine, so benchmark JSON built from these metrics is
     /// self-describing about the vector width that produced it.
     pub lane_width: u64,
-    /// Arena-allocation counters (chunk traffic for every chaotic run;
-    /// slab/epoch counters when the arena is enabled).
+    /// Hot-path allocation counters (see [`ArenaCounters`]; the name is
+    /// historical).
     pub arena: ArenaCounters,
     /// Wall-clock duration of the run (excluding netlist construction).
     pub wall: Duration,
@@ -332,35 +332,28 @@ pub struct Metrics {
 
 /// Hot-path allocation counters, folded into [`Metrics`] by the engines.
 ///
-/// `chunk_allocs`/`chunk_frees` count behavior-chunk traffic regardless
-/// of backing (with the arena ablated each alloc is one global-allocator
-/// call — the `BENCH_5.json` ablation baseline); the [`ArenaCounters::slab`]
-/// block is populated only when the arena ran, and its `slab_allocs` are
-/// then the *only* global-allocator calls on the chunk path.
+/// The name is historical: the slab arena these once described is gone
+/// (DESIGN.md §12) and every behavior-list chunk is one `Box` from the
+/// global allocator. The type keeps its name and field names because the
+/// benchmark reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaCounters {
-    /// Whether the run used per-worker slab arenas.
-    pub enabled: bool,
     /// Behavior-list chunks allocated (all workers plus the build phase).
     pub chunk_allocs: u64,
-    /// Behavior-list chunks retired/freed.
+    /// Behavior-list chunks freed by the writers' cursor GC (chunks still
+    /// linked at the end of the run are freed with their node).
     pub chunk_frees: u64,
     /// Synchronous-engine mailbox buffers served from the recycling pool
     /// (the hit counter complementing [`Metrics::pool_misses`]).
     pub mailbox_recycled: u64,
-    /// Slab/epoch counters aggregated across the run's arena domain.
-    pub slab: parsim_queue::ArenaStats,
 }
 
 impl ArenaCounters {
-    /// Merges another run segment's counters (additive; the quarantine
-    /// high-water inside `slab` merges as a maximum).
+    /// Merges another run segment's counters (additive).
     pub fn merge(&mut self, other: &ArenaCounters) {
-        self.enabled |= other.enabled;
         self.chunk_allocs += other.chunk_allocs;
         self.chunk_frees += other.chunk_frees;
         self.mailbox_recycled += other.mailbox_recycled;
-        self.slab.merge(&other.slab);
     }
 
     /// True when no allocation activity was recorded.
@@ -368,25 +361,9 @@ impl ArenaCounters {
         *self == ArenaCounters::default()
     }
 
-    /// Global-allocator calls on the chunk hot path: slab-span grows in
-    /// arena mode, one call per chunk otherwise.
+    /// Global-allocator calls on the chunk hot path: one per chunk.
     pub fn global_allocs(&self) -> u64 {
-        if self.enabled {
-            self.slab.slab_allocs
-        } else {
-            self.chunk_allocs
-        }
-    }
-
-    /// Fraction of chunk allocations served by recycling a
-    /// previously-retired slab block (0.0 with the arena off).
-    pub fn recycle_ratio(&self) -> f64 {
-        let total = self.slab.recycled + self.slab.fresh;
-        if total == 0 {
-            0.0
-        } else {
-            self.slab.recycled as f64 / total as f64
-        }
+        self.chunk_allocs
     }
 }
 
@@ -521,19 +498,8 @@ impl fmt::Display for Metrics {
                 self.events_per_step.p95()
             )?;
         }
-        if !self.arena.is_empty() {
-            if self.arena.enabled {
-                write!(
-                    f,
-                    ", arena: {} chunks ({:.0}% recycled, {} slab grows, quarantine peak {})",
-                    self.arena.chunk_allocs,
-                    self.arena.recycle_ratio() * 100.0,
-                    self.arena.slab.slab_allocs,
-                    self.arena.slab.quarantine_peak,
-                )?;
-            } else {
-                write!(f, ", arena off: {} chunk mallocs", self.arena.chunk_allocs)?;
-            }
+        if self.arena.chunk_allocs > 0 {
+            write!(f, ", {} chunk mallocs", self.arena.chunk_allocs)?;
         }
         if !self.checkpoint.is_empty() {
             write!(
@@ -632,13 +598,8 @@ mod tests {
             pool_misses: 6,
             locality: LocalityMetrics { local_hits: 3, ..Default::default() },
             arena: ArenaCounters {
-                enabled: true,
                 chunk_allocs: 100,
                 chunk_frees: 40,
-                slab: parsim_queue::ArenaStats {
-                    quarantine_peak: 5,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             per_thread: vec![ThreadMetrics::default()],
@@ -657,10 +618,6 @@ mod tests {
             arena: ArenaCounters {
                 chunk_allocs: 10,
                 mailbox_recycled: 3,
-                slab: parsim_queue::ArenaStats {
-                    quarantine_peak: 2,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             per_thread: vec![ThreadMetrics::default(), ThreadMetrics::default()],
@@ -678,14 +635,9 @@ mod tests {
         assert_eq!(a.locality.local_hits, 3);
         assert_eq!(a.locality.grid_sends, 9);
         assert_eq!(a.per_thread.len(), 3);
-        assert!(a.arena.enabled);
         assert_eq!(a.arena.chunk_allocs, 110);
         assert_eq!(a.arena.chunk_frees, 40);
         assert_eq!(a.arena.mailbox_recycled, 3);
-        assert_eq!(
-            a.arena.slab.quarantine_peak, 5,
-            "quarantine high-water merges as a max"
-        );
         assert_eq!(a.events_per_step.steps(), 2);
         assert_eq!(a.events_per_step.max(), 700);
         assert_eq!(a.wall, Duration::from_millis(10), "wall is max, not sum");

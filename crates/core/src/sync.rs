@@ -176,8 +176,7 @@ impl SyncEventDriven {
         let node_mail: SharedSlice<BTreeMap<u64, Vec<Update>>> =
             SharedSlice::from_fn(n * n, |_| BTreeMap::new());
         // Recycled update buffers, one pool per mailbox slot
-        // ([`parsim_queue::MailPool`], the arena module's barrier-
-        // separated recycler). The drain side (phase A fill, reader
+        // ([`parsim_queue::MailPool`]). The drain side (phase A fill, reader
         // thread) puts emptied vectors back; the insert side (phase B,
         // writer thread) takes them for new time entries. The two sides
         // run in barrier-separated phases, so each slot has one accessor

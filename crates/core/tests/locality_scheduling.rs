@@ -146,12 +146,12 @@ fn mismatched_partition_width_panics() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn locality_and_ablation_match_reference(
         params in params_strategy(),
-        threads in 1usize..5,
+        threads in 1usize..9,
     ) {
         let c = random_circuit(&params).unwrap();
         let cfg = SimConfig::new(Time(150)).watch_all(c.watch.clone());

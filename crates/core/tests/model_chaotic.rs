@@ -24,7 +24,7 @@ use parsim_logic::Value;
 use parsim_model_check::{thread, Explorer};
 use parsim_queue::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parsim_queue::sync::Arc;
-use parsim_queue::{ActivationState, EpochDomain};
+use parsim_queue::ActivationState;
 
 /// The writer appends events across a chunk boundary while the consumer
 /// replays them concurrently: every event must arrive intact, in order,
@@ -34,11 +34,11 @@ use parsim_queue::{ActivationState, EpochDomain};
 fn behavior_publish_consume_across_chunks() {
     assert_eq!(CHUNK, 2, "model builds shrink the chunk size");
     let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let mut alloc = ChunkAlloc::global();
+        let mut alloc = ChunkAlloc::default();
         let node = Arc::new(NodeState::new(1, &mut alloc));
         let n2 = Arc::clone(&node);
         let writer = thread::spawn(move || {
-            let mut a = ChunkAlloc::global();
+            let mut a = ChunkAlloc::default();
             for t in 0..3u64 {
                 // SAFETY: this thread is the node's only writer.
                 unsafe { n2.push(t, Value::bit(t % 2 == 1), &mut a) };
@@ -74,11 +74,11 @@ fn behavior_publish_consume_across_chunks() {
 #[test]
 fn behavior_gc_never_reclaims_reachable_chunk() {
     let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let mut alloc = ChunkAlloc::global();
+        let mut alloc = ChunkAlloc::default();
         let node = Arc::new(NodeState::new(1, &mut alloc));
         let n2 = Arc::clone(&node);
         let writer = thread::spawn(move || {
-            let mut a = ChunkAlloc::global();
+            let mut a = ChunkAlloc::default();
             let mut freed = 0u64;
             for t in 0..4u64 {
                 // SAFETY: this thread is the node's only writer (push and
@@ -112,7 +112,7 @@ fn behavior_gc_never_reclaims_reachable_chunk() {
         // satisfies for the chunk based at 0... only once the cursor is
         // past it. SAFETY: the writer thread has exited; exclusivity
         // transfers through the join edge.
-        let freed_final = unsafe { node.gc(&mut ChunkAlloc::global()) };
+        let freed_final = unsafe { node.gc(&mut ChunkAlloc::default()) };
         assert!(
             freed_concurrent + freed_final >= 1,
             "fully consumed chunks must eventually be reclaimed"
@@ -171,60 +171,4 @@ fn valid_until_relaxed_rmw_is_exclusive() {
         );
     });
     outcome.assert_pass("valid_until writer-exclusive relaxed RMW");
-}
-
-/// The engine's full per-element memory discipline in one model: the
-/// consumer pins its epoch slot around each replay step (as `WorkerMem`
-/// does around `run_element`) while the writer appends and retires
-/// fully-consumed chunks (`gc` → tombstone quarantine under the model,
-/// the stand-in for the arena's epoch quarantine). Chunk reclamation is
-/// structurally protected by the consumer's cursor-publication release
-/// store; the epochs are defense-in-depth for objects the cursors don't
-/// cover (SPSC segments, SoA slots). No schedule may let the consumer
-/// reach a tombstoned chunk — pinned or between pins — and the epoch
-/// traffic must not unblock a reclaim the cursor protocol forbids.
-#[test]
-fn pinned_consumer_replay_vs_writer_retire() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let epochs = Arc::new(EpochDomain::new(2));
-        let mut alloc = ChunkAlloc::global();
-        let node = Arc::new(NodeState::new(1, &mut alloc));
-        let n2 = Arc::clone(&node);
-        let e2 = Arc::clone(&epochs);
-        let writer = thread::spawn(move || {
-            let mut a = ChunkAlloc::global();
-            for t in 0..3u64 {
-                e2.pin(1);
-                // SAFETY: this thread is the node's only writer.
-                unsafe {
-                    n2.push(t, Value::bit(t % 2 == 1), &mut a);
-                    n2.gc(&mut a);
-                }
-                e2.unpin(1);
-            }
-        });
-        // Pinned across the whole replay, as a worker is across
-        // `run_element`. (Pin/unpin per peek would put a store on the
-        // empty-wait path and defeat the model's park-until-write spin
-        // handling.)
-        epochs.pin(0);
-        let mut cursor = Cursor::new(&node, Value::x(1));
-        let mut next = 0u64;
-        while next < 3 {
-            // SAFETY: this thread is the element's only runner.
-            match unsafe { cursor.peek(&node) } {
-                Some((t, v)) => {
-                    assert_eq!(t, next);
-                    assert_eq!(v, Value::bit(t % 2 == 1), "read a reclaimed slot");
-                    unsafe { cursor.consume(&node) };
-                    node.consumed[0].store(cursor.global, Ordering::Release);
-                    next += 1;
-                }
-                None => thread::yield_now(),
-            }
-        }
-        epochs.unpin(0);
-        writer.join();
-    });
-    outcome.assert_pass("pinned consumer replay vs writer retire");
 }

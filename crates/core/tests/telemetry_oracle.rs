@@ -44,11 +44,6 @@ fn expected(m: &Metrics) -> Vec<(Counter, u64)> {
         (Counter::EvalsSkipped, m.evals_skipped),
         (Counter::ArenaChunkAllocs, m.arena.chunk_allocs),
         (Counter::ArenaChunkFrees, m.arena.chunk_frees),
-        (Counter::ArenaSlabAllocs, m.arena.slab.slab_allocs),
-        (Counter::ArenaSlabBytes, m.arena.slab.slab_bytes),
-        (Counter::ArenaRecycled, m.arena.slab.recycled),
-        (Counter::ArenaFresh, m.arena.slab.fresh),
-        (Counter::ArenaReclaimed, m.arena.slab.reclaimed),
         (Counter::CheckpointWrites, m.checkpoint.writes),
         (Counter::CheckpointBytes, m.checkpoint.bytes),
         (Counter::CheckpointWriteNs, m.checkpoint.write_ns),

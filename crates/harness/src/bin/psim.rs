@@ -41,7 +41,7 @@
 //! arms the in-run sampler (the watchdog thread snapshots the registry
 //! every MS milliseconds into a bounded ring). `--live-stats` prints a
 //! one-line stderr progress ticker (events/s, utilization, queue depth,
-//! arena occupancy, last checkpoint) while the run is in flight.
+//! last checkpoint) while the run is in flight.
 //! `--report` no longer requires `--trace`: without a trace it prints
 //! the metrics-derived per-worker utilization report (busy/idle/parks),
 //! so scheduling imbalance is visible on every build.
@@ -66,7 +66,7 @@ const USAGE: &str = "usage: psim CIRCUIT.net|@c17 [--engine seq|sync|compiled|as
 [--end N] [--threads N] [--watch NODE]... [--vcd FILE] [--stats] \
 [--trace OUT.json] [--report] \
 [--checkpoint-dir DIR --checkpoint-every N [--resume]] \
-[--lanes N [--force-lane-width 64|128|256|512]] [--no-arena] \
+[--lanes N [--force-lane-width 64|128|256|512]] \
 [--metrics-out OUT.prom] [--sample-every MS] [--live-stats]";
 
 /// What the command line asked for: a run, or just the usage text
@@ -91,7 +91,6 @@ struct Options {
     resume: bool,
     lanes: usize,
     force_lane_width: Option<usize>,
-    no_arena: bool,
     metrics_out: Option<String>,
     sample_every_ms: u64,
     live_stats: bool,
@@ -114,7 +113,6 @@ fn parse_args() -> Result<Cli, String> {
         resume: false,
         lanes: 0,
         force_lane_width: None,
-        no_arena: false,
         metrics_out: None,
         sample_every_ms: 0,
         live_stats: false,
@@ -151,7 +149,6 @@ fn parse_args() -> Result<Cli, String> {
                     .map_err(|_| "--checkpoint-every must be an integer".to_string())?
             }
             "--resume" => opts.resume = true,
-            "--no-arena" => opts.no_arena = true,
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--sample-every" => {
                 opts.sample_every_ms = value("--sample-every")?
@@ -274,9 +271,6 @@ fn run(opts: &Options) -> Result<(), String> {
     }
     if let Some(w) = opts.force_lane_width {
         config = config.with_lane_width(w);
-    }
-    if opts.no_arena {
-        config = config.without_arena();
     }
     if opts.sample_every_ms > 0 {
         config = config.sample_every(Duration::from_millis(opts.sample_every_ms));
@@ -514,7 +508,7 @@ fn to_timeseries(run: &RunTelemetry) -> TimeSeriesReport {
     }
 }
 
-/// Folds engine metrics (checkpoint/arena/lane-width/idle/parks) and the
+/// Folds engine metrics (checkpoint/allocs/lane-width/idle/parks) and the
 /// sampled time series into a report, trace-derived or metrics-only.
 fn attach_metrics(
     mut report: RunReport,
@@ -536,17 +530,10 @@ fn attach_metrics(
     }
     let a = &m.arena;
     if !a.is_empty() {
-        report = report.with_arena(parsim_trace::ArenaReport {
-            enabled: a.enabled,
+        report = report.with_allocs(parsim_trace::AllocReport {
             chunk_allocs: a.chunk_allocs,
             chunk_frees: a.chunk_frees,
             mailbox_recycled: a.mailbox_recycled,
-            slab_allocs: a.slab.slab_allocs,
-            slab_bytes: a.slab.slab_bytes,
-            recycled: a.slab.recycled,
-            fresh: a.slab.fresh,
-            reclaimed: a.slab.reclaimed,
-            quarantine_peak: a.slab.quarantine_peak,
         });
     }
     if let Some(ts) = telemetry.map(to_timeseries) {
@@ -640,12 +627,11 @@ impl LiveTicker {
                     "--".to_string()
                 };
                 let mut line = format!(
-                    "[psim] t={} | {} ev/s | util {} | depth {} | arena {} blk",
+                    "[psim] t={} | {} ev/s | util {} | depth {}",
                     snap.gauge(Gauge::SimTime),
                     fmt_rate(rate),
                     util,
                     snap.gauge(Gauge::QueueDepth),
-                    snap.gauge(Gauge::ArenaLiveBlocks),
                 );
                 if snap.counter(Counter::CheckpointWrites) > 0 {
                     line.push_str(&format!(

@@ -16,9 +16,7 @@
 //! ```
 
 mod bench_circuits;
-pub mod cli;
 mod figures;
-pub mod json;
 mod table;
 
 pub use bench_circuits::{
@@ -32,5 +30,4 @@ pub use figures::{
     fig2_event_density, fig3_compiled, fig4_async, fig5_comparison, gc_effectiveness,
     hypercube_experiment, levels_experiment, uniproc_ratio, wallclock_matrix,
 };
-pub use cli::parse_threads_list;
 pub use table::Table;

@@ -163,10 +163,9 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
     let mut finish_max = 0u64;
     let mut deadlock_recoveries = 0u64;
 
-    // Arena memory homes: an element's output chunks live in the slab
-    // arena of its hash-scatter home processor (mirroring the engine's
-    // partition-contiguous allocation). A processor evaluating a foreign
-    // element writes its events into remote memory.
+    // Memory homes: on the modeled machine an element's output events
+    // live in the memory of its hash-scatter home processor. A processor
+    // evaluating a foreign element writes its events into remote memory.
     let home: Vec<usize> = (0..elems.len())
         .map(|e| (((e as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % p as u64) as usize)
         .collect();
@@ -537,7 +536,7 @@ mod tests {
         let arr = inverter_array(16, 16, 2).unwrap();
         let base = MachineConfig::multimax(8);
         let r = model_async(&arr.netlist, Time(150), &base);
-        // Uniprocessor: every write is local to the single arena. (Home
+        // Uniprocessor: every write is local. (Home
         // attribution covers run-time pushes only; generator traces are
         // pre-expanded at build time, so the sum is below `events`.)
         let uni = model_async(&arr.netlist, Time(150), &MachineConfig::multimax(1));
@@ -545,7 +544,7 @@ mod tests {
         assert!(uni.local_events > 0);
         assert!(uni.local_events <= uni.events);
         // Multiprocessor with dynamic scheduling: most elements run away
-        // from their home arena at some point.
+        // from their home processor at some point.
         assert!(r.local_events + r.remote_events <= r.events);
         assert!(r.remote_events > 0, "8 procs must produce remote writes");
         // Charging remote writes stretches virtual time; the default

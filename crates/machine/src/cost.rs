@@ -31,13 +31,13 @@ pub struct CostModel {
     /// Extra cost per stolen work item.
     pub steal_cost: u64,
     /// Cost of writing one event record into memory homed on the
-    /// evaluating processor (the owner's slab arena). Zero by default:
+    /// evaluating processor. Zero by default:
     /// local writes ride the `update_cost` charge.
     pub local_mem_cost: u64,
     /// Cost of writing one event record into memory homed on *another*
-    /// processor (a chunk owned by a different partition's arena, or the
-    /// global heap). Sweeping this against `local_mem_cost` models the
-    /// locality benefit of partition-contiguous arena placement.
+    /// processor. Sweeping this against `local_mem_cost` models what the
+    /// paper's machine pays when event memory is not placed where the
+    /// partition runs.
     pub remote_mem_cost: u64,
     /// Cache-sharing slowdown factor for paired processors at full memory
     /// pressure: each member of a sharing pair runs `1 + penalty *

@@ -25,7 +25,7 @@ pub struct ModelReport {
     /// Node-change events processed.
     pub events: u64,
     /// Events written into memory homed on the evaluating processor
-    /// (the driver's home arena). Only the chaotic model attributes
+    /// (the driver's home). Only the chaotic model attributes
     /// event homes; the barrier-synchronous models report zero.
     pub local_events: u64,
     /// Events written into memory homed on another processor.

@@ -6,9 +6,9 @@
 //! ordering shape a shipped protocol had before its fix, and the shape it
 //! has after:
 //!
-//! - **Drop-drain** (`spsc::Channel::drop` / `ring::RingInner::drop`):
-//!   the drains used `Relaxed` loads and leaned on `Arc::drop`'s internal
-//!   acquire fence to order the drain after the producer's last publish.
+//! - **Drop-drain** (`spsc::Channel::drop`): the drain used `Relaxed`
+//!   loads and leaned on `Arc::drop`'s internal acquire fence to order
+//!   the drain after the producer's last publish.
 //!   Stated as its own protocol — publish with release, drain with a
 //!   relaxed read — the explorer finds a schedule where the drain
 //!   observes the published flag yet races with the slot write. The fix
@@ -189,114 +189,4 @@ fn fixed_barrier_acqrel_arrival_passes() {
     Explorer::new()
         .check(|| sense_barrier_shape(Ordering::AcqRel, 2))
         .assert_pass("acqrel sense barrier");
-}
-
-// ---------------------------------------------------------------------------
-// Epoch pin: the arena's reclamation announcement, pin-store configurable.
-// ---------------------------------------------------------------------------
-
-const RECLAIM_TOMBSTONE: u64 = u64::MAX;
-const EPOCH_ACTIVE: u64 = 1;
-const EPOCH_STEP: u64 = 2;
-const EPOCH_GRACE: u64 = 2 * EPOCH_STEP;
-
-/// The arena's epoch-based reclamation (`parsim_queue::arena`), with the
-/// reader's pin synchronization configurable. A reader announces its
-/// epoch in `slot`, re-checks `global`, and only then dereferences the
-/// published object; the owner unlinks the object, stamps it with the
-/// current epoch, advances the epoch past the grace period ([`EPOCH_GRACE`])
-/// with `SeqCst` slot scans, and then reuses the memory (modeled as a
-/// tombstone write the reader's payload read would race with).
-///
-/// Pin is a store (`slot`) followed by a load of another location
-/// (`global`) — the Dekker shape — and the advance scan is the mirror
-/// image. With `SeqCst` pins the scan can never miss a pinned reader;
-/// with `Relaxed` pins the store can be invisible to the scan while the
-/// reader still sees the pre-advance epoch, so the owner advances twice
-/// past a live reader and reclaims under it.
-fn epoch_pin_shape(pin_sync: Ordering) {
-    let global = Arc::new(AtomicU64::new(0));
-    let slot = Arc::new(AtomicU64::new(0));
-    let published = Arc::new(AtomicU64::new(1));
-    let payload = Arc::new(UnsafeCell::new(7u64));
-
-    let (g2, s2, p2, d2) = (
-        Arc::clone(&global),
-        Arc::clone(&slot),
-        Arc::clone(&published),
-        Arc::clone(&payload),
-    );
-    let reader = thread::spawn(move || {
-        // Pin: announce, then re-check the global epoch.
-        let mut g = g2.load(Ordering::Relaxed);
-        loop {
-            s2.store(g | EPOCH_ACTIVE, pin_sync);
-            let now = g2.load(pin_sync);
-            if now == g {
-                break;
-            }
-            g = now;
-        }
-        if p2.load(Ordering::Acquire) == 1 {
-            let v = d2.with(|p| unsafe { *p });
-            assert_ne!(v, RECLAIM_TOMBSTONE, "read reclaimed memory");
-        }
-        // Unpin.
-        s2.store(0, Ordering::Release);
-    });
-
-    // Owner: unlink, stamp, advance out the grace period, reuse.
-    published.store(0, Ordering::Release);
-    let stamp = global.load(Ordering::SeqCst);
-    while global.load(Ordering::SeqCst) < stamp + EPOCH_GRACE {
-        let g = global.load(Ordering::SeqCst);
-        let s = slot.load(Ordering::SeqCst);
-        if s & EPOCH_ACTIVE != 0 && s & !EPOCH_ACTIVE != g {
-            thread::yield_now();
-            continue;
-        }
-        let _ = global.compare_exchange(g, g + EPOCH_STEP, Ordering::SeqCst, Ordering::Relaxed);
-    }
-    payload.with_mut(|p| unsafe { *p = RECLAIM_TOMBSTONE });
-    reader.join();
-}
-
-/// Schedule on which the relaxed pin was first caught being overtaken by
-/// a double epoch advance (discovered by the explorer, pinned here).
-const EPOCH_RELAXED_SCHEDULE: &str =
-    "t0 t0 t0 t0 t0 t1 t1 t1 t1 t1 t1 t1 t1 t1 t1 t1 t0 t0 r2 t0 t0 t0 r0";
-
-#[test]
-fn prefix_epoch_relaxed_pin_reclaims_under_reader() {
-    let outcome = Explorer::new()
-        .max_preemptions(2)
-        .check(|| epoch_pin_shape(Ordering::Relaxed));
-    let cex = outcome
-        .counterexample
-        .as_ref()
-        .expect("relaxed pin must admit a premature reclaim");
-    assert_eq!(
-        cex.kind,
-        CexKind::DataRace,
-        "expected a payload race: {cex}"
-    );
-
-    let replayed = Explorer::new().replay(EPOCH_RELAXED_SCHEDULE, || {
-        epoch_pin_shape(Ordering::Relaxed)
-    });
-    let rcex = replayed
-        .counterexample
-        .expect("pinned schedule must reproduce the premature reclaim");
-    assert_eq!(rcex.kind, CexKind::DataRace);
-}
-
-/// With `SeqCst` pins restored (the shipped `EpochDomain::pin`), the same
-/// exploration passes: the advance scan is totally ordered against every
-/// pin store, so the epoch can never move two steps past a live reader.
-#[test]
-fn fixed_epoch_seqcst_pin_passes() {
-    Explorer::new()
-        .max_preemptions(2)
-        .check(|| epoch_pin_shape(Ordering::SeqCst))
-        .assert_pass("seqcst epoch pin");
 }

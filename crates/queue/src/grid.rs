@@ -9,11 +9,6 @@
 //! parts when adding to the list rather than when removing from the
 //! list"); a [`GridReceiver`] drains its column.
 
-#[cfg(not(parsim_model))]
-use std::rc::Rc;
-
-#[cfg(not(parsim_model))]
-use crate::arena::WorkerArena;
 use crate::spsc::{channel, Receiver, Sender};
 use parsim_trace::{EventKind, WorkerTracer};
 
@@ -74,20 +69,6 @@ impl<T> GridSender<T> {
     pub fn send_to_traced(&mut self, target: usize, item: T, tracer: &mut WorkerTracer) {
         self.send_to(target, item);
         tracer.instant(EventKind::GridSend, target as u32);
-    }
-
-    /// Routes segment allocations of every inner sender through `arena`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`Sender::use_arena`] for each inner sender: the
-    /// grid sender must stay on the calling thread afterwards and the
-    /// arena's domain must outlive all segments it backs.
-    #[cfg(not(parsim_model))]
-    pub unsafe fn use_arena(&mut self, arena: &Rc<WorkerArena>) {
-        for tx in &mut self.to {
-            unsafe { tx.use_arena(Rc::clone(arena)) };
-        }
     }
 }
 

@@ -9,8 +9,6 @@
 //!
 //! - [`spsc`]: an unbounded lock-free single-producer/single-consumer
 //!   queue (segmented, with the Lamport publish/consume protocol),
-//! - [`ring()`]: the bounded Lamport ring, the paper's literal structure
-//!   ("the head and tail never point to the same location"),
 //! - [`grid()`]: the n×n mailbox grid with round-robin scatter senders,
 //! - [`barrier::SpinBarrier`]: the sense-reversing barrier the synchronous
 //!   algorithms need at phase boundaries,
@@ -23,9 +21,8 @@
 //!   grid slot carries many activations (locality-aware scheduling),
 //! - [`backoff::Backoff`]: truncated exponential backoff for idle
 //!   workers (spin → yield → bounded park), and
-//! - [`central::CentralQueue`]: a deliberately contended lock-based queue
-//!   used to reproduce the paper's negative result (§2: one centralized
-//!   queue capped speed-up at ~2 with 8 processors).
+//! - [`mailpool::MailPool`]: the synchronous engine's barrier-separated
+//!   mailbox-buffer recycler.
 //!
 //! The barrier, backoff, and grid primitives additionally expose
 //! `*_traced` variants that record into a `parsim_trace::WorkerTracer`
@@ -43,30 +40,24 @@
 //! §9 for the inventory-to-model-test mapping.
 
 pub mod activation;
-pub mod arena;
 pub mod backoff;
 pub mod barrier;
 pub mod batch;
-pub mod central;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod grid;
 pub mod handoff;
+pub mod mailpool;
 pub mod pad;
-pub mod ring;
 pub mod spsc;
 pub mod sync;
 
 pub use activation::ActivationState;
-#[cfg(not(parsim_model))]
-pub use arena::{ArenaDomain, WorkerArena};
-pub use arena::{ArenaStats, EpochDomain, MailPool, ReturnStack};
 pub use backoff::Backoff;
 pub use batch::{IdBatch, BATCH_CAPACITY};
 pub use pad::CachePadded;
 pub use barrier::SpinBarrier;
-pub use central::CentralQueue;
 pub use handoff::StepHandoff;
 pub use grid::{grid, GridReceiver, GridSender};
-pub use ring::{ring, RingReceiver, RingSender};
+pub use mailpool::MailPool;
 pub use spsc::{channel, Receiver, Sender};

@@ -19,11 +19,7 @@
 
 use std::mem::MaybeUninit;
 use std::ptr;
-#[cfg(not(parsim_model))]
-use std::rc::Rc;
 
-#[cfg(not(parsim_model))]
-use crate::arena::{retire_remote, WorkerArena, MAX_CLASS};
 use crate::pad::CachePadded;
 use crate::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use crate::sync::{Arc, UnsafeCell};
@@ -42,10 +38,6 @@ struct Segment<T> {
     /// Number of slots written and visible to the consumer.
     published: AtomicUsize,
     next: AtomicPtr<Segment<T>>,
-    /// Whether the backing memory came from a worker arena rather than
-    /// the global allocator; decides how [`Segment::free`] returns it.
-    #[cfg(not(parsim_model))]
-    from_arena: bool,
 }
 
 impl<T> Segment<T> {
@@ -54,50 +46,16 @@ impl<T> Segment<T> {
             data: [const { UnsafeCell::new(MaybeUninit::uninit()) }; SEG],
             published: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
-            #[cfg(not(parsim_model))]
-            from_arena: false,
         }))
     }
 
-    /// Allocates from `arena` when the segment fits a slab size class
-    /// and the arena's 64-byte alignment; falls back to the global
-    /// allocator otherwise (e.g. very large or over-aligned `T`).
-    #[cfg(not(parsim_model))]
-    fn new_in(arena: &WorkerArena) -> *mut Segment<T> {
-        if size_of::<Segment<T>>() > MAX_CLASS || align_of::<Segment<T>>() > 64 {
-            return Self::new_boxed();
-        }
-        let p = arena.alloc(size_of::<Segment<T>>()) as *mut Segment<T>;
-        // SAFETY: freshly allocated block, sized and aligned for
-        // `Segment<T>` per the guard above.
-        unsafe {
-            ptr::write(
-                p,
-                Segment {
-                    data: [const { UnsafeCell::new(MaybeUninit::uninit()) }; SEG],
-                    published: AtomicUsize::new(0),
-                    next: AtomicPtr::new(ptr::null_mut()),
-                    from_arena: true,
-                },
-            );
-        }
-        p
-    }
-
-    /// Frees a segment previously returned by `new_boxed`/`new_in`.
+    /// Frees a segment previously returned by `new_boxed`.
     ///
     /// # Safety
     ///
     /// `seg` must be live with no remaining readers or writers, and any
-    /// published-but-unread items must already have been dropped. For
-    /// arena-backed segments the owning domain must still be alive.
+    /// published-but-unread items must already have been dropped.
     unsafe fn free(seg: *mut Segment<T>) {
-        #[cfg(not(parsim_model))]
-        if (*seg).from_arena {
-            ptr::drop_in_place(seg);
-            retire_remote(seg as *mut u8);
-            return;
-        }
         drop(Box::from_raw(seg));
     }
 }
@@ -157,10 +115,6 @@ impl<T> Drop for Channel<T> {
 /// ```
 pub struct Sender<T> {
     ch: Arc<Channel<T>>,
-    /// Segment source installed via [`Sender::use_arena`]; `None` keeps
-    /// the global allocator.
-    #[cfg(not(parsim_model))]
-    arena: Option<Rc<WorkerArena>>,
     #[cfg(feature = "chaos")]
     chaos: crate::chaos::ChaosState,
 }
@@ -190,8 +144,6 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     (
         Sender {
             ch: Arc::clone(&ch),
-            #[cfg(not(parsim_model))]
-            arena: None,
             #[cfg(feature = "chaos")]
             chaos: crate::chaos::ChaosState::new("spsc-send"),
         },
@@ -211,12 +163,6 @@ impl<T> Sender<T> {
         unsafe {
             let (mut seg, mut idx) = self.ch.tail.with(|p| *p);
             if idx == SEG {
-                #[cfg(not(parsim_model))]
-                let new = match &self.arena {
-                    Some(a) => Segment::new_in(a),
-                    None => Segment::new_boxed(),
-                };
-                #[cfg(parsim_model)]
                 let new = Segment::new_boxed();
                 (*seg).next.store(new, Ordering::Release);
                 seg = new;
@@ -232,22 +178,6 @@ impl<T> Sender<T> {
             (*seg).published.store(idx + 1, Ordering::Release);
             self.ch.tail.with_mut(|p| *p = (seg, idx + 1));
         }
-    }
-
-    /// Routes subsequent segment allocations through `arena`. The first
-    /// segment (allocated by [`channel`]) always comes from the global
-    /// allocator; only segments linked after this call are arena-backed.
-    ///
-    /// # Safety
-    ///
-    /// - The sender must not migrate to another thread after this call:
-    ///   `WorkerArena` is thread-bound and reached through a shared
-    ///   `Rc`.
-    /// - The arena's domain must outlive every segment this sender
-    ///   allocates — in practice, outlive both channel endpoints.
-    #[cfg(not(parsim_model))]
-    pub unsafe fn use_arena(&mut self, arena: Rc<WorkerArena>) {
-        self.arena = Some(arena);
     }
 }
 
@@ -399,63 +329,5 @@ mod tests {
         let (tx, rx) = channel::<String>();
         drop(tx);
         drop(rx);
-    }
-
-    #[test]
-    fn arena_backed_segments_preserve_fifo_and_recycle() {
-        use crate::arena::ArenaDomain;
-
-        // Declared first so it drops last: arena-backed segments are
-        // retired into the domain and must not outlive it.
-        let domain = ArenaDomain::new(1);
-        let arena = std::rc::Rc::new(domain.worker(0));
-        let (mut tx, mut rx) = channel::<u64>();
-        // SAFETY: single-threaded test; domain outlives both endpoints.
-        unsafe { tx.use_arena(std::rc::Rc::clone(&arena)) };
-        let total = SEG as u64 * 6 + 11;
-        for round in 0..3 {
-            for i in 0..total {
-                tx.send(round * total + i);
-            }
-            for i in 0..total {
-                assert_eq!(rx.recv(), Some(round * total + i));
-            }
-            assert_eq!(rx.recv(), None);
-            // Give retired segments a chance to clear the grace period
-            // so later rounds hit the free list.
-            for _ in 0..8 {
-                arena.maintain();
-            }
-        }
-        drop(tx);
-        drop(rx);
-        drop(arena);
-        let stats = domain.stats();
-        assert!(stats.fresh > 0, "segments should come from the arena");
-        assert!(
-            stats.recycled > 0,
-            "later rounds should reuse reclaimed segments: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn arena_segments_drop_unconsumed_items() {
-        use crate::arena::ArenaDomain;
-
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        DROPS.store(0, Ordering::Relaxed);
-        let domain = ArenaDomain::new(1);
-        {
-            let arena = std::rc::Rc::new(domain.worker(0));
-            let (mut tx, rx) = channel();
-            // SAFETY: single-threaded test; domain outlives the channel.
-            unsafe { tx.use_arena(arena) };
-            for i in 0..(SEG as u64 * 3 + 17) {
-                tx.send(DropCounter(&DROPS, i));
-            }
-            drop(tx);
-            drop(rx);
-        }
-        assert_eq!(DROPS.load(Ordering::Relaxed), SEG * 3 + 17);
     }
 }

@@ -18,7 +18,7 @@ use parsim_model_check::{Explorer, model, thread};
 use parsim_queue::sync::atomic::{AtomicUsize, Ordering};
 use parsim_queue::sync::Arc;
 use parsim_queue::sync::UnsafeCell;
-use parsim_queue::{channel, ring, ActivationState, IdBatch, SpinBarrier, StepHandoff, BATCH_CAPACITY};
+use parsim_queue::{channel, ActivationState, IdBatch, SpinBarrier, StepHandoff, BATCH_CAPACITY};
 
 /// Under the model the SPSC segment size is 2, so three items cross a
 /// segment boundary: the producer links a successor and the consumer
@@ -225,59 +225,6 @@ fn activation_absorbed_wakeup_not_lost() {
     outcome.assert_pass("activation absorbed-wakeup visibility");
 }
 
-/// The bounded ring under contention at its smallest capacity: blocking
-/// send/recv loops across the full/empty boundaries, FIFO preserved.
-#[test]
-fn ring_cross_thread_fifo_at_capacity_one() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let (tx, rx) = ring::<u64>(1);
-        let t = thread::spawn(move || {
-            for i in 0..2u64 {
-                let mut v = i;
-                while let Err(back) = tx.try_send(v) {
-                    v = back;
-                    thread::yield_now();
-                }
-            }
-        });
-        let mut next = 0u64;
-        while next < 2 {
-            match rx.try_recv() {
-                Some(v) => {
-                    assert_eq!(v, next);
-                    next += 1;
-                }
-                None => thread::yield_now(),
-            }
-        }
-        t.join();
-    });
-    outcome.assert_pass("ring fifo at capacity one");
-}
-
-/// Dropping a ring that still holds an item: the `Acquire` drain must
-/// drop it exactly once regardless of which endpoint is released last.
-#[test]
-fn ring_drop_while_nonempty_drains() {
-    let outcome = Explorer::new().check(|| {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = ring::<Token>(2);
-        let h = Arc::clone(&hits);
-        let t = thread::spawn(move || {
-            let _ = tx.try_send(Token {
-                hits: Arc::clone(&h),
-            });
-            let _ = tx.try_send(Token {
-                hits: Arc::clone(&h),
-            });
-        });
-        drop(rx); // abandon with 0..=2 items inside, producer maybe live
-        t.join();
-        assert_eq!(hits.load(Ordering::Relaxed), 2, "both tokens dropped exactly once");
-    });
-    outcome.assert_pass("ring drop-while-nonempty");
-}
-
 /// With the `chaos` feature on, the seeded yield bursts inside
 /// `send`/`recv` are real schedule points: the exploration exercises the
 /// exact perturbation windows `cargo test --features chaos` does, and the
@@ -412,131 +359,3 @@ fn handoff_poison_releases_model() {
 #[cfg(not(feature = "chaos"))]
 #[allow(unused_imports)]
 use model as _;
-
-// ---- arena reclamation protocol -------------------------------------------
-
-use parsim_queue::arena::{EpochDomain, Retired, ReturnStack};
-use parsim_queue::sync::atomic::AtomicPtr;
-
-/// Two producers race `ReturnStack::push` CASes against each other and
-/// against the owner's drain swap. Every node must come back exactly
-/// once, with its `next` link visible to the drain (the push's Release
-/// CAS / drain's Acquire swap pairing).
-#[test]
-fn arena_return_stack_mpsc_drains_exactly_once() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let stack = Arc::new(ReturnStack::new());
-        let a = Box::into_raw(Box::new(Retired::new())) as usize;
-        let b = Box::into_raw(Box::new(Retired::new())) as usize;
-        let s1 = Arc::clone(&stack);
-        let t1 = thread::spawn(move || {
-            // SAFETY: node `a` is valid and pushed exactly once.
-            unsafe { s1.push(a as *mut Retired) };
-        });
-        let s2 = Arc::clone(&stack);
-        let t2 = thread::spawn(move || {
-            // SAFETY: node `b` is valid and pushed exactly once.
-            unsafe { s2.push(b as *mut Retired) };
-        });
-        let mut got = Vec::new();
-        while got.len() < 2 {
-            // SAFETY: this thread is the stack's unique drainer.
-            unsafe { stack.drain(|p| got.push(p as usize)) };
-            thread::yield_now();
-        }
-        t1.join();
-        t2.join();
-        got.sort_unstable();
-        let mut want = vec![a, b];
-        want.sort_unstable();
-        assert_eq!(got, want, "push lost or duplicated");
-        // SAFETY: drained exactly once, so ownership is back here.
-        unsafe {
-            drop(Box::from_raw(a as *mut Retired));
-            drop(Box::from_raw(b as *mut Retired));
-        }
-    });
-    outcome.assert_pass("arena return-stack mpsc drain");
-}
-
-const RECLAIM_TOMBSTONE: u64 = u64::MAX;
-
-struct EpochObj {
-    val: UnsafeCell<u64>,
-}
-
-/// The full publish → retire → reclaim lifecycle against a concurrent
-/// pinned reader: the owner unlinks a shared object, stamps it with the
-/// current epoch, advances the epoch until the grace period clears, and
-/// only then tombstones the payload (standing in for reuse). A reader
-/// that pinned *before* the unlink may still dereference the object; the
-/// two-grace-period rule must keep the tombstone write ordered after the
-/// reader's unpin, or the explorer reports the race on the payload cell.
-/// Weakening the pin store to `Relaxed` breaks exactly this — the pinned
-/// red schedule in `prefix_counterexamples.rs`.
-#[test]
-fn arena_epoch_reclaim_never_races_pinned_reader() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let epochs = Arc::new(EpochDomain::new(2));
-        let obj = Box::into_raw(Box::new(EpochObj {
-            val: UnsafeCell::new(7),
-        }));
-        let slot = Arc::new(AtomicPtr::new(obj));
-        let e1 = Arc::clone(&epochs);
-        let s1 = Arc::clone(&slot);
-        let reader = thread::spawn(move || {
-            e1.pin(1);
-            let p = s1.load(Ordering::Acquire);
-            if !p.is_null() {
-                // SAFETY: pinned before the load, so the grace period
-                // covers this dereference.
-                let v = unsafe { (*p).val.with(|v| *v) };
-                assert_ne!(v, RECLAIM_TOMBSTONE, "read reclaimed memory");
-            }
-            e1.unpin(1);
-        });
-        // Owner: unlink, retire at the current epoch, wait out the grace
-        // period, then "reuse" the payload.
-        let old = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        let retire_epoch = epochs.epoch();
-        while !epochs.can_reclaim(retire_epoch) {
-            if !epochs.try_advance() {
-                thread::yield_now();
-            }
-        }
-        // SAFETY: grace period cleared — no pinned reader can still hold
-        // `old` (this is the claim under test).
-        unsafe { (*old).val.with_mut(|v| *v = RECLAIM_TOMBSTONE) };
-        reader.join();
-        // SAFETY: reclaimed exactly once.
-        unsafe { drop(Box::from_raw(old)) };
-    });
-    outcome.assert_pass("arena epoch publish/retire/reclaim");
-}
-
-/// A lagging pin blocks `try_advance` until unpin: the epoch can never
-/// move two steps past a pinned reader, which is the invariant the
-/// reclaim test above leans on.
-#[test]
-fn arena_epoch_advance_blocked_by_lagging_pin() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let epochs = Arc::new(EpochDomain::new(2));
-        let e1 = Arc::clone(&epochs);
-        let t = thread::spawn(move || {
-            e1.pin(1);
-            let pinned_at = e1.epoch();
-            // While pinned, the global epoch may advance at most one
-            // step past the pin.
-            let now = e1.epoch();
-            assert!(
-                now <= pinned_at + parsim_queue::arena::EPOCH_STEP,
-                "epoch ran two steps past a pinned slot"
-            );
-            e1.unpin(1);
-        });
-        epochs.try_advance();
-        epochs.try_advance();
-        t.join();
-    });
-    outcome.assert_pass("arena epoch lagging-pin blocks advance");
-}

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use parsim_queue::{channel, CentralQueue};
+use parsim_queue::channel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,22 +47,6 @@ fn spsc_matches_model_across_many_segments() {
     // Long bursts force multiple 256-slot segments.
     for seed in 100..110 {
         check_against_model(seed, 30_000);
-    }
-}
-
-#[test]
-fn central_queue_matches_model() {
-    let mut rng = SmallRng::seed_from_u64(7);
-    let q = CentralQueue::<u64>::new();
-    let mut model: VecDeque<u64> = VecDeque::new();
-    for i in 0..5000u64 {
-        if rng.gen_bool(0.5) {
-            q.push(i);
-            model.push_back(i);
-        } else {
-            assert_eq!(q.pop(), model.pop_front());
-        }
-        assert_eq!(q.len(), model.len());
     }
 }
 

@@ -43,16 +43,6 @@ pub enum Counter {
     ArenaChunkAllocs,
     /// Behavior-list chunks retired/freed.
     ArenaChunkFrees,
-    /// Slab spans obtained from the global allocator.
-    ArenaSlabAllocs,
-    /// Bytes in those slab spans.
-    ArenaSlabBytes,
-    /// Arena allocations served by recycling a retired block.
-    ArenaRecycled,
-    /// Arena allocations carved fresh from a slab span.
-    ArenaFresh,
-    /// Retired arena blocks that cleared their grace period.
-    ArenaReclaimed,
     /// Snapshots committed to disk by the checkpoint store.
     CheckpointWrites,
     /// Total bytes across committed snapshot files.
@@ -68,7 +58,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 22] = [
         Counter::EventsProcessed,
         Counter::Evaluations,
         Counter::Activations,
@@ -85,11 +75,6 @@ impl Counter {
         Counter::EvalsSkipped,
         Counter::ArenaChunkAllocs,
         Counter::ArenaChunkFrees,
-        Counter::ArenaSlabAllocs,
-        Counter::ArenaSlabBytes,
-        Counter::ArenaRecycled,
-        Counter::ArenaFresh,
-        Counter::ArenaReclaimed,
         Counter::CheckpointWrites,
         Counter::CheckpointBytes,
         Counter::CheckpointWriteNs,
@@ -119,11 +104,6 @@ impl Counter {
             Counter::EvalsSkipped => "parsim_gate_evals_skipped_total",
             Counter::ArenaChunkAllocs => "parsim_arena_chunk_allocs_total",
             Counter::ArenaChunkFrees => "parsim_arena_chunk_frees_total",
-            Counter::ArenaSlabAllocs => "parsim_arena_slab_allocs_total",
-            Counter::ArenaSlabBytes => "parsim_arena_slab_bytes_total",
-            Counter::ArenaRecycled => "parsim_arena_recycled_total",
-            Counter::ArenaFresh => "parsim_arena_fresh_total",
-            Counter::ArenaReclaimed => "parsim_arena_reclaimed_total",
             Counter::CheckpointWrites => "parsim_checkpoint_writes_total",
             Counter::CheckpointBytes => "parsim_checkpoint_bytes_total",
             Counter::CheckpointWriteNs => "parsim_checkpoint_write_ns_total",
@@ -151,12 +131,7 @@ impl Counter {
             Counter::BlocksSkipped => "Compiled-mode level blocks skipped by activity gating",
             Counter::EvalsSkipped => "Evaluations eliminated by activity gating",
             Counter::ArenaChunkAllocs => "Behavior-list chunks allocated",
-            Counter::ArenaChunkFrees => "Behavior-list chunks retired or freed",
-            Counter::ArenaSlabAllocs => "Slab spans obtained from the global allocator",
-            Counter::ArenaSlabBytes => "Bytes in global-allocator slab spans",
-            Counter::ArenaRecycled => "Arena allocations served by recycling a retired block",
-            Counter::ArenaFresh => "Arena allocations carved fresh from a slab span",
-            Counter::ArenaReclaimed => "Retired arena blocks that cleared their grace period",
+            Counter::ArenaChunkFrees => "Behavior-list chunks freed by cursor GC",
             Counter::CheckpointWrites => "Snapshots committed to disk",
             Counter::CheckpointBytes => "Bytes across committed snapshot files",
             Counter::CheckpointWriteNs => "Nanoseconds spent committing snapshots",
@@ -176,10 +151,6 @@ pub enum Gauge {
     SimTime,
     /// Scheduling-queue depth (local deque / pending activations).
     QueueDepth,
-    /// Live slab spans held by the arena (global process gauge).
-    ArenaLiveBlocks,
-    /// Quarantine high-water mark (retired-but-unreclaimable blocks).
-    ArenaQuarantinePeak,
     /// Simulated time of the most recent committed checkpoint.
     LastCheckpointTime,
     /// SIMD stimulus-lane width of the compiled batch kernel.
@@ -198,11 +169,9 @@ pub enum GaugeAgg {
 }
 
 impl Gauge {
-    pub const ALL: [Gauge; 7] = [
+    pub const ALL: [Gauge; 5] = [
         Gauge::SimTime,
         Gauge::QueueDepth,
-        Gauge::ArenaLiveBlocks,
-        Gauge::ArenaQuarantinePeak,
         Gauge::LastCheckpointTime,
         Gauge::LaneWidth,
         Gauge::Workers,
@@ -213,8 +182,6 @@ impl Gauge {
         match self {
             Gauge::SimTime => "parsim_sim_time",
             Gauge::QueueDepth => "parsim_queue_depth",
-            Gauge::ArenaLiveBlocks => "parsim_arena_live_slab_blocks",
-            Gauge::ArenaQuarantinePeak => "parsim_arena_quarantine_peak",
             Gauge::LastCheckpointTime => "parsim_last_checkpoint_time",
             Gauge::LaneWidth => "parsim_lane_width",
             Gauge::Workers => "parsim_workers",
@@ -225,8 +192,6 @@ impl Gauge {
         match self {
             Gauge::SimTime => "Current simulated time in ticks",
             Gauge::QueueDepth => "Scheduling-queue depth (pending activations)",
-            Gauge::ArenaLiveBlocks => "Live slab spans held by the arena",
-            Gauge::ArenaQuarantinePeak => "Retired-but-unreclaimable block high-water mark",
             Gauge::LastCheckpointTime => "Simulated time of the last committed checkpoint",
             Gauge::LaneWidth => "SIMD stimulus-lane width of the batch kernel",
             Gauge::Workers => "Worker threads participating in the run",
@@ -235,9 +200,8 @@ impl Gauge {
 
     pub fn agg(self) -> GaugeAgg {
         match self {
-            Gauge::QueueDepth | Gauge::ArenaLiveBlocks => GaugeAgg::Sum,
+            Gauge::QueueDepth => GaugeAgg::Sum,
             Gauge::SimTime
-            | Gauge::ArenaQuarantinePeak
             | Gauge::LastCheckpointTime
             | Gauge::LaneWidth
             | Gauge::Workers => GaugeAgg::Max,
@@ -549,9 +513,9 @@ mod tests {
     fn gauge_max_ratchets() {
         let reg = Registry::new(1);
         let s = reg.worker(0);
-        s.gauge_max(Gauge::ArenaQuarantinePeak, 5);
-        s.gauge_max(Gauge::ArenaQuarantinePeak, 3);
-        assert_eq!(s.gauge(Gauge::ArenaQuarantinePeak), 5);
+        s.gauge_max(Gauge::SimTime, 5);
+        s.gauge_max(Gauge::SimTime, 3);
+        assert_eq!(s.gauge(Gauge::SimTime), 5);
     }
 
     #[test]

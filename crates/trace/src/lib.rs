@@ -22,7 +22,7 @@ pub mod json;
 pub mod report;
 
 pub use report::{
-    ArenaReport, CheckpointReport, RunReport, ThreadSummary, TimeSeriesPoint, TimeSeriesReport,
+    AllocReport, CheckpointReport, RunReport, ThreadSummary, TimeSeriesPoint, TimeSeriesReport,
 };
 
 use std::time::Instant;

@@ -169,32 +169,17 @@ pub struct CheckpointReport {
     pub restore_ns: u64,
 }
 
-/// Arena-allocator activity for a run. Like [`CheckpointReport`], the
-/// trace stream does not carry this; the harness fills it in from the
-/// engine's metrics via [`RunReport::with_arena`].
+/// Hot-path allocation activity for a run. Like [`CheckpointReport`],
+/// the trace stream does not carry this; the harness fills it in from
+/// the engine's metrics via [`RunReport::with_allocs`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaReport {
-    /// Whether the per-worker slab arena was active for the run.
-    pub enabled: bool,
-    /// Behavior chunks allocated (arena or global, depending on
-    /// `enabled`).
+pub struct AllocReport {
+    /// Behavior chunks allocated (one global-allocator call each).
     pub chunk_allocs: u64,
-    /// Behavior chunks freed/retired.
+    /// Behavior chunks freed by the writers' cursor GC.
     pub chunk_frees: u64,
     /// Mailbox buffers reused from the recycling pool.
     pub mailbox_recycled: u64,
-    /// Slab spans obtained from the global allocator.
-    pub slab_allocs: u64,
-    /// Bytes across those spans.
-    pub slab_bytes: u64,
-    /// Arena allocations served from a free list.
-    pub recycled: u64,
-    /// Arena allocations carved fresh from a span.
-    pub fresh: u64,
-    /// Blocks reclaimed after their grace period.
-    pub reclaimed: u64,
-    /// High-water mark of any worker's retire quarantine.
-    pub quarantine_peak: u64,
 }
 
 /// One worker's scheduling/timing totals as reported by engine metrics —
@@ -272,8 +257,8 @@ pub struct RunReport {
     /// SIMD lane-group width of a batch run (64/128/256/512), or 0 for
     /// scalar engines. From engine metrics, via [`RunReport::with_lane_width`].
     pub lane_width: u64,
-    /// Arena-allocator activity, when the engine reported any.
-    pub arena: Option<ArenaReport>,
+    /// Hot-path allocation activity, when the engine reported any.
+    pub allocs: Option<AllocReport>,
     /// In-run telemetry samples, when sampling was on. From the
     /// always-on metrics registry via [`RunReport::with_timeseries`].
     pub timeseries: Option<TimeSeriesReport>,
@@ -444,10 +429,10 @@ impl RunReport {
         self
     }
 
-    /// Attaches arena-allocator activity (from engine metrics) so
-    /// `Display` and `to_json` include allocation/recycle counters.
-    pub fn with_arena(mut self, arena: ArenaReport) -> RunReport {
-        self.arena = Some(arena);
+    /// Attaches hot-path allocation activity (from engine metrics) so
+    /// `Display` and `to_json` include the chunk and mailbox counters.
+    pub fn with_allocs(mut self, allocs: AllocReport) -> RunReport {
+        self.allocs = Some(allocs);
         self
     }
 
@@ -582,22 +567,11 @@ impl RunReport {
                 c.writes, c.bytes, c.write_ns, c.restore_ns
             ));
         }
-        if let Some(a) = &self.arena {
+        if let Some(a) = &self.allocs {
             s.push_str(&format!(
-                ",\n  \"arena\": {{\"enabled\": {}, \"chunk_allocs\": {}, \
-                 \"chunk_frees\": {}, \"mailbox_recycled\": {}, \"slab_allocs\": {}, \
-                 \"slab_bytes\": {}, \"recycled\": {}, \"fresh\": {}, \"reclaimed\": {}, \
-                 \"quarantine_peak\": {}}}",
-                a.enabled,
-                a.chunk_allocs,
-                a.chunk_frees,
-                a.mailbox_recycled,
-                a.slab_allocs,
-                a.slab_bytes,
-                a.recycled,
-                a.fresh,
-                a.reclaimed,
-                a.quarantine_peak
+                ",\n  \"allocs\": {{\"chunk_allocs\": {}, \"chunk_frees\": {}, \
+                 \"mailbox_recycled\": {}}}",
+                a.chunk_allocs, a.chunk_frees, a.mailbox_recycled
             ));
         }
         if let Some(ts) = &self.timeseries {
@@ -786,30 +760,12 @@ impl fmt::Display for RunReport {
                 ms(c.restore_ns)
             )?;
         }
-        if let Some(a) = &self.arena {
-            if a.enabled {
-                writeln!(
-                    f,
-                    "\narena: {} chunk allocs / {} frees, {} slab spans ({} KiB), \
-                     {} recycled / {} fresh, {} reclaimed, quarantine peak {}, \
-                     {} mailboxes recycled",
-                    a.chunk_allocs,
-                    a.chunk_frees,
-                    a.slab_allocs,
-                    a.slab_bytes / 1024,
-                    a.recycled,
-                    a.fresh,
-                    a.reclaimed,
-                    a.quarantine_peak,
-                    a.mailbox_recycled
-                )?;
-            } else {
-                writeln!(
-                    f,
-                    "\narena: off ({} chunk mallocs, {} mailboxes recycled)",
-                    a.chunk_allocs, a.mailbox_recycled
-                )?;
-            }
+        if let Some(a) = &self.allocs {
+            writeln!(
+                f,
+                "\nmemory: {} chunk mallocs / {} frees, {} mailboxes recycled",
+                a.chunk_allocs, a.chunk_frees, a.mailbox_recycled
+            )?;
         }
         if let Some(ts) = &self.timeseries {
             if !ts.points.is_empty() {
@@ -925,33 +881,16 @@ mod tests {
     }
 
     #[test]
-    fn arena_block_renders_in_json_and_text() {
-        let r = RunReport::from_trace(&synthetic_trace()).with_arena(ArenaReport {
-            enabled: true,
+    fn allocs_block_renders_in_json_and_text() {
+        let r = RunReport::from_trace(&synthetic_trace()).with_allocs(AllocReport {
             chunk_allocs: 120,
             chunk_frees: 80,
             mailbox_recycled: 7,
-            slab_allocs: 3,
-            slab_bytes: 196_608,
-            recycled: 60,
-            fresh: 60,
-            reclaimed: 55,
-            quarantine_peak: 9,
         });
         let j = r.to_json();
-        lint(&j).expect("arena JSON must be well-formed");
-        assert!(j.contains("\"arena\": {\"enabled\": true, \"chunk_allocs\": 120"));
-        assert!(j.contains("\"quarantine_peak\": 9"));
-        let text = r.to_string();
-        assert!(text.contains("arena: 120 chunk allocs"));
-        // Disabled runs report the global-allocator chunk traffic.
-        let off = RunReport::from_trace(&synthetic_trace()).with_arena(ArenaReport {
-            enabled: false,
-            chunk_allocs: 44,
-            ..ArenaReport::default()
-        });
-        assert!(off.to_string().contains("arena: off (44 chunk mallocs"));
-        lint(&off.to_json()).unwrap();
+        lint(&j).expect("allocs JSON must be well-formed");
+        assert!(j.contains("\"allocs\": {\"chunk_allocs\": 120, \"chunk_frees\": 80"));
+        assert!(r.to_string().contains("memory: 120 chunk mallocs / 80 frees, 7 mailboxes"));
     }
 
     #[test]

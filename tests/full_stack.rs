@@ -7,7 +7,8 @@ use parsim::circuits::{
     RandomCircuitParams,
 };
 use parsim::engine::{
-    assert_equivalent, ChaoticAsync, CompiledMode, EventDriven, SimConfig, SyncEventDriven,
+    assert_equivalent, checkpoint, ChaoticAsync, CompiledMode, EngineKind, EventDriven, FaultPlan,
+    SimConfig, StorageFault, SyncEventDriven,
 };
 use parsim::logic::Time;
 use parsim::machine::{model_async, model_seq, model_sync, trace_execution, MachineConfig};
@@ -142,4 +143,50 @@ fn vcd_export_is_well_formed() {
     assert!(vcd.contains("$enddefinitions"));
     assert_eq!(vcd.matches("$var").count(), 2);
     assert!(vcd.lines().filter(|l| l.starts_with('#')).count() > 2);
+}
+
+/// Cross-crate smoke over the multi-threaded engines: the acyclic gate
+/// multiplier and the CPU with feedback, every parallel engine at more
+/// than one thread, all bit-identical to the sequential oracle — plus a
+/// crash-and-resume of the asynchronous engine from its own checkpoints.
+#[test]
+fn parallel_engines_and_checkpoint_resume_match_oracle() {
+    let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
+    let cpu = pipelined_cpu(8, 48).unwrap();
+    let mut cpu_watch = cpu.pc.clone();
+    cpu_watch.extend(cpu.wb_result.iter().copied());
+    let cases = [
+        ("multiplier", &m.netlist, m.product.clone(), m.schedule_end()),
+        ("cpu", &cpu.netlist, cpu_watch, Time(400)),
+    ];
+    for (name, netlist, watch, end) in cases {
+        let cfg = SimConfig::new(end).watch_all(watch);
+        let seq = EventDriven::run(netlist, &cfg).unwrap();
+        for threads in [1, 2, 4] {
+            let r = ChaoticAsync::run(netlist, &cfg.clone().threads(threads)).unwrap();
+            assert_equivalent(&seq, &r, &format!("{name}: async x{threads}"));
+        }
+        let cfg2 = cfg.clone().threads(2);
+        let r = SyncEventDriven::run(netlist, &cfg2).unwrap();
+        assert_equivalent(&seq, &r, &format!("{name}: sync x2"));
+        let r = CompiledMode::run(netlist, &cfg2).unwrap();
+        assert_equivalent(&seq, &r, &format!("{name}: compiled x2"));
+
+        // The machine dies during the second checkpoint's fsync; the
+        // resumed run continues from the first and must not differ.
+        let dir = std::env::temp_dir()
+            .join(format!("parsim-full-stack-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = cfg2
+            .with_checkpoint_dir(&dir)
+            .with_checkpoint_every(end.ticks() / 4);
+        let crashing = ckpt
+            .clone()
+            .with_fault(FaultPlan::storage_fault(1, StorageFault::FsyncCrash));
+        checkpoint::run(EngineKind::Chaotic, netlist, &crashing)
+            .expect_err("the injected storage crash must end the run");
+        let r = checkpoint::resume(EngineKind::Chaotic, netlist, &ckpt).unwrap();
+        assert_equivalent(&seq, &r, &format!("{name}: async resumed"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
