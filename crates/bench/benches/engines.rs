@@ -22,10 +22,6 @@ fn engines_on_inverter_array(c: &mut Criterion) {
     g.bench_function("event_driven", |b| {
         b.iter(|| EventDriven::run(&arr.netlist, &cfg).unwrap())
     });
-    g.bench_function("event_driven_wheel", |b| {
-        let cfg = cfg.clone().with_timing_wheel();
-        b.iter(|| EventDriven::run(&arr.netlist, &cfg).unwrap())
-    });
     g.bench_function("sync_x1", |b| {
         b.iter(|| SyncEventDriven::run(&arr.netlist, &cfg).unwrap())
     });

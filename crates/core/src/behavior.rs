@@ -147,7 +147,7 @@ pub struct NodeState {
     head: AtomicPtr<Chunk>,
     /// Writer-owned tail chunk pointer.
     tail: UnsafeCell<*mut Chunk>,
-    /// Published event count (release store by the writer).
+    /// Count of published events (release store by the writer).
     len: AtomicU64,
     /// Behavior is known for every t <= valid_until. Monotone; written
     /// only by the node's exclusive driver (see the module docs for why

@@ -80,14 +80,13 @@ use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{grid, ActivationState, Backoff, GridSender, IdBatch};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
-use parsim_telemetry::{Counter, Gauge, Shard};
+use parsim_telemetry::{Counter, Gauge, Tally};
 
 use crate::behavior::{ChunkAlloc, Cursor, NodeState};
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
-use crate::metrics::{ArenaCounters, LocalityMetrics, Metrics, ThreadMetrics};
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
@@ -95,55 +94,16 @@ use crate::waveform::SimResult;
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "chaotic-async";
 
-/// Per-worker results: recorded waveform changes, timing counters, the
-/// worker's drained trace ring, and the events the worker computed beyond
-/// the segment cut (checkpoint capture mode).
-type WorkerOutput = (
-    Vec<(Time, NodeId, Value)>,
-    ThreadMetrics,
-    WorkerTracer,
-    Vec<PendingEvent>,
-);
+/// Per-worker results: recorded waveform changes, the worker's drained
+/// trace ring, and the events the worker computed beyond the segment cut
+/// (checkpoint capture mode). Counters travel through the worker's
+/// telemetry shard, not here.
+type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<PendingEvent>);
 
 /// How many activations a worker runs between telemetry shard flushes.
 /// The chaotic hot loop has no step boundary to piggyback on, so counter
 /// publishes are micro-batched to keep them off the per-event path.
 const TELEMETRY_FLUSH_EVERY: u64 = 256;
-
-/// Per-worker cursors of already-published counter totals; a flush
-/// publishes only the delta since the previous one.
-#[derive(Default)]
-struct Published {
-    events: u64,
-    evals: u64,
-    acts: u64,
-    local_hits: u64,
-    grid_sends: u64,
-    grid_batches: u64,
-    steals: u64,
-    parks: u64,
-}
-
-/// Publishes the delta between a worker's running totals and its last
-/// flush. Single-writer relaxed adds; safe to call at any loop point.
-fn flush_shard(shard: &Shard, tm: &ThreadMetrics, acts: u64, p: &mut Published) {
-    shard.add(Counter::EventsProcessed, tm.events - p.events);
-    p.events = tm.events;
-    shard.add(Counter::Evaluations, tm.evaluations - p.evals);
-    p.evals = tm.evaluations;
-    shard.add(Counter::Activations, acts - p.acts);
-    p.acts = acts;
-    shard.add(Counter::LocalHits, tm.sched.local_hits - p.local_hits);
-    p.local_hits = tm.sched.local_hits;
-    shard.add(Counter::GridSends, tm.sched.grid_sends - p.grid_sends);
-    p.grid_sends = tm.sched.grid_sends;
-    shard.add(Counter::GridBatches, tm.sched.grid_batches - p.grid_batches);
-    p.grid_batches = tm.sched.grid_batches;
-    shard.add(Counter::Steals, tm.sched.steals - p.steals);
-    p.steals = tm.sched.steals;
-    shard.add(Counter::BackoffParks, tm.sched.backoff_parks - p.parks);
-    p.parks = tm.sched.backoff_parks;
-}
 
 /// Push-side bound of the local LIFO deque: fan-out pushes beyond this
 /// divert to the owner's grid column instead, so one worker cannot hoard
@@ -188,10 +148,10 @@ impl Sched {
     /// Routes one freshly won activation. Owned elements under the cap
     /// push onto the local deque; everything else accumulates in the
     /// destination's batch (a full batch flushes immediately).
-    fn enqueue(&mut self, ctx: &Ctx<'_>, e: u32, tm: &mut ThreadMetrics, tr: &mut WorkerTracer) {
+    fn enqueue(&mut self, ctx: &Ctx<'_>, e: u32, tally: &mut Tally, tr: &mut WorkerTracer) {
         if !self.use_local {
-            tm.sched.grid_sends += 1;
-            tm.sched.grid_batches += 1;
+            tally.inc(Counter::GridSends);
+            tally.inc(Counter::GridBatches);
             self.tx.send_traced(IdBatch::single(e), tr);
             return;
         }
@@ -199,16 +159,16 @@ impl Sched {
         self.chaos.maybe_yield();
         let dest = ctx.owner[e as usize] as usize;
         if dest == self.w && self.local.len() < LOCAL_CAP {
-            tm.sched.local_hits += 1;
+            tally.inc(Counter::LocalHits);
             tr.instant(EventKind::LocalHit, e);
             self.local.push(e);
             return;
         }
         // Foreign fan-out — or local overflow diverted through the grid
         // so idle peers cannot starve while this worker hoards work.
-        tm.sched.grid_sends += 1;
+        tally.inc(Counter::GridSends);
         if !self.outbox[dest].push(e) {
-            self.flush_one(dest, tm, tr);
+            self.flush_one(dest, tally, tr);
             let pushed = self.outbox[dest].push(e);
             debug_assert!(pushed, "a freshly flushed batch accepts an id");
         }
@@ -222,33 +182,33 @@ impl Sched {
         &mut self,
         ctx: &Ctx<'_>,
         e: u32,
-        tm: &mut ThreadMetrics,
+        tally: &mut Tally,
         tr: &mut WorkerTracer,
     ) {
-        self.enqueue(ctx, e, tm, tr);
+        self.enqueue(ctx, e, tally, tr);
         if self.use_local {
             let dest = ctx.owner[e as usize] as usize;
-            self.flush_one(dest, tm, tr);
+            self.flush_one(dest, tally, tr);
         }
     }
 
     /// Sends one destination's fill-in-progress batch, if non-empty.
-    fn flush_one(&mut self, dest: usize, tm: &mut ThreadMetrics, tr: &mut WorkerTracer) {
+    fn flush_one(&mut self, dest: usize, tally: &mut Tally, tr: &mut WorkerTracer) {
         if self.outbox[dest].is_empty() {
             return;
         }
         #[cfg(feature = "chaos")]
         self.chaos.maybe_yield();
         let batch = self.outbox[dest].take();
-        tm.sched.grid_batches += 1;
+        tally.inc(Counter::GridBatches);
         self.tx.send_to_traced(dest, batch, tr);
     }
 
     /// Flushes every destination batch. Called at activation end, so no
     /// foreign activation waits longer than one element run.
-    fn flush_all(&mut self, tm: &mut ThreadMetrics, tr: &mut WorkerTracer) {
+    fn flush_all(&mut self, tally: &mut Tally, tr: &mut WorkerTracer) {
         for dest in 0..self.outbox.len() {
-            self.flush_one(dest, tm, tr);
+            self.flush_one(dest, tally, tr);
         }
     }
 }
@@ -293,7 +253,6 @@ struct Ctx<'a> {
     /// Element index -> slot in `acts` (partition-grouped layout).
     act_of: Vec<u32>,
     pending: AtomicI64,
-    activations: AtomicU64,
     chunks_freed: AtomicU64,
     /// Chunk-allocation totals flushed by each worker's `ChunkAlloc` at
     /// thread end (plus the build-phase tallies, folded in post-join).
@@ -350,9 +309,7 @@ impl ChaoticAsync {
     pub fn run(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
         let ctx = new_run_ctx(config);
         let out = Self::run_segment(netlist, config, SegmentSpec::whole(config, ctx.clone()))?;
-        let mut result = out.into_result(netlist, config);
-        result.telemetry = Some(ctx.finish());
-        Ok(result)
+        Ok(out.into_result(netlist, config, &ctx))
     }
 
     /// Runs one segment — the whole run when `seg` is
@@ -618,7 +575,6 @@ impl ChaoticAsync {
             acts,
             act_of,
             pending: AtomicI64::new(0),
-            activations: AtomicU64::new(0),
             chunks_freed: AtomicU64::new(0),
             // Build-phase chunk traffic folds into the run totals.
             chunk_allocs: AtomicU64::new(seed_alloc.allocs),
@@ -706,14 +662,12 @@ impl ChaoticAsync {
                                 let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
                                 let mut overflow: Vec<PendingEvent> = Vec::new();
                                 let mut tr = tracer_ref.worker(w);
-                                let mut tm = ThreadMetrics::default();
+                                let mut tally = Tally::default();
                                 // Seeded owned activations count as local
                                 // hits: they were placed without touching
                                 // the grid.
-                                tm.sched.local_hits += init.len() as u64;
+                                tally.add(Counter::LocalHits, init.len() as u64);
                                 let shard = registry.worker(w);
-                                let mut published = Published::default();
-                                let mut my_acts = 0u64;
                                 let mut since_flush = 0u64;
                                 let mut sched = Sched::new(w, tx, init, ctx.use_local);
                                 let mut alloc = ChunkAlloc::default();
@@ -737,7 +691,7 @@ impl ChaoticAsync {
                                     match next {
                                         Some(e) => {
                                             if let Some(t0) = idle_since.take() {
-                                                tm.idle += t0.elapsed();
+                                                tally.add_elapsed(Counter::IdleNs, t0);
                                             }
                                             backoff.reset();
                                             if let FaultAction::Exit = fault.check(
@@ -752,13 +706,12 @@ impl ChaoticAsync {
                                             let busy = Instant::now();
                                             let e = e as usize;
                                             if ctx.use_local && ctx.owner[e] as usize != w {
-                                                tm.sched.steals += 1;
+                                                tally.inc(Counter::Steals);
                                                 tr.instant(EventKind::Steal, e as u32);
                                             }
                                             tr.begin(EventKind::ActivationReplay, e as u32);
                                             ctx.act(e).begin_run();
-                                            ctx.activations.fetch_add(1, Ordering::Relaxed);
-                                            my_acts += 1;
+                                            tally.inc(Counter::Activations);
                                             // SAFETY: activation machine grants
                                             // exclusive element access.
                                             unsafe {
@@ -769,12 +722,12 @@ impl ChaoticAsync {
                                                     &mut changes,
                                                     &mut overflow,
                                                     &mut alloc,
-                                                    &mut tm,
+                                                    &mut tally,
                                                     &mut tr,
                                                 )
                                             };
                                             if ctx.act(e).finish_run() {
-                                                sched.enqueue(ctx, e as u32, &mut tm, &mut tr);
+                                                sched.enqueue(ctx, e as u32, &mut tally, &mut tr);
                                             } else {
                                                 ctx.pending.fetch_sub(1, Ordering::AcqRel);
                                             }
@@ -782,17 +735,17 @@ impl ChaoticAsync {
                                             // fan-out rides together: flush
                                             // now, so no peer waits longer
                                             // than one element run.
-                                            sched.flush_all(&mut tm, &mut tr);
+                                            sched.flush_all(&mut tally, &mut tr);
                                             tr.end(EventKind::ActivationReplay);
                                             tr.counter(
                                                 EventKind::QueueDepth,
                                                 sched.local.len() as u32,
                                             );
-                                            tm.busy += busy.elapsed();
+                                            tally.add_elapsed(Counter::BusyNs, busy);
                                             since_flush += 1;
                                             if since_flush >= TELEMETRY_FLUSH_EVERY {
                                                 since_flush = 0;
-                                                flush_shard(&shard, &tm, my_acts, &mut published);
+                                                tally.flush(&shard);
                                                 shard.set_gauge(
                                                     Gauge::QueueDepth,
                                                     sched.local.len() as u64,
@@ -810,11 +763,11 @@ impl ChaoticAsync {
                                                 // path: flush so a sampler
                                                 // snapshot taken during the
                                                 // lull sees current totals.
-                                                flush_shard(&shard, &tm, my_acts, &mut published);
+                                                tally.flush(&shard);
                                                 shard.set_gauge(Gauge::QueueDepth, 0);
                                             }
                                             if backoff.snooze_traced(&mut tr) {
-                                                tm.sched.backoff_parks += 1;
+                                                tally.inc(Counter::BackoffParks);
                                             }
                                         }
                                     }
@@ -824,16 +777,14 @@ impl ChaoticAsync {
                                 // fault exit) — it used to leak unless the
                                 // worker happened to pop one more element.
                                 if let Some(t0) = idle_since.take() {
-                                    tm.idle += t0.elapsed();
+                                    tally.add_elapsed(Counter::IdleNs, t0);
                                 }
-                                flush_shard(&shard, &tm, my_acts, &mut published);
-                                shard.add(Counter::BusyNs, tm.busy.as_nanos() as u64);
-                                shard.add(Counter::IdleNs, tm.idle.as_nanos() as u64);
+                                tally.flush(&shard);
                                 ctx.chunk_allocs
                                     .fetch_add(alloc.allocs, Ordering::Relaxed);
                                 ctx.chunk_frees
                                     .fetch_add(alloc.frees, Ordering::Relaxed);
-                                (changes, tm, tr, overflow)
+                                (changes, tr, overflow)
                             }),
                         );
                         match body {
@@ -897,51 +848,22 @@ impl ChaoticAsync {
 
         let mut changes = init_changes;
         let outputs: Vec<WorkerOutput> = outputs.into_iter().flatten().collect();
-        let mut per_thread = Vec::with_capacity(n_threads);
-        let mut evaluations = 0;
-        let mut events_processed = events_seed;
-        let mut locality = LocalityMetrics::default();
         let mut worker_tracers = Vec::with_capacity(n_threads);
-        for (c, tm, wt, of) in outputs {
-            evaluations += tm.evaluations;
-            events_processed += tm.events;
-            locality.merge(&tm.sched);
+        for (c, wt, of) in outputs {
             changes.extend(c);
-            per_thread.push(tm);
             worker_tracers.push(wt);
             carry.extend(of);
         }
         // Workers are joined, so every per-thread `ChunkAlloc` tally has
         // been flushed into the ctx atomics; the totals publish once here,
         // on the driver shard.
-        let arena_counters = ArenaCounters {
-            chunk_allocs: ctx.chunk_allocs.load(Ordering::Relaxed),
-            chunk_frees: ctx.chunk_frees.load(Ordering::Relaxed),
-            mailbox_recycled: 0,
-        };
         {
             let d = registry.driver();
             d.add(Counter::GcChunksFreed, ctx.chunks_freed.load(Ordering::Relaxed));
-            d.add(Counter::ArenaChunkAllocs, arena_counters.chunk_allocs);
-            d.add(Counter::ArenaChunkFrees, arena_counters.chunk_frees);
+            d.add(Counter::ArenaChunkAllocs, ctx.chunk_allocs.load(Ordering::Relaxed));
+            d.add(Counter::ArenaChunkFrees, ctx.chunk_frees.load(Ordering::Relaxed));
         }
-        let metrics = Metrics {
-            events_processed,
-            evaluations,
-            activations: ctx.activations.load(Ordering::Relaxed),
-            time_steps: 0,
-            events_per_step: Default::default(),
-            per_thread,
-            gc_chunks_freed: ctx.chunks_freed.load(Ordering::Relaxed),
-            blocks_skipped: 0,
-            evals_skipped: 0,
-            pool_misses: 0,
-            checkpoint: Default::default(),
-            lane_width: 0,
-            locality,
-            arena: arena_counters,
-            wall: start.elapsed(),
-        };
+        let wall = start.elapsed();
         let snapshot = capture.then(|| {
             // Quiescence means every element has replayed every event in
             // the segment, so the per-element run state *is* the state at
@@ -989,7 +911,7 @@ impl ChaoticAsync {
         });
         Ok(SegmentOut {
             changes,
-            metrics,
+            wall,
             trace: tracer.finish(worker_tracers),
             snapshot,
         })
@@ -1012,7 +934,7 @@ unsafe fn run_element(
     changes: &mut Vec<(Time, NodeId, Value)>,
     overflow: &mut Vec<PendingEvent>,
     alloc: &mut ChunkAlloc,
-    tm: &mut ThreadMetrics,
+    tally: &mut Tally,
     tr: &mut WorkerTracer,
 ) {
     let meta = &ctx.meta[e];
@@ -1064,7 +986,7 @@ unsafe fn run_element(
             run.cur_vals[i] = run.cursors[i].value;
         }
         let out = evaluate(&meta.kind, &run.cur_vals, &mut run.state);
-        tm.evaluations += 1;
+        tally.inc(Counter::Evaluations);
         tr.instant(EventKind::Eval, e as u32);
         // Inputs are known through t_next, so every output is now known
         // through t_next + delay — publish that *immediately* so fan-out
@@ -1089,7 +1011,7 @@ unsafe fn run_element(
                     run.last_te[port] = te;
                     run.cut_val[port] = v;
                     ctx.nodes[out_node].push(te, v, alloc);
-                    tm.events += 1;
+                    tally.inc(Counter::EventsProcessed);
                     tr.instant(EventKind::EventInsert, out_node as u32);
                     if ctx.watched[out_node] {
                         changes.push((Time(te), NodeId::from_index(out_node), v));
@@ -1130,7 +1052,7 @@ unsafe fn run_element(
                     let c = consumer.index();
                     if ctx.act(c).try_activate() {
                         ctx.pending.fetch_add(1, Ordering::AcqRel);
-                        sched.enqueue_eager(ctx, c as u32, tm, tr);
+                        sched.enqueue_eager(ctx, c as u32, tally, tr);
                     }
                 }
             }
@@ -1206,7 +1128,7 @@ unsafe fn run_element(
                 let c = consumer.index();
                 if ctx.act(c).try_activate() {
                     ctx.pending.fetch_add(1, Ordering::AcqRel);
-                    sched.enqueue(ctx, c as u32, tm, tr);
+                    sched.enqueue(ctx, c as u32, tally, tr);
                 }
             }
         }

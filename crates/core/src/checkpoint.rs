@@ -31,7 +31,7 @@
 //! engine can be resumed by the chaotic one (and vice versa), because
 //! all engines agree on state at every cut.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parsim_checkpoint::{ChangeRecord, CheckpointError, CheckpointStore, EngineSnapshot};
 use parsim_logic::{Time, Value};
@@ -138,12 +138,13 @@ impl SegmentSpec<'_> {
     }
 }
 
-/// What one segment produced.
+/// What one segment produced. Its counters are not here: the engine
+/// published them into the segment's [`TelemetryCtx`].
 pub(crate) struct SegmentOut {
     /// Watched changes applied within the segment, in emission order.
     pub changes: Vec<(Time, NodeId, Value)>,
-    /// This segment's execution counters.
-    pub metrics: Metrics,
+    /// Wall-clock duration of the segment.
+    pub wall: Duration,
     /// Per-worker trace, when tracing was on (segment-local).
     pub trace: Option<Trace>,
     /// Present iff the segment ran with `capture`.
@@ -152,17 +153,34 @@ pub(crate) struct SegmentOut {
 
 impl SegmentOut {
     /// Finishes a whole-run segment into the public result type.
-    pub fn into_result(self, netlist: &Netlist, config: &SimConfig) -> SimResult {
-        let mut result = SimResult::from_changes(
-            netlist,
-            config.end_time,
-            &config.watch,
-            self.changes,
-            self.metrics,
-        );
-        result.trace = self.trace;
-        result
+    pub fn into_result(
+        self,
+        netlist: &Netlist,
+        config: &SimConfig,
+        ctx: &TelemetryCtx,
+    ) -> SimResult {
+        finish_run(netlist, config, self.changes, self.trace, self.wall, ctx)
     }
+}
+
+/// Ends a run: takes the final registry snapshot, builds the [`Metrics`]
+/// view over it, and assembles the public result. Called exactly once
+/// per run, by whoever created `ctx`.
+fn finish_run(
+    netlist: &Netlist,
+    config: &SimConfig,
+    changes: Vec<(Time, NodeId, Value)>,
+    trace: Option<Trace>,
+    wall: Duration,
+    ctx: &TelemetryCtx,
+) -> SimResult {
+    let telemetry = ctx.finish();
+    let metrics = Metrics::from_registry(&ctx.registry, &telemetry.finals, wall);
+    let mut result =
+        SimResult::from_changes(netlist, config.end_time, &config.watch, changes, metrics);
+    result.trace = trace;
+    result.telemetry = Some(telemetry);
+    result
 }
 
 /// Runs `netlist` on `kind` with periodic checkpointing per
@@ -228,8 +246,8 @@ fn drive(
     let mut store = CheckpointStore::open(&policy.dir, digest, policy.keep)?;
 
     let ctx = new_run_ctx(config);
+    let driver = ctx.registry.driver();
 
-    let mut restore_ns = 0u64;
     let mut warm: Option<EngineSnapshot> = None;
     if try_resume {
         let t = Instant::now();
@@ -244,7 +262,7 @@ fn drive(
             }
             warm = Some(snap);
         }
-        restore_ns = t.elapsed().as_nanos() as u64;
+        driver.add(Counter::CheckpointRestoreNs, t.elapsed().as_nanos() as u64);
     }
 
     // Watched changes accumulate across segments; a restored snapshot
@@ -255,11 +273,8 @@ fn drive(
         .unwrap_or_default();
     let mut step = warm.as_ref().map(|s| s.step).unwrap_or(0);
     let mut committed_step = warm.as_ref().map(|s| s.step);
-    let mut metrics: Option<Metrics> = None;
     let mut trace: Option<Trace> = None;
-    let mut ckpt_writes = 0u64;
-    let mut ckpt_bytes = 0u64;
-    let mut ckpt_write_ns = 0u64;
+    let mut wall = Duration::ZERO;
 
     loop {
         let t0 = warm.as_ref().map(|s| s.time).unwrap_or(0);
@@ -284,10 +299,7 @@ fn drive(
             node: n.index() as u32,
             value: v,
         }));
-        match &mut metrics {
-            None => metrics = Some(out.metrics),
-            Some(m) => m.merge(&out.metrics),
-        }
+        wall += out.wall;
         trace = out.trace;
 
         match out.snapshot {
@@ -299,15 +311,10 @@ fn drive(
                 let stats = store
                     .save(&snap, &config.fault.storage)
                     .map_err(|e| stamp_last_checkpoint(SimError::Checkpoint(e), committed_step))?;
-                let write_ns = t.elapsed().as_nanos() as u64;
-                ckpt_write_ns += write_ns;
-                ckpt_writes += 1;
-                ckpt_bytes += stats.bytes;
-                let shard = ctx.registry.driver();
-                shard.inc(Counter::CheckpointWrites);
-                shard.add(Counter::CheckpointBytes, stats.bytes);
-                shard.add(Counter::CheckpointWriteNs, write_ns);
-                shard.set_gauge(Gauge::LastCheckpointTime, snap.time);
+                driver.add(Counter::CheckpointWriteNs, t.elapsed().as_nanos() as u64);
+                driver.inc(Counter::CheckpointWrites);
+                driver.add(Counter::CheckpointBytes, stats.bytes);
+                driver.set_gauge(Gauge::LastCheckpointTime, snap.time);
                 committed_step = Some(step);
                 snap.changes.clear();
                 warm = Some(snap);
@@ -316,21 +323,11 @@ fn drive(
         }
     }
 
-    let mut metrics = metrics.unwrap_or_default();
-    metrics.checkpoint.writes += ckpt_writes;
-    metrics.checkpoint.bytes += ckpt_bytes;
-    metrics.checkpoint.write_ns += ckpt_write_ns;
-    metrics.checkpoint.restore_ns += restore_ns;
-
     let changes: Vec<(Time, NodeId, Value)> = changes
         .into_iter()
         .map(|c| (Time(c.time), NodeId::from_index(c.node as usize), c.value))
         .collect();
-    let mut result =
-        SimResult::from_changes(netlist, config.end_time, &config.watch, changes, metrics);
-    result.trace = trace;
-    result.telemetry = Some(ctx.finish());
-    Ok(result)
+    Ok(finish_run(netlist, config, changes, trace, wall, &ctx))
 }
 
 /// Annotates watchdog errors with the last committed checkpoint so the

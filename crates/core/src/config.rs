@@ -90,10 +90,6 @@ pub struct SimConfig {
     /// consumed events. On by default; disable only to measure the paper's
     /// "massive state storage" problem.
     pub gc: bool,
-    /// Use the timing-wheel calendar in the sequential engine (the 1980s
-    /// data structure) instead of the default `BTreeMap`. Waveforms are
-    /// identical either way.
-    pub timing_wheel: bool,
     /// Hard wall-time budget for the whole run. When exceeded, the
     /// watchdog cancels all workers and the engine returns
     /// [`SimError::DeadlineExceeded`]. `None` (the default) disables it.
@@ -176,7 +172,6 @@ impl SimConfig {
             threads: 1,
             lookahead: true,
             gc: true,
-            timing_wheel: false,
             deadline: None,
             stall_timeout: None,
             fault: FaultPlan::default(),
@@ -271,13 +266,6 @@ impl SimConfig {
     #[must_use]
     pub fn without_gc(mut self) -> SimConfig {
         self.gc = false;
-        self
-    }
-
-    /// Selects the timing-wheel calendar for the sequential engine.
-    #[must_use]
-    pub fn with_timing_wheel(mut self) -> SimConfig {
-        self.timing_wheel = true;
         self
     }
 
@@ -442,7 +430,6 @@ mod tests {
             .threads(3)
             .without_lookahead()
             .without_gc()
-            .with_timing_wheel()
             .without_activity_gating()
             .without_local_queue();
         assert_eq!(cfg.end_time, Time(5));
@@ -450,7 +437,6 @@ mod tests {
         assert_eq!(cfg.threads, 3);
         assert!(!cfg.lookahead);
         assert!(!cfg.gc);
-        assert!(cfg.timing_wheel);
         assert!(!cfg.activity_gating);
         assert!(!cfg.local_queue);
         assert!(SimConfig::new(Time(5)).activity_gating);

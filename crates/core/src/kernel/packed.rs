@@ -43,7 +43,7 @@ use parsim_netlist::compile::{CompiledProgram, Opcode};
 use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{SpinBarrier, StepHandoff};
-use parsim_telemetry::{Counter, Gauge, TelemetryCtx};
+use parsim_telemetry::{Counter, Gauge, Tally, TelemetryCtx};
 
 use crate::checkpoint::new_run_ctx;
 use crate::compiled::{BatchResult, LaneStimulus};
@@ -51,7 +51,7 @@ use crate::config::{BatchSync, SimConfig};
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
 use crate::kernel::{validate_partition, DirtyMask, ExecPlan, NeighborPlan};
-use crate::metrics::{Metrics, ThreadMetrics};
+use crate::metrics::Metrics;
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
@@ -74,24 +74,16 @@ struct GenWrite<const W: usize> {
 }
 
 /// Per-worker chunk results: per-lane waveform changes (chunk-local lane
-/// ids), timing counters, skip counters, and the unapplied pending set
-/// (slot list + flat plane arena) held when the segment ended — the
-/// unit-delay events for `cut + 1`, used by checkpoint capture.
-type ChunkWorkerOutput<const W: usize> = (
-    Vec<(u32, Time, NodeId, Value)>,
-    ThreadMetrics,
-    u64,
-    u64,
-    Vec<u32>,
-    Vec<WideLanes<W>>,
-);
+/// ids) and the unapplied pending set (slot list + flat plane arena) held
+/// when the segment ended — the unit-delay events for `cut + 1`, used by
+/// checkpoint capture. Counters travel through the worker's telemetry
+/// shard, which every chunk of the batch shares.
+type ChunkWorkerOutput<const W: usize> =
+    (Vec<(u32, Time, NodeId, Value)>, Vec<u32>, Vec<WideLanes<W>>);
 
 /// One chunk's aggregated results, lane ids already globalized.
 struct ChunkOut {
     changes: Vec<(u32, Time, NodeId, Value)>,
-    per_thread: Vec<ThreadMetrics>,
-    blocks_skipped: u64,
-    evals_skipped: u64,
     snapshots: Option<Vec<EngineSnapshot>>,
 }
 
@@ -426,9 +418,6 @@ pub(crate) fn run_batch_segment(
     // narrowest word group covering the remainder (a 65-lane tail runs as
     // one 128-wide chunk, not a 512-wide one).
     let mut lane_changes: Vec<Vec<(Time, NodeId, Value)>> = vec![Vec::new(); lanes];
-    let mut per_thread: Vec<ThreadMetrics> = Vec::new();
-    let mut blocks_skipped = 0u64;
-    let mut evals_skipped = 0u64;
     let mut snapshots: Option<Vec<EngineSnapshot>> = capture.then(Vec::new);
     let mut used_width = 0u64;
     let mut lane_base = 0usize;
@@ -451,9 +440,6 @@ pub(crate) fn run_batch_segment(
         for (lane, t, n, v) in out.changes {
             lane_changes[lane as usize].push((t, n, v));
         }
-        per_thread.extend(out.per_thread);
-        blocks_skipped += out.blocks_skipped;
-        evals_skipped += out.evals_skipped;
         if let (Some(all), Some(chunk)) = (snapshots.as_mut(), out.snapshots) {
             all.extend(chunk);
         }
@@ -461,25 +447,9 @@ pub(crate) fn run_batch_segment(
     }
 
     telemetry.registry.driver().gauge_max(Gauge::LaneWidth, used_width);
-    let events_processed: u64 = per_thread.iter().map(|tm| tm.events).sum();
-    let evaluations: u64 = per_thread.iter().map(|tm| tm.evaluations).sum();
-    let metrics = Metrics {
-        events_processed,
-        evaluations,
-        activations: evaluations,
-        time_steps: cut + 1 - first_step,
-        events_per_step: Default::default(),
-        per_thread,
-        gc_chunks_freed: 0,
-        blocks_skipped,
-        evals_skipped,
-        pool_misses: 0,
-        checkpoint: Default::default(),
-        lane_width: used_width,
-        locality: Default::default(),
-        arena: Default::default(),
-        wall: start.elapsed(),
-    };
+    let wall = start.elapsed();
+    let run_telemetry = telemetry.finish();
+    let metrics = Metrics::from_registry(&telemetry.registry, &run_telemetry.finals, wall);
 
     let lanes_out = lane_changes
         .into_iter()
@@ -491,7 +461,7 @@ pub(crate) fn run_batch_segment(
         BatchResult {
             lanes: lanes_out,
             metrics,
-            telemetry: Some(telemetry.finish()),
+            telemetry: Some(run_telemetry),
         },
         snapshots,
     ))
@@ -707,12 +677,8 @@ fn run_chunk<const W: usize>(
                 scope.spawn(move || {
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let mut changes: Vec<(u32, Time, NodeId, Value)> = Vec::new();
-                        let mut tm = ThreadMetrics::default();
-                        let mut blocks_skipped = 0u64;
-                        let mut evals_skipped = 0u64;
                         let shard = registry.worker(p);
-                        let mut published_events = 0u64;
-                        let mut published_evals = 0u64;
+                        let mut tally = Tally::default();
                         // Pending writes: slot list plus a flat plane arena
                         // (widths are implied by the slots), reused across
                         // steps so the hot loop never allocates.
@@ -729,7 +695,7 @@ fn run_chunk<const W: usize>(
                                 // the first chunk counts them so multi-chunk
                                 // batches don't multiply the step count.
                                 if lane_base == 0 {
-                                    shard.inc(Counter::TimeSteps);
+                                    tally.inc(Counter::TimeSteps);
                                     shard.set_gauge(Gauge::SimTime, t);
                                 }
                                 if cont.cancelled() {
@@ -744,11 +710,11 @@ fn run_chunk<const W: usize>(
                                     let wait_start = Instant::now();
                                     for &c in &nb.consumers[p] {
                                         if !handoff.wait_eval(c as usize, t - 1) {
-                                            tm.idle += wait_start.elapsed();
+                                            tally.add_elapsed(Counter::IdleNs, wait_start);
                                             break 'run;
                                         }
                                     }
-                                    tm.idle += wait_start.elapsed();
+                                    tally.add_elapsed(Counter::IdleNs, wait_start);
                                 }
                             }
                             let busy_start = Instant::now();
@@ -765,7 +731,10 @@ fn run_chunk<const W: usize>(
                                 let cur = unsafe { values.slice_mut(off..off + w) };
                                 let diff =
                                     wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
-                                tm.events += u64::from(wide::mask_count(&diff));
+                                tally.add(
+                                    Counter::EventsProcessed,
+                                    u64::from(wide::mask_count(&diff)),
+                                );
                                 if watched[slot as usize] {
                                     let node = prog.node_of(slot);
                                     wide::for_each_lane(&diff, |lane| {
@@ -801,7 +770,10 @@ fn run_chunk<const W: usize>(
                                             *c = eff;
                                         }
                                         let diff = wide::mask_and(&diff, lane_mask);
-                                        tm.events += u64::from(wide::mask_count(&diff));
+                                        tally.add(
+                                            Counter::EventsProcessed,
+                                            u64::from(wide::mask_count(&diff)),
+                                        );
                                         if watched[gw.slot as usize] {
                                             let node = prog.node_of(gw.slot);
                                             wide::for_each_lane(&diff, |lane| {
@@ -821,12 +793,12 @@ fn run_chunk<const W: usize>(
                                     }
                                 }
                             }
-                            tm.busy += busy_start.elapsed();
+                            tally.add_elapsed(Counter::BusyNs, busy_start);
                             match neighbors {
                                 None => {
                                     let wait_start = Instant::now();
                                     barrier.wait();
-                                    tm.idle += wait_start.elapsed();
+                                    tally.add_elapsed(Counter::IdleNs, wait_start);
                                     // All threads observe the same `stop`
                                     // here (set before the barrier), so
                                     // they break at the same step.
@@ -841,11 +813,11 @@ fn run_chunk<const W: usize>(
                                     let wait_start = Instant::now();
                                     for &pr in &nb.producers[p] {
                                         if !handoff.wait_apply(pr as usize, t) {
-                                            tm.idle += wait_start.elapsed();
+                                            tally.add_elapsed(Counter::IdleNs, wait_start);
                                             break 'run;
                                         }
                                     }
-                                    tm.idle += wait_start.elapsed();
+                                    tally.add_elapsed(Counter::IdleNs, wait_start);
                                     // Cancellation: whoever observes the
                                     // flag poisons the handoff so workers
                                     // it has no edge to stop waiting too.
@@ -860,12 +832,13 @@ fn run_chunk<const W: usize>(
 
                             // ---- evaluate phase -------------------------
                             let busy_start = Instant::now();
+                            let mut step_evals = 0u64;
                             if t < end {
                                 for b in plan.thread_blocks[p].clone() {
                                     let insns = plan.block_insns(b);
                                     if gating && !dirty.take(b as u32) {
-                                        blocks_skipped += 1;
-                                        evals_skipped += insns.len() as u64;
+                                        tally.inc(Counter::BlocksSkipped);
+                                        tally.add(Counter::EvalsSkipped, insns.len() as u64);
                                         continue;
                                     }
                                     for &i in insns {
@@ -895,7 +868,7 @@ fn run_chunk<const W: usize>(
                                             &mut scratch,
                                             &mut inputs_buf,
                                         );
-                                        tm.evaluations += 1;
+                                        step_evals += 1;
                                         // Compare against current values and
                                         // queue changed ports. The compare is
                                         // masked: tail lanes of a fallback
@@ -923,19 +896,17 @@ fn run_chunk<const W: usize>(
                                     }
                                 }
                             }
-                            tm.busy += busy_start.elapsed();
+                            tally.add_elapsed(Counter::BusyNs, busy_start);
                             // Publish this step's deltas (never per event).
-                            shard.add(Counter::EventsProcessed, tm.events - published_events);
-                            published_events = tm.events;
-                            shard.add(Counter::Evaluations, tm.evaluations - published_evals);
-                            shard.add(Counter::Activations, tm.evaluations - published_evals);
-                            published_evals = tm.evaluations;
+                            tally.add(Counter::Evaluations, step_evals);
+                            tally.add(Counter::Activations, step_evals);
+                            tally.flush(&shard);
                             shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
                             match neighbors {
                                 None => {
                                     let wait_start = Instant::now();
                                     barrier.wait();
-                                    tm.idle += wait_start.elapsed();
+                                    tally.add_elapsed(Counter::IdleNs, wait_start);
                                     if barrier.is_poisoned() {
                                         break 'run;
                                     }
@@ -943,16 +914,9 @@ fn run_chunk<const W: usize>(
                                 Some(_) => handoff.publish_eval(p, t),
                             }
                         }
-                        // Residual deltas (early breaks) plus end-computed
-                        // totals that are only known once the loop is done.
-                        shard.add(Counter::EventsProcessed, tm.events - published_events);
-                        shard.add(Counter::Evaluations, tm.evaluations - published_evals);
-                        shard.add(Counter::Activations, tm.evaluations - published_evals);
-                        shard.add(Counter::BlocksSkipped, blocks_skipped);
-                        shard.add(Counter::EvalsSkipped, evals_skipped);
-                        shard.add(Counter::BusyNs, tm.busy.as_nanos() as u64);
-                        shard.add(Counter::IdleNs, tm.idle.as_nanos() as u64);
-                        (changes, tm, blocks_skipped, evals_skipped, pend_slots, pend_data)
+                        // The last wait's idle time and any early break.
+                        tally.flush(&shard);
+                        (changes, pend_slots, pend_data)
                     }));
                     match body {
                         Ok(out) => Some(out),
@@ -1002,16 +966,10 @@ fn run_chunk<const W: usize>(
     }
 
     let outputs: Vec<ChunkWorkerOutput<W>> = outputs.into_iter().flatten().collect();
-    let mut per_thread = Vec::with_capacity(threads);
-    let mut blocks_skipped = 0;
-    let mut evals_skipped = 0;
     let mut changes: Vec<(u32, Time, NodeId, Value)> = Vec::new();
     let mut leftover: Vec<(u32, Vec<WideLanes<W>>)> = Vec::new();
-    for (c, tm, bs, es, pend_slots, pend_data) in outputs {
-        blocks_skipped += bs;
-        evals_skipped += es;
+    for (c, pend_slots, pend_data) in outputs {
         changes.extend(c);
-        per_thread.push(tm);
         let mut cursor = 0usize;
         for slot in pend_slots {
             let w = prog.slot_width(slot) as usize;
@@ -1101,13 +1059,7 @@ fn run_chunk<const W: usize>(
             .collect()
     });
 
-    Ok(ChunkOut {
-        changes,
-        per_thread,
-        blocks_skipped,
-        evals_skipped,
-        snapshots,
-    })
+    Ok(ChunkOut { changes, snapshots })
 }
 
 /// Evaluates instruction `i` into `scratch` (output ports concatenated).

@@ -24,7 +24,7 @@ use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::SpinBarrier;
-use parsim_telemetry::{Counter, Gauge};
+use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
@@ -32,7 +32,6 @@ use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
 use crate::kernel::{validate_partition, DirtyMask, ExecPlan};
-use crate::metrics::{Metrics, ThreadMetrics};
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
@@ -40,18 +39,11 @@ use crate::waveform::SimResult;
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "compiled-mode";
 
-/// Per-worker results: waveform changes, timing counters, skip counters,
-/// the worker's drained trace ring, and the unapplied pending set the
-/// worker held when the segment ended (checkpoint capture mode: these are
-/// the unit-delay events for `cut + 1`).
-type WorkerOutput = (
-    Vec<(Time, NodeId, Value)>,
-    ThreadMetrics,
-    u64,
-    u64,
-    WorkerTracer,
-    Vec<(u32, Value)>,
-);
+/// Per-worker results: waveform changes, the worker's drained trace ring,
+/// and the unapplied pending set the worker held when the segment ended
+/// (checkpoint capture mode: these are the unit-delay events for
+/// `cut + 1`). Counters travel through the worker's telemetry shard.
+type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<(u32, Value)>);
 
 /// Runs the scalar compiled-mode kernel (whole run).
 pub(crate) fn run(
@@ -68,9 +60,7 @@ pub(crate) fn run(
         partition,
         SegmentSpec::whole(config, ctx.clone()),
     )?;
-    let mut result = out.into_result(netlist, config);
-    result.telemetry = Some(ctx.finish());
-    Ok(result)
+    Ok(out.into_result(netlist, config, &ctx))
 }
 
 /// Runs one segment of the scalar compiled-mode kernel.
@@ -195,12 +185,8 @@ pub(crate) fn run_segment(
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
                         let mut tr = tracer_ref.worker(p);
-                        let mut tm = ThreadMetrics::default();
                         let shard = registry.worker(p);
-                        let mut published_events = 0u64;
-                        let mut published_evals = 0u64;
-                        let mut blocks_skipped = 0u64;
-                        let mut evals_skipped = 0u64;
+                        let mut tally = Tally::default();
                         let mut pending: Vec<(u32, Value)> = Vec::new();
                         let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
                         let mut processed = 0u64;
@@ -208,7 +194,7 @@ pub(crate) fn run_segment(
                             cont.beat(p);
                             if p == 0 {
                                 cur_step.store(t, Ordering::Relaxed);
-                                shard.inc(Counter::TimeSteps);
+                                tally.inc(Counter::TimeSteps);
                                 shard.set_gauge(Gauge::SimTime, t);
                                 if cont.cancelled() {
                                     stop.store(true, Ordering::Release);
@@ -221,7 +207,7 @@ pub(crate) fn run_segment(
                                 // SAFETY: single writer per slot (driver
                                 // thread), phases separated by barriers.
                                 unsafe { *values.get_mut(slot as usize) = v };
-                                tm.events += 1;
+                                tally.inc(Counter::EventsProcessed);
                                 if watched[slot as usize] {
                                     changes.push((Time(t), prog.node_of(slot), v));
                                 }
@@ -240,7 +226,7 @@ pub(crate) fn run_segment(
                                         let cur = unsafe { values.get_mut(slot as usize) };
                                         if *cur != v {
                                             *cur = v;
-                                            tm.events += 1;
+                                            tally.inc(Counter::EventsProcessed);
                                             if watched[slot as usize] {
                                                 changes.push((Time(t), prog.node_of(slot), v));
                                             }
@@ -254,10 +240,10 @@ pub(crate) fn run_segment(
                                 }
                             }
                             tr.end(EventKind::PhaseApply);
-                            tm.busy += busy_start.elapsed();
+                            tally.add_elapsed(Counter::BusyNs, busy_start);
                             let wait_start = Instant::now();
                             barrier.wait_traced(&mut tr, 0);
-                            tm.idle += wait_start.elapsed();
+                            tally.add_elapsed(Counter::IdleNs, wait_start);
                             // All threads observe the same `stop` value
                             // here (set before the barrier), so they break
                             // at the same step.
@@ -268,12 +254,13 @@ pub(crate) fn run_segment(
                             // ---- evaluate phase -------------------------
                             let busy_start = Instant::now();
                             tr.begin(EventKind::PhaseEval, t as u32);
+                            let mut step_evals = 0u64;
                             if t < end {
                                 for b in plan.thread_blocks[p].clone() {
                                     let insns = plan.block_insns(b);
                                     if gating && !dirty.take(b as u32) {
-                                        blocks_skipped += 1;
-                                        evals_skipped += insns.len() as u64;
+                                        tally.inc(Counter::BlocksSkipped);
+                                        tally.add(Counter::EvalsSkipped, insns.len() as u64);
                                         tr.instant(EventKind::BlockSkip, b as u32);
                                         continue;
                                     }
@@ -301,7 +288,7 @@ pub(crate) fn run_segment(
                                         // thread.
                                         let state = unsafe { states.get_mut(i) };
                                         let out = evaluate(kind, &inputs_buf, state);
-                                        tm.evaluations += 1;
+                                        step_evals += 1;
                                         tr.instant(EventKind::Eval, i as u32);
                                         for (port, v) in out.iter() {
                                             let slot = prog.outputs(i)[port];
@@ -317,31 +304,24 @@ pub(crate) fn run_segment(
                             }
                             tr.counter(EventKind::QueueDepth, pending.len() as u32);
                             tr.end(EventKind::PhaseEval);
-                            // One relaxed step-delta publish per worker per
-                            // step; activations mirror evaluations (every
+                            // Activations mirror evaluations (every
                             // evaluated instruction counts as activated).
-                            shard.add(Counter::EventsProcessed, tm.events - published_events);
-                            shard.add(Counter::Evaluations, tm.evaluations - published_evals);
-                            shard.add(Counter::Activations, tm.evaluations - published_evals);
+                            tally.add(Counter::Evaluations, step_evals);
+                            tally.add(Counter::Activations, step_evals);
                             shard.set_gauge(Gauge::QueueDepth, pending.len() as u64);
-                            published_events = tm.events;
-                            published_evals = tm.evaluations;
-                            tm.busy += busy_start.elapsed();
+                            tally.add_elapsed(Counter::BusyNs, busy_start);
+                            // One flush per worker per step.
+                            tally.flush(&shard);
                             let wait_start = Instant::now();
                             barrier.wait_traced(&mut tr, 1);
-                            tm.idle += wait_start.elapsed();
+                            tally.add_elapsed(Counter::IdleNs, wait_start);
                             if barrier.is_poisoned() {
                                 break 'run;
                             }
                         }
-                        shard.add(Counter::EventsProcessed, tm.events - published_events);
-                        shard.add(Counter::Evaluations, tm.evaluations - published_evals);
-                        shard.add(Counter::Activations, tm.evaluations - published_evals);
-                        shard.add(Counter::BlocksSkipped, blocks_skipped);
-                        shard.add(Counter::EvalsSkipped, evals_skipped);
-                        shard.add(Counter::BusyNs, tm.busy.as_nanos() as u64);
-                        shard.add(Counter::IdleNs, tm.idle.as_nanos() as u64);
-                        (changes, tm, blocks_skipped, evals_skipped, tr, pending)
+                        // The last barrier's idle time and any early break.
+                        tally.flush(&shard);
+                        (changes, tr, pending)
                     }));
                     match body {
                         Ok(out) => Some(out),
@@ -391,40 +371,14 @@ pub(crate) fn run_segment(
 
     let outputs: Vec<WorkerOutput> = outputs.into_iter().flatten().collect();
     let mut changes = Vec::new();
-    let mut per_thread = Vec::with_capacity(threads);
-    let mut events_processed = 0;
-    let mut evaluations = 0;
-    let mut blocks_skipped = 0;
-    let mut evals_skipped = 0;
     let mut worker_tracers = Vec::with_capacity(threads);
     let mut leftover: Vec<(u32, Value)> = Vec::new();
-    for (c, tm, bs, es, wt, pend) in outputs {
-        events_processed += tm.events;
-        evaluations += tm.evaluations;
-        blocks_skipped += bs;
-        evals_skipped += es;
+    for (c, wt, pend) in outputs {
         changes.extend(c);
-        per_thread.push(tm);
         worker_tracers.push(wt);
         leftover.extend(pend);
     }
-    let metrics = Metrics {
-        events_processed,
-        evaluations,
-        activations: evaluations, // every evaluated instruction "activated"
-        time_steps: cut + 1 - first_step,
-        events_per_step: Default::default(),
-        per_thread,
-        gc_chunks_freed: 0,
-        blocks_skipped,
-        evals_skipped,
-        pool_misses: 0,
-        checkpoint: Default::default(),
-        lane_width: 0,
-        locality: Default::default(),
-        arena: Default::default(),
-        wall: start.elapsed(),
-    };
+    let wall = start.elapsed();
     let snapshot = capture.then(|| {
         let num_nodes = netlist.num_nodes();
         // SAFETY: all workers are joined; single-threaded access with the
@@ -476,7 +430,7 @@ pub(crate) fn run_segment(
     });
     Ok(SegmentOut {
         changes,
-        metrics,
+        wall,
         trace: tracer.finish(worker_tracers),
         snapshot,
     })

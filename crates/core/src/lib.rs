@@ -68,7 +68,6 @@ pub mod sync;
 pub mod testbench;
 mod watchdog;
 mod waveform;
-mod wheel;
 
 pub use analysis::{ActivityReport, WaveformStats};
 pub use chaotic::ChaoticAsync;
@@ -93,4 +92,3 @@ pub use seq::EventDriven;
 pub use sync::SyncEventDriven;
 pub use testbench::{TestBench, TestBenchError, TestRun};
 pub use waveform::{SimResult, Waveform};
-pub use wheel::TimingWheel;

@@ -5,6 +5,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use parsim_telemetry::{Counter, Gauge, HistSnapshot, Registry, Snapshot, HIST_BOUNDS};
+
 /// Histogram of node-change events per active time step.
 ///
 /// The paper (§4, citing the authors' DAC 1987 statistics paper) observes
@@ -41,9 +43,21 @@ impl Default for EventsPerStepHistogram {
     }
 }
 
-/// Inclusive upper bounds of the histogram buckets; the final implicit
+/// Inclusive upper bounds of the histogram buckets (the registry's, so a
+/// [`HistSnapshot`] converts bucket for bucket); the final implicit
 /// bucket collects everything larger.
-const BOUNDS: &[u64] = &[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000];
+const BOUNDS: &[u64] = &HIST_BOUNDS;
+
+impl From<&HistSnapshot> for EventsPerStepHistogram {
+    fn from(h: &HistSnapshot) -> EventsPerStepHistogram {
+        EventsPerStepHistogram {
+            counts: h.buckets.clone(),
+            total_steps: h.count,
+            total_events: h.sum,
+            max: h.max,
+        }
+    }
+}
 
 impl EventsPerStepHistogram {
     /// Creates an empty histogram.
@@ -216,6 +230,18 @@ pub struct LocalityMetrics {
 }
 
 impl LocalityMetrics {
+    /// Reads the five scheduling counters through `counter` (one worker's
+    /// shard, or the aggregated snapshot).
+    fn read(counter: impl Fn(Counter) -> u64) -> LocalityMetrics {
+        LocalityMetrics {
+            local_hits: counter(Counter::LocalHits),
+            grid_sends: counter(Counter::GridSends),
+            grid_batches: counter(Counter::GridBatches),
+            steals: counter(Counter::Steals),
+            backoff_parks: counter(Counter::BackoffParks),
+        }
+    }
+
     /// Merges another set of counters into this one.
     pub fn merge(&mut self, other: &LocalityMetrics) {
         self.local_hits += other.local_hits;
@@ -286,16 +312,20 @@ pub struct Metrics {
     pub activations: u64,
     /// Active time steps (event-driven engines) or total steps (compiled).
     pub time_steps: u64,
-    /// Distribution of events per active step. Filled by the sequential
-    /// engine and (since the telemetry PR) by the synchronous engine,
-    /// whose leader records each step's global event delta. The compiled
-    /// and chaotic engines leave it empty — compiled mode evaluates
-    /// every element each step so the paper's §5 availability statistic
-    /// is meaningless there, and the chaotic engine has no global step
-    /// at all. Renderers must check [`EventsPerStepHistogram::steps`]
-    /// and skip the histogram instead of printing zeros.
+    /// Distribution of events per active step: the registry's histogram,
+    /// recorded once per step by the sequential engine and by the
+    /// synchronous engine's step leader (from the step's global event
+    /// count). The compiled and chaotic engines leave it empty — compiled
+    /// mode evaluates every element each step so the paper's §5
+    /// availability statistic is meaningless there, and the chaotic
+    /// engine has no global step at all. Renderers must check
+    /// [`EventsPerStepHistogram::steps`] and skip the histogram instead of
+    /// printing zeros.
     pub events_per_step: EventsPerStepHistogram,
-    /// Per-thread timing.
+    /// Per-worker timing and work: one row per worker that measured busy
+    /// or idle time, summed over every lane chunk and checkpoint segment
+    /// the worker ran. Empty for the sequential engine, which measures
+    /// neither.
     pub per_thread: Vec<ThreadMetrics>,
     /// Event-list chunks reclaimed by the asynchronous engine's concurrent
     /// garbage collector (zero for other engines).
@@ -330,7 +360,7 @@ pub struct Metrics {
     pub wall: Duration,
 }
 
-/// Hot-path allocation counters, folded into [`Metrics`] by the engines.
+/// Hot-path allocation counters.
 ///
 /// The name is historical: the slab arena these once described is gone
 /// (DESIGN.md §12) and every behavior-list chunk is one `Box` from the
@@ -367,7 +397,7 @@ impl ArenaCounters {
     }
 }
 
-/// Checkpoint overhead counters, folded into [`Metrics`] by the
+/// Checkpoint overhead counters, published by the
 /// [`checkpoint`](crate::checkpoint) driver so `--report` and the
 /// metrics line make snapshot cost visible next to simulation cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -398,15 +428,67 @@ impl CheckpointCounters {
 }
 
 impl Metrics {
-    /// Merges another run's (or worker subset's) metrics into this one.
+    /// The one place a run's `Metrics` is built: a typed view over the
+    /// run's telemetry registry. Scalar fields are the aggregated
+    /// counters of `finals`, `per_thread` comes from the per-worker
+    /// shards, and `wall` is the measured simulation time (the registry
+    /// does not time the run).
+    pub(crate) fn from_registry(
+        registry: &Registry,
+        finals: &Snapshot,
+        wall: Duration,
+    ) -> Metrics {
+        // A worker shard with no measured time took no part in the run:
+        // the sequential engine times nothing, and it leaves the shards
+        // beyond its single worker untouched.
+        let per_thread = registry.shards()[..registry.num_workers()]
+            .iter()
+            .filter(|s| s.counter(Counter::BusyNs) + s.counter(Counter::IdleNs) > 0)
+            .map(|s| ThreadMetrics {
+                busy: Duration::from_nanos(s.counter(Counter::BusyNs)),
+                idle: Duration::from_nanos(s.counter(Counter::IdleNs)),
+                evaluations: s.counter(Counter::Evaluations),
+                events: s.counter(Counter::EventsProcessed),
+                sched: LocalityMetrics::read(|c| s.counter(c)),
+            })
+            .collect();
+        Metrics {
+            events_processed: finals.counter(Counter::EventsProcessed),
+            evaluations: finals.counter(Counter::Evaluations),
+            activations: finals.counter(Counter::Activations),
+            time_steps: finals.counter(Counter::TimeSteps),
+            events_per_step: EventsPerStepHistogram::from(&finals.hist),
+            per_thread,
+            gc_chunks_freed: finals.counter(Counter::GcChunksFreed),
+            blocks_skipped: finals.counter(Counter::BlocksSkipped),
+            evals_skipped: finals.counter(Counter::EvalsSkipped),
+            locality: LocalityMetrics::read(|c| finals.counter(c)),
+            pool_misses: finals.counter(Counter::PoolMisses),
+            checkpoint: CheckpointCounters {
+                writes: finals.counter(Counter::CheckpointWrites),
+                bytes: finals.counter(Counter::CheckpointBytes),
+                write_ns: finals.counter(Counter::CheckpointWriteNs),
+                restore_ns: finals.counter(Counter::CheckpointRestoreNs),
+            },
+            lane_width: finals.gauge(Gauge::LaneWidth),
+            arena: ArenaCounters {
+                chunk_allocs: finals.counter(Counter::ArenaChunkAllocs),
+                chunk_frees: finals.counter(Counter::ArenaChunkFrees),
+                mailbox_recycled: finals.counter(Counter::MailboxRecycled),
+            },
+            wall,
+        }
+    }
+
+    /// Merges a *separate* run's metrics into this one — the server
+    /// stitching the slices of a job through
+    /// [`SimResult::append_segment`](crate::SimResult::append_segment).
+    /// (Within one run nothing is merged: every worker, lane chunk and
+    /// checkpoint segment publishes into the same registry.)
     ///
-    /// All counters and histograms are additive and `per_thread` entries
-    /// are concatenated, so merging any partition of a run's per-worker
-    /// metrics — in any grouping or order — reproduces the aggregate the
-    /// engine would have built directly. `wall` and `lane_width` are the
-    /// non-additive fields: workers run concurrently, so the merged wall
-    /// clock is the maximum, and the lane width of a run is the widest
-    /// width any chunk of it used (also a maximum).
+    /// Counters and histograms add and `per_thread` rows are
+    /// concatenated. `wall` and `lane_width` are the non-additive fields:
+    /// both take the maximum.
     pub fn merge(&mut self, other: &Metrics) {
         self.events_processed += other.events_processed;
         self.evaluations += other.evaluations;

@@ -9,8 +9,8 @@
 //! This engine is the correctness oracle for the three parallel engines
 //! and the baseline for the paper's uniprocessor speed comparisons (§5:
 //! the asynchronous algorithm runs 1–3× faster than this on one
-//! processor). It also fills the events-per-time-step histogram behind the
-//! paper's "less than 5 events available about 50% of the time"
+//! processor). It also records the events-per-time-step histogram behind
+//! the paper's "less than 5 events available about 50% of the time"
 //! observation.
 
 use std::collections::BTreeMap;
@@ -19,16 +19,14 @@ use std::time::Instant;
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::{evaluate, expand_generator, transition_delay, ElemState, Time, Value};
 use parsim_netlist::{Netlist, NodeId};
-use parsim_telemetry::{Counter, Gauge};
+use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer};
 
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
-use crate::metrics::{EventsPerStepHistogram, Metrics};
 use crate::watchdog::{Containment, Watchdog};
 use crate::waveform::SimResult;
-use crate::wheel::TimingWheel;
 
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "event-driven";
@@ -40,32 +38,6 @@ const DEADLINE_CHECK_EVERY: u64 = 4096;
 /// A sentinel "node" index used to force an otherwise-empty time-zero
 /// step (the initialization pass).
 const NOOP: usize = usize::MAX;
-
-/// The pending-event calendar: the default sorted map or the 1980s
-/// timing wheel, selected by [`SimConfig::timing_wheel`].
-enum Calendar {
-    Map(BTreeMap<u64, Vec<(usize, Value)>>),
-    Wheel(TimingWheel<(usize, Value)>),
-}
-
-impl Calendar {
-    fn schedule(&mut self, t: u64, item: (usize, Value)) {
-        match self {
-            Calendar::Map(m) => m.entry(t).or_default().push(item),
-            Calendar::Wheel(w) => w.schedule(t, item),
-        }
-    }
-
-    fn take_next(&mut self) -> Option<(u64, Vec<(usize, Value)>)> {
-        match self {
-            Calendar::Map(m) => {
-                let (&t, _) = m.first_key_value()?;
-                Some((t, m.remove(&t).expect("key observed")))
-            }
-            Calendar::Wheel(w) => w.take_next(),
-        }
-    }
-}
 
 /// The sequential event-driven simulator.
 ///
@@ -91,9 +63,7 @@ impl EventDriven {
     pub fn run(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
         let ctx = new_run_ctx(config);
         let out = Self::run_segment(netlist, config, SegmentSpec::whole(config, ctx.clone()))?;
-        let mut result = out.into_result(netlist, config);
-        result.telemetry = Some(ctx.finish());
-        Ok(result)
+        Ok(out.into_result(netlist, config, &ctx))
     }
 
     /// Runs one segment of the simulation — the whole run when `seg` is
@@ -151,18 +121,14 @@ impl EventDriven {
         }
 
         // Pending node updates, keyed by time.
-        let mut schedule = if config.timing_wheel {
-            Calendar::Wheel(TimingWheel::new(netlist.max_delay().ticks() * 2 + 8))
-        } else {
-            Calendar::Map(BTreeMap::new())
-        };
+        let mut schedule: BTreeMap<u64, Vec<(usize, Value)>> = BTreeMap::new();
         // Events computed for beyond the cut (capture mode only).
         let mut overflow: Vec<PendingEvent> = Vec::new();
         match seg.resume {
             None => {
                 // Force a time-zero step for the initialization pass (a
                 // no-op sentinel; real updates may join the same bucket).
-                schedule.schedule(0, (NOOP, Value::x(1)));
+                schedule.entry(0).or_default().push((NOOP, Value::x(1)));
             }
             Some(snap) => {
                 // Re-inject in-flight events. Ones beyond even this
@@ -170,7 +136,10 @@ impl EventDriven {
                 // happened when they were first computed).
                 for ev in &snap.pending {
                     if ev.time <= cut {
-                        schedule.schedule(ev.time, (ev.node as usize, ev.value));
+                        schedule
+                            .entry(ev.time)
+                            .or_default()
+                            .push((ev.node as usize, ev.value));
                     } else {
                         overflow.push(ev.clone());
                     }
@@ -190,7 +159,7 @@ impl EventDriven {
                 if t0.is_some_and(|t0| t.ticks() <= t0) {
                     continue;
                 }
-                schedule.schedule(t.ticks(), (out, v));
+                schedule.entry(t.ticks()).or_default().push((out, v));
                 expanded += 1;
                 if expanded.is_multiple_of(DEADLINE_CHECK_EVERY) {
                     if let Some(d) = config.deadline {
@@ -229,11 +198,6 @@ impl EventDriven {
         }
 
         let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
-        let mut histogram = EventsPerStepHistogram::new();
-        let mut events_processed = 0u64;
-        let mut evaluations = 0u64;
-        let mut activations = init_activated.len() as u64;
-        let mut time_steps = 0u64;
         let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
         let mut next_deadline_check = DEADLINE_CHECK_EVERY;
         // This engine is a single logical worker: worker 0 owns the only
@@ -245,14 +209,16 @@ impl EventDriven {
         // sequential engine has no watchdog thread unless the sampler
         // needs one — deadlines stay inline polls either way).
         let shard = seg.telemetry.registry.worker(0);
-        let mut published_evals = 0u64;
-        let mut published_acts = 0u64;
+        let mut tally = Tally::default();
+        tally.add(Counter::Activations, init_activated.len() as u64);
         let containment = Containment::new(1);
         let mut monitor = Watchdog::spawn(&containment, None, None, seg.telemetry.sampler(), || {});
 
-        while let Some((t, updates)) = schedule.take_next() {
+        while let Some((t, updates)) = schedule.pop_first() {
             if let Some(d) = config.deadline {
-                let work = events_processed + evaluations;
+                // The shard is current as of the previous step's flush.
+                let evaluations = shard.counter(Counter::Evaluations);
+                let work = shard.counter(Counter::EventsProcessed) + evaluations;
                 if work >= next_deadline_check {
                     next_deadline_check = work + DEADLINE_CHECK_EVERY;
                     if start.elapsed() > d {
@@ -297,18 +263,15 @@ impl EventDriven {
                     if stamp[e] != t {
                         stamp[e] = t;
                         activated.push(e);
-                        activations += 1;
+                        tally.inc(Counter::Activations);
                     }
                 }
             }
             if step_events > 0 {
-                histogram.record(step_events);
-                time_steps += 1;
-                shard.inc(Counter::TimeSteps);
+                tally.inc(Counter::TimeSteps);
                 shard.record_step_events(step_events);
             }
-            events_processed += step_events;
-            shard.add(Counter::EventsProcessed, step_events);
+            tally.add(Counter::EventsProcessed, step_events);
             shard.set_gauge(Gauge::SimTime, t);
             shard.set_gauge(Gauge::QueueDepth, activated.len() as u64);
             tr.counter(EventKind::QueueDepth, activated.len() as u32);
@@ -320,7 +283,7 @@ impl EventDriven {
                 inputs_buf.clear();
                 inputs_buf.extend(elem.inputs().iter().map(|&n| values[n.index()]));
                 let out = evaluate(elem.kind(), &inputs_buf, &mut states[e]);
-                evaluations += 1;
+                tally.inc(Counter::Evaluations);
                 tr.instant(EventKind::Eval, e as u32);
                 for (port, v) in out.iter() {
                     let out_node = elem.outputs()[port].index();
@@ -342,7 +305,7 @@ impl EventDriven {
                         // or a flip-back would re-emit the kept value.
                         last_scheduled[out_node] = v;
                         last_sched_time[out_node] = te;
-                        schedule.schedule(te, (out_node, v));
+                        schedule.entry(te).or_default().push((out_node, v));
                         tr.instant(EventKind::EventInsert, out_node as u32);
                     } else if seg.capture && te <= end.ticks() {
                         // Beyond the cut but within the horizon: the
@@ -359,37 +322,17 @@ impl EventDriven {
                     }
                 }
             }
-            // Step-delta publishes keep the shard current for mid-run
+            // One flush per step keeps the shard current for mid-run
             // sampling without touching the per-event path.
-            shard.add(Counter::Evaluations, evaluations - published_evals);
-            shard.add(Counter::Activations, activations - published_acts);
-            published_evals = evaluations;
-            published_acts = activations;
+            tally.flush(&shard);
             tr.end(EventKind::TimeStep);
         }
-        shard.add(Counter::Evaluations, evaluations - published_evals);
-        shard.add(Counter::Activations, activations - published_acts);
+        tally.flush(&shard);
         if let Some(w) = monitor.take() {
             w.finish();
         }
 
-        let metrics = Metrics {
-            events_processed,
-            evaluations,
-            activations,
-            time_steps,
-            events_per_step: histogram,
-            per_thread: Vec::new(),
-            gc_chunks_freed: 0,
-            blocks_skipped: 0,
-            evals_skipped: 0,
-            locality: Default::default(),
-            pool_misses: 0,
-            checkpoint: Default::default(),
-            lane_width: 0,
-            arena: Default::default(),
-            wall: start.elapsed(),
-        };
+        let wall = start.elapsed();
         let snapshot = seg.capture.then(|| {
             overflow.sort_by_key(|ev| (ev.time, ev.node));
             EngineSnapshot {
@@ -407,7 +350,7 @@ impl EventDriven {
         });
         Ok(SegmentOut {
             changes,
-            metrics,
+            wall,
             trace: tracer.finish([tr]),
             snapshot,
         })

@@ -31,14 +31,13 @@ use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::{evaluate, expand_generator, transition_delay, ElemState, Time, Value};
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{MailPool, SpinBarrier};
-use parsim_telemetry::{Counter, Gauge};
+use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
-use crate::metrics::{ArenaCounters, EventsPerStepHistogram, Metrics, ThreadMetrics};
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
@@ -46,24 +45,11 @@ use crate::waveform::SimResult;
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "sync-event-driven";
 
-/// Per-worker results: recorded waveform changes, timing counters, the
-/// worker's update-buffer pool counts as `(misses, hits)` — misses are
-/// fresh `Vec<Update>` allocations in the scheduling hot path (steady
-/// state recycles drained buffers through the [`MailPool`], so misses
-/// are bounded by the peak number of simultaneously live
-/// `(mailbox, time)` entries, not by the event count; asserted by
-/// `tests::update_buffers_are_recycled` and surfaced as
-/// [`Metrics::pool_misses`]; hits become
-/// [`ArenaCounters::mailbox_recycled`](crate::metrics::ArenaCounters)) —
-/// the worker's trace ring, and the events the worker computed beyond
-/// the segment cut (checkpoint capture mode).
-type WorkerOutput = (
-    Vec<(Time, NodeId, Value)>,
-    ThreadMetrics,
-    (u64, u64),
-    WorkerTracer,
-    Vec<PendingEvent>,
-);
+/// Per-worker results: recorded waveform changes, the worker's trace
+/// ring, and the events the worker computed beyond the segment cut
+/// (checkpoint capture mode). Counters travel through the worker's
+/// telemetry shard, not here.
+type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<PendingEvent>);
 
 #[derive(Debug, Clone, Copy)]
 struct Update {
@@ -96,9 +82,7 @@ impl SyncEventDriven {
     pub fn run(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
         let ctx = new_run_ctx(config);
         let out = Self::run_segment(netlist, config, SegmentSpec::whole(config, ctx.clone()))?;
-        let mut result = out.into_result(netlist, config);
-        result.telemetry = Some(ctx.finish());
-        Ok(result)
+        Ok(out.into_result(netlist, config, &ctx))
     }
 
     /// Runs one segment — the whole run when `seg` is
@@ -182,7 +166,9 @@ impl SyncEventDriven {
         // run in barrier-separated phases, so each slot has one accessor
         // at a time — the same discipline as the mailbox it shadows. Net
         // effect: the scheduling hot path performs zero steady-state
-        // allocations.
+        // allocations; `Counter::PoolMisses` counts the fresh ones, bounded
+        // by the peak number of live `(mailbox, time)` entries, not by the
+        // event count (`tests::update_buffers_are_recycled`).
         let free_mail: MailPool<Update> = MailPool::new(n);
         let elem_mail: SharedSlice<Vec<u32>> = SharedSlice::from_fn(n * n, |_| Vec::new());
         // Per-thread phase work lists + steal cursors.
@@ -255,17 +241,12 @@ impl SyncEventDriven {
 
         let next_time = AtomicU64::new(0);
         let done = AtomicBool::new(false);
-        let events_total = AtomicU64::new(0);
-        let steps_total = AtomicU64::new(0);
+        // Events applied in the current step, summed across workers in
+        // phase A and taken (reset) by the step leader between barriers 3
+        // and 4 for the events-per-step histogram.
+        let step_events = AtomicU64::new(0);
         let (next_time, done) = (&next_time, &done);
-        let (events_total, steps_total) = (&events_total, &steps_total);
-        // Leader-side events-per-step accounting (satellite of the
-        // telemetry registry): the leader section between barriers 3 and 4
-        // is exclusive and barrier-ordered, so plain state behind an
-        // uncontended mutex is safe and cheap — one lock per time step.
-        let step_hist: std::sync::Mutex<(EventsPerStepHistogram, u64)> =
-            std::sync::Mutex::new((EventsPerStepHistogram::new(), 0));
-        let step_hist = &step_hist;
+        let step_events = &step_events;
         let registry = &seg.telemetry.registry;
         let barrier = Arc::new(SpinBarrier::new(n));
 
@@ -296,12 +277,9 @@ impl SyncEventDriven {
                         let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
                         let mut overflow: Vec<PendingEvent> = Vec::new();
-                        let mut tm = ThreadMetrics::default();
                         let mut tr = tracer_ref.worker(me);
                         let shard = registry.worker(me);
-                        let mut published_evals = 0u64;
-                        let mut pool_misses = 0u64;
-                        let mut pool_hits = 0u64;
+                        let mut tally = Tally::default();
                         let mut rr_elem = (me + 1) % n;
                         let mut rr_node = (me + 1) % n;
                         let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
@@ -339,10 +317,10 @@ impl SyncEventDriven {
                                 }
                                 node_cursor[me].store(0, Ordering::Release);
                             }
-                            tm.busy += busy.elapsed();
+                            tally.add_elapsed(Counter::BusyNs, busy);
                             let wait = Instant::now();
                             barrier.wait_traced(&mut tr, 0);
-                            tm.idle += wait.elapsed();
+                            tally.add_elapsed(Counter::IdleNs, wait);
                             if barrier.is_poisoned() {
                                 break 'run;
                             }
@@ -411,13 +389,12 @@ impl SyncEventDriven {
                                 }
                             }
                             tr.end(EventKind::PhaseNodes);
-                            events_total.fetch_add(my_events, Ordering::Relaxed);
-                            shard.add(Counter::EventsProcessed, my_events);
-                            tm.events += my_events;
-                            tm.busy += busy.elapsed();
+                            step_events.fetch_add(my_events, Ordering::Relaxed);
+                            tally.add(Counter::EventsProcessed, my_events);
+                            tally.add_elapsed(Counter::BusyNs, busy);
                             let wait = Instant::now();
                             barrier.wait_traced(&mut tr, 1);
-                            tm.idle += wait.elapsed();
+                            tally.add_elapsed(Counter::IdleNs, wait);
                             if barrier.is_poisoned() {
                                 break 'run;
                             }
@@ -438,10 +415,10 @@ impl SyncEventDriven {
                                 shard.set_gauge(Gauge::QueueDepth, work.len() as u64);
                                 tr.counter(EventKind::QueueDepth, work.len() as u32);
                             }
-                            tm.busy += busy.elapsed();
+                            tally.add_elapsed(Counter::BusyNs, busy);
                             let wait = Instant::now();
                             barrier.wait_traced(&mut tr, 2);
-                            tm.idle += wait.elapsed();
+                            tally.add_elapsed(Counter::IdleNs, wait);
                             if barrier.is_poisoned() {
                                 break 'run;
                             }
@@ -449,6 +426,7 @@ impl SyncEventDriven {
                             // ---- phase B process: evaluate + schedule ----
                             let busy = Instant::now();
                             tr.begin(EventKind::PhaseElems, t as u32);
+                            let mut my_evals = 0u64;
                             for v in 0..n {
                                 let victim = (me + v) % n;
                                 // SAFETY: immutable during processing.
@@ -483,7 +461,7 @@ impl SyncEventDriven {
                                     // SAFETY: element exclusive (stamp CAS).
                                     let state = unsafe { states.get_mut(e) };
                                     let out = evaluate(elem.kind(), &inputs_buf, state);
-                                    tm.evaluations += 1;
+                                    my_evals += 1;
                                     tr.instant(EventKind::Eval, e as u32);
                                     for (port, val) in out.iter() {
                                         let out_node = elem.outputs()[port].index();
@@ -522,11 +500,11 @@ impl SyncEventDriven {
                                                         free_mail.take(me, rr_node)
                                                     } {
                                                         Some(buf) => {
-                                                            pool_hits += 1;
+                                                            tally.inc(Counter::MailboxRecycled);
                                                             buf
                                                         }
                                                         None => {
-                                                            pool_misses += 1;
+                                                            tally.inc(Counter::PoolMisses);
                                                             tr.instant(
                                                                 EventKind::PoolMiss,
                                                                 rr_node as u32,
@@ -561,33 +539,25 @@ impl SyncEventDriven {
                                 }
                             }
                             tr.end(EventKind::PhaseElems);
-                            // Per-step evaluation delta: one relaxed
-                            // publish per worker per step, never per event.
-                            shard.add(Counter::Evaluations, tm.evaluations - published_evals);
-                            shard.add(Counter::Activations, tm.evaluations - published_evals);
-                            published_evals = tm.evaluations;
-                            tm.busy += busy.elapsed();
+                            // Every evaluated element was activated once.
+                            tally.add(Counter::Evaluations, my_evals);
+                            tally.add(Counter::Activations, my_evals);
+                            tally.add_elapsed(Counter::BusyNs, busy);
+                            // One flush per worker per step, never per
+                            // event.
+                            tally.flush(&shard);
                             let wait = Instant::now();
                             let leader = barrier.wait_traced(&mut tr, 3);
                             // ---- reduce: find the next active time -------
                             if leader {
-                                steps_total.fetch_add(1, Ordering::Relaxed);
-                                {
-                                    // Leader-exclusive (barrier-ordered):
-                                    // record this step's global event count
-                                    // into the histogram and registry.
-                                    let now = events_total.load(Ordering::Relaxed);
-                                    let mut h =
-                                        step_hist.lock().unwrap_or_else(|e| e.into_inner());
-                                    let step_events = now - h.1;
-                                    h.1 = now;
-                                    if step_events > 0 {
-                                        h.0.record(step_events);
-                                        registry.driver().record_step_events(step_events);
-                                    }
-                                    registry.driver().inc(Counter::TimeSteps);
-                                    registry.driver().set_gauge(Gauge::SimTime, t);
+                                // Leader-exclusive (barrier-ordered):
+                                // record this step's global event count.
+                                let events = step_events.swap(0, Ordering::Relaxed);
+                                if events > 0 {
+                                    registry.driver().record_step_events(events);
                                 }
+                                registry.driver().inc(Counter::TimeSteps);
+                                registry.driver().set_gauge(Gauge::SimTime, t);
                                 let mut min_t = u64::MAX;
                                 for slot in 0..n * n {
                                     // SAFETY: all writers are at the
@@ -609,18 +579,14 @@ impl SyncEventDriven {
                                 }
                             }
                             barrier.wait_traced(&mut tr, 4);
-                            tm.idle += wait.elapsed();
+                            tally.add_elapsed(Counter::IdleNs, wait);
                             if barrier.is_poisoned() || done.load(Ordering::Acquire) {
                                 break 'run;
                             }
                         }
-                        // End-of-segment publishes for values that only
-                        // exist as totals: wall-clock split, pool counters.
-                        shard.add(Counter::BusyNs, tm.busy.as_nanos() as u64);
-                        shard.add(Counter::IdleNs, tm.idle.as_nanos() as u64);
-                        shard.add(Counter::PoolMisses, pool_misses);
-                        shard.add(Counter::MailboxRecycled, pool_hits);
-                        (changes, tm, (pool_misses, pool_hits), tr, overflow)
+                        // The last step's idle time and any early break.
+                        tally.flush(&shard);
+                        (changes, tr, overflow)
                         }));
                         match body {
                             Ok(out) => Some(out),
@@ -670,47 +636,13 @@ impl SyncEventDriven {
 
         let outputs: Vec<WorkerOutput> = outputs.into_iter().flatten().collect();
         let mut changes = Vec::new();
-        let mut per_thread = Vec::with_capacity(n);
-        let mut evaluations = 0;
-        let mut pool_misses = 0;
-        let mut pool_hits = 0;
         let mut worker_tracers = Vec::with_capacity(n);
-        for (c, tm, (pm, ph), wt, of) in outputs {
-            evaluations += tm.evaluations;
-            pool_misses += pm;
-            pool_hits += ph;
+        for (c, wt, of) in outputs {
             changes.extend(c);
-            per_thread.push(tm);
             worker_tracers.push(wt);
             carry.extend(of);
         }
-        let metrics = Metrics {
-            events_processed: events_total.load(Ordering::Relaxed),
-            evaluations,
-            activations: evaluations,
-            time_steps: steps_total.load(Ordering::Relaxed),
-            // Recorded by the step leader from the global per-step event
-            // deltas (the same numbers the sequential engine sees), so the
-            // paper's §5 availability histogram exists for parallel runs.
-            events_per_step: step_hist
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .0
-                .clone(),
-            per_thread,
-            gc_chunks_freed: 0,
-            blocks_skipped: 0,
-            evals_skipped: 0,
-            locality: Default::default(),
-            pool_misses,
-            checkpoint: Default::default(),
-            lane_width: 0,
-            arena: ArenaCounters {
-                mailbox_recycled: pool_hits,
-                ..Default::default()
-            },
-            wall: start.elapsed(),
-        };
+        let wall = start.elapsed();
         let snapshot = capture.then(|| {
             let num_nodes = netlist.num_nodes();
             carry.sort_by_key(|ev| (ev.time, ev.node));
@@ -733,7 +665,7 @@ impl SyncEventDriven {
         });
         Ok(SegmentOut {
             changes,
-            metrics,
+            wall,
             trace: tracer.finish(worker_tracers),
             snapshot,
         })

@@ -180,6 +180,8 @@ fn check_lanes_cfg(
         .collect();
     let batch = CompiledMode::run_batch(&netlist, &cfg, &stimuli).unwrap();
     prop_assert_eq!(batch.lanes.len(), per_lane.len());
+    // One time-weighted row per worker, however many lane chunks ran.
+    prop_assert_eq!(batch.metrics.per_thread.len(), threads);
     for (l, schedules) in per_lane.iter().enumerate() {
         let (oracle_netlist, _, _) = gate_circuit(seed, num_inputs, num_gates, Some(schedules));
         let oracle_cfg = SimConfig::new(end).watch_all(watch.clone());

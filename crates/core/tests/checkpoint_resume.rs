@@ -69,6 +69,10 @@ fn checkpointed_run_matches_uninterrupted_all_engines() {
         // must say so.
         assert_eq!(r.metrics.checkpoint.writes, 6, "{}", kind.name());
         assert!(r.metrics.checkpoint.bytes > 0, "{}", kind.name());
+        // Seven segments, still one row per worker (the sequential
+        // engine measures no busy/idle time and reports none).
+        let rows = if kind == EngineKind::Sequential { 0 } else { 2 };
+        assert_eq!(r.metrics.per_thread.len(), rows, "{}", kind.name());
         let _ = fs::remove_dir_all(&dir);
     }
 }

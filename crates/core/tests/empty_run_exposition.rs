@@ -2,7 +2,9 @@
 //! time (end = 0) and a registry snapshotted before the engine publishes
 //! anything must still render lint-clean Prometheus text and valid
 //! series JSON — no NaN, no negative utilization, no histogram whose
-//! `_count` disagrees with its `+Inf` bucket.
+//! `_count` disagrees with its `+Inf` bucket. Plus the sampler's own
+//! contract on real runs: the sample series only moves forward, ends on
+//! the finals, and leaves the waveforms alone.
 
 use parsim_core::{ChaoticAsync, CompiledMode, EventDriven, SimConfig, SyncEventDriven};
 use parsim_logic::{Delay, ElementKind, Time};
@@ -110,4 +112,39 @@ fn empty_series_document_is_valid_json() {
     assert!(run.samples.is_empty(), "no sampler armed, no samples");
     let doc = series::render_json(&run);
     parsim_trace::json::lint(&doc).expect("sample-free series document lints");
+}
+
+#[test]
+fn sampled_runs_are_monotone_end_on_finals_and_keep_waveforms() {
+    // With the in-run sampler armed (an aggressive 1 ms cadence so short
+    // runs still catch in-flight snapshots), every engine's sample series
+    // must move only forward, its last sample must be the run's finals,
+    // and sampling must not change the waveforms.
+    let arr = parsim_circuits::inverter_array(8, 8, 2).unwrap();
+    let plain = SimConfig::new(Time(120)).watch_all(arr.taps.clone()).threads(2);
+    let sampled = plain.clone().sample_every(std::time::Duration::from_millis(1));
+    type Run = fn(&Netlist, &SimConfig) -> Result<parsim_core::SimResult, parsim_core::SimError>;
+    let engines: [(&str, Run); 4] = [
+        ("seq", EventDriven::run),
+        ("sync", SyncEventDriven::run),
+        ("compiled", CompiledMode::run),
+        ("async", ChaoticAsync::run),
+    ];
+    for (engine, run) in engines {
+        let reference = run(&arr.netlist, &plain).unwrap();
+        let result = run(&arr.netlist, &sampled).unwrap();
+        parsim_core::assert_equivalent(&reference, &result, engine);
+        let rt = result.telemetry.as_ref().expect("telemetry is always on");
+        let last = rt.samples.last().unwrap_or_else(|| panic!("{engine}: empty sample ring"));
+        assert_eq!(last.snap, rt.finals, "{engine}: last sample is not the finals");
+        for pair in rt.samples.windows(2) {
+            assert!(pair[0].t_ns <= pair[1].t_ns, "{engine}: sample times regress");
+            for c in parsim_telemetry::Counter::ALL {
+                assert!(
+                    pair[0].snap.counter(c) <= pair[1].snap.counter(c),
+                    "{engine}: {c:?} regressed between samples"
+                );
+            }
+        }
+    }
 }

@@ -514,7 +514,7 @@ pub fn wallclock_matrix() -> Table {
     let gate = paper_gate_multiplier(2);
     let mut t = Table::new(
         "Wall-clock of the real engines on this host (1 thread, best of 3)",
-        &["circuit", "event-driven", "wheel", "sync", "compiled", "async"],
+        &["circuit", "event-driven", "sync", "compiled", "async"],
     );
     let cases: Vec<(&str, &parsim_netlist::Netlist, Time)> = vec![
         ("inv-array", &arr.netlist, Time(1000)),
@@ -527,10 +527,6 @@ pub fn wallclock_matrix() -> Table {
             (0..3).map(|_| f()).min().expect("three runs")
         };
         let seq = best(&|| EventDriven::run(netlist, &cfg).unwrap().metrics.wall);
-        let wheel = {
-            let cfg = cfg.clone().with_timing_wheel();
-            best(&|| EventDriven::run(netlist, &cfg).unwrap().metrics.wall)
-        };
         let sync = best(&|| parsim_core::SyncEventDriven::run(netlist, &cfg).unwrap().metrics.wall);
         let compiled =
             best(&|| parsim_core::CompiledMode::run(netlist, &cfg).unwrap().metrics.wall);
@@ -539,7 +535,6 @@ pub fn wallclock_matrix() -> Table {
         t.row(vec![
             name.to_string(),
             ms(seq),
-            ms(wheel),
             ms(sync),
             ms(compiled),
             ms(asy),

@@ -200,7 +200,7 @@ impl Netlist {
             .collect()
     }
 
-    /// The largest element delay, used by engines sizing timing wheels.
+    /// The largest element delay.
     pub fn max_delay(&self) -> Delay {
         self.elements
             .iter()

@@ -23,12 +23,12 @@
 //!   format check for CI, and [`series::render_json`] writes the sample
 //!   ring through `parsim_trace::json`'s NaN-safe helpers.
 //!
-//! The registry is the *live mirror* of `parsim-core`'s end-of-run
-//! [`Metrics`] aggregate, not a replacement: engines publish into their
-//! shard at the same sites they fold the local counters `Metrics` is built
-//! from, so the final registry snapshot equals the final `Metrics` totals
-//! exactly (an oracle-equivalence test in `parsim-core` pins this for all
-//! four engines).
+//! The registry is the only place a run's numbers are counted. Workers
+//! keep a private [`Tally`] of deltas and flush it into their shard once
+//! per time step (every 256 activations in the chaotic engine, which has
+//! no step) and at exit; `parsim-core`'s end-of-run [`Metrics`] is a typed
+//! view built from the final snapshot and the per-worker shards, so the
+//! live exposition and the post-run report cannot disagree.
 //!
 //! [`Metrics`]: https://docs.rs/parsim-core
 
@@ -38,7 +38,9 @@ pub mod sampler;
 pub mod series;
 pub mod server;
 
-pub use registry::{Counter, Gauge, HistSnapshot, Registry, Shard, Snapshot, HIST_BOUNDS};
+pub use registry::{
+    Counter, Gauge, HistSnapshot, Registry, Shard, Snapshot, Tally, HIST_BOUNDS,
+};
 pub use sampler::{Sample, SampleRing, Sampler, DEFAULT_RING_CAPACITY};
 pub use series::RunTelemetry;
 pub use server::{ServerCounter, ServerGauge, ServerRegistry};

@@ -49,6 +49,8 @@ pub enum Counter {
     CheckpointBytes,
     /// Wall nanoseconds spent serializing/fsyncing/renaming snapshots.
     CheckpointWriteNs,
+    /// Wall nanoseconds spent scanning/validating/loading at resume.
+    CheckpointRestoreNs,
     /// Wall nanoseconds spent doing useful work (per-thread busy time).
     BusyNs,
     /// Wall nanoseconds spent waiting: barriers, empty queues.
@@ -58,7 +60,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 23] = [
         Counter::EventsProcessed,
         Counter::Evaluations,
         Counter::Activations,
@@ -78,6 +80,7 @@ impl Counter {
         Counter::CheckpointWrites,
         Counter::CheckpointBytes,
         Counter::CheckpointWriteNs,
+        Counter::CheckpointRestoreNs,
         Counter::BusyNs,
         Counter::IdleNs,
         Counter::MonitorWakeups,
@@ -107,6 +110,7 @@ impl Counter {
             Counter::CheckpointWrites => "parsim_checkpoint_writes_total",
             Counter::CheckpointBytes => "parsim_checkpoint_bytes_total",
             Counter::CheckpointWriteNs => "parsim_checkpoint_write_ns_total",
+            Counter::CheckpointRestoreNs => "parsim_checkpoint_restore_ns_total",
             Counter::BusyNs => "parsim_busy_ns_total",
             Counter::IdleNs => "parsim_idle_ns_total",
             Counter::MonitorWakeups => "parsim_monitor_wakeups_total",
@@ -135,6 +139,7 @@ impl Counter {
             Counter::CheckpointWrites => "Snapshots committed to disk",
             Counter::CheckpointBytes => "Bytes across committed snapshot files",
             Counter::CheckpointWriteNs => "Nanoseconds spent committing snapshots",
+            Counter::CheckpointRestoreNs => "Nanoseconds spent restoring a snapshot at resume",
             Counter::BusyNs => "Nanoseconds of useful per-thread work",
             Counter::IdleNs => "Nanoseconds waiting at barriers or on empty queues",
             Counter::MonitorWakeups => "Watchdog monitor-thread wakeups",
@@ -209,9 +214,9 @@ impl Gauge {
     }
 }
 
-/// Inclusive upper bounds of the events-per-step histogram buckets —
-/// identical to `parsim-core`'s `EventsPerStepHistogram` so the two stay
-/// bucket-for-bucket comparable. The final implicit bucket is unbounded.
+/// Inclusive upper bounds of the events-per-step histogram buckets (also
+/// the bounds of `parsim-core`'s `EventsPerStepHistogram`, which is built
+/// from a [`HistSnapshot`]). The final implicit bucket is unbounded.
 pub const HIST_BOUNDS: [u64; 10] = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000];
 
 const HIST_SLOTS: usize = HIST_BOUNDS.len() + 1;
@@ -302,6 +307,41 @@ impl Shard {
     }
 }
 
+/// A worker-private buffer of counter deltas: the hot path does plain
+/// `u64` adds into it, and [`Tally::flush`] publishes them into the
+/// worker's [`Shard`] at the engine's cadence (once per time step, every
+/// few hundred activations, at worker exit) — never per event.
+#[derive(Debug, Default)]
+pub struct Tally([u64; Counter::COUNT]);
+
+impl Tally {
+    #[inline]
+    pub fn add(&mut self, c: Counter, v: u64) {
+        self.0[c as usize] += v;
+    }
+
+    #[inline]
+    pub fn inc(&mut self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// Adds the nanoseconds elapsed since `since` (a busy or idle span).
+    #[inline]
+    pub fn add_elapsed(&mut self, c: Counter, since: Instant) {
+        self.add(c, since.elapsed().as_nanos() as u64);
+    }
+
+    /// Publishes every pending delta into `shard` and zeroes the buffer.
+    pub fn flush(&mut self, shard: &Shard) {
+        for (c, delta) in Counter::ALL.iter().zip(&mut self.0) {
+            if *delta != 0 {
+                shard.add(*c, *delta);
+                *delta = 0;
+            }
+        }
+    }
+}
+
 /// Aggregated events-per-step histogram state at snapshot time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
@@ -319,15 +359,6 @@ pub struct HistSnapshot {
 impl HistSnapshot {
     fn empty() -> HistSnapshot {
         HistSnapshot { buckets: vec![0; HIST_SLOTS], ..Default::default() }
-    }
-
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -347,22 +378,6 @@ impl Snapshot {
 
     pub fn gauge(&self, g: Gauge) -> u64 {
         self.gauges[g as usize]
-    }
-
-    /// Merge a later run segment's totals into this one: counters add,
-    /// watermark gauges max, and current-value gauges take the later
-    /// segment's reading.
-    pub fn absorb(&mut self, later: &Snapshot) {
-        for (a, b) in self.counters.iter_mut().zip(&later.counters) {
-            *a += b;
-        }
-        for (g, (a, b)) in Gauge::ALL.iter().zip(self.gauges.iter_mut().zip(&later.gauges)) {
-            *a = match g.agg() {
-                GaugeAgg::Max => (*a).max(*b),
-                GaugeAgg::Sum => *b,
-            };
-        }
-        self.hist.merge(&later.hist);
     }
 }
 
@@ -498,6 +513,22 @@ mod tests {
     }
 
     #[test]
+    fn tally_flush_publishes_deltas_once() {
+        let reg = Registry::new(1);
+        let shard = reg.worker(0);
+        let mut tally = Tally::default();
+        tally.inc(Counter::Evaluations);
+        tally.add(Counter::BusyNs, 40);
+        tally.flush(&shard);
+        tally.flush(&shard);
+        tally.inc(Counter::Evaluations);
+        tally.flush(&shard);
+        assert_eq!(shard.counter(Counter::Evaluations), 2);
+        assert_eq!(shard.counter(Counter::BusyNs), 40);
+        assert_eq!(shard.counter(Counter::EventsProcessed), 0);
+    }
+
+    #[test]
     fn gauge_aggregation_by_kind() {
         let reg = Registry::new(2);
         reg.worker(0).set_gauge(Gauge::QueueDepth, 3);
@@ -539,22 +570,5 @@ mod tests {
         let reg = Registry::new(1);
         reg.worker(99).add(Counter::Evaluations, 2);
         assert_eq!(reg.driver().counter(Counter::Evaluations), 2);
-    }
-
-    #[test]
-    fn snapshot_absorb_counters_add_gauges_by_kind() {
-        let reg = Registry::new(1);
-        reg.worker(0).add(Counter::EventsProcessed, 10);
-        reg.worker(0).set_gauge(Gauge::SimTime, 50);
-        reg.worker(0).set_gauge(Gauge::QueueDepth, 9);
-        let mut a = reg.snapshot();
-        let reg2 = Registry::new(1);
-        reg2.worker(0).add(Counter::EventsProcessed, 7);
-        reg2.worker(0).set_gauge(Gauge::SimTime, 30);
-        reg2.worker(0).set_gauge(Gauge::QueueDepth, 0);
-        a.absorb(&reg2.snapshot());
-        assert_eq!(a.counter(Counter::EventsProcessed), 17);
-        assert_eq!(a.gauge(Gauge::SimTime), 50, "watermark keeps the max");
-        assert_eq!(a.gauge(Gauge::QueueDepth), 0, "current value takes the later reading");
     }
 }

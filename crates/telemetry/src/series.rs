@@ -8,7 +8,7 @@ use parsim_trace::json;
 
 /// Everything telemetry observed over one run: the flight-recorder
 /// series (empty unless sampling was configured) and the final registry
-/// snapshot, which equals the run's `Metrics` totals exactly.
+/// snapshot, which the run's `Metrics` is built from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunTelemetry {
     /// Worker threads the registry was sharded for.
@@ -22,27 +22,6 @@ pub struct RunTelemetry {
     pub samples: Vec<Sample>,
     /// The end-of-run aggregate.
     pub finals: Snapshot,
-}
-
-impl RunTelemetry {
-    /// Folds a later run segment (checkpoint resume) into this one:
-    /// counters add, sample timestamps shift onto one continuous axis,
-    /// and the final snapshot becomes the combined totals.
-    pub fn absorb(&mut self, later: &RunTelemetry) {
-        let offset = self.uptime_ns;
-        for s in &later.samples {
-            // Re-base the later segment's samples after this segment's
-            // span, with the earlier totals folded in so every counter
-            // series stays monotone across the seam.
-            let mut snap = self.finals.clone();
-            snap.absorb(&s.snap);
-            self.samples.push(Sample { t_ns: offset + s.t_ns, snap });
-        }
-        self.finals.absorb(&later.finals);
-        self.uptime_ns += later.uptime_ns;
-        self.workers = self.workers.max(later.workers);
-        self.sampled_every_ns = self.sampled_every_ns.or(later.sampled_every_ns);
-    }
 }
 
 fn snapshot_json(out: &mut String, indent: &str, snap: &Snapshot) {
@@ -167,23 +146,5 @@ mod tests {
         json::lint(&doc).expect("must parse");
         assert!(doc.contains("\"samples\": [\n  ],"));
         assert!(doc.contains("\"final\""));
-    }
-
-    #[test]
-    fn absorb_concatenates_on_one_time_axis_with_monotone_counters() {
-        let mut a = telemetry_with(10, true);
-        let b = telemetry_with(5, true);
-        a.absorb(&b);
-        assert_eq!(a.finals.counter(Counter::EventsProcessed), 15);
-        assert_eq!(a.uptime_ns, 2000);
-        assert_eq!(a.samples.len(), 2);
-        assert_eq!(a.samples[1].t_ns, 2000, "later segment re-based");
-        assert!(
-            a.samples[1].snap.counter(Counter::EventsProcessed)
-                >= a.samples[0].snap.counter(Counter::EventsProcessed),
-            "counter series stays monotone across the segment seam"
-        );
-        assert_eq!(a.samples[1].snap.counter(Counter::EventsProcessed), 15);
-        assert_eq!(a.finals.hist.count, 2);
     }
 }

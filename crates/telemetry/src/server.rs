@@ -1,9 +1,9 @@
 //! Service-level metrics for the multi-tenant simulation server.
 //!
 //! The engine [`Registry`](crate::Registry) is deliberately closed: its
-//! [`Counter`](crate::Counter) set is pinned one-to-one to `parsim-core`'s
-//! `Metrics` aggregate by an oracle-equivalence test, so job-queue and
-//! cache traffic cannot ride there. This module is the open half: a small
+//! [`Counter`](crate::Counter) set is what `parsim-core`'s `Metrics` view
+//! is built from, one run at a time, so job-queue and cache traffic
+//! cannot ride there. This module is the open half: a small
 //! **multi-writer** registry (`fetch_add`, not the engine shards'
 //! single-writer load/store pairs — submissions arrive on arbitrary
 //! transport threads while the scheduler drains on its own) covering the

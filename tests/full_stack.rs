@@ -190,3 +190,86 @@ fn parallel_engines_and_checkpoint_resume_match_oracle() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The counting path, pinned against something other than itself. At one
+/// thread every engine is deterministic, so `(events_processed,
+/// evaluations, activations, time_steps, gc_chunks_freed, pool_misses,
+/// evals_skipped)` are exact literals (captured before `Metrics` became a
+/// view over the telemetry registry; a refactor of the counting path must
+/// not move them). At 2 and 4 threads only the engine-independent
+/// identities hold.
+#[test]
+fn metrics_counts_are_pinned() {
+    use parsim::engine::{SimError, SimResult};
+    use parsim_telemetry::Counter;
+
+    type Run = fn(&Netlist, &SimConfig) -> Result<SimResult, SimError>;
+    let engines: [(&str, Run); 4] = [
+        ("seq", EventDriven::run),
+        ("sync", SyncEventDriven::run),
+        ("compiled", CompiledMode::run),
+        ("async", ChaoticAsync::run),
+    ];
+    let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
+    let cpu = pipelined_cpu(8, 48).unwrap();
+    let cases = [
+        (
+            "multiplier",
+            &m.netlist,
+            m.schedule_end(),
+            [
+                [1295, 2583, 2583, 83, 0, 0, 0],
+                [1295, 2583, 2583, 83, 0, 0, 0],
+                [1295, 6501, 6501, 321, 0, 0, 181019],
+                [1295, 2583, 586, 0, 0, 0, 0],
+            ],
+        ),
+        (
+            "cpu",
+            &cpu.netlist,
+            Time(400),
+            [
+                [2716, 7021, 7021, 51, 0, 0, 0],
+                [2716, 7021, 7021, 51, 0, 0, 0],
+                [2716, 13293, 13293, 401, 0, 0, 556307],
+                [2716, 7013, 191467, 0, 0, 0, 0],
+            ],
+        ),
+    ];
+    for (name, netlist, end, pinned) in cases {
+        let cfg = SimConfig::new(end);
+        for ((engine, run), want) in engines.iter().zip(pinned) {
+            let x = run(netlist, &cfg).unwrap().metrics;
+            let got = [
+                x.events_processed,
+                x.evaluations,
+                x.activations,
+                x.time_steps,
+                x.gc_chunks_freed,
+                x.pool_misses,
+                x.evals_skipped,
+            ];
+            assert_eq!(got, want, "{name}/{engine} x1");
+        }
+        let oracle_events = pinned[0][0];
+        for threads in [2, 4] {
+            for (engine, run) in &engines[1..] {
+                let r = run(netlist, &cfg.clone().threads(threads)).unwrap();
+                let tag = format!("{name}/{engine} x{threads}");
+                let x = &r.metrics;
+                assert_eq!(x.events_processed, oracle_events, "{tag}: events");
+                let per_thread: u64 = x.per_thread.iter().map(|t| t.evaluations).sum();
+                assert_eq!(per_thread, x.evaluations, "{tag}: per-thread evaluations");
+                let finals = &r.telemetry.as_ref().expect("telemetry is always on").finals;
+                for (c, field) in [
+                    (Counter::EventsProcessed, x.events_processed),
+                    (Counter::Evaluations, x.evaluations),
+                    (Counter::Activations, x.activations),
+                    (Counter::TimeSteps, x.time_steps),
+                ] {
+                    assert_eq!(finals.counter(c), field, "{tag}: {c:?}");
+                }
+            }
+        }
+    }
+}
