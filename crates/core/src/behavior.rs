@@ -36,6 +36,14 @@
 //! `begin_run`), so the writer can never see its predecessor's store
 //! "late". `tests/model_chaotic.rs` checks exactly this handoff.
 //!
+//! The writer appends an event *before* it stores the `valid_until` that
+//! covers it, and the two can carry the same time. A reader that wants
+//! "this node has no event I have not seen through T" must therefore load
+//! `valid_until` first and look at the list second —
+//! [`Cursor::quiet_through`] is the one place that does it, and the model
+//! test `quiet_window_peek_first_misses_the_covered_event` shows the
+//! opposite order adopting a window over an event it never saw.
+//!
 //! # Model checking
 //!
 //! Everything here compiles against the [`parsim_queue::sync`] facade.
@@ -338,6 +346,30 @@ impl Cursor {
         let idx = (self.global - (*self.chunk).base) as usize;
         self.cached = Some((*self.chunk).slots[idx].with(|slot| (*slot).assume_init()));
         self.cached
+    }
+
+    /// The time through which `node` is known to carry no event this
+    /// cursor has not consumed: one tick before the next unconsumed event,
+    /// or the node's `valid_until` when none is published. This is what
+    /// the engine's lookahead rules read to learn how long an input keeps
+    /// its current value.
+    ///
+    /// The order of the two loads matters. The writer pushes an event at
+    /// `te` and only *then* stores a `valid_until` that may equal `te`, so
+    /// peeking first could miss the event and still read the validity that
+    /// covers it. Loading `valid_until` first (`Acquire`, pairing with the
+    /// writer's `Release` store) makes every event at or before the loaded
+    /// value visible to the peek that follows.
+    ///
+    /// # Safety
+    ///
+    /// Caller must hold the element exclusively (activation machine).
+    pub unsafe fn quiet_through(&mut self, node: &NodeState) -> u64 {
+        let valid = node.valid_until.load(Ordering::Acquire);
+        match self.peek(node) {
+            Some((t, _)) => t.saturating_sub(1),
+            None => valid,
+        }
     }
 
     /// Consumes the event returned by the last `peek`.

@@ -24,6 +24,24 @@
 //! gate and node 2 is 0 from time 0 until time 25 ... any events on node 4
 //! between times 0 and 25 can be ignored").
 //!
+//! # Register lookahead
+//!
+//! The same §4 idea applied to clocked elements: a flip-flop, memory or
+//! opaque latch cannot move its output before the next event on one of
+//! its trigger ports ([`ElementKind::triggers`]: clock, reset, enable),
+//! whatever its data inputs do. After replay, such an element publishes
+//! its outputs as valid through that next trigger event (or, with none
+//! published yet, through the trigger node's own `valid_until`) plus its
+//! delay. Data events are *not* skipped — an evaluation they cause leaves
+//! output and state alone, so they stay in their lists and are replayed
+//! once valid. This is what keeps feedback through registers from
+//! creeping one loop delay per activation: on `pipelined_cpu`, where
+//! every loop crosses a `DffR`, it removes about nine activations in ten.
+//! An element still stores only its own outputs' `valid_until`, so the
+//! single-writer argument below is unchanged; both lookahead rules read
+//! their inputs through [`Cursor::quiet_through`], whose load order is
+//! the one subtle point (see its docs).
+//!
 //! # Lock-freedom inventory
 //!
 //! - element scheduling: a worker-private local LIFO deque backed by an
@@ -45,7 +63,7 @@
 //! interleaving exploration (the `parsim-model-check` crate): the grid's
 //! SPSC slots, the id batches, and the activation machine in
 //! `crates/queue/tests/model.rs`; the behavior list's publication,
-//! GC-cursor, and `valid_until` protocols in
+//! GC-cursor, `valid_until`, and lookahead quiet-window protocols in
 //! `crates/core/tests/model_chaotic.rs`. DESIGN.md §9 maps every entry to
 //! its model test.
 //!
@@ -74,7 +92,10 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
-use parsim_logic::{evaluate, expand_generator, transition_delay, Bit, Delay, ElemState, ElementKind, Time, Value};
+use parsim_logic::{
+    evaluate, expand_generator, transition_delay, Bit, Delay, ElemState, ElementKind, Lookahead, Time,
+    Value,
+};
 use parsim_netlist::partition::cone_cluster;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{grid, ActivationState, Backoff, GridSender, IdBatch};
@@ -224,9 +245,10 @@ struct ElemMeta {
     inputs: Vec<(u32, u32)>,
     /// Output node indices.
     outputs: Vec<u32>,
-    /// Controlling-value lookahead applies (scalar gate with a
-    /// controlling value).
-    lookahead_ok: bool,
+    /// The lookahead rule `run_element` applies after replay
+    /// ([`Lookahead::None`] for every element when
+    /// [`SimConfig::lookahead`](crate::SimConfig) is off).
+    lookahead: Lookahead,
 }
 
 /// Mutable per-element run state, exclusive via the activation machine.
@@ -272,7 +294,6 @@ struct Ctx<'a> {
     /// uninterrupted run would keep or drop.
     horizon: u64,
     capture: bool,
-    lookahead: bool,
     gc: bool,
 }
 
@@ -368,7 +389,11 @@ impl ChaoticAsync {
                     delay: e.min_delay().ticks(),
                     inputs,
                     outputs: e.outputs().iter().map(|&o| o.index() as u32).collect(),
-                    lookahead_ok: scalar && e.kind().controlling().is_some(),
+                    lookahead: if config.lookahead {
+                        e.kind().lookahead(scalar)
+                    } else {
+                        Lookahead::None
+                    },
                 }
             })
             .collect();
@@ -585,7 +610,6 @@ impl ChaoticAsync {
             end,
             horizon,
             capture,
-            lookahead: config.lookahead,
             gc: config.gc,
         };
 
@@ -1059,24 +1083,20 @@ unsafe fn run_element(
         }
     }
 
-    // ---- controlling-value lookahead (§4's AND-gate shortcut) -------------
+    // ---- lookahead (§4): push output validity past unknown inputs ----------
     let mut effective_valid = min_valid;
-    if ctx.lookahead && meta.lookahead_ok {
-        let ctrl = meta.kind.controlling().expect("lookahead_ok checked");
-        loop {
+    match meta.lookahead {
+        Lookahead::None => {}
+        // The paper's AND-gate shortcut.
+        Lookahead::Controlling(ctrl) => loop {
             // How long does some input pin the output?
             let mut pin_end = 0u64;
             let mut pinned = false;
             for (i, &(node, _)) in meta.inputs.iter().enumerate() {
-                if bit_of(&run.cur_vals[i]) != Some(ctrl.input) {
+                if bit_of(&run.cur_vals[i]) != Some(ctrl) {
                     continue;
                 }
-                let node = &ctx.nodes[node as usize];
-                let hold_end = match run.cursors[i].peek(node) {
-                    Some((t, _)) => t.saturating_sub(1),
-                    None => node.valid_until.load(Ordering::Acquire),
-                };
-                pin_end = pin_end.max(hold_end);
+                pin_end = pin_end.max(run.cursors[i].quiet_through(&ctx.nodes[node as usize]));
                 pinned = true;
             }
             if !pinned || pin_end <= effective_valid {
@@ -1085,7 +1105,7 @@ unsafe fn run_element(
             effective_valid = pin_end;
             // Skip events the pinned output makes irrelevant; the values
             // still update so later evaluations start from the right state.
-            let mut consumed_any = false;
+            let mut skipped_any = false;
             for (i, &(node, _)) in meta.inputs.iter().enumerate() {
                 let node = &ctx.nodes[node as usize];
                 while let Some((t, _)) = run.cursors[i].peek(node) {
@@ -1093,20 +1113,47 @@ unsafe fn run_element(
                         break;
                     }
                     run.cursors[i].consume(node);
-                    consumed_any = true;
+                    skipped_any = true;
                 }
                 run.cur_vals[i] = run.cursors[i].value;
             }
-            if !consumed_any {
+            if !skipped_any {
                 break;
+            }
+        },
+        // Register lookahead: nothing but a trigger event moves the output,
+        // so it is quiet for as long as every trigger port is. Events on
+        // the other inputs stay in their lists and are replayed — to no
+        // effect on the output — once they become valid.
+        Lookahead::Triggers(rule) => {
+            let armed = rule.while_level.is_none_or(|level| {
+                rule.ports.iter().all(|&p| bit_of(&run.cur_vals[p]) == Some(level))
+            });
+            if armed {
+                let quiet = rule
+                    .ports
+                    .iter()
+                    .map(|&p| run.cursors[p].quiet_through(&ctx.nodes[meta.inputs[p].0 as usize]))
+                    .min()
+                    .unwrap_or(min_valid);
+                effective_valid = effective_valid.max(quiet);
             }
         }
     }
+    if effective_valid > min_valid {
+        tally.inc(Counter::LookaheadExtensions);
+    }
 
     // ---- publish consumption cursors (enables GC) --------------------------
+    let mut consumed_any = false;
     for (i, &(node, fanout_pos)) in meta.inputs.iter().enumerate() {
-        ctx.nodes[node as usize].consumed[fanout_pos as usize]
-            .store(run.cursors[i].global, Ordering::Release);
+        let slot = &ctx.nodes[node as usize].consumed[fanout_pos as usize];
+        // Relaxed: this element is the slot's only writer.
+        consumed_any |= slot.load(Ordering::Relaxed) != run.cursors[i].global;
+        slot.store(run.cursors[i].global, Ordering::Release);
+    }
+    if !consumed_any {
+        tally.inc(Counter::EmptyActivations);
     }
 
     // ---- extend output valid times (incremental clock values) --------------
@@ -1286,6 +1333,40 @@ mod tests {
             "expected deep batching, got {} activations",
             r.metrics.activations
         );
+    }
+
+    #[test]
+    fn register_ring_costs_clock_edges_not_ticks() {
+        // clk -> DFF -> NOT -> back into D. The inverter's output is only
+        // ever known one loop delay past the flip-flop's, so without the
+        // trigger rule validity creeps round the ring 2 ticks per turn;
+        // with it the flip-flop jumps to its next clock event each time.
+        let mut b = Builder::new();
+        let clk = b.node("clk", 1);
+        let kind = ElementKind::Clock { half_period: 50, offset: 50 };
+        b.element("osc", kind, Delay(1), &[], &[clk]).unwrap();
+        let q = b.node("q", 1);
+        let d = b.node("d", 1);
+        b.element("ff", ElementKind::Dff { width: 1 }, Delay(1), &[clk, d], &[q]).unwrap();
+        b.element("inv", ElementKind::Not, Delay(1), &[q], &[d]).unwrap();
+        let n = b.finish().unwrap();
+        let cfg = SimConfig::new(Time(10_000)).watch(q);
+        let edges = 10_000 / 50;
+        let with = ChaoticAsync::run(&n, &cfg).unwrap();
+        // Two elements, each run a small constant number of times per edge.
+        assert!(
+            with.metrics.activations <= 2 * 2 * edges,
+            "expected O(clock edges) activations, got {}",
+            with.metrics.activations
+        );
+        assert!(with.metrics.lookahead_extensions >= edges);
+        let without = ChaoticAsync::run(&n, &cfg.clone().without_lookahead()).unwrap();
+        assert!(
+            without.metrics.activations >= 10_000 / 2,
+            "the ablated ring creeps: {} activations",
+            without.metrics.activations
+        );
+        assert_equivalent(&with, &without, "register ring");
     }
 
     #[test]

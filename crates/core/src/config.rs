@@ -82,9 +82,9 @@ pub struct SimConfig {
     /// Worker threads for the parallel engines (ignored by
     /// [`EventDriven`](crate::EventDriven)).
     pub threads: usize,
-    /// Enable the asynchronous engine's controlling-value lookahead
-    /// (§4's AND-gate optimization). On by default; never changes
-    /// waveforms, only validity propagation.
+    /// Enable the asynchronous engine's gate-specific lookahead (§4): the
+    /// AND/OR controlling-value rule and the register trigger rule. On by
+    /// default; never changes waveforms, only validity propagation.
     pub lookahead: bool,
     /// Enable the asynchronous engine's concurrent garbage collection of
     /// consumed events. On by default; disable only to measure the paper's
@@ -255,7 +255,8 @@ impl SimConfig {
         self
     }
 
-    /// Disables the asynchronous engine's controlling-value lookahead.
+    /// Disables all of the asynchronous engine's lookahead (controlling
+    /// values and register triggers).
     #[must_use]
     pub fn without_lookahead(mut self) -> SimConfig {
         self.lookahead = false;

@@ -327,6 +327,15 @@ pub struct Metrics {
     /// the worker ran. Empty for the sequential engine, which measures
     /// neither.
     pub per_thread: Vec<ThreadMetrics>,
+    /// Asynchronous-engine activations that consumed no input event: the
+    /// element was woken by a validity extension that unlocked nothing
+    /// (zero for other engines).
+    pub empty_activations: u64,
+    /// Asynchronous-engine activations where lookahead (controlling value
+    /// or register trigger rule) carried the outputs' validity past the
+    /// least-valid input (zero for other engines and for
+    /// [`without_lookahead`](crate::SimConfig::without_lookahead) runs).
+    pub lookahead_extensions: u64,
     /// Event-list chunks reclaimed by the asynchronous engine's concurrent
     /// garbage collector (zero for other engines).
     pub gc_chunks_freed: u64,
@@ -459,6 +468,8 @@ impl Metrics {
             time_steps: finals.counter(Counter::TimeSteps),
             events_per_step: EventsPerStepHistogram::from(&finals.hist),
             per_thread,
+            empty_activations: finals.counter(Counter::EmptyActivations),
+            lookahead_extensions: finals.counter(Counter::LookaheadExtensions),
             gc_chunks_freed: finals.counter(Counter::GcChunksFreed),
             blocks_skipped: finals.counter(Counter::BlocksSkipped),
             evals_skipped: finals.counter(Counter::EvalsSkipped),
@@ -496,6 +507,8 @@ impl Metrics {
         self.time_steps += other.time_steps;
         self.events_per_step.merge(&other.events_per_step);
         self.per_thread.extend(other.per_thread.iter().cloned());
+        self.empty_activations += other.empty_activations;
+        self.lookahead_extensions += other.lookahead_extensions;
         self.gc_chunks_freed += other.gc_chunks_freed;
         self.blocks_skipped += other.blocks_skipped;
         self.evals_skipped += other.evals_skipped;
@@ -674,6 +687,8 @@ mod tests {
             evaluations: 5,
             activations: 7,
             time_steps: 3,
+            empty_activations: 2,
+            lookahead_extensions: 4,
             gc_chunks_freed: 1,
             blocks_skipped: 2,
             evals_skipped: 4,
@@ -695,6 +710,8 @@ mod tests {
             evaluations: 1,
             activations: 1,
             time_steps: 1,
+            empty_activations: 1,
+            lookahead_extensions: 1,
             pool_misses: 1,
             locality: LocalityMetrics { grid_sends: 9, ..Default::default() },
             arena: ArenaCounters {
@@ -713,6 +730,8 @@ mod tests {
         assert_eq!(a.evaluations, 6);
         assert_eq!(a.activations, 8);
         assert_eq!(a.time_steps, 4);
+        assert_eq!(a.empty_activations, 3);
+        assert_eq!(a.lookahead_extensions, 5);
         assert_eq!(a.pool_misses, 7);
         assert_eq!(a.locality.local_hits, 3);
         assert_eq!(a.locality.grid_sends, 9);

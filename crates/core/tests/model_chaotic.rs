@@ -2,7 +2,7 @@
 //! protocols (`parsim_core::behavior`) under the vendored interleaving
 //! explorer. Compiled only under `RUSTFLAGS="--cfg parsim_model"`.
 //!
-//! Three protocols from the chaotic engine's lock-freedom inventory are
+//! Four protocols from the chaotic engine's lock-freedom inventory are
 //! checked here (the scheduling-side protocols live in
 //! `crates/queue/tests/model.rs`):
 //!
@@ -16,12 +16,17 @@
 //!    load + `Release` store), whose safety rests entirely on the
 //!    activation machine's AcqRel handoff chain — the justification for
 //!    the two `Relaxed` loads in `chaotic.rs` (`known_through` and
-//!    `out_valid` extension sites).
+//!    `out_valid` extension sites);
+//! 4. the lookahead rules' quiet-window read ([`Cursor::quiet_through`]):
+//!    `valid_until` must be loaded *before* the list is peeked, because
+//!    the writer pushes an event at `te` before it stores a `valid_until`
+//!    that can equal `te`. The peek-first order the engine used to have is
+//!    kept here as a shape the explorer must keep rejecting.
 #![cfg(parsim_model)]
 
 use parsim_core::behavior::{ChunkAlloc, Cursor, NodeState, CHUNK};
 use parsim_logic::Value;
-use parsim_model_check::{thread, Explorer};
+use parsim_model_check::{thread, CexKind, Explorer};
 use parsim_queue::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parsim_queue::sync::Arc;
 use parsim_queue::ActivationState;
@@ -171,4 +176,61 @@ fn valid_until_relaxed_rmw_is_exclusive() {
         );
     });
     outcome.assert_pass("valid_until writer-exclusive relaxed RMW");
+}
+
+/// A lookahead consumer racing the node's writer at the one point where
+/// the two orders differ: the writer appends an event at `TE` and then
+/// publishes `valid_until = TE` (a transition whose delay is the
+/// element's minimum delay does exactly this). The consumer reads how
+/// long the node stays quiet and would extend its own outputs that far
+/// without evaluating; whatever it read, no event it has not consumed may
+/// lie inside that window.
+fn quiet_window_shape(read: unsafe fn(&mut Cursor, &NodeState) -> u64) {
+    const TE: u64 = 5;
+    let mut alloc = ChunkAlloc::default();
+    let node = Arc::new(NodeState::new(1, &mut alloc));
+    let n2 = Arc::clone(&node);
+    let writer = thread::spawn(move || {
+        let mut a = ChunkAlloc::default();
+        // SAFETY: this thread is the node's only writer.
+        unsafe { n2.push(TE, Value::bit(true), &mut a) };
+        n2.valid_until.store(TE, Ordering::Release);
+    });
+    let mut cursor = Cursor::new(&node, Value::x(1));
+    // SAFETY: this thread is the element's only runner.
+    let quiet = unsafe { read(&mut cursor, &node) };
+    writer.join();
+    let next = unsafe { cursor.peek(&node) }.expect("the writer has appended");
+    assert!(
+        next.0 > quiet,
+        "adopted a quiet window through {quiet} that covers the unconsumed event at {}",
+        next.0
+    );
+}
+
+/// The order `run_element` had before `quiet_through` existed: peek, and
+/// only on an empty list fall back to `valid_until`.
+unsafe fn peek_then_valid(cursor: &mut Cursor, node: &NodeState) -> u64 {
+    match cursor.peek(node) {
+        Some((t, _)) => t.saturating_sub(1),
+        None => node.valid_until.load(Ordering::Acquire),
+    }
+}
+
+#[test]
+fn quiet_window_loads_valid_until_before_peeking() {
+    Explorer::new()
+        .max_preemptions(3)
+        .check(|| quiet_window_shape(Cursor::quiet_through))
+        .assert_pass("lookahead quiet-window read");
+}
+
+#[test]
+fn quiet_window_peek_first_misses_the_covered_event() {
+    let outcome = Explorer::new().max_preemptions(3).check(|| quiet_window_shape(peek_then_valid));
+    let cex = outcome
+        .counterexample
+        .expect("peek-then-valid must adopt a window over an unseen event");
+    assert_eq!(cex.kind, CexKind::Panic, "expected the window assertion: {cex}");
+    assert!(cex.message.contains("covers the unconsumed event"), "{cex}");
 }

@@ -1,0 +1,329 @@
+//! Register lookahead oracle matrix: every clocked element kind, fed by
+//! every shape of clock path, must stay bit-identical to the sequential
+//! oracle on the chaotic engine — with the trigger rule on and ablated,
+//! at 1, 2 and 4 threads.
+//!
+//! The rule under test lets a `Dff`/`DffR`/`Memory` (and a `Latch` while
+//! `en = 0`) publish its output as valid up to its next clock/reset/enable
+//! event, however far behind its data inputs are. The circuits here put
+//! every register inside a feedback loop (so the data input really does
+//! lag), move the data while the trigger ports are quiet, and vary how
+//! much the engine knows about the clock: straight from a generator
+//! (valid for all time), through a buffer chain (valid only as far as the
+//! buffers have run), and gated by an AND (valid only while the gate is
+//! pinned or its inputs are known).
+
+use std::fs;
+
+use parsim_core::{
+    assert_equivalent, checkpoint, ChaoticAsync, EngineKind, EventDriven, FaultPlan, SimConfig,
+    StorageFault,
+};
+use parsim_logic::{Delay, ElementKind, Time, Value};
+use parsim_netlist::{Builder, Netlist, NodeId};
+
+#[derive(Debug, Clone, Copy)]
+enum ClockPath {
+    /// The register's clock pin is the generator's node.
+    Direct,
+    /// Three buffers between generator and register: the clock node's
+    /// `valid_until` is whatever the last buffer has published.
+    Buffered,
+    /// `gen AND gate`, the gate opening and closing at a slower rate.
+    Gated,
+}
+
+const PATHS: [ClockPath; 3] = [ClockPath::Direct, ClockPath::Buffered, ClockPath::Gated];
+
+/// Rise/fall pairs for the registers and their feedback logic: symmetric,
+/// slow-rise, slow-fall.
+const DELAYS: [(u64, u64); 3] = [(1, 1), (3, 1), (1, 4)];
+
+fn clock(b: &mut Builder, name: &str, half_period: u64, offset: u64) -> NodeId {
+    let n = b.node(name, 1);
+    let kind = ElementKind::Clock { half_period, offset };
+    b.element(&format!("{name}_gen"), kind, Delay(1), &[], &[n]).unwrap();
+    n
+}
+
+fn lfsr(b: &mut Builder, name: &str, width: u8, period: u64, seed: u64) -> NodeId {
+    let n = b.node(name, width);
+    let kind = ElementKind::Lfsr { width, period, seed };
+    b.element(&format!("{name}_gen"), kind, Delay(1), &[], &[n]).unwrap();
+    n
+}
+
+fn vector(b: &mut Builder, name: &str, changes: &[(u64, Value)]) -> NodeId {
+    let n = b.node(name, 1);
+    let kind = ElementKind::Vector { changes: changes.to_vec().into() };
+    b.element(&format!("{name}_gen"), kind, Delay(1), &[], &[n]).unwrap();
+    n
+}
+
+/// Builds the clock the registers see. Half-period 7 from tick 7: rising
+/// edges at 7, 21, 35, 49, 63, ... on the generator's own node.
+fn clock_path(b: &mut Builder, path: ClockPath) -> NodeId {
+    let gen = clock(b, "clkgen", 7, 7);
+    match path {
+        ClockPath::Direct => gen,
+        ClockPath::Buffered => {
+            let mut prev = gen;
+            for (i, d) in [1, 2, 1].into_iter().enumerate() {
+                let n = b.node(&format!("clkbuf{i}"), 1);
+                b.element(&format!("cb{i}"), ElementKind::Buf, Delay(d), &[prev], &[n]).unwrap();
+                prev = n;
+            }
+            prev
+        }
+        ClockPath::Gated => {
+            let gate = clock(b, "clkgate", 40, 25);
+            let n = b.node("clkgated", 1);
+            b.element("cg", ElementKind::And, Delay(1), &[gen, gate], &[n]).unwrap();
+            n
+        }
+    }
+}
+
+struct Case {
+    netlist: Netlist,
+    watch: Vec<NodeId>,
+}
+
+/// A toggle ring (`q -> NOT -> d`) and a 4-bit data register, both `Dff`.
+fn dff_case(path: ClockPath, (rise, fall): (u64, u64)) -> Case {
+    let mut b = Builder::new();
+    let clk = clock_path(&mut b, path);
+    // The ring needs a known value to leave X: a mux loads 0 first.
+    let load = vector(&mut b, "load", &[(0, Value::bit(true)), (30, Value::bit(false))]);
+    let zero = b.node("zero", 1);
+    b.element("zero_gen", ElementKind::Const { value: Value::bit(false) }, Delay(1), &[], &[zero])
+        .unwrap();
+    let (q, nq, d) = (b.node("q", 1), b.node("nq", 1), b.node("d", 1));
+    b.element_with_delays("ff", ElementKind::Dff { width: 1 }, Delay(rise), Delay(fall), &[clk, d], &[q])
+        .unwrap();
+    b.element_with_delays("inv", ElementKind::Not, Delay(fall), Delay(rise), &[q], &[nq]).unwrap();
+    b.element("sel", ElementKind::Mux { width: 1 }, Delay(1), &[load, nq, zero], &[d]).unwrap();
+    // Data moving every 3 ticks against a 14-tick clock.
+    let data = lfsr(&mut b, "data", 4, 3, 0xb5);
+    let r = b.node("r", 4);
+    b.element_with_delays("reg", ElementKind::Dff { width: 4 }, Delay(rise), Delay(fall), &[clk, data], &[r])
+        .unwrap();
+    Case { netlist: b.finish().unwrap(), watch: vec![clk, q, nq, d, r] }
+}
+
+/// Two `DffR`s: one reset by a directed vector (asserted between clock
+/// edges, coincident with a rising edge, held across one, unknown for a
+/// while), one by a reset whose period is coprime to the clock's so every
+/// relative phase occurs whatever the clock path's skew. The second sits
+/// in a toggle ring.
+fn dffr_case(path: ClockPath, (rise, fall): (u64, u64)) -> Case {
+    let mut b = Builder::new();
+    let clk = clock_path(&mut b, path);
+    let (hi, lo, x) = (Value::bit(true), Value::bit(false), Value::x(1));
+    let rst = vector(
+        &mut b,
+        "rst",
+        &[
+            (0, hi),
+            (3, lo),
+            (24, hi), // between the edges at 21 and 35
+            (26, lo),
+            (35, hi), // on the rising edge at 35
+            (37, lo),
+            (60, hi), // held across the rising edge at 63
+            (66, lo),
+            (80, x),
+            (95, lo),
+            (105, hi),
+            (106, lo),
+        ],
+    );
+    let data = lfsr(&mut b, "data", 4, 3, 0x3c);
+    let r = b.node("r", 4);
+    b.element_with_delays(
+        "reg",
+        ElementKind::DffR { width: 4 },
+        Delay(rise),
+        Delay(fall),
+        &[clk, data, rst],
+        &[r],
+    )
+    .unwrap();
+    let sweep = clock(&mut b, "sweep", 5, 2);
+    let (q, d) = (b.node("q", 1), b.node("d", 1));
+    b.element_with_delays(
+        "ff",
+        ElementKind::DffR { width: 1 },
+        Delay(rise),
+        Delay(fall),
+        &[clk, d, sweep],
+        &[q],
+    )
+    .unwrap();
+    b.element_with_delays("inv", ElementKind::Not, Delay(fall), Delay(rise), &[q], &[d]).unwrap();
+    Case { netlist: b.finish().unwrap(), watch: vec![clk, rst, r, sweep, q, d] }
+}
+
+/// Two latches with data moving every 3 ticks: one enabled by the clock
+/// path (opaque and transparent phases), one by a vector that also goes
+/// unknown. The first closes a loop through a NOR (a start-up `kick`
+/// forces the loop out of X) and an XOR that keeps `d` moving while the
+/// latch is opaque.
+fn latch_case(path: ClockPath, (rise, fall): (u64, u64)) -> Case {
+    let mut b = Builder::new();
+    let en = clock_path(&mut b, path);
+    let (hi, lo, x) = (Value::bit(true), Value::bit(false), Value::x(1));
+    let kick = vector(&mut b, "kick", &[(0, hi), (40, lo)]);
+    let wobble = clock(&mut b, "wobble", 3, 1);
+    let (q, nq, d) = (b.node("q", 1), b.node("nq", 1), b.node("d", 1));
+    b.element_with_delays("l", ElementKind::Latch { width: 1 }, Delay(rise), Delay(fall), &[en, d], &[q])
+        .unwrap();
+    b.element("inv", ElementKind::Nor, Delay(2), &[q, kick], &[nq]).unwrap();
+    b.element("mix", ElementKind::Xor, Delay(1), &[nq, wobble], &[d]).unwrap();
+    let en2 = vector(
+        &mut b,
+        "en2",
+        &[
+            (0, lo),
+            (10, hi),
+            (30, lo),
+            (50, x),
+            (70, lo),
+            (90, hi),
+            (100, x),
+            (120, lo),
+            (150, hi),
+            (170, lo),
+            (200, hi),
+            (230, x),
+            (260, hi),
+            (300, lo),
+            (330, hi),
+        ],
+    );
+    let data = lfsr(&mut b, "data", 4, 3, 0x71);
+    let r = b.node("r", 4);
+    b.element_with_delays("l2", ElementKind::Latch { width: 4 }, Delay(rise), Delay(fall), &[en2, data], &[r])
+        .unwrap();
+    Case { netlist: b.finish().unwrap(), watch: vec![en, q, d, en2, r] }
+}
+
+/// A 4x4 memory whose write data comes back, inverted, from its own read
+/// port once a start-up phase has filled the cells with known words.
+fn memory_case(path: ClockPath, (rise, fall): (u64, u64)) -> Case {
+    let mut b = Builder::new();
+    let clk = clock_path(&mut b, path);
+    let we = clock(&mut b, "we", 11, 4);
+    let addr = lfsr(&mut b, "addr", 2, 5, 0x2d);
+    let fill = lfsr(&mut b, "fill", 4, 3, 0x97);
+    let filling = vector(&mut b, "filling", &[(0, Value::bit(true)), (160, Value::bit(false))]);
+    let (rdata, back, wdata) = (b.node("rdata", 4), b.node("back", 4), b.node("wdata", 4));
+    b.element_with_delays(
+        "mem",
+        ElementKind::Memory { addr_bits: 2, width: 4 },
+        Delay(rise),
+        Delay(fall),
+        &[clk, we, addr, wdata],
+        &[rdata],
+    )
+    .unwrap();
+    b.element("inv", ElementKind::Not, Delay(2), &[rdata], &[back]).unwrap();
+    b.element("sel", ElementKind::Mux { width: 4 }, Delay(1), &[filling, back, fill], &[wdata])
+        .unwrap();
+    Case { netlist: b.finish().unwrap(), watch: vec![clk, we, addr, rdata, wdata] }
+}
+
+/// Builds one register kind's circuit for a clock path and a rise/fall pair.
+type BuildCase = fn(ClockPath, (u64, u64)) -> Case;
+
+const KINDS: [(&str, BuildCase); 4] = [
+    ("dff", dff_case),
+    ("dffr", dffr_case),
+    ("latch", latch_case),
+    ("memory", memory_case),
+];
+
+#[test]
+fn every_register_kind_and_clock_path_matches_the_oracle() {
+    for (kind, build) in KINDS {
+        for path in PATHS {
+            for delays in DELAYS {
+                let case = build(path, delays);
+                let cfg = SimConfig::new(Time(400)).watch_all(case.watch.clone());
+                let seq = EventDriven::run(&case.netlist, &cfg).unwrap();
+                // A register that never leaves X would make the comparison
+                // vacuous: every watched node must take known values.
+                for &w in &case.watch {
+                    let known = seq.waveform(w).unwrap().changes().iter();
+                    assert!(
+                        known.filter(|(_, v)| v.to_u64().is_some()).count() >= 4,
+                        "{kind}/{path:?}/{delays:?}: {} stays unknown",
+                        case.netlist.node(w).name()
+                    );
+                }
+                for threads in [1, 2, 4] {
+                    // Multi-threaded schedules differ run to run.
+                    let reps = if threads == 1 { 1 } else { 4 };
+                    for _ in 0..reps {
+                        let on = cfg.clone().threads(threads);
+                        let off = on.clone().without_lookahead();
+                        let tag = format!("{kind}/{path:?}/{delays:?} x{threads}");
+                        let r = ChaoticAsync::run(&case.netlist, &on).unwrap();
+                        assert_equivalent(&seq, &r, &format!("{tag} lookahead"));
+                        assert_eq!(r.metrics.events_processed, seq.metrics.events_processed, "{tag}");
+                        let r = ChaoticAsync::run(&case.netlist, &off).unwrap();
+                        assert_equivalent(&seq, &r, &format!("{tag} ablated"));
+                        assert_eq!(r.metrics.lookahead_extensions, 0, "{tag}: ablated run extended");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The rule must actually fire on every kind (otherwise the matrix above
+/// only re-tests the old engine), and must not fire when ablated.
+#[test]
+fn lookahead_extends_validity_on_every_register_kind() {
+    for (kind, build) in KINDS {
+        let case = build(ClockPath::Direct, (1, 1));
+        let cfg = SimConfig::new(Time(400));
+        let on = ChaoticAsync::run(&case.netlist, &cfg).unwrap().metrics;
+        let off = ChaoticAsync::run(&case.netlist, &cfg.clone().without_lookahead()).unwrap().metrics;
+        assert!(on.lookahead_extensions > 0, "{kind}: rule never fired");
+        assert!(
+            on.activations < off.activations,
+            "{kind}: {} activations with lookahead, {} without",
+            on.activations,
+            off.activations
+        );
+    }
+}
+
+/// A checkpoint cut that lands in the middle of a clock half-period: the
+/// registers' outputs were published valid past the cut's tick by the
+/// trigger rule, and the resumed segment must pick up byte-equal.
+#[test]
+fn chaotic_cut_inside_a_clock_half_period_resumes_byte_equal() {
+    for (kind, build) in KINDS {
+        let case = build(ClockPath::Buffered, (3, 1));
+        let plain = SimConfig::new(Time(400)).watch_all(case.watch.clone());
+        let want = EventDriven::run(&case.netlist, &plain).unwrap().to_vcd();
+        let dir = std::env::temp_dir()
+            .join(format!("parsim-reglook-{kind}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // Clock half-period 7, cuts every 33 ticks: 33, 66, 99, ... fall
+        // 5, 3, 1, ... ticks into a half-period.
+        let cfg = plain.clone().threads(2).with_checkpoint_dir(&dir).with_checkpoint_every(33);
+        let whole = checkpoint::run(EngineKind::Chaotic, &case.netlist, &cfg).unwrap();
+        assert_eq!(whole.to_vcd(), want, "{kind}: segmented run");
+        let _ = fs::remove_dir_all(&dir);
+        // Die while committing the fourth snapshot, then resume.
+        let crashing = cfg.clone().with_fault(FaultPlan::storage_fault(3, StorageFault::FsyncCrash));
+        checkpoint::run(EngineKind::Chaotic, &case.netlist, &crashing)
+            .expect_err("the injected storage crash must end the run");
+        let resumed = checkpoint::resume(EngineKind::Chaotic, &case.netlist, &cfg).unwrap();
+        assert_eq!(resumed.to_vcd(), want, "{kind}: resumed run");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -508,7 +508,7 @@ fn to_timeseries(run: &RunTelemetry) -> TimeSeriesReport {
     }
 }
 
-/// Folds engine metrics (checkpoint/allocs/lane-width/idle/parks) and the
+/// Folds engine metrics (checkpoint/allocs/lookahead/lane-width/idle/parks) and the
 /// sampled time series into a report, trace-derived or metrics-only.
 fn attach_metrics(
     mut report: RunReport,
@@ -534,6 +534,15 @@ fn attach_metrics(
             chunk_allocs: a.chunk_allocs,
             chunk_frees: a.chunk_frees,
             mailbox_recycled: a.mailbox_recycled,
+        });
+    }
+    // Only the chaotic engine counts these (every other engine leaves
+    // both at zero and gets no line).
+    if m.empty_activations + m.lookahead_extensions > 0 {
+        report = report.with_lookahead(parsim_trace::LookaheadReport {
+            activations: m.activations,
+            empty_activations: m.empty_activations,
+            extensions: m.lookahead_extensions,
         });
     }
     if let Some(ts) = telemetry.map(to_timeseries) {

@@ -474,6 +474,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::kind::Arity;
     use crate::value::Bit;
 
     fn eval(kind: &ElementKind, inputs: &[Value]) -> Value {
@@ -832,6 +833,49 @@ mod tests {
         assert_eq!(eval(&ElementKind::Xor, &[x, Value::bit(true)]), x);
         assert_eq!(eval(&ElementKind::And, &[x, Value::bit(false)]), Value::bit(false));
         assert_eq!(eval(&ElementKind::Or, &[x, Value::bit(true)]), Value::bit(true));
+    }
+
+    /// The property `ElementKind::triggers` promises: from any reachable
+    /// state, re-evaluating with only non-trigger inputs moved changes
+    /// neither the output nor the internal state.
+    #[test]
+    fn non_trigger_inputs_are_output_neutral() {
+        let four = [Value::bit(false), Value::bit(true), Value::x(1), Value::z(1)];
+        let vectors = |n: usize| -> Vec<Vec<Value>> {
+            (0..4usize.pow(n as u32))
+                .map(|k| (0..n).map(|p| four[(k >> (2 * p)) & 3]).collect())
+                .collect()
+        };
+        for kind in [
+            ElementKind::Dff { width: 1 },
+            ElementKind::DffR { width: 1 },
+            ElementKind::Latch { width: 1 },
+            ElementKind::Memory { addr_bits: 1, width: 1 },
+        ] {
+            let rule = kind.triggers().expect("sequential kinds have a rule");
+            let Arity::Exact(n) = kind.input_arity() else {
+                panic!("sequential kinds have fixed arity");
+            };
+            let all = vectors(n);
+            for prior in &all {
+                for a in &all {
+                    let armed = rule.while_level.is_none_or(|lvl| {
+                        rule.ports.iter().all(|&p| a[p].to_logic().bit_at(0) == lvl)
+                    });
+                    if !armed {
+                        continue;
+                    }
+                    let mut st = ElemState::init(&kind);
+                    evaluate(&kind, prior, &mut st);
+                    let out = evaluate(&kind, a, &mut st).get(0);
+                    for b in all.iter().filter(|b| rule.ports.iter().all(|&p| b[p] == a[p])) {
+                        let mut st2 = st.clone();
+                        assert_eq!(evaluate(&kind, b, &mut st2).get(0), out, "{kind}: {a:?} -> {b:?}");
+                        assert_eq!(st2, st, "{kind}: state moved on {a:?} -> {b:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

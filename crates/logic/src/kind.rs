@@ -130,6 +130,37 @@ pub struct Controlling {
     pub output: Bit,
 }
 
+/// The trigger rule of a clocked element, used by the asynchronous
+/// engine's register lookahead: the output can only move at an event on
+/// one of the `ports`, whatever the other inputs do in between. An
+/// evaluation caused by any other input leaves both the output and the
+/// internal state as they were, so the output is known up to the next
+/// trigger event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Triggers {
+    /// Input ports whose events can move the output.
+    pub ports: &'static [usize],
+    /// Level-sensitive elements: the rule holds only while every trigger
+    /// port carries this known bit (a latch is opaque while `en = 0`).
+    /// `None` for edge-triggered elements, where it always holds.
+    pub while_level: Option<Bit>,
+}
+
+/// The gate-specific lookahead rule (§4) an asynchronous simulator may
+/// apply to an element after replaying its inputs; see
+/// [`ElementKind::lookahead`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookahead {
+    /// Outputs are valid only as far as every input is.
+    None,
+    /// Scalar gate: while some input holds this controlling bit the output
+    /// is pinned, whatever the other inputs do.
+    Controlling(Bit),
+    /// Clocked element: the output is quiet until the next event on one of
+    /// its trigger ports.
+    Triggers(Triggers),
+}
+
 impl ElementKind {
     /// True for generator elements (no inputs; pre-expanded at init).
     pub fn is_generator(&self) -> bool {
@@ -292,6 +323,34 @@ impl ElementKind {
         }
     }
 
+    /// The trigger rule for this element, if it is clocked.
+    ///
+    /// Port numbers follow the input order documented on each variant:
+    /// a flip-flop or memory only samples on its clock (and a `DffR` also
+    /// moves on its asynchronous reset); a latch holds while its enable
+    /// is a known 0 and is transparent — no rule — otherwise.
+    pub fn triggers(&self) -> Option<Triggers> {
+        let (ports, while_level): (&'static [usize], _) = match self {
+            ElementKind::Dff { .. } | ElementKind::Memory { .. } => (&[0], None),
+            ElementKind::DffR { .. } => (&[0, 2], None),
+            ElementKind::Latch { .. } => (&[0], Some(Bit::Zero)),
+            _ => return None,
+        };
+        Some(Triggers { ports, while_level })
+    }
+
+    /// The lookahead rule for an instance of this kind, resolved once per
+    /// element at simulator start-up. `scalar` says every port of the
+    /// instance is one bit wide — the controlling-value rule reads single
+    /// bits, so a bus-wide gate gets none.
+    pub fn lookahead(&self, scalar: bool) -> Lookahead {
+        match (self.controlling(), self.triggers()) {
+            (Some(c), _) if scalar => Lookahead::Controlling(c.input),
+            (_, Some(t)) => Lookahead::Triggers(t),
+            _ => Lookahead::None,
+        }
+    }
+
     /// Relative evaluation cost in "inverter events", the paper's unit
     /// ("elements at the higher levels of abstraction will have execution
     /// times ranging from 1 to 100 inverter-events").
@@ -450,6 +509,28 @@ mod tests {
         assert_eq!(c.input, Bit::One);
         assert_eq!(c.output, Bit::Zero);
         assert!(ElementKind::Xor.controlling().is_none());
+    }
+
+    #[test]
+    fn trigger_ports_name_clock_reset_and_enable() {
+        let t = ElementKind::Dff { width: 4 }.triggers().unwrap();
+        assert_eq!((t.ports, t.while_level), (&[0usize][..], None));
+        let t = ElementKind::DffR { width: 1 }.triggers().unwrap();
+        assert_eq!((t.ports, t.while_level), (&[0usize, 2][..], None));
+        let t = ElementKind::Memory { addr_bits: 2, width: 8 }.triggers().unwrap();
+        assert_eq!((t.ports, t.while_level), (&[0usize][..], None));
+        let t = ElementKind::Latch { width: 2 }.triggers().unwrap();
+        assert_eq!((t.ports, t.while_level), (&[0usize][..], Some(Bit::Zero)));
+        // Exactly the sequential kinds have a rule.
+        for kind in [ElementKind::Dff { width: 4 }, ElementKind::Latch { width: 2 }] {
+            assert_eq!(kind.lookahead(false), Lookahead::Triggers(kind.triggers().unwrap()));
+        }
+        assert_eq!(ElementKind::Nand.lookahead(true), Lookahead::Controlling(Bit::Zero));
+        assert_eq!(ElementKind::Nand.lookahead(false), Lookahead::None);
+        assert_eq!(ElementKind::Xor.lookahead(true), Lookahead::None);
+        assert!(ElementKind::And.triggers().is_none());
+        assert!(ElementKind::TriBuf { width: 1 }.triggers().is_none());
+        assert!(ElementKind::Clock { half_period: 1, offset: 0 }.triggers().is_none());
     }
 
     #[test]

@@ -32,6 +32,6 @@ mod value;
 pub mod wide;
 
 pub use eval::{evaluate, expand_generator, ElemState, Outputs};
-pub use kind::{Controlling, ElementKind, PortCountError};
+pub use kind::{Controlling, ElementKind, Lookahead, PortCountError, Triggers};
 pub use time::{transition_delay, Delay, Time};
 pub use value::{Bit, ParseValueError, Value};

@@ -18,7 +18,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use parsim_logic::{evaluate, expand_generator, transition_delay, Bit, Delay, ElemState, ElementKind, Time, Value};
+use parsim_logic::{
+    evaluate, expand_generator, transition_delay, Bit, Delay, ElemState, ElementKind, Lookahead, Time,
+    Value,
+};
 use parsim_netlist::Netlist;
 
 use crate::cost::{memory_pressure, MachineConfig};
@@ -48,7 +51,7 @@ struct ElemSim {
     state: ElemState,
     last_out: Vec<Value>,
     last_te: Vec<u64>,
-    lookahead_ok: bool,
+    lookahead: Lookahead,
     occurrence: u64,
 }
 
@@ -125,9 +128,11 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
                     .map(|&o| Value::x(netlist.node(o).width()))
                     .collect(),
                 last_te: vec![0; e.outputs().len()],
-                lookahead_ok: scalar
-                    && machine.lookahead
-                    && e.kind().controlling().is_some(),
+                lookahead: if machine.lookahead {
+                    e.kind().lookahead(scalar)
+                } else {
+                    Lookahead::None
+                },
                 occurrence: 0,
             }
         })
@@ -357,23 +362,25 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
             }
         }
 
-        // ---- controlling-value lookahead ----------------------------------
+        // ---- lookahead (controlling value / register triggers) ------------
+        let quiet_through = |elem: &ElemSim, i: usize| {
+            let node = &nodes[elem.inputs[i] as usize];
+            match node.events.get(elem.cursors[i]) {
+                Some(&(t, _)) => t.saturating_sub(1),
+                None => node.valid,
+            }
+        };
         let mut effective_valid = min_valid;
-        if elems[e].lookahead_ok {
-            let ctrl = elems[e].kind.controlling().expect("lookahead_ok");
-            loop {
+        match elems[e].lookahead {
+            Lookahead::None => {}
+            Lookahead::Controlling(ctrl) => loop {
                 let mut pin_end = 0u64;
                 let mut pinned = false;
-                for (i, &n) in elems[e].inputs.iter().enumerate() {
-                    if bit_of(&elems[e].cur_vals[i]) != Some(ctrl.input) {
+                for i in 0..elems[e].inputs.len() {
+                    if bit_of(&elems[e].cur_vals[i]) != Some(ctrl) {
                         continue;
                     }
-                    let node = &nodes[n as usize];
-                    let hold = match node.events.get(elems[e].cursors[i]) {
-                        Some(&(t, _)) => t.saturating_sub(1),
-                        None => node.valid,
-                    };
-                    pin_end = pin_end.max(hold);
+                    pin_end = pin_end.max(quiet_through(&elems[e], i));
                     pinned = true;
                 }
                 if !pinned || pin_end <= effective_valid {
@@ -394,6 +401,16 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
                 }
                 if !consumed {
                     break;
+                }
+            },
+            Lookahead::Triggers(rule) => {
+                let elem = &elems[e];
+                let armed = rule.while_level.is_none_or(|level| {
+                    rule.ports.iter().all(|&p| bit_of(&elem.cur_vals[p]) == Some(level))
+                });
+                if armed {
+                    let quiet = rule.ports.iter().map(|&p| quiet_through(elem, p)).min();
+                    effective_valid = effective_valid.max(quiet.unwrap_or(min_valid));
                 }
             }
         }

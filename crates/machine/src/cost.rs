@@ -134,7 +134,8 @@ pub struct MachineConfig {
     pub distributed_queues: bool,
     /// OS interference, if modeling the unpatched kernel.
     pub os_interrupts: Option<OsInterrupts>,
-    /// Enable the asynchronous model's controlling-value lookahead.
+    /// Enable the asynchronous model's lookahead (controlling values and
+    /// register triggers, as in the engine).
     pub lookahead: bool,
     /// The interconnect between virtual processors.
     pub topology: Topology,

@@ -310,6 +310,8 @@ mod tests {
         let reg = Registry::new(2);
         reg.worker(0).add(Counter::EventsProcessed, 100);
         reg.worker(1).add(Counter::EventsProcessed, 50);
+        reg.worker(1).add(Counter::LookaheadExtensions, 7);
+        reg.worker(1).add(Counter::EmptyActivations, 9);
         reg.worker(0).set_gauge(Gauge::SimTime, 400);
         reg.worker(0).record_step_events(3);
         reg.worker(1).record_step_events(1200);
@@ -318,6 +320,10 @@ mod tests {
         assert!(text.contains("parsim_events_total{worker=\"0\"} 100"));
         assert!(text.contains("parsim_events_total{worker=\"driver\"} 0"));
         assert!(text.contains("# TYPE parsim_events_total counter"));
+        assert!(text.contains("# TYPE parsim_lookahead_extensions_total counter"));
+        assert!(text.contains("parsim_lookahead_extensions_total{worker=\"1\"} 7"));
+        assert!(text.contains("# TYPE parsim_empty_activations_total counter"));
+        assert!(text.contains("parsim_empty_activations_total{worker=\"1\"} 9"));
         assert!(text.contains("parsim_events_per_step_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("parsim_events_per_step_count 2"));
         assert!(text.contains("parsim_events_per_step_sum 1203"));

@@ -17,6 +17,11 @@ pub enum Counter {
     Evaluations,
     /// Element activations (schedulings).
     Activations,
+    /// Chaotic-engine activations that consumed no input event.
+    EmptyActivations,
+    /// Chaotic-engine activations where lookahead carried the outputs'
+    /// validity past the least-valid input.
+    LookaheadExtensions,
     /// Active time steps (event-driven) or executed steps (compiled).
     TimeSteps,
     /// Activations served from a worker's own local deque.
@@ -60,10 +65,12 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 25] = [
         Counter::EventsProcessed,
         Counter::Evaluations,
         Counter::Activations,
+        Counter::EmptyActivations,
+        Counter::LookaheadExtensions,
         Counter::TimeSteps,
         Counter::LocalHits,
         Counter::GridSends,
@@ -94,6 +101,8 @@ impl Counter {
             Counter::EventsProcessed => "parsim_events_total",
             Counter::Evaluations => "parsim_evaluations_total",
             Counter::Activations => "parsim_activations_total",
+            Counter::EmptyActivations => "parsim_empty_activations_total",
+            Counter::LookaheadExtensions => "parsim_lookahead_extensions_total",
             Counter::TimeSteps => "parsim_time_steps_total",
             Counter::LocalHits => "parsim_sched_local_hits_total",
             Counter::GridSends => "parsim_sched_grid_sends_total",
@@ -123,6 +132,10 @@ impl Counter {
             Counter::EventsProcessed => "Node-change events applied",
             Counter::Evaluations => "Element evaluations performed",
             Counter::Activations => "Element activations (schedulings)",
+            Counter::EmptyActivations => "Activations that consumed no input event",
+            Counter::LookaheadExtensions => {
+                "Activations where lookahead extended validity past the least-valid input"
+            }
             Counter::TimeSteps => "Active (event-driven) or executed (compiled) time steps",
             Counter::LocalHits => "Activations served from the worker-local deque",
             Counter::GridSends => "Element ids sent across the SPSC grid",

@@ -22,7 +22,8 @@ pub mod json;
 pub mod report;
 
 pub use report::{
-    AllocReport, CheckpointReport, RunReport, ThreadSummary, TimeSeriesPoint, TimeSeriesReport,
+    AllocReport, CheckpointReport, LookaheadReport, RunReport, ThreadSummary, TimeSeriesPoint,
+    TimeSeriesReport,
 };
 
 use std::time::Instant;

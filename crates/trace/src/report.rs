@@ -182,6 +182,20 @@ pub struct AllocReport {
     pub mailbox_recycled: u64,
 }
 
+/// What the chaotic engine's activations found and what lookahead bought
+/// them. Like [`CheckpointReport`], from the engine's metrics via
+/// [`RunReport::with_lookahead`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookaheadReport {
+    /// Element activations.
+    pub activations: u64,
+    /// Activations that consumed no input event.
+    pub empty_activations: u64,
+    /// Activations where lookahead extended validity past the
+    /// least-valid input.
+    pub extensions: u64,
+}
+
 /// One worker's scheduling/timing totals as reported by engine metrics —
 /// the feature-free twin of the trace-derived counters. The harness
 /// builds these from `parsim-core`'s `ThreadMetrics` (which this crate
@@ -259,6 +273,8 @@ pub struct RunReport {
     pub lane_width: u64,
     /// Hot-path allocation activity, when the engine reported any.
     pub allocs: Option<AllocReport>,
+    /// Activation efficiency of a chaotic-engine run.
+    pub lookahead: Option<LookaheadReport>,
     /// In-run telemetry samples, when sampling was on. From the
     /// always-on metrics registry via [`RunReport::with_timeseries`].
     pub timeseries: Option<TimeSeriesReport>,
@@ -436,6 +452,13 @@ impl RunReport {
         self
     }
 
+    /// Attaches the chaotic engine's activation-efficiency counters (from
+    /// engine metrics) so `Display` and `to_json` include them.
+    pub fn with_lookahead(mut self, lookahead: LookaheadReport) -> RunReport {
+        self.lookahead = Some(lookahead);
+        self
+    }
+
     /// Mean utilization over all workers.
     pub fn utilization(&self) -> f64 {
         if self.workers.is_empty() {
@@ -572,6 +595,13 @@ impl RunReport {
                 ",\n  \"allocs\": {{\"chunk_allocs\": {}, \"chunk_frees\": {}, \
                  \"mailbox_recycled\": {}}}",
                 a.chunk_allocs, a.chunk_frees, a.mailbox_recycled
+            ));
+        }
+        if let Some(l) = &self.lookahead {
+            s.push_str(&format!(
+                ",\n  \"lookahead\": {{\"activations\": {}, \"empty_activations\": {}, \
+                 \"extensions\": {}}}",
+                l.activations, l.empty_activations, l.extensions
             ));
         }
         if let Some(ts) = &self.timeseries {
@@ -767,6 +797,13 @@ impl fmt::Display for RunReport {
                 a.chunk_allocs, a.chunk_frees, a.mailbox_recycled
             )?;
         }
+        if let Some(l) = &self.lookahead {
+            writeln!(
+                f,
+                "\nlookahead: {} of {} activations extended validity, {} consumed no event",
+                l.extensions, l.activations, l.empty_activations
+            )?;
+        }
         if let Some(ts) = &self.timeseries {
             if !ts.points.is_empty() {
                 writeln!(
@@ -891,6 +928,23 @@ mod tests {
         lint(&j).expect("allocs JSON must be well-formed");
         assert!(j.contains("\"allocs\": {\"chunk_allocs\": 120, \"chunk_frees\": 80"));
         assert!(r.to_string().contains("memory: 120 chunk mallocs / 80 frees, 7 mailboxes"));
+    }
+
+    #[test]
+    fn lookahead_line_renders_in_json_and_text() {
+        let r = RunReport::from_trace(&synthetic_trace()).with_lookahead(LookaheadReport {
+            activations: 500,
+            empty_activations: 40,
+            extensions: 120,
+        });
+        let j = r.to_json();
+        lint(&j).expect("lookahead JSON must be well-formed");
+        assert!(j.contains(
+            "\"lookahead\": {\"activations\": 500, \"empty_activations\": 40, \"extensions\": 120}"
+        ));
+        assert!(r
+            .to_string()
+            .contains("lookahead: 120 of 500 activations extended validity, 40 consumed no event"));
     }
 
     #[test]

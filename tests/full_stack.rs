@@ -196,8 +196,9 @@ fn parallel_engines_and_checkpoint_resume_match_oracle() {
 /// evaluations, activations, time_steps, gc_chunks_freed, pool_misses,
 /// evals_skipped)` are exact literals (captured before `Metrics` became a
 /// view over the telemetry registry; a refactor of the counting path must
-/// not move them). At 2 and 4 threads only the engine-independent
-/// identities hold.
+/// not move them — the `cpu`/`async` row was re-pinned once, when register
+/// lookahead cut its activations from 191 467). At 2 and 4 threads only
+/// the engine-independent identities hold.
 #[test]
 fn metrics_counts_are_pinned() {
     use parsim::engine::{SimError, SimResult};
@@ -232,7 +233,7 @@ fn metrics_counts_are_pinned() {
                 [2716, 7021, 7021, 51, 0, 0, 0],
                 [2716, 7021, 7021, 51, 0, 0, 0],
                 [2716, 13293, 13293, 401, 0, 0, 556307],
-                [2716, 7013, 191467, 0, 0, 0, 0],
+                [2716, 7021, 18448, 0, 0, 0, 0],
             ],
         ),
     ];
@@ -250,6 +251,21 @@ fn metrics_counts_are_pinned() {
                 x.evals_skipped,
             ];
             assert_eq!(got, want, "{name}/{engine} x1");
+        }
+        // Every loop of the CPU runs through a register, so register
+        // lookahead must keep buying at least 5x there — and none of it
+        // may come from delivering different events.
+        if name == "cpu" {
+            let on = ChaoticAsync::run(netlist, &cfg).unwrap().metrics;
+            let off = ChaoticAsync::run(netlist, &cfg.clone().without_lookahead()).unwrap().metrics;
+            assert_eq!(on.events_processed, off.events_processed, "lookahead moved events");
+            assert_eq!(off.lookahead_extensions, 0, "ablated run still extended");
+            assert!(
+                on.activations * 5 <= off.activations,
+                "register lookahead: {} activations with, {} without",
+                on.activations,
+                off.activations
+            );
         }
         let oracle_events = pinned[0][0];
         for threads in [2, 4] {
