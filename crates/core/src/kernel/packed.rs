@@ -54,7 +54,7 @@ use crate::kernel::{validate_partition, DirtyMask, ExecPlan, NeighborPlan};
 use crate::metrics::Metrics;
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
-use crate::waveform::SimResult;
+use crate::waveform::{SimResult, WatchSlots};
 
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "compiled-mode";
@@ -451,11 +451,10 @@ pub(crate) fn run_batch_segment(
     let run_telemetry = telemetry.finish();
     let metrics = Metrics::from_registry(&telemetry.registry, &run_telemetry.finals, wall);
 
+    let slots = WatchSlots::new(netlist, &config.watch);
     let lanes_out = lane_changes
         .into_iter()
-        .map(|c| {
-            SimResult::from_changes(netlist, config.end_time, &config.watch, c, metrics.clone())
-        })
+        .map(|c| SimResult::from_slots(netlist, config.end_time, &slots, c, metrics.clone()))
         .collect();
     Ok((
         BatchResult {

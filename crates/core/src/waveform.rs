@@ -1,7 +1,6 @@
 //! Waveforms and simulation results.
 
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::io;
 
 use parsim_logic::{Time, Value};
 use parsim_netlist::{Netlist, NodeId};
@@ -22,23 +21,6 @@ pub struct Waveform {
 }
 
 impl Waveform {
-    pub(crate) fn new(node: NodeId, name: String, width: u8) -> Waveform {
-        Waveform {
-            node,
-            name,
-            width,
-            changes: Vec::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, t: Time, v: Value) {
-        debug_assert!(
-            self.changes.last().is_none_or(|&(lt, _)| lt < t),
-            "waveform times must strictly increase"
-        );
-        self.changes.push((t, v));
-    }
-
     /// The node this waveform belongs to.
     pub fn node(&self) -> NodeId {
         self.node
@@ -82,6 +64,36 @@ impl Waveform {
     }
 }
 
+/// The watch list in the form result assembly wants it: one slot per
+/// distinct watched node, in node order, and a dense node → slot table so
+/// routing a change costs one indexed load. Built once per run — once per
+/// batch by `run_batch`, whose lanes all share a watch list.
+pub(crate) struct WatchSlots {
+    /// Watched nodes, ascending, no repeats.
+    nodes: Vec<NodeId>,
+    /// Indexed by node: its position in `nodes`, or `UNWATCHED`.
+    slot_of: Vec<u32>,
+}
+
+const UNWATCHED: u32 = u32::MAX;
+
+impl WatchSlots {
+    pub(crate) fn new(netlist: &Netlist, watch: &[NodeId]) -> WatchSlots {
+        let mut slot_of = vec![UNWATCHED; netlist.num_nodes()];
+        for &n in watch {
+            slot_of[n.index()] = 0;
+        }
+        let mut nodes = Vec::with_capacity(watch.len().min(slot_of.len()));
+        for (i, slot) in slot_of.iter_mut().enumerate() {
+            if *slot != UNWATCHED {
+                *slot = nodes.len() as u32;
+                nodes.push(NodeId::from_index(i));
+            }
+        }
+        WatchSlots { nodes, slot_of }
+    }
+}
+
 /// The outcome of a simulation run: watched waveforms plus metrics.
 ///
 /// # Examples
@@ -91,7 +103,8 @@ impl Waveform {
 pub struct SimResult {
     /// The configured end time.
     pub end_time: Time,
-    pub(crate) waveforms: HashMap<NodeId, Waveform>,
+    /// One per watched node, ascending by node id.
+    pub(crate) waveforms: Vec<Waveform>,
     /// Execution metrics.
     pub metrics: Metrics,
     /// The drained per-worker event trace. `Some` only when the run was
@@ -108,32 +121,71 @@ pub struct SimResult {
 impl SimResult {
     /// Assembles a result from per-thread change buffers.
     ///
-    /// Changes may arrive unsorted across buffers; they are sorted by
-    /// `(time, node)` here. Each `(node, time)` pair must be unique — the
-    /// engines guarantee it.
+    /// Changes may arrive in any order across buffers; a node's list is
+    /// sorted by time only if it did not arrive that way. Each
+    /// `(node, time)` pair must be unique — the engines guarantee it.
+    /// Changes after `end_time` or for unwatched nodes are dropped.
     pub(crate) fn from_changes(
         netlist: &Netlist,
         end_time: Time,
         watch: &[NodeId],
-        mut changes: Vec<(Time, NodeId, Value)>,
+        changes: Vec<(Time, NodeId, Value)>,
         metrics: Metrics,
     ) -> SimResult {
-        changes.sort_by_key(|&(t, n, _)| (t, n));
-        let mut waveforms: HashMap<NodeId, Waveform> = watch
-            .iter()
-            .map(|&n| {
-                let node = netlist.node(n);
-                (n, Waveform::new(n, node.name().to_string(), node.width()))
-            })
-            .collect();
-        for (t, n, v) in changes {
-            if t > end_time {
-                continue;
-            }
-            if let Some(w) = waveforms.get_mut(&n) {
-                w.push(t, v);
+        let slots = WatchSlots::new(netlist, watch);
+        SimResult::from_slots(netlist, end_time, &slots, changes, metrics)
+    }
+
+    /// [`SimResult::from_changes`] with the watch list already resolved.
+    pub(crate) fn from_slots(
+        netlist: &Netlist,
+        end_time: Time,
+        slots: &WatchSlots,
+        changes: Vec<(Time, NodeId, Value)>,
+        metrics: Metrics,
+    ) -> SimResult {
+        // Where a change goes, if it is kept at all.
+        let slot_for = |t: Time, n: NodeId| match slots.slot_of[n.index()] {
+            slot if slot != UNWATCHED && t <= end_time => Some(slot as usize),
+            _ => None,
+        };
+        let mut counts = vec![0usize; slots.nodes.len()];
+        for &(t, n, _) in &changes {
+            if let Some(slot) = slot_for(t, n) {
+                counts[slot] += 1;
             }
         }
+        let mut waveforms: Vec<Waveform> = slots
+            .nodes
+            .iter()
+            .zip(&counts)
+            .map(|(&n, &count)| {
+                let node = netlist.node(n);
+                Waveform {
+                    node: n,
+                    name: node.name().to_string(),
+                    width: node.width(),
+                    changes: Vec::with_capacity(count),
+                }
+            })
+            .collect();
+        let mut out_of_order = vec![false; waveforms.len()];
+        for (t, n, v) in changes {
+            let Some(slot) = slot_for(t, n) else { continue };
+            let list = &mut waveforms[slot].changes;
+            if list.last().is_some_and(|&(last, _)| last > t) {
+                out_of_order[slot] = true;
+            }
+            list.push((t, v));
+        }
+        for (w, _) in waveforms.iter_mut().zip(out_of_order).filter(|&(_, o)| o) {
+            // Stable, as the global (time, node) sort it replaces was.
+            w.changes.sort_by_key(|&(t, _)| t);
+        }
+        debug_assert!(
+            waveforms.iter().all(|w| w.changes.windows(2).all(|p| p[0].0 < p[1].0)),
+            "waveform times must strictly increase"
+        );
         SimResult {
             end_time,
             waveforms,
@@ -143,14 +195,18 @@ impl SimResult {
         }
     }
 
+    fn index_of(&self, node: NodeId) -> Option<usize> {
+        self.waveforms.binary_search_by_key(&node, Waveform::node).ok()
+    }
+
     /// The waveform of a watched node, if it was watched.
     pub fn waveform(&self, node: NodeId) -> Option<&Waveform> {
-        self.waveforms.get(&node)
+        self.index_of(node).map(|i| &self.waveforms[i])
     }
 
     /// The final value of a watched node.
     pub fn final_value(&self, node: NodeId) -> Option<Value> {
-        self.waveforms.get(&node).map(Waveform::final_value)
+        self.waveform(node).map(Waveform::final_value)
     }
 
     /// Reads a multi-bit quantity at time `t` from a set of 1-bit watched
@@ -160,8 +216,7 @@ impl SimResult {
     pub fn bus_value_at(&self, bits: &[NodeId], t: Time) -> Option<u64> {
         let mut out = 0u64;
         for (i, &bit) in bits.iter().enumerate() {
-            let w = self.waveforms.get(&bit)?;
-            let v = w.value_at(t).to_u64()?;
+            let v = self.waveform(bit)?.value_at(t).to_u64()?;
             out |= v << i;
         }
         Some(out)
@@ -169,9 +224,7 @@ impl SimResult {
 
     /// All watched waveforms, sorted by node id.
     pub fn waveforms(&self) -> Vec<&Waveform> {
-        let mut ws: Vec<&Waveform> = self.waveforms.values().collect();
-        ws.sort_by_key(|w| w.node());
-        ws
+        self.waveforms.iter().collect()
     }
 
     /// A copy restricted to `watch`'s waveforms with changes truncated to
@@ -181,14 +234,20 @@ impl SimResult {
     /// carried over unchanged; trace and telemetry are dropped (they
     /// describe the whole run, not the restricted view).
     pub fn restricted(&self, watch: &[NodeId], end: Time) -> SimResult {
-        let waveforms = watch
-            .iter()
-            .filter_map(|n| self.waveforms.get(n))
-            .map(|w| {
-                let mut out = Waveform::new(w.node, w.name.clone(), w.width);
-                out.changes
-                    .extend(w.changes.iter().take_while(|&&(t, _)| t <= end).copied());
-                (w.node, out)
+        let mut keep: Vec<usize> = watch.iter().filter_map(|&n| self.index_of(n)).collect();
+        keep.sort_unstable();
+        keep.dedup();
+        let waveforms = keep
+            .into_iter()
+            .map(|i| {
+                let w = &self.waveforms[i];
+                let upto = w.changes.partition_point(|&(t, _)| t <= end);
+                Waveform {
+                    node: w.node,
+                    name: w.name.clone(),
+                    width: w.width,
+                    changes: w.changes[..upto].to_vec(),
+                }
             })
             .collect();
         SimResult {
@@ -209,21 +268,27 @@ impl SimResult {
     /// API guarantees it). Nodes watched only in `later` are added whole.
     /// Metrics are merged; `end_time` advances to `later.end_time`.
     pub fn append_segment(&mut self, later: &SimResult) {
-        for (node, w) in &later.waveforms {
-            match self.waveforms.get_mut(node) {
-                Some(existing) => {
+        let watched_here = self.waveforms.len();
+        for w in &later.waveforms {
+            // Only the waveforms this result started with are in order.
+            let found = self.waveforms[..watched_here]
+                .binary_search_by_key(&w.node, Waveform::node);
+            match found {
+                Ok(i) => {
+                    let existing = &mut self.waveforms[i];
                     debug_assert!(
                         existing.changes.last().map(|&(t, _)| t)
                             < w.changes.first().map(|&(t, _)| t)
                             || w.changes.is_empty(),
                         "segments must be appended in time order"
                     );
-                    existing.changes.extend(w.changes.iter().copied());
+                    existing.changes.extend_from_slice(&w.changes);
                 }
-                None => {
-                    self.waveforms.insert(*node, w.clone());
-                }
+                Err(_) => self.waveforms.push(w.clone()),
             }
+        }
+        if self.waveforms.len() > watched_here {
+            self.waveforms.sort_by_key(Waveform::node);
         }
         self.metrics.merge(&later.metrics);
         self.end_time = self.end_time.max(later.end_time);
@@ -234,65 +299,195 @@ impl SimResult {
     /// # Errors
     ///
     /// Returns any I/O error from creating or writing the file.
-    pub fn write_vcd(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_vcd())
+    pub fn write_vcd(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
+        // No `BufWriter`: the encoder already hands over large blocks.
+        self.write_vcd_to(&mut std::fs::File::create(path)?)
     }
 
     /// Exports the watched waveforms as a VCD (Value Change Dump) document.
     pub fn to_vcd(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "$timescale 1ns $end");
-        let _ = writeln!(out, "$scope module parsim $end");
-        let ws = self.waveforms();
-        let ident = |i: usize| -> String {
+        let mut out = Vec::new();
+        self.write_vcd_to(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("a VCD is ASCII around UTF-8 node names")
+    }
+
+    /// Encodes the watched waveforms as a VCD document into `out`, in
+    /// blocks of about [`VCD_BLOCK`] bytes — a `File` or a socket needs no
+    /// buffering of its own around it.
+    ///
+    /// Variables are declared in node order and identified by their
+    /// position in base 94 over `!`..=`~`, least significant symbol first.
+    /// Every variable is dumped at `#0` (all-`x` unless it changed at time
+    /// zero); later changes follow grouped by time, in node order within a
+    /// time.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` reports.
+    pub fn write_vcd_to<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
+        let ws = &self.waveforms;
+        let idents = Idents::new(ws.len());
+        let mut buf: Vec<u8> = Vec::with_capacity(VCD_BLOCK + 256);
+        buf.extend_from_slice(b"$timescale 1ns $end\n$scope module parsim $end\n");
+        for (i, w) in ws.iter().enumerate() {
+            buf.extend_from_slice(b"$var wire ");
+            push_decimal(&mut buf, u64::from(w.width));
+            buf.push(b' ');
+            buf.extend_from_slice(idents.get(i));
+            buf.push(b' ');
+            buf.extend_from_slice(w.name.as_bytes());
+            buf.extend_from_slice(b" $end\n");
+            flush_if_full(&mut buf, out)?;
+        }
+        buf.extend_from_slice(b"$upscope $end\n$enddefinitions $end\n");
+
+        // Waveforms are in node order and each is in time order, so a
+        // stable sort on time alone yields (time, node) order. LSD radix,
+        // 16 bits a pass; the first pass reads the waveforms themselves.
+        let latest = ws
+            .iter()
+            .filter_map(|w| w.changes.last())
+            .map(|&(t, _)| t.ticks())
+            .max()
+            .unwrap_or(0);
+        let mut dump = radix_pass(ws.iter().enumerate().flat_map(dump_records), 0, latest);
+        let mut shift = RADIX_BITS;
+        while shift < u64::BITS && latest >> shift != 0 {
+            dump = radix_pass(dump.iter().copied(), shift, latest);
+            shift += RADIX_BITS;
+        }
+
+        // Indexed by a bit's two planes, `a | b << 1`.
+        const BIT: [u8; 4] = *b"01zx";
+        let mut now = None;
+        for r in &dump {
+            if now != Some(r.t) {
+                now = Some(r.t);
+                buf.push(b'#');
+                push_decimal(&mut buf, r.t);
+                buf.push(b'\n');
+            }
+            let bit = |i: u8| BIT[(((r.a >> i) & 1) | (((r.b >> i) & 1) << 1)) as usize];
+            if r.width == 1 {
+                buf.push(bit(0));
+            } else {
+                buf.push(b'b');
+                buf.extend((0..r.width).rev().map(bit));
+                buf.push(b' ');
+            }
+            buf.extend_from_slice(idents.get(r.slot as usize));
+            buf.push(b'\n');
+            flush_if_full(&mut buf, out)?;
+        }
+        out.write_all(&buf)
+    }
+}
+
+/// The size at which [`SimResult::write_vcd_to`] hands its buffer on.
+const VCD_BLOCK: usize = 64 * 1024;
+
+fn flush_if_full<W: io::Write>(buf: &mut Vec<u8>, out: &mut W) -> io::Result<()> {
+    if buf.len() >= VCD_BLOCK {
+        out.write_all(buf)?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+fn push_decimal(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
+/// Every variable's VCD identifier, encoded once.
+struct Idents {
+    bytes: Vec<u8>,
+    /// `bytes[ends[i - 1]..ends[i]]` is identifier `i`.
+    ends: Vec<u32>,
+}
+
+impl Idents {
+    fn new(count: usize) -> Idents {
+        let mut bytes = Vec::with_capacity(2 * count);
+        let mut ends = Vec::with_capacity(count);
+        for i in 0..count {
             // VCD identifier alphabet: printable ASCII 33..=126.
-            let mut s = String::new();
             let mut v = i;
             loop {
-                s.push((33 + (v % 94)) as u8 as char);
+                bytes.push(33 + (v % 94) as u8);
                 v /= 94;
                 if v == 0 {
                     break;
                 }
             }
-            s
-        };
-        for (i, w) in ws.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "$var wire {} {} {} $end",
-                w.width(),
-                ident(i),
-                w.name()
-            );
+            ends.push(bytes.len() as u32);
         }
-        let _ = writeln!(out, "$upscope $end");
-        let _ = writeln!(out, "$enddefinitions $end");
-        // Group changes by time.
-        let mut all: Vec<(Time, usize, Value)> = Vec::new();
-        for (i, w) in ws.iter().enumerate() {
-            all.push((Time::ZERO, i, w.value_at(Time::ZERO)));
-            for &(t, v) in w.changes() {
-                if t > Time::ZERO {
-                    all.push((t, i, v));
-                }
-            }
-        }
-        all.sort_by_key(|&(t, i, _)| (t, i));
-        let mut last_time = None;
-        for (t, i, v) in all {
-            if last_time != Some(t) {
-                let _ = writeln!(out, "#{}", t.ticks());
-                last_time = Some(t);
-            }
-            if v.width() == 1 {
-                let _ = writeln!(out, "{}{}", v.to_binary_string(), ident(i));
-            } else {
-                let _ = writeln!(out, "b{} {}", v.to_binary_string(), ident(i));
-            }
-        }
-        out
+        Idents { bytes, ends }
     }
+
+    fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.bytes[start..self.ends[i] as usize]
+    }
+}
+
+/// One line of the dump section: a value (as its two planes) for the
+/// variable in `slot` at time `t`.
+#[derive(Clone, Copy, Default)]
+struct DumpRecord {
+    t: u64,
+    a: u64,
+    b: u64,
+    slot: u32,
+    width: u8,
+}
+
+/// A waveform's dump lines: its value at time zero, then every later change.
+fn dump_records((slot, w): (usize, &Waveform)) -> impl Iterator<Item = DumpRecord> + Clone + '_ {
+    let record = move |t: Time, v: Value| {
+        let (a, b) = v.to_planes();
+        DumpRecord { t: t.ticks(), a, b, slot: slot as u32, width: v.width() }
+    };
+    let later = w.changes.partition_point(|&(t, _)| t == Time::ZERO);
+    std::iter::once(record(Time::ZERO, w.value_at(Time::ZERO)))
+        .chain(w.changes[later..].iter().map(move |&(t, v)| record(t, v)))
+}
+
+const RADIX_BITS: u32 = 16;
+
+/// One stable counting-sort pass over the `RADIX_BITS` of `t` at `shift`.
+/// `latest` bounds every `t`, so the table is no larger than the digit's
+/// range in this input.
+fn radix_pass(
+    records: impl Iterator<Item = DumpRecord> + Clone,
+    shift: u32,
+    latest: u64,
+) -> Vec<DumpRecord> {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    let digit = |r: &DumpRecord| ((r.t >> shift) & MASK) as usize;
+    let mut next = vec![0usize; (latest >> shift).min(MASK) as usize + 2];
+    for r in records.clone() {
+        next[digit(&r) + 1] += 1;
+    }
+    for d in 1..next.len() {
+        next[d] += next[d - 1];
+    }
+    let mut sorted = vec![DumpRecord::default(); next[next.len() - 1]];
+    for r in records {
+        let d = digit(&r);
+        sorted[next[d]] = r;
+        next[d] += 1;
+    }
+    sorted
 }
 
 #[cfg(test)]
@@ -300,6 +495,7 @@ mod tests {
     use super::*;
     use parsim_logic::{Delay, ElementKind};
     use parsim_netlist::Builder;
+    use proptest::prelude::*;
 
     fn tiny_netlist() -> (Netlist, NodeId, NodeId) {
         let mut b = Builder::new();
@@ -356,6 +552,75 @@ mod tests {
         let r = SimResult::from_changes(&n, Time(20), &[a], changes, Metrics::default());
         let w = r.waveform(a).unwrap();
         assert_eq!(w.changes()[0].0, Time(5));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arrival order is not part of the result: per-worker buffers
+        /// concatenated (each in time order, the way the parallel engines
+        /// deliver them) and a fully shuffled list both assemble to what
+        /// the `(time, node)`-sorted list does — which is each watched
+        /// node's in-range changes in time order, and nothing else.
+        #[test]
+        fn assembly_does_not_depend_on_arrival_order(
+            seed in any::<u64>(),
+            nodes in 1usize..12,
+            buffers in 1usize..5,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut b = Builder::new();
+            let ids: Vec<NodeId> =
+                (0..nodes).map(|i| b.node(&format!("n{i}"), 1 + (i % 3) as u8 * 7)).collect();
+            let netlist = b.finish().unwrap();
+            let end = Time(40);
+            // Unique (node, time) pairs, a third of them beyond `end`.
+            let mut sorted: Vec<(Time, NodeId, Value)> = Vec::new();
+            for t in 0..60u64 {
+                for &n in &ids {
+                    if rng.gen_range(0..3u32) == 0 {
+                        let width = netlist.node(n).width();
+                        sorted.push((Time(t), n, Value::from_u64(rng.gen_range(0..2u64), width)));
+                    }
+                }
+            }
+            // Most nodes watched, out of order and with a repeat; the rest
+            // still produce changes, which assembly must drop.
+            let mut watch: Vec<NodeId> =
+                ids.iter().rev().copied().filter(|_| rng.gen_range(0..4u32) != 0).collect();
+            watch.extend(watch.first().copied());
+
+            let mut per_worker = vec![Vec::new(); buffers];
+            for &c in &sorted {
+                per_worker[rng.gen_range(0..buffers)].push(c);
+            }
+            let concatenated: Vec<_> = per_worker.into_iter().rev().flatten().collect();
+            let mut shuffled = sorted.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+
+            let assemble =
+                |c| SimResult::from_changes(&netlist, end, &watch, c, Metrics::default()).waveforms;
+            let want = assemble(sorted.clone());
+            prop_assert_eq!(&assemble(concatenated), &want, "seed {}", seed);
+            prop_assert_eq!(&assemble(shuffled), &want, "seed {}", seed);
+
+            let mut watched = watch.clone();
+            watched.sort();
+            watched.dedup();
+            let got: Vec<NodeId> = want.iter().map(Waveform::node).collect();
+            prop_assert_eq!(got, watched);
+            for w in &want {
+                let model: Vec<(Time, Value)> = sorted
+                    .iter()
+                    .filter(|&&(t, n, _)| n == w.node() && t <= end)
+                    .map(|&(t, _, v)| (t, v))
+                    .collect();
+                prop_assert_eq!(w.changes(), &model[..], "node {:?}", w.node());
+            }
+        }
     }
 
     #[test]

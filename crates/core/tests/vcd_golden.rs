@@ -169,6 +169,40 @@ fn tiny_circuit_matches_the_literal() {
     assert_matches_reference(&r, "tiny");
 }
 
+/// Times past 2^16, 2^32 and 2^48: the encoder's grouping by time takes
+/// one 16-bit digit a pass, so each of these adds a pass, and times that
+/// agree in their low digits (3 and 65 539, 7 and 2^32 + 7) must not merge.
+#[test]
+fn late_times_are_grouped_in_order() {
+    let mut b = Builder::new();
+    let a = b.node("a", 1);
+    let y = b.node("y", 2);
+    let bit = |v| Value::from_u64(v, 1);
+    let two = |v| Value::from_u64(v, 2);
+    let on_a = vec![(3, bit(1)), (65_539, bit(0)), ((1 << 32) + 7, bit(1)), (1 << 48, bit(0))];
+    let on_y = vec![(7, two(1)), (65_536, two(2)), ((1 << 32) + 7, two(3)), ((1 << 48) + 1, two(0))];
+    b.element("va", ElementKind::Vector { changes: on_a.into() }, Delay(1), &[], &[a])
+        .unwrap();
+    b.element("vy", ElementKind::Vector { changes: on_y.into() }, Delay(1), &[], &[y])
+        .unwrap();
+    let netlist = b.finish().unwrap();
+    let cfg = SimConfig::new(Time((1 << 48) + 1)).watch_all([y, a]);
+    let r = EventDriven::run(&netlist, &cfg).unwrap();
+    let want = "$timescale 1ns $end\n$scope module parsim $end\n\
+                $var wire 1 ! a $end\n$var wire 2 \" y $end\n\
+                $upscope $end\n$enddefinitions $end\n\
+                #0\nx!\nbxx \"\n\
+                #3\n1!\n\
+                #7\nb01 \"\n\
+                #65536\nb10 \"\n\
+                #65539\n0!\n\
+                #4294967303\n1!\nb11 \"\n\
+                #281474976710656\n0!\n\
+                #281474976710657\nb00 \"\n";
+    assert_eq!(r.to_vcd(), want);
+    assert_matches_reference(&r, "late times");
+}
+
 type Run = fn(&Netlist, &SimConfig) -> Result<SimResult, SimError>;
 
 const ENGINES: [(&str, Run); 4] = [

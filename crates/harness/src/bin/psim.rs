@@ -389,8 +389,7 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     if let Some(path) = &opts.vcd {
-        std::fs::write(path, result.to_vcd())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        result.write_vcd(path).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("\nwrote {path}");
     }
 

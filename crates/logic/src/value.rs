@@ -621,7 +621,8 @@ impl FromStr for Value {
         if width == 0 || width > 64 {
             return Err(err("width must be 1..=64"));
         }
-        let (base, digits) = rest.split_at(1);
+        // Not `split_at(1)`: `rest` may be empty or start mid-character.
+        let (base, digits) = rest.split_at(rest.chars().next().map_or(0, char::len_utf8));
         match base {
             "b" => {
                 if digits.is_empty() || digits.len() > width as usize {
@@ -820,6 +821,9 @@ mod tests {
         assert!("4'd16".parse::<Value>().is_err());
         assert!("65'b1".parse::<Value>().is_err());
         assert!("4'b".parse::<Value>().is_err());
+        // Nothing, or a multi-byte character, where the base letter goes.
+        assert!("4'".parse::<Value>().is_err());
+        assert!("4'é1".parse::<Value>().is_err());
     }
 
     #[test]

@@ -124,70 +124,75 @@ pub struct Levelization {
 /// Returns components in reverse topological order; singleton components
 /// without self-loops are included.
 pub fn strongly_connected_components(netlist: &Netlist) -> Vec<Vec<ElemId>> {
+    let mut comps: Vec<Vec<ElemId>> = Vec::new();
+    for_each_component(netlist, |comp| {
+        let mut comp: Vec<ElemId> = comp.iter().map(|&e| ElemId::from_index(e)).collect();
+        comp.sort();
+        comps.push(comp);
+    });
+    comps
+}
+
+/// The search behind [`strongly_connected_components`]: calls `visit` with
+/// each component's element indices (in no particular order) as it closes,
+/// without giving each one storage of its own — most components of a real
+/// netlist are single elements.
+pub(crate) fn for_each_component(netlist: &Netlist, mut visit: impl FnMut(&[usize])) {
     let n = netlist.num_elements();
-    // Adjacency: element -> elements fed by its outputs.
-    let succ = |i: usize| {
-        let e = &netlist.elements()[i];
-        e.outputs().iter().flat_map(move |&out| {
-            netlist
-                .node(out)
-                .fanout()
-                .iter()
-                .map(|&(consumer, _)| consumer.index())
-        })
-    };
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut comps: Vec<Vec<ElemId>> = Vec::new();
-    // Iterative Tarjan with an explicit work stack of (node, child iterator
-    // position).
+    // Iterative Tarjan. A frame is an element and the position of its next
+    // unvisited successor: (output port, entry in that node's fan-out).
+    let mut work: Vec<(usize, usize, usize)> = Vec::new();
     for start in 0..n {
         if index[start] != usize::MAX {
             continue;
         }
-        let mut work: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut ci)) = work.last_mut() {
-            if *ci == 0 {
+        work.push((start, 0, 0));
+        while let Some(&mut (v, ref mut port, ref mut entry)) = work.last_mut() {
+            if index[v] == usize::MAX {
                 index[v] = next_index;
                 low[v] = next_index;
                 next_index += 1;
                 stack.push(v);
                 on_stack[v] = true;
             }
-            let children: Vec<usize> = succ(v).collect();
-            if *ci < children.len() {
-                let w = children[*ci];
-                *ci += 1;
+            let outputs = netlist.elements()[v].outputs();
+            let mut successor = None;
+            while let Some(&out) = outputs.get(*port) {
+                if let Some(&(consumer, _)) = netlist.node(out).fanout().get(*entry) {
+                    *entry += 1;
+                    successor = Some(consumer.index());
+                    break;
+                }
+                *port += 1;
+                *entry = 0;
+            }
+            if let Some(w) = successor {
                 if index[w] == usize::MAX {
-                    work.push((w, 0));
+                    work.push((w, 0, 0));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
             } else {
                 work.pop();
-                if let Some(&mut (parent, _)) = work.last_mut() {
+                if let Some(&mut (parent, _, _)) = work.last_mut() {
                     low[parent] = low[parent].min(low[v]);
                 }
                 if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                    let root = stack.iter().rposition(|&w| w == v).expect("v is on the stack");
+                    for &w in &stack[root..] {
                         on_stack[w] = false;
-                        comp.push(ElemId::from_index(w));
-                        if w == v {
-                            break;
-                        }
                     }
-                    comp.sort();
-                    comps.push(comp);
+                    visit(&stack[root..]);
+                    stack.truncate(root);
                 }
             }
         }
     }
-    comps
 }
 
 /// The longest combinational path through the netlist, weighted by each

@@ -166,6 +166,19 @@ impl Builder {
         Builder::default()
     }
 
+    /// An empty builder with room for `nodes` nodes and `elements`
+    /// elements, so the tables of a netlist whose size is known up front
+    /// (a parsed file) are allocated once instead of grown and rehashed.
+    pub(crate) fn with_capacity(nodes: usize, elements: usize) -> Builder {
+        Builder {
+            nodes: Vec::with_capacity(nodes),
+            elements: Vec::with_capacity(elements),
+            node_names: HashMap::with_capacity(nodes),
+            elem_names: HashMap::with_capacity(elements),
+            auto_node: 0,
+        }
+    }
+
     /// Declares a node.
     ///
     /// If `name` is already taken, a unique suffix is appended (duplicate
@@ -262,39 +275,51 @@ impl Builder {
         inputs: &[NodeId],
         outputs: &[NodeId],
     ) -> Result<ElemId, BuildError> {
-        let delay = rise;
-        let ename = name.to_string();
-        if self.elem_names.contains_key(&ename) {
-            return Err(BuildError::DuplicateName { name: ename });
+        self.add_element(name, kind, rise, fall, inputs.to_vec(), outputs.to_vec())
+    }
+
+    /// [`Builder::element_with_delays`] taking the port lists by value: a
+    /// caller that has just collected them (the text parser) hands them
+    /// over instead of having them copied. Nothing is allocated until
+    /// every check has passed.
+    pub(crate) fn add_element(
+        &mut self,
+        name: &str,
+        kind: ElementKind,
+        rise: Delay,
+        fall: Delay,
+        inputs: Vec<NodeId>,
+        outputs: Vec<NodeId>,
+    ) -> Result<ElemId, BuildError> {
+        let element = || name.to_string();
+        if self.elem_names.contains_key(name) {
+            return Err(BuildError::DuplicateName { name: element() });
         }
-        if (delay.ticks() == 0 || fall.ticks() == 0) && !kind.is_generator() {
-            return Err(BuildError::ZeroDelay { element: ename });
+        if (rise.ticks() == 0 || fall.ticks() == 0) && !kind.is_generator() {
+            return Err(BuildError::ZeroDelay { element: element() });
         }
         kind.check_arity(inputs.len())
             .map_err(|e| BuildError::Arity {
-                element: ename.clone(),
+                element: element(),
                 detail: e.to_string(),
             })?;
         if outputs.len() != kind.num_outputs() {
             return Err(BuildError::OutputCount {
-                element: ename,
+                element: element(),
                 expected: kind.num_outputs(),
                 got: outputs.len(),
             });
         }
-        for &n in inputs.iter().chain(outputs) {
-            if n.index() >= self.nodes.len() {
-                return Err(BuildError::UnknownNode { element: ename });
-            }
+        if inputs.iter().chain(&outputs).any(|n| n.index() >= self.nodes.len()) {
+            return Err(BuildError::UnknownNode { element: element() });
         }
-        self.check_widths(&ename, &kind, inputs, outputs)?;
+        check_generator(name, &kind)?;
+        self.check_widths(name, &kind, &inputs, &outputs)?;
         // Single-driver rule.
-        for &out in outputs {
-            if self.nodes[out.index()].driver.is_some() {
-                return Err(BuildError::MultipleDrivers {
-                    node: self.nodes[out.index()].name.clone(),
-                });
-            }
+        if let Some(driven) = outputs.iter().find(|o| self.nodes[o.index()].driver.is_some()) {
+            return Err(BuildError::MultipleDrivers {
+                node: self.nodes[driven.index()].name.clone(),
+            });
         }
         let id = ElemId::from_index(self.elements.len());
         for (port, &inp) in inputs.iter().enumerate() {
@@ -303,14 +328,14 @@ impl Builder {
         for (port, &out) in outputs.iter().enumerate() {
             self.nodes[out.index()].driver = Some((id, port as u8));
         }
-        self.elem_names.insert(ename.clone(), id);
+        self.elem_names.insert(element(), id);
         self.elements.push(Element {
-            name: ename,
+            name: element(),
             kind,
-            delay,
+            delay: rise,
             fall,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
+            inputs,
+            outputs,
         });
         Ok(id)
     }
@@ -338,8 +363,8 @@ impl Builder {
         if kind.is_width_generic() {
             // All inputs and the output share the first input's width.
             let base = w(inputs[0]);
-            for (i, &inp) in inputs.iter().enumerate() {
-                expect(&format!("in{i}"), base, w(inp))?;
+            if let Some(i) = inputs.iter().position(|&inp| w(inp) != base) {
+                expect(&format!("in{i}"), base, w(inputs[i]))?;
             }
             expect("out0", base, w(outputs[0]))?;
             return Ok(());
@@ -372,8 +397,8 @@ impl Builder {
                 expect("rdata", *width, w(outputs[0]))?;
             }
             ElementKind::Resolver { width } => {
-                for (i, &inp) in inputs.iter().enumerate() {
-                    expect(&format!("in{i}"), *width, w(inp))?;
+                if let Some(i) = inputs.iter().position(|&inp| w(inp) != *width) {
+                    expect(&format!("in{i}"), *width, w(inputs[i]))?;
                 }
                 expect("out", *width, w(outputs[0]))?;
             }
@@ -576,6 +601,37 @@ impl Builder {
     }
 }
 
+/// Rejects generator parameters `parsim_logic::expand_generator` asserts
+/// on, so that a malformed stimulus is a build error here and not a panic
+/// inside an engine.
+fn check_generator(ename: &str, kind: &ElementKind) -> Result<(), BuildError> {
+    let detail = match kind {
+        ElementKind::Clock { half_period: 0, .. } => "clock half_period must be >= 1",
+        ElementKind::Pattern { period: 0, .. } => "pattern period must be >= 1",
+        ElementKind::Lfsr { period: 0, .. } => "lfsr period must be >= 1",
+        ElementKind::Pattern { values, .. } if values.is_empty() => "pattern must have values",
+        ElementKind::Pattern { values, .. }
+            if values.iter().any(|v| v.width() != values[0].width()) =>
+        {
+            "pattern values must all have the same width"
+        }
+        ElementKind::Vector { changes } if changes.is_empty() => "vector must have changes",
+        ElementKind::Vector { changes } if !changes.windows(2).all(|w| w[0].0 < w[1].0) => {
+            "vector changes must be strictly increasing in time"
+        }
+        ElementKind::Vector { changes }
+            if changes.iter().any(|(_, v)| v.width() != changes[0].1.width()) =>
+        {
+            "vector values must all have the same width"
+        }
+        _ => return Ok(()),
+    };
+    Err(BuildError::Arity {
+        element: ename.to_string(),
+        detail: detail.to_string(),
+    })
+}
+
 impl Netlist {
     /// Checks the global graph invariants every engine's unchecked indexing
     /// relies on: fan-out/driver cross-references must name real element
@@ -628,23 +684,24 @@ impl Netlist {
         // already forbids zero-delay non-generators, so this only fires on
         // hand-assembled graphs — but those are exactly the ones that would
         // otherwise livelock the asynchronous engine.
-        let mut on_cycle = vec![false; self.num_elements()];
-        for comp in crate::analyze::strongly_connected_components(self) {
-            if comp.len() > 1 {
-                for e in comp {
-                    on_cycle[e.index()] = true;
-                }
-            } else {
-                let e = comp[0];
-                let elem = self.element(e);
-                let self_loop = elem.outputs().iter().any(|&o| {
-                    self.node(o).fanout().iter().any(|&(c, _)| c == e)
-                });
-                on_cycle[e.index()] = self_loop;
-            }
+        let zero_delay = |e: &Element| e.rise_delay().max(e.fall_delay()).ticks() == 0;
+        // A cycle runs through inputs, so a netlist whose only zero-delay
+        // elements are generators (every builder-made one) needs no search.
+        if !self.elements.iter().any(|e| zero_delay(e) && !e.inputs().is_empty()) {
+            return Ok(());
         }
+        let mut on_cycle = vec![false; self.num_elements()];
+        crate::analyze::for_each_component(self, |comp| match *comp {
+            [e] => {
+                let id = ElemId::from_index(e);
+                on_cycle[e] = self.element(id).outputs().iter().any(|&o| {
+                    self.node(o).fanout().iter().any(|&(c, _)| c == id)
+                });
+            }
+            _ => comp.iter().for_each(|&e| on_cycle[e] = true),
+        });
         for (id, e) in self.iter_elements() {
-            if on_cycle[id.index()] && e.rise_delay().max(e.fall_delay()).ticks() == 0 {
+            if on_cycle[id.index()] && zero_delay(e) {
                 return Err(BuildError::ZeroDelayCycle {
                     element: e.name().to_string(),
                 });
@@ -755,6 +812,20 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, BuildError::Width { .. }));
+    }
+
+    #[test]
+    fn empty_stimulus_is_an_error_not_a_panic() {
+        // Unreachable from text (the parser refuses an empty list first);
+        // `output_width` would index past the end.
+        let empty_pattern = ElementKind::Pattern { period: 2, values: Vec::new().into() };
+        let empty_vector = ElementKind::Vector { changes: Vec::new().into() };
+        for kind in [empty_pattern, empty_vector] {
+            let mut b = Builder::new();
+            let out = b.node("out", 1);
+            let err = b.element("g", kind, Delay(1), &[], &[out]).unwrap_err();
+            assert!(matches!(err, BuildError::Arity { .. }), "{err}");
+        }
     }
 
     #[test]

@@ -78,7 +78,17 @@ impl Netlist {
     /// Returns [`ParseNetlistError`] with the offending line on any syntax
     /// or semantic (builder validation) failure.
     pub fn from_text(text: &str) -> Result<Netlist, ParseNetlistError> {
-        let mut b = Builder::new();
+        // One cheap look at each line's first word sizes the builder's
+        // tables, so none of them is regrown or rehashed while parsing.
+        let (mut nodes, mut elems) = (0, 0);
+        for line in text.lines() {
+            match line.split_whitespace().next() {
+                Some("node") => nodes += 1,
+                Some("elem") => elems += 1,
+                _ => {}
+            }
+        }
+        let mut b = Builder::with_capacity(nodes, elems);
         let mut last_line = 0;
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
@@ -153,15 +163,8 @@ impl Netlist {
                             ));
                         }
                     }
-                    b.element_with_delays(
-                        name,
-                        kind,
-                        delay,
-                        fall.unwrap_or(delay),
-                        &inputs,
-                        &outputs,
-                    )
-                    .map_err(|e| ParseNetlistError::new(lineno, e.to_string()))?;
+                    b.add_element(name, kind, delay, fall.unwrap_or(delay), inputs, outputs)
+                        .map_err(|e| ParseNetlistError::new(lineno, e.to_string()))?;
                 }
                 Some(other) => {
                     return Err(ParseNetlistError::new(
@@ -542,6 +545,39 @@ elem inv not delay=1 in=q out=d
     fn rejects_unknown_kind_and_directive() {
         assert!(Netlist::from_text("weird x\n").is_err());
         assert!(Netlist::from_text("node a 1\nnode y 1\nelem g frobnicate delay=1 in=a out=y\n").is_err());
+    }
+
+    /// Generator parameters `expand_generator` would assert on inside an
+    /// engine are typed, line-numbered errors here instead.
+    #[test]
+    fn rejects_generators_the_engines_would_panic_on() {
+        let cases = [
+            ("clock:0:3", 1, "clock half_period must be >= 1"),
+            ("pattern:0:1'b0;1'b1", 1, "pattern period must be >= 1"),
+            ("lfsr:4:0:9", 4, "lfsr period must be >= 1"),
+            ("vector:5@1'b0;5@1'b1", 1, "strictly increasing"),
+            ("vector:7@1'b0;2@1'b1", 1, "strictly increasing"),
+            ("vector:0@1'b0;4@2'b11", 1, "vector values must all have the same width"),
+            ("pattern:3:1'b0;4'b1010", 1, "pattern values must all have the same width"),
+        ];
+        for (spec, width, want) in cases {
+            let text = format!("# stimulus\nnode n {width}\nelem g {spec} delay=1 out=n\n");
+            let err = Netlist::from_text(&text).expect_err(spec);
+            assert_eq!(err.line(), 3, "{spec}");
+            assert!(err.to_string().contains(want), "{spec}: {err}");
+        }
+        // The well-formed neighbour of each case still parses, and expands.
+        for (spec, width) in [
+            ("clock:1:0", 1),
+            ("pattern:1:1'b0;1'b1", 1),
+            ("lfsr:4:1:9", 4),
+            ("vector:5@1'b0;6@1'b1", 1),
+        ] {
+            let text = format!("node n {width}\nelem g {spec} delay=1 out=n\n");
+            let n = Netlist::from_text(&text).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let kind = n.element(n.generators()[0]).kind();
+            assert!(!parsim_logic::expand_generator(kind, Time(20)).is_empty(), "{spec}");
+        }
     }
 
     #[test]

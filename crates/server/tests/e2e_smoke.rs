@@ -258,4 +258,18 @@ fn http_loopback_round_trip() {
         NETLIST_TEXT,
     );
     assert_eq!(code, 400, "unknown watch node is a bad request");
+
+    // A generator the engines would assert on is refused at the door, with
+    // the line it is on — not accepted and left to panic inside a
+    // scheduler pass. The server keeps serving afterwards.
+    let zero_clock = NETLIST_TEXT.replace("clock:4:4", "clock:0:4");
+    let (code, _, body) = post(addr, &format!("/v1/jobs?tenant=a&end={END}"), &zero_clock);
+    assert_eq!(code, 400, "zero half-period: {body}");
+    assert!(body.contains("line 7") && body.contains("half_period"), "body: {body}");
+    let (code, _, body) = post(addr, &submit_path, NETLIST_TEXT);
+    assert_eq!(code, 200, "submit after the refusal: {body}");
+    let id: u64 = body.trim().strip_prefix("id=").expect("id=N body").parse().unwrap();
+    let (code, head, _) = get(addr, &format!("/v1/jobs/{id}/result?wait_ms=30000"));
+    assert_eq!(code, 200);
+    assert!(head.contains("X-Parsim-Status: done"), "headers: {head}");
 }

@@ -145,6 +145,38 @@ fn vcd_export_is_well_formed() {
     assert!(vcd.lines().filter(|l| l.starts_with('#')).count() > 2);
 }
 
+/// The VCD format, pinned in tier-1: the length and FNV-1a of the 8-bit
+/// gate multiplier's all-nodes dump, captured from the encoder that
+/// `crates/core/tests/vcd_golden.rs` keeps as its reference. Every engine
+/// must produce these bytes; an encoder change that moves them is a format
+/// change and has to say so.
+#[test]
+fn all_nodes_vcd_bytes_are_pinned() {
+    let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
+    let watch: Vec<_> = m.netlist.iter_nodes().map(|(id, _)| id).collect();
+    let cfg = SimConfig::new(m.schedule_end()).watch_all(watch).threads(2);
+    for (engine, vcd) in [
+        ("seq", EventDriven::run(&m.netlist, &cfg).unwrap().to_vcd()),
+        ("sync", SyncEventDriven::run(&m.netlist, &cfg).unwrap().to_vcd()),
+        ("compiled", CompiledMode::run(&m.netlist, &cfg).unwrap().to_vcd()),
+        ("async", ChaoticAsync::run(&m.netlist, &cfg).unwrap().to_vcd()),
+    ] {
+        let fnv1a = vcd.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((vcd.len(), fnv1a), (23_164, 3_535_017_428_156_724_197), "{engine}");
+    }
+}
+
+/// A stimulus the engines would assert on is a parse error with its line
+/// number, never a netlist.
+#[test]
+fn malformed_generator_is_a_parse_error() {
+    let err = Netlist::from_text("node c 1\nnode q 1\nelem osc clock:0:5 delay=1 out=c\n")
+        .expect_err("a zero half-period must not parse");
+    assert_eq!(err.line(), 3);
+}
+
 /// Cross-crate smoke over the multi-threaded engines: the acyclic gate
 /// multiplier and the CPU with feedback, every parallel engine at more
 /// than one thread, all bit-identical to the sequential oracle — plus a
