@@ -7,6 +7,8 @@
 //! (including generator parameters), delays, and connectivity — into a
 //! 64-bit FNV-1a hash stored in the snapshot header and checked on load.
 
+use std::fmt::Write as _;
+
 use parsim_netlist::Netlist;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -60,11 +62,16 @@ pub fn netlist_digest(netlist: &Netlist) -> u64 {
         h.str(node.name());
         h.u64(node.width() as u64);
     }
+    let mut kind = String::new();
     for (_, elem) in netlist.iter_elements() {
         h.str(elem.name());
         // Debug formatting covers the kind discriminant plus every
         // generator / memory parameter (periods, seeds, widths, values).
-        h.str(&format!("{:?}", elem.kind()));
+        // One buffer serves every element: the length prefix needs the
+        // whole rendering before its first byte is hashed.
+        kind.clear();
+        write!(kind, "{:?}", elem.kind()).expect("writing to a String");
+        h.str(&kind);
         h.u64(elem.rise_delay().ticks());
         h.u64(elem.fall_delay().ticks());
         h.u64(elem.inputs().len() as u64);
@@ -93,5 +100,17 @@ mod tests {
         let renamed = text.replace("node y", "node z").replace("out=y", "out=z");
         let n3 = Netlist::from_text(&renamed).unwrap();
         assert_ne!(netlist_digest(&n1), netlist_digest(&n3));
+    }
+
+    /// The digest is stored in every `PSIMCKPT` header, so its value for a
+    /// given circuit may never change. Both literals were captured before
+    /// the per-element `format!` was replaced by one reused buffer.
+    #[test]
+    fn digest_values_are_pinned() {
+        use parsim_netlist::bench_fmt::{from_bench, BenchOptions, C17};
+        let c17 = from_bench(C17, &BenchOptions::default()).unwrap();
+        assert_eq!(netlist_digest(&c17.netlist), 0x5c25_eddf_f40c_6bda);
+        let mult4 = parsim_circuits::gate_multiplier(4, &[(3, 5), (15, 15)], 64).unwrap();
+        assert_eq!(netlist_digest(&mult4.netlist), 0xf598_9858_02ee_88d5);
     }
 }

@@ -7,7 +7,9 @@
 //! Tenants POST netlist text to `/v1/jobs` and poll
 //! `/v1/jobs/{id}/result`; jobs whose netlists share a structural digest
 //! are packed into one word-parallel batch pass (see the `parsim-server`
-//! crate docs and `DESIGN.md` §14). `GET /metrics` exposes the
+//! crate docs and `DESIGN.md` §14). A text the server has seen before is
+//! not parsed again: up to `--cache-capacity` circuits are kept, each with
+//! its parsed netlist and compiled program. `GET /metrics` exposes the
 //! `parsim_server_*` Prometheus families.
 
 use std::process::ExitCode;
@@ -16,7 +18,8 @@ use std::sync::Arc;
 use parsim_server::{HttpServer, InProcTransport, Server, ServerConfig, Transport};
 
 const USAGE: &str = "usage: psim-server [--addr HOST:PORT] [--threads N] [--max-lanes N] \
-[--segment-ticks N] [--cache-capacity N] [--quota N] [--force-lane-width 64|128|256|512]";
+[--segment-ticks N] [--cache-capacity N] [--quota N] [--force-lane-width 64|128|256|512]
+  --cache-capacity N  circuits kept (parsed netlist + compiled program each), least recently used evicted";
 
 struct Options {
     addr: String,

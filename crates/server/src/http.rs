@@ -81,18 +81,37 @@ impl Drop for HttpServer {
     }
 }
 
+/// Most bytes a request line plus headers may take (431 beyond it).
+const MAX_HEAD_BYTES: u64 = 64 * 1024;
+/// Largest accepted body (413 beyond it, refused before any allocation).
+const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
 fn handle_connection(stream: TcpStream, transport: &dyn Transport) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    // The reader may take at most the head's budget until the body's
+    // length is known and vetted.
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_HEAD_BYTES));
+    let mut head_line = |line: &mut String| -> std::io::Result<bool> {
+        line.clear();
+        reader.read_line(line)?;
+        // A line cut short by the budget (not by the peer) has no newline.
+        Ok(line.ends_with('\n') || reader.get_ref().limit() > 0)
+    };
     let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    if !head_line(&mut request_line)? {
+        return write_plain(stream, 431, "request head too large", &[]);
+    }
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
         return write_plain(stream, 400, "malformed request line", &[]);
     };
-    let mut content_length = 0usize;
+    // A bad length is answered once the whole head is read, so the refusal
+    // is not lost to a reset over the peer's unread bytes.
+    let mut content_length: Result<usize, String> = Ok(0);
+    let mut line = String::new();
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        if !head_line(&mut line)? {
+            return write_plain(stream, 431, "request head too large", &[]);
+        }
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -102,12 +121,25 @@ fn handle_connection(stream: TcpStream, transport: &dyn Transport) -> std::io::R
             .strip_prefix("content-length:")
             .map(str::trim)
         {
-            content_length = v.parse().unwrap_or(0);
+            content_length = v.parse().map_err(|_| format!("bad Content-Length '{v}'"));
         }
     }
+    let content_length = match content_length {
+        Ok(n) => n,
+        Err(msg) => return write_plain(stream, 400, &msg, &[]),
+    };
+    if content_length > MAX_BODY_BYTES {
+        let msg = format!("body of {content_length} bytes exceeds {MAX_BODY_BYTES}");
+        return write_plain(stream, 413, &msg, &[]);
+    }
+    // Part of the body may already sit in the buffer, charged to the head.
+    let unread = content_length.saturating_sub(reader.buffer().len());
+    reader.get_mut().set_limit(unread as u64);
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8_lossy(&body).into_owned();
+    let Ok(body) = String::from_utf8(body) else {
+        return write_plain(stream, 400, "body is not valid UTF-8", &[]);
+    };
 
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
@@ -280,7 +312,9 @@ fn status_text(code: u16) -> &'static str {
         202 => "Accepted",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",

@@ -24,7 +24,8 @@ pub struct JobSpec {
     pub tenant: String,
     /// The circuit. Jobs whose netlists hash to the same structural
     /// digest ([`parsim_checkpoint::netlist_digest`]) are packed into the
-    /// same word-parallel batch pass.
+    /// same word-parallel batch pass. The job, not the server's store,
+    /// keeps it alive until its pass has run.
     pub netlist: Arc<Netlist>,
     /// This tenant's stimulus lane (schedule overrides on top of the
     /// netlist's base generators).
@@ -125,11 +126,12 @@ pub struct JobArtifact {
 }
 
 /// How a job ended: artifact or error. Cancellation surfaces as
-/// [`JobStatus::Cancelled`] with no outcome. The artifact is boxed —
-/// it carries whole waveforms and would otherwise dwarf the error arm.
+/// [`JobStatus::Cancelled`] with no outcome. The artifact is shared with
+/// the server's record of the job — it carries whole waveforms, and every
+/// read of the outcome would otherwise copy them.
 #[derive(Debug, Clone)]
 pub enum JobOutcome {
-    Done(Box<JobArtifact>),
+    Done(Arc<JobArtifact>),
     Failed(SimError),
 }
 

@@ -10,12 +10,19 @@
 //! instruction-stream execution, each getting back waveforms
 //! bit-identical to a standalone run of their stimulus.
 //!
-//! The compile-once/run-many economics ride a [`ProgramCache`]: the first
-//! job of a digest pays the lowering pass, every later batch of that
-//! digest reuses the cached [`CompiledProgram`] through
-//! [`CompiledMode::run_batch_with_program`]. Per-tenant quotas bound
-//! queue occupancy, wall-clock deadlines ride the engine's watchdog and
-//! [`SimError`] containment (expiry while the job is the *server's*
+//! The compile-once/run-many economics ride one [`NetlistStore`]: a single
+//! LRU of [`ServerConfig::cache_capacity`] circuits, each entry holding the
+//! request text, the shared parsed netlist, its digest and the lazily
+//! compiled [`CompiledProgram`]. A text submission first looks its bytes up
+//! (hash, then a full byte comparison) and parses only on a miss; the first
+//! pass of a digest pays the lowering, every later one reuses the program
+//! through [`CompiledMode::run_batch_with_program`]. Finished jobs keep
+//! only their artifact, and only the most recent
+//! [`RETAINED_FINISHED_JOBS`] of them are kept at all, so memory is bounded
+//! in the number of jobs served.
+//!
+//! Per-tenant quotas bound queue occupancy, wall-clock deadlines ride the
+//! engine's watchdog and [`SimError`] containment (expiry while the job is the *server's*
 //! responsibility synthesizes [`SimError::DeadlineExceeded`] with
 //! `engine: "server"`), and cancellation/deadline eviction takes effect
 //! at checkpoint-segment cuts when [`ServerConfig::segment_ticks`] is
@@ -28,8 +35,9 @@
 //!
 //! Service-level observability lives in
 //! [`parsim_telemetry::ServerRegistry`] under `parsim_server_*` metric
-//! names: job lifecycle counts, cache hits/misses/evictions, batch
-//! passes, and lane occupancy.
+//! names: job lifecycle counts, netlist-store hits/misses (text lookups),
+//! cache hits/misses/evictions (programs), batch passes, and lane
+//! occupancy.
 //!
 //! [`CompiledMode::run_batch`]: parsim_core::CompiledMode::run_batch
 //! [`CompiledMode::run_batch_with_program`]: parsim_core::CompiledMode::run_batch_with_program
@@ -37,14 +45,14 @@
 //! [`SimError`]: parsim_core::SimError
 //! [`SimError::DeadlineExceeded`]: parsim_core::SimError::DeadlineExceeded
 
-pub mod cache;
 pub mod http;
 pub mod job;
 pub mod scheduler;
+pub mod store;
 pub mod transport;
 
-pub use cache::{CacheLookup, ProgramCache};
 pub use http::HttpServer;
 pub use job::{JobArtifact, JobId, JobOutcome, JobSpec, JobStatus, SubmitError};
-pub use scheduler::{Server, ServerConfig};
+pub use scheduler::{Server, ServerConfig, RETAINED_FINISHED_JOBS};
+pub use store::{Interned, NetlistStore};
 pub use transport::{InProcTransport, Request, Response, Transport};

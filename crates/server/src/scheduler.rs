@@ -18,16 +18,18 @@
 //! checks happen only at dispatch and completion.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use parsim_checkpoint::{netlist_digest, EngineSnapshot};
 use parsim_core::{CompiledMode, LaneStimulus, SimConfig, SimError, SimResult, StallDiagnostic};
 use parsim_logic::Time;
-use parsim_telemetry::{ServerCounter, ServerGauge, ServerRegistry};
+use parsim_netlist::compile::CompiledProgram;
+use parsim_netlist::Netlist;
+use parsim_telemetry::{RunTelemetry, ServerCounter, ServerGauge, ServerRegistry};
 
-use crate::cache::{CacheLookup, ProgramCache};
 use crate::job::{JobArtifact, JobId, JobOutcome, JobSpec, JobStatus, SubmitError};
+use crate::store::NetlistStore;
 
 /// Server-wide policy knobs.
 #[derive(Debug, Clone)]
@@ -42,7 +44,8 @@ pub struct ServerConfig {
     /// as a single uninterruptible kernel execution; otherwise cancel and
     /// deadline eviction take effect at each cut.
     pub segment_ticks: u64,
-    /// Compiled programs kept by the LRU cache.
+    /// Circuits (parsed netlist + compiled program) kept by the
+    /// [`NetlistStore`]'s LRU.
     pub cache_capacity: usize,
     /// Most queued-or-running jobs one tenant may hold.
     pub tenant_quota: usize,
@@ -67,21 +70,62 @@ impl Default for ServerConfig {
     }
 }
 
+
+/// Finished job records kept for late `status`/`result` reads. Beyond it
+/// the oldest finished id is forgotten and answers as unknown (HTTP 404),
+/// which is what bounds the server's memory in the number of jobs served.
+pub const RETAINED_FINISHED_JOBS: usize = 1024;
+
+/// Where a job is, holding only what that phase needs: the spec (netlist,
+/// stimulus, watch) exists while the job waits, moves into the pass that
+/// runs it, and is gone once the job is terminal.
+enum Phase {
+    Queued(JobSpec),
+    Running,
+    Done(Arc<JobArtifact>),
+    Failed(SimError),
+    Cancelled,
+}
+
+impl Phase {
+    fn status(&self) -> JobStatus {
+        match self {
+            Phase::Queued(_) => JobStatus::Queued,
+            Phase::Running => JobStatus::Running,
+            Phase::Done(_) => JobStatus::Done,
+            Phase::Failed(_) => JobStatus::Failed,
+            Phase::Cancelled => JobStatus::Cancelled,
+        }
+    }
+}
+
 struct Job {
-    spec: JobSpec,
+    tenant: String,
     digest: u64,
-    status: JobStatus,
+    phase: Phase,
     cancel_requested: bool,
     expires_at: Option<Instant>,
-    outcome: Option<JobOutcome>,
+}
+
+impl Job {
+    fn expired(&self, now: Instant) -> bool {
+        self.expires_at.is_some_and(|at| now >= at)
+    }
 }
 
 #[derive(Default)]
 struct State {
     next_id: u64,
+    /// Queued, running and the last [`RETAINED_FINISHED_JOBS`] terminal jobs.
     jobs: HashMap<JobId, Job>,
-    /// Digest bins in first-seen order; ids within a bin are FIFO.
+    /// The nonempty digest bins; ids within a bin are FIFO.
     bins: Vec<(u64, VecDeque<JobId>)>,
+    /// Terminal ids still in `jobs`, oldest first.
+    finished: VecDeque<JobId>,
+    /// Jobs in `Phase::Queued` / `Phase::Running`, kept on each transition.
+    queued: usize,
+    running: usize,
+    /// Tenants with queued or running jobs, and how many.
     active_per_tenant: HashMap<String, usize>,
     paused: bool,
     shutdown: bool,
@@ -89,13 +133,19 @@ struct State {
 
 struct Inner {
     config: ServerConfig,
-    cache: ProgramCache,
-    metrics: ServerRegistry,
+    store: NetlistStore,
+    metrics: Arc<ServerRegistry>,
     state: Mutex<State>,
     /// Wakes the scheduler thread (submit / resume / shutdown).
     sched_cv: Condvar,
     /// Wakes result waiters on any terminal transition.
     done_cv: Condvar,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The multi-tenant simulation server. Dropping it shuts the scheduler
@@ -108,9 +158,10 @@ pub struct Server {
 impl Server {
     /// Starts a server (and its scheduler thread) with `config`.
     pub fn start(config: ServerConfig) -> Server {
+        let metrics = Arc::new(ServerRegistry::new());
         let inner = Arc::new(Inner {
-            cache: ProgramCache::new(config.cache_capacity),
-            metrics: ServerRegistry::new(),
+            store: NetlistStore::new(config.cache_capacity, metrics.clone()),
+            metrics,
             state: Mutex::new(State {
                 paused: config.start_paused,
                 ..State::default()
@@ -130,7 +181,13 @@ impl Server {
     /// Accepts a job into its digest bin. Fails fast on quota.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         let digest = netlist_digest(&spec.netlist);
-        let mut st = self.lock();
+        self.submit_digested(spec, digest)
+    }
+
+    /// [`Server::submit`] for a spec whose netlist came out of
+    /// [`Server::store`] with `digest` already known.
+    pub(crate) fn submit_digested(&self, spec: JobSpec, digest: u64) -> Result<JobId, SubmitError> {
+        let mut st = self.inner.lock();
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
@@ -138,42 +195,42 @@ impl Server {
         if active >= self.inner.config.tenant_quota {
             self.inner.metrics.inc(ServerCounter::QuotaRejections);
             return Err(SubmitError::QuotaExceeded {
-                tenant: spec.tenant.clone(),
+                tenant: spec.tenant,
                 limit: self.inner.config.tenant_quota,
             });
         }
         let id = JobId(st.next_id);
         st.next_id += 1;
-        let expires_at = spec.deadline.map(|d| Instant::now() + d);
         *st.active_per_tenant.entry(spec.tenant.clone()).or_insert(0) += 1;
         st.jobs.insert(
             id,
             Job {
-                spec,
+                tenant: spec.tenant.clone(),
                 digest,
-                status: JobStatus::Queued,
                 cancel_requested: false,
-                expires_at,
-                outcome: None,
+                expires_at: spec.deadline.map(|d| Instant::now() + d),
+                phase: Phase::Queued(spec),
             },
         );
         match st.bins.iter_mut().find(|(d, _)| *d == digest) {
             Some((_, bin)) => bin.push_back(id),
             None => st.bins.push((digest, VecDeque::from([id]))),
         }
+        st.queued += 1;
         self.inner.metrics.inc(ServerCounter::JobsSubmitted);
-        self.publish_queue_gauges(&st);
+        publish_gauges(&self.inner, &st);
         self.inner.sched_cv.notify_one();
         Ok(id)
     }
 
-    /// The job's current status (`None` for unknown ids). Lazily expires
-    /// a queued job whose deadline has passed, so a paused or saturated
+    /// The job's current status (`None` for unknown ids, which includes
+    /// finished jobs older than the retention bound). Lazily expires a
+    /// queued job whose deadline has passed, so a paused or saturated
     /// server still reports expiry.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        let mut st = self.lock();
-        self.expire_if_due(&mut st, id);
-        st.jobs.get(&id).map(|j| j.status)
+        let mut st = self.inner.lock();
+        expire_if_due(&self.inner, &mut st, id);
+        st.jobs.get(&id).map(|j| j.phase.status())
     }
 
     /// Requests cancellation. Queued jobs cancel immediately; running
@@ -181,15 +238,15 @@ impl Server {
     /// when segmenting is off). Returns `false` if the job is unknown or
     /// already terminal.
     pub fn cancel(&self, id: JobId) -> bool {
-        let mut st = self.lock();
+        let mut st = self.inner.lock();
         let Some(job) = st.jobs.get_mut(&id) else { return false };
-        match job.status {
-            JobStatus::Queued => {
+        match job.phase {
+            Phase::Queued(_) => {
                 job.cancel_requested = true;
-                self.finish(&mut st, id, JobStatus::Cancelled, None);
+                finish_job(&self.inner, &mut st, id, Phase::Cancelled);
                 true
             }
-            JobStatus::Running => {
+            Phase::Running => {
                 job.cancel_requested = true;
                 true
             }
@@ -201,12 +258,12 @@ impl Server {
     /// Returns the terminal status, or `None` on timeout / unknown id.
     pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
+        let mut st = self.inner.lock();
         loop {
-            self.expire_if_due(&mut st, id);
-            match st.jobs.get(&id) {
+            expire_if_due(&self.inner, &mut st, id);
+            match st.jobs.get(&id).map(|j| j.phase.status()) {
                 None => return None,
-                Some(j) if j.status.is_terminal() => return Some(j.status),
+                Some(status) if status.is_terminal() => return Some(status),
                 Some(_) => {}
             }
             let now = Instant::now();
@@ -222,21 +279,31 @@ impl Server {
         }
     }
 
-    /// A terminal job's outcome: the artifact or the error. `None` while
-    /// the job is still pending, or for cancelled/unknown jobs.
+    /// A terminal job's outcome: the artifact (shared, not copied) or the
+    /// error. `None` while the job is still pending, or for
+    /// cancelled/unknown jobs.
     pub fn outcome(&self, id: JobId) -> Option<JobOutcome> {
-        self.lock().jobs.get(&id).and_then(|j| j.outcome.clone())
+        match &self.inner.lock().jobs.get(&id)?.phase {
+            Phase::Done(artifact) => Some(JobOutcome::Done(artifact.clone())),
+            Phase::Failed(err) => Some(JobOutcome::Failed(err.clone())),
+            Phase::Queued(_) | Phase::Running | Phase::Cancelled => None,
+        }
     }
 
     /// Pauses dispatch (in-flight passes complete).
     pub fn pause(&self) {
-        self.lock().paused = true;
+        self.inner.lock().paused = true;
     }
 
     /// Resumes dispatch.
     pub fn resume(&self) {
-        self.lock().paused = false;
+        self.inner.lock().paused = false;
         self.inner.sched_cv.notify_one();
+    }
+
+    /// The content-addressed netlist and program store.
+    pub fn store(&self) -> &NetlistStore {
+        &self.inner.store
     }
 
     /// The service-level metrics registry.
@@ -248,39 +315,11 @@ impl Server {
     pub fn metrics_text(&self) -> String {
         self.inner.metrics.render()
     }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.inner.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn expire_if_due(&self, st: &mut State, id: JobId) {
-        let due = st.jobs.get(&id).is_some_and(|j| {
-            j.status == JobStatus::Queued
-                && j.expires_at.is_some_and(|at| Instant::now() >= at)
-        });
-        if due {
-            self.inner.metrics.inc(ServerCounter::DeadlineExpirations);
-            let err = deadline_error(st.jobs[&id].spec.deadline.unwrap_or_default());
-            self.finish(st, id, JobStatus::Failed, Some(JobOutcome::Failed(err)));
-        }
-    }
-
-    fn finish(&self, st: &mut State, id: JobId, status: JobStatus, outcome: Option<JobOutcome>) {
-        finish_job(&self.inner, st, id, status, outcome);
-        self.publish_queue_gauges(st);
-    }
-
-    fn publish_queue_gauges(&self, st: &State) {
-        publish_queue_gauges(&self.inner, st);
-    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        {
-            let mut st = self.lock();
-            st.shutdown = true;
-        }
+        self.inner.lock().shutdown = true;
         self.inner.sched_cv.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
@@ -290,7 +329,7 @@ impl Drop for Server {
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.lock();
+        let st = self.inner.lock();
         f.debug_struct("Server")
             .field("jobs", &st.jobs.len())
             .field("bins", &st.bins.len())
@@ -302,72 +341,85 @@ impl std::fmt::Debug for Server {
 /// The synthesized error for a job whose wall-clock budget ran out while
 /// it was the *server's* responsibility (queued or between segments) —
 /// same variant the engine watchdog uses, so tenants handle one shape.
-fn deadline_error(budget: Duration) -> SimError {
+fn deadline_error(budget: Option<Duration>) -> SimError {
     SimError::DeadlineExceeded {
         engine: "server",
-        deadline: budget,
+        deadline: budget.unwrap_or_default(),
         diagnostic: Box::new(StallDiagnostic::default()),
     }
 }
 
-fn finish_job(
-    inner: &Inner,
-    st: &mut State,
-    id: JobId,
-    status: JobStatus,
-    outcome: Option<JobOutcome>,
-) {
+/// Fails `id` if it is still queued and past its deadline.
+fn expire_if_due(inner: &Inner, st: &mut State, id: JobId) {
+    let Some(job) = st.jobs.get(&id) else { return };
+    if let Phase::Queued(spec) = &job.phase {
+        if job.expired(Instant::now()) {
+            let err = deadline_error(spec.deadline);
+            inner.metrics.inc(ServerCounter::DeadlineExpirations);
+            finish_job(inner, st, id, Phase::Failed(err));
+        }
+    }
+}
+
+/// The one terminal transition: moves `id` into `end`, dropping whatever
+/// its previous phase held, and settles the counts, the tenant's quota,
+/// the bin and the retention queue.
+fn finish_job(inner: &Inner, st: &mut State, id: JobId, end: Phase) {
     let Some(job) = st.jobs.get_mut(&id) else { return };
-    debug_assert!(!job.status.is_terminal(), "finishing an already-terminal job");
-    job.status = status;
-    job.outcome = outcome;
-    let counter = match status {
-        JobStatus::Done => ServerCounter::JobsCompleted,
-        JobStatus::Failed => ServerCounter::JobsFailed,
-        JobStatus::Cancelled => ServerCounter::JobsCancelled,
-        JobStatus::Queued | JobStatus::Running => unreachable!("terminal statuses only"),
-    };
-    inner.metrics.inc(counter);
-    let tenant = job.spec.tenant.clone();
-    let digest = job.digest;
-    if let Some(active) = st.active_per_tenant.get_mut(&tenant) {
-        *active = active.saturating_sub(1);
+    debug_assert!(!job.phase.status().is_terminal(), "finishing an already-terminal job");
+    inner.metrics.inc(match end {
+        Phase::Done(_) => ServerCounter::JobsCompleted,
+        Phase::Failed(_) => ServerCounter::JobsFailed,
+        Phase::Cancelled => ServerCounter::JobsCancelled,
+        Phase::Queued(_) | Phase::Running => unreachable!("terminal phases only"),
+    });
+    match std::mem::replace(&mut job.phase, end) {
+        Phase::Queued(_) => {
+            st.queued -= 1;
+            let digest = job.digest;
+            if let Some(pos) = st.bins.iter().position(|(d, _)| *d == digest) {
+                st.bins[pos].1.retain(|&queued| queued != id);
+                if st.bins[pos].1.is_empty() {
+                    st.bins.swap_remove(pos);
+                }
+            }
+        }
+        Phase::Running => st.running -= 1,
+        _ => {}
     }
-    // Drop the id from its bin if it was still queued there.
-    if let Some((_, bin)) = st.bins.iter_mut().find(|(d, _)| *d == digest) {
-        bin.retain(|&qid| qid != id);
+    if let Some(active) = st.active_per_tenant.get_mut(&job.tenant) {
+        *active -= 1;
+        if *active == 0 {
+            st.active_per_tenant.remove(&job.tenant);
+        }
     }
+    st.finished.push_back(id);
+    if st.finished.len() > RETAINED_FINISHED_JOBS {
+        let oldest = st.finished.pop_front().expect("nonempty");
+        st.jobs.remove(&oldest);
+    }
+    publish_gauges(inner, st);
     inner.done_cv.notify_all();
 }
 
-fn publish_queue_gauges(inner: &Inner, st: &State) {
-    let queued: usize = st.bins.iter().map(|(_, b)| b.len()).sum();
-    let running = st
-        .jobs
-        .values()
-        .filter(|j| j.status == JobStatus::Running)
-        .count();
-    inner.metrics.set_gauge(ServerGauge::QueueDepth, queued as u64);
-    inner.metrics.set_gauge(ServerGauge::JobsRunning, running as u64);
-    inner
-        .metrics
-        .set_gauge(ServerGauge::CachedPrograms, inner.cache.len() as u64);
+fn publish_gauges(inner: &Inner, st: &State) {
+    inner.metrics.set_gauge(ServerGauge::QueueDepth, st.queued as u64);
+    inner.metrics.set_gauge(ServerGauge::JobsRunning, st.running as u64);
+    inner.metrics.set_gauge(ServerGauge::JobsRetained, st.jobs.len() as u64);
 }
 
-/// One dispatched batch: the shared digest and the member jobs with
-/// cloned specs (the state lock is not held while the kernel runs).
+/// One dispatched batch: the shared digest and the member jobs with their
+/// specs, which the pass now owns (the state lock is not held while the
+/// kernel runs).
 struct Batch {
     digest: u64,
     members: Vec<(JobId, JobSpec)>,
 }
 
-fn scheduler_loop(inner: &Arc<Inner>) {
-    // Local mirror of the cache's lifetime eviction count, so the
-    // single scheduler thread can publish deltas as counter increments.
-    let mut seen_evictions = 0u64;
+fn scheduler_loop(inner: &Inner) {
     loop {
         let batch = {
-            let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = inner.lock();
             loop {
                 if st.shutdown {
                     return;
@@ -377,69 +429,52 @@ fn scheduler_loop(inner: &Arc<Inner>) {
                         break batch;
                     }
                 }
-                st = inner
-                    .sched_cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
+                st = inner.sched_cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
-        run_pass(inner, batch, &mut seen_evictions);
+        run_pass(inner, batch);
     }
 }
 
-/// Picks the bin holding the oldest queued job and drains up to
-/// `max_lanes_per_batch` of its members, marking them running. Expired
-/// queued jobs encountered on the way are failed in place.
+/// Picks the bin holding the oldest queued job and takes up to
+/// `max_lanes_per_batch` of its members, marking them running. Queued
+/// jobs already past their deadline are failed first, so expired work
+/// never occupies a lane.
 fn pick_batch(inner: &Inner, st: &mut State) -> Option<Batch> {
-    // Fail everything already past its deadline first, so expired work
-    // never occupies a lane.
+    let now = Instant::now();
     let expired: Vec<JobId> = st
-        .jobs
+        .bins
         .iter()
-        .filter(|(_, j)| {
-            j.status == JobStatus::Queued
-                && j.expires_at.is_some_and(|at| Instant::now() >= at)
-        })
-        .map(|(&id, _)| id)
+        .flat_map(|(_, bin)| bin.iter().copied())
+        .filter(|id| st.jobs[id].expired(now))
         .collect();
     for id in expired {
-        inner.metrics.inc(ServerCounter::DeadlineExpirations);
-        let err = deadline_error(st.jobs[&id].spec.deadline.unwrap_or_default());
-        finish_job(inner, st, id, JobStatus::Failed, Some(JobOutcome::Failed(err)));
+        expire_if_due(inner, st, id);
     }
 
     // Oldest queued job wins; its whole bin rides along.
-    let digest = st
-        .bins
-        .iter()
-        .filter_map(|(d, bin)| bin.front().map(|&head| (head, *d)))
-        .min()
-        .map(|(_, d)| d)?;
-    let bin = &mut st
-        .bins
-        .iter_mut()
-        .find(|(d, _)| *d == digest)
-        .expect("bin exists")
-        .1;
-    let mut members = Vec::new();
-    while members.len() < inner.config.max_lanes_per_batch {
-        let Some(id) = bin.pop_front() else { break };
-        members.push(id);
+    let pos = (0..st.bins.len()).min_by_key(|&i| st.bins[i].1.front().copied())?;
+    let (digest, bin) = &mut st.bins[pos];
+    let digest = *digest;
+    let lanes = bin.len().min(inner.config.max_lanes_per_batch.max(1));
+    let ids: Vec<JobId> = bin.drain(..lanes).collect();
+    if bin.is_empty() {
+        st.bins.swap_remove(pos);
     }
-    let members: Vec<(JobId, JobSpec)> = members
+    let members: Vec<(JobId, JobSpec)> = ids
         .into_iter()
         .map(|id| {
-            let job = st.jobs.get_mut(&id).expect("queued job exists");
-            job.status = JobStatus::Running;
-            (id, job.spec.clone())
+            let job = st.jobs.get_mut(&id).expect("binned job exists");
+            match std::mem::replace(&mut job.phase, Phase::Running) {
+                Phase::Queued(spec) => (id, spec),
+                _ => unreachable!("binned jobs are queued"),
+            }
         })
         .collect();
-    publish_queue_gauges(inner, st);
-    if members.is_empty() {
-        None
-    } else {
-        Some(Batch { digest, members })
-    }
+    st.queued -= members.len();
+    st.running += members.len();
+    publish_gauges(inner, st);
+    Some(Batch { digest, members })
 }
 
 /// Builds the pass-wide engine config: union watch set, furthest end
@@ -468,158 +503,141 @@ fn pass_config(inner: &Inner, members: &[(JobId, JobSpec)]) -> (SimConfig, Time)
     (cfg, end)
 }
 
-fn run_pass(inner: &Inner, batch: Batch, seen_evictions: &mut u64) {
-    let netlist = batch.members[0].1.netlist.clone();
-    let (program, lookup) = inner.cache.get_or_compile(batch.digest, &netlist);
-    inner.metrics.inc(match lookup {
-        CacheLookup::Hit => ServerCounter::CacheHits,
-        CacheLookup::Miss => ServerCounter::CacheMisses,
-    });
-    let (_, _, evictions) = inner.cache.stats();
-    if evictions > *seen_evictions {
-        inner
-            .metrics
-            .add(ServerCounter::CacheEvictions, evictions - *seen_evictions);
-        *seen_evictions = evictions;
+/// What every member of one pass shares.
+struct Pass<'a> {
+    inner: &'a Inner,
+    netlist: &'a Netlist,
+    cfg: &'a SimConfig,
+    program: &'a CompiledProgram,
+    cache_hit: bool,
+    lanes_in_batch: usize,
+}
+
+impl Pass<'_> {
+    /// One member's deliverable: its lane restricted to its own watch list
+    /// and end time. Built before the state lock is taken.
+    fn artifact(
+        &self,
+        spec: &JobSpec,
+        lane: usize,
+        result: &SimResult,
+        telemetry: &Option<Arc<RunTelemetry>>,
+    ) -> Arc<JobArtifact> {
+        Arc::new(JobArtifact {
+            result: result.restricted(&spec.watch, spec.end),
+            lane,
+            lanes_in_batch: self.lanes_in_batch,
+            cache_hit: self.cache_hit,
+            telemetry: telemetry.clone(),
+        })
     }
 
+    fn fail(&self, ids: impl Iterator<Item = JobId>, err: &SimError) {
+        let mut st = self.inner.lock();
+        for id in ids {
+            finish_job(self.inner, &mut st, id, Phase::Failed(err.clone()));
+        }
+    }
+}
+
+fn run_pass(inner: &Inner, batch: Batch) {
+    let netlist = batch.members[0].1.netlist.clone();
+    let (program, cache_hit) = inner.store.program(batch.digest, &netlist);
     let (cfg, end) = pass_config(inner, &batch.members);
     let lanes = batch.members.len();
     inner.metrics.inc(ServerCounter::BatchPasses);
     inner.metrics.add(ServerCounter::LanesPacked, lanes as u64);
-    inner
-        .metrics
-        .set_gauge(ServerGauge::LastBatchLanes, lanes as u64);
+    inner.metrics.set_gauge(ServerGauge::LastBatchLanes, lanes as u64);
 
-    let cache_hit = lookup == CacheLookup::Hit;
-    let seg = inner.config.segment_ticks;
-    if seg == 0 || seg >= end.ticks() || end == Time::ZERO {
-        run_single_pass(inner, &batch, &netlist, &cfg, &program, cache_hit);
-    } else {
-        run_segmented_pass(inner, &batch, &netlist, &cfg, &program, end, seg, cache_hit);
-    }
-    let st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-    publish_queue_gauges(inner, &st);
-}
-
-/// Delivers one member's artifact (or cancellation, if requested while
-/// the pass ran).
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    inner: &Inner,
-    st: &mut State,
-    id: JobId,
-    spec: &JobSpec,
-    lane: usize,
-    lanes_in_batch: usize,
-    cache_hit: bool,
-    result: &SimResult,
-    telemetry: &Option<Arc<parsim_telemetry::RunTelemetry>>,
-) {
-    if st.jobs.get(&id).is_some_and(|j| j.cancel_requested) {
-        finish_job(inner, st, id, JobStatus::Cancelled, None);
-        return;
-    }
-    let artifact = Box::new(JobArtifact {
-        result: result.restricted(&spec.watch, spec.end),
-        lane,
-        lanes_in_batch,
+    let pass = Pass {
+        inner,
+        netlist: &netlist,
+        cfg: &cfg,
+        program: &program,
         cache_hit,
-        telemetry: telemetry.clone(),
-    });
-    finish_job(inner, st, id, JobStatus::Done, Some(JobOutcome::Done(artifact)));
-}
-
-fn fail_members(inner: &Inner, members: &[(JobId, JobSpec)], err: &SimError) {
-    let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-    for (id, _) in members {
-        finish_job(
-            inner,
-            &mut st,
-            *id,
-            JobStatus::Failed,
-            Some(JobOutcome::Failed(err.clone())),
-        );
+        lanes_in_batch: lanes,
+    };
+    let seg = inner.config.segment_ticks;
+    if seg == 0 || seg >= end.ticks() {
+        run_single_pass(&pass, batch.members);
+    } else {
+        run_segmented_pass(&pass, batch.members, end, seg);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_single_pass(
-    inner: &Inner,
-    batch: &Batch,
-    netlist: &parsim_netlist::Netlist,
-    cfg: &SimConfig,
-    program: &parsim_netlist::compile::CompiledProgram,
-    cache_hit: bool,
-) {
-    let stimuli: Vec<LaneStimulus> =
-        batch.members.iter().map(|(_, s)| s.stimulus.clone()).collect();
+fn run_single_pass(pass: &Pass, members: Vec<(JobId, JobSpec)>) {
+    let inner = pass.inner;
+    let stimuli: Vec<LaneStimulus> = members.iter().map(|(_, s)| s.stimulus.clone()).collect();
     inner.metrics.inc(ServerCounter::Segments);
-    match CompiledMode::run_batch_with_program(netlist, cfg, program, &stimuli) {
+    match CompiledMode::run_batch_with_program(pass.netlist, pass.cfg, pass.program, &stimuli) {
         Ok(result) => {
             let telemetry = result.telemetry.map(Arc::new);
-            let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            for (lane, ((id, spec), lane_result)) in
-                batch.members.iter().zip(&result.lanes).enumerate()
-            {
-                deliver(
-                    inner,
-                    &mut st,
-                    *id,
-                    spec,
-                    lane,
-                    batch.members.len(),
-                    cache_hit,
-                    lane_result,
-                    &telemetry,
-                );
+            let artifacts: Vec<Arc<JobArtifact>> = members
+                .iter()
+                .zip(&result.lanes)
+                .enumerate()
+                .map(|(lane, ((_, spec), lane_result))| {
+                    pass.artifact(spec, lane, lane_result, &telemetry)
+                })
+                .collect();
+            // The lock covers only the status flips: the artifact, or the
+            // cancellation requested while the pass ran.
+            let mut st = inner.lock();
+            for ((id, _), artifact) in members.iter().zip(artifacts) {
+                let cancelled = st.jobs[id].cancel_requested;
+                let end = if cancelled { Phase::Cancelled } else { Phase::Done(artifact) };
+                finish_job(inner, &mut st, *id, end);
             }
         }
-        Err(err) => fail_members(inner, &batch.members, &err),
+        Err(err) => pass.fail(members.iter().map(|(id, _)| *id), &err),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A member still inside a segmented pass.
+struct Live {
+    id: JobId,
+    spec: JobSpec,
+    /// Its lane in the pass as dispatched (lanes close up as members leave).
+    lane: usize,
+    /// Its waveforms over the segments run so far.
+    acc: Option<SimResult>,
+}
+
 fn run_segmented_pass(
-    inner: &Inner,
-    batch: &Batch,
-    netlist: &parsim_netlist::Netlist,
-    cfg: &SimConfig,
-    program: &parsim_netlist::compile::CompiledProgram,
+    pass: &Pass,
+    members: Vec<(JobId, JobSpec)>,
     end: Time,
     segment_ticks: u64,
-    cache_hit: bool,
 ) {
-    // Live members, their accumulated per-lane results, and the resume
-    // snapshots — all three stay index-parallel across segments.
-    let mut live: Vec<(JobId, JobSpec)> = batch.members.clone();
-    let mut acc: Vec<Option<SimResult>> = vec![None; live.len()];
+    let inner = pass.inner;
+    // `live` and the resume snapshots stay index-parallel across segments.
+    let mut live: Vec<Live> = members
+        .into_iter()
+        .enumerate()
+        .map(|(lane, (id, spec))| Live { id, spec, lane, acc: None })
+        .collect();
     let mut snaps: Option<Vec<EngineSnapshot>> = None;
     let mut from = 0u64;
-    let lanes_in_batch = batch.members.len();
 
     while !live.is_empty() {
         let cut = Time(from.saturating_add(segment_ticks).min(end.ticks()));
-        let stimuli: Vec<LaneStimulus> = live.iter().map(|(_, s)| s.stimulus.clone()).collect();
+        let stimuli: Vec<LaneStimulus> = live.iter().map(|l| l.spec.stimulus.clone()).collect();
         inner.metrics.inc(ServerCounter::Segments);
-        let (result, new_snaps) = match CompiledMode::run_batch_segment_with_program(
-            netlist,
-            cfg,
-            program,
+        let (result, mut new_snaps) = match CompiledMode::run_batch_segment_with_program(
+            pass.netlist,
+            pass.cfg,
+            pass.program,
             &stimuli,
             snaps.as_deref(),
             cut,
         ) {
             Ok(out) => out,
-            Err(err) => {
-                fail_members(inner, &live, &err);
-                return;
-            }
+            Err(err) => return pass.fail(live.iter().map(|l| l.id), &err),
         };
-        for (slot, lane_result) in acc.iter_mut().zip(&result.lanes) {
-            match slot {
+        for (l, lane_result) in live.iter_mut().zip(&result.lanes) {
+            match &mut l.acc {
                 Some(whole) => whole.append_segment(lane_result),
-                None => *slot = Some(lane_result.clone()),
+                None => l.acc = Some(lane_result.clone()),
             }
         }
         from = cut.ticks();
@@ -628,61 +646,44 @@ fn run_segmented_pass(
 
         // Between cuts: deliver members whose own end was reached, evict
         // cancelled/expired ones, and carry the rest into the next
-        // segment with their snapshots.
-        let mut st = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut keep_idx: Vec<usize> = Vec::with_capacity(live.len());
-        for (i, (id, spec)) in live.iter().enumerate() {
-            let cancelled = st.jobs.get(id).is_some_and(|j| j.cancel_requested);
-            let expired = st
-                .jobs
-                .get(id)
-                .and_then(|j| j.expires_at)
-                .is_some_and(|at| Instant::now() >= at);
-            let done = finished || spec.end.ticks() <= from;
-            if cancelled {
-                finish_job(inner, &mut st, *id, JobStatus::Cancelled, None);
-            } else if done {
-                let result = acc[i].take().expect("at least one segment accumulated");
-                deliver(
-                    inner,
-                    &mut st,
-                    *id,
-                    spec,
-                    i,
-                    lanes_in_batch,
-                    cache_hit,
-                    &result,
-                    &telemetry,
-                );
-            } else if expired {
-                inner.metrics.inc(ServerCounter::DeadlineExpirations);
-                let err = deadline_error(spec.deadline.unwrap_or_default());
-                finish_job(
-                    inner,
-                    &mut st,
-                    *id,
-                    JobStatus::Failed,
-                    Some(JobOutcome::Failed(err)),
-                );
-            } else {
-                keep_idx.push(i);
-            }
-        }
-        drop(st);
-        if keep_idx.len() < live.len() {
-            live = keep_idx.iter().map(|&i| live[i].clone()).collect();
-            let mut old_acc = std::mem::take(&mut acc);
-            acc = keep_idx.iter().map(|&i| old_acc[i].take()).collect();
-            snaps = Some(
-                new_snaps
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| keep_idx.contains(i))
-                    .map(|(_, s)| s)
-                    .collect(),
-            );
-        } else {
-            snaps = Some(new_snaps);
-        }
+        // segment with their snapshots. Artifacts are built first, so the
+        // lock covers only the status flips.
+        let ready: Vec<Option<Arc<JobArtifact>>> = live
+            .iter_mut()
+            .map(|l| {
+                (finished || l.spec.end.ticks() <= from).then(|| {
+                    let whole = l.acc.take().expect("at least one segment accumulated");
+                    pass.artifact(&l.spec, l.lane, &whole, &telemetry)
+                })
+            })
+            .collect();
+        let keep: Vec<bool> = {
+            let mut st = inner.lock();
+            let now = Instant::now();
+            live.iter()
+                .zip(ready)
+                .map(|(l, ready)| {
+                    let job = &st.jobs[&l.id];
+                    let (cancelled, expired) = (job.cancel_requested, job.expired(now));
+                    if cancelled {
+                        finish_job(inner, &mut st, l.id, Phase::Cancelled);
+                    } else if let Some(artifact) = ready {
+                        finish_job(inner, &mut st, l.id, Phase::Done(artifact));
+                    } else if expired {
+                        inner.metrics.inc(ServerCounter::DeadlineExpirations);
+                        let err = deadline_error(l.spec.deadline);
+                        finish_job(inner, &mut st, l.id, Phase::Failed(err));
+                    } else {
+                        return true;
+                    }
+                    false
+                })
+                .collect()
+        };
+        let mut kept = keep.iter();
+        live.retain(|_| *kept.next().expect("one flag per member"));
+        let mut kept = keep.iter();
+        new_snaps.retain(|_| *kept.next().expect("one snapshot per member"));
+        snaps = Some(new_snaps);
     }
 }

@@ -4,24 +4,28 @@
 //! listener — speaks the same typed [`Request`]/[`Response`] pairs, with
 //! only strings and integers inside so any byte transport can carry them
 //! without a serialization dependency. [`InProcTransport`] is the
-//! reference implementation: it resolves names against the parsed
-//! netlist and calls straight into the [`Server`], so every lifecycle
-//! test stays hermetic (no sockets, no ports).
+//! reference implementation: it asks the server's [`NetlistStore`] for
+//! the request text's netlist (parsing only bytes it has not seen),
+//! resolves names against it and calls straight into the [`Server`], so
+//! every lifecycle test stays hermetic (no sockets, no ports).
+//!
+//! [`NetlistStore`]: crate::NetlistStore
 
 use std::sync::Arc;
 
 use parsim_logic::{Time, Value};
-use parsim_netlist::Netlist;
 
 use crate::job::{JobId, JobOutcome, JobSpec, SubmitError};
 use crate::scheduler::Server;
+use crate::store::Interned;
 use parsim_core::LaneStimulus;
 
 /// A transport-level request. Node references are names; times and
 /// values are plain integers (values are resolved against node widths).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Submit a job: `netlist` is [`Netlist::from_text`] format,
+    /// Submit a job: `netlist` is
+    /// [`Netlist::from_text`](parsim_netlist::Netlist::from_text) format,
     /// `overrides` replace named nodes' generator schedules for this
     /// tenant's lane as `(node, [(time, value)])`.
     Submit {
@@ -101,14 +105,14 @@ impl InProcTransport {
     fn submit(
         &self,
         tenant: String,
-        netlist_text: &str,
+        netlist_text: String,
         watch: &[String],
         end: u64,
         deadline_ms: Option<u64>,
         overrides: &[(String, Vec<(u64, u64)>)],
     ) -> Response {
-        let netlist = match Netlist::from_text(netlist_text) {
-            Ok(n) => Arc::new(n),
+        let Interned { netlist, digest } = match self.server.store().intern_text(netlist_text) {
+            Ok(found) => found,
             Err(e) => return bad_request(format!("netlist: {e}")),
         };
         let mut spec = JobSpec::new(tenant, netlist.clone(), Time(end));
@@ -134,7 +138,7 @@ impl InProcTransport {
         if let Some(ms) = deadline_ms {
             spec.deadline = Some(std::time::Duration::from_millis(ms));
         }
-        match self.server.submit(spec) {
+        match self.server.submit_digested(spec, digest) {
             Ok(id) => Response::Submitted { id: id.0 },
             Err(SubmitError::QuotaExceeded { tenant, limit }) => Response::Error {
                 code: 429,
@@ -197,7 +201,7 @@ impl Transport for InProcTransport {
     fn call(&self, req: Request) -> Response {
         match req {
             Request::Submit { tenant, netlist, watch, end, deadline_ms, overrides } => {
-                self.submit(tenant, &netlist, &watch, end, deadline_ms, &overrides)
+                self.submit(tenant, netlist, &watch, end, deadline_ms, &overrides)
             }
             Request::Status { id } => match self.server.status(JobId(id)) {
                 Some(status) => Response::Status { status: status.name() },

@@ -161,9 +161,9 @@ fn two_tenants_one_pass_byte_equal_waveforms() {
 
 /// One request over a real loopback socket; returns (status code,
 /// headers, body).
-fn http(addr: std::net::SocketAddr, request: &str) -> (u16, String, String) {
+fn http(addr: std::net::SocketAddr, request: impl AsRef<[u8]>) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect loopback");
-    stream.write_all(request.as_bytes()).unwrap();
+    stream.write_all(request.as_ref()).unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
@@ -176,13 +176,13 @@ fn http(addr: std::net::SocketAddr, request: &str) -> (u16, String, String) {
 }
 
 fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String, String) {
-    http(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"))
+    http(addr, format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"))
 }
 
 fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String, String) {
     http(
         addr,
-        &format!(
+        format!(
             "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         ),
@@ -272,4 +272,77 @@ fn http_loopback_round_trip() {
     let (code, head, _) = get(addr, &format!("/v1/jobs/{id}/result?wait_ms=30000"));
     assert_eq!(code, 200);
     assert!(head.contains("X-Parsim-Status: done"), "headers: {head}");
+}
+
+/// A listener whose submissions would succeed, for probing what the front
+/// door refuses before the transport is ever called.
+fn front_door() -> (HttpServer, Arc<Server>) {
+    let server = Arc::new(Server::start(ServerConfig::default()));
+    let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.clone()));
+    (HttpServer::bind("127.0.0.1:0", transport).expect("bind ephemeral port"), server)
+}
+
+#[test]
+fn unparsable_content_length_is_400() {
+    let (listener, server) = front_door();
+    let (code, _, body) = http(
+        listener.addr(),
+        format!("POST /v1/jobs?tenant=a&end={END} HTTP/1.1\r\nContent-Length: lots\r\n\r\n"),
+    );
+    assert_eq!(code, 400, "body: {body}");
+    assert!(body.contains("Content-Length"), "body: {body}");
+    assert_eq!(server.metrics().counter(ServerCounter::JobsSubmitted), 0);
+}
+
+#[test]
+fn oversized_content_length_is_413_before_any_body_is_read() {
+    let (listener, server) = front_door();
+    // Only the head is sent: the refusal must not wait for (or allocate)
+    // the 16 MiB + 1 the header announces.
+    let (code, head, _) = http(
+        listener.addr(),
+        format!(
+            "POST /v1/jobs?tenant=a&end={END} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            16 * 1024 * 1024 + 1
+        ),
+    );
+    assert_eq!(code, 413);
+    assert!(head.starts_with("HTTP/1.1 413 Payload Too Large"), "head: {head}");
+    assert_eq!(server.metrics().counter(ServerCounter::JobsSubmitted), 0);
+}
+
+#[test]
+fn invalid_utf8_body_is_400_not_rewritten() {
+    let (listener, server) = front_door();
+    // A valid netlist with one byte that is not UTF-8 inside a name: lossy
+    // decoding would have accepted it under a different node name.
+    let mut body = NETLIST_TEXT.as_bytes().to_vec();
+    let at = NETLIST_TEXT.find("g2").unwrap();
+    body[at] = 0xff;
+    let mut request = format!(
+        "POST /v1/jobs?tenant=a&end={END} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(&body);
+    let (code, _, answer) = http(listener.addr(), request);
+    assert_eq!(code, 400, "body: {answer}");
+    assert!(answer.contains("UTF-8"), "body: {answer}");
+    assert_eq!(server.metrics().counter(ServerCounter::JobsSubmitted), 0);
+    assert!(server.store().is_empty(), "nothing was parsed");
+}
+
+#[test]
+fn oversized_request_head_is_431() {
+    let (listener, _server) = front_door();
+    // Exactly the head budget and still no end of line: the server has
+    // read every byte sent, so the refusal arrives on a clean close.
+    let mut request = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    request.resize(64 * 1024, b'a');
+    let (code, head, _) = http(listener.addr(), request);
+    assert_eq!(code, 431);
+    assert!(head.contains("Request Header Fields Too Large"), "head: {head}");
+    // A head inside the budget is still served.
+    let (code, _, _) = get(listener.addr(), "/metrics");
+    assert_eq!(code, 200);
 }

@@ -39,8 +39,12 @@ pub enum ServerCounter {
     CacheHits,
     /// Batch dispatches that had to compile the netlist first.
     CacheMisses,
-    /// Compiled programs evicted by the cache's LRU bound.
+    /// Netlist-store entries (netlist and program) evicted by the LRU bound.
     CacheEvictions,
+    /// Text submissions that found their netlist already parsed in the store.
+    NetlistHits,
+    /// Text submissions that parsed and digested their netlist.
+    NetlistMisses,
     /// `run_batch` passes executed (each serves up to lane-width jobs).
     BatchPasses,
     /// Jobs packed into those passes (sum of per-pass occupancy).
@@ -50,7 +54,7 @@ pub enum ServerCounter {
 }
 
 impl ServerCounter {
-    pub const ALL: [ServerCounter; 12] = [
+    pub const ALL: [ServerCounter; 14] = [
         ServerCounter::JobsSubmitted,
         ServerCounter::JobsCompleted,
         ServerCounter::JobsFailed,
@@ -60,6 +64,8 @@ impl ServerCounter {
         ServerCounter::CacheHits,
         ServerCounter::CacheMisses,
         ServerCounter::CacheEvictions,
+        ServerCounter::NetlistHits,
+        ServerCounter::NetlistMisses,
         ServerCounter::BatchPasses,
         ServerCounter::LanesPacked,
         ServerCounter::Segments,
@@ -77,6 +83,8 @@ impl ServerCounter {
             ServerCounter::CacheHits => "parsim_server_cache_hits_total",
             ServerCounter::CacheMisses => "parsim_server_cache_misses_total",
             ServerCounter::CacheEvictions => "parsim_server_cache_evictions_total",
+            ServerCounter::NetlistHits => "parsim_server_netlist_hits_total",
+            ServerCounter::NetlistMisses => "parsim_server_netlist_misses_total",
             ServerCounter::BatchPasses => "parsim_server_batch_passes_total",
             ServerCounter::LanesPacked => "parsim_server_lanes_packed_total",
             ServerCounter::Segments => "parsim_server_segments_total",
@@ -93,7 +101,9 @@ impl ServerCounter {
             ServerCounter::DeadlineExpirations => "Jobs failed by deadline expiry",
             ServerCounter::CacheHits => "Batch dispatches served from the program cache",
             ServerCounter::CacheMisses => "Batch dispatches that compiled the netlist",
-            ServerCounter::CacheEvictions => "Compiled programs evicted by the LRU bound",
+            ServerCounter::CacheEvictions => "Netlist-store entries evicted by the LRU bound",
+            ServerCounter::NetlistHits => "Text submissions served an already parsed netlist",
+            ServerCounter::NetlistMisses => "Text submissions that parsed their netlist",
             ServerCounter::BatchPasses => "Word-parallel run_batch passes executed",
             ServerCounter::LanesPacked => "Jobs packed into batch passes",
             ServerCounter::Segments => "Checkpoint segments executed in batch passes",
@@ -113,14 +123,17 @@ pub enum ServerGauge {
     CachedPrograms,
     /// Occupancy (jobs) of the most recent batch pass.
     LastBatchLanes,
+    /// Job records the server holds: queued, running and retained finished.
+    JobsRetained,
 }
 
 impl ServerGauge {
-    pub const ALL: [ServerGauge; 4] = [
+    pub const ALL: [ServerGauge; 5] = [
         ServerGauge::QueueDepth,
         ServerGauge::JobsRunning,
         ServerGauge::CachedPrograms,
         ServerGauge::LastBatchLanes,
+        ServerGauge::JobsRetained,
     ];
     pub const COUNT: usize = ServerGauge::ALL.len();
 
@@ -130,6 +143,7 @@ impl ServerGauge {
             ServerGauge::JobsRunning => "parsim_server_jobs_running",
             ServerGauge::CachedPrograms => "parsim_server_cached_programs",
             ServerGauge::LastBatchLanes => "parsim_server_last_batch_lanes",
+            ServerGauge::JobsRetained => "parsim_server_jobs_retained",
         }
     }
 
@@ -139,6 +153,7 @@ impl ServerGauge {
             ServerGauge::JobsRunning => "Jobs currently inside a batch pass",
             ServerGauge::CachedPrograms => "Compiled programs resident in the cache",
             ServerGauge::LastBatchLanes => "Job occupancy of the most recent batch pass",
+            ServerGauge::JobsRetained => "Job records held: queued, running and retained finished",
         }
     }
 }

@@ -321,3 +321,93 @@ fn metrics_counts_are_pinned() {
         }
     }
 }
+
+/// The service end of the stack: two tenants send the *same* multiplier
+/// text with different `drive=` operands through the in-process transport.
+/// The netlist store parses the text once, the scheduler packs both jobs
+/// into one word-parallel pass, and each tenant's VCD is byte-equal to a
+/// standalone `EventDriven` run of a multiplier built with its operands.
+#[test]
+fn server_packs_two_tenants_of_one_text_into_one_oracle_exact_pass() {
+    use parsim::logic::{expand_generator, ElementKind, Value};
+    use parsim_server::{InProcTransport, Request, Response, Server, ServerConfig, Transport};
+    use parsim_telemetry::ServerCounter;
+
+    const BITS: usize = 4;
+    const PERIOD: u64 = 64;
+    let operands: [[(u64, u64); 2]; 2] = [[(3, 5), (15, 15)], [(9, 7), (2, 12)]];
+    let base = gate_multiplier(BITS, &[(0, 0), (0, 0)], PERIOD).unwrap();
+    let end = base.schedule_end();
+    let text = base.netlist.to_text();
+    let watch: Vec<String> = base
+        .product
+        .iter()
+        .map(|&n| base.netlist.node(n).name().to_string())
+        .collect();
+
+    // A tenant's operands as overrides of the text's own input generators:
+    // the expansion the engines apply to a `Pattern` of those bits.
+    let drive = |pairs: &[(u64, u64)]| -> Vec<(String, Vec<(u64, u64)>)> {
+        let bus = |prefix: &str, pick: fn(&(u64, u64)) -> u64| {
+            (0..BITS)
+                .map(|bit| {
+                    let values: Vec<Value> =
+                        pairs.iter().map(|p| Value::bit((pick(p) >> bit) & 1 == 1)).collect();
+                    let kind = ElementKind::Pattern { period: PERIOD, values: values.into() };
+                    let changes = expand_generator(&kind, end)
+                        .into_iter()
+                        .map(|(t, v)| (t.ticks(), v.to_u64().unwrap()))
+                        .collect();
+                    (format!("{prefix}{bit}"), changes)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut drive = bus("a", |p| p.0);
+        drive.extend(bus("b", |p| p.1));
+        drive
+    };
+
+    let server = std::sync::Arc::new(Server::start(ServerConfig {
+        start_paused: true,
+        threads: 1,
+        ..ServerConfig::default()
+    }));
+    let transport = InProcTransport::new(server.clone());
+    let ids: Vec<u64> = operands
+        .iter()
+        .enumerate()
+        .map(|(t, pairs)| {
+            let request = Request::Submit {
+                tenant: format!("tenant{t}"),
+                netlist: text.clone(),
+                watch: watch.clone(),
+                end: end.ticks(),
+                deadline_ms: None,
+                overrides: drive(pairs),
+            };
+            match transport.call(request) {
+                Response::Submitted { id } => id,
+                other => panic!("submit answered {other:?}"),
+            }
+        })
+        .collect();
+    server.resume();
+
+    for (id, pairs) in ids.into_iter().zip(&operands) {
+        let Response::Result { status, vcd, lanes_in_batch, error, .. } =
+            transport.call(Request::Result { id, wait_ms: 30_000 })
+        else {
+            panic!("expected a result response");
+        };
+        assert_eq!((status, error), ("done", None));
+        assert_eq!(lanes_in_batch, 2, "both tenants ride one pass");
+        let own = gate_multiplier(BITS, pairs, PERIOD).unwrap();
+        let cfg = SimConfig::new(end).watch_all(own.product.iter().copied());
+        let oracle = EventDriven::run(&own.netlist, &cfg).unwrap();
+        assert_eq!(vcd.as_deref(), Some(oracle.to_vcd().as_str()), "operands {pairs:?}");
+    }
+    let m = server.metrics();
+    assert_eq!(m.counter(ServerCounter::NetlistMisses), 1, "the text was parsed once");
+    assert_eq!(m.counter(ServerCounter::NetlistHits), 1);
+    assert_eq!(m.counter(ServerCounter::BatchPasses), 1);
+}
