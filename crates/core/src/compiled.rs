@@ -238,7 +238,11 @@ impl CompiledMode {
     ) -> Result<BatchResult, SimError> {
         check_program_pairing(netlist, program)?;
         let partition = program.level_partition(config.threads);
-        kernel::packed::run_batch(netlist, config, program, &partition, stimuli)
+        let end = config.end_time.ticks();
+        kernel::packed::run_batch_segment(
+            netlist, config, program, &partition, stimuli, None, end, false,
+        )
+        .map(|(result, _)| result)
     }
 
     /// Runs one checkpoint segment of the word-parallel batch kernel:

@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::wide::{self, LaneMask, WideLanes, LANE_WIDTHS};
-use parsim_logic::{evaluate, expand_generator, ElemState, ElementKind, Time, Value};
+use parsim_logic::{evaluate, expand_generator, expand_vector, ElemState, Time, Value};
 use parsim_netlist::compile::{CompiledProgram, Opcode};
 use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
@@ -63,27 +63,80 @@ fn invalid(reason: String) -> SimError {
     SimError::InvalidConfig { reason }
 }
 
-/// One lane-local event list: `(global lane, slot, (time, value) events)`.
-type LaneEvents = (usize, u32, Vec<(u64, Value)>);
-
-/// One generator write: `data` is applied to `slot` in the lanes of `mask`.
-struct GenWrite<const W: usize> {
-    slot: u32,
-    mask: LaneMask<W>,
-    data: Vec<WideLanes<W>>,
+/// One worker's change log of one watched slot, still packed: record `r`
+/// says that at step `recs[r].0` (strictly increasing) the lanes of
+/// `recs[r].1` (never empty) took the values in the `r`-th slot-width run
+/// of `planes`. A step that changes 55 lanes of a slot writes one record,
+/// not 55; the per-lane work is [`transpose_slot`]'s, once, after the loop.
+#[derive(Default)]
+struct SlotLog<const W: usize> {
+    recs: Vec<(u64, LaneMask<W>)>,
+    planes: Vec<WideLanes<W>>,
 }
 
-/// Per-worker chunk results: per-lane waveform changes (chunk-local lane
-/// ids) and the unapplied pending set (slot list + flat plane arena) held
-/// when the segment ended — the unit-delay events for `cut + 1`, used by
-/// checkpoint capture. Counters travel through the worker's telemetry
-/// shard, which every chunk of the batch shares.
-type ChunkWorkerOutput<const W: usize> =
-    (Vec<(u32, Time, NodeId, Value)>, Vec<u32>, Vec<WideLanes<W>>);
+impl<const W: usize> SlotLog<W> {
+    /// Records `new` as what the lanes of `diff` took at step `t`.
+    #[inline]
+    fn record(&mut self, t: u64, diff: &LaneMask<W>, new: &[WideLanes<W>]) {
+        if wide::mask_any(diff) {
+            self.recs.push((t, *diff));
+            self.planes.extend_from_slice(new);
+        }
+    }
+}
 
-/// One chunk's aggregated results, lane ids already globalized.
-struct ChunkOut {
-    changes: Vec<(u32, Time, NodeId, Value)>,
+/// `watch_of` entry of a slot nobody watches; indexes past every log list.
+const UNWATCHED: u32 = u32::MAX;
+
+/// Transposes the packed logs of one watched slot, `width` bits wide, into
+/// one change list per lane `0..chunk_lanes`, each allocated once at its
+/// exact final length.
+///
+/// `logs` must already be in time order end to end. They are: a slot has
+/// one writer per step and at most two over a segment — thread 0 (all of a
+/// generator-driven slot; an instruction-driven one only at a resumed
+/// segment's first step, for injected pending events) and the thread that
+/// owns its driving instruction, whose pending set is still empty at that
+/// first step — so thread 0's log followed by the owner's needs no sort.
+fn transpose_slot<const W: usize>(
+    logs: &[&SlotLog<W>],
+    width: usize,
+    chunk_lanes: usize,
+) -> Vec<Vec<(Time, Value)>> {
+    debug_assert!(
+        logs.iter()
+            .flat_map(|log| log.recs.iter().map(|r| r.0))
+            .is_sorted_by(|a, b| a < b),
+        "a watched slot's logs must concatenate in strictly increasing step order"
+    );
+    let mut counts = vec![0usize; chunk_lanes];
+    for log in logs {
+        for (_, mask) in &log.recs {
+            wide::for_each_lane(mask, |lane| counts[lane as usize] += 1);
+        }
+    }
+    let mut lists: Vec<Vec<(Time, Value)>> =
+        counts.into_iter().map(Vec::with_capacity).collect();
+    for log in logs {
+        for ((t, mask), planes) in log.recs.iter().zip(log.planes.chunks_exact(width)) {
+            wide::for_each_lane(mask, |lane| {
+                lists[lane as usize].push((Time(*t), wide::gather(planes, lane)));
+            });
+        }
+    }
+    lists
+}
+
+/// Per-worker chunk results: one packed log per watched slot and the
+/// unapplied pending set (slot list + flat plane arena) held when the
+/// segment ended — the unit-delay events for `cut + 1`, for checkpoint
+/// capture. Counters travel through the worker's shared telemetry shard.
+type ChunkWorkerOutput<const W: usize> = (Vec<SlotLog<W>>, Vec<u32>, Vec<WideLanes<W>>);
+
+/// What the chunks of a batch add to, lane by lane: one change list per
+/// watched node in watch order, and a snapshot if the segment captures.
+struct BatchOut {
+    lanes: Vec<Vec<Vec<(Time, Value)>>>,
     snapshots: Option<Vec<EngineSnapshot>>,
 }
 
@@ -94,14 +147,17 @@ struct BatchCtx<'a> {
     prog: &'a CompiledProgram,
     plan: &'a ExecPlan,
     neighbors: Option<&'a NeighborPlan>,
-    watched: &'a [bool],
+    /// The watched slots, in watch (node) order.
+    watch_slots: &'a [u32],
+    /// Per slot: its position in `watch_slots`, or [`UNWATCHED`].
+    watch_of: &'a [u32],
     state_offset: &'a [u32],
     max_out_bits: usize,
     /// Expanded base generator schedules (events at `t <= t0` already
     /// filtered out on resume).
     base_events: &'a [(u32, Vec<(u64, Value)>)],
-    /// Expanded per-lane overrides: `(global lane, slot, events)`.
-    override_events: &'a [LaneEvents],
+    /// Per-lane overrides, validated; expanded chunk by chunk.
+    stimuli: &'a [LaneStimulus],
     /// Resume-injected pending events: `(global lane, time, slot, value)`.
     injections: &'a [(usize, u64, u32, Value)],
     /// Per-slot bitset (words of 64 global lanes) of overridden lanes.
@@ -113,30 +169,7 @@ struct BatchCtx<'a> {
     first_step: u64,
     cut: u64,
     end: u64,
-    capture: bool,
     telemetry: &'a TelemetryCtx,
-}
-
-/// Runs the packed batch kernel over any number of stimulus lanes
-/// (whole run, no checkpointing).
-pub(crate) fn run_batch(
-    netlist: &Netlist,
-    config: &SimConfig,
-    prog: &CompiledProgram,
-    partition: &Partition,
-    stimuli: &[LaneStimulus],
-) -> Result<BatchResult, SimError> {
-    let (result, _) = run_batch_segment(
-        netlist,
-        config,
-        prog,
-        partition,
-        stimuli,
-        None,
-        config.end_time.ticks(),
-        false,
-    )?;
-    Ok(result)
 }
 
 /// Selects the batch lane width: explicit config, then the
@@ -168,7 +201,9 @@ fn select_lane_width(config: &SimConfig) -> Result<usize, SimError> {
     Ok(wide::native_lane_width())
 }
 
-/// Runs one checkpoint segment of the packed batch kernel.
+/// Runs one checkpoint segment of the packed batch kernel over any number
+/// of stimulus lanes; a whole run is the segment from nothing to
+/// `end_time` that captures nothing.
 ///
 /// Semantics per lane mirror `kernel/scalar.rs::run_segment` exactly: a
 /// snapshot at cut `T` is slot values after the apply phase of step `T`,
@@ -295,27 +330,6 @@ pub(crate) fn run_batch_segment(
             .collect();
         base_events.push((slot, events));
     }
-    // Per-lane overrides, routed through the Vector generator expansion
-    // so a lane's trajectory is exactly what a netlist with a `Vector`
-    // driver would produce (the per-lane equivalence oracle).
-    let mut override_events: Vec<LaneEvents> = Vec::new();
-    for (l, stim) in stimuli.iter().enumerate() {
-        for (node, schedule) in &stim.overrides {
-            let slot = prog.slot_of(*node);
-            let changes: Arc<[(u64, Value)]> = schedule
-                .iter()
-                .map(|&(t, v)| (t.ticks(), v))
-                .collect::<Vec<_>>()
-                .into();
-            let vector = ElementKind::Vector { changes };
-            let events: Vec<(u64, Value)> = expand_generator(&vector, Time(cut))
-                .into_iter()
-                .filter(|(t, _)| t0.is_none_or(|t0| t.ticks() > t0))
-                .map(|(t, v)| (t.ticks(), v))
-                .collect();
-            override_events.push((l, slot, events));
-        }
-    }
     // Resume snapshots' in-flight events ride the apply phase like
     // generator events; events beyond even this cut (possible only in
     // snapshots captured by a multi-delay-capable engine) skip straight
@@ -337,9 +351,11 @@ pub(crate) fn run_batch_segment(
 
     let plan = ExecPlan::build(prog, partition);
 
-    let mut watched = vec![false; prog.num_slots()];
-    for &n in &config.watch {
-        watched[prog.slot_of(n) as usize] = true;
+    let slots = WatchSlots::new(netlist, &config.watch);
+    let watch_slots: Vec<u32> = slots.nodes().map(|n| prog.slot_of(n)).collect();
+    let mut watch_of = vec![UNWATCHED; prog.num_slots()];
+    for (k, &slot) in watch_slots.iter().enumerate() {
+        watch_of[slot as usize] = k as u32;
     }
 
     // Every slot thread 0 writes outside the instruction stream, for the
@@ -355,7 +371,7 @@ pub(crate) fn run_batch_segment(
             for (slot, _) in &base_events {
                 gen_slots[*slot as usize] = true;
             }
-            for (_, slot, _) in &override_events {
+            for slot in overridden.keys() {
                 gen_slots[*slot as usize] = true;
             }
             for &(_, _, slot, _) in &injections {
@@ -397,11 +413,12 @@ pub(crate) fn run_batch_segment(
         prog,
         plan: &plan,
         neighbors: neighbors.as_ref(),
-        watched: &watched,
+        watch_slots: &watch_slots,
+        watch_of: &watch_of,
         state_offset: &state_offset,
         max_out_bits,
         base_events: &base_events,
-        override_events: &override_events,
+        stimuli,
         injections: &injections,
         overridden: &overridden,
         resume,
@@ -409,7 +426,6 @@ pub(crate) fn run_batch_segment(
         first_step,
         cut,
         end,
-        capture,
         telemetry: &telemetry,
     };
 
@@ -417,8 +433,10 @@ pub(crate) fn run_batch_segment(
     // Chunks are `max_width` lanes except the last, which drops to the
     // narrowest word group covering the remainder (a 65-lane tail runs as
     // one 128-wide chunk, not a 512-wide one).
-    let mut lane_changes: Vec<Vec<(Time, NodeId, Value)>> = vec![Vec::new(); lanes];
-    let mut snapshots: Option<Vec<EngineSnapshot>> = capture.then(Vec::new);
+    let mut out = BatchOut {
+        lanes: Vec::with_capacity(lanes),
+        snapshots: capture.then(Vec::new),
+    };
     let mut used_width = 0u64;
     let mut lane_base = 0usize;
     while lane_base < lanes {
@@ -430,19 +448,13 @@ pub(crate) fn run_batch_segment(
             .expect("chunk_lanes <= 512")
             .min(max_width / 64);
         used_width = used_width.max(64 * words as u64);
-        let out = match words {
-            1 => run_chunk::<1>(&ctx, lane_base, chunk_lanes),
-            2 => run_chunk::<2>(&ctx, lane_base, chunk_lanes),
-            4 => run_chunk::<4>(&ctx, lane_base, chunk_lanes),
-            8 => run_chunk::<8>(&ctx, lane_base, chunk_lanes),
+        match words {
+            1 => run_chunk::<1>(&ctx, lane_base, chunk_lanes, &mut out),
+            2 => run_chunk::<2>(&ctx, lane_base, chunk_lanes, &mut out),
+            4 => run_chunk::<4>(&ctx, lane_base, chunk_lanes, &mut out),
+            8 => run_chunk::<8>(&ctx, lane_base, chunk_lanes, &mut out),
             _ => unreachable!("lane widths are 64/128/256/512"),
         }?;
-        for (lane, t, n, v) in out.changes {
-            lane_changes[lane as usize].push((t, n, v));
-        }
-        if let (Some(all), Some(chunk)) = (snapshots.as_mut(), out.snapshots) {
-            all.extend(chunk);
-        }
         lane_base += chunk_lanes;
     }
 
@@ -451,10 +463,10 @@ pub(crate) fn run_batch_segment(
     let run_telemetry = telemetry.finish();
     let metrics = Metrics::from_registry(&telemetry.registry, &run_telemetry.finals, wall);
 
-    let slots = WatchSlots::new(netlist, &config.watch);
-    let lanes_out = lane_changes
+    let lanes_out = out
+        .lanes
         .into_iter()
-        .map(|c| SimResult::from_slots(netlist, config.end_time, &slots, c, metrics.clone()))
+        .map(|lists| SimResult::from_lists(config.end_time, &slots, lists, metrics.clone()))
         .collect();
     Ok((
         BatchResult {
@@ -462,32 +474,33 @@ pub(crate) fn run_batch_segment(
             metrics,
             telemetry: Some(run_telemetry),
         },
-        snapshots,
+        out.snapshots,
     ))
 }
 
 /// Runs lanes `lane_base .. lane_base + chunk_lanes` (local lanes
 /// `0..chunk_lanes` of a `64·W`-wide word group) through the full
-/// segment step loop.
+/// segment step loop and appends their results to `out`.
 fn run_chunk<const W: usize>(
     ctx: &BatchCtx<'_>,
     lane_base: usize,
     chunk_lanes: usize,
-) -> Result<ChunkOut, SimError> {
+    out: &mut BatchOut,
+) -> Result<(), SimError> {
     let BatchCtx {
         netlist,
         config,
         prog,
         plan,
         neighbors,
-        watched,
+        watch_slots,
+        watch_of,
         state_offset,
         max_out_bits,
         resume,
         first_step,
         cut,
         end,
-        capture,
         telemetry,
         ..
     } = *ctx;
@@ -497,14 +510,15 @@ fn run_chunk<const W: usize>(
     let lane_mask = &lane_mask;
 
     // ---- this chunk's masked generator writes ---------------------------
-    let mut sched: BTreeMap<u64, BTreeMap<u32, (LaneMask<W>, Vec<WideLanes<W>>)>> =
+    // Per step and slot: `data` is applied in the lanes of the mask.
+    let mut gen_writes: BTreeMap<u64, BTreeMap<u32, (LaneMask<W>, Vec<WideLanes<W>>)>> =
         BTreeMap::new();
     let mut add = |t: u64, slot: u32, mask: &LaneMask<W>, v: &Value| {
         if !wide::mask_any(mask) {
             return;
         }
         let w = prog.slot_width(slot) as usize;
-        let entry = sched
+        let entry = gen_writes
             .entry(t)
             .or_default()
             .entry(slot)
@@ -537,13 +551,19 @@ fn run_chunk<const W: usize>(
             add(*t, *slot, &base_mask, v);
         }
     }
-    for (lane, slot, events) in ctx.override_events {
-        if *lane < lane_base || *lane >= lane_base + chunk_lanes {
-            continue;
-        }
-        let mask = wide::mask_lane::<W>((*lane - lane_base) as u32);
-        for (t, v) in events {
-            add(*t, *slot, &mask, v);
+    // Per-lane overrides go through the `Vector` generator's own expansion,
+    // so a lane's trajectory is exactly what a netlist with a `Vector`
+    // driver would produce (the per-lane equivalence oracle).
+    for (local, stim) in ctx.stimuli[lane_base..lane_base + chunk_lanes].iter().enumerate() {
+        let mask = wide::mask_lane::<W>(local as u32);
+        for (node, schedule) in &stim.overrides {
+            let slot = prog.slot_of(*node);
+            let changes = schedule.iter().map(|&(t, v)| (t.ticks(), v));
+            expand_vector(changes, Time(cut), |t, v| {
+                if t.ticks() >= first_step {
+                    add(t.ticks(), slot, &mask, &v);
+                }
+            });
         }
     }
     for &(lane, t, slot, v) in ctx.injections {
@@ -553,18 +573,6 @@ fn run_chunk<const W: usize>(
         let mask = wide::mask_lane::<W>((lane - lane_base) as u32);
         add(t, slot, &mask, &v);
     }
-    let gen_writes: BTreeMap<u64, Vec<GenWrite<W>>> = sched
-        .into_iter()
-        .map(|(t, slots)| {
-            (
-                t,
-                slots
-                    .into_iter()
-                    .map(|(slot, (mask, data))| GenWrite { slot, mask, data })
-                    .collect(),
-            )
-        })
-        .collect();
     let gen_writes = &gen_writes;
 
     // ---- execution state -------------------------------------------------
@@ -675,7 +683,8 @@ fn run_chunk<const W: usize>(
                 let fault = config.fault.clone();
                 scope.spawn(move || {
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut changes: Vec<(u32, Time, NodeId, Value)> = Vec::new();
+                        let mut logs: Vec<SlotLog<W>> =
+                            watch_slots.iter().map(|_| SlotLog::default()).collect();
                         let shard = registry.worker(p);
                         let mut tally = Tally::default();
                         // Pending writes: slot list plus a flat plane arena
@@ -718,6 +727,27 @@ fn run_chunk<const W: usize>(
                             }
                             let busy_start = Instant::now();
                             // ---- apply phase ----------------------------
+                            // What a write owes once its masked diff is
+                            // known: the event count, the watched slot's
+                            // packed record, its fan-out's dirty bits.
+                            let mut commit =
+                                |slot: u32, diff: &LaneMask<W>, new: &[WideLanes<W>]| {
+                                    tally.add(
+                                        Counter::EventsProcessed,
+                                        u64::from(wide::mask_count(diff)),
+                                    );
+                                    // A cut past `end_time` records nothing there.
+                                    let watch =
+                                        if t <= end { watch_of[slot as usize] } else { UNWATCHED };
+                                    if let Some(log) = logs.get_mut(watch as usize) {
+                                        log.record(t, diff, new);
+                                    }
+                                    if gating && wide::mask_any(diff) {
+                                        for &b in plan.fanout(slot) {
+                                            dirty.mark(b);
+                                        }
+                                    }
+                                };
                             let mut cursor = 0usize;
                             for &slot in &pend_slots {
                                 let w = prog.slot_width(slot) as usize;
@@ -730,65 +760,26 @@ fn run_chunk<const W: usize>(
                                 let cur = unsafe { values.slice_mut(off..off + w) };
                                 let diff =
                                     wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
-                                tally.add(
-                                    Counter::EventsProcessed,
-                                    u64::from(wide::mask_count(&diff)),
-                                );
-                                if watched[slot as usize] {
-                                    let node = prog.node_of(slot);
-                                    wide::for_each_lane(&diff, |lane| {
-                                        changes.push((
-                                            (lane_base as u32) + lane,
-                                            Time(t),
-                                            node,
-                                            wide::gather(new, lane),
-                                        ));
-                                    });
-                                }
+                                commit(slot, &diff, new);
                                 cur.copy_from_slice(new);
-                                if gating && wide::mask_any(&diff) {
-                                    for &b in plan.fanout(slot) {
-                                        dirty.mark(b);
-                                    }
-                                }
                             }
                             pend_slots.clear();
                             pend_data.clear();
                             if p == 0 {
                                 if let Some(writes) = gen_writes.get(&t) {
-                                    for gw in writes {
-                                        let w = gw.data.len();
-                                        let off = prog.slot_offset(gw.slot);
+                                    for (&slot, (mask, data)) in writes {
+                                        let off = prog.slot_offset(slot);
                                         // SAFETY: generator slots are only
                                         // written here, by thread 0.
-                                        let cur = unsafe { values.slice_mut(off..off + w) };
+                                        let cur =
+                                            unsafe { values.slice_mut(off..off + data.len()) };
                                         let mut diff = wide::mask_none::<W>();
-                                        for (c, d) in cur.iter_mut().zip(&gw.data) {
-                                            let eff = WideLanes::select(&gw.mask, *d, *c);
+                                        for (c, d) in cur.iter_mut().zip(data) {
+                                            let eff = WideLanes::select(mask, *d, *c);
                                             wide::mask_or_assign(&mut diff, &c.diff(eff));
                                             *c = eff;
                                         }
-                                        let diff = wide::mask_and(&diff, lane_mask);
-                                        tally.add(
-                                            Counter::EventsProcessed,
-                                            u64::from(wide::mask_count(&diff)),
-                                        );
-                                        if watched[gw.slot as usize] {
-                                            let node = prog.node_of(gw.slot);
-                                            wide::for_each_lane(&diff, |lane| {
-                                                changes.push((
-                                                    (lane_base as u32) + lane,
-                                                    Time(t),
-                                                    node,
-                                                    wide::gather(cur, lane),
-                                                ));
-                                            });
-                                        }
-                                        if gating && wide::mask_any(&diff) {
-                                            for &b in plan.fanout(gw.slot) {
-                                                dirty.mark(b);
-                                            }
-                                        }
+                                        commit(slot, &wide::mask_and(&diff, lane_mask), cur);
                                     }
                                 }
                             }
@@ -915,7 +906,7 @@ fn run_chunk<const W: usize>(
                         }
                         // The last wait's idle time and any early break.
                         tally.flush(&shard);
-                        (changes, pend_slots, pend_data)
+                        (logs, pend_slots, pend_data)
                     }));
                     match body {
                         Ok(out) => Some(out),
@@ -965,10 +956,18 @@ fn run_chunk<const W: usize>(
     }
 
     let outputs: Vec<ChunkWorkerOutput<W>> = outputs.into_iter().flatten().collect();
-    let mut changes: Vec<(u32, Time, NodeId, Value)> = Vec::new();
+    // Slot-major: one slot's `chunk_lanes` list tails stay cache-resident
+    // while its log is replayed.
+    out.lanes.extend((0..chunk_lanes).map(|_| Vec::with_capacity(watch_slots.len())));
+    for (k, &slot) in watch_slots.iter().enumerate() {
+        let logs: Vec<&SlotLog<W>> = outputs.iter().map(|(logs, ..)| &logs[k]).collect();
+        let lists = transpose_slot(&logs, prog.slot_width(slot) as usize, chunk_lanes);
+        for (lane, list) in out.lanes[lane_base..].iter_mut().zip(lists) {
+            lane.push(list);
+        }
+    }
     let mut leftover: Vec<(u32, Vec<WideLanes<W>>)> = Vec::new();
-    for (c, pend_slots, pend_data) in outputs {
-        changes.extend(c);
+    for (_, pend_slots, pend_data) in outputs {
         let mut cursor = 0usize;
         for slot in pend_slots {
             let w = prog.slot_width(slot) as usize;
@@ -977,88 +976,86 @@ fn run_chunk<const W: usize>(
         }
     }
 
-    let snapshots = capture.then(|| {
+    if let Some(snapshots) = &mut out.snapshots {
         let num_nodes = netlist.num_nodes();
-        (0..chunk_lanes)
-            .map(|local| {
-                let lane = local as u32;
-                // SAFETY (all raw reads below): workers are joined;
-                // single-threaded access with the joins as the edge.
-                let node_values: Vec<Value> = (0..num_nodes)
-                    .map(|n| {
-                        let s = prog.slot_of(NodeId::from_index(n));
-                        let w = prog.slot_width(s) as usize;
-                        let off = prog.slot_offset(s);
-                        wide::gather(unsafe { values.slice(off..off + w) }, lane)
-                    })
-                    .collect();
-                // Per-lane pending: a queued wide write becomes this
-                // lane's unit-delay event only where the lane actually
-                // changed — exactly when the scalar engine would have
-                // queued it.
-                let mut last_scheduled = node_values.clone();
-                let mut last_sched_time = vec![0u64; num_nodes];
-                let mut pending: Vec<PendingEvent> =
-                    ctx.carry[lane_base + local].clone();
-                for (slot, data) in &leftover {
-                    let v = wide::gather(data, lane);
-                    let node = prog.node_of(*slot).index();
-                    if v != node_values[node] {
-                        last_scheduled[node] = v;
-                        last_sched_time[node] = cut + 1;
-                        pending.push(PendingEvent {
-                            time: cut + 1,
-                            node: node as u32,
-                            value: v,
-                        });
+        snapshots.extend((0..chunk_lanes).map(|local| {
+            let lane = local as u32;
+            // SAFETY (all raw reads below): workers are joined;
+            // single-threaded access with the joins as the edge.
+            let node_values: Vec<Value> = (0..num_nodes)
+                .map(|n| {
+                    let s = prog.slot_of(NodeId::from_index(n));
+                    let w = prog.slot_width(s) as usize;
+                    let off = prog.slot_offset(s);
+                    wide::gather(unsafe { values.slice(off..off + w) }, lane)
+                })
+                .collect();
+            // Per-lane pending: a queued wide write becomes this
+            // lane's unit-delay event only where the lane actually
+            // changed — exactly when the scalar engine would have
+            // queued it.
+            let mut last_scheduled = node_values.clone();
+            let mut last_sched_time = vec![0u64; num_nodes];
+            let mut pending: Vec<PendingEvent> =
+                ctx.carry[lane_base + local].clone();
+            for (slot, data) in &leftover {
+                let v = wide::gather(data, lane);
+                let node = prog.node_of(*slot).index();
+                if v != node_values[node] {
+                    last_scheduled[node] = v;
+                    last_sched_time[node] = cut + 1;
+                    pending.push(PendingEvent {
+                        time: cut + 1,
+                        node: node as u32,
+                        value: v,
+                    });
+                }
+            }
+            pending.sort_by_key(|ev| (ev.time, ev.node));
+            let mut elem_states: Vec<ElemState> = netlist
+                .elements()
+                .iter()
+                .map(|e| ElemState::init(e.kind()))
+                .collect();
+            for i in 0..prog.num_insns() {
+                let w = prog.width(i) as usize;
+                let off = state_offset[i] as usize;
+                match prog.opcode(i) {
+                    Opcode::Dff | Opcode::DffR => {
+                        let st = unsafe { nat_state.slice(off..off + w + 1) };
+                        elem_states[prog.elem(i)] = ElemState::Edge {
+                            q: wide::gather(&st[..w], lane),
+                            last_clk: wide::gather(&st[w..], lane),
+                        };
+                    }
+                    Opcode::Latch => {
+                        let st = unsafe { nat_state.slice(off..off + w) };
+                        elem_states[prog.elem(i)] = ElemState::Stored(wide::gather(st, lane));
+                    }
+                    _ => {
+                        let states = unsafe { fb_state.get_mut(i) };
+                        if let Some(s) = states.get(local) {
+                            elem_states[prog.elem(i)] = s.clone();
+                        }
                     }
                 }
-                pending.sort_by_key(|ev| (ev.time, ev.node));
-                let mut elem_states: Vec<ElemState> = netlist
-                    .elements()
-                    .iter()
-                    .map(|e| ElemState::init(e.kind()))
-                    .collect();
-                for i in 0..prog.num_insns() {
-                    let w = prog.width(i) as usize;
-                    let off = state_offset[i] as usize;
-                    match prog.opcode(i) {
-                        Opcode::Dff | Opcode::DffR => {
-                            let st = unsafe { nat_state.slice(off..off + w + 1) };
-                            elem_states[prog.elem(i)] = ElemState::Edge {
-                                q: wide::gather(&st[..w], lane),
-                                last_clk: wide::gather(&st[w..], lane),
-                            };
-                        }
-                        Opcode::Latch => {
-                            let st = unsafe { nat_state.slice(off..off + w) };
-                            elem_states[prog.elem(i)] = ElemState::Stored(wide::gather(st, lane));
-                        }
-                        _ => {
-                            let states = unsafe { fb_state.get_mut(i) };
-                            if let Some(s) = states.get(local) {
-                                elem_states[prog.elem(i)] = s.clone();
-                            }
-                        }
-                    }
-                }
-                EngineSnapshot {
-                    end_time: end,
-                    time: cut,
-                    step: 0,
-                    seeds: [0, 0],
-                    values: node_values,
-                    last_scheduled,
-                    last_sched_time,
-                    elem_states,
-                    pending,
-                    changes: Vec::new(),
-                }
-            })
-            .collect()
-    });
+            }
+            EngineSnapshot {
+                end_time: end,
+                time: cut,
+                step: 0,
+                seeds: [0, 0],
+                values: node_values,
+                last_scheduled,
+                last_sched_time,
+                elem_states,
+                pending,
+                changes: Vec::new(),
+            }
+        }));
+    }
 
-    Ok(ChunkOut { changes, snapshots })
+    Ok(())
 }
 
 /// Evaluates instruction `i` into `scratch` (output ports concatenated).
@@ -1156,5 +1153,103 @@ fn eval_insn<const W: usize>(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One applied write of the slot under test: step, masked diff, new planes.
+    type Write<const W: usize> = (u64, LaneMask<W>, Vec<WideLanes<W>>);
+
+    /// The recording [`SlotLog`] + [`transpose_slot`] replaced, kept as
+    /// their reference: one record per changed lane pushed from inside the
+    /// step loop (`for_each_lane` + `gather`), dealt out per lane afterwards.
+    fn per_lane_reference<const W: usize>(
+        writes: &[Write<W>],
+        chunk_lanes: usize,
+    ) -> Vec<Vec<(Time, Value)>> {
+        let mut changes: Vec<(u32, Time, Value)> = Vec::new();
+        for (t, diff, new) in writes {
+            wide::for_each_lane(diff, |lane| {
+                changes.push((lane, Time(*t), wide::gather(new, lane)));
+            });
+        }
+        let mut lane_changes = vec![Vec::new(); chunk_lanes];
+        for (lane, t, v) in changes {
+            lane_changes[lane as usize].push((t, v));
+        }
+        lane_changes
+    }
+
+    fn check<const W: usize>(width: usize, chunk_lanes: usize, rng: &mut SmallRng) {
+        let live = wide::mask_first::<W>(chunk_lanes);
+        let writes: Vec<Write<W>> = (0..48u64)
+            .map(|t| {
+                // Dense, sparse and — one step in four — empty diffs.
+                let mut diff = wide::mask_none::<W>();
+                for word in diff.iter_mut() {
+                    *word = match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+                        _ => rng.gen(),
+                    };
+                }
+                if t % 4 == 3 {
+                    diff = wide::mask_none::<W>();
+                }
+                let planes = (0..width)
+                    .map(|_| WideLanes {
+                        a: [(); W].map(|_| rng.gen()),
+                        b: [(); W].map(|_| rng.gen()),
+                    })
+                    .collect();
+                (7 + 3 * t, wide::mask_and(&diff, &live), planes)
+            })
+            .collect();
+        // Two writers, as after a resume: thread 0 holds the first step,
+        // the slot's owner every later one.
+        let mut logs = [SlotLog::<W>::default(), SlotLog::default()];
+        for (i, (t, diff, new)) in writes.iter().enumerate() {
+            logs[usize::from(i > 0)].record(*t, diff, new);
+        }
+        let logged: usize = logs.iter().map(|log| log.recs.len()).sum();
+        assert_eq!(logged, writes.iter().filter(|w| wide::mask_any(&w.1)).count());
+        assert!(logs.iter().all(|log| log.recs.iter().all(|(_, m)| wide::mask_any(m))));
+        assert!(logs.iter().all(|log| log.planes.len() == width * log.recs.len()));
+
+        let got = transpose_slot(&[&logs[0], &logs[1]], width, chunk_lanes);
+        assert_eq!(got, per_lane_reference(&writes, chunk_lanes), "W={W} width={width}");
+        assert!(got.iter().all(|list| list.capacity() == list.len()));
+    }
+
+    #[test]
+    fn transpose_matches_the_per_lane_recording_it_replaced() {
+        fn all_widths<const W: usize>(rng: &mut SmallRng) {
+            // A full group, ragged tails across and inside a word, one lane.
+            for chunk_lanes in [64 * W, 64 * W - 1, 64 * W - 37, 1] {
+                for width in [1, 4, 64] {
+                    check::<W>(width, chunk_lanes, rng);
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0x10a5_2026);
+        all_widths::<1>(&mut rng);
+        all_widths::<2>(&mut rng);
+        all_widths::<4>(&mut rng);
+        all_widths::<8>(&mut rng);
+    }
+
+    #[test]
+    fn a_slot_that_never_changed_yields_empty_unallocated_lists() {
+        let mut log = SlotLog::<2>::default();
+        log.record(5, &wide::mask_none::<2>(), &[WideLanes::ONE]);
+        assert!(log.recs.is_empty() && log.planes.is_empty());
+        let lists = transpose_slot(&[&log, &SlotLog::default()], 1, 100);
+        assert_eq!(lists.len(), 100);
+        assert!(lists.iter().all(|list| list.is_empty() && list.capacity() == 0));
     }
 }

@@ -1,6 +1,7 @@
 //! Waveforms and simulation results.
 
 use std::io;
+use std::sync::Arc;
 
 use parsim_logic::{Time, Value};
 use parsim_netlist::{Netlist, NodeId};
@@ -15,7 +16,8 @@ use crate::metrics::Metrics;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     node: NodeId,
-    name: String,
+    /// Shared with every other lane of a batch.
+    name: Arc<str>,
     width: u8,
     changes: Vec<(Time, Value)>,
 }
@@ -65,12 +67,13 @@ impl Waveform {
 }
 
 /// The watch list in the form result assembly wants it: one slot per
-/// distinct watched node, in node order, and a dense node → slot table so
-/// routing a change costs one indexed load. Built once per run — once per
-/// batch by `run_batch`, whose lanes all share a watch list.
+/// distinct watched node, in node order, with the name and width every
+/// waveform of that node carries, and a dense node → slot table so routing
+/// a change costs one indexed load. Built once per run — once per batch by
+/// `run_batch`, whose lanes all share it.
 pub(crate) struct WatchSlots {
     /// Watched nodes, ascending, no repeats.
-    nodes: Vec<NodeId>,
+    nodes: Vec<(NodeId, Arc<str>, u8)>,
     /// Indexed by node: its position in `nodes`, or `UNWATCHED`.
     slot_of: Vec<u32>,
 }
@@ -87,10 +90,17 @@ impl WatchSlots {
         for (i, slot) in slot_of.iter_mut().enumerate() {
             if *slot != UNWATCHED {
                 *slot = nodes.len() as u32;
-                nodes.push(NodeId::from_index(i));
+                let id = NodeId::from_index(i);
+                let node = netlist.node(id);
+                nodes.push((id, Arc::from(node.name()), node.width()));
             }
         }
         WatchSlots { nodes, slot_of }
+    }
+
+    /// The watched nodes, ascending.
+    pub(crate) fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.nodes.iter().map(|&(n, ..)| n)
     }
 }
 
@@ -133,17 +143,6 @@ impl SimResult {
         metrics: Metrics,
     ) -> SimResult {
         let slots = WatchSlots::new(netlist, watch);
-        SimResult::from_slots(netlist, end_time, &slots, changes, metrics)
-    }
-
-    /// [`SimResult::from_changes`] with the watch list already resolved.
-    pub(crate) fn from_slots(
-        netlist: &Netlist,
-        end_time: Time,
-        slots: &WatchSlots,
-        changes: Vec<(Time, NodeId, Value)>,
-        metrics: Metrics,
-    ) -> SimResult {
         // Where a change goes, if it is kept at all.
         let slot_for = |t: Time, n: NodeId| match slots.slot_of[n.index()] {
             slot if slot != UNWATCHED && t <= end_time => Some(slot as usize),
@@ -155,37 +154,50 @@ impl SimResult {
                 counts[slot] += 1;
             }
         }
-        let mut waveforms: Vec<Waveform> = slots
-            .nodes
-            .iter()
-            .zip(&counts)
-            .map(|(&n, &count)| {
-                let node = netlist.node(n);
-                Waveform {
-                    node: n,
-                    name: node.name().to_string(),
-                    width: node.width(),
-                    changes: Vec::with_capacity(count),
-                }
-            })
-            .collect();
-        let mut out_of_order = vec![false; waveforms.len()];
+        let mut lists: Vec<Vec<(Time, Value)>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
+        let mut out_of_order = vec![false; lists.len()];
         for (t, n, v) in changes {
             let Some(slot) = slot_for(t, n) else { continue };
-            let list = &mut waveforms[slot].changes;
+            let list = &mut lists[slot];
             if list.last().is_some_and(|&(last, _)| last > t) {
                 out_of_order[slot] = true;
             }
             list.push((t, v));
         }
-        for (w, _) in waveforms.iter_mut().zip(out_of_order).filter(|&(_, o)| o) {
+        for (list, _) in lists.iter_mut().zip(out_of_order).filter(|&(_, o)| o) {
             // Stable, as the global (time, node) sort it replaces was.
-            w.changes.sort_by_key(|&(t, _)| t);
+            list.sort_by_key(|&(t, _)| t);
         }
+        SimResult::from_lists(end_time, &slots, lists, metrics)
+    }
+
+    /// Adopts one finished change list per watched node, in `slots` order,
+    /// by move. Every list must be strictly increasing in time and end at
+    /// or before `end_time`.
+    pub(crate) fn from_lists(
+        end_time: Time,
+        slots: &WatchSlots,
+        lists: Vec<Vec<(Time, Value)>>,
+        metrics: Metrics,
+    ) -> SimResult {
+        debug_assert_eq!(lists.len(), slots.nodes.len());
         debug_assert!(
-            waveforms.iter().all(|w| w.changes.windows(2).all(|p| p[0].0 < p[1].0)),
-            "waveform times must strictly increase"
+            lists.iter().all(|l| l.windows(2).all(|p| p[0].0 < p[1].0)
+                && l.last().is_none_or(|&(t, _)| t <= end_time)),
+            "waveform times must strictly increase up to the end time"
         );
+        let waveforms = slots
+            .nodes
+            .iter()
+            .zip(lists)
+            .map(|((node, name, width), changes)| Waveform {
+                node: *node,
+                name: Arc::clone(name),
+                width: *width,
+                changes,
+            })
+            .collect();
         SimResult {
             end_time,
             waveforms,
@@ -244,7 +256,7 @@ impl SimResult {
                 let upto = w.changes.partition_point(|&(t, _)| t <= end);
                 Waveform {
                     node: w.node,
-                    name: w.name.clone(),
+                    name: Arc::clone(&w.name),
                     width: w.width,
                     changes: w.changes[..upto].to_vec(),
                 }

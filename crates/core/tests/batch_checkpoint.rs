@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use parsim_core::{BatchSync, CompiledMode, LaneStimulus, SimConfig};
 use parsim_logic::{Delay, ElementKind, Time, Value};
+use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Builder, Netlist, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -174,6 +175,79 @@ fn multi_cut_chain_matches_single_segment() {
         snaps = Some(s);
     }
     assert_eq!(snaps.unwrap(), straight);
+}
+
+/// A cut taken while watched, instruction-driven nodes owned by workers
+/// other than 0 have an event in flight. On resume thread 0 injects that
+/// event at the first step and logs it, and the owner logs every later
+/// change of the same node: two logs of one slot, which the result path
+/// concatenates thread 0 first without sorting. The stitched lists must
+/// come out strictly time-ordered and equal to the uncut run.
+#[test]
+fn in_flight_events_of_other_workers_resume_in_time_order() {
+    // A clock fanning out to six inverters, each feeding a second one: at
+    // a step where the clock toggles, every first-rank output is pending.
+    let mut b = Builder::new();
+    let clk = b.node("clk", 1);
+    b.element("osc", ElementKind::Clock { half_period: 3, offset: 3 }, Delay(1), &[], &[clk])
+        .unwrap();
+    let mut watch = vec![clk];
+    for i in 0..6 {
+        let n = b.node(&format!("n{i}"), 1);
+        let m = b.node(&format!("m{i}"), 1);
+        b.element(&format!("inv{i}"), ElementKind::Not, Delay(1), &[clk], &[n]).unwrap();
+        b.element(&format!("buf{i}"), ElementKind::Not, Delay(1), &[n], &[m]).unwrap();
+        watch.extend([n, m]);
+    }
+    let netlist = b.finish().unwrap();
+    let (end, cut) = (40u64, 9u64);
+    // Lane 0 follows the base clock (toggles at the cut, first rank in
+    // flight); the others have one edge, at the cut and one step before it
+    // (second rank in flight).
+    let bit = Value::bit;
+    let stim: Vec<LaneStimulus> = std::iter::once(LaneStimulus::base())
+        .chain([9u64, 8].map(|edge| {
+            let sched =
+                vec![(Time(0), bit(false)), (Time(edge), bit(true)), (Time(21), bit(false))];
+            LaneStimulus::base().drive(clk, sched)
+        }))
+        .collect();
+
+    for threads in [2usize, 3] {
+        let cfg = config(end, &watch).threads(threads).with_lane_width(64);
+        let (whole, _) =
+            CompiledMode::run_batch_segment(&netlist, &cfg, &stim, None, Time(end)).unwrap();
+        let (head, snaps) =
+            CompiledMode::run_batch_segment(&netlist, &cfg, &stim, None, Time(cut)).unwrap();
+        let (tail, _) =
+            CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&snaps), Time(end))
+                .unwrap();
+
+        // The scenario is the one described: some watched node in flight
+        // at the cut is driven by an instruction of a worker other than 0.
+        let owners = CompiledProgram::compile(&netlist).level_partition(threads);
+        let owner = |node: u32| {
+            let (driver, _) = netlist.node(NodeId::from_index(node as usize)).driver().unwrap();
+            owners.assignment()[driver.index()]
+        };
+        for (l, snap) in snaps.iter().enumerate() {
+            assert!(snap.pending.iter().all(|ev| ev.time == cut + 1));
+            assert!(snap.pending.iter().any(|ev| owner(ev.node) != 0), "lane {l} x{threads}");
+        }
+
+        for (l, mut stitched) in head.lanes.into_iter().enumerate() {
+            stitched.append_segment(&tail.lanes[l]);
+            for &n in &watch {
+                let changes = stitched.waveform(n).unwrap().changes();
+                assert!(changes.windows(2).all(|w| w[0].0 < w[1].0), "lane {l} node {n:?}");
+                assert_eq!(
+                    changes,
+                    whole.lanes[l].waveform(n).unwrap().changes(),
+                    "lane {l} node {n:?} x{threads}"
+                );
+            }
+        }
+    }
 }
 
 /// Resume validation: wrong snapshot count, mismatched times, and a cut

@@ -56,19 +56,8 @@ fn gate_circuit(
     .unwrap();
     if let Some(schedules) = drive {
         for (i, sched) in schedules.iter().enumerate() {
-            let changes: Arc<[(u64, Value)]> = sched
-                .iter()
-                .map(|&(t, v)| (t.ticks(), v))
-                .collect::<Vec<_>>()
-                .into();
-            b.element(
-                &format!("vec{i}"),
-                ElementKind::Vector { changes },
-                Delay(1),
-                &[],
-                &[inputs[i]],
-            )
-            .unwrap();
+            b.element(&format!("vec{i}"), vector_driver(sched), Delay(1), &[], &[inputs[i]])
+                .unwrap();
         }
     }
     let mut pool = inputs.clone();
@@ -166,7 +155,24 @@ fn check_lanes_cfg(
     end: Time,
     tweak: impl Fn(SimConfig) -> SimConfig,
 ) -> Result<(), TestCaseError> {
-    let (netlist, watch, inputs) = gate_circuit(seed, num_inputs, num_gates, None);
+    let build = |drive: Option<&Schedules>| gate_circuit(seed, num_inputs, num_gates, drive);
+    check_built_lanes(build, per_lane, threads, end, tweak)
+        .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))
+}
+
+/// The comparison itself, over any circuit family. `build(None)` is the
+/// netlist the batch runs; `build(Some(schedules))` is one lane's oracle
+/// form, with `Vector` drivers bound in — same nodes, same watch list,
+/// same inputs. An empty schedule leaves that input, in that lane, to the
+/// netlist's own generator.
+fn check_built_lanes(
+    build: impl Fn(Option<&Schedules>) -> (Netlist, Vec<NodeId>, Vec<NodeId>),
+    per_lane: &[Schedules],
+    threads: usize,
+    end: Time,
+    tweak: impl Fn(SimConfig) -> SimConfig,
+) -> Result<(), TestCaseError> {
+    let (netlist, watch, inputs) = build(None);
     let cfg = tweak(SimConfig::new(end).watch_all(watch.clone()).threads(threads));
     let stimuli: Vec<LaneStimulus> = per_lane
         .iter()
@@ -174,6 +180,7 @@ fn check_lanes_cfg(
             overrides: inputs
                 .iter()
                 .zip(schedules)
+                .filter(|(_, s)| !s.is_empty())
                 .map(|(&n, s)| (n, s.clone()))
                 .collect(),
         })
@@ -183,21 +190,21 @@ fn check_lanes_cfg(
     // One time-weighted row per worker, however many lane chunks ran.
     prop_assert_eq!(batch.metrics.per_thread.len(), threads);
     for (l, schedules) in per_lane.iter().enumerate() {
-        let (oracle_netlist, _, _) = gate_circuit(seed, num_inputs, num_gates, Some(schedules));
+        let (oracle_netlist, oracle_watch, _) = build(Some(schedules));
+        prop_assert_eq!(&oracle_watch, &watch);
         let oracle_cfg = SimConfig::new(end).watch_all(watch.clone());
         let oracle = EventDriven::run(&oracle_netlist, &oracle_cfg).unwrap();
         let rep = equivalence_report(&oracle, &batch.lanes[l]);
-        prop_assert!(
-            rep.is_equivalent(),
-            "seed {} lane {}/{} x{}: {}",
-            seed,
-            l,
-            per_lane.len(),
-            threads,
-            rep
-        );
+        prop_assert!(rep.is_equivalent(), "lane {}/{} x{}: {}", l, per_lane.len(), threads, rep);
     }
     Ok(())
+}
+
+/// A lane's schedule as the `Vector` driver its oracle netlist binds in.
+fn vector_driver(sched: &[(Time, Value)]) -> ElementKind {
+    let changes: Arc<[(u64, Value)]> =
+        sched.iter().map(|&(t, v)| (t.ticks(), v)).collect::<Vec<_>>().into();
+    ElementKind::Vector { changes }
 }
 
 proptest! {
@@ -299,19 +306,8 @@ fn c17_batch_matches_oracle_per_lane() {
             .collect();
         if let Some(schedules) = schedules {
             for (k, sched) in schedules.iter().enumerate() {
-                let changes: Arc<[(u64, Value)]> = sched
-                    .iter()
-                    .map(|&(t, v)| (t.ticks(), v))
-                    .collect::<Vec<_>>()
-                    .into();
-                b.element(
-                    &format!("vec_{k}"),
-                    ElementKind::Vector { changes },
-                    Delay(1),
-                    &[],
-                    &[bound[k]],
-                )
-                .unwrap();
+                b.element(&format!("vec_{k}"), vector_driver(sched), Delay(1), &[], &[bound[k]])
+                    .unwrap();
             }
         }
         let bindings: Vec<(&str, NodeId)> = input_names
@@ -328,28 +324,7 @@ fn c17_batch_matches_oracle_per_lane() {
     let mut rng = SmallRng::seed_from_u64(17);
     let end = 100u64;
     let per_lane = lane_schedules(&mut rng, 64, input_names.len(), end);
-    let (netlist, watch, inputs) = build(None);
-    let cfg = SimConfig::new(Time(end)).watch_all(watch.clone()).threads(2);
-    let stimuli: Vec<LaneStimulus> = per_lane
-        .iter()
-        .map(|schedules| LaneStimulus {
-            overrides: inputs
-                .iter()
-                .zip(schedules)
-                .map(|(&n, s)| (n, s.clone()))
-                .collect(),
-        })
-        .collect();
-    let batch = CompiledMode::run_batch(&netlist, &cfg, &stimuli).unwrap();
-    for (l, schedules) in per_lane.iter().enumerate() {
-        let (oracle_netlist, oracle_watch, _) = build(Some(schedules));
-        assert_eq!(oracle_watch, watch);
-        let oracle =
-            EventDriven::run(&oracle_netlist, &SimConfig::new(Time(end)).watch_all(watch.clone()))
-                .unwrap();
-        let rep = equivalence_report(&oracle, &batch.lanes[l]);
-        assert!(rep.is_equivalent(), "c17 lane {l}: {rep}");
-    }
+    check_built_lanes(build, &per_lane, 2, Time(end), |c| c).unwrap();
 }
 
 /// Fallback (lane-serial) opcodes inside a batch: an adder + comparator
@@ -369,19 +344,8 @@ fn fallback_opcodes_match_oracle() {
         let lt = b.node("lt", 1);
         if let Some(schedules) = schedules {
             for (k, (name, node)) in [("a", a), ("c", c), ("cin", cin)].iter().enumerate() {
-                let changes: Arc<[(u64, Value)]> = schedules[k]
-                    .iter()
-                    .map(|&(t, v)| (t.ticks(), v))
-                    .collect::<Vec<_>>()
-                    .into();
-                b.element(
-                    &format!("vec_{name}"),
-                    ElementKind::Vector { changes },
-                    Delay(1),
-                    &[],
-                    &[*node],
-                )
-                .unwrap();
+                let driver = vector_driver(&schedules[k]);
+                b.element(&format!("vec_{name}"), driver, Delay(1), &[], &[*node]).unwrap();
             }
         }
         b.element(
@@ -426,26 +390,89 @@ fn fallback_opcodes_match_oracle() {
             ]
         })
         .collect();
-    let (netlist, watch, inputs) = build(None);
-    let cfg = SimConfig::new(Time(end)).watch_all(watch.clone()).threads(2);
-    let stimuli: Vec<LaneStimulus> = per_lane
-        .iter()
-        .map(|schedules| LaneStimulus {
-            overrides: inputs
-                .iter()
-                .zip(schedules)
-                .map(|(&n, s)| (n, s.clone()))
-                .collect(),
+    check_built_lanes(build, &per_lane, 2, Time(end), |c| c).unwrap();
+}
+
+/// The shapes a watch list can take, through both recording sites: a
+/// 4-bit bus and a clock that are generator-driven in the netlist and
+/// overridden per lane (thread 0's generator writes — the clock only in odd
+/// lanes, so even lanes log the base schedule), multi-bit instruction
+/// outputs (the pending-apply site), a node nothing ever drives (a watched
+/// slot with an empty log), and a node listed twice.
+#[test]
+fn multi_bit_duplicate_idle_and_overridden_watches_match_oracle() {
+    let build = |schedules: Option<&Schedules>| -> (Netlist, Vec<NodeId>, Vec<NodeId>) {
+        let mut b = Builder::new();
+        let bus = b.node("bus", 4);
+        let clk = b.node("clk", 1);
+        let idle = b.node("idle", 4);
+        let inv = b.node("inv", 4);
+        let reg = b.node("reg", 4);
+        let values: Arc<[Value]> = (0..5).map(|k| Value::from_u64(3 * k + 1, 4)).collect();
+        let base = [
+            ElementKind::Pattern { period: 7, values },
+            ElementKind::Clock { half_period: 3, offset: 2 },
+        ];
+        for (k, (node, kind)) in [bus, clk].into_iter().zip(base).enumerate() {
+            let kind = match schedules.map(|s| &s[k]).filter(|s| !s.is_empty()) {
+                Some(sched) => vector_driver(sched),
+                None => kind,
+            };
+            b.element(&format!("drv{k}"), kind, Delay(1), &[], &[node]).unwrap();
+        }
+        b.element("not", ElementKind::Not, Delay(1), &[bus], &[inv]).unwrap();
+        b.element("ff", ElementKind::Dff { width: 4 }, Delay(1), &[clk, inv], &[reg]).unwrap();
+        (b.finish().unwrap(), vec![reg, bus, idle, clk, inv, reg], vec![bus, clk])
+    };
+
+    let mut rng = SmallRng::seed_from_u64(0x3a7c);
+    let end = 70u64;
+    let per_lane: Vec<Schedules> = (0..70)
+        .map(|l| {
+            let mut t = rng.gen_range(0..3u64);
+            let mut bus = Vec::new();
+            while t < end {
+                bus.push((Time(t), Value::from_u64(rng.gen_range(0..16u64), 4)));
+                t += rng.gen_range(1..9u64);
+            }
+            let clk = if l % 2 == 1 { random_schedule(&mut rng, end) } else { Vec::new() };
+            vec![bus, clk]
         })
         .collect();
-    let batch = CompiledMode::run_batch(&netlist, &cfg, &stimuli).unwrap();
-    for (l, schedules) in per_lane.iter().enumerate() {
-        let (oracle_netlist, _, _) = build(Some(schedules));
-        let oracle =
-            EventDriven::run(&oracle_netlist, &SimConfig::new(Time(end)).watch_all(watch.clone()))
-                .unwrap();
-        let rep = equivalence_report(&oracle, &batch.lanes[l]);
-        assert!(rep.is_equivalent(), "fallback lane {l}: {rep}");
+    for threads in 1..=2 {
+        check_built_lanes(build, &per_lane, threads, Time(end), |c| c.with_lane_width(64)).unwrap();
+    }
+}
+
+/// 130 lanes at width 64 — two full chunks and a two-lane tail — under
+/// every thread count and both step synchronizations. Each lane's inputs
+/// open with its own index in binary, and the inputs are watched, so no two
+/// lanes have the same waveforms: a chunk or lane offset slipping anywhere
+/// between the packed logs and `BatchResult::lanes` cannot cancel out.
+#[test]
+fn distinct_lanes_across_three_chunks_land_in_their_own_results() {
+    let seed = 0xd157_1ac7;
+    let (lanes, num_inputs, end) = (130usize, 8usize, 40u64);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let per_lane: Vec<Schedules> = (0..lanes)
+        .map(|l| {
+            (0..num_inputs)
+                .map(|i| {
+                    let mut sched = vec![(Time(0), Value::bit((l >> i) & 1 == 1))];
+                    let later = random_schedule(&mut rng, end);
+                    sched.extend(later.into_iter().filter(|&(t, _)| t > Time(0)));
+                    sched
+                })
+                .collect()
+        })
+        .collect();
+    for threads in 1..=3 {
+        for sync in [BatchSync::Barrier, BatchSync::Neighbor] {
+            check_lanes_cfg(seed, num_inputs, 24, &per_lane, threads, Time(end), |c| {
+                c.with_lane_width(64).with_batch_sync(sync)
+            })
+            .unwrap();
+        }
     }
 }
 

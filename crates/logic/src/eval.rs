@@ -366,6 +366,10 @@ pub fn expand_generator(kind: &ElementKind, end_time: Time) -> Vec<(Time, Value)
     assert!(kind.is_generator(), "expand_generator on non-generator");
     let end = end_time.ticks();
     let mut events: Vec<(Time, Value)> = Vec::new();
+    if let ElementKind::Vector { changes } = kind {
+        expand_vector(changes.iter().copied(), end_time, |t, v| events.push((t, v)));
+        return events;
+    }
     let mut push = |t: u64, v: Value| {
         if let Some((lt, lv)) = events.last() {
             if lt.ticks() == t {
@@ -446,27 +450,51 @@ pub fn expand_generator(kind: &ElementKind, end_time: Time) -> Vec<(Time, Value)
                 }
             }
         }
-        ElementKind::Vector { changes } => {
-            assert!(
-                changes.windows(2).all(|w| w[0].0 < w[1].0),
-                "vector changes must be strictly increasing in time"
-            );
-            // Before the first change the node is unknown (unless the
-            // vector starts at t=0).
-            if changes[0].0 > 0 {
-                push(0, Value::x(changes[0].1.width()));
-            }
-            for &(t, v) in changes.iter() {
-                if t > end {
-                    break;
-                }
-                push(t, v);
-            }
-        }
         ElementKind::Const { value } => push(0, *value),
         _ => unreachable!(),
     }
     events
+}
+
+/// The event schedule of a [`ElementKind::Vector`] generator, streamed:
+/// calls `emit` for each event up to and including `end_time`, in time
+/// order. Before its first change the node is unknown (unless the vector
+/// starts at `t = 0`), and a change that repeats the previous value is no
+/// event.
+///
+/// This is the one definition of "a node driven by a `Vector`":
+/// [`expand_generator`] collects it, and the batch kernel streams each
+/// lane's override schedule through it without building an `ElementKind`
+/// — which is what makes a batch lane exactly a `Vector`-driven netlist.
+///
+/// # Panics
+///
+/// Panics if `changes` is not strictly increasing in time.
+pub fn expand_vector(
+    changes: impl IntoIterator<Item = (u64, Value)>,
+    end_time: Time,
+    mut emit: impl FnMut(Time, Value),
+) {
+    let mut prev_t: Option<u64> = None;
+    // What the node holds after the last emitted event.
+    let mut held: Option<Value> = None;
+    for (t, v) in changes {
+        assert!(
+            prev_t.is_none_or(|p| p < t),
+            "vector changes must be strictly increasing in time"
+        );
+        if prev_t.is_none() && t > 0 {
+            let x = Value::x(v.width());
+            emit(Time::ZERO, x);
+            held = Some(x);
+        }
+        prev_t = Some(t);
+        // Past `end_time` only the ordering check is still owed.
+        if t <= end_time.ticks() && held != Some(v) {
+            emit(Time(t), v);
+            held = Some(v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -805,6 +833,32 @@ mod tests {
             expand_generator(&c, Time(1000)),
             vec![(Time(0), Value::from_u64(9, 4))]
         );
+    }
+
+    #[test]
+    fn vector_expansion_starts_unknown_dedups_and_stops_at_the_end() {
+        let bit = Value::bit;
+        let changes: Arc<[(u64, Value)]> =
+            vec![(3, Value::x(1)), (5, bit(true)), (6, bit(true)), (9, bit(false)), (12, bit(true))]
+                .into();
+        // Unknown until t=3, where X repeats it; 6 repeats 5; 12 is past the end.
+        let want = vec![(Time(0), Value::x(1)), (Time(5), bit(true)), (Time(9), bit(false))];
+        let kind = ElementKind::Vector { changes: changes.clone() };
+        assert_eq!(expand_generator(&kind, Time(10)), want);
+        let mut streamed = Vec::new();
+        expand_vector(changes.iter().copied(), Time(10), |t, v| streamed.push((t, v)));
+        assert_eq!(streamed, want);
+        // A vector that starts at t=0 has no unknown prefix.
+        let mut from_zero = Vec::new();
+        expand_vector([(0, bit(false)), (4, bit(true))], Time(3), |t, v| from_zero.push((t, v)));
+        assert_eq!(from_zero, vec![(Time(0), bit(false))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn vector_expansion_rejects_unordered_changes_even_past_the_end() {
+        let bit = Value::bit;
+        expand_vector([(0, bit(false)), (9, bit(true)), (9, bit(false))], Time(3), |_, _| {});
     }
 
     #[test]

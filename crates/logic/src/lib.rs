@@ -31,7 +31,7 @@ mod time;
 mod value;
 pub mod wide;
 
-pub use eval::{evaluate, expand_generator, ElemState, Outputs};
+pub use eval::{evaluate, expand_generator, expand_vector, ElemState, Outputs};
 pub use kind::{Controlling, ElementKind, Lookahead, PortCountError, Triggers};
 pub use time::{transition_delay, Delay, Time};
 pub use value::{Bit, ParseValueError, Value};
