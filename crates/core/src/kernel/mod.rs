@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::partition::Partition;
 use parsim_netlist::Netlist;
+use parsim_telemetry::{Counter, Gauge, Shard, Tally};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -250,6 +251,58 @@ impl DirtyMask {
         } else {
             false
         }
+    }
+}
+
+/// How barrier-synchronized workers agree that a step was quiet: it queued
+/// no write on any worker, so with activity gating on nothing can change
+/// before the next scheduled stimulus and the step loop continues there.
+///
+/// A worker whose evaluation of step `t` queued a write calls
+/// [`note`](WriteMark::note) before the post-evaluate barrier of `t`;
+/// every worker calls [`quiet`](WriteMark::quiet) after it. The barrier
+/// orders every note of `t` before every read, and the post-apply barrier
+/// of the next step orders every read before the next note, so `Relaxed`
+/// suffices and all workers read the same answer. (Workers that hand off
+/// through [`StepHandoff`](parsim_queue::StepHandoff) are not in lockstep
+/// and need its two-word `wait_quiet` instead.)
+pub(crate) struct WriteMark(AtomicU64);
+
+impl WriteMark {
+    pub fn new() -> WriteMark {
+        WriteMark(AtomicU64::new(0))
+    }
+
+    #[inline]
+    pub fn note(&self, t: u64) {
+        self.0.store(t + 1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn quiet(&self, t: u64) -> bool {
+        self.0.load(Ordering::Relaxed) != t + 1
+    }
+}
+
+/// Credits worker `p` with the steps `t + 1 .. next` a quiet jump passes
+/// over, exactly as executing them would have: below `end` each of them
+/// skips every block the worker owns, and the worker that counts time
+/// steps (`counts_steps`, which names its `shard`) counts them, as steps
+/// and as quiet steps, and moves the simulated-time gauge past them.
+pub(crate) fn credit_quiet_steps(
+    tally: &mut Tally,
+    plan: &ExecPlan,
+    p: usize,
+    counts_steps: Option<&Shard>,
+    (t, next, end): (u64, u64, u64),
+) {
+    let gated = next.min(end).saturating_sub(t + 1);
+    tally.add(Counter::BlocksSkipped, gated * plan.thread_blocks[p].len() as u64);
+    tally.add(Counter::EvalsSkipped, gated * plan.thread_insns[p].len() as u64);
+    if let Some(shard) = counts_steps {
+        tally.add(Counter::TimeSteps, next - t - 1);
+        tally.add(Counter::QuietSteps, next - t - 1);
+        shard.set_gauge(Gauge::SimTime, next - 1);
     }
 }
 

@@ -31,7 +31,7 @@
 //! the scalar executor; checkpoint segments (capture/resume of every
 //! lane at a cut, [`run_batch_segment`]) mirror `kernel/scalar.rs`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,7 +50,9 @@ use crate::compiled::{BatchResult, LaneStimulus};
 use crate::config::{BatchSync, SimConfig};
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
-use crate::kernel::{validate_partition, DirtyMask, ExecPlan, NeighborPlan};
+use crate::kernel::{
+    credit_quiet_steps, validate_partition, DirtyMask, ExecPlan, NeighborPlan, WriteMark,
+};
 use crate::metrics::Metrics;
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
@@ -83,6 +85,15 @@ impl<const W: usize> SlotLog<W> {
             self.planes.extend_from_slice(new);
         }
     }
+}
+
+/// One masked write of a chunk's stimulus schedule: at step `t`, `slot`
+/// takes `planes[off..off + width]` in the lanes of `mask`.
+struct GenWrite<const W: usize> {
+    t: u64,
+    slot: u32,
+    mask: LaneMask<W>,
+    off: usize,
 }
 
 /// `watch_of` entry of a slot nobody watches; indexes past every log list.
@@ -509,23 +520,38 @@ fn run_chunk<const W: usize>(
     let lane_mask: LaneMask<W> = wide::mask_first::<W>(chunk_lanes);
     let lane_mask = &lane_mask;
 
-    // ---- this chunk's masked generator writes ---------------------------
-    // Per step and slot: `data` is applied in the lanes of the mask.
-    let mut gen_writes: BTreeMap<u64, BTreeMap<u32, (LaneMask<W>, Vec<WideLanes<W>>)>> =
-        BTreeMap::new();
-    let mut add = |t: u64, slot: u32, mask: &LaneMask<W>, v: &Value| {
+    // ---- this chunk's stimulus schedule ----------------------------------
+    // One masked write per (step, slot), sorted by step and walked by a
+    // per-worker cursor: every worker needs the next stimulus time, thread
+    // 0 also applies. Built in one bucket per stimulated slot, each sorted
+    // by step: a source's events come in step order, so merging them in
+    // (same-step lane writes into one masked write) is a cursor walk over
+    // the slot's bucket, with no search per event.
+    let mut bucket_of = vec![u32::MAX; prog.num_slots()];
+    let mut buckets: Vec<Vec<GenWrite<W>>> = Vec::new();
+    let mut gen_planes: Vec<WideLanes<W>> = Vec::new();
+    let mut add = |cursor: &mut usize, t: u64, slot: u32, mask: &LaneMask<W>, v: &Value| {
         if !wide::mask_any(mask) {
             return;
         }
         let w = prog.slot_width(slot) as usize;
-        let entry = gen_writes
-            .entry(t)
-            .or_default()
-            .entry(slot)
-            .or_insert_with(|| (wide::mask_none::<W>(), vec![WideLanes::ZERO; w]));
-        wide::mask_or_assign(&mut entry.0, mask);
+        if bucket_of[slot as usize] == u32::MAX {
+            bucket_of[slot as usize] = buckets.len() as u32;
+            buckets.push(Vec::new());
+        }
+        let bucket = &mut buckets[bucket_of[slot as usize] as usize];
+        while bucket.get(*cursor).is_some_and(|wr| wr.t < t) {
+            *cursor += 1;
+        }
+        if bucket.get(*cursor).is_none_or(|wr| wr.t != t) {
+            let write = GenWrite { t, slot, mask: wide::mask_none::<W>(), off: gen_planes.len() };
+            bucket.insert(*cursor, write);
+            gen_planes.resize(gen_planes.len() + w, WideLanes::ZERO);
+        }
+        let entry = &mut bucket[*cursor];
+        wide::mask_or_assign(&mut entry.mask, mask);
         let (a, b) = v.to_planes();
-        for (i, word) in entry.1.iter_mut().enumerate() {
+        for (i, word) in gen_planes[entry.off..entry.off + w].iter_mut().enumerate() {
             let sa = (a >> i) & 1 == 1;
             let sb = (b >> i) & 1 == 1;
             for ((wa, wb), &m) in word.a.iter_mut().zip(word.b.iter_mut()).zip(mask.iter()) {
@@ -547,8 +573,9 @@ fn run_chunk<const W: usize>(
         if !wide::mask_any(&base_mask) {
             continue;
         }
+        let mut cursor = 0;
         for (t, v) in events {
-            add(*t, *slot, &base_mask, v);
+            add(&mut cursor, *t, *slot, &base_mask, v);
         }
     }
     // Per-lane overrides go through the `Vector` generator's own expansion,
@@ -559,9 +586,10 @@ fn run_chunk<const W: usize>(
         for (node, schedule) in &stim.overrides {
             let slot = prog.slot_of(*node);
             let changes = schedule.iter().map(|&(t, v)| (t.ticks(), v));
+            let mut cursor = 0;
             expand_vector(changes, Time(cut), |t, v| {
                 if t.ticks() >= first_step {
-                    add(t.ticks(), slot, &mask, &v);
+                    add(&mut cursor, t.ticks(), slot, &mask, &v);
                 }
             });
         }
@@ -571,9 +599,11 @@ fn run_chunk<const W: usize>(
             continue;
         }
         let mask = wide::mask_lane::<W>((lane - lane_base) as u32);
-        add(t, slot, &mask, &v);
+        add(&mut 0, t, slot, &mask, &v);
     }
-    let gen_writes = &gen_writes;
+    let mut gen_writes: Vec<GenWrite<W>> = buckets.into_iter().flatten().collect();
+    gen_writes.sort_unstable_by_key(|w| (w.t, w.slot));
+    let (gen_writes, gen_planes) = (&gen_writes, &gen_planes);
 
     // ---- execution state -------------------------------------------------
     // Packed slot values: a flat bit-plane arena, `slot_offset(s)..+width`
@@ -669,6 +699,8 @@ fn run_chunk<const W: usize>(
     };
     let barrier = &barrier;
     let handoff = &handoff;
+    let last_write = WriteMark::new();
+    let last_write = &last_write;
     let registry = &telemetry.registry;
     let stop = AtomicBool::new(false);
     let stop = &stop;
@@ -695,7 +727,12 @@ fn run_chunk<const W: usize>(
                         let mut scratch: Vec<WideLanes<W>> = vec![WideLanes::X; max_out_bits];
                         let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
                         let mut processed = 0u64;
-                        'run: for t in first_step..=cut {
+                        let mut gen_cursor = 0usize;
+                        // The step executed before `t`: `t - 1`, or the
+                        // step a quiet jump started from.
+                        let mut prev: Option<u64> = None;
+                        let mut t = first_step;
+                        'run: while t <= cut {
                             cont.beat(p);
                             if p == 0 {
                                 cur_step.store(t, Ordering::Relaxed);
@@ -712,12 +749,13 @@ fn run_chunk<const W: usize>(
                             }
                             // Neighbor mode: before overwriting our slots,
                             // wait until every consumer has retired its
-                            // reads of them (its eval of step t-1).
+                            // reads of them (its eval of the previous
+                            // executed step).
                             if let Some(nb) = neighbors {
-                                if t > first_step {
+                                if let Some(prev) = prev {
                                     let wait_start = Instant::now();
                                     for &c in &nb.consumers[p] {
-                                        if !handoff.wait_eval(c as usize, t - 1) {
+                                        if !handoff.wait_eval(c as usize, prev) {
                                             tally.add_elapsed(Counter::IdleNs, wait_start);
                                             break 'run;
                                         }
@@ -765,23 +803,28 @@ fn run_chunk<const W: usize>(
                             }
                             pend_slots.clear();
                             pend_data.clear();
-                            if p == 0 {
-                                if let Some(writes) = gen_writes.get(&t) {
-                                    for (&slot, (mask, data)) in writes {
-                                        let off = prog.slot_offset(slot);
-                                        // SAFETY: generator slots are only
-                                        // written here, by thread 0.
-                                        let cur =
-                                            unsafe { values.slice_mut(off..off + data.len()) };
-                                        let mut diff = wide::mask_none::<W>();
-                                        for (c, d) in cur.iter_mut().zip(data) {
-                                            let eff = WideLanes::select(mask, *d, *c);
-                                            wide::mask_or_assign(&mut diff, &c.diff(eff));
-                                            *c = eff;
-                                        }
-                                        commit(slot, &wide::mask_and(&diff, lane_mask), cur);
-                                    }
+                            // Every executed step is at or before the
+                            // next stimulus, so what is due is exactly
+                            // the entries at `t`.
+                            while let Some(wr) = gen_writes.get(gen_cursor).filter(|wr| wr.t == t)
+                            {
+                                gen_cursor += 1;
+                                if p != 0 {
+                                    continue;
                                 }
+                                let w = prog.slot_width(wr.slot) as usize;
+                                let data = &gen_planes[wr.off..wr.off + w];
+                                let off = prog.slot_offset(wr.slot);
+                                // SAFETY: generator slots are only
+                                // written here, by thread 0.
+                                let cur = unsafe { values.slice_mut(off..off + w) };
+                                let mut diff = wide::mask_none::<W>();
+                                for (c, d) in cur.iter_mut().zip(data) {
+                                    let eff = WideLanes::select(&wr.mask, *d, *c);
+                                    wide::mask_or_assign(&mut diff, &c.diff(eff));
+                                    *c = eff;
+                                }
+                                commit(wr.slot, &wide::mask_and(&diff, lane_mask), cur);
                             }
                             tally.add_elapsed(Counter::BusyNs, busy_start);
                             match neighbors {
@@ -892,17 +935,48 @@ fn run_chunk<const W: usize>(
                             tally.add(Counter::Activations, step_evals);
                             tally.flush(&shard);
                             shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
-                            match neighbors {
+                            // A step that queued no write anywhere left no
+                            // dirty block either: nothing changes until the
+                            // next stimulus, so continue there. Only a
+                            // worker with nothing queued has to ask.
+                            let wrote = !pend_slots.is_empty();
+                            let stimulus = gen_writes.get(gen_cursor).map_or(cut + 1, |wr| wr.t);
+                            let may_jump = gating && stimulus > t + 1;
+                            let wait_start = Instant::now();
+                            // `None`: poisoned, abandon the loop.
+                            let quiet = match neighbors {
                                 None => {
-                                    let wait_start = Instant::now();
+                                    if gating && wrote {
+                                        last_write.note(t);
+                                    }
                                     barrier.wait();
-                                    tally.add_elapsed(Counter::IdleNs, wait_start);
-                                    if barrier.is_poisoned() {
-                                        break 'run;
+                                    (!barrier.is_poisoned())
+                                        .then(|| may_jump && last_write.quiet(t))
+                                }
+                                Some(_) => {
+                                    if gating && wrote {
+                                        handoff.note_write(t);
+                                    }
+                                    handoff.publish_eval(p, t);
+                                    if may_jump && !wrote {
+                                        handoff.wait_quiet(t)
+                                    } else {
+                                        Some(false)
                                     }
                                 }
-                                Some(_) => handoff.publish_eval(p, t),
-                            }
+                            };
+                            tally.add_elapsed(Counter::IdleNs, wait_start);
+                            let Some(quiet) = quiet else { break 'run };
+                            prev = Some(t);
+                            t = if quiet {
+                                // Steps are shared across lane chunks;
+                                // only the first chunk counts them.
+                                let counts = (p == 0 && lane_base == 0).then_some(&*shard);
+                                credit_quiet_steps(&mut tally, plan, p, counts, (t, stimulus, end));
+                                stimulus
+                            } else {
+                                t + 1
+                            };
                         }
                         // The last wait's idle time and any early break.
                         tally.flush(&shard);

@@ -5,7 +5,9 @@
 //! partition, unit delay — but per-element dynamic dispatch is gone
 //! (instructions carry dense opcodes and slot indices) and, when
 //! [`SimConfig::activity_gating`] is on, blocks whose inputs did not change
-//! are skipped instead of re-evaluated.
+//! are skipped instead of re-evaluated — and when a step queues no write on
+//! any worker the loop jumps to the next scheduled stimulus, since nothing
+//! can change in between ([`WriteMark`]).
 //!
 //! Shared-state discipline: a value slot is written only by the thread
 //! owning its driving instruction (plus thread 0 for generator slots)
@@ -13,7 +15,6 @@
 //! phase; a [`SpinBarrier`] separates the phases. Dirty bits are set during
 //! apply and taken by owners during evaluate under the same barrier edges.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,7 +32,7 @@ use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
-use crate::kernel::{validate_partition, DirtyMask, ExecPlan};
+use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan, WriteMark};
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
@@ -101,17 +102,29 @@ pub(crate) fn run_segment(
     // Generator schedule, applied by thread 0 (generators are excluded
     // from the instruction stream). Expansion stops at the cut; a resumed
     // segment re-expands and keeps only events past the previous cut.
-    // A resume snapshot's in-flight events ride the same map — they are
-    // node updates like any other, and their times land in `(t0, end]`.
-    let mut gen_events: BTreeMap<u64, Vec<(u32, Value)>> = BTreeMap::new();
-    for gen in netlist.generators() {
+    // A resume snapshot's in-flight events ride the same schedule — they
+    // are node updates like any other, and their times land in `(t0, end]`.
+    // `(time, push order, slot, value)`, sorted by the first two (in place:
+    // a stable sort's scratch buffer would be the run's peak allocation on
+    // a circuit of fast clocks) and walked by a per-worker cursor: every
+    // worker needs the next stimulus time, thread 0 also applies.
+    let mut gen_events: Vec<(u64, u32, u32, Value)> = Vec::new();
+    let generators = netlist.generators();
+    for &gen in &generators {
         let e = netlist.element(gen);
         let slot = prog.slot_of(e.outputs()[0]);
-        for (t, v) in expand_generator(e.kind(), Time(cut)) {
+        let events = expand_generator(e.kind(), Time(cut));
+        if gen_events.is_empty() {
+            // One allocation when the generators are alike (an array of
+            // clocks), not a doubling series that fragments the heap;
+            // pages reserved beyond what is pushed are never touched.
+            gen_events.reserve(events.len() * generators.len());
+        }
+        for (t, v) in events {
             if t0.is_some_and(|t0| t.ticks() <= t0) {
                 continue;
             }
-            gen_events.entry(t.ticks()).or_default().push((slot, v));
+            gen_events.push((t.ticks(), gen_events.len() as u32, slot, v));
         }
     }
     // In-flight events beyond even this segment's cut (possible only in
@@ -122,12 +135,13 @@ pub(crate) fn run_segment(
         for ev in &snap.pending {
             if ev.time <= cut {
                 let slot = prog.slot_of(NodeId::from_index(ev.node as usize));
-                gen_events.entry(ev.time).or_default().push((slot, ev.value));
+                gen_events.push((ev.time, gen_events.len() as u32, slot, ev.value));
             } else {
                 carry.push(ev.clone());
             }
         }
     }
+    gen_events.sort_unstable_by_key(|ev| (ev.0, ev.1));
     let gen_events = &gen_events;
 
     // Shared slot values: written single-writer during apply phases.
@@ -162,6 +176,8 @@ pub(crate) fn run_segment(
         )
     };
     let barrier = &barrier;
+    let last_write = WriteMark::new();
+    let last_write = &last_write;
     let registry = &seg.telemetry.registry;
     // Cooperative cancellation: thread 0 copies the cancel flag into
     // `stop` during the apply phase, and everyone samples `stop` after
@@ -190,7 +206,9 @@ pub(crate) fn run_segment(
                         let mut pending: Vec<(u32, Value)> = Vec::new();
                         let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
                         let mut processed = 0u64;
-                        'run: for t in first_step..=cut {
+                        let mut cursor = 0usize;
+                        let mut t = first_step;
+                        'run: while t <= cut {
                             cont.beat(p);
                             if p == 0 {
                                 cur_step.store(t, Ordering::Relaxed);
@@ -218,23 +236,28 @@ pub(crate) fn run_segment(
                                 }
                             }
                             pending.clear();
-                            if p == 0 {
-                                if let Some(evs) = gen_events.get(&t) {
-                                    for &(slot, v) in evs {
-                                        // SAFETY: generator slots are only
-                                        // written here, by thread 0.
-                                        let cur = unsafe { values.get_mut(slot as usize) };
-                                        if *cur != v {
-                                            *cur = v;
-                                            tally.inc(Counter::EventsProcessed);
-                                            if watched[slot as usize] {
-                                                changes.push((Time(t), prog.node_of(slot), v));
-                                            }
-                                            if gating {
-                                                for &b in plan.fanout(slot) {
-                                                    dirty.mark(b);
-                                                }
-                                            }
+                            // Every executed step is at or before the
+                            // next stimulus, so what is due is exactly
+                            // the entries at `t`.
+                            while let Some(&(_, _, slot, v)) =
+                                gen_events.get(cursor).filter(|ev| ev.0 == t)
+                            {
+                                cursor += 1;
+                                if p != 0 {
+                                    continue;
+                                }
+                                // SAFETY: generator slots are only
+                                // written here, by thread 0.
+                                let cur = unsafe { values.get_mut(slot as usize) };
+                                if *cur != v {
+                                    *cur = v;
+                                    tally.inc(Counter::EventsProcessed);
+                                    if watched[slot as usize] {
+                                        changes.push((Time(t), prog.node_of(slot), v));
+                                    }
+                                    if gating {
+                                        for &b in plan.fanout(slot) {
+                                            dirty.mark(b);
                                         }
                                     }
                                 }
@@ -312,12 +335,28 @@ pub(crate) fn run_segment(
                             tally.add_elapsed(Counter::BusyNs, busy_start);
                             // One flush per worker per step.
                             tally.flush(&shard);
+                            if gating && !pending.is_empty() {
+                                last_write.note(t);
+                            }
                             let wait_start = Instant::now();
                             barrier.wait_traced(&mut tr, 1);
                             tally.add_elapsed(Counter::IdleNs, wait_start);
                             if barrier.is_poisoned() {
                                 break 'run;
                             }
+                            // A step that queued no write anywhere left no
+                            // dirty block either: nothing changes until the
+                            // next stimulus, so continue there.
+                            let mut next = t + 1;
+                            let stimulus = gen_events.get(cursor).map_or(cut + 1, |ev| ev.0);
+                            if gating && stimulus > next && last_write.quiet(t) {
+                                next = stimulus;
+                                let counts = (p == 0).then_some(&*shard);
+                                credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
+                                let jumped = u32::try_from(next - t - 1).unwrap_or(u32::MAX);
+                                tr.instant(EventKind::QuietJump, jumped);
+                            }
+                            t = next;
                         }
                         // The last barrier's idle time and any early break.
                         tally.flush(&shard);

@@ -346,6 +346,12 @@ pub struct Metrics {
     /// the paper's "every element is executed every time step" rule would
     /// have performed on the skipped blocks.
     pub evals_skipped: u64,
+    /// Compiled-mode steps the kernel jumped over instead of executing:
+    /// after a step that queued no write on any worker nothing can change
+    /// until the next scheduled stimulus, so the loop continues there.
+    /// Included in [`Metrics::time_steps`]; zero for other engines and
+    /// with [`without_activity_gating`](crate::SimConfig::without_activity_gating).
+    pub quiet_steps: u64,
     /// Aggregated scheduling-locality counters (asynchronous engine only;
     /// the per-thread split lives in [`Metrics::per_thread`]).
     pub locality: LocalityMetrics,
@@ -473,6 +479,7 @@ impl Metrics {
             gc_chunks_freed: finals.counter(Counter::GcChunksFreed),
             blocks_skipped: finals.counter(Counter::BlocksSkipped),
             evals_skipped: finals.counter(Counter::EvalsSkipped),
+            quiet_steps: finals.counter(Counter::QuietSteps),
             locality: LocalityMetrics::read(|c| finals.counter(c)),
             pool_misses: finals.counter(Counter::PoolMisses),
             checkpoint: CheckpointCounters {
@@ -512,6 +519,7 @@ impl Metrics {
         self.gc_chunks_freed += other.gc_chunks_freed;
         self.blocks_skipped += other.blocks_skipped;
         self.evals_skipped += other.evals_skipped;
+        self.quiet_steps += other.quiet_steps;
         self.locality.merge(&other.locality);
         self.pool_misses += other.pool_misses;
         self.arena.merge(&other.arena);
@@ -579,6 +587,14 @@ impl fmt::Display for Metrics {
             self.utilization() * 100.0,
             self.wall
         )?;
+        if self.evals_skipped > 0 {
+            write!(
+                f,
+                ", gated {:.0}% ({} quiet steps)",
+                self.gating_ratio() * 100.0,
+                self.quiet_steps
+            )?;
+        }
         if self.lane_width > 0 {
             write!(f, ", {}-bit lanes", self.lane_width)?;
         }

@@ -34,6 +34,7 @@ fn slice_metrics(seed: u64) -> Metrics {
         gc_chunks_freed: mix(&mut s) % 100,
         blocks_skipped: mix(&mut s) % 100,
         evals_skipped: mix(&mut s) % 100,
+        quiet_steps: mix(&mut s) % 100,
         pool_misses: mix(&mut s) % 100,
         // max-merged, like wall: the run's lane width is the widest any
         // chunk used.
@@ -80,6 +81,7 @@ fn assert_metrics_eq(a: &Metrics, b: &Metrics) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.gc_chunks_freed, b.gc_chunks_freed);
     prop_assert_eq!(a.blocks_skipped, b.blocks_skipped);
     prop_assert_eq!(a.evals_skipped, b.evals_skipped);
+    prop_assert_eq!(a.quiet_steps, b.quiet_steps);
     prop_assert_eq!(a.pool_misses, b.pool_misses);
     prop_assert_eq!(a.lane_width, b.lane_width);
     prop_assert_eq!(a.wall, b.wall);

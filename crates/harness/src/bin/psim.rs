@@ -507,7 +507,7 @@ fn to_timeseries(run: &RunTelemetry) -> TimeSeriesReport {
     }
 }
 
-/// Folds engine metrics (checkpoint/allocs/lookahead/lane-width/idle/parks) and the
+/// Folds engine metrics (checkpoint/allocs/lookahead/gating/lane-width/idle/parks) and the
 /// sampled time series into a report, trace-derived or metrics-only.
 fn attach_metrics(
     mut report: RunReport,
@@ -542,6 +542,15 @@ fn attach_metrics(
             activations: m.activations,
             empty_activations: m.empty_activations,
             extensions: m.lookahead_extensions,
+        });
+    }
+    // Only gated compiled-mode runs skip anything.
+    if m.evals_skipped > 0 {
+        report = report.with_gating(parsim_trace::GatingReport {
+            evaluations: m.evaluations,
+            evals_skipped: m.evals_skipped,
+            time_steps: m.time_steps,
+            quiet_steps: m.quiet_steps,
         });
     }
     if let Some(ts) = telemetry.map(to_timeseries) {

@@ -15,23 +15,40 @@
 //! is done, so the all-zeros initial state means "nothing published" and
 //! waiters never need a sentinel.
 //!
-//! The protocol a worker `w` runs per step `t` (neighbor-sync mode):
+//! The protocol a worker `w` runs per *executed* step `t` (neighbor-sync
+//! mode; every worker executes the same increasing sequence of steps,
+//! and `s` is the one before `t`):
 //!
-//! 1. wait `eval_done[c] ≥ t` for every consumer `c` (step `t-1`'s reads
+//! 1. wait `eval_done[c] ≥ s+1` for every consumer `c` (step `s`'s reads
 //!    of `w`'s slots have retired — overwriting them is now safe),
 //! 2. apply `w`'s pending writes for step `t`; publish `apply_done[w] = t+1`,
 //! 3. wait `apply_done[p] ≥ t+1` for every producer `p` (the slot values
 //!    `w`'s instructions read this step are final),
-//! 4. evaluate; publish `eval_done[w] = t+1`.
+//! 4. evaluate; [`note_write`](StepHandoff::note_write) if that queued a
+//!    write for the next step; publish `eval_done[w] = t+1`.
+//!
+//! The sequence need not be consecutive: when step `t` queued no write on
+//! *any* worker, nothing can change before the next scheduled stimulus,
+//! and every worker continues there. A worker that queued a write itself
+//! knows the next step is `t+1`; one that did not asks
+//! [`wait_quiet`](StepHandoff::wait_quiet), which waits for *every*
+//! worker's `eval_done ≥ t+1` and then reads two agreement words:
+//! `last_write` (latest step anyone noted a write at) and `last_quiet`
+//! (latest step anyone found quiet). `last_write` alone decides unless a
+//! worker that already passed `t` has overwritten it with a later step;
+//! that worker either noted a write at `t` too (and so never asked) or
+//! found `t` quiet and said so in `last_quiet` first — so all workers
+//! take the same decision whatever the interleaving.
 //!
 //! Each wait targets a counter that its owner is guaranteed to advance
-//! (waits on step `t` only ever target phases of step `t` or `t-1`, and
-//! phases within a worker's loop advance in program order), so the wait
-//! graph is grounded and deadlock-free — unless a worker dies. For that
-//! case the handoff carries the same poison protocol as the barrier:
-//! a dying worker (panic handler, watchdog, fault-plan exit) poisons the
-//! handoff, every in-flight and future wait returns `false` immediately,
-//! and callers abandon the step loop.
+//! (waits only ever target phases of the step being executed or the one
+//! executed before it, and phases within a worker's loop advance in
+//! program order), so the wait graph is grounded and deadlock-free —
+//! unless a worker dies. For that case the handoff carries the same
+//! poison protocol as the barrier: a dying worker (panic handler,
+//! watchdog, fault-plan exit) poisons the handoff, every in-flight and
+//! future wait returns `false` immediately, and callers abandon the step
+//! loop.
 //!
 //! Built entirely on [`crate::sync`], so `--cfg parsim_model` runs the
 //! whole protocol under the deterministic interleaving explorer
@@ -54,6 +71,12 @@ pub struct StepHandoff {
     /// `eval_done[w] = t + 1` ⇔ worker `w` finished evaluating step `t`
     /// (its reads of producer slots for this step have retired).
     eval_done: Vec<CachePadded<AtomicU64>>,
+    /// `last_write = t + 1` ⇔ `t` is the latest step at which any worker
+    /// queued a write for the step after it.
+    last_write: CachePadded<AtomicU64>,
+    /// `last_quiet = t + 1` ⇔ `t` is the latest step some worker found
+    /// quiet (no worker queued a write at it).
+    last_quiet: CachePadded<AtomicU64>,
     poisoned: AtomicBool,
 }
 
@@ -73,6 +96,8 @@ impl StepHandoff {
             eval_done: (0..workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
+            last_write: CachePadded::new(AtomicU64::new(0)),
+            last_quiet: CachePadded::new(AtomicU64::new(0)),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -116,6 +141,48 @@ impl StepHandoff {
     #[inline]
     pub fn wait_eval(&self, c: usize, step: u64) -> bool {
         self.wait(&self.eval_done[c], step)
+    }
+
+    /// Records that the caller's evaluation of `step` queued a write for
+    /// the step after it, so `step` is not quiet. Call it before
+    /// [`publish_eval`](StepHandoff::publish_eval) of the same step: that
+    /// publish is what carries the note to every
+    /// [`wait_quiet`](StepHandoff::wait_quiet) of `step`.
+    ///
+    /// `Release`, because a worker that found an earlier step quiet wrote
+    /// `last_quiet` before coming here, and a slower worker learns of
+    /// that decision by acquiring this word.
+    #[inline]
+    pub fn note_write(&self, step: u64) {
+        self.last_write.fetch_max(step + 1, Ordering::Release);
+    }
+
+    /// Blocks until every worker has published its eval phase of `step`,
+    /// then reports whether the step was quiet: no worker called
+    /// [`note_write`](StepHandoff::note_write) for it. Every caller gets
+    /// the same answer for the same step. A worker that noted a write at
+    /// `step` itself already knows the answer and must not ask.
+    ///
+    /// Returns `None` if the handoff is (or becomes) poisoned.
+    pub fn wait_quiet(&self, step: u64) -> Option<bool> {
+        for counter in &self.eval_done {
+            if !self.wait(counter, step) {
+                return None;
+            }
+        }
+        let target = step + 1;
+        // Every note of `step` happened before the publishes acquired
+        // above, so a value below `target` means nobody wrote. A value
+        // above it comes from a worker already past `step`: if that
+        // worker found `step` quiet it said so in `last_quiet` before
+        // its later note, which the acquire here makes visible.
+        let last = self.last_write.load(Ordering::Acquire);
+        let quiet = last < target
+            || (last > target && self.last_quiet.load(Ordering::Acquire) == target);
+        if quiet {
+            self.last_quiet.fetch_max(target, Ordering::AcqRel);
+        }
+        Some(quiet)
     }
 
     /// Marks the handoff unusable and releases every current and future
@@ -208,6 +275,51 @@ mod tests {
         consumer.join().unwrap();
     }
 
+    /// Two workers with no edge between them, so neither ever waits for
+    /// the other except in `wait_quiet`. Worker 1 queues a write on a
+    /// fixed set of steps; both must walk the same sequence of executed
+    /// steps: `t + 1` after a step with a write, the next stimulus after
+    /// a quiet one.
+    #[test]
+    fn quiet_steps_are_agreed_and_jumped_by_every_worker() {
+        const END: u64 = 40_000;
+        const PERIOD: u64 = 40;
+        let writes_at = |t: u64| t % PERIOD < 7 && t % 3 != 2;
+        let walk = move |h: &StepHandoff, w: usize| {
+            let mut visited = Vec::new();
+            let mut t = 0u64;
+            while t <= END {
+                visited.push(t);
+                h.publish_apply(w, t);
+                let wrote = w == 1 && writes_at(t);
+                if wrote {
+                    h.note_write(t);
+                }
+                h.publish_eval(w, t);
+                let quiet = !wrote && h.wait_quiet(t).expect("never poisoned");
+                t = if quiet { (t / PERIOD + 1) * PERIOD } else { t + 1 };
+            }
+            visited
+        };
+        let h = Arc::new(StepHandoff::new(2));
+        let peer = {
+            let h = Arc::clone(&h);
+            thread::spawn(move || walk(&h, 1))
+        };
+        let mine = walk(&h, 0);
+        let theirs = peer.join().unwrap();
+        assert_eq!(mine, theirs);
+        // The walk a single thread would take with full knowledge.
+        let mut expected = Vec::new();
+        let mut t = 0u64;
+        while t <= END {
+            expected.push(t);
+            t = if writes_at(t) { t + 1 } else { (t / PERIOD + 1) * PERIOD };
+        }
+        assert_eq!(mine, expected);
+        assert!(mine.len() < END as usize / 4, "most steps were jumped");
+    }
+
     #[test]
     fn poison_releases_stuck_waiters() {
         let h = Arc::new(StepHandoff::new(2));
@@ -223,6 +335,7 @@ mod tests {
         // raced the poison cannot keep stepping on half-published state.
         h.publish_apply(0, 0);
         assert!(!h.wait_apply(0, 0));
+        assert_eq!(h.wait_quiet(0), None);
         assert!(h.is_poisoned());
     }
 

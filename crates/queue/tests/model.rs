@@ -354,6 +354,170 @@ fn handoff_poison_releases_model() {
     outcome.assert_pass("handoff poison release");
 }
 
+/// One worker of the kernel's neighbor-mode step loop with quiet-step
+/// jumps, reduced to its synchronization. Worker 0 overwrites `slot` in
+/// the apply phase of every step it executes and every other worker reads
+/// it while evaluating, when `edges` is set; without `edges` no worker
+/// ever waits for another except to agree on a quiet step, so one can run
+/// arbitrarily far ahead. `wrote(w, t)` says whether `w`'s evaluation of
+/// step `t` queues a write; `stimuli` are the steps a jump may not pass.
+/// Returns the steps executed, or `None` once poisoned.
+fn quiet_walk(
+    h: &StepHandoff,
+    slot: &Slot,
+    w: usize,
+    edges: bool,
+    wrote: fn(usize, u64) -> bool,
+    stimuli: &[u64],
+    cut: u64,
+) -> Option<Vec<u64>> {
+    let mut executed = Vec::new();
+    let mut prev: Option<u64> = None;
+    let mut t = 0u64;
+    while t <= cut {
+        executed.push(t);
+        if edges && w == 0 {
+            // The consumers' reads at the step executed before this one
+            // (not `t - 1`, which a jump may have passed) must retire.
+            if let Some(s) = prev {
+                for c in 1..h.workers() {
+                    if !h.wait_eval(c, s) {
+                        return None;
+                    }
+                }
+            }
+            slot.0.with_mut(|p| unsafe { *p = t + 1 });
+        }
+        if edges {
+            h.publish_apply(w, t);
+            if w != 0 {
+                if !h.wait_apply(0, t) {
+                    return None;
+                }
+                let v = slot.0.with(|p| unsafe { *p });
+                assert_eq!(v, t + 1, "worker {w} step {t}: stale or overwritten slot");
+            }
+        }
+        let wrote_here = wrote(w, t);
+        if wrote_here {
+            h.note_write(t);
+        }
+        if t == cut {
+            // Nobody waits on the last step's eval; leaving the publish
+            // out keeps the exploration small.
+            break;
+        }
+        h.publish_eval(w, t);
+        let next_stimulus = stimuli.iter().copied().find(|&s| s > t).unwrap_or(cut + 1);
+        // Asking is pointless when the answer cannot change the next step.
+        let quiet = !wrote_here && next_stimulus > t + 1 && h.wait_quiet(t)?;
+        prev = Some(t);
+        t = if quiet { next_stimulus } else { t + 1 };
+    }
+    Some(executed)
+}
+
+/// Runs `quiet_walk` on `workers` model threads under a preemption bound
+/// and requires every one of them to execute exactly `expected`.
+#[allow(clippy::too_many_arguments)]
+fn check_quiet_walk(
+    name: &str,
+    preemptions: usize,
+    workers: usize,
+    edges: bool,
+    wrote: fn(usize, u64) -> bool,
+    stimuli: &'static [u64],
+    cut: u64,
+    expected: &'static [u64],
+) {
+    let outcome = Explorer::new().max_preemptions(preemptions).check(move || {
+        let h = Arc::new(StepHandoff::new(workers));
+        let slot = Arc::new(Slot(UnsafeCell::new(0)));
+        let peers: Vec<_> = (1..workers)
+            .map(|w| {
+                let (h, slot) = (Arc::clone(&h), Arc::clone(&slot));
+                thread::spawn(move || quiet_walk(&h, &slot, w, edges, wrote, stimuli, cut))
+            })
+            .collect();
+        let mine = quiet_walk(&h, &slot, 0, edges, wrote, stimuli, cut);
+        assert_eq!(mine.as_deref(), Some(expected), "worker 0 decided differently");
+        for (i, peer) in peers.into_iter().enumerate() {
+            let theirs = peer.join();
+            assert_eq!(theirs.as_deref(), Some(expected), "worker {} decided differently", i + 1);
+        }
+    });
+    outcome.assert_pass(name);
+}
+
+/// Step 0 is quiet on both workers and the next stimulus is at step 3:
+/// both must execute 0 then 3, worker 0 overwriting its slot at step 3
+/// once worker 1's read *at step 0* — the previous executed step, not a
+/// step 2 that never ran and would deadlock the wait — has retired.
+#[test]
+fn handoff_quiet_jump_agreed_two_workers() {
+    check_quiet_walk("handoff quiet jump, two workers", 2, 2, true, |_, _| false, &[3], 3, &[0, 3]);
+}
+
+/// The same jump over three workers. Three workers each spinning on three
+/// counters is the widest tree in this file, so it runs without the slot
+/// and without preemptions: every order of voluntary switches and every
+/// read the memory model allows, about 35 000 executions.
+#[test]
+fn handoff_quiet_jump_agreed_three_workers() {
+    check_quiet_walk("handoff quiet jump, three workers", 0, 3, false, |_, _| false, &[3], 3, &[0, 3]);
+}
+
+/// Exactly one worker (the last) queues a write at step 0, with the next
+/// stimulus far away: the others ask, must all be told "not quiet", and
+/// continue at step 1 with it.
+#[test]
+fn handoff_one_busy_worker_holds_everyone_to_the_next_step() {
+    let wrote = |w: usize, t: u64| w == 1 && t == 0;
+    check_quiet_walk("handoff lone writer, two workers", 2, 2, false, wrote, &[9], 1, &[0, 1]);
+    let wrote = |w: usize, t: u64| w == 2 && t == 0;
+    check_quiet_walk("handoff lone writer, three workers", 1, 3, false, wrote, &[9], 1, &[0, 1]);
+}
+
+/// No edges, so a worker that need not ask runs ahead freely. Step 0 is
+/// quiet with the next stimulus at 2, where worker 1 queues a write.
+/// While worker 0 is still deciding step 0, `last_write` may already name
+/// step 2 — later than the step asked about, which is exactly what a
+/// *non*-quiet step 0 followed by a busy step 1 would look like. Only
+/// `last_quiet` tells them apart; worker 0 must still jump 0 → 2.
+#[test]
+fn handoff_quiet_decision_survives_a_worker_running_ahead() {
+    let wrote = |w: usize, t: u64| w == 1 && t == 2;
+    check_quiet_walk("handoff run-ahead past a quiet step", 2, 2, false, wrote, &[2], 2, &[0, 2]);
+}
+
+/// The mirror image: worker 1 queues writes at steps 0 and 1 without ever
+/// asking, so `last_write` can again be ahead of the step worker 0 asks
+/// about — and this time that step was *not* quiet. Nobody may jump.
+#[test]
+fn handoff_busy_steps_are_not_mistaken_for_a_jump() {
+    let wrote = |w: usize, _| w == 1;
+    check_quiet_walk("handoff run-ahead past busy steps", 2, 2, false, wrote, &[9], 1, &[0, 1]);
+}
+
+/// Poison must release a worker parked in the all-workers wait of
+/// `wait_quiet` — worker 1 never publishes its eval — in every
+/// interleaving, including poison-before-wait.
+#[test]
+fn handoff_poison_releases_the_all_workers_wait() {
+    let outcome = Explorer::new().check(|| {
+        let h = Arc::new(StepHandoff::new(2));
+        let h2 = Arc::clone(&h);
+        let t = thread::spawn(move || {
+            h2.publish_eval(0, 0);
+            h2.wait_quiet(0)
+        });
+        h.poison();
+        assert_eq!(t.join(), None, "poisoned wait_quiet must report failure");
+        assert_eq!(h.wait_quiet(0), None);
+    });
+    outcome.assert_pass("handoff poison releases wait_quiet");
+}
+
 // `model` is referenced by the chaos-gated test only; keep the import
 // warning-free in default-feature builds.
 #[cfg(not(feature = "chaos"))]

@@ -44,6 +44,9 @@ pub enum Counter {
     BlocksSkipped,
     /// Element evaluations eliminated by activity gating.
     EvalsSkipped,
+    /// Compiled-mode steps jumped over because the circuit had settled and
+    /// no stimulus was due (counted in `TimeSteps` too).
+    QuietSteps,
     /// Behavior-list chunks allocated.
     ArenaChunkAllocs,
     /// Behavior-list chunks retired/freed.
@@ -65,7 +68,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::EventsProcessed,
         Counter::Evaluations,
         Counter::Activations,
@@ -82,6 +85,7 @@ impl Counter {
         Counter::GcChunksFreed,
         Counter::BlocksSkipped,
         Counter::EvalsSkipped,
+        Counter::QuietSteps,
         Counter::ArenaChunkAllocs,
         Counter::ArenaChunkFrees,
         Counter::CheckpointWrites,
@@ -114,6 +118,7 @@ impl Counter {
             Counter::GcChunksFreed => "parsim_gc_chunks_freed_total",
             Counter::BlocksSkipped => "parsim_gate_blocks_skipped_total",
             Counter::EvalsSkipped => "parsim_gate_evals_skipped_total",
+            Counter::QuietSteps => "parsim_quiet_steps_total",
             Counter::ArenaChunkAllocs => "parsim_arena_chunk_allocs_total",
             Counter::ArenaChunkFrees => "parsim_arena_chunk_frees_total",
             Counter::CheckpointWrites => "parsim_checkpoint_writes_total",
@@ -147,6 +152,7 @@ impl Counter {
             Counter::GcChunksFreed => "Event-list chunks reclaimed by the concurrent GC",
             Counter::BlocksSkipped => "Compiled-mode level blocks skipped by activity gating",
             Counter::EvalsSkipped => "Evaluations eliminated by activity gating",
+            Counter::QuietSteps => "Compiled-mode steps jumped over while the circuit was settled",
             Counter::ArenaChunkAllocs => "Behavior-list chunks allocated",
             Counter::ArenaChunkFrees => "Behavior-list chunks freed by cursor GC",
             Counter::CheckpointWrites => "Snapshots committed to disk",

@@ -22,7 +22,7 @@ pub mod json;
 pub mod report;
 
 pub use report::{
-    AllocReport, CheckpointReport, LookaheadReport, RunReport, ThreadSummary, TimeSeriesPoint,
+    AllocReport, CheckpointReport, GatingReport, LookaheadReport, RunReport, ThreadSummary, TimeSeriesPoint,
     TimeSeriesReport,
 };
 
@@ -107,6 +107,10 @@ pub enum EventKind {
     BlockSkip = 17,
     /// Instant: sync engine mailbox pool miss (fresh allocation).
     PoolMiss = 18,
+    /// Instant: compiled mode jumped from a settled circuit to the next
+    /// stimulus. `arg` = steps jumped over (saturating); those steps have
+    /// no apply/eval spans.
+    QuietJump = 19,
 }
 
 impl EventKind {
@@ -132,6 +136,7 @@ impl EventKind {
             EventKind::BlockRun => "block_run",
             EventKind::BlockSkip => "block_skip",
             EventKind::PoolMiss => "pool_miss",
+            EventKind::QuietJump => "quiet_jump",
         }
     }
 

@@ -196,6 +196,20 @@ pub struct LookaheadReport {
     pub extensions: u64,
 }
 
+/// What compiled-mode activity gating skipped. From the engine's metrics
+/// via [`RunReport::with_gating`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GatingReport {
+    /// Element evaluations performed.
+    pub evaluations: u64,
+    /// Evaluations the every-element-every-step rule would have added.
+    pub evals_skipped: u64,
+    /// Steps the run covers, executed or jumped over.
+    pub time_steps: u64,
+    /// Of those, steps jumped over while the circuit was settled.
+    pub quiet_steps: u64,
+}
+
 /// One worker's scheduling/timing totals as reported by engine metrics —
 /// the feature-free twin of the trace-derived counters. The harness
 /// builds these from `parsim-core`'s `ThreadMetrics` (which this crate
@@ -275,6 +289,8 @@ pub struct RunReport {
     pub allocs: Option<AllocReport>,
     /// Activation efficiency of a chaotic-engine run.
     pub lookahead: Option<LookaheadReport>,
+    /// What activity gating skipped in a compiled-mode run.
+    pub gating: Option<GatingReport>,
     /// In-run telemetry samples, when sampling was on. From the
     /// always-on metrics registry via [`RunReport::with_timeseries`].
     pub timeseries: Option<TimeSeriesReport>,
@@ -459,6 +475,13 @@ impl RunReport {
         self
     }
 
+    /// Attaches compiled-mode gating counters (from engine metrics) so
+    /// `Display` and `to_json` include them.
+    pub fn with_gating(mut self, gating: GatingReport) -> RunReport {
+        self.gating = Some(gating);
+        self
+    }
+
     /// Mean utilization over all workers.
     pub fn utilization(&self) -> f64 {
         if self.workers.is_empty() {
@@ -602,6 +625,13 @@ impl RunReport {
                 ",\n  \"lookahead\": {{\"activations\": {}, \"empty_activations\": {}, \
                  \"extensions\": {}}}",
                 l.activations, l.empty_activations, l.extensions
+            ));
+        }
+        if let Some(g) = &self.gating {
+            s.push_str(&format!(
+                ",\n  \"gating\": {{\"evaluations\": {}, \"evals_skipped\": {}, \
+                 \"time_steps\": {}, \"quiet_steps\": {}}}",
+                g.evaluations, g.evals_skipped, g.time_steps, g.quiet_steps
             ));
         }
         if let Some(ts) = &self.timeseries {
@@ -804,6 +834,19 @@ impl fmt::Display for RunReport {
                 l.extensions, l.activations, l.empty_activations
             )?;
         }
+        if let Some(g) = &self.gating {
+            let would_run = g.evaluations + g.evals_skipped;
+            writeln!(
+                f,
+                "\ngating: {} of {} evaluations skipped ({:.1}%)\n\
+                 quiet steps: {} of {} steps jumped over",
+                g.evals_skipped,
+                would_run,
+                100.0 * g.evals_skipped as f64 / would_run.max(1) as f64,
+                g.quiet_steps,
+                g.time_steps
+            )?;
+        }
         if let Some(ts) = &self.timeseries {
             if !ts.points.is_empty() {
                 writeln!(
@@ -945,6 +988,52 @@ mod tests {
         assert!(r
             .to_string()
             .contains("lookahead: 120 of 500 activations extended validity, 40 consumed no event"));
+    }
+
+    #[test]
+    fn gating_lines_render_in_json_and_text() {
+        let r = RunReport::from_trace(&synthetic_trace()).with_gating(GatingReport {
+            evaluations: 250,
+            evals_skipped: 750,
+            time_steps: 321,
+            quiet_steps: 240,
+        });
+        let j = r.to_json();
+        lint(&j).expect("gating JSON must be well-formed");
+        assert!(j.contains(
+            "\"gating\": {\"evaluations\": 250, \"evals_skipped\": 750, \
+             \"time_steps\": 321, \"quiet_steps\": 240}"
+        ));
+        let text = r.to_string();
+        assert!(text.contains("gating: 750 of 1000 evaluations skipped (75.0%)"));
+        assert!(text.contains("quiet steps: 240 of 321 steps jumped over"));
+    }
+
+    /// A jump replaces the empty apply/eval spans of the steps it passes
+    /// with one instant; busy time is the sum of the spans that exist, so
+    /// the phase table reads the same with and without it.
+    #[test]
+    fn quiet_jump_instant_leaves_phase_utilization_alone() {
+        let spans = vec![
+            ev(0, EventKind::PhaseApply, Mark::Begin, 0),
+            ev(100, EventKind::PhaseApply, Mark::End, 0),
+            ev(100, EventKind::PhaseEval, Mark::Begin, 0),
+            ev(400, EventKind::PhaseEval, Mark::End, 0),
+            ev(900, EventKind::PhaseApply, Mark::Begin, 40),
+            ev(1000, EventKind::PhaseApply, Mark::End, 0),
+        ];
+        let mut jumped = spans.clone();
+        jumped.insert(4, ev(400, EventKind::QuietJump, Mark::Instant, 39));
+        let report = |events| {
+            RunReport::from_trace(&Trace {
+                workers: vec![WorkerTrace { worker: 0, events, dropped: 0 }],
+            })
+        };
+        let (plain, jumped) = (report(spans), report(jumped));
+        assert_eq!(plain.workers[0].phase_ns, jumped.workers[0].phase_ns);
+        assert_eq!(plain.workers[0].spans, jumped.workers[0].spans);
+        assert_eq!(plain.utilization(), jumped.utilization());
+        assert_eq!(jumped.workers[0].busy_ns(), 500);
     }
 
     #[test]

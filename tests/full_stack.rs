@@ -226,7 +226,7 @@ fn parallel_engines_and_checkpoint_resume_match_oracle() {
 /// The counting path, pinned against something other than itself. At one
 /// thread every engine is deterministic, so `(events_processed,
 /// evaluations, activations, time_steps, gc_chunks_freed, pool_misses,
-/// evals_skipped)` are exact literals (captured before `Metrics` became a
+/// evals_skipped, quiet_steps)` are exact literals (captured before `Metrics` became a
 /// view over the telemetry registry; a refactor of the counting path must
 /// not move them — the `cpu`/`async` row was re-pinned once, when register
 /// lookahead cut its activations from 191 467). At 2 and 4 threads only
@@ -251,10 +251,10 @@ fn metrics_counts_are_pinned() {
             &m.netlist,
             m.schedule_end(),
             [
-                [1295, 2583, 2583, 83, 0, 0, 0],
-                [1295, 2583, 2583, 83, 0, 0, 0],
-                [1295, 6501, 6501, 321, 0, 0, 181019],
-                [1295, 2583, 586, 0, 0, 0, 0],
+                [1295, 2583, 2583, 83, 0, 0, 0, 0],
+                [1295, 2583, 2583, 83, 0, 0, 0, 0],
+                [1295, 6501, 6501, 321, 0, 0, 181019, 238],
+                [1295, 2583, 586, 0, 0, 0, 0, 0],
             ],
         ),
         (
@@ -262,10 +262,10 @@ fn metrics_counts_are_pinned() {
             &cpu.netlist,
             Time(400),
             [
-                [2716, 7021, 7021, 51, 0, 0, 0],
-                [2716, 7021, 7021, 51, 0, 0, 0],
-                [2716, 13293, 13293, 401, 0, 0, 556307],
-                [2716, 7021, 18448, 0, 0, 0, 0],
+                [2716, 7021, 7021, 51, 0, 0, 0, 0],
+                [2716, 7021, 7021, 51, 0, 0, 0, 0],
+                [2716, 13293, 13293, 401, 0, 0, 556307, 350],
+                [2716, 7021, 18448, 0, 0, 0, 0, 0],
             ],
         ),
     ];
@@ -281,6 +281,7 @@ fn metrics_counts_are_pinned() {
                 x.gc_chunks_freed,
                 x.pool_misses,
                 x.evals_skipped,
+                x.quiet_steps,
             ];
             assert_eq!(got, want, "{name}/{engine} x1");
         }
@@ -306,6 +307,9 @@ fn metrics_counts_are_pinned() {
                 let tag = format!("{name}/{engine} x{threads}");
                 let x = &r.metrics;
                 assert_eq!(x.events_processed, oracle_events, "{tag}: events");
+                if *engine == "compiled" {
+                    assert_eq!(x.quiet_steps, pinned[2][7], "{tag}: quiet steps");
+                }
                 let per_thread: u64 = x.per_thread.iter().map(|t| t.evaluations).sum();
                 assert_eq!(per_thread, x.evaluations, "{tag}: per-thread evaluations");
                 let finals = &r.telemetry.as_ref().expect("telemetry is always on").finals;
