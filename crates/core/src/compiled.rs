@@ -186,9 +186,9 @@ impl CompiledMode {
     /// lanes are fine. Lanes' waveforms are extracted separately and are
     /// bit-identical to running each stimulus through the scalar engine.
     ///
-    /// Step synchronization follows [`SimConfig::with_batch_sync`]:
-    /// either a global two-phase barrier or (default) per-edge
-    /// producer/consumer handoffs computed from the partition.
+    /// Each step is the scalar kernel's: apply, one barrier, evaluate, one
+    /// barrier, and a jump to the next stimulus when no worker queued a
+    /// write.
     ///
     /// Activity gating and the containment machinery (watchdog, fault
     /// plan, barrier poisoning) behave exactly as in

@@ -31,34 +31,6 @@ pub struct CheckpointPolicy {
     pub keep: usize,
 }
 
-/// Step-boundary synchronization used by the compiled batch kernel.
-///
-/// Both modes produce bit-identical waveforms; they differ only in who
-/// waits for whom between the apply and evaluate phases of a step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BatchSync {
-    /// Two global [`SpinBarrier`](parsim_queue::SpinBarrier) waits per
-    /// step: every worker waits for every other worker (the ablation
-    /// baseline, and the pre-BSP behavior).
-    Barrier,
-    /// Static BSP handoff ([`parsim_queue::StepHandoff`]): each worker
-    /// waits only on the workers that actually produce the node slots it
-    /// reads (and on the consumers of its own slots before overwriting
-    /// them). The default.
-    #[default]
-    Neighbor,
-}
-
-impl BatchSync {
-    /// Stable lowercase tag used in metrics and benchmark JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            BatchSync::Barrier => "barrier",
-            BatchSync::Neighbor => "neighbor",
-        }
-    }
-}
-
 /// Configuration shared by all four engines.
 ///
 /// Built fluently:
@@ -143,10 +115,6 @@ pub struct SimConfig {
     /// default when this is unset. Never changes waveforms, only how many
     /// lanes each kernel invocation carries.
     pub lane_width: Option<usize>,
-    /// Step-boundary synchronization for the compiled batch kernel (see
-    /// [`BatchSync`]). Defaults to [`BatchSync::Neighbor`]. Never changes
-    /// waveforms.
-    pub batch_sync: BatchSync,
     /// In-run telemetry sampling period. `None` (the default) leaves the
     /// always-on metrics registry running but takes no periodic samples;
     /// `Some(p)` makes the watchdog/monitor thread snapshot the registry
@@ -181,7 +149,6 @@ impl SimConfig {
             trace: None,
             checkpoint: None,
             lane_width: None,
-            batch_sync: BatchSync::default(),
             sample_every: None,
             sample_capacity: parsim_telemetry::DEFAULT_RING_CAPACITY,
             telemetry_hub: None,
@@ -383,14 +350,6 @@ impl SimConfig {
         self
     }
 
-    /// Selects the compiled batch kernel's step synchronization mode
-    /// (ablation knob; [`BatchSync::Neighbor`] is the default).
-    #[must_use]
-    pub fn with_batch_sync(mut self, sync: BatchSync) -> SimConfig {
-        self.batch_sync = sync;
-        self
-    }
-
     /// Arms the in-run telemetry sampler: the monitor thread snapshots
     /// the metrics registry every `period` into the flight-recorder ring
     /// returned as [`SimResult::telemetry`](crate::SimResult) samples.
@@ -447,14 +406,8 @@ mod tests {
         let traced = SimConfig::new(Time(5)).with_trace(TraceConfig::default());
         assert!(traced.trace.is_some());
         assert!(SimConfig::new(Time(5)).lane_width.is_none());
-        assert_eq!(SimConfig::new(Time(5)).batch_sync, BatchSync::Neighbor);
-        let wide = SimConfig::new(Time(5))
-            .with_lane_width(256)
-            .with_batch_sync(BatchSync::Barrier);
+        let wide = SimConfig::new(Time(5)).with_lane_width(256);
         assert_eq!(wide.lane_width, Some(256));
-        assert_eq!(wide.batch_sync, BatchSync::Barrier);
-        assert_eq!(BatchSync::Barrier.name(), "barrier");
-        assert_eq!(BatchSync::Neighbor.name(), "neighbor");
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //!
 //! Two executors share one plan: [`scalar`] (one stimulus, `Value`-typed
 //! slots — the rewritten §3 engine) and [`packed`] (up to 64 stimulus lanes
-//! on bit-plane words).
+//! on bit-plane words), and one step: apply, [`SpinBarrier`], evaluate,
+//! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`].
+//!
+//! [`SpinBarrier`]: parsim_queue::SpinBarrier
+//! [`WriteMark::note`]: parsim_queue::WriteMark::note
+//! [`WriteMark::quiet`]: parsim_queue::WriteMark::quiet
 
 pub(crate) mod packed;
 pub(crate) mod scalar;
@@ -130,98 +135,15 @@ impl ExecPlan {
     }
 }
 
-/// The static producer/consumer graph for neighbor-synchronized BSP
-/// execution of the packed batch kernel.
-///
-/// Lowering knows, per worker, exactly which other workers write the node
-/// slots its instructions read. Instead of a global step barrier, each
-/// worker then only orders itself against:
-///
-/// - its **producers** — workers (including thread 0 in its role as the
-///   generator/stimulus applier) that write slots the worker reads: it
-///   waits for their apply phase of step `t` before evaluating step `t`;
-/// - its **consumers** — workers that read slots it writes: it waits for
-///   their eval phase of step `t-1` before overwriting those slots in its
-///   apply phase of step `t`.
-///
-/// Slots that thread 0 writes outside the instruction stream (generator
-/// schedules, per-lane stimulus overrides, resume-injected pending
-/// events) are declared up front via `gen_slots`, making thread 0 a
-/// producer of every worker that reads one. Validation guarantees those
-/// slots are never also instruction outputs, so every slot still has a
-/// single writer per step.
-pub(crate) struct NeighborPlan {
-    /// `producers[w]`: sorted worker ids whose apply phase `w`'s eval
-    /// phase must wait on (never contains `w`).
-    pub producers: Vec<Vec<u32>>,
-    /// `consumers[w]`: sorted worker ids whose eval phase `w`'s apply
-    /// phase must wait on (never contains `w`).
-    pub consumers: Vec<Vec<u32>>,
-}
-
-impl NeighborPlan {
-    /// Computes the producer/consumer edges of `prog` under `partition`.
-    ///
-    /// `gen_slots[slot]` must be true for every slot thread 0 writes
-    /// during apply phases outside the instruction stream.
-    pub fn build(
-        prog: &CompiledProgram,
-        partition: &Partition,
-        gen_slots: &[bool],
-    ) -> NeighborPlan {
-        let threads = partition.parts();
-        // Single writer per slot: the thread owning the driving
-        // instruction. `None` = never written by an instruction.
-        let mut writer: Vec<Option<u32>> = vec![None; prog.num_slots()];
-        for i in 0..prog.num_insns() {
-            let t = partition.assignment()[prog.elem(i)];
-            for &s in prog.outputs(i) {
-                writer[s as usize] = Some(t);
-            }
-        }
-        let mut producers: Vec<Vec<u32>> = vec![Vec::new(); threads];
-        for i in 0..prog.num_insns() {
-            let reader = partition.assignment()[prog.elem(i)];
-            for &s in prog.inputs(i) {
-                if let Some(w) = writer[s as usize] {
-                    if w != reader {
-                        producers[reader as usize].push(w);
-                    }
-                }
-                if gen_slots[s as usize] && reader != 0 {
-                    producers[reader as usize].push(0);
-                }
-            }
-        }
-        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); threads];
-        for (w, ps) in producers.iter_mut().enumerate() {
-            ps.sort_unstable();
-            ps.dedup();
-            for &p in ps.iter() {
-                consumers[p as usize].push(w as u32);
-            }
-        }
-        // `producers` iterates in worker order, so each consumer list is
-        // built already sorted and duplicate-free.
-        NeighborPlan {
-            producers,
-            consumers,
-        }
-    }
-}
-
 /// One dirty bit per gating block.
 ///
 /// Bits are *set* (by any thread, via `fetch_or`) during the apply phase
 /// when a feeding slot changes, and *read-and-cleared* only by the owning
-/// thread during the evaluate phase; the synchronization edge between the
-/// phases — the step barrier, or in neighbor-sync mode the
-/// [`StepHandoff`](parsim_queue::StepHandoff) `Release`/`Acquire`
-/// producer-edge publish that covers exactly the workers able to mark a
-/// block — makes `Relaxed` ordering suffice. (A block is only marked by
-/// workers writing slots the block reads, and those workers are producers
-/// of the block's owner by construction, so the owner's `wait_apply`
-/// acquires every mark. `crates/queue/tests/model.rs` checks this edge.)
+/// thread during the evaluate phase. The post-apply step barrier orders
+/// every mark of a step before every `take` of it, and the post-evaluate
+/// barrier orders every `take` before the next step's marks, so `Relaxed`
+/// ordering suffices. (`crates/queue/tests/model.rs` checks that the
+/// barrier carries a `Relaxed` mark.)
 pub(crate) struct DirtyMask {
     words: Vec<AtomicU64>,
 }
@@ -251,36 +173,6 @@ impl DirtyMask {
         } else {
             false
         }
-    }
-}
-
-/// How barrier-synchronized workers agree that a step was quiet: it queued
-/// no write on any worker, so with activity gating on nothing can change
-/// before the next scheduled stimulus and the step loop continues there.
-///
-/// A worker whose evaluation of step `t` queued a write calls
-/// [`note`](WriteMark::note) before the post-evaluate barrier of `t`;
-/// every worker calls [`quiet`](WriteMark::quiet) after it. The barrier
-/// orders every note of `t` before every read, and the post-apply barrier
-/// of the next step orders every read before the next note, so `Relaxed`
-/// suffices and all workers read the same answer. (Workers that hand off
-/// through [`StepHandoff`](parsim_queue::StepHandoff) are not in lockstep
-/// and need its two-word `wait_quiet` instead.)
-pub(crate) struct WriteMark(AtomicU64);
-
-impl WriteMark {
-    pub fn new() -> WriteMark {
-        WriteMark(AtomicU64::new(0))
-    }
-
-    #[inline]
-    pub fn note(&self, t: u64) {
-        self.0.store(t + 1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn quiet(&self, t: u64) -> bool {
-        self.0.load(Ordering::Relaxed) != t + 1
     }
 }
 
@@ -401,59 +293,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn neighbor_plan_edges_cover_every_cross_thread_read() {
-        let n = chain(24);
-        let prog = CompiledProgram::compile(&n);
-        let part = lpt(&element_costs(&n), 3);
-        let mut gen_slots = vec![false; prog.num_slots()];
-        for g in n.generators() {
-            gen_slots[prog.slot_of(n.element(g).outputs()[0]) as usize] = true;
-        }
-        let plan = NeighborPlan::build(&prog, &part, &gen_slots);
-        // Re-derive writers independently and check every cross-thread
-        // read has a matching producer edge (and its transpose).
-        let mut writer = vec![None; prog.num_slots()];
-        for i in 0..prog.num_insns() {
-            for &s in prog.outputs(i) {
-                writer[s as usize] = Some(part.assignment()[prog.elem(i)]);
-            }
-        }
-        for i in 0..prog.num_insns() {
-            let r = part.assignment()[prog.elem(i)];
-            for &s in prog.inputs(i) {
-                let w = match writer[s as usize] {
-                    Some(w) => w,
-                    None if gen_slots[s as usize] => 0,
-                    None => continue,
-                };
-                if w != r {
-                    assert!(plan.producers[r as usize].contains(&w));
-                    assert!(plan.consumers[w as usize].contains(&r));
-                }
-            }
-        }
-        for (w, ps) in plan.producers.iter().enumerate() {
-            assert!(!ps.contains(&(w as u32)), "self-edge on worker {w}");
-            assert!(ps.windows(2).all(|p| p[0] < p[1]), "unsorted producers");
-        }
-        for (w, cs) in plan.consumers.iter().enumerate() {
-            assert!(!cs.contains(&(w as u32)), "self-edge on worker {w}");
-            assert!(cs.windows(2).all(|c| c[0] < c[1]), "unsorted consumers");
-        }
-    }
-
-    #[test]
-    fn neighbor_plan_single_thread_has_no_edges() {
-        let n = chain(8);
-        let prog = CompiledProgram::compile(&n);
-        let part = lpt(&element_costs(&n), 1);
-        let gen_slots = vec![true; prog.num_slots()];
-        let plan = NeighborPlan::build(&prog, &part, &gen_slots);
-        assert!(plan.producers[0].is_empty());
-        assert!(plan.consumers[0].is_empty());
     }
 
     #[test]

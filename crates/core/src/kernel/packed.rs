@@ -18,14 +18,11 @@
 //! with [`SimConfig::lane_width`] or the `PARSIM_FORCE_LANE_WIDTH`
 //! environment variable (the scalar-fallback ablation leg).
 //!
-//! Step synchronization comes in two flavors ([`BatchSync`]): the
-//! classic two-global-barrier BSP step, and the default *neighbor*
-//! mode, where lowering computes which workers actually produce the
-//! slots each worker reads ([`NeighborPlan`]) and workers hand off
-//! through per-edge published phase counters
-//! ([`parsim_queue::StepHandoff`]) instead of a global barrier. Both
-//! modes produce bit-identical waveforms; the handoff protocol is
-//! exhaustively model-checked in `crates/queue/tests/model.rs`.
+//! Each step is the scalar executor's: apply, [`SpinBarrier`], evaluate,
+//! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`], so a step
+//! that queued no write on any worker jumps to the next stimulus. The
+//! barrier + `WriteMark` agreement is model-checked in
+//! `crates/queue/tests/model.rs`.
 //!
 //! Threading, activity gating, watchdog and fault containment mirror
 //! the scalar executor; checkpoint segments (capture/resume of every
@@ -42,17 +39,15 @@ use parsim_logic::{evaluate, expand_generator, expand_vector, ElemState, Time, V
 use parsim_netlist::compile::{CompiledProgram, Opcode};
 use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
-use parsim_queue::{SpinBarrier, StepHandoff};
+use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally, TelemetryCtx};
 
 use crate::checkpoint::new_run_ctx;
 use crate::compiled::{BatchResult, LaneStimulus};
-use crate::config::{BatchSync, SimConfig};
+use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
-use crate::kernel::{
-    credit_quiet_steps, validate_partition, DirtyMask, ExecPlan, NeighborPlan, WriteMark,
-};
+use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan};
 use crate::metrics::Metrics;
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
@@ -157,7 +152,6 @@ struct BatchCtx<'a> {
     config: &'a SimConfig,
     prog: &'a CompiledProgram,
     plan: &'a ExecPlan,
-    neighbors: Option<&'a NeighborPlan>,
     /// The watched slots, in watch (node) order.
     watch_slots: &'a [u32],
     /// Per slot: its position in `watch_slots`, or [`UNWATCHED`].
@@ -369,29 +363,6 @@ pub(crate) fn run_batch_segment(
         watch_of[slot as usize] = k as u32;
     }
 
-    // Every slot thread 0 writes outside the instruction stream, for the
-    // neighbor-sync producer analysis. Validation above guarantees these
-    // are never also instruction outputs (generator-driven or undriven
-    // nodes only), except resume injections — those can target any node,
-    // but only at the first step, where no instruction has queued a
-    // pending write yet, so the single-writer-per-step rule holds.
-    let neighbors = match config.batch_sync {
-        BatchSync::Barrier => None,
-        BatchSync::Neighbor => {
-            let mut gen_slots = vec![false; prog.num_slots()];
-            for (slot, _) in &base_events {
-                gen_slots[*slot as usize] = true;
-            }
-            for slot in overridden.keys() {
-                gen_slots[*slot as usize] = true;
-            }
-            for &(_, _, slot, _) in &injections {
-                gen_slots[slot as usize] = true;
-            }
-            Some(NeighborPlan::build(prog, partition, &gen_slots))
-        }
-    };
-
     // Native sequential state layout (q planes, plus last_clk for edge
     // ops) and the widest output scratch any instruction needs.
     let mut state_offset: Vec<u32> = Vec::with_capacity(prog.num_insns() + 1);
@@ -423,7 +394,6 @@ pub(crate) fn run_batch_segment(
         config,
         prog,
         plan: &plan,
-        neighbors: neighbors.as_ref(),
         watch_slots: &watch_slots,
         watch_of: &watch_of,
         state_offset: &state_offset,
@@ -503,7 +473,6 @@ fn run_chunk<const W: usize>(
         config,
         prog,
         plan,
-        neighbors,
         watch_slots,
         watch_of,
         state_offset,
@@ -681,24 +650,18 @@ fn run_chunk<const W: usize>(
     let dirty = &dirty;
 
     let barrier = Arc::new(SpinBarrier::new(threads));
-    let handoff = Arc::new(StepHandoff::new(threads));
     let containment = Containment::new(threads);
     let watchdog = {
         let b = Arc::clone(&barrier);
-        let h = Arc::clone(&handoff);
         Watchdog::spawn(
             &containment,
             config.deadline,
             config.stall_timeout,
             telemetry.sampler(),
-            move || {
-                b.poison();
-                h.poison();
-            },
+            move || b.poison(),
         )
     };
     let barrier = &barrier;
-    let handoff = &handoff;
     let last_write = WriteMark::new();
     let last_write = &last_write;
     let registry = &telemetry.registry;
@@ -728,9 +691,6 @@ fn run_chunk<const W: usize>(
                         let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
                         let mut processed = 0u64;
                         let mut gen_cursor = 0usize;
-                        // The step executed before `t`: `t - 1`, or the
-                        // step a quiet jump started from.
-                        let mut prev: Option<u64> = None;
                         let mut t = first_step;
                         'run: while t <= cut {
                             cont.beat(p);
@@ -745,22 +705,6 @@ fn run_chunk<const W: usize>(
                                 }
                                 if cont.cancelled() {
                                     stop.store(true, Ordering::Release);
-                                }
-                            }
-                            // Neighbor mode: before overwriting our slots,
-                            // wait until every consumer has retired its
-                            // reads of them (its eval of the previous
-                            // executed step).
-                            if let Some(nb) = neighbors {
-                                if let Some(prev) = prev {
-                                    let wait_start = Instant::now();
-                                    for &c in &nb.consumers[p] {
-                                        if !handoff.wait_eval(c as usize, prev) {
-                                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                                            break 'run;
-                                        }
-                                    }
-                                    tally.add_elapsed(Counter::IdleNs, wait_start);
                                 }
                             }
                             let busy_start = Instant::now();
@@ -793,8 +737,7 @@ fn run_chunk<const W: usize>(
                                 cursor += w;
                                 let off = prog.slot_offset(slot);
                                 // SAFETY: single writer per slot (driver
-                                // thread); phases separated by the barrier
-                                // or by the producer/consumer handoff.
+                                // thread), phases separated by barriers.
                                 let cur = unsafe { values.slice_mut(off..off + w) };
                                 let diff =
                                     wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
@@ -827,40 +770,14 @@ fn run_chunk<const W: usize>(
                                 commit(wr.slot, &wide::mask_and(&diff, lane_mask), cur);
                             }
                             tally.add_elapsed(Counter::BusyNs, busy_start);
-                            match neighbors {
-                                None => {
-                                    let wait_start = Instant::now();
-                                    barrier.wait();
-                                    tally.add_elapsed(Counter::IdleNs, wait_start);
-                                    // All threads observe the same `stop`
-                                    // here (set before the barrier), so
-                                    // they break at the same step.
-                                    if barrier.is_poisoned()
-                                        || stop.load(Ordering::Acquire)
-                                    {
-                                        break 'run;
-                                    }
-                                }
-                                Some(nb) => {
-                                    handoff.publish_apply(p, t);
-                                    let wait_start = Instant::now();
-                                    for &pr in &nb.producers[p] {
-                                        if !handoff.wait_apply(pr as usize, t) {
-                                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                                            break 'run;
-                                        }
-                                    }
-                                    tally.add_elapsed(Counter::IdleNs, wait_start);
-                                    // Cancellation: whoever observes the
-                                    // flag poisons the handoff so workers
-                                    // it has no edge to stop waiting too.
-                                    if stop.load(Ordering::Acquire)
-                                        || handoff.is_poisoned()
-                                    {
-                                        handoff.poison();
-                                        break 'run;
-                                    }
-                                }
+                            let wait_start = Instant::now();
+                            barrier.wait();
+                            tally.add_elapsed(Counter::IdleNs, wait_start);
+                            // All threads observe the same `stop` value
+                            // here (set before the barrier), so they break
+                            // at the same step.
+                            if barrier.is_poisoned() || stop.load(Ordering::Acquire) {
+                                break 'run;
                             }
 
                             // ---- evaluate phase -------------------------
@@ -878,12 +795,9 @@ fn run_chunk<const W: usize>(
                                         if let FaultAction::Exit =
                                             fault.check(p, processed, cont.cancel_flag())
                                         {
-                                            // Only reached after
-                                            // cancellation, which always
-                                            // poisons the barrier; poison
-                                            // the handoff too so neighbor
-                                            // waiters are released.
-                                            handoff.poison();
+                                            // Only reached after cancellation,
+                                            // which always poisons the barrier,
+                                            // so peers are not left waiting.
                                             break 'run;
                                         }
                                         processed += 1;
@@ -935,50 +849,30 @@ fn run_chunk<const W: usize>(
                             tally.add(Counter::Activations, step_evals);
                             tally.flush(&shard);
                             shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
+                            if gating && !pend_slots.is_empty() {
+                                last_write.note(t);
+                            }
+                            let wait_start = Instant::now();
+                            barrier.wait();
+                            tally.add_elapsed(Counter::IdleNs, wait_start);
+                            if barrier.is_poisoned() {
+                                break 'run;
+                            }
                             // A step that queued no write anywhere left no
                             // dirty block either: nothing changes until the
-                            // next stimulus, so continue there. Only a
-                            // worker with nothing queued has to ask.
-                            let wrote = !pend_slots.is_empty();
+                            // next stimulus, so continue there.
+                            let mut next = t + 1;
                             let stimulus = gen_writes.get(gen_cursor).map_or(cut + 1, |wr| wr.t);
-                            let may_jump = gating && stimulus > t + 1;
-                            let wait_start = Instant::now();
-                            // `None`: poisoned, abandon the loop.
-                            let quiet = match neighbors {
-                                None => {
-                                    if gating && wrote {
-                                        last_write.note(t);
-                                    }
-                                    barrier.wait();
-                                    (!barrier.is_poisoned())
-                                        .then(|| may_jump && last_write.quiet(t))
-                                }
-                                Some(_) => {
-                                    if gating && wrote {
-                                        handoff.note_write(t);
-                                    }
-                                    handoff.publish_eval(p, t);
-                                    if may_jump && !wrote {
-                                        handoff.wait_quiet(t)
-                                    } else {
-                                        Some(false)
-                                    }
-                                }
-                            };
-                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                            let Some(quiet) = quiet else { break 'run };
-                            prev = Some(t);
-                            t = if quiet {
+                            if gating && stimulus > next && last_write.quiet(t) {
+                                next = stimulus;
                                 // Steps are shared across lane chunks;
                                 // only the first chunk counts them.
                                 let counts = (p == 0 && lane_base == 0).then_some(&*shard);
-                                credit_quiet_steps(&mut tally, plan, p, counts, (t, stimulus, end));
-                                stimulus
-                            } else {
-                                t + 1
-                            };
+                                credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
+                            }
+                            t = next;
                         }
-                        // The last wait's idle time and any early break.
+                        // The last barrier's idle time and any early break.
                         tally.flush(&shard);
                         (logs, pend_slots, pend_data)
                     }));
@@ -987,7 +881,6 @@ fn run_chunk<const W: usize>(
                         Err(payload) => {
                             cont.record_panic(p, payload);
                             barrier.poison();
-                            handoff.poison();
                             None
                         }
                     }
@@ -1149,8 +1042,8 @@ fn eval_insn<const W: usize>(
 ) {
     let ins = prog.inputs(i);
     // SAFETY (all `values.slice` calls below): evaluate phase is read-only
-    // for slot values; the barrier (or producer handoff) orders it after
-    // the last apply-phase write.
+    // for slot values; the barrier orders it after the last apply-phase
+    // write.
     let input = |k: usize| {
         let off = prog.slot_offset(ins[k]);
         let w = prog.slot_width(ins[k]) as usize;

@@ -24,7 +24,7 @@ use parsim_logic::{evaluate, expand_generator, ElemState, Time, Value};
 use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
-use parsim_queue::SpinBarrier;
+use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
@@ -32,7 +32,7 @@ use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::fault::FaultAction;
-use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan, WriteMark};
+use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan};
 use crate::shared::SharedSlice;
 use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;

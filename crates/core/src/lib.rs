@@ -74,7 +74,7 @@ pub use chaotic::ChaoticAsync;
 pub use check::{assert_equivalent, equivalence_report, EquivalenceReport};
 pub use checkpoint::EngineKind;
 pub use compiled::{BatchResult, CompiledMode, LaneStimulus};
-pub use config::{BatchSync, CheckpointPolicy, SimConfig};
+pub use config::{CheckpointPolicy, SimConfig};
 pub use error::{SimError, StallDiagnostic};
 pub use fault::FaultPlan;
 pub use metrics::{

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use parsim_core::{BatchSync, CompiledMode, LaneStimulus, SimConfig};
+use parsim_core::{CompiledMode, LaneStimulus, SimConfig};
 use parsim_logic::{Delay, ElementKind, Time, Value};
 use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Builder, Netlist, NodeId};
@@ -89,7 +89,6 @@ fn config(end: u64, watch: &[NodeId]) -> SimConfig {
         .watch_all(watch.to_vec())
         .threads(2)
         .with_lane_width(256)
-        .with_batch_sync(BatchSync::Neighbor)
 }
 
 /// Cut + resume reproduces the uncut run exactly: stitched per-lane

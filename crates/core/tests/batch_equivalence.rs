@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use parsim_core::{
-    equivalence_report, BatchSync, CompiledMode, EventDriven, LaneStimulus, SimConfig,
-};
+use parsim_core::{equivalence_report, CompiledMode, EventDriven, LaneStimulus, SimConfig};
 use parsim_logic::{Delay, ElementKind, Time, Value};
 use parsim_netlist::bench_fmt::{from_bench, BenchOptions, C17};
 use parsim_netlist::{Builder, Netlist, NodeId};
@@ -144,7 +142,7 @@ fn check_lanes(
     check_lanes_cfg(seed, num_inputs, num_gates, per_lane, threads, end, |c| c)
 }
 
-/// [`check_lanes`] with a config hook (lane width, sync mode, …).
+/// [`check_lanes`] with a config hook (lane width, …).
 #[allow(clippy::too_many_arguments)]
 fn check_lanes_cfg(
     seed: u64,
@@ -257,26 +255,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The full execution matrix: every lane width (64 = portable scalar
-    /// fallback through 512 = widest SIMD tier) crossed with both step
-    /// synchronization modes, on random circuits and lane counts. Widths
-    /// beyond the CPU's SIMD tier run the portable word-group path, so
-    /// the matrix is meaningful on any host.
+    /// fallback through 512 = widest SIMD tier) crossed with thread
+    /// counts, on random circuits and lane counts. Widths beyond the
+    /// CPU's SIMD tier run the portable word-group path, so the matrix is
+    /// meaningful on any host.
     #[test]
-    fn width_by_sync_matrix_matches_oracle(
+    fn width_by_threads_matrix_matches_oracle(
         seed in any::<u64>(),
         width_idx in 0usize..4,
-        barrier in any::<bool>(),
         lanes in 1usize..=6,
         threads in 1usize..4,
     ) {
         let width = [64usize, 128, 256, 512][width_idx];
-        let sync = if barrier { BatchSync::Barrier } else { BatchSync::Neighbor };
         let mut rng = SmallRng::seed_from_u64(seed);
         let num_inputs = rng.gen_range(1..4usize);
         let end = 50u64;
         let per_lane = lane_schedules(&mut rng, lanes, num_inputs, end);
         check_lanes_cfg(seed, num_inputs, 20, &per_lane, threads, Time(end), |c| {
-            c.with_lane_width(width).with_batch_sync(sync)
+            c.with_lane_width(width)
         })?;
     }
 }
@@ -445,10 +441,10 @@ fn multi_bit_duplicate_idle_and_overridden_watches_match_oracle() {
 }
 
 /// 130 lanes at width 64 — two full chunks and a two-lane tail — under
-/// every thread count and both step synchronizations. Each lane's inputs
-/// open with its own index in binary, and the inputs are watched, so no two
-/// lanes have the same waveforms: a chunk or lane offset slipping anywhere
-/// between the packed logs and `BatchResult::lanes` cannot cancel out.
+/// every thread count. Each lane's inputs open with its own index in
+/// binary, and the inputs are watched, so no two lanes have the same
+/// waveforms: a chunk or lane offset slipping anywhere between the packed
+/// logs and `BatchResult::lanes` cannot cancel out.
 #[test]
 fn distinct_lanes_across_three_chunks_land_in_their_own_results() {
     let seed = 0xd157_1ac7;
@@ -467,12 +463,10 @@ fn distinct_lanes_across_three_chunks_land_in_their_own_results() {
         })
         .collect();
     for threads in 1..=3 {
-        for sync in [BatchSync::Barrier, BatchSync::Neighbor] {
-            check_lanes_cfg(seed, num_inputs, 24, &per_lane, threads, Time(end), |c| {
-                c.with_lane_width(64).with_batch_sync(sync)
-            })
-            .unwrap();
-        }
+        check_lanes_cfg(seed, num_inputs, 24, &per_lane, threads, Time(end), |c| {
+            c.with_lane_width(64)
+        })
+        .unwrap();
     }
 }
 

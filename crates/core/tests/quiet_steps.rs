@@ -7,13 +7,13 @@
 //! the sequential oracle lane by lane, every counter reads what walking the
 //! ticks would have read, snapshots at any cut equal the ones the every-tick
 //! loop (`without_activity_gating`) captures, and all of it holds at every
-//! thread count and in both batch sync modes.
+//! thread count.
 
 use std::sync::Arc;
 
 use parsim_circuits::{gate_multiplier, inverter_array, GateMultiplier};
 use parsim_core::{
-    assert_equivalent, checkpoint, BatchSync, CheckpointStore, CompiledMode, EngineKind,
+    assert_equivalent, checkpoint, CheckpointStore, CompiledMode, EngineKind,
     EngineSnapshot, EventDriven, LaneStimulus, Metrics, SimConfig, SimResult, StorageFaultPlan,
 };
 use parsim_checkpoint::ChangeRecord;
@@ -22,7 +22,6 @@ use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Builder, Netlist, NodeId};
 
 const THREADS: [usize; 3] = [1, 2, 3];
-const SYNCS: [BatchSync; 2] = [BatchSync::Barrier, BatchSync::Neighbor];
 /// One lane; eight distinct; two chunks at width 64 with a one-lane tail.
 const LANES: [usize; 3] = [1, 8, 65];
 
@@ -162,10 +161,10 @@ fn check_counters(
     }
 }
 
-/// Runs `stimuli` through `run_batch` over the whole threads × sync × gating
-/// matrix at lane width 64, checks every lane against `oracles` and every
-/// counter against the every-tick loop, and returns the quiet-step count
-/// (which must not depend on threads or sync mode).
+/// Runs `stimuli` through `run_batch` over the whole threads × gating matrix
+/// at lane width 64, checks every lane against `oracles` and every counter
+/// against the every-tick loop, and returns the quiet-step count (which must
+/// not depend on threads).
 fn check_batch_matrix(
     name: &str,
     netlist: &Netlist,
@@ -178,25 +177,20 @@ fn check_batch_matrix(
     let chunks = stimuli.len().div_ceil(64) as u64;
     let mut quiet: Option<u64> = None;
     for threads in THREADS {
-        for sync in SYNCS {
-            for gating in [true, false] {
-                let tag = format!("{name} x{threads} {sync:?} gating={gating} lanes={}", stimuli.len());
-                let cfg = gated(cfg, gating)
-                    .threads(threads)
-                    .with_batch_sync(sync)
-                    .with_lane_width(64);
-                let r = CompiledMode::run_batch(netlist, &cfg, stimuli).unwrap();
-                for (l, (lane, oracle)) in r.lanes.iter().zip(oracles).enumerate() {
-                    assert_equivalent(oracle, lane, &format!("{tag} lane {l}"));
-                }
-                check_counters(&tag, &r.metrics, end, insns * chunks, gating, &mut quiet);
+        for gating in [true, false] {
+            let tag = format!("{name} x{threads} gating={gating} lanes={}", stimuli.len());
+            let cfg = gated(cfg, gating).threads(threads).with_lane_width(64);
+            let r = CompiledMode::run_batch(netlist, &cfg, stimuli).unwrap();
+            for (l, (lane, oracle)) in r.lanes.iter().zip(oracles).enumerate() {
+                assert_equivalent(oracle, lane, &format!("{tag} lane {l}"));
             }
+            check_counters(&tag, &r.metrics, end, insns * chunks, gating, &mut quiet);
         }
     }
     quiet.expect("the matrix ran")
 }
 
-/// The same matrix (minus sync modes) through the scalar `CompiledMode::run`.
+/// The same matrix through the scalar `CompiledMode::run`.
 fn check_scalar_matrix(name: &str, netlist: &Netlist, cfg: &SimConfig, oracle: &SimResult) -> u64 {
     let end = cfg.end_time.ticks();
     let insns = CompiledProgram::compile(netlist).num_insns() as u64;
@@ -311,14 +305,12 @@ fn one_lanes_stimulus_interrupts_everyone_elses_quiet_stretch() {
 
     let mut quiet = Vec::new();
     for threads in THREADS {
-        for sync in SYNCS {
-            let cfg = cfg.clone().threads(threads).with_batch_sync(sync);
-            let r = CompiledMode::run_batch(&netlist, &cfg, &stimuli(true)).unwrap();
-            for (l, (lane, oracle)) in r.lanes.iter().zip(&oracles).enumerate() {
-                assert_equivalent(oracle, lane, &format!("x{threads} {sync:?} lane {l}"));
-            }
-            quiet.push(r.metrics.quiet_steps);
+        let cfg = cfg.clone().threads(threads);
+        let r = CompiledMode::run_batch(&netlist, &cfg, &stimuli(true)).unwrap();
+        for (l, (lane, oracle)) in r.lanes.iter().zip(&oracles).enumerate() {
+            assert_equivalent(oracle, lane, &format!("x{threads} lane {l}"));
         }
+        quiet.push(r.metrics.quiet_steps);
     }
     assert!(quiet.windows(2).all(|w| w[0] == w[1]), "quiet steps vary: {quiet:?}");
     // The interruptions cost executed steps: six stimuli plus their ripples.
@@ -396,37 +388,32 @@ fn batch_cuts_in_and_around_a_quiet_stretch_equal_the_every_tick_loop() {
     // In flight, on the last active tick, one past it, deep in the quiet.
     for cut in [active - 1, active, active + 1, active + 20] {
         for threads in THREADS {
-            for sync in SYNCS {
-                let tag = format!("cut {cut} x{threads} {sync:?}");
-                let cfg = SimConfig::new(end)
-                    .watch_all(base.product.iter().copied())
-                    .threads(threads)
-                    .with_batch_sync(sync);
-                let run = |cfg: &SimConfig| {
-                    CompiledMode::run_batch_segment(&base.netlist, cfg, &stimuli, None, Time(cut))
-                        .unwrap()
-                };
-                let (head, snaps) = run(&cfg);
-                let (_, every_tick) = run(&cfg.clone().without_activity_gating());
-                assert_eq!(snaps, every_tick, "{tag}: snapshots");
-                let in_flight = snaps.iter().any(|s| !s.pending.is_empty());
-                assert_eq!(in_flight, cut < active, "{tag}: pending events");
+            let tag = format!("cut {cut} x{threads}");
+            let cfg = SimConfig::new(end).watch_all(base.product.iter().copied()).threads(threads);
+            let run = |cfg: &SimConfig| {
+                CompiledMode::run_batch_segment(&base.netlist, cfg, &stimuli, None, Time(cut))
+                    .unwrap()
+            };
+            let (head, snaps) = run(&cfg);
+            let (_, every_tick) = run(&cfg.clone().without_activity_gating());
+            assert_eq!(snaps, every_tick, "{tag}: snapshots");
+            let in_flight = snaps.iter().any(|s| !s.pending.is_empty());
+            assert_eq!(in_flight, cut < active, "{tag}: pending events");
 
-                let (tail, _) = CompiledMode::run_batch_segment(
-                    &base.netlist,
-                    &cfg,
-                    &stimuli,
-                    Some(&snaps),
-                    end,
-                )
-                .unwrap();
-                assert!(tail.metrics.quiet_steps > 0, "{tag}: the resumed half jumps too");
-                for (l, (lane, oracle)) in head.lanes.iter().zip(&oracles).enumerate() {
-                    let mut whole = lane.clone();
-                    whole.append_segment(&tail.lanes[l]);
-                    assert_equivalent(oracle, &whole, &format!("{tag} lane {l} stitched"));
-                    assert_eq!(whole.to_vcd(), oracle.to_vcd(), "{tag} lane {l}");
-                }
+            let (tail, _) = CompiledMode::run_batch_segment(
+                &base.netlist,
+                &cfg,
+                &stimuli,
+                Some(&snaps),
+                end,
+            )
+            .unwrap();
+            assert!(tail.metrics.quiet_steps > 0, "{tag}: the resumed half jumps too");
+            for (l, (lane, oracle)) in head.lanes.iter().zip(&oracles).enumerate() {
+                let mut whole = lane.clone();
+                whole.append_segment(&tail.lanes[l]);
+                assert_equivalent(oracle, &whole, &format!("{tag} lane {l} stitched"));
+                assert_eq!(whole.to_vcd(), oracle.to_vcd(), "{tag} lane {l}");
             }
         }
         // Each lane's snapshot is a scalar-engine snapshot of that lane's

@@ -20,7 +20,7 @@
 //! impossible to misinterpret and a missed flip cannot park a waiter in
 //! the wrong phase.
 
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use parsim_trace::{EventKind, WorkerTracer};
 
 /// A reusable spin barrier for a fixed set of participants.
@@ -144,6 +144,45 @@ impl SpinBarrier {
         let leader = self.wait();
         tracer.end(EventKind::BarrierWait);
         leader
+    }
+}
+
+/// How workers in lockstep on a [`SpinBarrier`] agree that a step was
+/// quiet: it queued no write on any worker, so nothing can change before
+/// the next scheduled stimulus and the step loop may continue there.
+///
+/// A worker whose evaluation of step `t` queued a write calls
+/// [`note`](WriteMark::note) before the post-evaluate barrier of `t`;
+/// every worker calls [`quiet`](WriteMark::quiet) after it. The barrier
+/// orders every note of `t` before every read, and the post-apply barrier
+/// of the next executed step orders every read before the next note, so
+/// `Relaxed` suffices and all workers read the same answer. The whole
+/// argument lives in the two barriers; `tests/model.rs` checks it against
+/// this type and the real barrier.
+pub struct WriteMark(AtomicU64);
+
+impl WriteMark {
+    /// A mark that has seen no write.
+    pub fn new() -> WriteMark {
+        WriteMark(AtomicU64::new(0))
+    }
+
+    /// Records that the caller's evaluation of step `t` queued a write.
+    #[inline]
+    pub fn note(&self, t: u64) {
+        self.0.store(t + 1, Ordering::Relaxed);
+    }
+
+    /// True when no worker noted a write at step `t`.
+    #[inline]
+    pub fn quiet(&self, t: u64) -> bool {
+        self.0.load(Ordering::Relaxed) != t + 1
+    }
+}
+
+impl Default for WriteMark {
+    fn default() -> WriteMark {
+        WriteMark::new()
     }
 }
 

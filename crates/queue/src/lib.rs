@@ -11,10 +11,8 @@
 //!   queue (segmented, with the Lamport publish/consume protocol),
 //! - [`grid()`]: the n×n mailbox grid with round-robin scatter senders,
 //! - [`barrier::SpinBarrier`]: the sense-reversing barrier the synchronous
-//!   algorithms need at phase boundaries,
-//! - [`handoff::StepHandoff`]: per-worker published phase counters that
-//!   replace the compiled batch kernel's global step barrier with
-//!   neighbor-only producer/consumer synchronization,
+//!   algorithms need at phase boundaries, and [`barrier::WriteMark`], the
+//!   compiled kernels' quiet-step agreement that rides on it,
 //! - [`activation::ActivationState`]: the per-element at-most-once
 //!   scheduling state machine ("activate the elements only once"),
 //! - [`batch::IdBatch`]: a cache-line-sized batch of element ids so one
@@ -36,7 +34,8 @@
 //! facade resolves to the `parsim-model-check` interleaving explorer and
 //! `tests/model.rs` exhaustively checks the real implementations —
 //! torn/dropped SPSC items, drop-while-nonempty drains, barrier
-//! deadlock/double-release, activation-handoff visibility. See DESIGN.md
+//! deadlock/double-release, barrier-carried quiet-step agreement and
+//! dirty marks, activation-handoff visibility. See DESIGN.md
 //! §9 for the inventory-to-model-test mapping.
 
 pub mod activation;
@@ -46,7 +45,6 @@ pub mod batch;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod grid;
-pub mod handoff;
 pub mod mailpool;
 pub mod pad;
 pub mod spsc;
@@ -56,8 +54,7 @@ pub use activation::ActivationState;
 pub use backoff::Backoff;
 pub use batch::{IdBatch, BATCH_CAPACITY};
 pub use pad::CachePadded;
-pub use barrier::SpinBarrier;
-pub use handoff::StepHandoff;
+pub use barrier::{SpinBarrier, WriteMark};
 pub use grid::{grid, GridReceiver, GridSender};
 pub use mailpool::MailPool;
 pub use spsc::{channel, Receiver, Sender};

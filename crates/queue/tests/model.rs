@@ -15,10 +15,10 @@
 #![cfg(parsim_model)]
 
 use parsim_model_check::{Explorer, model, thread};
-use parsim_queue::sync::atomic::{AtomicUsize, Ordering};
+use parsim_queue::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parsim_queue::sync::Arc;
 use parsim_queue::sync::UnsafeCell;
-use parsim_queue::{channel, ActivationState, IdBatch, SpinBarrier, StepHandoff, BATCH_CAPACITY};
+use parsim_queue::{channel, ActivationState, IdBatch, SpinBarrier, WriteMark, BATCH_CAPACITY};
 
 /// Under the model the SPSC segment size is 2, so three items cross a
 /// segment boundary: the producer links a successor and the consumer
@@ -252,194 +252,91 @@ fn chaos_yields_are_schedule_points() {
     });
 }
 
-/// A node slot shared between a producing and a consuming worker; plain
-/// (non-atomic) data, exactly like the wide value arena in the compiled
-/// batch kernel. Safe to share only because the handoff protocol orders
-/// every write against every read — the model's clock-checked cell
-/// reports a data race the instant any required edge is missing.
+/// A node slot shared between a writing and a reading worker; plain
+/// (non-atomic) data, exactly like the value arenas of the compiled
+/// kernels. Safe to share only because the step barriers order every
+/// write against every read — the model's clock-checked cell reports a
+/// data race the instant any required edge is missing.
 struct Slot(UnsafeCell<u64>);
 
-// SAFETY: all accesses are funneled through the StepHandoff protocol
-// under test; the model checker verifies that claim on every schedule.
+// SAFETY: all accesses are funneled through the barrier protocol under
+// test; the model checker verifies that claim on every schedule.
 unsafe impl Sync for Slot {}
 unsafe impl Send for Slot {}
 
-/// The full two-worker BSP step protocol over a shared slot, two steps:
-/// worker 0 (producer) overwrites the slot in its apply phase, worker 1
-/// (consumer) reads it in its eval phase. Three hazards are all in play
-/// and must be closed by the handoff alone:
-///
-/// - RAW: the consumer's step-`t` read must see the producer's step-`t`
-///   write (`wait_apply` edge),
-/// - WAR: the producer's step-`t+1` overwrite must not race the
-///   consumer's step-`t` read (`wait_eval` edge),
-/// - plain-data race: the slot is a non-atomic cell, so *any* unordered
-///   access pair is an immediate counterexample.
-#[test]
-fn handoff_bsp_step_protocol_no_races() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        const STEPS: u64 = 2;
-        let h = Arc::new(StepHandoff::new(2));
-        let slot = Arc::new(Slot(UnsafeCell::new(0)));
-        let (h2, s2) = (Arc::clone(&h), Arc::clone(&slot));
-        // Worker 0: producer.
-        let t = thread::spawn(move || {
-            for t in 0..STEPS {
-                if t > 0 && !h2.wait_eval(1, t - 1) {
-                    return;
-                }
-                s2.0.with_mut(|p| unsafe { *p = t + 1 });
-                h2.publish_apply(0, t);
-                // Reads nothing; its eval phase is empty.
-                h2.publish_eval(0, t);
-            }
-        });
-        // Worker 1: consumer (owns no slots, so its apply is empty).
-        for t in 0..STEPS {
-            h.publish_apply(1, t);
-            if !h.wait_apply(0, t) {
-                return;
-            }
-            let v = slot.0.with(|p| unsafe { *p });
-            assert_eq!(v, t + 1, "step {t}: stale or torn slot value");
-            h.publish_eval(1, t);
-        }
-        t.join();
-    });
-    outcome.assert_pass("handoff BSP step protocol");
-}
-
-/// The dirty-mask contract under neighbor sync: activity marks are
-/// `Relaxed` stores made during a producer's apply phase, and consumers
-/// `take` them with `Relaxed` loads during eval. That is only sound if
-/// the `publish_apply`/`wait_apply` Release/Acquire pair carries the
-/// marks — this exploration deletes every other ordering source on
-/// purpose.
-#[test]
-fn handoff_apply_edge_carries_relaxed_marks() {
-    let outcome = Explorer::new().max_preemptions(2).check(|| {
-        let h = Arc::new(StepHandoff::new(2));
-        let mark = Arc::new(AtomicUsize::new(0));
-        let (h2, m2) = (Arc::clone(&h), Arc::clone(&mark));
-        let t = thread::spawn(move || {
-            // Relaxed on purpose: the handoff must carry the edge.
-            m2.store(1, Ordering::Relaxed);
-            h2.publish_apply(0, 0);
-        });
-        if h.wait_apply(0, 0) {
-            assert_eq!(
-                mark.load(Ordering::Relaxed),
-                1,
-                "dirty mark lost across the apply handoff"
-            );
-        }
-        t.join();
-    });
-    outcome.assert_pass("handoff carries relaxed dirty marks");
-}
-
-/// Poisoning must release a waiter stuck on a phase that will never be
-/// published — in every interleaving, including poison-before-wait.
-#[test]
-fn handoff_poison_releases_model() {
-    let outcome = Explorer::new().check(|| {
-        let h = Arc::new(StepHandoff::new(2));
-        let h2 = Arc::clone(&h);
-        // Worker 1 never publishes anything; only poison can end this.
-        let t = thread::spawn(move || h2.wait_apply(1, 3));
-        h.poison();
-        assert!(!t.join(), "poisoned wait must report failure");
-        assert!(!h.wait_eval(0, 0));
-    });
-    outcome.assert_pass("handoff poison release");
-}
-
-/// One worker of the kernel's neighbor-mode step loop with quiet-step
-/// jumps, reduced to its synchronization. Worker 0 overwrites `slot` in
-/// the apply phase of every step it executes and every other worker reads
-/// it while evaluating, when `edges` is set; without `edges` no worker
-/// ever waits for another except to agree on a quiet step, so one can run
-/// arbitrarily far ahead. `wrote(w, t)` says whether `w`'s evaluation of
-/// step `t` queues a write; `stimuli` are the steps a jump may not pass.
-/// Returns the steps executed, or `None` once poisoned.
-fn quiet_walk(
-    h: &StepHandoff,
-    slot: &Slot,
+/// One worker of the compiled kernels' step loop, reduced to its
+/// synchronization: apply, barrier, evaluate, note, barrier, quiet. With a
+/// `slot`, worker 0 overwrites it in the apply phase of every step it
+/// executes and every other worker reads it while evaluating. `wrote(w, t)`
+/// says whether `w`'s evaluation of step `t` queues a write; `stimuli` are
+/// the steps a jump may not pass. The walk ends where it reaches `cut` —
+/// a worker that gets there agreed with every other on every step before
+/// it — and returns the steps it went through, or `None` once poisoned.
+fn step_walk(
+    barrier: &SpinBarrier,
+    mark: &WriteMark,
+    slot: Option<&Slot>,
     w: usize,
-    edges: bool,
     wrote: fn(usize, u64) -> bool,
     stimuli: &[u64],
     cut: u64,
 ) -> Option<Vec<u64>> {
-    let mut executed = Vec::new();
-    let mut prev: Option<u64> = None;
+    let mut steps = Vec::new();
     let mut t = 0u64;
-    while t <= cut {
-        executed.push(t);
-        if edges && w == 0 {
-            // The consumers' reads at the step executed before this one
-            // (not `t - 1`, which a jump may have passed) must retire.
-            if let Some(s) = prev {
-                for c in 1..h.workers() {
-                    if !h.wait_eval(c, s) {
-                        return None;
-                    }
-                }
-            }
+    while t < cut {
+        steps.push(t);
+        if let Some(slot) = slot.filter(|_| w == 0) {
             slot.0.with_mut(|p| unsafe { *p = t + 1 });
         }
-        if edges {
-            h.publish_apply(w, t);
-            if w != 0 {
-                if !h.wait_apply(0, t) {
-                    return None;
-                }
-                let v = slot.0.with(|p| unsafe { *p });
-                assert_eq!(v, t + 1, "worker {w} step {t}: stale or overwritten slot");
-            }
+        barrier.wait();
+        if barrier.is_poisoned() {
+            return None;
         }
-        let wrote_here = wrote(w, t);
-        if wrote_here {
-            h.note_write(t);
+        if let Some(slot) = slot.filter(|_| w != 0) {
+            let v = slot.0.with(|p| unsafe { *p });
+            assert_eq!(v, t + 1, "worker {w} step {t}: stale or overwritten slot");
         }
-        if t == cut {
-            // Nobody waits on the last step's eval; leaving the publish
-            // out keeps the exploration small.
-            break;
+        if wrote(w, t) {
+            mark.note(t);
         }
-        h.publish_eval(w, t);
-        let next_stimulus = stimuli.iter().copied().find(|&s| s > t).unwrap_or(cut + 1);
-        // Asking is pointless when the answer cannot change the next step.
-        let quiet = !wrote_here && next_stimulus > t + 1 && h.wait_quiet(t)?;
-        prev = Some(t);
-        t = if quiet { next_stimulus } else { t + 1 };
+        barrier.wait();
+        if barrier.is_poisoned() {
+            return None;
+        }
+        let stimulus = stimuli.iter().copied().find(|&s| s > t).unwrap_or(cut);
+        t = if stimulus > t + 1 && mark.quiet(t) { stimulus } else { t + 1 };
     }
-    Some(executed)
+    steps.push(t);
+    Some(steps)
 }
 
-/// Runs `quiet_walk` on `workers` model threads under a preemption bound
-/// and requires every one of them to execute exactly `expected`.
+/// Runs `step_walk` on `workers` model threads under a preemption bound
+/// and requires every one of them to go through exactly `expected`.
 #[allow(clippy::too_many_arguments)]
-fn check_quiet_walk(
+fn check_step_walk(
     name: &str,
     preemptions: usize,
     workers: usize,
-    edges: bool,
+    with_slot: bool,
     wrote: fn(usize, u64) -> bool,
     stimuli: &'static [u64],
     cut: u64,
     expected: &'static [u64],
 ) {
     let outcome = Explorer::new().max_preemptions(preemptions).check(move || {
-        let h = Arc::new(StepHandoff::new(workers));
+        let barrier = Arc::new(SpinBarrier::new(workers));
+        let mark = Arc::new(WriteMark::new());
         let slot = Arc::new(Slot(UnsafeCell::new(0)));
         let peers: Vec<_> = (1..workers)
             .map(|w| {
-                let (h, slot) = (Arc::clone(&h), Arc::clone(&slot));
-                thread::spawn(move || quiet_walk(&h, &slot, w, edges, wrote, stimuli, cut))
+                let (b, m, s) = (Arc::clone(&barrier), Arc::clone(&mark), Arc::clone(&slot));
+                thread::spawn(move || {
+                    step_walk(&b, &m, with_slot.then_some(&*s), w, wrote, stimuli, cut)
+                })
             })
             .collect();
-        let mine = quiet_walk(&h, &slot, 0, edges, wrote, stimuli, cut);
+        let slot = with_slot.then_some(&*slot);
+        let mine = step_walk(&barrier, &mark, slot, 0, wrote, stimuli, cut);
         assert_eq!(mine.as_deref(), Some(expected), "worker 0 decided differently");
         for (i, peer) in peers.into_iter().enumerate() {
             let theirs = peer.join();
@@ -449,73 +346,108 @@ fn check_quiet_walk(
     outcome.assert_pass(name);
 }
 
-/// Step 0 is quiet on both workers and the next stimulus is at step 3:
-/// both must execute 0 then 3, worker 0 overwriting its slot at step 3
-/// once worker 1's read *at step 0* — the previous executed step, not a
-/// step 2 that never ran and would deadlock the wait — has retired.
+/// Step 0 is quiet on every worker and the next stimulus is at step 3:
+/// all must go from 0 straight to 3. A worker that read "not quiet" would
+/// wait at step 1 for peers that never come, which the explorer reports as
+/// a deadlock.
 #[test]
-fn handoff_quiet_jump_agreed_two_workers() {
-    check_quiet_walk("handoff quiet jump, two workers", 2, 2, true, |_, _| false, &[3], 3, &[0, 3]);
+fn write_mark_quiet_jump_agreed_two_workers() {
+    check_step_walk("quiet jump, two workers", 2, 2, false, |_, _| false, &[3], 3, &[0, 3]);
 }
 
-/// The same jump over three workers. Three workers each spinning on three
-/// counters is the widest tree in this file, so it runs without the slot
-/// and without preemptions: every order of voluntary switches and every
-/// read the memory model allows, about 35 000 executions.
+/// The same jump over three workers. Three spinning parties are the widest
+/// trees in this file, so the three-worker cases run without preemptions:
+/// every order of voluntary switches and every read the memory model
+/// allows.
 #[test]
-fn handoff_quiet_jump_agreed_three_workers() {
-    check_quiet_walk("handoff quiet jump, three workers", 0, 3, false, |_, _| false, &[3], 3, &[0, 3]);
+fn write_mark_quiet_jump_agreed_three_workers() {
+    check_step_walk("quiet jump, three workers", 0, 3, false, |_, _| false, &[3], 3, &[0, 3]);
 }
 
 /// Exactly one worker (the last) queues a write at step 0, with the next
-/// stimulus far away: the others ask, must all be told "not quiet", and
-/// continue at step 1 with it.
+/// stimulus far away: the others must all read "not quiet" and continue
+/// at step 1 with it.
 #[test]
-fn handoff_one_busy_worker_holds_everyone_to_the_next_step() {
+fn write_mark_lone_writer_holds_everyone_to_the_next_step() {
     let wrote = |w: usize, t: u64| w == 1 && t == 0;
-    check_quiet_walk("handoff lone writer, two workers", 2, 2, false, wrote, &[9], 1, &[0, 1]);
+    check_step_walk("lone writer, two workers", 2, 2, false, wrote, &[9], 1, &[0, 1]);
     let wrote = |w: usize, t: u64| w == 2 && t == 0;
-    check_quiet_walk("handoff lone writer, three workers", 1, 3, false, wrote, &[9], 1, &[0, 1]);
+    check_step_walk("lone writer, three workers", 0, 3, false, wrote, &[9], 1, &[0, 1]);
 }
 
-/// No edges, so a worker that need not ask runs ahead freely. Step 0 is
-/// quiet with the next stimulus at 2, where worker 1 queues a write.
-/// While worker 0 is still deciding step 0, `last_write` may already name
-/// step 2 — later than the step asked about, which is exactly what a
-/// *non*-quiet step 0 followed by a busy step 1 would look like. Only
-/// `last_quiet` tells them apart; worker 0 must still jump 0 → 2.
+/// Worker 0 overwrites a plain slot in the apply phase of steps 0 and 3,
+/// worker 1 reads it while evaluating them. The step-3 overwrite must not
+/// race the step-0 read (the post-evaluate barrier of step 0, the one the
+/// jump starts from) and the step-3 read must see it (the post-apply
+/// barrier of step 3).
 #[test]
-fn handoff_quiet_decision_survives_a_worker_running_ahead() {
-    let wrote = |w: usize, t: u64| w == 1 && t == 2;
-    check_quiet_walk("handoff run-ahead past a quiet step", 2, 2, false, wrote, &[2], 2, &[0, 2]);
+fn barriers_order_a_plain_slot_across_a_quiet_jump() {
+    check_step_walk("plain slot across a jump", 2, 2, true, |_, _| false, &[3], 4, &[0, 3, 4]);
 }
 
-/// The mirror image: worker 1 queues writes at steps 0 and 1 without ever
-/// asking, so `last_write` can again be ahead of the step worker 0 asks
-/// about — and this time that step was *not* quiet. Nobody may jump.
+/// The dirty-mask contract: a feeding slot's writer marks a block with a
+/// `Relaxed` `fetch_or` in the apply phase, and the block's owner takes the
+/// mark with `Relaxed` loads and `fetch_and` while evaluating. Only the
+/// barriers order them — the post-apply one carries each mark to its take,
+/// the post-evaluate one keeps the next step's mark from landing before the
+/// take clears the last one (and being cleared with it).
 #[test]
-fn handoff_busy_steps_are_not_mistaken_for_a_jump() {
-    let wrote = |w: usize, _| w == 1;
-    check_quiet_walk("handoff run-ahead past busy steps", 2, 2, false, wrote, &[9], 1, &[0, 1]);
-}
-
-/// Poison must release a worker parked in the all-workers wait of
-/// `wait_quiet` — worker 1 never publishes its eval — in every
-/// interleaving, including poison-before-wait.
-#[test]
-fn handoff_poison_releases_the_all_workers_wait() {
-    let outcome = Explorer::new().check(|| {
-        let h = Arc::new(StepHandoff::new(2));
-        let h2 = Arc::clone(&h);
+fn barrier_carries_a_relaxed_dirty_mark() {
+    let outcome = Explorer::new().max_preemptions(2).check(|| {
+        const STEPS: usize = 2;
+        let barrier = Arc::new(SpinBarrier::new(2));
+        let mask = Arc::new(AtomicU64::new(0));
+        let (b2, m2) = (Arc::clone(&barrier), Arc::clone(&mask));
+        // Apply, barrier, evaluate, barrier — minus the last step's second
+        // barrier, which orders nothing here.
         let t = thread::spawn(move || {
-            h2.publish_eval(0, 0);
-            h2.wait_quiet(0)
+            for step in 0..STEPS {
+                m2.fetch_or(1, Ordering::Relaxed);
+                b2.wait();
+                if step + 1 < STEPS {
+                    b2.wait();
+                }
+            }
         });
-        h.poison();
-        assert_eq!(t.join(), None, "poisoned wait_quiet must report failure");
-        assert_eq!(h.wait_quiet(0), None);
+        for step in 0..STEPS {
+            barrier.wait();
+            let dirty = mask.load(Ordering::Relaxed) & 1 != 0;
+            assert!(dirty, "step {step}: dirty mark lost across the barrier");
+            mask.fetch_and(!1, Ordering::Relaxed);
+            if step + 1 < STEPS {
+                barrier.wait();
+            }
+        }
+        t.join();
     });
-    outcome.assert_pass("handoff poison releases wait_quiet");
+    outcome.assert_pass("barrier carries relaxed dirty marks");
+}
+
+/// A worker that dies at either barrier of a step poisons it instead of
+/// arriving: both peers, whether already waiting or still to come, must
+/// leave the step loop. Three parties, so no preemptions (see above).
+#[test]
+fn poison_in_either_barrier_releases_every_waiter() {
+    for dies_at in 0..2 {
+        let outcome = Explorer::new().max_preemptions(0).check(move || {
+            let barrier = Arc::new(SpinBarrier::new(3));
+            let mark = Arc::new(WriteMark::new());
+            let peers: Vec<_> = (1..3)
+                .map(|w| {
+                    let (b, m) = (Arc::clone(&barrier), Arc::clone(&mark));
+                    thread::spawn(move || step_walk(&b, &m, None, w, |_, _| true, &[], 3))
+                })
+                .collect();
+            if dies_at == 1 {
+                barrier.wait();
+            }
+            barrier.poison();
+            for (i, peer) in peers.into_iter().enumerate() {
+                assert_eq!(peer.join(), None, "worker {} kept stepping", i + 1);
+            }
+        });
+        outcome.assert_pass(&format!("poison at barrier {dies_at}"));
+    }
 }
 
 // `model` is referenced by the chaos-gated test only; keep the import
