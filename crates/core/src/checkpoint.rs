@@ -40,7 +40,7 @@ use parsim_telemetry::{Counter, Gauge, TelemetryCtx};
 use parsim_trace::Trace;
 
 use crate::chaotic::ChaoticAsync;
-use crate::compiled::CompiledMode;
+use crate::compiled::{CompiledMode, LaneStimulus};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::metrics::Metrics;
@@ -84,7 +84,9 @@ impl EngineKind {
         seg: SegmentSpec<'_>,
     ) -> Result<SegmentOut, SimError> {
         match self {
-            EngineKind::Sequential => EventDriven::run_segment(netlist, config, seg),
+            EngineKind::Sequential => {
+                EventDriven::run_segment(netlist, config, seg, &LaneStimulus::base())
+            }
             EngineKind::Synchronous => SyncEventDriven::run_segment(netlist, config, seg),
             EngineKind::Compiled => CompiledMode::run_segment(netlist, config, seg),
             EngineKind::Chaotic => ChaoticAsync::run_segment(netlist, config, seg),

@@ -39,8 +39,11 @@ use crate::kernel;
 use crate::metrics::Metrics;
 use crate::waveform::SimResult;
 
-/// One lane's stimulus for [`CompiledMode::run_batch`]: per-node schedule
-/// overrides applied on top of the netlist's own generators.
+/// One lane's stimulus for [`CompiledMode::run_batch`] or
+/// [`EventDriven::run_lane`]: per-node schedule overrides applied on top
+/// of the netlist's own generators.
+///
+/// [`EventDriven::run_lane`]: crate::EventDriven::run_lane
 ///
 /// Each override replaces the named node's generator schedule (or drives an
 /// undriven node) *for that lane only*; nodes without an override follow
@@ -64,6 +67,65 @@ impl LaneStimulus {
     pub fn drive(mut self, node: NodeId, schedule: Vec<(Time, Value)>) -> LaneStimulus {
         self.overrides.push((node, schedule));
         self
+    }
+
+    /// Checks every override against `netlist`, the one check both engines
+    /// and the server's submit path apply.
+    ///
+    /// # Errors
+    ///
+    /// The reason the first bad override is refused: it targets an unknown
+    /// node or one driven by a non-generator element, its schedule is
+    /// empty, not strictly increasing in time or of the wrong width, or the
+    /// same node is overridden twice.
+    pub fn validate(&self, netlist: &Netlist) -> Result<(), String> {
+        for (node, schedule) in &self.overrides {
+            if node.index() >= netlist.num_nodes() {
+                return Err(format!(
+                    "override targets unknown node index {}",
+                    node.index()
+                ));
+            }
+            let n = netlist.node(*node);
+            if let Some((drv, _)) = n.driver() {
+                if !netlist.element(drv).kind().is_generator() {
+                    return Err(format!(
+                        "override targets node '{}', which is driven by non-generator element '{}'",
+                        n.name(),
+                        netlist.element(drv).name()
+                    ));
+                }
+            }
+            if schedule.is_empty() {
+                return Err(format!(
+                    "override for node '{}' has an empty schedule",
+                    n.name()
+                ));
+            }
+            if !schedule.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!(
+                    "override for node '{}' is not strictly increasing in time",
+                    n.name()
+                ));
+            }
+            if let Some((_, v)) = schedule.iter().find(|(_, v)| v.width() != n.width()) {
+                return Err(format!(
+                    "override for node '{}' has width {} (node is {})",
+                    n.name(),
+                    v.width(),
+                    n.width()
+                ));
+            }
+        }
+        let mut nodes: Vec<NodeId> = self.overrides.iter().map(|(n, _)| *n).collect();
+        nodes.sort_unstable();
+        match nodes.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(format!(
+                "overrides node '{}' twice",
+                netlist.node(w[0]).name()
+            )),
+            None => Ok(()),
+        }
     }
 }
 
@@ -200,11 +262,9 @@ impl CompiledMode {
     /// # Errors
     ///
     /// All of [`CompiledMode::run_with_partition`]'s errors, plus
-    /// [`SimError::InvalidConfig`] when `stimuli` is empty, an override
-    /// targets an unknown or non-generator-driven node, a schedule is
-    /// empty, not strictly increasing in time, or width-mismatched, a
-    /// lane overrides the same node twice, or a forced lane width is not
-    /// one of 64/128/256/512.
+    /// [`SimError::InvalidConfig`] when `stimuli` is empty, a lane has an
+    /// override [`LaneStimulus::validate`] refuses, or a forced lane width
+    /// is not one of 64/128/256/512.
     pub fn run_batch(
         netlist: &Netlist,
         config: &SimConfig,
@@ -536,22 +596,52 @@ mod tests {
             CompiledMode::run_batch(&n, &cfg, &[]),
             Err(SimError::InvalidConfig { .. })
         ));
-        // Override of a gate-driven node.
-        let driven = n.node_by_name("n0").unwrap();
-        let stim = LaneStimulus::base().drive(driven, vec![(Time(0), Value::zero(1))]);
-        assert!(matches!(
-            CompiledMode::run_batch(&n, &cfg, &[stim]),
-            Err(SimError::InvalidConfig { .. })
-        ));
-        // Non-increasing schedule on the clock node.
         let clk = n.node_by_name("clk").unwrap();
-        let stim = LaneStimulus::base().drive(
-            clk,
-            vec![(Time(3), Value::zero(1)), (Time(3), Value::ones(1))],
-        );
-        assert!(matches!(
-            CompiledMode::run_batch(&n, &cfg, &[stim]),
-            Err(SimError::InvalidConfig { .. })
-        ));
+        let n0 = n.node_by_name("n0").unwrap();
+        let low = vec![(Time(0), Value::zero(1))];
+        let bad = [
+            (
+                "unknown node",
+                LaneStimulus::base().drive(NodeId::from_index(99), low.clone()),
+            ),
+            (
+                "gate-driven node",
+                LaneStimulus::base().drive(n0, low.clone()),
+            ),
+            (
+                "empty schedule",
+                LaneStimulus::base().drive(clk, Vec::new()),
+            ),
+            (
+                "not increasing",
+                LaneStimulus::base().drive(
+                    clk,
+                    vec![(Time(3), Value::zero(1)), (Time(3), Value::ones(1))],
+                ),
+            ),
+            (
+                "wrong width",
+                LaneStimulus::base().drive(clk, vec![(Time(0), Value::zero(2))]),
+            ),
+            (
+                "given twice",
+                LaneStimulus::base().drive(clk, low.clone()).drive(clk, low),
+            ),
+        ];
+        for (what, stim) in bad {
+            let reason = stim.validate(&n).expect_err(what);
+            // The batch names the lane, the one-lane engine does not.
+            let batch = CompiledMode::run_batch(&n, &cfg, &[LaneStimulus::base(), stim.clone()]);
+            let lane_1 = format!("lane 1 {reason}");
+            assert!(
+                matches!(&batch, Err(SimError::InvalidConfig { reason: r }) if *r == lane_1),
+                "{what}: {batch:?}"
+            );
+            let lane = EventDriven::run_lane(&n, &cfg, &stim);
+            assert!(
+                matches!(&lane, Err(SimError::InvalidConfig { reason: r }) if *r == reason),
+                "{what}: {lane:?}"
+            );
+        }
     }
 }

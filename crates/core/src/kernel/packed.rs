@@ -245,52 +245,12 @@ pub(crate) fn run_batch_segment(
     let bitset_words = lanes.div_ceil(64);
     let mut overridden: HashMap<u32, Vec<u64>> = HashMap::new();
     for (l, stim) in stimuli.iter().enumerate() {
-        for (node, schedule) in &stim.overrides {
-            if node.index() >= netlist.num_nodes() {
-                return Err(invalid(format!(
-                    "lane {l} override targets unknown node index {}",
-                    node.index()
-                )));
-            }
-            let n = netlist.node(*node);
-            if let Some((drv, _)) = n.driver() {
-                if !netlist.element(drv).kind().is_generator() {
-                    return Err(invalid(format!(
-                        "lane {l} override targets node '{}', which is driven by \
-                         non-generator element '{}'",
-                        n.name(),
-                        netlist.element(drv).name()
-                    )));
-                }
-            }
-            if schedule.is_empty() {
-                return Err(invalid(format!(
-                    "lane {l} override for node '{}' has an empty schedule",
-                    n.name()
-                )));
-            }
-            if !schedule.windows(2).all(|w| w[0].0 < w[1].0) {
-                return Err(invalid(format!(
-                    "lane {l} override for node '{}' is not strictly increasing in time",
-                    n.name()
-                )));
-            }
-            if let Some((_, v)) = schedule.iter().find(|(_, v)| v.width() != n.width()) {
-                return Err(invalid(format!(
-                    "lane {l} override for node '{}' has width {} (node is {})",
-                    n.name(),
-                    v.width(),
-                    n.width()
-                )));
-            }
-            let slot = prog.slot_of(*node);
-            let seen = overridden.entry(slot).or_insert_with(|| vec![0; bitset_words]);
-            if seen[l / 64] & (1 << (l % 64)) != 0 {
-                return Err(invalid(format!(
-                    "lane {l} overrides node '{}' twice",
-                    n.name()
-                )));
-            }
+        stim.validate(netlist)
+            .map_err(|reason| invalid(format!("lane {l} {reason}")))?;
+        for (node, _) in &stim.overrides {
+            let seen = overridden
+                .entry(prog.slot_of(*node))
+                .or_insert_with(|| vec![0; bitset_words]);
             seen[l / 64] |= 1 << (l % 64);
         }
     }

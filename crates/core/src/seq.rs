@@ -17,12 +17,15 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
-use parsim_logic::{evaluate, expand_generator, transition_delay, ElemState, Time, Value};
+use parsim_logic::{
+    evaluate, expand_generator, expand_vector, transition_delay, ElemState, Time, Value,
+};
 use parsim_netlist::{Netlist, NodeId};
 use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer};
 
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
+use crate::compiled::LaneStimulus;
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
 use crate::watchdog::{Containment, Watchdog};
@@ -61,13 +64,85 @@ impl EventDriven {
     /// [`SimConfig::deadline`](crate::SimConfig) is set and elapses; the
     /// deadline is polled inline every few thousand processed events.
     pub fn run(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
+        Self::run_lane(netlist, config, &LaneStimulus::base())
+    }
+
+    /// Runs one stimulus lane through `config.end_time`: each override in
+    /// `stimulus` replaces its node's generator schedule (or drives an
+    /// undriven node), expanded exactly as [`CompiledMode::run_batch`]
+    /// expands a lane's overrides. On a netlist whose delays are all 1 the
+    /// result is byte-identical to that batch lane's.
+    ///
+    /// [`CompiledMode::run_batch`]: crate::CompiledMode::run_batch
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] for an override
+    /// [`LaneStimulus::validate`] refuses, plus [`EventDriven::run`]'s.
+    pub fn run_lane(
+        netlist: &Netlist,
+        config: &SimConfig,
+        stimulus: &LaneStimulus,
+    ) -> Result<SimResult, SimError> {
+        stimulus
+            .validate(netlist)
+            .map_err(|reason| SimError::InvalidConfig { reason })?;
         let ctx = new_run_ctx(config);
-        let out = Self::run_segment(netlist, config, SegmentSpec::whole(config, ctx.clone()))?;
+        let seg = SegmentSpec::whole(config, ctx.clone());
+        let out = Self::run_segment(netlist, config, seg, stimulus)?;
         Ok(out.into_result(netlist, config, &ctx))
     }
 
+    /// One checkpoint segment of [`EventDriven::run_lane`], the one-lane
+    /// counterpart of [`CompiledMode::run_batch_segment_with_program`]:
+    /// simulates up to (and including) `cut`, from time zero or from
+    /// `resume`, and returns the segment's waveforms (changes after the
+    /// resume time only) with the snapshot to resume from.
+    ///
+    /// [`CompiledMode::run_batch_segment_with_program`]: crate::CompiledMode::run_batch_segment_with_program
+    ///
+    /// # Errors
+    ///
+    /// [`EventDriven::run_lane`]'s, plus [`SimError::InvalidConfig`] when
+    /// the resume snapshot is not strictly before `cut` and
+    /// [`SimError::Checkpoint`] when it does not fit the netlist.
+    pub fn run_lane_segment(
+        netlist: &Netlist,
+        config: &SimConfig,
+        stimulus: &LaneStimulus,
+        resume: Option<&EngineSnapshot>,
+        cut: Time,
+    ) -> Result<(SimResult, EngineSnapshot), SimError> {
+        stimulus
+            .validate(netlist)
+            .map_err(|reason| SimError::InvalidConfig { reason })?;
+        if let Some(snap) = resume {
+            snap.check_shape(netlist)?;
+            if snap.time >= cut.ticks() {
+                return Err(SimError::InvalidConfig {
+                    reason: format!(
+                        "resume snapshot time {} is not before the cut {}",
+                        snap.time,
+                        cut.ticks()
+                    ),
+                });
+            }
+        }
+        let ctx = new_run_ctx(config);
+        let seg = SegmentSpec {
+            resume,
+            cut: cut.ticks(),
+            capture: true,
+            telemetry: ctx.clone(),
+        };
+        let mut out = Self::run_segment(netlist, config, seg, stimulus)?;
+        let snapshot = out.snapshot.take().expect("capture was requested");
+        Ok((out.into_result(netlist, config, &ctx), snapshot))
+    }
+
     /// Runs one segment of the simulation — the whole run when `seg` is
-    /// [`SegmentSpec::whole`]. With a `resume` snapshot the engine
+    /// [`SegmentSpec::whole`] — on `stimulus`, which the caller has
+    /// validated. With a `resume` snapshot the engine
     /// warm-starts at the previous cut (no time-zero initialization
     /// pass; pending events are re-injected and generator schedules
     /// re-expanded past the cut). With `capture`, events computed beyond
@@ -79,6 +154,7 @@ impl EventDriven {
         netlist: &Netlist,
         config: &SimConfig,
         seg: SegmentSpec<'_>,
+        stimulus: &LaneStimulus,
     ) -> Result<SegmentOut, SimError> {
         let start = Instant::now();
         // `end` is the horizon: events beyond it are dropped (without
@@ -151,11 +227,23 @@ impl EventDriven {
         // with many clocks must not push the first check past the budget.
         // Expansion stops at the cut: the next segment re-expands its own
         // span deterministically, so nothing beyond the cut is stored.
-        let mut expanded = 0u64;
-        for gen in netlist.generators() {
+        // An overridden generator is skipped; its override goes through the
+        // `Vector` generator's own expansion, as in the packed batch kernel.
+        let generated = netlist.generators().into_iter().filter_map(|gen| {
             let e = netlist.element(gen);
-            let out = e.outputs()[0].index();
-            for (t, v) in expand_generator(e.kind(), Time(cut)) {
+            let out = e.outputs()[0];
+            let overridden = stimulus.overrides.iter().any(|(node, _)| *node == out);
+            (!overridden).then(|| (out.index(), expand_generator(e.kind(), Time(cut))))
+        });
+        let overrides = stimulus.overrides.iter().map(|(node, schedule)| {
+            let mut events = Vec::with_capacity(schedule.len() + 1);
+            let changes = schedule.iter().map(|&(t, v)| (t.ticks(), v));
+            expand_vector(changes, Time(cut), |t, v| events.push((t, v)));
+            (node.index(), events)
+        });
+        let mut expanded = 0u64;
+        for (out, events) in generated.chain(overrides) {
+            for (t, v) in events {
                 if t0.is_some_and(|t0| t.ticks() <= t0) {
                     continue;
                 }

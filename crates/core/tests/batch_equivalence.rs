@@ -1,14 +1,20 @@
-//! Per-lane equivalence of the word-parallel batch kernel.
+//! Per-lane equivalence of the word-parallel batch kernel and of the
+//! one-lane event-driven engine.
 //!
-//! Every lane of a [`CompiledMode::run_batch`] run must be bit-identical
-//! to simulating that lane's stimulus alone with the sequential
-//! [`EventDriven`] oracle — on random unit-delay netlists (combinational
-//! gates, muxes, flip-flops, latches, tri-states, and fallback RTL ops),
-//! and on ISCAS c17. Plus: activity gating must eliminate the work of
-//! quiescent sub-circuits without touching waveforms.
+//! Every lane of a [`CompiledMode::run_batch`] run, and the same lane run
+//! alone by [`EventDriven::run_lane`], must be byte-identical to
+//! simulating that lane's stimulus with the sequential [`EventDriven`]
+//! oracle on a netlist with the overrides bound in as `Vector` drivers —
+//! on random unit-delay netlists (combinational gates, muxes, flip-flops,
+//! latches, tri-states, and fallback RTL ops), on `parsim-circuits`'
+//! random circuits, and on ISCAS c17. A chain of
+//! [`EventDriven::run_lane_segment`] calls stitches to the uncut run. Plus:
+//! activity gating must eliminate the work of quiescent sub-circuits
+//! without touching waveforms.
 
 use std::sync::Arc;
 
+use parsim_circuits::{random_circuit, RandomCircuitParams};
 use parsim_core::{equivalence_report, CompiledMode, EventDriven, LaneStimulus, SimConfig};
 use parsim_logic::{Delay, ElementKind, Time, Value};
 use parsim_netlist::bench_fmt::{from_bench, BenchOptions, C17};
@@ -194,6 +200,19 @@ fn check_built_lanes(
         let oracle = EventDriven::run(&oracle_netlist, &oracle_cfg).unwrap();
         let rep = equivalence_report(&oracle, &batch.lanes[l]);
         prop_assert!(rep.is_equivalent(), "lane {}/{} x{}: {}", l, per_lane.len(), threads, rep);
+        // The lane alone on the event-driven engine, overrides and all.
+        let alone = EventDriven::run_lane(&netlist, &oracle_cfg, &stimuli[l]).unwrap();
+        let vcd = oracle.to_vcd();
+        prop_assert!(
+            alone.to_vcd() == vcd,
+            "lane {} run_lane VCD differs from the oracle",
+            l
+        );
+        prop_assert!(
+            batch.lanes[l].to_vcd() == vcd,
+            "lane {} batch VCD differs from the oracle",
+            l
+        );
     }
     Ok(())
 }
@@ -221,6 +240,134 @@ proptest! {
         let per_lane = lane_schedules(&mut rng, lanes, num_inputs, end);
         check_lanes(seed, num_inputs, num_gates, &per_lane, threads, Time(end))?;
     }
+}
+
+/// `netlist` with each listed node's generator rebuilt as a `Vector` of its
+/// schedule (an empty schedule keeps the generator): one lane's oracle form.
+/// Nodes and elements keep their order, so ids and VCD identifiers match.
+fn with_vector_drivers(netlist: &Netlist, drive: &[(NodeId, &[(Time, Value)])]) -> Netlist {
+    let mut b = Builder::new();
+    for (_, node) in netlist.iter_nodes() {
+        b.node(node.name(), node.width());
+    }
+    for (_, e) in netlist.iter_elements() {
+        let bound = drive
+            .iter()
+            .find(|(n, s)| e.outputs() == [*n] && !s.is_empty());
+        let kind = match bound {
+            Some((_, sched)) if e.kind().is_generator() => vector_driver(sched),
+            _ => e.kind().clone(),
+        };
+        let (rise, fall) = (e.rise_delay(), e.fall_delay());
+        b.element_with_delays(e.name(), kind, rise, fall, e.inputs(), e.outputs())
+            .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `parsim-circuits`' random circuits at unit delay (LFSR, clock and
+    /// pulse inputs, flip-flop feedback), with a random subset of the
+    /// generators — the flip-flops' clock included — overridden per lane.
+    #[test]
+    fn random_circuit_lanes_match_on_both_engines(
+        seed in any::<u64>(),
+        lanes in 1usize..=4,
+        elements in 5usize..60,
+        threads in 1usize..3,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let params = RandomCircuitParams {
+            elements,
+            inputs: rng.gen_range(1..5usize),
+            seq_fraction: 0.2,
+            max_delay: 1,
+            seed,
+        };
+        let end = 80u64;
+        let circuit = random_circuit(&params).unwrap();
+        let inputs: Vec<NodeId> = std::iter::once("clk".to_string())
+            .chain((0..params.inputs).map(|i| format!("in{i}")))
+            .map(|name| circuit.netlist.node_by_name(&name).unwrap())
+            .collect();
+        let mut watch = circuit.watch.clone();
+        watch.extend(&inputs);
+        let per_lane: Vec<Schedules> = (0..lanes)
+            .map(|_| {
+                // An empty schedule leaves that generator in place.
+                let overridden: Vec<bool> = inputs.iter().map(|_| rng.gen_bool(0.5)).collect();
+                overridden
+                    .into_iter()
+                    .map(|o| if o { random_schedule(&mut rng, end) } else { Vec::new() })
+                    .collect()
+            })
+            .collect();
+        let build = |schedules: Option<&Schedules>| {
+            let netlist = match schedules {
+                None => circuit.netlist.clone(),
+                Some(schedules) => {
+                    let drive: Vec<(NodeId, &[(Time, Value)])> =
+                        inputs.iter().zip(schedules).map(|(&n, s)| (n, s.as_slice())).collect();
+                    with_vector_drivers(&circuit.netlist, &drive)
+                }
+            };
+            (netlist, watch.clone(), inputs.clone())
+        };
+        check_built_lanes(build, &per_lane, threads, Time(end), |c| c)
+            .map_err(|e| TestCaseError::fail(format!("seed {seed}: {e}")))?;
+    }
+}
+
+/// A one-lane event-driven run cut twice — at a tick where nothing happens
+/// and at a tick with events — and resumed from each snapshot stitches to
+/// the uncut run, overrides included.
+#[test]
+fn run_lane_segments_cut_quiet_and_active_stitch_to_the_uncut_run() {
+    let seed = 0x5e9_c0de;
+    let end = 90u64;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (netlist, _, inputs) = gate_circuit(seed, 3, 30, None);
+    let mut stimulus = LaneStimulus::base();
+    for &input in &inputs {
+        stimulus = stimulus.drive(input, random_schedule(&mut rng, end));
+    }
+    // Every node watched, so a tick with no change anywhere is a quiet one.
+    let cfg = SimConfig::new(Time(end)).watch_all(netlist.iter_nodes().map(|(id, _)| id));
+    let uncut = EventDriven::run_lane(&netlist, &cfg, &stimulus).unwrap();
+    let active: Vec<u64> = uncut
+        .waveforms()
+        .iter()
+        .flat_map(|w| w.changes().iter().map(|&(t, _)| t.ticks()))
+        .collect();
+    let quiet = (1..end)
+        .find(|t| !active.contains(t))
+        .expect("a tick without events");
+    let busy = (1..end)
+        .rev()
+        .find(|t| active.contains(t))
+        .expect("a tick with events");
+    let (first, second) = (quiet.min(busy), quiet.max(busy));
+    let (mut whole, snap) =
+        EventDriven::run_lane_segment(&netlist, &cfg, &stimulus, None, Time(first)).unwrap();
+    let mut resume = snap;
+    for cut in [second, end] {
+        let (part, snap) =
+            EventDriven::run_lane_segment(&netlist, &cfg, &stimulus, Some(&resume), Time(cut))
+                .unwrap();
+        whole.append_segment(&part);
+        resume = snap;
+    }
+    assert_eq!(
+        whole.to_vcd(),
+        uncut.to_vcd(),
+        "cuts at {quiet} (quiet) and {busy} (active)"
+    );
+    assert_eq!(
+        whole.metrics.events_processed,
+        uncut.metrics.events_processed
+    );
 }
 
 /// A full 64-lane batch on a fixed random circuit.

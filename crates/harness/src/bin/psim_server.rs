@@ -6,11 +6,12 @@
 //!
 //! Tenants POST netlist text to `/v1/jobs` and poll
 //! `/v1/jobs/{id}/result`; jobs whose netlists share a structural digest
-//! are packed into one word-parallel batch pass (see the `parsim-server`
-//! crate docs and `DESIGN.md` §14). A text the server has seen before is
-//! not parsed again: up to `--cache-capacity` circuits are kept, each with
-//! its parsed netlist and compiled program. `GET /metrics` exposes the
-//! `parsim_server_*` Prometheus families.
+//! are packed into one word-parallel batch pass, and a job alone in its
+//! pass on a unit-delay circuit runs the event-driven engine instead (see
+//! the `parsim-server` crate docs and `DESIGN.md` §14). A text the server
+//! has seen before is not parsed again: up to `--cache-capacity` circuits
+//! are kept, each with its parsed netlist and compiled program. `GET
+//! /metrics` exposes the `parsim_server_*` Prometheus families.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -19,6 +20,7 @@ use parsim_server::{HttpServer, InProcTransport, Server, ServerConfig, Transport
 
 const USAGE: &str = "usage: psim-server [--addr HOST:PORT] [--threads N] [--max-lanes N] \
 [--segment-ticks N] [--cache-capacity N] [--quota N] [--force-lane-width 64|128|256|512]
+  --threads N         workers per compiled pass; a lone unit-delay job runs event-driven on the scheduler thread
   --cache-capacity N  circuits kept (parsed netlist + compiled program each), least recently used evicted";
 
 struct Options {

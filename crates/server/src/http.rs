@@ -18,7 +18,13 @@
 //!
 //! The `drive` parameter carries lane overrides as
 //! `node@t:v;t:v,node2@t:v` (times and values decimal, values resolved
-//! against node widths).
+//! against node widths). An override the engines would refuse (unknown
+//! node, gate-driven node, unordered times, a node given twice) is a 400 at
+//! submit.
+//!
+//! A result names its pass in `X-Parsim-Status`, `X-Parsim-Lane`,
+//! `X-Parsim-Lanes-In-Batch` and `X-Parsim-Cache-Hit`, and a done job also
+//! in `X-Parsim-Engine` (`event-driven` or `compiled-mode`).
 //!
 //! [`Netlist::from_text`]: parsim_netlist::Netlist::from_text
 
@@ -287,14 +293,27 @@ fn respond(stream: TcpStream, resp: Response, stream_mode: bool) -> std::io::Res
         }
         Response::Cancelled { ok } => write_plain(stream, 200, &format!("ok={ok}\n"), &[]),
         Response::Metrics { text } => write_plain(stream, 200, &text, &[]),
-        Response::Error { code, message } => write_plain(stream, code, &format!("{message}\n"), &[]),
-        Response::Result { status, vcd, lane, lanes_in_batch, cache_hit, error } => {
-            let extra = [
+        Response::Error { code, message } => {
+            write_plain(stream, code, &format!("{message}\n"), &[])
+        }
+        Response::Result {
+            status,
+            vcd,
+            lane,
+            lanes_in_batch,
+            engine,
+            cache_hit,
+            error,
+        } => {
+            let mut extra = vec![
                 ("X-Parsim-Status", status.to_string()),
                 ("X-Parsim-Lane", lane.to_string()),
                 ("X-Parsim-Lanes-In-Batch", lanes_in_batch.to_string()),
                 ("X-Parsim-Cache-Hit", cache_hit.to_string()),
             ];
+            if let Some(engine) = engine {
+                extra.push(("X-Parsim-Engine", engine.to_string()));
+            }
             match (vcd, error) {
                 (Some(vcd), _) if stream_mode => write_chunked(stream, 200, &vcd, &extra),
                 (Some(vcd), _) => write_plain(stream, 200, &vcd, &extra),

@@ -24,7 +24,7 @@ pub struct JobSpec {
     pub tenant: String,
     /// The circuit. Jobs whose netlists hash to the same structural
     /// digest ([`parsim_checkpoint::netlist_digest`]) are packed into the
-    /// same word-parallel batch pass. The job, not the server's store,
+    /// same pass. The job, not the server's store,
     /// keeps it alive until its pass has run.
     pub netlist: Arc<Netlist>,
     /// This tenant's stimulus lane (schedule overrides on top of the
@@ -119,7 +119,10 @@ pub struct JobArtifact {
     pub lane: usize,
     /// How many tenants shared that pass.
     pub lanes_in_batch: usize,
-    /// Whether the pass reused a cached compiled program.
+    /// The engine the pass ran on: `"event-driven"` or `"compiled-mode"`.
+    pub engine: &'static str,
+    /// Whether the pass reused a cached compiled program (never for an
+    /// event-driven pass, which has none).
     pub cache_hit: bool,
     /// The batch pass's run telemetry (shared across its tenants).
     pub telemetry: Option<Arc<parsim_telemetry::RunTelemetry>>,
@@ -140,8 +143,8 @@ pub enum JobOutcome {
 pub enum SubmitError {
     /// The tenant already has `limit` jobs queued or running.
     QuotaExceeded { tenant: String, limit: usize },
-    /// The spec cannot be served (empty watch is allowed; a zero-lane
-    /// batch is not, etc.).
+    /// The spec cannot be served: its stimulus has an override
+    /// [`LaneStimulus::validate`] refuses.
     Invalid { reason: String },
     /// The server is shutting down.
     ShuttingDown,

@@ -8,14 +8,18 @@
 //! bin into a single [`CompiledMode::run_batch`] pass — up to
 //! [`ServerConfig::max_lanes_per_batch`] tenants served by one
 //! instruction-stream execution, each getting back waveforms
-//! bit-identical to a standalone run of their stimulus.
+//! bit-identical to a standalone run of their stimulus. A job alone in its
+//! pass on a unit-delay netlist gains nothing from sharing, so that pass
+//! runs [`EventDriven::run_lane`] instead, evaluating only what changes
+//! and never lowering the netlist — the paper's §3 point that compiled
+//! mode pays or not depending on the circuit, decided pass by pass.
 //!
 //! The compile-once/run-many economics ride one [`NetlistStore`]: a single
 //! LRU of [`ServerConfig::cache_capacity`] circuits, each entry holding the
 //! request text, the shared parsed netlist, its digest and the lazily
 //! compiled [`CompiledProgram`]. A text submission first looks its bytes up
 //! (hash, then a full byte comparison) and parses only on a miss; the first
-//! pass of a digest pays the lowering, every later one reuses the program
+//! compiled pass of a digest pays the lowering, every later one reuses the program
 //! through [`CompiledMode::run_batch_with_program`]. Finished jobs keep
 //! only their artifact, and only the most recent
 //! [`RETAINED_FINISHED_JOBS`] of them are kept at all, so memory is bounded
@@ -36,10 +40,11 @@
 //! Service-level observability lives in
 //! [`parsim_telemetry::ServerRegistry`] under `parsim_server_*` metric
 //! names: job lifecycle counts, netlist-store hits/misses (text lookups),
-//! cache hits/misses/evictions (programs), batch passes, and lane
-//! occupancy.
+//! cache hits/misses/evictions (programs), passes (and how many ran
+//! event-driven), and lane occupancy.
 //!
 //! [`CompiledMode::run_batch`]: parsim_core::CompiledMode::run_batch
+//! [`EventDriven::run_lane`]: parsim_core::EventDriven::run_lane
 //! [`CompiledMode::run_batch_with_program`]: parsim_core::CompiledMode::run_batch_with_program
 //! [`CompiledProgram`]: parsim_netlist::compile::CompiledProgram
 //! [`SimError`]: parsim_core::SimError

@@ -1,20 +1,31 @@
 //! The digest-binned scheduler: pending jobs queue per structural netlist
-//! digest, and each dispatch drains one bin into a single word-parallel
-//! [`CompiledMode::run_batch`] pass — one instruction-stream execution
-//! serving up to `max_lanes_per_batch` tenants.
+//! digest, and each dispatch drains one bin into a single pass serving up
+//! to `max_lanes_per_batch` tenants.
 //!
 //! Dispatch order is oldest-job-first across bins (job ids are monotonic),
 //! so a hot digest cannot starve a cold one: the bin holding the oldest
 //! queued job always dispatches next, and everything else waiting on the
 //! same digest rides along in its lanes.
 //!
+//! Each pass picks its engine once, by the paper's §3 trade-off: compiled
+//! mode evaluates every element every step, which pays only when lanes
+//! share the work. A pass of one job on a netlist whose delays are all 1
+//! runs [`EventDriven::run_lane`] on the scheduler thread and never lowers
+//! the netlist; every other pass runs the word-parallel
+//! [`CompiledMode::run_batch_with_program`] on `threads` workers, with the
+//! program the [`NetlistStore`] compiles once per digest. On a unit-delay
+//! netlist the two engines give byte-identical waveforms, and on any other
+//! the compiled kernel's unit-delay semantics are what the server has
+//! always served, so the choice never changes an artifact.
+//!
 //! Deadlines and cancellation piggyback on the checkpoint-segment API:
-//! when `segment_ticks > 0` a pass runs as a chain of
-//! [`CompiledMode::run_batch_segment_with_program`] calls, and between
+//! when `segment_ticks > 0` a pass runs as a chain of segment calls
+//! ([`EventDriven::run_lane_segment`] or
+//! [`CompiledMode::run_batch_segment_with_program`]), and between
 //! cuts the scheduler evicts lanes whose tenant cancelled or whose
 //! wall-clock budget expired (synthesizing
 //! [`SimError::DeadlineExceeded`] with `engine: "server"`). With
-//! `segment_ticks == 0` a pass is one uninterruptible kernel run and those
+//! `segment_ticks == 0` a pass is one uninterruptible engine run and those
 //! checks happen only at dispatch and completion.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -22,8 +33,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use parsim_checkpoint::{netlist_digest, EngineSnapshot};
-use parsim_core::{CompiledMode, LaneStimulus, SimConfig, SimError, SimResult, StallDiagnostic};
-use parsim_logic::Time;
+use parsim_core::{
+    CompiledMode, EventDriven, LaneStimulus, SimConfig, SimError, SimResult, StallDiagnostic,
+};
+use parsim_logic::{Delay, Time};
 use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::Netlist;
 use parsim_telemetry::{RunTelemetry, ServerCounter, ServerGauge, ServerRegistry};
@@ -34,7 +47,8 @@ use crate::store::NetlistStore;
 /// Server-wide policy knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Engine worker threads per batch pass.
+    /// Engine worker threads per compiled pass. An event-driven pass (one
+    /// job, unit delays) runs on the scheduler thread alone.
     pub threads: usize,
     /// Most jobs packed into one pass (the service-level lane bound; the
     /// kernel chunks beyond its SIMD word width internally, so this caps
@@ -178,7 +192,9 @@ impl Server {
         Server { inner, worker: Some(worker) }
     }
 
-    /// Accepts a job into its digest bin. Fails fast on quota.
+    /// Accepts a job into its digest bin. Fails fast on quota, and on a
+    /// stimulus the engines would refuse, so one tenant's bad override
+    /// never fails the jobs packed with it.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
         let digest = netlist_digest(&spec.netlist);
         self.submit_digested(spec, digest)
@@ -187,6 +203,9 @@ impl Server {
     /// [`Server::submit`] for a spec whose netlist came out of
     /// [`Server::store`] with `digest` already known.
     pub(crate) fn submit_digested(&self, spec: JobSpec, digest: u64) -> Result<JobId, SubmitError> {
+        spec.stimulus
+            .validate(&spec.netlist)
+            .map_err(|reason| SubmitError::Invalid { reason })?;
         let mut st = self.inner.lock();
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -503,17 +522,114 @@ fn pass_config(inner: &Inner, members: &[(JobId, JobSpec)]) -> (SimConfig, Time)
     (cfg, end)
 }
 
+/// The engine one pass runs on, chosen once in [`run_pass`].
+enum Engine {
+    /// [`EventDriven::run_lane`]: one lane, nothing lowered.
+    EventDriven,
+    /// [`CompiledMode::run_batch_with_program`] on the store's program.
+    Compiled {
+        program: Arc<CompiledProgram>,
+        cache_hit: bool,
+    },
+}
+
+impl Engine {
+    /// The paper's §3 choice, made for one pass. Compiled mode evaluates
+    /// every element every step, so it pays only when lanes share that
+    /// work; one job on a unit-delay netlist (where the two engines agree
+    /// byte for byte) runs event-driven and is never lowered. Any other
+    /// pass keeps the compiled kernel and its unit-delay semantics.
+    fn choose(inner: &Inner, batch: &Batch) -> Engine {
+        let netlist = &batch.members[0].1.netlist;
+        let unit_delay = netlist.min_delay() == Delay(1) && netlist.max_delay() == Delay(1);
+        if batch.members.len() == 1 && unit_delay {
+            Engine::EventDriven
+        } else {
+            let (program, cache_hit) = inner.store.program(batch.digest, netlist);
+            Engine::Compiled { program, cache_hit }
+        }
+    }
+
+    /// The engine's tag, as its own errors carry it.
+    fn name(&self) -> &'static str {
+        match self {
+            Engine::EventDriven => "event-driven",
+            Engine::Compiled { .. } => "compiled-mode",
+        }
+    }
+}
+
 /// What every member of one pass shares.
 struct Pass<'a> {
     inner: &'a Inner,
     netlist: &'a Netlist,
     cfg: &'a SimConfig,
-    program: &'a CompiledProgram,
-    cache_hit: bool,
+    engine: Engine,
     lanes_in_batch: usize,
 }
 
+/// One run of a pass's engine: per-lane results in stimulus order, their
+/// resume snapshots (segment runs only), and the run telemetry the lanes
+/// share.
+struct PassOut {
+    lanes: Vec<SimResult>,
+    snapshots: Vec<EngineSnapshot>,
+    telemetry: Option<Arc<RunTelemetry>>,
+}
+
 impl Pass<'_> {
+    /// Runs `stimuli` on the pass's engine: whole with `cut == None`,
+    /// otherwise one segment up to `cut`, from `resume` when given.
+    fn run(
+        &self,
+        stimuli: &[LaneStimulus],
+        resume: Option<&[EngineSnapshot]>,
+        cut: Option<Time>,
+    ) -> Result<PassOut, SimError> {
+        self.inner.metrics.inc(ServerCounter::Segments);
+        let (netlist, cfg) = (self.netlist, self.cfg);
+        match &self.engine {
+            Engine::EventDriven => {
+                let [stimulus] = stimuli else {
+                    unreachable!("an event-driven pass has one lane")
+                };
+                let (mut lane, snapshots) = match cut {
+                    None => (EventDriven::run_lane(netlist, cfg, stimulus)?, Vec::new()),
+                    Some(cut) => {
+                        let resume = resume.map(|snaps| &snaps[0]);
+                        let (lane, snapshot) =
+                            EventDriven::run_lane_segment(netlist, cfg, stimulus, resume, cut)?;
+                        (lane, vec![snapshot])
+                    }
+                };
+                let telemetry = lane.telemetry.take().map(Arc::new);
+                Ok(PassOut {
+                    lanes: vec![lane],
+                    snapshots,
+                    telemetry,
+                })
+            }
+            Engine::Compiled { program, .. } => {
+                let (batch, snapshots) = match cut {
+                    None => {
+                        let batch =
+                            CompiledMode::run_batch_with_program(netlist, cfg, program, stimuli)?;
+                        (batch, Vec::new())
+                    }
+                    Some(cut) => CompiledMode::run_batch_segment_with_program(
+                        netlist, cfg, program, stimuli, resume, cut,
+                    )?,
+                };
+                let telemetry = batch.telemetry.map(Arc::new);
+                Ok(PassOut {
+                    lanes: batch.lanes,
+                    snapshots,
+                    telemetry,
+                })
+            }
+        }
+    }
+
     /// One member's deliverable: its lane restricted to its own watch list
     /// and end time. Built before the state lock is taken.
     fn artifact(
@@ -527,7 +643,14 @@ impl Pass<'_> {
             result: result.restricted(&spec.watch, spec.end),
             lane,
             lanes_in_batch: self.lanes_in_batch,
-            cache_hit: self.cache_hit,
+            engine: self.engine.name(),
+            cache_hit: matches!(
+                self.engine,
+                Engine::Compiled {
+                    cache_hit: true,
+                    ..
+                }
+            ),
             telemetry: telemetry.clone(),
         })
     }
@@ -541,11 +664,14 @@ impl Pass<'_> {
 }
 
 fn run_pass(inner: &Inner, batch: Batch) {
+    let engine = Engine::choose(inner, &batch);
     let netlist = batch.members[0].1.netlist.clone();
-    let (program, cache_hit) = inner.store.program(batch.digest, &netlist);
     let (cfg, end) = pass_config(inner, &batch.members);
     let lanes = batch.members.len();
     inner.metrics.inc(ServerCounter::BatchPasses);
+    if let Engine::EventDriven = engine {
+        inner.metrics.inc(ServerCounter::EventDrivenPasses);
+    }
     inner.metrics.add(ServerCounter::LanesPacked, lanes as u64);
     inner.metrics.set_gauge(ServerGauge::LastBatchLanes, lanes as u64);
 
@@ -553,8 +679,7 @@ fn run_pass(inner: &Inner, batch: Batch) {
         inner,
         netlist: &netlist,
         cfg: &cfg,
-        program: &program,
-        cache_hit,
+        engine,
         lanes_in_batch: lanes,
     };
     let seg = inner.config.segment_ticks;
@@ -568,16 +693,14 @@ fn run_pass(inner: &Inner, batch: Batch) {
 fn run_single_pass(pass: &Pass, members: Vec<(JobId, JobSpec)>) {
     let inner = pass.inner;
     let stimuli: Vec<LaneStimulus> = members.iter().map(|(_, s)| s.stimulus.clone()).collect();
-    inner.metrics.inc(ServerCounter::Segments);
-    match CompiledMode::run_batch_with_program(pass.netlist, pass.cfg, pass.program, &stimuli) {
-        Ok(result) => {
-            let telemetry = result.telemetry.map(Arc::new);
+    match pass.run(&stimuli, None, None) {
+        Ok(out) => {
             let artifacts: Vec<Arc<JobArtifact>> = members
                 .iter()
-                .zip(&result.lanes)
+                .zip(&out.lanes)
                 .enumerate()
                 .map(|(lane, ((_, spec), lane_result))| {
-                    pass.artifact(spec, lane, lane_result, &telemetry)
+                    pass.artifact(spec, lane, lane_result, &out.telemetry)
                 })
                 .collect();
             // The lock covers only the status flips: the artifact, or the
@@ -622,27 +745,22 @@ fn run_segmented_pass(
     while !live.is_empty() {
         let cut = Time(from.saturating_add(segment_ticks).min(end.ticks()));
         let stimuli: Vec<LaneStimulus> = live.iter().map(|l| l.spec.stimulus.clone()).collect();
-        inner.metrics.inc(ServerCounter::Segments);
-        let (result, mut new_snaps) = match CompiledMode::run_batch_segment_with_program(
-            pass.netlist,
-            pass.cfg,
-            pass.program,
-            &stimuli,
-            snaps.as_deref(),
-            cut,
-        ) {
+        let PassOut {
+            lanes,
+            snapshots: mut new_snaps,
+            telemetry,
+        } = match pass.run(&stimuli, snaps.as_deref(), Some(cut)) {
             Ok(out) => out,
             Err(err) => return pass.fail(live.iter().map(|l| l.id), &err),
         };
-        for (l, lane_result) in live.iter_mut().zip(&result.lanes) {
+        for (l, lane_result) in live.iter_mut().zip(lanes) {
             match &mut l.acc {
-                Some(whole) => whole.append_segment(lane_result),
-                None => l.acc = Some(lane_result.clone()),
+                Some(whole) => whole.append_segment(&lane_result),
+                None => l.acc = Some(lane_result),
             }
         }
         from = cut.ticks();
         let finished = from >= end.ticks();
-        let telemetry = result.telemetry.map(Arc::new);
 
         // Between cuts: deliver members whose own end was reached, evict
         // cancelled/expired ones, and carry the rest into the next

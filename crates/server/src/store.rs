@@ -124,8 +124,8 @@ impl NetlistStore {
         Some(found)
     }
 
-    /// The compiled program for `digest`, lowering `netlist` if no pass of
-    /// this digest has yet, and whether it was found compiled. An entry
+    /// The compiled program for `digest`, lowering `netlist` if no compiled
+    /// pass of this digest has yet, and whether it was found compiled. An entry
     /// evicted since the job was submitted is re-created from the job's own
     /// netlist.
     pub fn program(&self, digest: u64, netlist: &Arc<Netlist>) -> (Arc<CompiledProgram>, bool) {

@@ -58,14 +58,16 @@ pub enum Response {
     Cancelled {
         ok: bool,
     },
-    /// Terminal result. `vcd` is set for done jobs, `error` for failed
-    /// ones; a still-pending job (long-poll timeout) reports its status
-    /// with neither.
+    /// Terminal result. `vcd` and `engine` are set for done jobs, `error`
+    /// for failed ones; a still-pending job (long-poll timeout) reports its
+    /// status with none of them.
     Result {
         status: &'static str,
         vcd: Option<String>,
         lane: usize,
         lanes_in_batch: usize,
+        /// [`JobArtifact::engine`](crate::JobArtifact::engine).
+        engine: Option<&'static str>,
         cache_hit: bool,
         error: Option<String>,
     },
@@ -170,6 +172,7 @@ impl InProcTransport {
                 vcd: Some(artifact.result.to_vcd()),
                 lane: artifact.lane,
                 lanes_in_batch: artifact.lanes_in_batch,
+                engine: Some(artifact.engine),
                 cache_hit: artifact.cache_hit,
                 error: None,
             },
@@ -178,6 +181,7 @@ impl InProcTransport {
                 vcd: None,
                 lane: 0,
                 lanes_in_batch: 0,
+                engine: None,
                 cache_hit: false,
                 error: Some(err.to_string()),
             },
@@ -186,6 +190,7 @@ impl InProcTransport {
                 vcd: None,
                 lane: 0,
                 lanes_in_batch: 0,
+                engine: None,
                 cache_hit: false,
                 error: None,
             },

@@ -2,7 +2,9 @@
 //! transport, the scheduler serves both from a single lane-packed batch
 //! pass, and each tenant's VCD is byte-identical to a standalone
 //! scalar-oracle run of their stimulus. Also exercises the HTTP listener
-//! over a loopback socket with the same scenario.
+//! over a loopback socket: a lone job served event-driven, and a bad
+//! override refused at the door without harming the job it would have
+//! shared a pass with.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -121,14 +123,30 @@ fn two_tenants_one_pass_byte_equal_waveforms() {
 
     let mut lanes = Vec::new();
     for (id, drive) in [(alice, &DRIVE_A), (bob, &DRIVE_B)] {
-        let resp = transport.call(Request::Result { id, wait_ms: 30_000 });
-        let Response::Result { status, vcd, lane, lanes_in_batch, cache_hit, error } = resp
+        let resp = transport.call(Request::Result {
+            id,
+            wait_ms: 30_000,
+        });
+        let Response::Result {
+            status,
+            vcd,
+            lane,
+            lanes_in_batch,
+            engine,
+            cache_hit,
+            error,
+        } = resp
         else {
             panic!("expected a result response");
         };
         assert_eq!(status, "done");
         assert_eq!(error, None);
         assert_eq!(lanes_in_batch, 2, "both tenants share one pass");
+        assert_eq!(
+            engine,
+            Some("compiled-mode"),
+            "two lanes share the compiled kernel"
+        );
         assert!(!cache_hit, "first pass of this digest compiles");
         assert_eq!(vcd.as_deref(), Some(oracle_vcd(drive).as_str()), "byte-identical to oracle");
         lanes.push(lane);
@@ -144,19 +162,41 @@ fn two_tenants_one_pass_byte_equal_waveforms() {
     assert_eq!(m.counter(ServerCounter::CacheHits), 0);
     assert_eq!(m.gauge(ServerGauge::LastBatchLanes), 2);
 
-    // A third tenant reusing the digest rides the cached program.
-    let Response::Submitted { id: carol } = transport.call(submit_request("carol", &DRIVE_A))
-    else {
-        panic!("carol's submit must succeed");
-    };
-    let Response::Result { cache_hit, vcd, .. } =
-        transport.call(Request::Result { id: carol, wait_ms: 30_000 })
-    else {
-        panic!("expected a result response");
-    };
-    assert!(cache_hit, "second pass of the digest reuses the program");
-    assert_eq!(vcd.as_deref(), Some(oracle_vcd(&DRIVE_A).as_str()));
+    // Two more tenants reusing the digest, packed again, ride the cached
+    // program.
+    server.pause();
+    let later: Vec<(u64, &Drive)> = [("carol", &DRIVE_A), ("dave", &DRIVE_B)]
+        .into_iter()
+        .map(
+            |(tenant, drive)| match transport.call(submit_request(tenant, drive)) {
+                Response::Submitted { id } => (id, drive),
+                other => panic!("{tenant}'s submit answered {other:?}"),
+            },
+        )
+        .collect();
+    server.resume();
+    for (id, drive) in later {
+        let Response::Result {
+            cache_hit,
+            vcd,
+            lanes_in_batch,
+            ..
+        } = transport.call(Request::Result {
+            id,
+            wait_ms: 30_000,
+        })
+        else {
+            panic!("expected a result response");
+        };
+        assert_eq!(lanes_in_batch, 2);
+        assert!(cache_hit, "second pass of the digest reuses the program");
+        assert_eq!(vcd.as_deref(), Some(oracle_vcd(drive).as_str()));
+    }
     assert_eq!(server.metrics().counter(ServerCounter::CacheHits), 1);
+    assert_eq!(
+        server.metrics().counter(ServerCounter::EventDrivenPasses),
+        0
+    );
 }
 
 /// One request over a real loopback socket; returns (status code,
@@ -225,7 +265,20 @@ fn http_loopback_round_trip() {
     assert_eq!(code, 200, "result: {vcd}");
     assert!(head.contains("X-Parsim-Status: done"), "headers: {head}");
     assert!(head.contains("X-Parsim-Lanes-In-Batch: 1"), "headers: {head}");
-    assert_eq!(vcd, oracle_vcd(&DRIVE_A), "wire VCD byte-identical to oracle");
+    // A lone unit-delay job runs event-driven and lowers nothing.
+    assert!(
+        head.contains("X-Parsim-Engine: event-driven"),
+        "headers: {head}"
+    );
+    assert!(
+        head.contains("X-Parsim-Cache-Hit: false"),
+        "headers: {head}"
+    );
+    assert_eq!(
+        vcd,
+        oracle_vcd(&DRIVE_A),
+        "wire VCD byte-identical to oracle"
+    );
 
     let (code, _, body) = get(addr, &format!("/v1/jobs/{id}"));
     assert_eq!((code, body.trim()), (200, "status=done"));
@@ -239,8 +292,22 @@ fn http_loopback_round_trip() {
     // Metrics exposition is reachable and carries the server families.
     let (code, _, metrics) = get(addr, "/metrics");
     assert_eq!(code, 200);
-    assert!(metrics.contains("parsim_server_jobs_submitted_total 1"), "metrics: {metrics}");
-    assert!(metrics.contains("parsim_server_batch_passes_total 1"), "metrics: {metrics}");
+    assert!(
+        metrics.contains("parsim_server_jobs_submitted_total 1"),
+        "metrics: {metrics}"
+    );
+    assert!(
+        metrics.contains("parsim_server_batch_passes_total 1"),
+        "metrics: {metrics}"
+    );
+    assert!(
+        metrics.contains("parsim_server_event_driven_passes_total 1"),
+        "metrics: {metrics}"
+    );
+    assert!(
+        metrics.contains("parsim_server_cache_misses_total 0"),
+        "metrics: {metrics}"
+    );
 
     // Error paths over the wire: unknown job, cancel of unknown, bad
     // submits.
@@ -272,6 +339,47 @@ fn http_loopback_round_trip() {
     let (code, head, _) = get(addr, &format!("/v1/jobs/{id}/result?wait_ms=30000"));
     assert_eq!(code, 200);
     assert!(head.contains("X-Parsim-Status: done"), "headers: {head}");
+}
+
+/// A tenant whose override the engines would refuse is answered 400 at
+/// submit, over the socket, while the tenant it would have shared a pass
+/// with is served oracle-exact.
+#[test]
+fn bad_override_is_400_and_the_pass_mate_completes() {
+    let server = Arc::new(Server::start(ServerConfig {
+        start_paused: true,
+        ..ServerConfig::default()
+    }));
+    let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new(server.clone()));
+    let listener = HttpServer::bind("127.0.0.1:0", transport).expect("bind ephemeral port");
+    let addr = listener.addr();
+    let submit = |tenant: &str, drive: &str| {
+        let path = format!("/v1/jobs?tenant={tenant}&end={END}&watch={WATCH}&drive={drive}");
+        post(addr, &path, NETLIST_TEXT)
+    };
+
+    let (code, _, body) = submit("alice", &drive_param(&DRIVE_A));
+    assert_eq!(code, 200, "good submit: {body}");
+    let id: u64 = body
+        .trim()
+        .strip_prefix("id=")
+        .expect("id=N body")
+        .parse()
+        .unwrap();
+    let (code, _, body) = submit("bob", "in0@9:1;3:0,in1@0:0");
+    assert_eq!(code, 400, "bad submit: {body}");
+    assert!(
+        body.contains("'in0' is not strictly increasing"),
+        "body: {body}"
+    );
+    assert_eq!(server.metrics().counter(ServerCounter::JobsSubmitted), 1);
+
+    server.resume();
+    let (code, head, vcd) = get(addr, &format!("/v1/jobs/{id}/result?wait_ms=30000"));
+    assert_eq!(code, 200, "result: {vcd}");
+    assert!(head.contains("X-Parsim-Status: done"), "headers: {head}");
+    assert_eq!(vcd, oracle_vcd(&DRIVE_A));
+    assert_eq!(server.metrics().counter(ServerCounter::JobsFailed), 0);
 }
 
 /// A listener whose submissions would succeed, for probing what the front

@@ -1,15 +1,18 @@
 //! Server job-lifecycle coverage: submit→poll→result equality with a
 //! standalone oracle run, cancellation (queued and mid-run), quota
-//! rejection, deadline expiry mapping to [`SimError`], and cache
-//! hit/miss counters.
+//! rejection, deadline expiry mapping to [`SimError`], refusal of a bad
+//! override at submit, the engine each pass runs on, and cache hit/miss
+//! counters (which only compiled passes, two lanes or more, touch).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use parsim_core::{EventDriven, LaneStimulus, SimConfig, SimError};
+use parsim_core::{CompiledMode, EventDriven, LaneStimulus, SimConfig, SimError};
 use parsim_logic::{Delay, ElementKind, Time, Value};
 use parsim_netlist::{Builder, Netlist, NodeId};
-use parsim_server::{JobOutcome, JobSpec, JobStatus, Server, ServerConfig, SubmitError};
+use parsim_server::{
+    JobArtifact, JobId, JobOutcome, JobSpec, JobStatus, Server, ServerConfig, SubmitError,
+};
 use parsim_telemetry::{ServerCounter, ServerGauge};
 
 /// Input schedules, one per input node.
@@ -113,6 +116,25 @@ fn spec_for(tenant: &str, schedules: &Schedules, end: Time) -> JobSpec {
 
 const WAIT: Duration = Duration::from_secs(30);
 
+/// The artifact of a job that must finish `done`.
+fn done(server: &Server, id: JobId) -> Arc<JobArtifact> {
+    assert_eq!(server.wait(id, WAIT), Some(JobStatus::Done));
+    match server.outcome(id) {
+        Some(JobOutcome::Done(artifact)) => artifact,
+        other => panic!("job {id} ended as {other:?}"),
+    }
+}
+
+/// `(event-driven passes, program cache misses, program cache hits)`.
+fn engine_counters(server: &Server) -> (u64, u64, u64) {
+    let m = server.metrics();
+    (
+        m.counter(ServerCounter::EventDrivenPasses),
+        m.counter(ServerCounter::CacheMisses),
+        m.counter(ServerCounter::CacheHits),
+    )
+}
+
 #[test]
 fn submit_poll_result_matches_standalone_oracle() {
     let server = Server::start(ServerConfig::default());
@@ -133,8 +155,17 @@ fn submit_poll_result_matches_standalone_oracle() {
         );
     }
     assert_eq!(artifact.result.to_vcd(), oracle.to_vcd(), "VCDs byte-identical");
-    assert!(!artifact.cache_hit, "first pass of a digest compiles");
     assert_eq!(artifact.lanes_in_batch, 1);
+    assert_eq!(
+        artifact.engine, "event-driven",
+        "a lone unit-delay job runs event-driven"
+    );
+    assert!(!artifact.cache_hit, "an event-driven pass has no program");
+    assert_eq!(
+        engine_counters(&server),
+        (1, 0, 0),
+        "and never touches the program cache"
+    );
 }
 
 #[test]
@@ -150,6 +181,8 @@ fn segmented_pass_matches_oracle_too() {
         panic!("expected a done artifact");
     };
     assert_eq!(artifact.result.to_vcd(), oracle(&sched_b(), end).to_vcd());
+    assert_eq!(artifact.engine, "event-driven");
+    assert_eq!(engine_counters(&server), (1, 0, 0));
     assert!(
         server.metrics().counter(ServerCounter::Segments) >= 6,
         "40 ticks at 7/segment is at least 6 segments"
@@ -244,23 +277,122 @@ fn deadline_expiry_maps_to_sim_error() {
 
 #[test]
 fn cache_hit_vs_miss_counters() {
-    let server = Server::start(ServerConfig::default());
+    // Two two-lane passes of one digest, each packed while paused: the
+    // first lowers the netlist, the second reuses the program.
+    let server = Server::start(ServerConfig {
+        start_paused: true,
+        ..ServerConfig::default()
+    });
     let end = Time(40);
-    // Same digest twice, sequentially: miss then hit.
-    let a = server.submit(spec_for("alice", &sched_a(), end)).unwrap();
-    assert_eq!(server.wait(a, WAIT), Some(JobStatus::Done));
-    let b = server.submit(spec_for("bob", &sched_b(), end)).unwrap();
-    assert_eq!(server.wait(b, WAIT), Some(JobStatus::Done));
-    assert_eq!(server.metrics().counter(ServerCounter::CacheMisses), 1);
-    assert_eq!(server.metrics().counter(ServerCounter::CacheHits), 1);
+    let mut passes = Vec::new();
+    for (first, second) in [("alice", "bob"), ("carol", "dave")] {
+        let a = server.submit(spec_for(first, &sched_a(), end)).unwrap();
+        let b = server.submit(spec_for(second, &sched_b(), end)).unwrap();
+        server.resume();
+        passes.push((done(&server, a), done(&server, b)));
+        server.pause();
+    }
+    assert_eq!(
+        engine_counters(&server),
+        (0, 1, 1),
+        "one miss, then one hit"
+    );
     assert_eq!(server.metrics().gauge(ServerGauge::CachedPrograms), 1);
-    let JobOutcome::Done(first) = server.outcome(a).unwrap() else { panic!() };
-    let JobOutcome::Done(second) = server.outcome(b).unwrap() else { panic!() };
-    assert!(!first.cache_hit);
-    assert!(second.cache_hit);
-    // Results stay oracle-exact regardless of hit or miss.
-    assert_eq!(first.result.to_vcd(), oracle(&sched_a(), end).to_vcd());
-    assert_eq!(second.result.to_vcd(), oracle(&sched_b(), end).to_vcd());
+    for ((a, b), hit) in passes.into_iter().zip([false, true]) {
+        for artifact in [&a, &b] {
+            assert_eq!(
+                (artifact.engine, artifact.lanes_in_batch),
+                ("compiled-mode", 2)
+            );
+            assert_eq!(artifact.cache_hit, hit);
+        }
+        // Results stay oracle-exact regardless of hit or miss.
+        assert_eq!(a.result.to_vcd(), oracle(&sched_a(), end).to_vcd());
+        assert_eq!(b.result.to_vcd(), oracle(&sched_b(), end).to_vcd());
+    }
+}
+
+/// One tenant's bad override used to be accepted and then fail every job
+/// packed with it. It is refused at submit, and its would-be pass mate
+/// completes oracle-exact.
+#[test]
+fn bad_override_is_refused_at_submit_and_its_pass_mate_completes() {
+    let server = Server::start(ServerConfig {
+        start_paused: true,
+        ..ServerConfig::default()
+    });
+    let end = Time(40);
+    let good = server.submit(spec_for("alice", &sched_a(), end)).unwrap();
+    let unordered = vec![
+        vec![(Time(9), bit(1)), (Time(3), bit(0))],
+        sched_b()[1].clone(),
+    ];
+    let err = server.submit(spec_for("bob", &unordered, end)).unwrap_err();
+    let SubmitError::Invalid { reason } = err else {
+        panic!("expected Invalid, got {err:?}");
+    };
+    assert_eq!(
+        reason,
+        "override for node 'in0' is not strictly increasing in time"
+    );
+    assert_eq!(server.metrics().counter(ServerCounter::JobsSubmitted), 1);
+    server.resume();
+    let artifact = done(&server, good);
+    assert_eq!(artifact.result.to_vcd(), oracle(&sched_a(), end).to_vcd());
+    assert_eq!(server.metrics().counter(ServerCounter::JobsFailed), 0);
+    // The refusal took no quota: bob can still hold his whole quota.
+    for _ in 0..ServerConfig::default().tenant_quota {
+        server
+            .submit(spec_for("bob", &sched_b(), end))
+            .expect("quota untouched");
+    }
+}
+
+/// Compiled mode imposes unit delay, so on a netlist with any other delay
+/// the two engines disagree: a lone job on it keeps the compiled kernel and
+/// gets the waveforms the server has always served.
+#[test]
+fn a_lone_job_with_a_two_tick_gate_stays_compiled() {
+    let mut b = Builder::new();
+    let clk = b.node("clk", 1);
+    let slow = b.node("slow", 1);
+    let fast = b.node("fast", 1);
+    b.element(
+        "osc",
+        ElementKind::Clock {
+            half_period: 5,
+            offset: 5,
+        },
+        Delay(1),
+        &[],
+        &[clk],
+    )
+    .unwrap();
+    b.element("inv2", ElementKind::Not, Delay(2), &[clk], &[slow])
+        .unwrap();
+    b.element("inv1", ElementKind::Not, Delay(1), &[slow], &[fast])
+        .unwrap();
+    let netlist = b.finish().unwrap();
+    let end = Time(40);
+    let cfg = SimConfig::new(end).watch(slow).watch(fast);
+    let compiled = CompiledMode::run(&netlist, &cfg).unwrap().to_vcd();
+    let event_driven = EventDriven::run(&netlist, &cfg).unwrap().to_vcd();
+    assert_ne!(
+        compiled, event_driven,
+        "the two timing models must differ here"
+    );
+
+    let server = Server::start(ServerConfig::default());
+    let spec = JobSpec::new("alice", Arc::new(netlist), end)
+        .watch(slow)
+        .watch(fast);
+    let artifact = done(&server, server.submit(spec).unwrap());
+    assert_eq!(
+        (artifact.engine, artifact.lanes_in_batch),
+        ("compiled-mode", 1)
+    );
+    assert_eq!(artifact.result.to_vcd(), compiled);
+    assert_eq!(engine_counters(&server), (0, 1, 0));
 }
 
 #[test]
@@ -275,25 +407,42 @@ fn unknown_job_ids_are_none() {
 
 #[test]
 fn different_digests_bin_separately() {
-    // Two structurally different netlists must not share a pass.
+    // Two structurally different netlists must not share a pass, even with
+    // two jobs of each waiting.
     let server = Server::start(ServerConfig { start_paused: true, ..ServerConfig::default() });
-    let a = server.submit(spec_for("alice", &sched_a(), Time(40))).unwrap();
-    // A second, different circuit: reuse the builder with an extra gate.
+    // A second, different circuit: a clock and one inverter.
     let mut b = Builder::new();
     let clk = b.node("clk", 1);
     let q = b.node("q", 1);
     b.element("osc", ElementKind::Clock { half_period: 3, offset: 3 }, Delay(1), &[], &[clk])
         .unwrap();
     b.element("inv", ElementKind::Not, Delay(1), &[clk], &[q]).unwrap();
-    let other = JobSpec::new("alice", Arc::new(b.finish().unwrap()), Time(40)).watch(q);
-    let o = server.submit(other).unwrap();
+    let other = Arc::new(b.finish().unwrap());
+    let mut ids = Vec::new();
+    for tenant in ["alice", "bob"] {
+        ids.push(
+            server
+                .submit(spec_for(tenant, &sched_a(), Time(40)))
+                .unwrap(),
+        );
+        ids.push(
+            server
+                .submit(JobSpec::new(tenant, other.clone(), Time(40)).watch(q))
+                .unwrap(),
+        );
+    }
     server.resume();
-    assert_eq!(server.wait(a, WAIT), Some(JobStatus::Done));
-    assert_eq!(server.wait(o, WAIT), Some(JobStatus::Done));
+    for id in ids {
+        assert_eq!(done(&server, id).lanes_in_batch, 2);
+    }
     assert_eq!(
         server.metrics().counter(ServerCounter::BatchPasses),
         2,
         "different digests take separate passes"
     );
-    assert_eq!(server.metrics().counter(ServerCounter::CacheMisses), 2);
+    assert_eq!(
+        engine_counters(&server),
+        (0, 2, 0),
+        "each digest lowered once"
+    );
 }

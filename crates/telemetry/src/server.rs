@@ -35,9 +35,9 @@ pub enum ServerCounter {
     QuotaRejections,
     /// Jobs failed because their deadline expired (queued or running).
     DeadlineExpirations,
-    /// Batch dispatches that found the compiled program in the cache.
+    /// Compiled passes that found the compiled program in the cache.
     CacheHits,
-    /// Batch dispatches that had to compile the netlist first.
+    /// Compiled passes that had to compile the netlist first.
     CacheMisses,
     /// Netlist-store entries (netlist and program) evicted by the LRU bound.
     CacheEvictions,
@@ -45,16 +45,20 @@ pub enum ServerCounter {
     NetlistHits,
     /// Text submissions that parsed and digested their netlist.
     NetlistMisses,
-    /// `run_batch` passes executed (each serves up to lane-width jobs).
+    /// Passes executed on either engine (each serves up to
+    /// `max_lanes_per_batch` jobs).
     BatchPasses,
     /// Jobs packed into those passes (sum of per-pass occupancy).
     LanesPacked,
-    /// Checkpoint segments executed across all batch passes.
+    /// Checkpoint segments executed across all passes.
     Segments,
+    /// Passes run on the event-driven engine rather than the compiled batch
+    /// kernel (a subset of `BatchPasses`).
+    EventDrivenPasses,
 }
 
 impl ServerCounter {
-    pub const ALL: [ServerCounter; 14] = [
+    pub const ALL: [ServerCounter; 15] = [
         ServerCounter::JobsSubmitted,
         ServerCounter::JobsCompleted,
         ServerCounter::JobsFailed,
@@ -69,6 +73,7 @@ impl ServerCounter {
         ServerCounter::BatchPasses,
         ServerCounter::LanesPacked,
         ServerCounter::Segments,
+        ServerCounter::EventDrivenPasses,
     ];
     pub const COUNT: usize = ServerCounter::ALL.len();
 
@@ -88,6 +93,7 @@ impl ServerCounter {
             ServerCounter::BatchPasses => "parsim_server_batch_passes_total",
             ServerCounter::LanesPacked => "parsim_server_lanes_packed_total",
             ServerCounter::Segments => "parsim_server_segments_total",
+            ServerCounter::EventDrivenPasses => "parsim_server_event_driven_passes_total",
         }
     }
 
@@ -99,14 +105,17 @@ impl ServerCounter {
             ServerCounter::JobsCancelled => "Jobs cancelled by their tenant",
             ServerCounter::QuotaRejections => "Submissions refused at the tenant quota",
             ServerCounter::DeadlineExpirations => "Jobs failed by deadline expiry",
-            ServerCounter::CacheHits => "Batch dispatches served from the program cache",
-            ServerCounter::CacheMisses => "Batch dispatches that compiled the netlist",
+            ServerCounter::CacheHits => "Compiled passes served from the program cache",
+            ServerCounter::CacheMisses => "Compiled passes that compiled the netlist",
             ServerCounter::CacheEvictions => "Netlist-store entries evicted by the LRU bound",
             ServerCounter::NetlistHits => "Text submissions served an already parsed netlist",
             ServerCounter::NetlistMisses => "Text submissions that parsed their netlist",
-            ServerCounter::BatchPasses => "Word-parallel run_batch passes executed",
-            ServerCounter::LanesPacked => "Jobs packed into batch passes",
-            ServerCounter::Segments => "Checkpoint segments executed in batch passes",
+            ServerCounter::BatchPasses => "Passes executed on either engine",
+            ServerCounter::LanesPacked => "Jobs packed into passes",
+            ServerCounter::Segments => "Checkpoint segments executed in passes",
+            ServerCounter::EventDrivenPasses => {
+                "Passes run on the event-driven engine, never lowering the netlist"
+            }
         }
     }
 }
@@ -273,12 +282,15 @@ mod tests {
     fn render_passes_lint_fresh_and_populated() {
         let reg = ServerRegistry::new();
         lint(&reg.render()).expect("fresh registry lints clean");
-        reg.add(ServerCounter::BatchPasses, 1);
-        reg.add(ServerCounter::LanesPacked, 2);
+        reg.add(ServerCounter::BatchPasses, 2);
+        reg.add(ServerCounter::LanesPacked, 3);
+        reg.inc(ServerCounter::EventDrivenPasses);
         reg.set_gauge(ServerGauge::LastBatchLanes, 2);
         let text = reg.render();
         lint(&text).expect("populated registry lints clean");
-        assert!(text.contains("parsim_server_batch_passes_total 1"));
+        assert!(text.contains("parsim_server_batch_passes_total 2"));
+        assert!(text.contains("# TYPE parsim_server_event_driven_passes_total counter"));
+        assert!(text.contains("parsim_server_event_driven_passes_total 1"));
         assert!(text.contains("parsim_server_last_batch_lanes 2"));
     }
 }

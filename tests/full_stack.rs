@@ -416,6 +416,91 @@ fn server_packs_two_tenants_of_one_text_into_one_oracle_exact_pass() {
     assert_eq!(m.counter(ServerCounter::BatchPasses), 1);
 }
 
+/// The paper's §3 choice, made by the server: a lone multiplier job — one
+/// lane, every delay 1 — runs on the event-driven engine, never lowers the
+/// netlist, and still answers with the VCD a standalone `EventDriven` run
+/// of a multiplier built with its operands gives.
+#[test]
+fn server_runs_a_lone_unit_delay_job_event_driven_without_lowering() {
+    use parsim::logic::{expand_generator, ElementKind, Value};
+    use parsim_server::{InProcTransport, Request, Response, Server, ServerConfig, Transport};
+    use parsim_telemetry::ServerCounter;
+
+    const BITS: usize = 4;
+    const PERIOD: u64 = 64;
+    let operands = [(11, 13), (6, 0)];
+    let base = gate_multiplier(BITS, &[(0, 0), (0, 0)], PERIOD).unwrap();
+    let end = base.schedule_end();
+    // The operands as overrides of the text's input generators.
+    let overrides: Vec<(String, Vec<(u64, u64)>)> = base
+        .a_inputs
+        .iter()
+        .chain(&base.b_inputs)
+        .enumerate()
+        .map(|(i, &node)| {
+            let operand = |&(a, b): &(u64, u64)| if i < BITS { a } else { b };
+            let values: Vec<Value> = operands
+                .iter()
+                .map(|p| Value::bit((operand(p) >> (i % BITS)) & 1 == 1))
+                .collect();
+            let kind = ElementKind::Pattern {
+                period: PERIOD,
+                values: values.into(),
+            };
+            let changes = expand_generator(&kind, end)
+                .into_iter()
+                .map(|(t, v)| (t.ticks(), v.to_u64().unwrap()))
+                .collect();
+            (base.netlist.node(node).name().to_string(), changes)
+        })
+        .collect();
+
+    let server = std::sync::Arc::new(Server::start(ServerConfig::default()));
+    let transport = InProcTransport::new(server.clone());
+    let Response::Submitted { id } = transport.call(Request::Submit {
+        tenant: "solo".into(),
+        netlist: base.netlist.to_text(),
+        watch: base
+            .product
+            .iter()
+            .map(|&n| base.netlist.node(n).name().to_string())
+            .collect(),
+        end: end.ticks(),
+        deadline_ms: None,
+        overrides,
+    }) else {
+        panic!("submit refused");
+    };
+    let Response::Result {
+        status,
+        vcd,
+        lanes_in_batch,
+        engine,
+        cache_hit,
+        ..
+    } = transport.call(Request::Result {
+        id,
+        wait_ms: 30_000,
+    })
+    else {
+        panic!("expected a result response");
+    };
+    assert_eq!((status, lanes_in_batch), ("done", 1));
+    assert_eq!((engine, cache_hit), (Some("event-driven"), false));
+    let own = gate_multiplier(BITS, &operands, PERIOD).unwrap();
+    let cfg = SimConfig::new(end).watch_all(own.product.iter().copied());
+    let oracle = EventDriven::run(&own.netlist, &cfg).unwrap();
+    assert_eq!(vcd.as_deref(), Some(oracle.to_vcd().as_str()));
+    let m = server.metrics();
+    assert_eq!(m.counter(ServerCounter::EventDrivenPasses), 1);
+    assert_eq!(
+        m.counter(ServerCounter::CacheMisses),
+        0,
+        "nothing was lowered"
+    );
+    assert_eq!(m.counter(ServerCounter::BatchPasses), 1);
+}
+
 /// The batch kernel's result path inside tier-1: three lanes — the
 /// netlist's own stimulus and two lanes overriding its operand generators —
 /// cut by `run_batch_segment` while carries are still rippling, resumed
