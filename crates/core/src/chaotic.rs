@@ -106,10 +106,10 @@ use parsim_telemetry::{Counter, Gauge, Tally};
 use crate::behavior::{ChunkAlloc, Cursor, NodeState};
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
-use crate::error::{SimError, StallDiagnostic};
+use crate::error::SimError;
+use crate::exec::run_workers;
 use crate::fault::FaultAction;
 use crate::shared::SharedSlice;
-use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
 
 /// Engine tag used in [`SimError`] values.
@@ -653,225 +653,153 @@ impl ChaoticAsync {
         }
 
         // ---- workers -------------------------------------------------------
-        // No barrier to poison here: peers that lose their feeder spin in
-        // the empty-queue branch, where they poll the cancel flag.
-        let containment = Containment::new(n_threads);
-        let watchdog = Watchdog::spawn(
-            &containment,
-            config.deadline,
-            config.stall_timeout,
-            seg.telemetry.sampler(),
-            || {},
-        );
         let registry = &seg.telemetry.registry;
         // Build-phase events (generator expansion) happened on this
         // thread, before any worker existed: they belong to the driver.
         registry.driver().add(Counter::EventsProcessed, events_seed);
         let ctx = &ctx;
         let tracer = Tracer::new(config.trace.as_ref());
-        let tracer_ref = &tracer;
-        let mut outputs: Vec<Option<WorkerOutput>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = senders
-                .into_iter()
-                .zip(receivers)
-                .zip(init_work)
-                .enumerate()
-                .map(|(w, ((tx, mut rx), init))| {
-                    let cont = &containment;
-                    let fault = config.fault.clone();
-                    scope.spawn(move || {
-                        let body = std::panic::catch_unwind(
-                            std::panic::AssertUnwindSafe(|| {
-                                let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
-                                let mut overflow: Vec<PendingEvent> = Vec::new();
-                                let mut tr = tracer_ref.worker(w);
-                                let mut tally = Tally::default();
-                                // Seeded owned activations count as local
-                                // hits: they were placed without touching
-                                // the grid.
-                                tally.add(Counter::LocalHits, init.len() as u64);
-                                let shard = registry.worker(w);
-                                let mut since_flush = 0u64;
-                                let mut sched = Sched::new(w, tx, init, ctx.use_local);
-                                let mut alloc = ChunkAlloc::default();
-                                let mut backoff = Backoff::new();
-                                let mut idle_since: Option<Instant> = None;
-                                let mut processed = 0u64;
-                                loop {
-                                    if cont.cancelled() {
-                                        break;
-                                    }
-                                    // Local-first: drain the private deque,
-                                    // then pull one batch off the grid
-                                    // column and run its ids from the deque.
-                                    let next = match sched.local.pop() {
-                                        Some(e) => Some(e),
-                                        None => rx.recv_traced(&mut tr).and_then(|batch| {
-                                            sched.local.extend_from_slice(batch.as_slice());
-                                            sched.local.pop()
-                                        }),
-                                    };
-                                    match next {
-                                        Some(e) => {
-                                            if let Some(t0) = idle_since.take() {
-                                                tally.add_elapsed(Counter::IdleNs, t0);
-                                            }
-                                            backoff.reset();
-                                            if let FaultAction::Exit = fault.check(
-                                                w,
-                                                processed,
-                                                cont.cancel_flag(),
-                                            ) {
-                                                break;
-                                            }
-                                            processed += 1;
-                                            cont.beat(w);
-                                            let busy = Instant::now();
-                                            let e = e as usize;
-                                            if ctx.use_local && ctx.owner[e] as usize != w {
-                                                tally.inc(Counter::Steals);
-                                                tr.instant(EventKind::Steal, e as u32);
-                                            }
-                                            tr.begin(EventKind::ActivationReplay, e as u32);
-                                            ctx.act(e).begin_run();
-                                            tally.inc(Counter::Activations);
-                                            // SAFETY: activation machine grants
-                                            // exclusive element access.
-                                            unsafe {
-                                                run_element(
-                                                    ctx,
-                                                    e,
-                                                    &mut sched,
-                                                    &mut changes,
-                                                    &mut overflow,
-                                                    &mut alloc,
-                                                    &mut tally,
-                                                    &mut tr,
-                                                )
-                                            };
-                                            if ctx.act(e).finish_run() {
-                                                sched.enqueue(ctx, e as u32, &mut tally, &mut tr);
-                                            } else {
-                                                ctx.pending.fetch_sub(1, Ordering::AcqRel);
-                                            }
-                                            // One activation's foreign
-                                            // fan-out rides together: flush
-                                            // now, so no peer waits longer
-                                            // than one element run.
-                                            sched.flush_all(&mut tally, &mut tr);
-                                            tr.end(EventKind::ActivationReplay);
-                                            tr.counter(
-                                                EventKind::QueueDepth,
-                                                sched.local.len() as u32,
-                                            );
-                                            tally.add_elapsed(Counter::BusyNs, busy);
-                                            since_flush += 1;
-                                            if since_flush >= TELEMETRY_FLUSH_EVERY {
-                                                since_flush = 0;
-                                                tally.flush(&shard);
-                                                shard.set_gauge(
-                                                    Gauge::QueueDepth,
-                                                    sched.local.len() as u64,
-                                                );
-                                            }
-                                        }
-                                        None => {
-                                            if ctx.pending.load(Ordering::Acquire) == 0 {
-                                                break;
-                                            }
-                                            if idle_since.is_none() {
-                                                idle_since = Some(Instant::now());
-                                                tr.instant(EventKind::Heartbeat, 0);
-                                                // Going idle is off the hot
-                                                // path: flush so a sampler
-                                                // snapshot taken during the
-                                                // lull sees current totals.
-                                                tally.flush(&shard);
-                                                shard.set_gauge(Gauge::QueueDepth, 0);
-                                            }
-                                            if backoff.snooze_traced(&mut tr) {
-                                                tally.inc(Counter::BackoffParks);
-                                            }
-                                        }
-                                    }
-                                }
-                                // Close the trailing idle span on every
-                                // exit path (termination, cancellation,
-                                // fault exit) — it used to leak unless the
-                                // worker happened to pop one more element.
-                                if let Some(t0) = idle_since.take() {
-                                    tally.add_elapsed(Counter::IdleNs, t0);
-                                }
+        let inputs: Vec<_> = senders.into_iter().zip(receivers).zip(init_work).collect();
+        // No barrier to poison here: peers that lose their feeder spin in
+        // the empty-queue branch, where they poll the cancel flag.
+        let outputs: Vec<WorkerOutput> = run_workers(
+            ENGINE,
+            config,
+            &seg.telemetry,
+            None,
+            inputs,
+            |w, ((tx, mut rx), init), cont| {
+                let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
+                let mut overflow: Vec<PendingEvent> = Vec::new();
+                let mut tr = tracer.worker(w);
+                let mut tally = Tally::default();
+                // Seeded owned activations count as local hits: they were
+                // placed without touching the grid.
+                tally.add(Counter::LocalHits, init.len() as u64);
+                let shard = registry.worker(w);
+                let mut since_flush = 0u64;
+                let mut sched = Sched::new(w, tx, init, ctx.use_local);
+                let mut alloc = ChunkAlloc::default();
+                let mut backoff = Backoff::new();
+                let mut idle_since: Option<Instant> = None;
+                let mut processed = 0u64;
+                loop {
+                    if cont.cancelled() {
+                        break;
+                    }
+                    // Local-first: drain the private deque, then pull one batch
+                    // off the grid column and run its ids from the deque.
+                    let next = match sched.local.pop() {
+                        Some(e) => Some(e),
+                        None => rx.recv_traced(&mut tr).and_then(|batch| {
+                            sched.local.extend_from_slice(batch.as_slice());
+                            sched.local.pop()
+                        }),
+                    };
+                    match next {
+                        Some(e) => {
+                            if let Some(t0) = idle_since.take() {
+                                tally.add_elapsed(Counter::IdleNs, t0);
+                            }
+                            backoff.reset();
+                            if let FaultAction::Exit =
+                                config.fault.check(w, processed, cont.cancel_flag())
+                            {
+                                break;
+                            }
+                            processed += 1;
+                            cont.beat(w);
+                            let busy = Instant::now();
+                            let e = e as usize;
+                            if ctx.use_local && ctx.owner[e] as usize != w {
+                                tally.inc(Counter::Steals);
+                                tr.instant(EventKind::Steal, e as u32);
+                            }
+                            tr.begin(EventKind::ActivationReplay, e as u32);
+                            ctx.act(e).begin_run();
+                            tally.inc(Counter::Activations);
+                            // SAFETY: activation machine grants
+                            // exclusive element access.
+                            unsafe {
+                                run_element(
+                                    ctx,
+                                    e,
+                                    &mut sched,
+                                    &mut changes,
+                                    &mut overflow,
+                                    &mut alloc,
+                                    &mut tally,
+                                    &mut tr,
+                                )
+                            };
+                            if ctx.act(e).finish_run() {
+                                sched.enqueue(ctx, e as u32, &mut tally, &mut tr);
+                            } else {
+                                ctx.pending.fetch_sub(1, Ordering::AcqRel);
+                            }
+                            // One activation's foreign fan-out rides together:
+                            // flush now, so no peer waits longer than one
+                            // element run.
+                            sched.flush_all(&mut tally, &mut tr);
+                            tr.end(EventKind::ActivationReplay);
+                            tr.counter(EventKind::QueueDepth, sched.local.len() as u32);
+                            tally.add_elapsed(Counter::BusyNs, busy);
+                            since_flush += 1;
+                            if since_flush >= TELEMETRY_FLUSH_EVERY {
+                                since_flush = 0;
                                 tally.flush(&shard);
-                                ctx.chunk_allocs
-                                    .fetch_add(alloc.allocs, Ordering::Relaxed);
-                                ctx.chunk_frees
-                                    .fetch_add(alloc.frees, Ordering::Relaxed);
-                                (changes, tr, overflow)
-                            }),
-                        );
-                        match body {
-                            Ok(out) => Some(out),
-                            Err(payload) => {
-                                cont.record_panic(w, payload);
-                                None
+                                shard.set_gauge(Gauge::QueueDepth, sched.local.len() as u64);
                             }
                         }
-                    })
-                })
-                .collect();
-            for h in handles {
-                outputs.push(h.join().unwrap_or_default());
-            }
-        });
-        if let Some(w) = watchdog {
-            w.finish();
-        }
-
-        if let Some((worker, payload)) = containment.take_panic() {
-            return Err(SimError::WorkerPanicked {
-                engine: ENGINE,
-                worker,
-                payload,
-            });
-        }
-        if let Some(verdict) = containment.take_verdict() {
-            // Iterate elements (not slots): the partition-grouped `acts`
-            // layout holds always-idle padding entries.
-            let idle = (0..netlist.num_elements())
-                .filter(|&e| ctx.act(e).is_idle())
-                .count();
-            let diagnostic = Box::new(StallDiagnostic {
-                heartbeats: containment.heartbeat_snapshot(),
-                pending_activations: Some(ctx.pending.load(Ordering::Acquire)),
-                activations_idle: Some(idle),
-                activations_pending: Some(netlist.num_elements() - idle),
-                min_valid_until: ctx
+                        None => {
+                            if ctx.pending.load(Ordering::Acquire) == 0 {
+                                break;
+                            }
+                            if idle_since.is_none() {
+                                idle_since = Some(Instant::now());
+                                tr.instant(EventKind::Heartbeat, 0);
+                                // Going idle is off the hot path: flush so a
+                                // sampler snapshot taken during the lull sees
+                                // current totals.
+                                tally.flush(&shard);
+                                shard.set_gauge(Gauge::QueueDepth, 0);
+                            }
+                            if backoff.snooze_traced(&mut tr) {
+                                tally.inc(Counter::BackoffParks);
+                            }
+                        }
+                    }
+                }
+                // Close the trailing idle span on every exit path (termination,
+                // cancellation, fault exit) — it used to leak unless the worker
+                // happened to pop one more element.
+                if let Some(t0) = idle_since.take() {
+                    tally.add_elapsed(Counter::IdleNs, t0);
+                }
+                tally.flush(&shard);
+                ctx.chunk_allocs.fetch_add(alloc.allocs, Ordering::Relaxed);
+                ctx.chunk_frees.fetch_add(alloc.frees, Ordering::Relaxed);
+                (changes, tr, overflow)
+            },
+            |d| {
+                // Iterate elements (not slots): the partition-grouped `acts`
+                // layout holds always-idle padding entries.
+                let idle = (0..netlist.num_elements())
+                    .filter(|&e| ctx.act(e).is_idle())
+                    .count();
+                d.pending_activations = Some(ctx.pending.load(Ordering::Acquire));
+                d.activations_idle = Some(idle);
+                d.activations_pending = Some(netlist.num_elements() - idle);
+                d.min_valid_until = ctx
                     .nodes
                     .iter()
                     .map(|n| n.valid_until.load(Ordering::Acquire))
                     .min()
-                    .map(Time),
-                sim_time: None,
-                last_checkpoint_step: None,
-            });
-            return Err(match verdict {
-                WatchdogVerdict::Stalled { stalled_for } => SimError::Stalled {
-                    engine: ENGINE,
-                    stalled_for,
-                    diagnostic,
-                },
-                WatchdogVerdict::Deadline { deadline } => SimError::DeadlineExceeded {
-                    engine: ENGINE,
-                    deadline,
-                    diagnostic,
-                },
-            });
-        }
+                    .map(Time);
+            },
+        )?;
 
         let mut changes = init_changes;
-        let outputs: Vec<WorkerOutput> = outputs.into_iter().flatten().collect();
         let mut worker_tracers = Vec::with_capacity(n_threads);
         for (c, wt, of) in outputs {
             changes.extend(c);

@@ -62,9 +62,11 @@ pub struct SimConfig {
     /// consumed events. On by default; disable only to measure the paper's
     /// "massive state storage" problem.
     pub gc: bool,
-    /// Hard wall-time budget for the whole run. When exceeded, the
-    /// watchdog cancels all workers and the engine returns
-    /// [`SimError::DeadlineExceeded`]. `None` (the default) disables it.
+    /// Hard wall-time budget for the whole run, counted from its start:
+    /// every checkpoint segment and every lane chunk of the run draws on
+    /// the one budget. When exceeded, the watchdog cancels all workers and
+    /// the engine returns [`SimError::DeadlineExceeded`]. `None` (the
+    /// default) disables it.
     pub deadline: Option<Duration>,
     /// Progress watchdog: if no worker processes an activation for this
     /// long, the run is cancelled and the engine returns
@@ -237,7 +239,8 @@ impl SimConfig {
         self
     }
 
-    /// Sets a hard wall-time budget for the run.
+    /// Sets a hard wall-time budget for the whole run, shared by all of
+    /// its checkpoint segments and lane chunks.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> SimConfig {
         self.deadline = Some(deadline);

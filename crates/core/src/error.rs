@@ -54,7 +54,8 @@ pub enum SimError {
         diagnostic: Box<StallDiagnostic>,
     },
     /// The run exceeded [`SimConfig::deadline`](crate::SimConfig::deadline)
-    /// in wall time and was cancelled.
+    /// in wall time, counted from its start across every checkpoint
+    /// segment and lane chunk, and was cancelled.
     DeadlineExceeded {
         /// Which engine was running.
         engine: &'static str,

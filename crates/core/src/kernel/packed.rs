@@ -24,13 +24,14 @@
 //! barrier + `WriteMark` agreement is model-checked in
 //! `crates/queue/tests/model.rs`.
 //!
-//! Threading, activity gating, watchdog and fault containment mirror
-//! the scalar executor; checkpoint segments (capture/resume of every
-//! lane at a cut, [`run_batch_segment`]) mirror `kernel/scalar.rs`.
+//! Each chunk's workers run through `exec::run_workers`, as every parallel
+//! engine's do, so watchdog and fault containment are shared and the
+//! deadline covers all chunks of a batch. Activity gating and checkpoint
+//! segments (capture/resume of every lane at a cut,
+//! [`run_batch_segment`]) mirror `kernel/scalar.rs`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
@@ -45,12 +46,12 @@ use parsim_telemetry::{Counter, Gauge, Tally, TelemetryCtx};
 use crate::checkpoint::new_run_ctx;
 use crate::compiled::{BatchResult, LaneStimulus};
 use crate::config::SimConfig;
-use crate::error::{SimError, StallDiagnostic};
+use crate::error::SimError;
+use crate::exec::run_workers;
 use crate::fault::FaultAction;
 use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan};
 use crate::metrics::Metrics;
 use crate::shared::SharedSlice;
-use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::{SimResult, WatchSlots};
 
 /// Engine tag used in [`SimError`] values.
@@ -609,19 +610,7 @@ fn run_chunk<const W: usize>(
     let dirty = DirtyMask::all_dirty(plan.blocks.len());
     let dirty = &dirty;
 
-    let barrier = Arc::new(SpinBarrier::new(threads));
-    let containment = Containment::new(threads);
-    let watchdog = {
-        let b = Arc::clone(&barrier);
-        Watchdog::spawn(
-            &containment,
-            config.deadline,
-            config.stall_timeout,
-            telemetry.sampler(),
-            move || b.poison(),
-        )
-    };
-    let barrier = &barrier;
+    let barrier = &SpinBarrier::new(threads);
     let last_write = WriteMark::new();
     let last_write = &last_write;
     let registry = &telemetry.registry;
@@ -630,259 +619,204 @@ fn run_chunk<const W: usize>(
     let cur_step = AtomicU64::new(0);
     let cur_step = &cur_step;
 
-    let mut outputs: Vec<Option<ChunkWorkerOutput<W>>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|p| {
-                let cont = &containment;
-                let fault = config.fault.clone();
-                scope.spawn(move || {
-                    let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut logs: Vec<SlotLog<W>> =
-                            watch_slots.iter().map(|_| SlotLog::default()).collect();
-                        let shard = registry.worker(p);
-                        let mut tally = Tally::default();
-                        // Pending writes: slot list plus a flat plane arena
-                        // (widths are implied by the slots), reused across
-                        // steps so the hot loop never allocates.
-                        let mut pend_slots: Vec<u32> = Vec::new();
-                        let mut pend_data: Vec<WideLanes<W>> = Vec::new();
-                        let mut scratch: Vec<WideLanes<W>> = vec![WideLanes::X; max_out_bits];
-                        let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
-                        let mut processed = 0u64;
-                        let mut gen_cursor = 0usize;
-                        let mut t = first_step;
-                        'run: while t <= cut {
-                            cont.beat(p);
-                            if p == 0 {
-                                cur_step.store(t, Ordering::Relaxed);
-                                // Steps are shared across lane chunks; only
-                                // the first chunk counts them so multi-chunk
-                                // batches don't multiply the step count.
-                                if lane_base == 0 {
-                                    tally.inc(Counter::TimeSteps);
-                                    shard.set_gauge(Gauge::SimTime, t);
-                                }
-                                if cont.cancelled() {
-                                    stop.store(true, Ordering::Release);
-                                }
-                            }
-                            let busy_start = Instant::now();
-                            // ---- apply phase ----------------------------
-                            // What a write owes once its masked diff is
-                            // known: the event count, the watched slot's
-                            // packed record, its fan-out's dirty bits.
-                            let mut commit =
-                                |slot: u32, diff: &LaneMask<W>, new: &[WideLanes<W>]| {
-                                    tally.add(
-                                        Counter::EventsProcessed,
-                                        u64::from(wide::mask_count(diff)),
-                                    );
-                                    // A cut past `end_time` records nothing there.
-                                    let watch =
-                                        if t <= end { watch_of[slot as usize] } else { UNWATCHED };
-                                    if let Some(log) = logs.get_mut(watch as usize) {
-                                        log.record(t, diff, new);
-                                    }
-                                    if gating && wide::mask_any(diff) {
-                                        for &b in plan.fanout(slot) {
-                                            dirty.mark(b);
-                                        }
-                                    }
-                                };
-                            let mut cursor = 0usize;
-                            for &slot in &pend_slots {
-                                let w = prog.slot_width(slot) as usize;
-                                let new = &pend_data[cursor..cursor + w];
-                                cursor += w;
-                                let off = prog.slot_offset(slot);
-                                // SAFETY: single writer per slot (driver
-                                // thread), phases separated by barriers.
-                                let cur = unsafe { values.slice_mut(off..off + w) };
-                                let diff =
-                                    wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
-                                commit(slot, &diff, new);
-                                cur.copy_from_slice(new);
-                            }
-                            pend_slots.clear();
-                            pend_data.clear();
-                            // Every executed step is at or before the
-                            // next stimulus, so what is due is exactly
-                            // the entries at `t`.
-                            while let Some(wr) = gen_writes.get(gen_cursor).filter(|wr| wr.t == t)
-                            {
-                                gen_cursor += 1;
-                                if p != 0 {
-                                    continue;
-                                }
-                                let w = prog.slot_width(wr.slot) as usize;
-                                let data = &gen_planes[wr.off..wr.off + w];
-                                let off = prog.slot_offset(wr.slot);
-                                // SAFETY: generator slots are only
-                                // written here, by thread 0.
-                                let cur = unsafe { values.slice_mut(off..off + w) };
-                                let mut diff = wide::mask_none::<W>();
-                                for (c, d) in cur.iter_mut().zip(data) {
-                                    let eff = WideLanes::select(&wr.mask, *d, *c);
-                                    wide::mask_or_assign(&mut diff, &c.diff(eff));
-                                    *c = eff;
-                                }
-                                commit(wr.slot, &wide::mask_and(&diff, lane_mask), cur);
-                            }
-                            tally.add_elapsed(Counter::BusyNs, busy_start);
-                            let wait_start = Instant::now();
-                            barrier.wait();
-                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                            // All threads observe the same `stop` value
-                            // here (set before the barrier), so they break
-                            // at the same step.
-                            if barrier.is_poisoned() || stop.load(Ordering::Acquire) {
-                                break 'run;
-                            }
-
-                            // ---- evaluate phase -------------------------
-                            let busy_start = Instant::now();
-                            let mut step_evals = 0u64;
-                            if t < end {
-                                for b in plan.thread_blocks[p].clone() {
-                                    let insns = plan.block_insns(b);
-                                    if gating && !dirty.take(b as u32) {
-                                        tally.inc(Counter::BlocksSkipped);
-                                        tally.add(Counter::EvalsSkipped, insns.len() as u64);
-                                        continue;
-                                    }
-                                    for &i in insns {
-                                        if let FaultAction::Exit =
-                                            fault.check(p, processed, cont.cancel_flag())
-                                        {
-                                            // Only reached after cancellation,
-                                            // which always poisons the barrier,
-                                            // so peers are not left waiting.
-                                            break 'run;
-                                        }
-                                        processed += 1;
-                                        cont.beat(p);
-                                        let i = i as usize;
-                                        eval_insn(
-                                            netlist,
-                                            prog,
-                                            values,
-                                            nat_state,
-                                            state_offset,
-                                            fb_state,
-                                            i,
-                                            chunk_lanes,
-                                            &mut scratch,
-                                            &mut inputs_buf,
-                                        );
-                                        step_evals += 1;
-                                        // Compare against current values and
-                                        // queue changed ports. The compare is
-                                        // masked: tail lanes of a fallback
-                                        // instruction hold stale scratch and
-                                        // must not keep blocks dirty.
-                                        let mut s_off = 0usize;
-                                        for &slot in prog.outputs(i) {
-                                            let w = prog.slot_width(slot) as usize;
-                                            let new = &scratch[s_off..s_off + w];
-                                            s_off += w;
-                                            let off = prog.slot_offset(slot);
-                                            // SAFETY: reading a slot this
-                                            // thread exclusively writes.
-                                            let cur =
-                                                unsafe { values.slice(off..off + w) };
-                                            let diff = wide::mask_and(
-                                                &wide::changed_mask(cur, new),
-                                                lane_mask,
-                                            );
-                                            if wide::mask_any(&diff) {
-                                                pend_slots.push(slot);
-                                                pend_data.extend_from_slice(new);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            tally.add_elapsed(Counter::BusyNs, busy_start);
-                            // Publish this step's deltas (never per event).
-                            tally.add(Counter::Evaluations, step_evals);
-                            tally.add(Counter::Activations, step_evals);
-                            tally.flush(&shard);
-                            shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
-                            if gating && !pend_slots.is_empty() {
-                                last_write.note(t);
-                            }
-                            let wait_start = Instant::now();
-                            barrier.wait();
-                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                            if barrier.is_poisoned() {
-                                break 'run;
-                            }
-                            // A step that queued no write anywhere left no
-                            // dirty block either: nothing changes until the
-                            // next stimulus, so continue there.
-                            let mut next = t + 1;
-                            let stimulus = gen_writes.get(gen_cursor).map_or(cut + 1, |wr| wr.t);
-                            if gating && stimulus > next && last_write.quiet(t) {
-                                next = stimulus;
-                                // Steps are shared across lane chunks;
-                                // only the first chunk counts them.
-                                let counts = (p == 0 && lane_base == 0).then_some(&*shard);
-                                credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
-                            }
-                            t = next;
-                        }
-                        // The last barrier's idle time and any early break.
-                        tally.flush(&shard);
-                        (logs, pend_slots, pend_data)
-                    }));
-                    match body {
-                        Ok(out) => Some(out),
-                        Err(payload) => {
-                            cont.record_panic(p, payload);
-                            barrier.poison();
-                            None
+    let outputs: Vec<ChunkWorkerOutput<W>> = run_workers(
+        ENGINE,
+        config,
+        telemetry,
+        Some(barrier),
+        vec![(); threads],
+        |p, (), cont| {
+            let mut logs: Vec<SlotLog<W>> =
+                watch_slots.iter().map(|_| SlotLog::default()).collect();
+            let shard = registry.worker(p);
+            let mut tally = Tally::default();
+            // Pending writes: slot list plus a flat plane arena
+            // (widths are implied by the slots), reused across
+            // steps so the hot loop never allocates.
+            let mut pend_slots: Vec<u32> = Vec::new();
+            let mut pend_data: Vec<WideLanes<W>> = Vec::new();
+            let mut scratch: Vec<WideLanes<W>> = vec![WideLanes::X; max_out_bits];
+            let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
+            let mut processed = 0u64;
+            let mut gen_cursor = 0usize;
+            let mut t = first_step;
+            'run: while t <= cut {
+                cont.beat(p);
+                if p == 0 {
+                    cur_step.store(t, Ordering::Relaxed);
+                    // Steps are shared across lane chunks; only
+                    // the first chunk counts them so multi-chunk
+                    // batches don't multiply the step count.
+                    if lane_base == 0 {
+                        tally.inc(Counter::TimeSteps);
+                        shard.set_gauge(Gauge::SimTime, t);
+                    }
+                    if cont.cancelled() {
+                        stop.store(true, Ordering::Release);
+                    }
+                }
+                let busy_start = Instant::now();
+                // ---- apply phase ----------------------------
+                // What a write owes once its masked diff is
+                // known: the event count, the watched slot's
+                // packed record, its fan-out's dirty bits.
+                let mut commit = |slot: u32, diff: &LaneMask<W>, new: &[WideLanes<W>]| {
+                    tally.add(Counter::EventsProcessed, u64::from(wide::mask_count(diff)));
+                    // A cut past `end_time` records nothing there.
+                    let watch = if t <= end {
+                        watch_of[slot as usize]
+                    } else {
+                        UNWATCHED
+                    };
+                    if let Some(log) = logs.get_mut(watch as usize) {
+                        log.record(t, diff, new);
+                    }
+                    if gating && wide::mask_any(diff) {
+                        for &b in plan.fanout(slot) {
+                            dirty.mark(b);
                         }
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            outputs.push(h.join().unwrap_or_default());
-        }
-    });
-    if let Some(w) = watchdog {
-        w.finish();
-    }
+                };
+                let mut cursor = 0usize;
+                for &slot in &pend_slots {
+                    let w = prog.slot_width(slot) as usize;
+                    let new = &pend_data[cursor..cursor + w];
+                    cursor += w;
+                    let off = prog.slot_offset(slot);
+                    // SAFETY: single writer per slot (driver
+                    // thread), phases separated by barriers.
+                    let cur = unsafe { values.slice_mut(off..off + w) };
+                    let diff = wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
+                    commit(slot, &diff, new);
+                    cur.copy_from_slice(new);
+                }
+                pend_slots.clear();
+                pend_data.clear();
+                // Every executed step is at or before the next stimulus, so
+                // what is due is exactly the entries at `t`.
+                while let Some(wr) = gen_writes.get(gen_cursor).filter(|wr| wr.t == t) {
+                    gen_cursor += 1;
+                    if p != 0 {
+                        continue;
+                    }
+                    let w = prog.slot_width(wr.slot) as usize;
+                    let data = &gen_planes[wr.off..wr.off + w];
+                    let off = prog.slot_offset(wr.slot);
+                    // SAFETY: generator slots are only
+                    // written here, by thread 0.
+                    let cur = unsafe { values.slice_mut(off..off + w) };
+                    let mut diff = wide::mask_none::<W>();
+                    for (c, d) in cur.iter_mut().zip(data) {
+                        let eff = WideLanes::select(&wr.mask, *d, *c);
+                        wide::mask_or_assign(&mut diff, &c.diff(eff));
+                        *c = eff;
+                    }
+                    commit(wr.slot, &wide::mask_and(&diff, lane_mask), cur);
+                }
+                tally.add_elapsed(Counter::BusyNs, busy_start);
+                let wait_start = Instant::now();
+                barrier.wait();
+                tally.add_elapsed(Counter::IdleNs, wait_start);
+                // All threads observe the same `stop` value here (set before
+                // the barrier), so they break at the same step.
+                if barrier.is_poisoned() || stop.load(Ordering::Acquire) {
+                    break 'run;
+                }
 
-    if let Some((worker, payload)) = containment.take_panic() {
-        return Err(SimError::WorkerPanicked {
-            engine: ENGINE,
-            worker,
-            payload,
-        });
-    }
-    if let Some(verdict) = containment.take_verdict() {
-        let diagnostic = Box::new(StallDiagnostic {
-            heartbeats: containment.heartbeat_snapshot(),
-            sim_time: Some(Time(cur_step.load(Ordering::Relaxed))),
-            ..StallDiagnostic::default()
-        });
-        return Err(match verdict {
-            WatchdogVerdict::Stalled { stalled_for } => SimError::Stalled {
-                engine: ENGINE,
-                stalled_for,
-                diagnostic,
-            },
-            WatchdogVerdict::Deadline { deadline } => SimError::DeadlineExceeded {
-                engine: ENGINE,
-                deadline,
-                diagnostic,
-            },
-        });
-    }
+                // ---- evaluate phase -------------------------
+                let busy_start = Instant::now();
+                let mut step_evals = 0u64;
+                if t < end {
+                    for b in plan.thread_blocks[p].clone() {
+                        let insns = plan.block_insns(b);
+                        if gating && !dirty.take(b as u32) {
+                            tally.inc(Counter::BlocksSkipped);
+                            tally.add(Counter::EvalsSkipped, insns.len() as u64);
+                            continue;
+                        }
+                        for &i in insns {
+                            if let FaultAction::Exit =
+                                config.fault.check(p, processed, cont.cancel_flag())
+                            {
+                                // Only reached after cancellation,
+                                // which always poisons the barrier,
+                                // so peers are not left waiting.
+                                break 'run;
+                            }
+                            processed += 1;
+                            cont.beat(p);
+                            let i = i as usize;
+                            eval_insn(
+                                netlist,
+                                prog,
+                                values,
+                                nat_state,
+                                state_offset,
+                                fb_state,
+                                i,
+                                chunk_lanes,
+                                &mut scratch,
+                                &mut inputs_buf,
+                            );
+                            step_evals += 1;
+                            // Compare against current values and queue changed
+                            // ports. The compare is masked: tail lanes of a
+                            // fallback instruction hold stale scratch and must
+                            // not keep blocks dirty.
+                            let mut s_off = 0usize;
+                            for &slot in prog.outputs(i) {
+                                let w = prog.slot_width(slot) as usize;
+                                let new = &scratch[s_off..s_off + w];
+                                s_off += w;
+                                let off = prog.slot_offset(slot);
+                                // SAFETY: reading a slot this
+                                // thread exclusively writes.
+                                let cur = unsafe { values.slice(off..off + w) };
+                                let diff = wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
+                                if wide::mask_any(&diff) {
+                                    pend_slots.push(slot);
+                                    pend_data.extend_from_slice(new);
+                                }
+                            }
+                        }
+                    }
+                }
+                tally.add_elapsed(Counter::BusyNs, busy_start);
+                // Publish this step's deltas (never per event).
+                tally.add(Counter::Evaluations, step_evals);
+                tally.add(Counter::Activations, step_evals);
+                tally.flush(&shard);
+                shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
+                if gating && !pend_slots.is_empty() {
+                    last_write.note(t);
+                }
+                let wait_start = Instant::now();
+                barrier.wait();
+                tally.add_elapsed(Counter::IdleNs, wait_start);
+                if barrier.is_poisoned() {
+                    break 'run;
+                }
+                // A step that queued no write anywhere left no
+                // dirty block either: nothing changes until the
+                // next stimulus, so continue there.
+                let mut next = t + 1;
+                let stimulus = gen_writes.get(gen_cursor).map_or(cut + 1, |wr| wr.t);
+                if gating && stimulus > next && last_write.quiet(t) {
+                    next = stimulus;
+                    // Steps are shared across lane chunks;
+                    // only the first chunk counts them.
+                    let counts = (p == 0 && lane_base == 0).then_some(&*shard);
+                    credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
+                }
+                t = next;
+            }
+            // The last barrier's idle time and any early break.
+            tally.flush(&shard);
+            (logs, pend_slots, pend_data)
+        },
+        |d| d.sim_time = Some(Time(cur_step.load(Ordering::Relaxed))),
+    )?;
 
-    let outputs: Vec<ChunkWorkerOutput<W>> = outputs.into_iter().flatten().collect();
     // Slot-major: one slot's `chunk_lanes` list tails stay cache-resident
     // while its log is replayed.
     out.lanes.extend((0..chunk_lanes).map(|_| Vec::with_capacity(watch_slots.len())));

@@ -16,7 +16,6 @@
 //! apply and taken by owners during evaluate under the same barrier edges.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
@@ -30,11 +29,11 @@ use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
-use crate::error::{SimError, StallDiagnostic};
+use crate::error::SimError;
+use crate::exec::run_workers;
 use crate::fault::FaultAction;
 use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan};
 use crate::shared::SharedSlice;
-use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
 
 /// Engine tag used in [`SimError`] values.
@@ -163,19 +162,7 @@ pub(crate) fn run_segment(
     let dirty = DirtyMask::all_dirty(plan.blocks.len());
     let dirty = &dirty;
 
-    let barrier = Arc::new(SpinBarrier::new(threads));
-    let containment = Containment::new(threads);
-    let watchdog = {
-        let b = Arc::clone(&barrier);
-        Watchdog::spawn(
-            &containment,
-            config.deadline,
-            config.stall_timeout,
-            seg.telemetry.sampler(),
-            move || b.poison(),
-        )
-    };
-    let barrier = &barrier;
+    let barrier = &SpinBarrier::new(threads);
     let last_write = WriteMark::new();
     let last_write = &last_write;
     let registry = &seg.telemetry.registry;
@@ -189,226 +176,174 @@ pub(crate) fn run_segment(
     let cur_step = &cur_step;
 
     let tracer = Tracer::new(config.trace.as_ref());
-    let tracer_ref = &tracer;
 
-    let mut outputs: Vec<Option<WorkerOutput>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|p| {
-                let cont = &containment;
-                let fault = config.fault.clone();
-                scope.spawn(move || {
-                    let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
-                        let mut tr = tracer_ref.worker(p);
-                        let shard = registry.worker(p);
-                        let mut tally = Tally::default();
-                        let mut pending: Vec<(u32, Value)> = Vec::new();
-                        let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
-                        let mut processed = 0u64;
-                        let mut cursor = 0usize;
-                        let mut t = first_step;
-                        'run: while t <= cut {
-                            cont.beat(p);
-                            if p == 0 {
-                                cur_step.store(t, Ordering::Relaxed);
-                                tally.inc(Counter::TimeSteps);
-                                shard.set_gauge(Gauge::SimTime, t);
-                                if cont.cancelled() {
-                                    stop.store(true, Ordering::Release);
-                                }
-                            }
-                            let busy_start = Instant::now();
-                            tr.begin(EventKind::PhaseApply, t as u32);
-                            // ---- apply phase ----------------------------
-                            for &(slot, v) in &pending {
-                                // SAFETY: single writer per slot (driver
-                                // thread), phases separated by barriers.
-                                unsafe { *values.get_mut(slot as usize) = v };
-                                tally.inc(Counter::EventsProcessed);
-                                if watched[slot as usize] {
-                                    changes.push((Time(t), prog.node_of(slot), v));
-                                }
-                                if gating {
-                                    for &b in plan.fanout(slot) {
-                                        dirty.mark(b);
-                                    }
-                                }
-                            }
-                            pending.clear();
-                            // Every executed step is at or before the
-                            // next stimulus, so what is due is exactly
-                            // the entries at `t`.
-                            while let Some(&(_, _, slot, v)) =
-                                gen_events.get(cursor).filter(|ev| ev.0 == t)
-                            {
-                                cursor += 1;
-                                if p != 0 {
-                                    continue;
-                                }
-                                // SAFETY: generator slots are only
-                                // written here, by thread 0.
-                                let cur = unsafe { values.get_mut(slot as usize) };
-                                if *cur != v {
-                                    *cur = v;
-                                    tally.inc(Counter::EventsProcessed);
-                                    if watched[slot as usize] {
-                                        changes.push((Time(t), prog.node_of(slot), v));
-                                    }
-                                    if gating {
-                                        for &b in plan.fanout(slot) {
-                                            dirty.mark(b);
-                                        }
-                                    }
-                                }
-                            }
-                            tr.end(EventKind::PhaseApply);
-                            tally.add_elapsed(Counter::BusyNs, busy_start);
-                            let wait_start = Instant::now();
-                            barrier.wait_traced(&mut tr, 0);
-                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                            // All threads observe the same `stop` value
-                            // here (set before the barrier), so they break
-                            // at the same step.
-                            if barrier.is_poisoned() || stop.load(Ordering::Acquire) {
-                                break 'run;
-                            }
-
-                            // ---- evaluate phase -------------------------
-                            let busy_start = Instant::now();
-                            tr.begin(EventKind::PhaseEval, t as u32);
-                            let mut step_evals = 0u64;
-                            if t < end {
-                                for b in plan.thread_blocks[p].clone() {
-                                    let insns = plan.block_insns(b);
-                                    if gating && !dirty.take(b as u32) {
-                                        tally.inc(Counter::BlocksSkipped);
-                                        tally.add(Counter::EvalsSkipped, insns.len() as u64);
-                                        tr.instant(EventKind::BlockSkip, b as u32);
-                                        continue;
-                                    }
-                                    tr.instant(EventKind::BlockRun, b as u32);
-                                    for &i in insns {
-                                        if let FaultAction::Exit =
-                                            fault.check(p, processed, cont.cancel_flag())
-                                        {
-                                            // Only reached after cancellation,
-                                            // which always poisons the barrier,
-                                            // so peers are not left waiting.
-                                            break 'run;
-                                        }
-                                        processed += 1;
-                                        cont.beat(p);
-                                        let i = i as usize;
-                                        inputs_buf.clear();
-                                        for &inp in prog.inputs(i) {
-                                            // SAFETY: read-only phase.
-                                            inputs_buf
-                                                .push(unsafe { *values.get(inp as usize) });
-                                        }
-                                        let kind = netlist.elements()[prog.elem(i)].kind();
-                                        // SAFETY: instruction owned by this
-                                        // thread.
-                                        let state = unsafe { states.get_mut(i) };
-                                        let out = evaluate(kind, &inputs_buf, state);
-                                        step_evals += 1;
-                                        tr.instant(EventKind::Eval, i as u32);
-                                        for (port, v) in out.iter() {
-                                            let slot = prog.outputs(i)[port];
-                                            // SAFETY: reading a slot this
-                                            // thread exclusively writes.
-                                            if unsafe { *values.get(slot as usize) } != v {
-                                                pending.push((slot, v));
-                                                tr.instant(EventKind::EventInsert, slot);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            tr.counter(EventKind::QueueDepth, pending.len() as u32);
-                            tr.end(EventKind::PhaseEval);
-                            // Activations mirror evaluations (every
-                            // evaluated instruction counts as activated).
-                            tally.add(Counter::Evaluations, step_evals);
-                            tally.add(Counter::Activations, step_evals);
-                            shard.set_gauge(Gauge::QueueDepth, pending.len() as u64);
-                            tally.add_elapsed(Counter::BusyNs, busy_start);
-                            // One flush per worker per step.
-                            tally.flush(&shard);
-                            if gating && !pending.is_empty() {
-                                last_write.note(t);
-                            }
-                            let wait_start = Instant::now();
-                            barrier.wait_traced(&mut tr, 1);
-                            tally.add_elapsed(Counter::IdleNs, wait_start);
-                            if barrier.is_poisoned() {
-                                break 'run;
-                            }
-                            // A step that queued no write anywhere left no
-                            // dirty block either: nothing changes until the
-                            // next stimulus, so continue there.
-                            let mut next = t + 1;
-                            let stimulus = gen_events.get(cursor).map_or(cut + 1, |ev| ev.0);
-                            if gating && stimulus > next && last_write.quiet(t) {
-                                next = stimulus;
-                                let counts = (p == 0).then_some(&*shard);
-                                credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
-                                let jumped = u32::try_from(next - t - 1).unwrap_or(u32::MAX);
-                                tr.instant(EventKind::QuietJump, jumped);
-                            }
-                            t = next;
-                        }
-                        // The last barrier's idle time and any early break.
-                        tally.flush(&shard);
-                        (changes, tr, pending)
-                    }));
-                    match body {
-                        Ok(out) => Some(out),
-                        Err(payload) => {
-                            cont.record_panic(p, payload);
-                            barrier.poison();
-                            None
+    let outputs: Vec<WorkerOutput> = run_workers(
+        ENGINE,
+        config,
+        &seg.telemetry,
+        Some(barrier),
+        vec![(); threads],
+        |p, (), cont| {
+            let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
+            let mut tr = tracer.worker(p);
+            let shard = registry.worker(p);
+            let mut tally = Tally::default();
+            let mut pending: Vec<(u32, Value)> = Vec::new();
+            let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
+            let mut processed = 0u64;
+            let mut cursor = 0usize;
+            let mut t = first_step;
+            'run: while t <= cut {
+                cont.beat(p);
+                if p == 0 {
+                    cur_step.store(t, Ordering::Relaxed);
+                    tally.inc(Counter::TimeSteps);
+                    shard.set_gauge(Gauge::SimTime, t);
+                    if cont.cancelled() {
+                        stop.store(true, Ordering::Release);
+                    }
+                }
+                let busy_start = Instant::now();
+                tr.begin(EventKind::PhaseApply, t as u32);
+                // ---- apply phase ----------------------------
+                for &(slot, v) in &pending {
+                    // SAFETY: single writer per slot (driver
+                    // thread), phases separated by barriers.
+                    unsafe { *values.get_mut(slot as usize) = v };
+                    tally.inc(Counter::EventsProcessed);
+                    if watched[slot as usize] {
+                        changes.push((Time(t), prog.node_of(slot), v));
+                    }
+                    if gating {
+                        for &b in plan.fanout(slot) {
+                            dirty.mark(b);
                         }
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            outputs.push(h.join().unwrap_or_default());
-        }
-    });
-    if let Some(w) = watchdog {
-        w.finish();
-    }
+                }
+                pending.clear();
+                // Every executed step is at or before the next stimulus, so
+                // what is due is exactly the entries at `t`.
+                while let Some(&(_, _, slot, v)) = gen_events.get(cursor).filter(|ev| ev.0 == t) {
+                    cursor += 1;
+                    if p != 0 {
+                        continue;
+                    }
+                    // SAFETY: generator slots are only
+                    // written here, by thread 0.
+                    let cur = unsafe { values.get_mut(slot as usize) };
+                    if *cur != v {
+                        *cur = v;
+                        tally.inc(Counter::EventsProcessed);
+                        if watched[slot as usize] {
+                            changes.push((Time(t), prog.node_of(slot), v));
+                        }
+                        if gating {
+                            for &b in plan.fanout(slot) {
+                                dirty.mark(b);
+                            }
+                        }
+                    }
+                }
+                tr.end(EventKind::PhaseApply);
+                tally.add_elapsed(Counter::BusyNs, busy_start);
+                let wait_start = Instant::now();
+                barrier.wait_traced(&mut tr, 0);
+                tally.add_elapsed(Counter::IdleNs, wait_start);
+                // All threads observe the same `stop` value here (set before
+                // the barrier), so they break at the same step.
+                if barrier.is_poisoned() || stop.load(Ordering::Acquire) {
+                    break 'run;
+                }
 
-    if let Some((worker, payload)) = containment.take_panic() {
-        return Err(SimError::WorkerPanicked {
-            engine: ENGINE,
-            worker,
-            payload,
-        });
-    }
-    if let Some(verdict) = containment.take_verdict() {
-        let diagnostic = Box::new(StallDiagnostic {
-            heartbeats: containment.heartbeat_snapshot(),
-            sim_time: Some(Time(cur_step.load(Ordering::Relaxed))),
-            ..StallDiagnostic::default()
-        });
-        return Err(match verdict {
-            WatchdogVerdict::Stalled { stalled_for } => SimError::Stalled {
-                engine: ENGINE,
-                stalled_for,
-                diagnostic,
-            },
-            WatchdogVerdict::Deadline { deadline } => SimError::DeadlineExceeded {
-                engine: ENGINE,
-                deadline,
-                diagnostic,
-            },
-        });
-    }
+                // ---- evaluate phase -------------------------
+                let busy_start = Instant::now();
+                tr.begin(EventKind::PhaseEval, t as u32);
+                let mut step_evals = 0u64;
+                if t < end {
+                    for b in plan.thread_blocks[p].clone() {
+                        let insns = plan.block_insns(b);
+                        if gating && !dirty.take(b as u32) {
+                            tally.inc(Counter::BlocksSkipped);
+                            tally.add(Counter::EvalsSkipped, insns.len() as u64);
+                            tr.instant(EventKind::BlockSkip, b as u32);
+                            continue;
+                        }
+                        tr.instant(EventKind::BlockRun, b as u32);
+                        for &i in insns {
+                            if let FaultAction::Exit =
+                                config.fault.check(p, processed, cont.cancel_flag())
+                            {
+                                // Only reached after cancellation,
+                                // which always poisons the barrier,
+                                // so peers are not left waiting.
+                                break 'run;
+                            }
+                            processed += 1;
+                            cont.beat(p);
+                            let i = i as usize;
+                            inputs_buf.clear();
+                            for &inp in prog.inputs(i) {
+                                // SAFETY: read-only phase.
+                                inputs_buf.push(unsafe { *values.get(inp as usize) });
+                            }
+                            let kind = netlist.elements()[prog.elem(i)].kind();
+                            // SAFETY: instruction owned by this thread.
+                            let state = unsafe { states.get_mut(i) };
+                            let out = evaluate(kind, &inputs_buf, state);
+                            step_evals += 1;
+                            tr.instant(EventKind::Eval, i as u32);
+                            for (port, v) in out.iter() {
+                                let slot = prog.outputs(i)[port];
+                                // SAFETY: reading a slot this
+                                // thread exclusively writes.
+                                if unsafe { *values.get(slot as usize) } != v {
+                                    pending.push((slot, v));
+                                    tr.instant(EventKind::EventInsert, slot);
+                                }
+                            }
+                        }
+                    }
+                }
+                tr.counter(EventKind::QueueDepth, pending.len() as u32);
+                tr.end(EventKind::PhaseEval);
+                // Activations mirror evaluations (every
+                // evaluated instruction counts as activated).
+                tally.add(Counter::Evaluations, step_evals);
+                tally.add(Counter::Activations, step_evals);
+                shard.set_gauge(Gauge::QueueDepth, pending.len() as u64);
+                tally.add_elapsed(Counter::BusyNs, busy_start);
+                // One flush per worker per step.
+                tally.flush(&shard);
+                if gating && !pending.is_empty() {
+                    last_write.note(t);
+                }
+                let wait_start = Instant::now();
+                barrier.wait_traced(&mut tr, 1);
+                tally.add_elapsed(Counter::IdleNs, wait_start);
+                if barrier.is_poisoned() {
+                    break 'run;
+                }
+                // A step that queued no write anywhere left no
+                // dirty block either: nothing changes until the
+                // next stimulus, so continue there.
+                let mut next = t + 1;
+                let stimulus = gen_events.get(cursor).map_or(cut + 1, |ev| ev.0);
+                if gating && stimulus > next && last_write.quiet(t) {
+                    next = stimulus;
+                    let counts = (p == 0).then_some(&*shard);
+                    credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
+                    let jumped = u32::try_from(next - t - 1).unwrap_or(u32::MAX);
+                    tr.instant(EventKind::QuietJump, jumped);
+                }
+                t = next;
+            }
+            // The last barrier's idle time and any early break.
+            tally.flush(&shard);
+            (changes, tr, pending)
+        },
+        |d| d.sim_time = Some(Time(cur_step.load(Ordering::Relaxed))),
+    )?;
 
-    let outputs: Vec<WorkerOutput> = outputs.into_iter().flatten().collect();
     let mut changes = Vec::new();
     let mut worker_tracers = Vec::with_capacity(threads);
     let mut leftover: Vec<(u32, Value)> = Vec::new();

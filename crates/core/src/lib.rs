@@ -45,8 +45,9 @@
 //! Every `run` returns `Result<SimResult, SimError>`. The parallel
 //! engines isolate worker panics (`catch_unwind` plus barrier/queue
 //! poisoning, surfaced as [`SimError::WorkerPanicked`]), and an optional
-//! watchdog ([`SimConfig::deadline`] / [`SimConfig::stall_timeout`])
-//! cancels runs that stop making progress, returning
+//! watchdog ([`SimConfig::deadline`], one budget for the whole run, and
+//! [`SimConfig::stall_timeout`]) cancels runs that overrun or stop making
+//! progress, returning
 //! [`SimError::Stalled`] or [`SimError::DeadlineExceeded`] with a
 //! [`StallDiagnostic`] snapshot. Deterministic faults can be injected
 //! through [`FaultPlan`] to exercise these paths.
@@ -59,6 +60,7 @@ pub mod checkpoint;
 pub mod compiled;
 mod config;
 mod error;
+mod exec;
 mod fault;
 mod kernel;
 mod metrics;
@@ -66,7 +68,6 @@ pub mod seq;
 mod shared;
 pub mod sync;
 pub mod testbench;
-mod watchdog;
 mod waveform;
 
 pub use analysis::{ActivityReport, WaveformStats};

@@ -14,7 +14,7 @@
 //! observation.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::{
@@ -28,7 +28,7 @@ use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::compiled::LaneStimulus;
 use crate::config::SimConfig;
 use crate::error::{SimError, StallDiagnostic};
-use crate::watchdog::{Containment, Watchdog};
+use crate::exec::{monitored, Containment};
 use crate::waveform::SimResult;
 
 /// Engine tag used in [`SimError`] values.
@@ -157,6 +157,8 @@ impl EventDriven {
         stimulus: &LaneStimulus,
     ) -> Result<SegmentOut, SimError> {
         let start = Instant::now();
+        // The deadline is a budget for the whole run, not for this segment.
+        let run_elapsed = || Duration::from_nanos(seg.telemetry.registry.uptime_ns());
         // `end` is the horizon: events beyond it are dropped (without
         // bookkeeping) exactly as in a single-segment run. `cut` is how
         // far this segment simulates; in a whole run they coincide.
@@ -251,7 +253,7 @@ impl EventDriven {
                 expanded += 1;
                 if expanded.is_multiple_of(DEADLINE_CHECK_EVERY) {
                     if let Some(d) = config.deadline {
-                        if start.elapsed() > d {
+                        if run_elapsed() > d {
                             return Err(SimError::DeadlineExceeded {
                                 engine: ENGINE,
                                 deadline: d,
@@ -300,125 +302,120 @@ impl EventDriven {
         let mut tally = Tally::default();
         tally.add(Counter::Activations, init_activated.len() as u64);
         let containment = Containment::new(1);
-        let mut monitor = Watchdog::spawn(&containment, None, None, seg.telemetry.sampler(), || {});
-
-        while let Some((t, updates)) = schedule.pop_first() {
-            if let Some(d) = config.deadline {
-                // The shard is current as of the previous step's flush.
-                let evaluations = shard.counter(Counter::Evaluations);
-                let work = shard.counter(Counter::EventsProcessed) + evaluations;
-                if work >= next_deadline_check {
-                    next_deadline_check = work + DEADLINE_CHECK_EVERY;
-                    if start.elapsed() > d {
-                        if let Some(w) = monitor.take() {
-                            w.finish();
+        monitored(&containment, None, None, &seg.telemetry, None, |_| {
+            while let Some((t, updates)) = schedule.pop_first() {
+                if let Some(d) = config.deadline {
+                    // The shard is current as of the previous step's flush.
+                    let evaluations = shard.counter(Counter::Evaluations);
+                    let work = shard.counter(Counter::EventsProcessed) + evaluations;
+                    if work >= next_deadline_check {
+                        next_deadline_check = work + DEADLINE_CHECK_EVERY;
+                        if run_elapsed() > d {
+                            return Err(SimError::DeadlineExceeded {
+                                engine: ENGINE,
+                                deadline: d,
+                                diagnostic: Box::new(StallDiagnostic {
+                                    heartbeats: vec![evaluations],
+                                    sim_time: Some(Time(t)),
+                                    ..StallDiagnostic::default()
+                                }),
+                            });
                         }
-                        return Err(SimError::DeadlineExceeded {
-                            engine: ENGINE,
-                            deadline: d,
-                            diagnostic: Box::new(StallDiagnostic {
-                                heartbeats: vec![evaluations],
-                                sim_time: Some(Time(t)),
-                                ..StallDiagnostic::default()
-                            }),
-                        });
                     }
                 }
-            }
-            if t > cut {
-                break;
-            }
-            tr.begin(EventKind::TimeStep, t as u32);
-            let mut activated = if t == 0 {
-                init_activated.clone()
-            } else {
-                Vec::new()
-            };
+                if t > cut {
+                    break;
+                }
+                tr.begin(EventKind::TimeStep, t as u32);
+                let mut activated = if t == 0 {
+                    init_activated.clone()
+                } else {
+                    Vec::new()
+                };
 
-            // Phase 1: update nodes, collect activated fan-out elements.
-            let mut step_events = 0u64;
-            for (node, v) in updates {
-                if node == NOOP || values[node] == v {
-                    continue;
-                }
-                values[node] = v;
-                step_events += 1;
-                if watched[node] {
-                    changes.push((Time(t), NodeId::from_index(node), v));
-                }
-                for &(elem, _) in netlist.nodes()[node].fanout() {
-                    let e = elem.index();
-                    if stamp[e] != t {
-                        stamp[e] = t;
-                        activated.push(e);
-                        tally.inc(Counter::Activations);
-                    }
-                }
-            }
-            if step_events > 0 {
-                tally.inc(Counter::TimeSteps);
-                shard.record_step_events(step_events);
-            }
-            tally.add(Counter::EventsProcessed, step_events);
-            shard.set_gauge(Gauge::SimTime, t);
-            shard.set_gauge(Gauge::QueueDepth, activated.len() as u64);
-            tr.counter(EventKind::QueueDepth, activated.len() as u32);
-
-            // Phase 2: evaluate activated elements, schedule changed
-            // outputs.
-            for e in activated {
-                let elem = &netlist.elements()[e];
-                inputs_buf.clear();
-                inputs_buf.extend(elem.inputs().iter().map(|&n| values[n.index()]));
-                let out = evaluate(elem.kind(), &inputs_buf, &mut states[e]);
-                tally.inc(Counter::Evaluations);
-                tr.instant(EventKind::Eval, e as u32);
-                for (port, v) in out.iter() {
-                    let out_node = elem.outputs()[port].index();
-                    if last_scheduled[out_node] == v {
+                // Phase 1: update nodes, collect activated fan-out elements.
+                let mut step_events = 0u64;
+                for (node, v) in updates {
+                    if node == NOOP || values[node] == v {
                         continue;
                     }
-                    let td = transition_delay(
-                        &last_scheduled[out_node],
-                        &v,
-                        elem.rise_delay(),
-                        elem.fall_delay(),
-                    );
-                    // Monotone transport: a pulse shorter than the delay
-                    // differential stretches instead of reordering.
-                    let te = (t + td.ticks()).max(last_sched_time[out_node] + 1);
-                    if te <= cut {
-                        // Only a *kept* event updates the last-value
-                        // tracking; a drop beyond the horizon must not,
-                        // or a flip-back would re-emit the kept value.
-                        last_scheduled[out_node] = v;
-                        last_sched_time[out_node] = te;
-                        schedule.entry(te).or_default().push((out_node, v));
-                        tr.instant(EventKind::EventInsert, out_node as u32);
-                    } else if seg.capture && te <= end.ticks() {
-                        // Beyond the cut but within the horizon: the
-                        // uninterrupted run keeps this event, so the
-                        // snapshot must carry it — with the same
-                        // bookkeeping a kept event performs.
-                        last_scheduled[out_node] = v;
-                        last_sched_time[out_node] = te;
-                        overflow.push(PendingEvent {
-                            time: te,
-                            node: out_node as u32,
-                            value: v,
-                        });
+                    values[node] = v;
+                    step_events += 1;
+                    if watched[node] {
+                        changes.push((Time(t), NodeId::from_index(node), v));
+                    }
+                    for &(elem, _) in netlist.nodes()[node].fanout() {
+                        let e = elem.index();
+                        if stamp[e] != t {
+                            stamp[e] = t;
+                            activated.push(e);
+                            tally.inc(Counter::Activations);
+                        }
                     }
                 }
+                if step_events > 0 {
+                    tally.inc(Counter::TimeSteps);
+                    shard.record_step_events(step_events);
+                }
+                tally.add(Counter::EventsProcessed, step_events);
+                shard.set_gauge(Gauge::SimTime, t);
+                shard.set_gauge(Gauge::QueueDepth, activated.len() as u64);
+                tr.counter(EventKind::QueueDepth, activated.len() as u32);
+
+                // Phase 2: evaluate activated elements, schedule changed
+                // outputs.
+                for e in activated {
+                    let elem = &netlist.elements()[e];
+                    inputs_buf.clear();
+                    inputs_buf.extend(elem.inputs().iter().map(|&n| values[n.index()]));
+                    let out = evaluate(elem.kind(), &inputs_buf, &mut states[e]);
+                    tally.inc(Counter::Evaluations);
+                    tr.instant(EventKind::Eval, e as u32);
+                    for (port, v) in out.iter() {
+                        let out_node = elem.outputs()[port].index();
+                        if last_scheduled[out_node] == v {
+                            continue;
+                        }
+                        let td = transition_delay(
+                            &last_scheduled[out_node],
+                            &v,
+                            elem.rise_delay(),
+                            elem.fall_delay(),
+                        );
+                        // Monotone transport: a pulse shorter than the delay
+                        // differential stretches instead of reordering.
+                        let te = (t + td.ticks()).max(last_sched_time[out_node] + 1);
+                        if te <= cut {
+                            // Only a *kept* event updates the last-value
+                            // tracking; a drop beyond the horizon must not,
+                            // or a flip-back would re-emit the kept value.
+                            last_scheduled[out_node] = v;
+                            last_sched_time[out_node] = te;
+                            schedule.entry(te).or_default().push((out_node, v));
+                            tr.instant(EventKind::EventInsert, out_node as u32);
+                        } else if seg.capture && te <= end.ticks() {
+                            // Beyond the cut but within the horizon: the
+                            // uninterrupted run keeps this event, so the
+                            // snapshot must carry it — with the same
+                            // bookkeeping a kept event performs.
+                            last_scheduled[out_node] = v;
+                            last_sched_time[out_node] = te;
+                            overflow.push(PendingEvent {
+                                time: te,
+                                node: out_node as u32,
+                                value: v,
+                            });
+                        }
+                    }
+                }
+                // One flush per step keeps the shard current for mid-run
+                // sampling without touching the per-event path.
+                tally.flush(&shard);
+                tr.end(EventKind::TimeStep);
             }
-            // One flush per step keeps the shard current for mid-run
-            // sampling without touching the per-event path.
             tally.flush(&shard);
-            tr.end(EventKind::TimeStep);
-        }
-        tally.flush(&shard);
-        if let Some(w) = monitor.take() {
-            w.finish();
-        }
+            Ok(())
+        })?;
 
         let wall = start.elapsed();
         let snapshot = seg.capture.then(|| {

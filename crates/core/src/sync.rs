@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
@@ -36,10 +35,10 @@ use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
 use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
 use crate::config::SimConfig;
-use crate::error::{SimError, StallDiagnostic};
+use crate::error::SimError;
+use crate::exec::run_workers;
 use crate::fault::FaultAction;
 use crate::shared::SharedSlice;
-use crate::watchdog::{Containment, Watchdog, WatchdogVerdict};
 use crate::waveform::SimResult;
 
 /// Engine tag used in [`SimError`] values.
@@ -248,393 +247,306 @@ impl SyncEventDriven {
         let (next_time, done) = (&next_time, &done);
         let step_events = &step_events;
         let registry = &seg.telemetry.registry;
-        let barrier = Arc::new(SpinBarrier::new(n));
+        let barrier = &SpinBarrier::new(n);
+        let tracer = Tracer::new(config.trace.as_ref());
 
         // A panicking worker poisons the barrier so peers blocked at a
-        // phase boundary unblock; the watchdog does the same on cancel.
-        let containment = Containment::new(n);
-        let watchdog = {
-            let b = Arc::clone(&barrier);
-            Watchdog::spawn(
-                &containment,
-                config.deadline,
-                config.stall_timeout,
-                seg.telemetry.sampler(),
-                move || b.poison(),
-            )
-        };
-        let barrier = &barrier;
-        let tracer = Tracer::new(config.trace.as_ref());
-        let tracer_ref = &tracer;
+        // phase boundary unblock; the monitor does the same on cancel.
+        let outputs: Vec<WorkerOutput> = run_workers(
+            ENGINE,
+            config,
+            &seg.telemetry,
+            Some(barrier),
+            vec![(); n],
+            |me, (), cont| {
+                let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
+                let mut overflow: Vec<PendingEvent> = Vec::new();
+                let mut tr = tracer.worker(me);
+                let shard = registry.worker(me);
+                let mut tally = Tally::default();
+                let mut rr_elem = (me + 1) % n;
+                let mut rr_node = (me + 1) % n;
+                let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
+                let mut processed = 0u64;
+                'run: loop {
+                    // Every worker reaches this point once per step: the
+                    // liveness signal the watchdog samples.
+                    cont.beat(me);
+                    let t = next_time.load(Ordering::Acquire);
 
-        let mut outputs: Vec<Option<WorkerOutput>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|me| {
-                    let cont = &containment;
-                    let fault = config.fault.clone();
-                    scope.spawn(move || {
-                        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
-                        let mut overflow: Vec<PendingEvent> = Vec::new();
-                        let mut tr = tracer_ref.worker(me);
-                        let shard = registry.worker(me);
-                        let mut tally = Tally::default();
-                        let mut rr_elem = (me + 1) % n;
-                        let mut rr_node = (me + 1) % n;
-                        let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
-                        let mut processed = 0u64;
-                        'run: loop {
-                            // Every worker reaches this point once per
-                            // step: the liveness signal the watchdog
-                            // samples.
+                    // ---- phase A fill: drain updates for time t --
+                    let busy = Instant::now();
+                    {
+                        // SAFETY: each thread touches only its own
+                        // work list; barrier-separated from steals.
+                        let work = unsafe { phase_nodes.get_mut(me) };
+                        work.clear();
+                        for i in 0..n {
+                            // SAFETY: slot (i, me) is drained only by `me`;
+                            // writers are quiescent (previous barrier).
+                            let mail = unsafe { node_mail.get_mut(i * n + me) };
+                            if let Some(mut us) = mail.remove(&t) {
+                                // `append` drains `us` but keeps its capacity:
+                                // recycle it for the writer of this slot.
+                                work.append(&mut us);
+                                // SAFETY: pool slot (i, me) is put only here
+                                // (phase A, by `me`); the taking writer runs in
+                                // barrier-separated phase B.
+                                unsafe { free_mail.put(i, me, us) };
+                            }
+                        }
+                        node_cursor[me].store(0, Ordering::Release);
+                    }
+                    tally.add_elapsed(Counter::BusyNs, busy);
+                    let wait = Instant::now();
+                    barrier.wait_traced(&mut tr, 0);
+                    tally.add_elapsed(Counter::IdleNs, wait);
+                    if barrier.is_poisoned() {
+                        break 'run;
+                    }
+
+                    // ---- phase A process: apply updates, activate
+                    // fan-out (with stealing) ----------------------
+                    let busy = Instant::now();
+                    tr.begin(EventKind::PhaseNodes, t as u32);
+                    let mut my_events = 0u64;
+                    for v in 0..n {
+                        let victim = (me + v) % n;
+                        // SAFETY: immutable during the processing
+                        // phase (writers filled before barrier).
+                        let work = unsafe { phase_nodes.get(victim) };
+                        loop {
+                            let idx = node_cursor[victim].fetch_add(1, Ordering::AcqRel);
+                            if idx >= work.len() {
+                                break;
+                            }
+                            let Update { node, value } = work[idx];
+                            let node = node as usize;
+                            // SAFETY: updates are unique per
+                            // (node, time): exclusive writer.
+                            let slot = unsafe { values.get_mut(node) };
+                            if *slot == value {
+                                continue;
+                            }
+                            *slot = value;
+                            my_events += 1;
+                            if watched[node] {
+                                changes.push((Time(t), NodeId::from_index(node), value));
+                            }
+                            for &(elem, _) in netlist.nodes()[node].fanout() {
+                                let e = elem.index();
+                                // Exactly-once activation per step.
+                                let mut cur = stamps[e].load(Ordering::Relaxed);
+                                loop {
+                                    if cur == t {
+                                        break;
+                                    }
+                                    match stamps[e].compare_exchange_weak(
+                                        cur,
+                                        t,
+                                        Ordering::AcqRel,
+                                        Ordering::Relaxed,
+                                    ) {
+                                        Ok(_) => {
+                                            // SAFETY: row `me` is written only
+                                            // by this thread this phase.
+                                            unsafe { elem_mail.get_mut(me * n + rr_elem) }
+                                                .push(e as u32);
+                                            rr_elem = (rr_elem + 1) % n;
+                                            break;
+                                        }
+                                        Err(now) => cur = now,
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    tr.end(EventKind::PhaseNodes);
+                    step_events.fetch_add(my_events, Ordering::Relaxed);
+                    tally.add(Counter::EventsProcessed, my_events);
+                    tally.add_elapsed(Counter::BusyNs, busy);
+                    let wait = Instant::now();
+                    barrier.wait_traced(&mut tr, 1);
+                    tally.add_elapsed(Counter::IdleNs, wait);
+                    if barrier.is_poisoned() {
+                        break 'run;
+                    }
+
+                    // ---- phase B fill: drain activated elements --
+                    let busy = Instant::now();
+                    {
+                        // SAFETY: own work list.
+                        let work = unsafe { phase_elems.get_mut(me) };
+                        work.clear();
+                        for i in 0..n {
+                            // SAFETY: slot (i, me) drained only by
+                            // `me`; writers quiescent.
+                            let mail = unsafe { elem_mail.get_mut(i * n + me) };
+                            work.append(mail);
+                        }
+                        elem_cursor[me].store(0, Ordering::Release);
+                        shard.set_gauge(Gauge::QueueDepth, work.len() as u64);
+                        tr.counter(EventKind::QueueDepth, work.len() as u32);
+                    }
+                    tally.add_elapsed(Counter::BusyNs, busy);
+                    let wait = Instant::now();
+                    barrier.wait_traced(&mut tr, 2);
+                    tally.add_elapsed(Counter::IdleNs, wait);
+                    if barrier.is_poisoned() {
+                        break 'run;
+                    }
+
+                    // ---- phase B process: evaluate + schedule ----
+                    let busy = Instant::now();
+                    tr.begin(EventKind::PhaseElems, t as u32);
+                    let mut my_evals = 0u64;
+                    for v in 0..n {
+                        let victim = (me + v) % n;
+                        // SAFETY: immutable during processing.
+                        let work = unsafe { phase_elems.get(victim) };
+                        loop {
+                            let idx = elem_cursor[victim].fetch_add(1, Ordering::AcqRel);
+                            if idx >= work.len() {
+                                break;
+                            }
+                            let e = work[idx] as usize;
+                            if v != 0 {
+                                // Work taken from another worker's
+                                // list: end-of-phase stealing.
+                                tr.instant(EventKind::Steal, e as u32);
+                            }
+                            if let FaultAction::Exit =
+                                config.fault.check(me, processed, cont.cancel_flag())
+                            {
+                                // Only reached after cancellation,
+                                // which always poisons the barrier,
+                                // so peers are not left waiting.
+                                break 'run;
+                            }
+                            processed += 1;
                             cont.beat(me);
-                            let t = next_time.load(Ordering::Acquire);
-
-                            // ---- phase A fill: drain updates for time t --
-                            let busy = Instant::now();
-                            {
-                                // SAFETY: each thread touches only its own
-                                // work list; barrier-separated from steals.
-                                let work = unsafe { phase_nodes.get_mut(me) };
-                                work.clear();
-                                for i in 0..n {
-                                    // SAFETY: slot (i, me) is drained only
-                                    // by `me`; writers are quiescent
-                                    // (previous barrier).
-                                    let mail = unsafe { node_mail.get_mut(i * n + me) };
-                                    if let Some(mut us) = mail.remove(&t) {
-                                        // `append` drains `us` but keeps its
-                                        // capacity: recycle it for the
-                                        // writer of this slot.
-                                        work.append(&mut us);
-                                        // SAFETY: pool slot (i, me) is put
-                                        // only here (phase A, by `me`);
-                                        // the taking writer runs in
-                                        // barrier-separated phase B.
-                                        unsafe { free_mail.put(i, me, us) };
-                                    }
+                            let elem = &netlist.elements()[e];
+                            inputs_buf.clear();
+                            for &inp in elem.inputs() {
+                                // SAFETY: values quiescent in B.
+                                inputs_buf.push(unsafe { *values.get(inp.index()) });
+                            }
+                            // SAFETY: element exclusive (stamp CAS).
+                            let state = unsafe { states.get_mut(e) };
+                            let out = evaluate(elem.kind(), &inputs_buf, state);
+                            my_evals += 1;
+                            tr.instant(EventKind::Eval, e as u32);
+                            for (port, val) in out.iter() {
+                                let out_node = elem.outputs()[port].index();
+                                // SAFETY: only the driver's
+                                // evaluator touches this slot.
+                                let ls = unsafe { last_scheduled.get_mut(out_node) };
+                                if *ls == val {
+                                    continue;
                                 }
-                                node_cursor[me].store(0, Ordering::Release);
-                            }
-                            tally.add_elapsed(Counter::BusyNs, busy);
-                            let wait = Instant::now();
-                            barrier.wait_traced(&mut tr, 0);
-                            tally.add_elapsed(Counter::IdleNs, wait);
-                            if barrier.is_poisoned() {
-                                break 'run;
-                            }
-
-                            // ---- phase A process: apply updates, activate
-                            // fan-out (with stealing) ----------------------
-                            let busy = Instant::now();
-                            tr.begin(EventKind::PhaseNodes, t as u32);
-                            let mut my_events = 0u64;
-                            for v in 0..n {
-                                let victim = (me + v) % n;
-                                // SAFETY: immutable during the processing
-                                // phase (writers filled before barrier).
-                                let work = unsafe { phase_nodes.get(victim) };
-                                loop {
-                                    let idx = node_cursor[victim].fetch_add(1, Ordering::AcqRel);
-                                    if idx >= work.len() {
-                                        break;
-                                    }
-                                    let Update { node, value } = work[idx];
-                                    let node = node as usize;
-                                    // SAFETY: updates are unique per
-                                    // (node, time): exclusive writer.
-                                    let slot = unsafe { values.get_mut(node) };
-                                    if *slot == value {
-                                        continue;
-                                    }
-                                    *slot = value;
-                                    my_events += 1;
-                                    if watched[node] {
-                                        changes.push((
-                                            Time(t),
-                                            NodeId::from_index(node),
-                                            value,
-                                        ));
-                                    }
-                                    for &(elem, _) in netlist.nodes()[node].fanout() {
-                                        let e = elem.index();
-                                        // Exactly-once activation per step.
-                                        let mut cur = stamps[e].load(Ordering::Relaxed);
-                                        loop {
-                                            if cur == t {
-                                                break;
-                                            }
-                                            match stamps[e].compare_exchange_weak(
-                                                cur,
-                                                t,
-                                                Ordering::AcqRel,
-                                                Ordering::Relaxed,
-                                            ) {
-                                                Ok(_) => {
-                                                    // SAFETY: row `me` is
-                                                    // written only by this
-                                                    // thread this phase.
-                                                    unsafe {
-                                                        elem_mail.get_mut(me * n + rr_elem)
-                                                    }
-                                                    .push(e as u32);
-                                                    rr_elem = (rr_elem + 1) % n;
-                                                    break;
+                                let td = transition_delay(
+                                    ls,
+                                    &val,
+                                    elem.rise_delay(),
+                                    elem.fall_delay(),
+                                );
+                                // SAFETY: same single-writer slot.
+                                let lt = unsafe { last_sched_time.get_mut(out_node) };
+                                let te = (t + td.ticks()).max(*lt + 1);
+                                if te <= cut {
+                                    // Kept events only (see seq).
+                                    *ls = val;
+                                    *lt = te;
+                                    // SAFETY: row `me` written only by this
+                                    // thread this phase (mailbox and its buffer
+                                    // pool alike).
+                                    unsafe { node_mail.get_mut(me * n + rr_node) }
+                                        .entry(te)
+                                        .or_insert_with(|| {
+                                            // SAFETY: slot (me, rr_node) is
+                                            // taken only by `me` in this phase.
+                                            match unsafe { free_mail.take(me, rr_node) } {
+                                                Some(buf) => {
+                                                    tally.inc(Counter::MailboxRecycled);
+                                                    buf
                                                 }
-                                                Err(now) => cur = now,
+                                                None => {
+                                                    tally.inc(Counter::PoolMisses);
+                                                    tr.instant(EventKind::PoolMiss, rr_node as u32);
+                                                    Vec::new()
+                                                }
                                             }
-                                        }
-                                    }
+                                        })
+                                        .push(Update {
+                                            node: out_node as u32,
+                                            value: val,
+                                        });
+                                    tr.instant(EventKind::EventInsert, out_node as u32);
+                                    rr_node = (rr_node + 1) % n;
+                                } else if capture && te <= end {
+                                    // Beyond the cut but within the horizon:
+                                    // goes into the snapshot, with kept-event
+                                    // bookkeeping (see seq).
+                                    *ls = val;
+                                    *lt = te;
+                                    overflow.push(PendingEvent {
+                                        time: te,
+                                        node: out_node as u32,
+                                        value: val,
+                                    });
                                 }
                             }
-                            tr.end(EventKind::PhaseNodes);
-                            step_events.fetch_add(my_events, Ordering::Relaxed);
-                            tally.add(Counter::EventsProcessed, my_events);
-                            tally.add_elapsed(Counter::BusyNs, busy);
-                            let wait = Instant::now();
-                            barrier.wait_traced(&mut tr, 1);
-                            tally.add_elapsed(Counter::IdleNs, wait);
-                            if barrier.is_poisoned() {
-                                break 'run;
-                            }
-
-                            // ---- phase B fill: drain activated elements --
-                            let busy = Instant::now();
+                        }
+                    }
+                    tr.end(EventKind::PhaseElems);
+                    // Every evaluated element was activated once.
+                    tally.add(Counter::Evaluations, my_evals);
+                    tally.add(Counter::Activations, my_evals);
+                    tally.add_elapsed(Counter::BusyNs, busy);
+                    // One flush per worker per step, never per event.
+                    tally.flush(&shard);
+                    let wait = Instant::now();
+                    let leader = barrier.wait_traced(&mut tr, 3);
+                    // ---- reduce: find the next active time -------
+                    if leader {
+                        // Leader-exclusive (barrier-ordered):
+                        // record this step's global event count.
+                        let events = step_events.swap(0, Ordering::Relaxed);
+                        if events > 0 {
+                            registry.driver().record_step_events(events);
+                        }
+                        registry.driver().inc(Counter::TimeSteps);
+                        registry.driver().set_gauge(Gauge::SimTime, t);
+                        let mut min_t = u64::MAX;
+                        for slot in 0..n * n {
+                            // SAFETY: all writers are at the barrier below.
+                            if let Some((&k, _)) = unsafe { node_mail.get(slot) }.first_key_value()
                             {
-                                // SAFETY: own work list.
-                                let work = unsafe { phase_elems.get_mut(me) };
-                                work.clear();
-                                for i in 0..n {
-                                    // SAFETY: slot (i, me) drained only by
-                                    // `me`; writers quiescent.
-                                    let mail = unsafe { elem_mail.get_mut(i * n + me) };
-                                    work.append(mail);
-                                }
-                                elem_cursor[me].store(0, Ordering::Release);
-                                shard.set_gauge(Gauge::QueueDepth, work.len() as u64);
-                                tr.counter(EventKind::QueueDepth, work.len() as u32);
-                            }
-                            tally.add_elapsed(Counter::BusyNs, busy);
-                            let wait = Instant::now();
-                            barrier.wait_traced(&mut tr, 2);
-                            tally.add_elapsed(Counter::IdleNs, wait);
-                            if barrier.is_poisoned() {
-                                break 'run;
-                            }
-
-                            // ---- phase B process: evaluate + schedule ----
-                            let busy = Instant::now();
-                            tr.begin(EventKind::PhaseElems, t as u32);
-                            let mut my_evals = 0u64;
-                            for v in 0..n {
-                                let victim = (me + v) % n;
-                                // SAFETY: immutable during processing.
-                                let work = unsafe { phase_elems.get(victim) };
-                                loop {
-                                    let idx = elem_cursor[victim].fetch_add(1, Ordering::AcqRel);
-                                    if idx >= work.len() {
-                                        break;
-                                    }
-                                    let e = work[idx] as usize;
-                                    if v != 0 {
-                                        // Work taken from another worker's
-                                        // list: end-of-phase stealing.
-                                        tr.instant(EventKind::Steal, e as u32);
-                                    }
-                                    if let FaultAction::Exit =
-                                        fault.check(me, processed, cont.cancel_flag())
-                                    {
-                                        // Only reached after cancellation,
-                                        // which always poisons the barrier,
-                                        // so peers are not left waiting.
-                                        break 'run;
-                                    }
-                                    processed += 1;
-                                    cont.beat(me);
-                                    let elem = &netlist.elements()[e];
-                                    inputs_buf.clear();
-                                    for &inp in elem.inputs() {
-                                        // SAFETY: values quiescent in B.
-                                        inputs_buf.push(unsafe { *values.get(inp.index()) });
-                                    }
-                                    // SAFETY: element exclusive (stamp CAS).
-                                    let state = unsafe { states.get_mut(e) };
-                                    let out = evaluate(elem.kind(), &inputs_buf, state);
-                                    my_evals += 1;
-                                    tr.instant(EventKind::Eval, e as u32);
-                                    for (port, val) in out.iter() {
-                                        let out_node = elem.outputs()[port].index();
-                                        // SAFETY: only the driver's
-                                        // evaluator touches this slot.
-                                        let ls = unsafe { last_scheduled.get_mut(out_node) };
-                                        if *ls == val {
-                                            continue;
-                                        }
-                                        let td = transition_delay(
-                                            ls,
-                                            &val,
-                                            elem.rise_delay(),
-                                            elem.fall_delay(),
-                                        );
-                                        // SAFETY: same single-writer slot.
-                                        let lt =
-                                            unsafe { last_sched_time.get_mut(out_node) };
-                                        let te = (t + td.ticks()).max(*lt + 1);
-                                        if te <= cut {
-                                            // Kept events only (see seq).
-                                            *ls = val;
-                                            *lt = te;
-                                            // SAFETY: row `me` written only
-                                            // by this thread this phase
-                                            // (mailbox and its buffer pool
-                                            // alike).
-                                            unsafe { node_mail.get_mut(me * n + rr_node) }
-                                                .entry(te)
-                                                .or_insert_with(|| {
-                                                    // SAFETY: slot
-                                                    // (me, rr_node) is
-                                                    // taken only by `me`
-                                                    // in this phase.
-                                                    match unsafe {
-                                                        free_mail.take(me, rr_node)
-                                                    } {
-                                                        Some(buf) => {
-                                                            tally.inc(Counter::MailboxRecycled);
-                                                            buf
-                                                        }
-                                                        None => {
-                                                            tally.inc(Counter::PoolMisses);
-                                                            tr.instant(
-                                                                EventKind::PoolMiss,
-                                                                rr_node as u32,
-                                                            );
-                                                            Vec::new()
-                                                        }
-                                                    }
-                                                })
-                                                .push(Update {
-                                                    node: out_node as u32,
-                                                    value: val,
-                                                });
-                                            tr.instant(
-                                                EventKind::EventInsert,
-                                                out_node as u32,
-                                            );
-                                            rr_node = (rr_node + 1) % n;
-                                        } else if capture && te <= end {
-                                            // Beyond the cut but within
-                                            // the horizon: goes into the
-                                            // snapshot, with kept-event
-                                            // bookkeeping (see seq).
-                                            *ls = val;
-                                            *lt = te;
-                                            overflow.push(PendingEvent {
-                                                time: te,
-                                                node: out_node as u32,
-                                                value: val,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            tr.end(EventKind::PhaseElems);
-                            // Every evaluated element was activated once.
-                            tally.add(Counter::Evaluations, my_evals);
-                            tally.add(Counter::Activations, my_evals);
-                            tally.add_elapsed(Counter::BusyNs, busy);
-                            // One flush per worker per step, never per
-                            // event.
-                            tally.flush(&shard);
-                            let wait = Instant::now();
-                            let leader = barrier.wait_traced(&mut tr, 3);
-                            // ---- reduce: find the next active time -------
-                            if leader {
-                                // Leader-exclusive (barrier-ordered):
-                                // record this step's global event count.
-                                let events = step_events.swap(0, Ordering::Relaxed);
-                                if events > 0 {
-                                    registry.driver().record_step_events(events);
-                                }
-                                registry.driver().inc(Counter::TimeSteps);
-                                registry.driver().set_gauge(Gauge::SimTime, t);
-                                let mut min_t = u64::MAX;
-                                for slot in 0..n * n {
-                                    // SAFETY: all writers are at the
-                                    // barrier below.
-                                    if let Some((&k, _)) =
-                                        unsafe { node_mail.get(slot) }.first_key_value()
-                                    {
-                                        min_t = min_t.min(k);
-                                    }
-                                }
-                                // Cooperative cancellation folds into the
-                                // existing `done` mechanism: only the
-                                // leader samples the flag, so workers never
-                                // diverge at a barrier.
-                                if min_t == u64::MAX || min_t > cut || cont.cancelled() {
-                                    done.store(true, Ordering::Release);
-                                } else {
-                                    next_time.store(min_t, Ordering::Release);
-                                }
-                            }
-                            barrier.wait_traced(&mut tr, 4);
-                            tally.add_elapsed(Counter::IdleNs, wait);
-                            if barrier.is_poisoned() || done.load(Ordering::Acquire) {
-                                break 'run;
+                                min_t = min_t.min(k);
                             }
                         }
-                        // The last step's idle time and any early break.
-                        tally.flush(&shard);
-                        (changes, tr, overflow)
-                        }));
-                        match body {
-                            Ok(out) => Some(out),
-                            Err(payload) => {
-                                cont.record_panic(me, payload);
-                                barrier.poison();
-                                None
-                            }
+                        // Cooperative cancellation folds into the existing
+                        // `done` mechanism: only the leader samples the flag,
+                        // so workers never diverge at a barrier.
+                        if min_t == u64::MAX || min_t > cut || cont.cancelled() {
+                            done.store(true, Ordering::Release);
+                        } else {
+                            next_time.store(min_t, Ordering::Release);
                         }
-                    })
-                })
-                .collect();
-            for h in handles {
-                outputs.push(h.join().unwrap_or_default());
-            }
-        });
-        if let Some(w) = watchdog {
-            w.finish();
-        }
+                    }
+                    barrier.wait_traced(&mut tr, 4);
+                    tally.add_elapsed(Counter::IdleNs, wait);
+                    if barrier.is_poisoned() || done.load(Ordering::Acquire) {
+                        break 'run;
+                    }
+                }
+                // The last step's idle time and any early break.
+                tally.flush(&shard);
+                (changes, tr, overflow)
+            },
+            |d| d.sim_time = Some(Time(next_time.load(Ordering::Acquire))),
+        )?;
 
-        if let Some((worker, payload)) = containment.take_panic() {
-            return Err(SimError::WorkerPanicked {
-                engine: ENGINE,
-                worker,
-                payload,
-            });
-        }
-        if let Some(verdict) = containment.take_verdict() {
-            let diagnostic = Box::new(StallDiagnostic {
-                heartbeats: containment.heartbeat_snapshot(),
-                sim_time: Some(Time(next_time.load(Ordering::Acquire))),
-                ..StallDiagnostic::default()
-            });
-            return Err(match verdict {
-                WatchdogVerdict::Stalled { stalled_for } => SimError::Stalled {
-                    engine: ENGINE,
-                    stalled_for,
-                    diagnostic,
-                },
-                WatchdogVerdict::Deadline { deadline } => SimError::DeadlineExceeded {
-                    engine: ENGINE,
-                    deadline,
-                    diagnostic,
-                },
-            });
-        }
-
-        let outputs: Vec<WorkerOutput> = outputs.into_iter().flatten().collect();
         let mut changes = Vec::new();
         let mut worker_tracers = Vec::with_capacity(n);
         for (c, wt, of) in outputs {

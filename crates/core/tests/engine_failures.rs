@@ -3,25 +3,27 @@
 //!
 //! Each scenario runs the engine on a helper thread and waits on a
 //! channel with a 30-second timeout, so a containment regression fails
-//! the test instead of wedging the whole suite.
+//! the test instead of wedging the whole suite. After each injected
+//! failure a clean run of the same engine must still match the oracle.
 
 use std::sync::mpsc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parsim_circuits::inverter_array;
 use parsim_core::{
-    equivalence_report, ChaoticAsync, CompiledMode, EventDriven, FaultPlan, SimConfig,
-    SimError, SimResult, SyncEventDriven,
+    checkpoint, equivalence_report, ChaoticAsync, CompiledMode, EngineKind, EventDriven, FaultPlan,
+    LaneStimulus, SimConfig, SimError, SimResult, SyncEventDriven,
 };
 use parsim_logic::Time;
 use parsim_netlist::Netlist;
 
 /// Outer hang guard: runs `f` on its own thread and panics if it has not
 /// produced a result (ok or error) within 30 seconds.
-fn guarded<F>(context: &str, f: F) -> Result<SimResult, SimError>
+fn guarded<T, F>(context: &str, f: F) -> Result<T, SimError>
 where
-    F: FnOnce() -> Result<SimResult, SimError> + Send + 'static,
+    T: Send + 'static,
+    F: FnOnce() -> Result<T, SimError> + Send + 'static,
 {
     let (tx, rx) = mpsc::channel();
     let handle = thread::spawn(move || {
@@ -43,15 +45,57 @@ fn busy_netlist() -> Netlist {
 
 type Engine = fn(&Netlist, &SimConfig) -> Result<SimResult, SimError>;
 
-const PARALLEL_ENGINES: [(&str, Engine); 3] = [
-    ("chaotic-async", ChaoticAsync::run as Engine),
-    ("sync-event-driven", SyncEventDriven::run as Engine),
-    ("compiled-mode", CompiledMode::run as Engine),
+/// `CompiledMode::run_batch` over 130 base lanes at 64 lanes per word
+/// group, so three chunks; lane 0 stands for the batch.
+fn run_batch(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
+    let lanes = vec![LaneStimulus::base(); 130];
+    let config = config.clone().with_lane_width(64);
+    Ok(CompiledMode::run_batch(netlist, &config, &lanes)?
+        .lanes
+        .swap_remove(0))
+}
+
+/// `(label, engine tag in its errors, run)`.
+const PARALLEL_ENGINES: [(&str, &str, Engine); 4] = [
+    (
+        "chaotic-async",
+        "chaotic-async",
+        ChaoticAsync::run as Engine,
+    ),
+    (
+        "sync-event-driven",
+        "sync-event-driven",
+        SyncEventDriven::run as Engine,
+    ),
+    (
+        "compiled-mode",
+        "compiled-mode",
+        CompiledMode::run as Engine,
+    ),
+    ("compiled-mode batch", "compiled-mode", run_batch as Engine),
 ];
+
+/// One run's failure must not leak into the next: a clean run of the same
+/// engine on the same netlist still equals the `EventDriven` oracle.
+fn assert_clean_rerun(label: &str, run: Engine, threads: usize) {
+    let arr = inverter_array(8, 8, 1).expect("valid generator parameters");
+    let cfg = SimConfig::new(Time(200)).watch_all(arr.taps.clone());
+    let oracle = EventDriven::run(&arr.netlist, &cfg).unwrap();
+    let cfg = cfg.threads(threads);
+    let clean = guarded(&format!("{label} clean rerun"), move || {
+        run(&arr.netlist, &cfg)
+    })
+    .unwrap_or_else(|e| panic!("{label}: clean run after a failure: {e}"));
+    let rep = equivalence_report(&oracle, &clean);
+    assert!(
+        rep.is_equivalent(),
+        "{label}: clean run after a failure diverged: {rep}"
+    );
+}
 
 #[test]
 fn injected_worker_panic_is_contained_in_every_parallel_engine() {
-    for (tag, run) in PARALLEL_ENGINES {
+    for (label, tag, run) in PARALLEL_ENGINES {
         for threads in [2usize, 4] {
             // The last worker panics a few activations in, with peers
             // mid-protocol on barriers or queues.
@@ -59,7 +103,7 @@ fn injected_worker_panic_is_contained_in_every_parallel_engine() {
             let cfg = SimConfig::new(Time(1_000))
                 .threads(threads)
                 .with_fault(FaultPlan::panic_at(victim, 3));
-            let err = guarded(&format!("{tag} x{threads} panic"), move || {
+            let err = guarded(&format!("{label} x{threads} panic"), move || {
                 run(&busy_netlist(), &cfg)
             })
             .expect_err("injected panic must surface as an error");
@@ -70,14 +114,15 @@ fn injected_worker_panic_is_contained_in_every_parallel_engine() {
                     payload,
                 } => {
                     assert_eq!(engine, tag);
-                    assert_eq!(worker, victim, "{tag}: wrong worker blamed");
+                    assert_eq!(worker, victim, "{label}: wrong worker blamed");
                     assert!(
                         payload.contains("injected fault"),
-                        "{tag}: unexpected payload {payload:?}"
+                        "{label}: unexpected payload {payload:?}"
                     );
                 }
-                other => panic!("{tag}: expected WorkerPanicked, got {other}"),
+                other => panic!("{label}: expected WorkerPanicked, got {other}"),
             }
+            assert_clean_rerun(label, run, threads);
         }
     }
 }
@@ -86,31 +131,34 @@ fn injected_worker_panic_is_contained_in_every_parallel_engine() {
 fn panic_containment_needs_no_watchdog() {
     // No deadline, no stall timeout: containment must come from the
     // poison/cancel protocol alone.
-    for (tag, run) in PARALLEL_ENGINES {
+    for (label, tag, run) in PARALLEL_ENGINES {
         let cfg = SimConfig::new(Time(1_000))
             .threads(3)
             .with_fault(FaultPlan::panic_at(0, 0));
-        let err = guarded(&format!("{tag} watchdogless panic"), move || {
+        let err = guarded(&format!("{label} watchdogless panic"), move || {
             run(&busy_netlist(), &cfg)
         })
         .expect_err("injected panic must surface as an error");
         assert!(
             matches!(err, SimError::WorkerPanicked { engine, worker: 0, .. } if engine == tag),
-            "{tag}: got {err}"
+            "{label}: got {err}"
         );
+        assert_clean_rerun(label, run, 3);
     }
 }
 
 #[test]
 fn stalled_worker_trips_the_watchdog_with_a_diagnostic() {
-    for (tag, run) in PARALLEL_ENGINES {
+    for (label, tag, run) in PARALLEL_ENGINES {
         let threads = 3usize;
         let cfg = SimConfig::new(Time(100_000))
             .threads(threads)
             .with_fault(FaultPlan::stall_at(0, 0))
             .with_stall_timeout(Duration::from_millis(100));
-        let err = guarded(&format!("{tag} stall"), move || run(&busy_netlist(), &cfg))
-            .expect_err("a frozen worker must surface as an error");
+        let err = guarded(&format!("{label} stall"), move || {
+            run(&busy_netlist(), &cfg)
+        })
+        .expect_err("a frozen worker must surface as an error");
         match err {
             SimError::Stalled {
                 engine,
@@ -120,7 +168,7 @@ fn stalled_worker_trips_the_watchdog_with_a_diagnostic() {
                 assert_eq!(engine, tag);
                 assert!(
                     stalled_for >= Duration::from_millis(100),
-                    "{tag}: fired early at {stalled_for:?}"
+                    "{label}: fired early at {stalled_for:?}"
                 );
                 // The diagnostic covers every worker. (Absolute counts are
                 // engine-specific: the synchronous engines also beat once
@@ -129,11 +177,12 @@ fn stalled_worker_trips_the_watchdog_with_a_diagnostic() {
                 assert_eq!(
                     diagnostic.heartbeats.len(),
                     threads,
-                    "{tag}: diagnostic must cover every worker"
+                    "{label}: diagnostic must cover every worker"
                 );
             }
-            other => panic!("{tag}: expected Stalled, got {other}"),
+            other => panic!("{label}: expected Stalled, got {other}"),
         }
+        assert_clean_rerun(label, run, threads);
     }
 }
 
@@ -141,12 +190,12 @@ fn stalled_worker_trips_the_watchdog_with_a_diagnostic() {
 fn deadline_cancels_parallel_engines_mid_stall() {
     // A worker wedged forever, watched only by the wall-time deadline:
     // the run must end with DeadlineExceeded, not a hang.
-    for (tag, run) in PARALLEL_ENGINES {
+    for (label, tag, run) in PARALLEL_ENGINES {
         let cfg = SimConfig::new(Time(100_000))
             .threads(2)
             .with_fault(FaultPlan::stall_at(1, 0))
             .with_deadline(Duration::from_millis(50));
-        let err = guarded(&format!("{tag} deadline"), move || {
+        let err = guarded(&format!("{label} deadline"), move || {
             run(&busy_netlist(), &cfg)
         })
         .expect_err("a blown deadline must surface as an error");
@@ -156,8 +205,9 @@ fn deadline_cancels_parallel_engines_mid_stall() {
                 SimError::DeadlineExceeded { engine, deadline, .. }
                     if engine == tag && deadline == Duration::from_millis(50)
             ),
-            "{tag}: got {err}"
+            "{label}: got {err}"
         );
+        assert_clean_rerun(label, run, 2);
     }
 }
 
@@ -181,6 +231,74 @@ fn deadline_cancels_the_sequential_engine() {
     }
 }
 
+/// The wall time of the faster of two runs of `f`.
+fn calibrate<T>(f: impl Fn() -> Result<T, SimError>) -> Duration {
+    (0..2)
+        .map(|_| {
+            let t = Instant::now();
+            f().expect("the calibration run has no deadline");
+            t.elapsed()
+        })
+        .min()
+        .expect("two runs")
+}
+
+/// `SimConfig::deadline` is one budget for the whole run. A run cut into
+/// 20 checkpoint segments, or a batch cut into 8 lane chunks, gets a
+/// quarter of what it needs: every segment and chunk alone fits in that,
+/// the run does not, so it must end in `DeadlineExceeded`.
+#[test]
+fn deadline_spans_checkpoint_segments_and_lane_chunks() {
+    let netlist = inverter_array(32, 16, 1)
+        .expect("valid generator parameters")
+        .netlist;
+    let end = 2_000u64;
+    let dir = std::env::temp_dir().join(format!("parsim-deadline-{}", std::process::id()));
+    for kind in [
+        EngineKind::Sequential,
+        EngineKind::Synchronous,
+        EngineKind::Compiled,
+        EngineKind::Chaotic,
+    ] {
+        let cfg = SimConfig::new(Time(end))
+            .threads(2)
+            .with_checkpoint_dir(dir.join(kind.name()))
+            .with_checkpoint_every(end / 20);
+        let budget = calibrate(|| checkpoint::run(kind, &netlist, &cfg)) / 4;
+        let (netlist, cfg) = (netlist.clone(), cfg.with_deadline(budget));
+        let err = guarded(
+            &format!("{} checkpointed deadline", kind.name()),
+            move || checkpoint::run(kind, &netlist, &cfg),
+        )
+        .expect_err("20 segments must share one budget");
+        assert!(
+            matches!(err, SimError::DeadlineExceeded { deadline, .. } if deadline == budget),
+            "{}: got {err}",
+            kind.name()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let lanes = vec![LaneStimulus::base(); 512];
+    let cfg = SimConfig::new(Time(end / 4)).threads(2).with_lane_width(64);
+    let budget = calibrate(|| CompiledMode::run_batch(&netlist, &cfg, &lanes)) / 4;
+    let cfg = cfg.with_deadline(budget);
+    let err = guarded("batch deadline", move || {
+        CompiledMode::run_batch(&netlist, &cfg, &lanes)
+    })
+    .expect_err("8 lane chunks must share one budget");
+    assert!(
+        matches!(
+            err,
+            SimError::DeadlineExceeded {
+                engine: "compiled-mode",
+                ..
+            }
+        ),
+        "batch: got {err}"
+    );
+}
+
 #[test]
 fn watchdog_does_not_perturb_a_healthy_run() {
     // Generous bounds on a fast run: results must match a watchdog-free
@@ -192,10 +310,13 @@ fn watchdog_does_not_perturb_a_healthy_run() {
         .clone()
         .with_deadline(Duration::from_secs(60))
         .with_stall_timeout(Duration::from_secs(30));
-    for (tag, run) in PARALLEL_ENGINES {
+    for (label, _, run) in PARALLEL_ENGINES {
         let r = run(&arr.netlist, &bounded.clone().threads(3)).unwrap();
         let rep = equivalence_report(&plain, &r);
-        assert!(rep.is_equivalent(), "{tag} diverged under watchdog: {rep}");
+        assert!(
+            rep.is_equivalent(),
+            "{label} diverged under watchdog: {rep}"
+        );
     }
     let seq = EventDriven::run(&arr.netlist, &bounded).unwrap();
     assert!(equivalence_report(&plain, &seq).is_equivalent());

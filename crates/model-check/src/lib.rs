@@ -3,7 +3,7 @@
 //! A registry-free, loom-style model checker for parsim's lock-free
 //! inventory (SPSC segmented queues, the n×n grid, the sense-reversing
 //! barrier, the chaotic node's `valid_until`/GC-cursor protocol). Like the
-//! workspace's `rand`/`proptest`/`criterion` shims, it exists so builds
+//! workspace's `rand`/`proptest` shims, it exists so builds
 //! never touch a registry: the whole checker is this one crate.
 //!
 //! ## What it does

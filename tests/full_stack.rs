@@ -551,3 +551,28 @@ fn batch_lanes_cut_resumed_and_stitched_match_their_oracles_byte_for_byte() {
         assert_eq!(lane.to_vcd(), oracle.to_vcd(), "operands {pairs:?}");
     }
 }
+
+/// The batch kernel's failure containment inside tier-1: a worker that
+/// panics mid-run is reported by index, and the next run of the same batch
+/// on the same netlist is byte-equal to its oracle.
+#[test]
+fn batch_worker_panic_is_contained_and_the_next_run_is_clean() {
+    use parsim::engine::{LaneStimulus, SimError};
+
+    let m = gate_multiplier(4, &[(3, 5), (9, 7)], 64).unwrap();
+    let end = m.schedule_end();
+    let cfg = SimConfig::new(end).watch_all(m.product.iter().copied());
+    let lanes = [LaneStimulus::base(), LaneStimulus::base()];
+    let faulty = cfg.clone().threads(2).with_fault(FaultPlan::panic_at(1, 3));
+    let err = CompiledMode::run_batch(&m.netlist, &faulty, &lanes).unwrap_err();
+    assert!(
+        matches!(err, SimError::WorkerPanicked { worker: 1, .. }),
+        "got {err}"
+    );
+
+    let clean = CompiledMode::run_batch(&m.netlist, &cfg.clone().threads(2), &lanes).unwrap();
+    let oracle = EventDriven::run(&m.netlist, &cfg).unwrap().to_vcd();
+    for lane in &clean.lanes {
+        assert_eq!(lane.to_vcd(), oracle);
+    }
+}
