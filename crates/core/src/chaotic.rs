@@ -69,24 +69,19 @@
 //!
 //! # Locality-aware scheduling
 //!
-//! A pure hash scatter sends *every* activation — including an element's
-//! own fan-out — through the grid, so the common producer→consumer hop
-//! pays a cross-core message even when both elements could run on the
-//! same processor. Instead, elements are assigned owner processors by
-//! fan-out cone clustering
-//! ([`parsim_netlist::partition::cone_cluster`]); each worker seeds its
-//! run with its owned initial activations and checks a bounded local
-//! LIFO deque before its grid column. An element stimulating an owned
-//! fan-out pushes locally (hot in cache, no atomics beyond the
-//! activation CAS); foreign fan-out accumulates into per-destination
-//! [`IdBatch`] buffers flushed at activation end, so one SPSC slot
-//! carries many element ids. First-touch pipelining wakes flush eagerly
-//! — batching must not delay the paper's producer/consumer overlap. The
-//! idle branch escalates through a truncated exponential backoff
-//! ([`Backoff`]) instead of burning a hardware thread. All of it is
-//! observable via [`Metrics::locality`] and ablatable via
-//! [`SimConfig::without_local_queue`] /
-//! [`SimConfig::with_partition`](crate::SimConfig).
+//! The engine places elements itself: fan-out cone clustering
+//! ([`parsim_netlist::partition::cone_cluster`]) assigns every element an
+//! owner processor, and every activation is routed to its owner. Each
+//! worker seeds its run with its owned initial activations and checks a
+//! bounded local LIFO deque before its grid column. An element
+//! stimulating an owned fan-out pushes locally (hot in cache, no atomics
+//! beyond the activation CAS); foreign fan-out accumulates into
+//! per-destination [`IdBatch`] buffers flushed at activation end, so one
+//! SPSC slot carries many element ids. First-touch pipelining wakes flush
+//! eagerly — batching must not delay the paper's producer/consumer
+//! overlap. The idle branch escalates through a truncated exponential
+//! backoff ([`Backoff`]) instead of burning a hardware thread. All of it
+//! is observable via [`Metrics::locality`](crate::Metrics::locality).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
@@ -145,22 +140,18 @@ struct Sched {
     /// One fill-in-progress batch per destination worker, flushed at
     /// activation end (or immediately when full / for first-touch wakes).
     outbox: Vec<IdBatch>,
-    /// `false` reproduces the pure-grid scatter (ablation mode): every
-    /// activation travels as a single-id round-robin batch.
-    use_local: bool,
     #[cfg(feature = "chaos")]
     chaos: parsim_queue::chaos::ChaosState,
 }
 
 impl Sched {
-    fn new(w: usize, tx: GridSender<IdBatch>, local: Vec<u32>, use_local: bool) -> Sched {
+    fn new(w: usize, tx: GridSender<IdBatch>, local: Vec<u32>) -> Sched {
         let n = tx.peers();
         Sched {
             w,
             tx,
             local,
             outbox: (0..n).map(|_| IdBatch::new()).collect(),
-            use_local,
             #[cfg(feature = "chaos")]
             chaos: parsim_queue::chaos::ChaosState::new("chaotic-sched"),
         }
@@ -170,12 +161,6 @@ impl Sched {
     /// push onto the local deque; everything else accumulates in the
     /// destination's batch (a full batch flushes immediately).
     fn enqueue(&mut self, ctx: &Ctx<'_>, e: u32, tally: &mut Tally, tr: &mut WorkerTracer) {
-        if !self.use_local {
-            tally.inc(Counter::GridSends);
-            tally.inc(Counter::GridBatches);
-            self.tx.send_traced(IdBatch::single(e), tr);
-            return;
-        }
         #[cfg(feature = "chaos")]
         self.chaos.maybe_yield();
         let dest = ctx.owner[e as usize] as usize;
@@ -207,10 +192,7 @@ impl Sched {
         tr: &mut WorkerTracer,
     ) {
         self.enqueue(ctx, e, tally, tr);
-        if self.use_local {
-            let dest = ctx.owner[e as usize] as usize;
-            self.flush_one(dest, tally, tr);
-        }
+        self.flush_one(ctx.owner[e as usize] as usize, tally, tr);
     }
 
     /// Sends one destination's fill-in-progress batch, if non-empty.
@@ -281,11 +263,8 @@ struct Ctx<'a> {
     chunk_allocs: AtomicU64,
     chunk_frees: AtomicU64,
     watched: Vec<bool>,
-    /// Owner worker per element (empty when `use_local` is off).
+    /// Owner worker per element.
     owner: Vec<u32>,
-    /// Local-first scheduling enabled
-    /// ([`SimConfig::local_queue`](crate::SimConfig)).
-    use_local: bool,
     /// This segment's cut: events and validity never pass it.
     end: u64,
     /// The run's horizon (`config.end_time`): events in `(end, horizon]`
@@ -398,25 +377,7 @@ impl ChaoticAsync {
             })
             .collect();
 
-        // Owner assignment: the explicitly configured partition if any,
-        // else fan-out cone clustering. Unused (and empty) when the local
-        // queue is ablated — the grid scatter needs no owners.
-        let use_local = config.local_queue;
-        let owner: Vec<u32> = if use_local {
-            match &config.partition {
-                Some(p) => {
-                    assert_eq!(
-                        p.parts(),
-                        n_threads,
-                        "SimConfig::with_partition: part count must equal the thread count"
-                    );
-                    p.assignment().to_vec()
-                }
-                None => cone_cluster(netlist, n_threads).assignment().to_vec(),
-            }
-        } else {
-            Vec::new()
-        };
+        let owner: Vec<u32> = cone_cluster(netlist, n_threads).assignment().to_vec();
 
         let mut seed_alloc = ChunkAlloc::default();
         let nodes: Vec<NodeState> = netlist
@@ -563,34 +524,25 @@ impl ChaoticAsync {
         // Activation flags, grouped by owning worker with a cache line's
         // worth of padding between partitions so one partition's CAS
         // traffic does not false-share its neighbor's flags. `act_of`
-        // maps element index -> slot (the identity layout when the local
-        // queue — and with it the partition — is ablated).
+        // maps element index -> slot.
+        const ACT_PAD: usize = 64;
         let n_elems = netlist.num_elements();
-        let (acts, act_of): (Vec<ActivationState>, Vec<u32>) = if use_local {
-            const ACT_PAD: usize = 64;
-            let mut groups: Vec<Vec<u32>> = vec![Vec::new(); n_threads];
-            for e in 0..n_elems {
-                groups[owner[e] as usize].push(e as u32);
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); n_threads];
+        for e in 0..n_elems {
+            groups[owner[e] as usize].push(e as u32);
+        }
+        let mut acts: Vec<ActivationState> =
+            Vec::with_capacity(n_elems + ACT_PAD * n_threads.saturating_sub(1));
+        let mut act_of = vec![0u32; n_elems];
+        for (w, group) in groups.iter().enumerate() {
+            if w > 0 {
+                acts.extend((0..ACT_PAD).map(|_| ActivationState::new()));
             }
-            let mut acts =
-                Vec::with_capacity(n_elems + ACT_PAD * n_threads.saturating_sub(1));
-            let mut act_of = vec![0u32; n_elems];
-            for (w, group) in groups.iter().enumerate() {
-                if w > 0 {
-                    acts.extend((0..ACT_PAD).map(|_| ActivationState::new()));
-                }
-                for &e in group {
-                    act_of[e as usize] = acts.len() as u32;
-                    acts.push(ActivationState::new());
-                }
+            for &e in group {
+                act_of[e as usize] = acts.len() as u32;
+                acts.push(ActivationState::new());
             }
-            (acts, act_of)
-        } else {
-            (
-                (0..n_elems).map(|_| ActivationState::new()).collect(),
-                (0..n_elems as u32).collect(),
-            )
-        };
+        }
 
         let ctx = Ctx {
             netlist,
@@ -606,7 +558,6 @@ impl ChaoticAsync {
             chunk_frees: AtomicU64::new(seed_alloc.frees),
             watched,
             owner,
-            use_local,
             end,
             horizon,
             capture,
@@ -615,41 +566,26 @@ impl ChaoticAsync {
 
         // Initial activation: every non-generator element (matches the
         // other engines' time-zero initialization pass).
-        let (mut senders, receivers) = grid::<IdBatch>(n_threads);
+        let (senders, receivers) = grid::<IdBatch>(n_threads);
         let mut init_work: Vec<Vec<u32>> = vec![Vec::new(); n_threads];
-        {
-            for (id, e) in netlist.iter_elements() {
-                if e.kind().is_generator() {
-                    continue;
-                }
-                assert!(ctx.act(id.index()).try_activate());
-                ctx.pending.fetch_add(1, Ordering::AcqRel);
-                if use_local {
-                    // Seed each worker's local deque with its owned
-                    // elements: initial and steady-state placement agree,
-                    // so a cone's chain reaction starts — and stays — on
-                    // its owner.
-                    init_work[ctx.owner[id.index()] as usize].push(id.index() as u32);
-                } else {
-                    // Hash-scatter the initial activations: plain
-                    // round-robin can align pathologically with
-                    // generated-circuit structure (e.g. every column-head
-                    // of an inverter array landing on one processor when
-                    // the chain depth divides the thread count).
-                    let target =
-                        (id.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
-                    senders[(target % n_threads as u64) as usize]
-                        .send(IdBatch::single(id.index() as u32));
-                }
+        for (id, e) in netlist.iter_elements() {
+            if e.kind().is_generator() {
+                continue;
             }
-            // The deque pops LIFO, so reverse each seed: pops then follow
-            // ascending element order (builder order, roughly topological)
-            // and each element finds its inputs already valid. Seeding in
-            // pop-is-reverse-topological order costs an order of magnitude
-            // in wasted early activations on deep circuits.
-            for work in &mut init_work {
-                work.reverse();
-            }
+            assert!(ctx.act(id.index()).try_activate());
+            ctx.pending.fetch_add(1, Ordering::AcqRel);
+            // Seed each worker's local deque with its owned elements:
+            // initial and steady-state placement agree, so a cone's chain
+            // reaction starts — and stays — on its owner.
+            init_work[ctx.owner[id.index()] as usize].push(id.index() as u32);
+        }
+        // The deque pops LIFO, so reverse each seed: pops then follow
+        // ascending element order (builder order, roughly topological) and
+        // each element finds its inputs already valid. Seeding in
+        // pop-is-reverse-topological order costs an order of magnitude in
+        // wasted early activations on deep circuits.
+        for work in &mut init_work {
+            work.reverse();
         }
 
         // ---- workers -------------------------------------------------------
@@ -678,7 +614,7 @@ impl ChaoticAsync {
                 tally.add(Counter::LocalHits, init.len() as u64);
                 let shard = registry.worker(w);
                 let mut since_flush = 0u64;
-                let mut sched = Sched::new(w, tx, init, ctx.use_local);
+                let mut sched = Sched::new(w, tx, init);
                 let mut alloc = ChunkAlloc::default();
                 let mut backoff = Backoff::new();
                 let mut idle_since: Option<Instant> = None;
@@ -711,10 +647,6 @@ impl ChaoticAsync {
                             cont.beat(w);
                             let busy = Instant::now();
                             let e = e as usize;
-                            if ctx.use_local && ctx.owner[e] as usize != w {
-                                tally.inc(Counter::Steals);
-                                tr.instant(EventKind::Steal, e as u32);
-                            }
                             tr.begin(EventKind::ActivationReplay, e as u32);
                             ctx.act(e).begin_run();
                             tally.inc(Counter::Activations);

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use parsim_checkpoint::{ChangeRecord, CheckpointError, CheckpointStore, EngineSnapshot};
 use parsim_logic::{Time, Value};
 use parsim_netlist::{Netlist, NodeId};
-use parsim_telemetry::{Counter, Gauge, TelemetryCtx};
+use parsim_telemetry::{Counter, Gauge, TelemetryCtx, DEFAULT_RING_CAPACITY};
 use parsim_trace::Trace;
 
 use crate::chaotic::ChaoticAsync;
@@ -118,7 +118,7 @@ pub(crate) struct SegmentSpec<'a> {
 /// (if any) for mid-run observation.
 pub(crate) fn new_run_ctx(config: &SimConfig) -> TelemetryCtx {
     let workers = config.threads.max(1);
-    let ctx = TelemetryCtx::for_run(workers, config.sample_every, config.sample_capacity);
+    let ctx = TelemetryCtx::for_run(workers, config.sample_every, DEFAULT_RING_CAPACITY);
     ctx.registry.driver().set_gauge(Gauge::Workers, workers as u64);
     if let Some(hub) = &config.telemetry_hub {
         hub.install(ctx.clone());

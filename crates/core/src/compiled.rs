@@ -30,7 +30,6 @@
 use parsim_checkpoint::EngineSnapshot;
 use parsim_logic::{Time, Value};
 use parsim_netlist::compile::CompiledProgram;
-use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
 
 use crate::config::SimConfig;
@@ -179,13 +178,20 @@ impl CompiledMode {
     /// *within each level bucket*, so no thread sits idle at the step
     /// barrier while another finishes a deep level.
     ///
+    /// Which thread owns which element affects load balance only, never
+    /// waveforms: compiled mode double-buffers node values (outputs land
+    /// in a pending set applied only after the step barrier), so the order
+    /// in which a step's instructions are evaluated cannot matter.
+    ///
     /// # Errors
     ///
-    /// See [`CompiledMode::run_with_partition`].
+    /// Returns [`SimError::WorkerPanicked`] if any worker panicked (the
+    /// step barrier is poisoned so peers unblock, and every thread is
+    /// joined first), and [`SimError::Stalled`] /
+    /// [`SimError::DeadlineExceeded`] if the configured watchdog cancelled
+    /// the run.
     pub fn run(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
-        let prog = CompiledProgram::compile(netlist);
-        let partition = prog.level_partition(config.threads);
-        kernel::scalar::run(netlist, config, &prog, &partition)
+        kernel::scalar::run(netlist, config, &CompiledProgram::compile(netlist))
     }
 
     /// Runs one checkpoint segment on the scalar executor with the
@@ -197,41 +203,7 @@ impl CompiledMode {
         config: &SimConfig,
         seg: crate::checkpoint::SegmentSpec<'_>,
     ) -> Result<crate::checkpoint::SegmentOut, SimError> {
-        let prog = CompiledProgram::compile(netlist);
-        let partition = prog.level_partition(config.threads);
-        kernel::scalar::run_segment(netlist, config, &prog, &partition, seg)
-    }
-
-    /// Runs with a caller-chosen static partition (the paper's §3
-    /// load-balance experiments vary this).
-    ///
-    /// Any partition of the elements is *correct*, including ones whose
-    /// parts cross level boundaries (e.g. [`round_robin`]): compiled mode
-    /// double-buffers node values (outputs land in a pending set applied
-    /// only after the step barrier), so within a step the order in which
-    /// instructions are evaluated — and therefore which thread owns which
-    /// level — cannot affect waveforms. The instruction stream being
-    /// level-major is purely a locality/gating layout choice. Partition
-    /// choice affects load balance only.
-    ///
-    /// [`round_robin`]: parsim_netlist::partition::round_robin
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `partition.parts() !=
-    /// config.threads` or the partition's element count differs from the
-    /// netlist's; [`SimError::WorkerPanicked`] if any worker panicked
-    /// (the step barrier is poisoned so peers unblock, and every thread
-    /// is joined first); and [`SimError::Stalled`] /
-    /// [`SimError::DeadlineExceeded`] if the configured watchdog
-    /// cancelled the run.
-    pub fn run_with_partition(
-        netlist: &Netlist,
-        config: &SimConfig,
-        partition: &Partition,
-    ) -> Result<SimResult, SimError> {
-        let prog = CompiledProgram::compile(netlist);
-        kernel::scalar::run(netlist, config, &prog, partition)
+        kernel::scalar::run_segment(netlist, config, &CompiledProgram::compile(netlist), seg)
     }
 
     /// Runs any number of stimulus sets in word-parallel SIMD passes.
@@ -261,7 +233,7 @@ impl CompiledMode {
     ///
     /// # Errors
     ///
-    /// All of [`CompiledMode::run_with_partition`]'s errors, plus
+    /// All of [`CompiledMode::run`]'s errors, plus
     /// [`SimError::InvalidConfig`] when `stimuli` is empty, a lane has an
     /// override [`LaneStimulus::validate`] refuses, or a forced lane width
     /// is not one of 64/128/256/512.
@@ -297,12 +269,9 @@ impl CompiledMode {
         stimuli: &[LaneStimulus],
     ) -> Result<BatchResult, SimError> {
         check_program_pairing(netlist, program)?;
-        let partition = program.level_partition(config.threads);
         let end = config.end_time.ticks();
-        kernel::packed::run_batch_segment(
-            netlist, config, program, &partition, stimuli, None, end, false,
-        )
-        .map(|(result, _)| result)
+        kernel::packed::run_batch_segment(netlist, config, program, stimuli, None, end, false)
+            .map(|(result, _)| result)
     }
 
     /// Runs one checkpoint segment of the word-parallel batch kernel:
@@ -350,12 +319,10 @@ impl CompiledMode {
         cut: Time,
     ) -> Result<(BatchResult, Vec<EngineSnapshot>), SimError> {
         check_program_pairing(netlist, program)?;
-        let partition = program.level_partition(config.threads);
         let (result, snaps) = kernel::packed::run_batch_segment(
             netlist,
             config,
             program,
-            &partition,
             stimuli,
             resume,
             cut.ticks(),
@@ -387,7 +354,6 @@ mod tests {
     use crate::check::assert_equivalent;
     use crate::seq::EventDriven;
     use parsim_logic::{Delay, ElementKind};
-    use parsim_netlist::partition::round_robin;
     use parsim_netlist::Builder;
 
     fn clocked_chain(len: usize) -> (Netlist, Vec<NodeId>) {
@@ -471,31 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_partition_gives_same_waveforms() {
-        let (n, watch) = clocked_chain(5);
-        let cfg = SimConfig::new(Time(40)).watch_all(watch).threads(2);
-        let a = CompiledMode::run(&n, &cfg).unwrap();
-        let part = round_robin(n.num_elements(), 2);
-        let c = CompiledMode::run_with_partition(&n, &cfg, &part).unwrap();
-        assert_equivalent(&a, &c, "partition choice");
-    }
-
-    /// Regression: a round-robin partition deliberately scatters each
-    /// level's elements across threads, so parts cross level boundaries.
-    /// Double-buffered apply/evaluate phases must keep waveforms identical
-    /// anyway (see the `run_with_partition` docs).
-    #[test]
-    fn level_crossing_partition_stays_correct() {
-        let (n, watch) = clocked_chain(9);
-        let cfg = SimConfig::new(Time(50)).watch_all(watch).threads(3);
-        let part = round_robin(n.num_elements(), 3);
-        let c = CompiledMode::run_with_partition(&n, &cfg, &part).unwrap();
-        // Compare against the event-driven oracle on the watched set.
-        let oracle = EventDriven::run(&n, &cfg).unwrap();
-        assert_equivalent(&oracle, &c, "level-crossing partition");
-    }
-
-    #[test]
     fn evaluations_count_every_element_every_step() {
         let (n, watch) = clocked_chain(4);
         // With gating off, the paper's literal behavior: 4 inverters
@@ -523,20 +464,6 @@ mod tests {
         let ungated =
             CompiledMode::run(&n, &cfg.clone().without_activity_gating()).unwrap();
         assert_equivalent(&gated, &ungated, "gating on/off");
-    }
-
-    #[test]
-    fn partition_thread_mismatch_is_invalid_config() {
-        let (n, _) = clocked_chain(2);
-        let cfg = SimConfig::new(Time(5)).threads(2);
-        let part = round_robin(n.num_elements(), 3);
-        let err = CompiledMode::run_with_partition(&n, &cfg, &part).unwrap_err();
-        match err {
-            SimError::InvalidConfig { reason } => {
-                assert!(reason.contains("partition parts must equal thread count"));
-            }
-            other => panic!("expected InvalidConfig, got {other}"),
-        }
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parsim_logic::Time;
-use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_trace::TraceConfig;
 
@@ -83,19 +82,6 @@ pub struct SimConfig {
     /// [`SimConfig::without_activity_gating`] to reproduce the paper's
     /// literal "every element is executed every time step" behavior.
     pub activity_gating: bool,
-    /// Asynchronous-engine local-first scheduling: each worker owns a
-    /// bounded LIFO deque checked before its grid column, and foreign
-    /// fan-out is accumulated into batched grid sends. On by default;
-    /// never changes waveforms, only where activations execute. Disable
-    /// with [`SimConfig::without_local_queue`] to reproduce the pure
-    /// hash-scattered grid scheduling.
-    pub local_queue: bool,
-    /// Explicit element→processor ownership for the asynchronous engine's
-    /// locality-aware scheduler. `None` (the default) computes a fan-out
-    /// cone-clustering partition
-    /// ([`parsim_netlist::partition::cone_cluster`]) at run start.
-    /// Ignored when [`SimConfig::local_queue`] is off.
-    pub partition: Option<Partition>,
     /// Per-worker event tracing (see [`parsim_trace`]). `None` (the
     /// default) records nothing. Recording additionally requires the
     /// `trace` cargo feature: without it the hooks are compiled-out no-ops
@@ -124,8 +110,6 @@ pub struct SimConfig {
     /// [`SimResult::telemetry`](crate::SimResult) sample series. Never
     /// changes waveforms.
     pub sample_every: Option<Duration>,
-    /// Flight-recorder ring capacity, in samples (oldest dropped first).
-    pub sample_capacity: usize,
     /// Shared slot the engine installs its live telemetry context into at
     /// run start, so another thread can watch the registry mid-run (e.g.
     /// `psim --live-stats`). `None` (the default) skips installation.
@@ -146,13 +130,10 @@ impl SimConfig {
             stall_timeout: None,
             fault: FaultPlan::default(),
             activity_gating: true,
-            local_queue: true,
-            partition: None,
             trace: None,
             checkpoint: None,
             lane_width: None,
             sample_every: None,
-            sample_capacity: parsim_telemetry::DEFAULT_RING_CAPACITY,
             telemetry_hub: None,
         }
     }
@@ -270,29 +251,6 @@ impl SimConfig {
         self
     }
 
-    /// Disables the asynchronous engine's local-first scheduling,
-    /// reverting to the pure hash-scattered grid (the ablation baseline:
-    /// every activation — including an element's own fan-out — pays a
-    /// cross-processor message).
-    #[must_use]
-    pub fn without_local_queue(mut self) -> SimConfig {
-        self.local_queue = false;
-        self
-    }
-
-    /// Supplies an explicit element→processor partition for the
-    /// asynchronous engine's locality-aware scheduler (ablation /
-    /// experimentation knob; the default is a fan-out cone clustering
-    /// computed at run start).
-    ///
-    /// The partition's part count must equal the configured thread count
-    /// when the run starts, or the asynchronous engine panics.
-    #[must_use]
-    pub fn with_partition(mut self, partition: Partition) -> SimConfig {
-        self.partition = Some(partition);
-        self
-    }
-
     /// Enables per-worker event tracing for this run; the drained trace is
     /// returned in [`SimResult::trace`](crate::SimResult). Requires the
     /// `trace` cargo feature for events to actually be recorded.
@@ -362,14 +320,6 @@ impl SimConfig {
         self
     }
 
-    /// Bounds the flight-recorder ring at `samples` entries (oldest
-    /// dropped first; clamped to at least 2).
-    #[must_use]
-    pub fn with_sample_capacity(mut self, samples: usize) -> SimConfig {
-        self.sample_capacity = samples.max(2);
-        self
-    }
-
     /// Installs the run's live telemetry context into `hub` at run start,
     /// for mid-run observation from another thread.
     #[must_use]
@@ -393,18 +343,14 @@ mod tests {
             .threads(3)
             .without_lookahead()
             .without_gc()
-            .without_activity_gating()
-            .without_local_queue();
+            .without_activity_gating();
         assert_eq!(cfg.end_time, Time(5));
         assert_eq!(cfg.watch, vec![n0, n1]);
         assert_eq!(cfg.threads, 3);
         assert!(!cfg.lookahead);
         assert!(!cfg.gc);
         assert!(!cfg.activity_gating);
-        assert!(!cfg.local_queue);
         assert!(SimConfig::new(Time(5)).activity_gating);
-        assert!(SimConfig::new(Time(5)).local_queue);
-        assert!(SimConfig::new(Time(5)).partition.is_none());
         assert!(SimConfig::new(Time(5)).trace.is_none());
         let traced = SimConfig::new(Time(5)).with_trace(TraceConfig::default());
         assert!(traced.trace.is_some());
@@ -417,13 +363,6 @@ mod tests {
     #[should_panic(expected = "lane width must be one of")]
     fn bad_lane_width_rejected() {
         let _ = SimConfig::new(Time(1)).with_lane_width(96);
-    }
-
-    #[test]
-    fn explicit_partition_chains() {
-        let p = parsim_netlist::partition::round_robin(6, 2);
-        let cfg = SimConfig::new(Time(5)).threads(2).with_partition(p.clone());
-        assert_eq!(cfg.partition, Some(p));
     }
 
     #[test]

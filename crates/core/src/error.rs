@@ -65,8 +65,8 @@ pub enum SimError {
         /// `Err` variant small on the hot `Result` path).
         diagnostic: Box<StallDiagnostic>,
     },
-    /// The configuration cannot drive this run (e.g. a partition whose
-    /// part count differs from the thread count).
+    /// The configuration cannot drive this run (e.g. an empty batch or a
+    /// lane stimulus that overrides a gate-driven node).
     InvalidConfig {
         /// What was wrong.
         reason: String,

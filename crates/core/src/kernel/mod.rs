@@ -21,12 +21,7 @@ pub(crate) mod scalar;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parsim_netlist::compile::CompiledProgram;
-use parsim_netlist::partition::Partition;
-use parsim_netlist::Netlist;
 use parsim_telemetry::{Counter, Gauge, Shard, Tally};
-
-use crate::config::SimConfig;
-use crate::error::SimError;
 
 /// Maximum instructions per activity-gating block. Small enough that one
 /// quiescent functional unit is skippable, large enough that the dirty
@@ -42,7 +37,9 @@ pub(crate) struct Block {
     pub hi: u32,
 }
 
-/// A compiled program bound to a static partition.
+/// A compiled program bound to a thread count through its level-aware
+/// partition ([`CompiledProgram::level_partition`]), the one placement
+/// both executors use.
 pub(crate) struct ExecPlan {
     /// Per-thread instruction indices in stream (level-major) order.
     pub thread_insns: Vec<Vec<u32>>,
@@ -57,9 +54,9 @@ pub(crate) struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Binds `prog` to `partition` (one part per worker thread).
-    pub fn build(prog: &CompiledProgram, partition: &Partition) -> ExecPlan {
-        let threads = partition.parts();
+    /// Binds `prog` to `threads` worker threads.
+    pub fn build(prog: &CompiledProgram, threads: usize) -> ExecPlan {
+        let partition = prog.level_partition(threads);
         let mut thread_insns: Vec<Vec<u32>> = vec![Vec::new(); threads];
         for i in 0..prog.num_insns() {
             let p = partition.assignment()[prog.elem(i)] as usize;
@@ -198,40 +195,11 @@ pub(crate) fn credit_quiet_steps(
     }
 }
 
-/// Shared partition validation for both executors; error messages match
-/// the pre-kernel engine.
-pub(crate) fn validate_partition(
-    netlist: &Netlist,
-    config: &SimConfig,
-    partition: &Partition,
-) -> Result<(), SimError> {
-    if partition.parts() != config.threads {
-        return Err(SimError::InvalidConfig {
-            reason: format!(
-                "partition parts must equal thread count ({} != {})",
-                partition.parts(),
-                config.threads
-            ),
-        });
-    }
-    if partition.assignment().len() != netlist.num_elements() {
-        return Err(SimError::InvalidConfig {
-            reason: format!(
-                "partition does not match netlist ({} elements != {})",
-                partition.assignment().len(),
-                netlist.num_elements()
-            ),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parsim_logic::{Delay, ElementKind};
-    use parsim_netlist::partition::{lpt, element_costs};
-    use parsim_netlist::Builder;
+    use parsim_netlist::{Builder, Netlist};
 
     fn chain(len: usize) -> Netlist {
         let mut b = Builder::new();
@@ -261,8 +229,7 @@ mod tests {
     fn blocks_never_cross_level_boundaries() {
         let n = chain(40);
         let prog = CompiledProgram::compile(&n);
-        let part = lpt(&element_costs(&n), 3);
-        let plan = ExecPlan::build(&prog, &part);
+        let plan = ExecPlan::build(&prog, 3);
         for b in 0..plan.blocks.len() {
             let insns = plan.block_insns(b);
             assert!(!insns.is_empty());
@@ -281,8 +248,7 @@ mod tests {
     fn fanout_reaches_every_reader() {
         let n = chain(10);
         let prog = CompiledProgram::compile(&n);
-        let part = lpt(&element_costs(&n), 2);
-        let plan = ExecPlan::build(&prog, &part);
+        let plan = ExecPlan::build(&prog, 2);
         for b in 0..plan.blocks.len() {
             for &i in plan.block_insns(b) {
                 for &slot in prog.inputs(i as usize) {

@@ -38,7 +38,6 @@ use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::wide::{self, LaneMask, WideLanes, LANE_WIDTHS};
 use parsim_logic::{evaluate, expand_generator, expand_vector, ElemState, Time, Value};
 use parsim_netlist::compile::{CompiledProgram, Opcode};
-use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally, TelemetryCtx};
@@ -49,7 +48,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::exec::run_workers;
 use crate::fault::FaultAction;
-use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan};
+use crate::kernel::{credit_quiet_steps, DirtyMask, ExecPlan};
 use crate::metrics::Metrics;
 use crate::shared::SharedSlice;
 use crate::waveform::{SimResult, WatchSlots};
@@ -218,18 +217,15 @@ fn select_lane_width(config: &SimConfig) -> Result<usize, SimError> {
 /// [`EngineSnapshot`] per lane (all at the same time), and `capture`
 /// returns one per lane — each individually interchangeable with a
 /// scalar-engine snapshot of that lane's stimulus.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch_segment(
     netlist: &Netlist,
     config: &SimConfig,
     prog: &CompiledProgram,
-    partition: &Partition,
     stimuli: &[LaneStimulus],
     resume: Option<&[EngineSnapshot]>,
     cut: u64,
     capture: bool,
 ) -> Result<(BatchResult, Option<Vec<EngineSnapshot>>), SimError> {
-    validate_partition(netlist, config, partition)?;
     let lanes = stimuli.len();
     if lanes == 0 {
         return Err(invalid(
@@ -315,7 +311,7 @@ pub(crate) fn run_batch_segment(
         }
     }
 
-    let plan = ExecPlan::build(prog, partition);
+    let plan = ExecPlan::build(prog, config.threads);
 
     let slots = WatchSlots::new(netlist, &config.watch);
     let watch_slots: Vec<u32> = slots.nodes().map(|n| prog.slot_of(n)).collect();

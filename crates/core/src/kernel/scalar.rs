@@ -21,7 +21,6 @@ use std::time::Instant;
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
 use parsim_logic::{evaluate, expand_generator, ElemState, Time, Value};
 use parsim_netlist::compile::CompiledProgram;
-use parsim_netlist::partition::Partition;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally};
@@ -32,7 +31,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::exec::run_workers;
 use crate::fault::FaultAction;
-use crate::kernel::{credit_quiet_steps, validate_partition, DirtyMask, ExecPlan};
+use crate::kernel::{credit_quiet_steps, DirtyMask, ExecPlan};
 use crate::shared::SharedSlice;
 use crate::waveform::SimResult;
 
@@ -50,14 +49,12 @@ pub(crate) fn run(
     netlist: &Netlist,
     config: &SimConfig,
     prog: &CompiledProgram,
-    partition: &Partition,
 ) -> Result<SimResult, SimError> {
     let ctx = new_run_ctx(config);
     let out = run_segment(
         netlist,
         config,
         prog,
-        partition,
         SegmentSpec::whole(config, ctx.clone()),
     )?;
     Ok(out.into_result(netlist, config, &ctx))
@@ -76,10 +73,8 @@ pub(crate) fn run_segment(
     netlist: &Netlist,
     config: &SimConfig,
     prog: &CompiledProgram,
-    partition: &Partition,
     seg: SegmentSpec<'_>,
 ) -> Result<SegmentOut, SimError> {
-    validate_partition(netlist, config, partition)?;
     let start = Instant::now();
     let end = config.end_time.ticks();
     let cut = seg.cut;
@@ -89,7 +84,7 @@ pub(crate) fn run_segment(
     let threads = config.threads;
     let gating = config.activity_gating;
 
-    let plan = ExecPlan::build(prog, partition);
+    let plan = ExecPlan::build(prog, threads);
     let plan = &plan;
 
     let mut watched = vec![false; prog.num_slots()];

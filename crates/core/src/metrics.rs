@@ -220,24 +220,19 @@ pub struct LocalityMetrics {
     /// Grid slots used to carry those ids; `grid_sends / grid_batches`
     /// is the mean batch occupancy.
     pub grid_batches: u64,
-    /// Activations executed by a worker other than the element's owner
-    /// (zero under owner routing; counts scatter traffic in the
-    /// `without_local_queue` ablation).
-    pub steals: u64,
     /// Idle-branch snoozes that reached the bounded-park stage of the
     /// truncated exponential backoff.
     pub backoff_parks: u64,
 }
 
 impl LocalityMetrics {
-    /// Reads the five scheduling counters through `counter` (one worker's
+    /// Reads the four scheduling counters through `counter` (one worker's
     /// shard, or the aggregated snapshot).
     fn read(counter: impl Fn(Counter) -> u64) -> LocalityMetrics {
         LocalityMetrics {
             local_hits: counter(Counter::LocalHits),
             grid_sends: counter(Counter::GridSends),
             grid_batches: counter(Counter::GridBatches),
-            steals: counter(Counter::Steals),
             backoff_parks: counter(Counter::BackoffParks),
         }
     }
@@ -247,7 +242,6 @@ impl LocalityMetrics {
         self.local_hits += other.local_hits;
         self.grid_sends += other.grid_sends;
         self.grid_batches += other.grid_batches;
-        self.steals += other.steals;
         self.backoff_parks += other.backoff_parks;
     }
 
@@ -801,7 +795,6 @@ mod tests {
             local_hits: 60,
             grid_sends: 20,
             grid_batches: 4,
-            steals: 1,
             backoff_parks: 2,
         };
         assert!((a.locality_ratio() - 0.75).abs() < 1e-9);
@@ -810,7 +803,6 @@ mod tests {
             local_hits: 40,
             grid_sends: 0,
             grid_batches: 0,
-            steals: 0,
             backoff_parks: 3,
         };
         a.merge(&b);

@@ -322,50 +322,35 @@ fn watchdog_does_not_perturb_a_healthy_run() {
     assert!(equivalence_report(&plain, &seq).is_equivalent());
 }
 
-/// The chaotic engine's containment must hold in both scheduling modes:
-/// the default locality-aware mode (local deques + batched sends, where a
-/// worker may die holding unflushed batches) and the pure-grid ablation.
+/// The chaotic engine's containment must hold with its local deques and
+/// batched sends, where a worker may die holding unflushed batches.
 #[test]
-fn chaotic_faults_are_contained_in_both_scheduling_modes() {
-    type Ablation = fn(SimConfig) -> SimConfig;
-    let modes: [(&str, Ablation); 2] = [
-        ("locality", |c| c),
-        ("pure-grid", SimConfig::without_local_queue),
-    ];
-    for (mode, ablate) in modes {
-        // Panic mid-run: peers must be cancelled even if the victim's
-        // outbox still held batched activations.
-        let cfg = ablate(
-            SimConfig::new(Time(1_000))
-                .threads(4)
-                .with_fault(FaultPlan::panic_at(2, 5)),
-        );
-        let err = guarded(&format!("chaotic {mode} panic"), move || {
-            ChaoticAsync::run(&busy_netlist(), &cfg)
-        })
-        .expect_err("injected panic must surface as an error");
-        assert!(
-            matches!(err, SimError::WorkerPanicked { worker: 2, .. }),
-            "{mode}: got {err}"
-        );
+fn chaotic_faults_are_contained_with_local_deques() {
+    // Panic mid-run: peers must be cancelled even if the victim's outbox
+    // still held batched activations.
+    let cfg = SimConfig::new(Time(1_000))
+        .threads(4)
+        .with_fault(FaultPlan::panic_at(2, 5));
+    let err = guarded("chaotic panic", move || {
+        ChaoticAsync::run(&busy_netlist(), &cfg)
+    })
+    .expect_err("injected panic must surface as an error");
+    assert!(
+        matches!(err, SimError::WorkerPanicked { worker: 2, .. }),
+        "got {err}"
+    );
 
-        // Stall: a frozen worker must trip the watchdog while its peers
-        // sit in the backoff idle branch.
-        let cfg = ablate(
-            SimConfig::new(Time(100_000))
-                .threads(3)
-                .with_fault(FaultPlan::stall_at(1, 0))
-                .with_stall_timeout(Duration::from_millis(100)),
-        );
-        let err = guarded(&format!("chaotic {mode} stall"), move || {
-            ChaoticAsync::run(&busy_netlist(), &cfg)
-        })
-        .expect_err("a frozen worker must surface as an error");
-        assert!(
-            matches!(err, SimError::Stalled { .. }),
-            "{mode}: got {err}"
-        );
-    }
+    // Stall: a frozen worker must trip the watchdog while its peers sit in
+    // the backoff idle branch.
+    let cfg = SimConfig::new(Time(100_000))
+        .threads(3)
+        .with_fault(FaultPlan::stall_at(1, 0))
+        .with_stall_timeout(Duration::from_millis(100));
+    let err = guarded("chaotic stall", move || {
+        ChaoticAsync::run(&busy_netlist(), &cfg)
+    })
+    .expect_err("a frozen worker must surface as an error");
+    assert!(matches!(err, SimError::Stalled { .. }), "got {err}");
 }
 
 /// With the `chaos` feature on, the queue layer injects seeded yields and

@@ -1,14 +1,13 @@
 //! Locality-aware scheduling in the asynchronous engine: waveform
 //! equivalence against the sequential oracle at every thread count, the
-//! `without_local_queue` ablation contract, and the scheduling-counter
-//! invariants (owner routing steals nothing, batches never exceed sends,
-//! chain circuits stay processor-local).
+//! local deque's overflow path through the grid, and the scheduling-counter
+//! invariants (batches never exceed sends, chain circuits stay
+//! processor-local).
 
 use parsim_circuits::{inverter_array, random_circuit, RandomCircuitParams};
 use parsim_core::{equivalence_report, ChaoticAsync, EventDriven, SimConfig};
-use parsim_logic::Time;
-use parsim_netlist::partition::cone_cluster;
-use parsim_netlist::partition::Partition;
+use parsim_logic::{Delay, ElementKind, Time};
+use parsim_netlist::{Builder, Netlist, NodeId};
 use proptest::prelude::*;
 
 fn params_strategy() -> impl Strategy<Value = RandomCircuitParams> {
@@ -40,29 +39,64 @@ fn locality_scheduled_waveforms_match_oracle_on_fixed_circuit() {
     }
 }
 
+/// Buffers hanging off the ring oscillator of [`wide_fanout_ring`].
+const FANOUT: usize = 2_000;
+
+/// A three-stage ring oscillator (`nand(en, r2) -> r0 -> not -> r1 -> not
+/// -> r2`, enabled at tick 5) whose `r0` fans out to [`FANOUT`] buffers.
+/// The ring keeps extending `r0`'s validity, and the first extension after
+/// the buffers have run wakes all of them in one go: about twice the
+/// local deque's cap of 1 024. Returns the netlist and the nodes to watch
+/// (the ring and every 97th buffer).
+fn wide_fanout_ring() -> (Netlist, Vec<NodeId>) {
+    let mut b = Builder::new();
+    let en = b.node("en", 1);
+    let pulse = ElementKind::Pulse {
+        at: 5,
+        width: 1 << 40,
+    };
+    b.element("en_gen", pulse, Delay(1), &[], &[en]).unwrap();
+    let r = [b.node("r0", 1), b.node("r1", 1), b.node("r2", 1)];
+    b.element("nand", ElementKind::Nand, Delay(1), &[en, r[2]], &[r[0]])
+        .unwrap();
+    b.element("inv1", ElementKind::Not, Delay(1), &[r[0]], &[r[1]])
+        .unwrap();
+    b.element("inv2", ElementKind::Not, Delay(1), &[r[1]], &[r[2]])
+        .unwrap();
+    let mut watch = r.to_vec();
+    for i in 0..FANOUT {
+        let out = b.node(&format!("b{i}"), 1);
+        b.element(
+            &format!("buf{i}"),
+            ElementKind::Buf,
+            Delay(1),
+            &[r[0]],
+            &[out],
+        )
+        .unwrap();
+        if i % 97 == 0 {
+            watch.push(out);
+        }
+    }
+    (b.finish().unwrap(), watch)
+}
+
 #[test]
-fn pure_grid_ablation_reproduces_scatter_behavior() {
-    let arr = inverter_array(8, 8, 1).unwrap();
-    let cfg = SimConfig::new(Time(300)).watch_all(arr.taps.clone()).threads(4);
-    let oracle = EventDriven::run(&arr.netlist, &cfg).unwrap();
-
-    let grid_only = ChaoticAsync::run(&arr.netlist, &cfg.clone().without_local_queue()).unwrap();
-    let rep = equivalence_report(&oracle, &grid_only);
-    assert!(rep.is_equivalent(), "pure grid: {rep}");
-    // Ablation contract: nothing goes through local deques, every id
-    // travels in its own single-id batch, and owner bookkeeping is off.
-    let l = &grid_only.metrics.locality;
-    assert_eq!(l.local_hits, 0, "ablation must not use local deques");
-    assert_eq!(
-        l.grid_batches, l.grid_sends,
-        "ablation sends single-id batches only"
-    );
-    assert!(l.grid_sends > 0, "the grid must carry the whole run");
-    assert_eq!(l.steals, 0, "no owner bookkeeping without a partition");
-
-    let local = ChaoticAsync::run(&arr.netlist, &cfg).unwrap();
-    let l = &local.metrics.locality;
-    assert!(l.local_hits > 0, "default scheduling must hit local deques");
+fn local_deque_overflow_routes_through_the_grid() {
+    let (netlist, watch) = wide_fanout_ring();
+    let cfg = SimConfig::new(Time(120)).watch_all(watch);
+    let oracle = EventDriven::run(&netlist, &cfg).unwrap();
+    for threads in [1usize, 2, 4] {
+        let r = ChaoticAsync::run(&netlist, &cfg.clone().threads(threads)).unwrap();
+        let rep = equivalence_report(&oracle, &r);
+        assert!(rep.is_equivalent(), "wide fan-out x{threads}: {rep}");
+        if threads == 1 {
+            // A lone worker owns every element, so only the deque's
+            // overflow can reach the grid — and it must here.
+            let l = &r.metrics.locality;
+            assert!(l.grid_sends > 0, "the deque never overflowed: {l:?}");
+        }
+    }
 }
 
 #[test]
@@ -84,7 +118,7 @@ fn chain_circuits_stay_processor_local() {
 }
 
 #[test]
-fn owner_routing_never_steals_and_batches_never_exceed_sends() {
+fn batches_never_exceed_sends() {
     let c = random_circuit(&RandomCircuitParams {
         elements: 120,
         inputs: 6,
@@ -96,7 +130,6 @@ fn owner_routing_never_steals_and_batches_never_exceed_sends() {
     let cfg = SimConfig::new(Time(300)).threads(4);
     let r = ChaoticAsync::run(&c.netlist, &cfg).unwrap();
     let l = &r.metrics.locality;
-    assert_eq!(l.steals, 0, "owner routing must execute on owners: {l:?}");
     assert!(
         l.grid_batches <= l.grid_sends,
         "a batch carries at least one id: {l:?}"
@@ -106,67 +139,19 @@ fn owner_routing_never_steals_and_batches_never_exceed_sends() {
     }
 }
 
-#[test]
-fn explicit_partition_is_respected() {
-    let arr = inverter_array(8, 4, 2).unwrap();
-    let cfg = SimConfig::new(Time(200)).watch_all(arr.taps.clone());
-    let oracle = EventDriven::run(&arr.netlist, &cfg).unwrap();
-
-    // A cone partition passed explicitly behaves like the built-in one.
-    let cones = cone_cluster(&arr.netlist, 2);
-    let r = ChaoticAsync::run(
-        &arr.netlist,
-        &cfg.clone().threads(2).with_partition(cones),
-    )
-    .unwrap();
-    assert!(equivalence_report(&oracle, &r).is_equivalent());
-
-    // Degenerate placement: every element owned by worker 0 of 2. The
-    // run stays correct and never needs the grid (all fan-out is owned;
-    // worker 1 simply idles until termination).
-    let all_zero = Partition::from_assignment(2, vec![0; arr.netlist.num_elements()]);
-    let r = ChaoticAsync::run(
-        &arr.netlist,
-        &cfg.clone().threads(2).with_partition(all_zero),
-    )
-    .unwrap();
-    assert!(equivalence_report(&oracle, &r).is_equivalent());
-    let l = &r.metrics.locality;
-    assert_eq!(l.grid_sends, 0, "single-owner placement needs no grid: {l:?}");
-    assert!((l.locality_ratio() - 1.0).abs() < 1e-12);
-}
-
-#[test]
-#[should_panic(expected = "part count must equal the thread count")]
-fn mismatched_partition_width_panics() {
-    let arr = inverter_array(4, 4, 2).unwrap();
-    let p = cone_cluster(&arr.netlist, 3);
-    let cfg = SimConfig::new(Time(50)).threads(2).with_partition(p);
-    let _ = ChaoticAsync::run(&arr.netlist, &cfg);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn locality_and_ablation_match_reference(
+    fn locality_matches_reference(
         params in params_strategy(),
         threads in 1usize..9,
     ) {
         let c = random_circuit(&params).unwrap();
         let cfg = SimConfig::new(Time(150)).watch_all(c.watch.clone());
         let seq = EventDriven::run(&c.netlist, &cfg).unwrap();
-
         let local = ChaoticAsync::run(&c.netlist, &cfg.clone().threads(threads)).unwrap();
         let rep = equivalence_report(&seq, &local);
         prop_assert!(rep.is_equivalent(), "seed {} local x{threads}: {rep}", params.seed);
-
-        let grid = ChaoticAsync::run(
-            &c.netlist,
-            &cfg.clone().threads(threads).without_local_queue(),
-        ).unwrap();
-        let rep = equivalence_report(&seq, &grid);
-        prop_assert!(rep.is_equivalent(), "seed {} grid x{threads}: {rep}", params.seed);
-        prop_assert_eq!(grid.metrics.locality.local_hits, 0);
     }
 }

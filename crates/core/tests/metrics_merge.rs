@@ -43,7 +43,6 @@ fn slice_metrics(seed: u64) -> Metrics {
             local_hits: mix(&mut s) % 1_000,
             grid_sends: mix(&mut s) % 1_000,
             grid_batches: mix(&mut s) % 500,
-            steals: mix(&mut s) % 100,
             backoff_parks: mix(&mut s) % 100,
         },
         wall: Duration::from_nanos(mix(&mut s) % 5_000_000),
@@ -63,7 +62,6 @@ fn slice_metrics(seed: u64) -> Metrics {
             local_hits: mix(&mut s) % 1_000,
             grid_sends: mix(&mut s) % 1_000,
             grid_batches: mix(&mut s) % 500,
-            steals: mix(&mut s) % 100,
             backoff_parks: mix(&mut s) % 100,
         },
     });

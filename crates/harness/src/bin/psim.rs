@@ -481,7 +481,6 @@ fn thread_summaries(m: &Metrics) -> Vec<ThreadSummary> {
             evals: t.evaluations,
             local_hits: t.sched.local_hits,
             grid_sends: t.sched.grid_sends,
-            steals: t.sched.steals,
             backoff_parks: t.sched.backoff_parks,
         })
         .collect()

@@ -153,8 +153,8 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
             continue;
         }
         act[id.index()] = QUEUED;
-        // Hash-scatter (see the engine): avoids structural alignment
-        // between circuit generation order and processor assignment.
+        // Hash-scatter: avoids structural alignment between circuit
+        // generation order and processor assignment.
         let target = ((id.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32)
             % p as u64;
         queues[target as usize].push(Reverse((0, seq, id.index() as u32)));

@@ -1,8 +1,7 @@
 //! Fixed-capacity element-id batches for the mailbox grid.
 //!
-//! The asynchronous engine's hash-scatter sends one element id per SPSC
-//! slot, so the common producer→consumer hop pays a full cross-core
-//! publication per activation. An [`IdBatch`] lets one grid slot carry
+//! One element id per SPSC slot would make every cross-processor wake pay
+//! a full cross-core publication. An [`IdBatch`] lets one grid slot carry
 //! many ids: the sender accumulates foreign fan-out into a small
 //! per-destination buffer and flushes it at activation end, amortizing the
 //! release/acquire traffic over the whole batch.
@@ -49,15 +48,6 @@ impl IdBatch {
             len: 0,
             ids: [0; BATCH_CAPACITY],
         }
-    }
-
-    /// Creates a batch holding a single id (the unbatched degenerate case
-    /// used by the pure-grid ablation path).
-    pub const fn single(id: u32) -> IdBatch {
-        let mut b = IdBatch::new();
-        b.ids[0] = id;
-        b.len = 1;
-        b
     }
 
     /// Appends one id. Returns `false` (leaving the batch unchanged) when
@@ -129,12 +119,5 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.push(7));
         assert_eq!(b.as_slice(), &[7]);
-    }
-
-    #[test]
-    fn single_holds_one_id() {
-        let b = IdBatch::single(42);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.as_slice(), &[42]);
     }
 }

@@ -4,10 +4,9 @@
 //! itself), where n is the number of processors, with each queue
 //! corresponding to one of the other processors. The processors only
 //! remove elements from queues they own, and add elements to queues that
-//! correspond to them." A [`GridSender`] scatters work round-robin across
-//! its row of queues (the §2 trick of "splitting up the problem into n
-//! parts when adding to the list rather than when removing from the
-//! list"); a [`GridReceiver`] drains its column.
+//! correspond to them." A [`GridSender`] sends each item to the processor
+//! that owns it along its row of queues; a [`GridReceiver`] drains its
+//! column.
 
 use crate::spsc::{channel, Receiver, Sender};
 use parsim_trace::{EventKind, WorkerTracer};
@@ -18,29 +17,18 @@ use parsim_trace::{EventKind, WorkerTracer};
 ///
 /// ```
 /// let (mut senders, mut receivers) = parsim_queue::grid::<u32>(2);
-/// senders[0].send(10); // lands on some processor, round-robin
-/// senders[0].send(11);
-/// let got: Vec<u32> = (0..2).filter_map(|p| receivers[p].recv()).collect();
+/// senders[0].send_to(1, 10);
+/// senders[1].send_to(1, 11);
+/// assert_eq!(receivers[0].recv(), None);
+/// let got: Vec<u32> = std::iter::from_fn(|| receivers[1].recv()).collect();
 /// assert_eq!(got.len(), 2);
 /// ```
 pub struct GridSender<T> {
     to: Vec<Sender<T>>,
-    cursor: usize,
 }
 
 impl<T> GridSender<T> {
-    /// Scatters one item round-robin over the peers.
-    ///
-    /// Returns the index of the receiving processor.
-    pub fn send(&mut self, item: T) -> usize {
-        let target = self.cursor;
-        self.cursor = (self.cursor + 1) % self.to.len();
-        self.to[target].send(item);
-        target
-    }
-
-    /// Sends directly to a specific processor (used by engines that route
-    /// by ownership rather than round-robin).
+    /// Sends one item to processor `target`.
     ///
     /// # Panics
     ///
@@ -52,15 +40,6 @@ impl<T> GridSender<T> {
     /// The number of peers (including self).
     pub fn peers(&self) -> usize {
         self.to.len()
-    }
-
-    /// [`GridSender::send`] plus a `GridSend` instant tagged with the
-    /// destination processor.
-    #[inline]
-    pub fn send_traced(&mut self, item: T, tracer: &mut WorkerTracer) -> usize {
-        let target = self.send(item);
-        tracer.instant(EventKind::GridSend, target as u32);
-        target
     }
 
     /// [`GridSender::send_to`] plus a `GridSend` instant tagged with the
@@ -83,28 +62,28 @@ impl<T> GridReceiver<T> {
     /// where the last successful receive left off (fairness across
     /// senders).
     pub fn recv(&mut self) -> Option<T> {
-        let n = self.from.len();
-        for i in 0..n {
-            let idx = (self.cursor + i) % n;
-            if let Some(item) = self.from[idx].recv() {
-                self.cursor = idx;
-                return Some(item);
-            }
-        }
-        None
+        self.recv_from().map(|(_, item)| item)
     }
 
     /// [`GridReceiver::recv`] plus, on success, a `GridRecv` instant
     /// tagged with the source peer the item came from.
     #[inline]
     pub fn recv_traced(&mut self, tracer: &mut WorkerTracer) -> Option<T> {
+        let (src, item) = self.recv_from()?;
+        tracer.instant(EventKind::GridRecv, src as u32);
+        Some(item)
+    }
+
+    /// The poll loop behind both receives: the next item and the peer it
+    /// came from.
+    #[inline]
+    fn recv_from(&mut self) -> Option<(usize, T)> {
         let n = self.from.len();
         for i in 0..n {
             let idx = (self.cursor + i) % n;
             if let Some(item) = self.from[idx].recv() {
                 self.cursor = idx;
-                tracer.instant(EventKind::GridRecv, idx as u32);
-                return Some(item);
+                return Some((idx, item));
             }
         }
         None
@@ -133,11 +112,8 @@ impl<T> GridReceiver<T> {
 pub fn grid<T>(n: usize) -> (Vec<GridSender<T>>, Vec<GridReceiver<T>>) {
     assert!(n > 0, "grid needs at least one processor");
     let mut senders: Vec<GridSender<T>> = (0..n)
-        .map(|i| GridSender {
+        .map(|_| GridSender {
             to: Vec::with_capacity(n),
-            // Stagger initial cursors so processor i starts scattering at
-            // i+1, spreading initial load (round-robin per the paper).
-            cursor: (i + 1) % n,
         })
         .collect();
     let mut receivers: Vec<GridReceiver<T>> = (0..n)
@@ -172,7 +148,9 @@ mod tests {
             .map(|(p, mut tx)| {
                 thread::spawn(move || {
                     for i in 0..PER {
-                        tx.send(p as u64 * PER + i);
+                        // Every producer feeds every consumer, its own
+                        // queue included.
+                        tx.send_to((p + i as usize) % N, p as u64 * PER + i);
                     }
                 })
             })
@@ -212,25 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_spreads_evenly() {
-        let (mut senders, receivers) = grid::<u32>(4);
-        for i in 0..400 {
-            senders[0].send(i);
-        }
-        let counts: Vec<usize> = receivers
-            .into_iter()
-            .map(|mut rx| {
-                let mut c = 0;
-                while rx.recv().is_some() {
-                    c += 1;
-                }
-                c
-            })
-            .collect();
-        assert_eq!(counts, vec![100; 4]);
-    }
-
-    #[test]
     fn send_to_routes_directly() {
         let (mut senders, mut receivers) = grid::<&str>(3);
         senders[1].send_to(2, "hello");
@@ -261,7 +220,7 @@ mod tests {
     #[test]
     fn single_processor_grid_self_delivers() {
         let (mut senders, mut receivers) = grid::<u8>(1);
-        senders[0].send(42);
+        senders[0].send_to(0, 42);
         assert_eq!(receivers[0].recv(), Some(42));
     }
 }

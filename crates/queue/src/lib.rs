@@ -9,7 +9,7 @@
 //!
 //! - [`spsc`]: an unbounded lock-free single-producer/single-consumer
 //!   queue (segmented, with the Lamport publish/consume protocol),
-//! - [`grid()`]: the n×n mailbox grid with round-robin scatter senders,
+//! - [`grid()`]: the n×n mailbox grid, each item sent to its owner,
 //! - [`barrier::SpinBarrier`]: the sense-reversing barrier the synchronous
 //!   algorithms need at phase boundaries, and [`barrier::WriteMark`], the
 //!   compiled kernels' quiet-step agreement that rides on it,

@@ -30,8 +30,6 @@ pub enum Counter {
     GridSends,
     /// Grid slots used to carry those ids.
     GridBatches,
-    /// Activations executed by a non-owner worker.
-    Steals,
     /// Idle snoozes that reached the bounded-park backoff stage.
     BackoffParks,
     /// Synchronous-engine mailbox buffers freshly allocated (pool empty).
@@ -68,7 +66,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::EventsProcessed,
         Counter::Evaluations,
         Counter::Activations,
@@ -78,7 +76,6 @@ impl Counter {
         Counter::LocalHits,
         Counter::GridSends,
         Counter::GridBatches,
-        Counter::Steals,
         Counter::BackoffParks,
         Counter::PoolMisses,
         Counter::MailboxRecycled,
@@ -111,7 +108,6 @@ impl Counter {
             Counter::LocalHits => "parsim_sched_local_hits_total",
             Counter::GridSends => "parsim_sched_grid_sends_total",
             Counter::GridBatches => "parsim_sched_grid_batches_total",
-            Counter::Steals => "parsim_sched_steals_total",
             Counter::BackoffParks => "parsim_sched_backoff_parks_total",
             Counter::PoolMisses => "parsim_mailbox_pool_misses_total",
             Counter::MailboxRecycled => "parsim_mailbox_recycled_total",
@@ -145,7 +141,6 @@ impl Counter {
             Counter::LocalHits => "Activations served from the worker-local deque",
             Counter::GridSends => "Element ids sent across the SPSC grid",
             Counter::GridBatches => "Grid slots used to carry sent ids",
-            Counter::Steals => "Activations executed by a non-owner worker",
             Counter::BackoffParks => "Idle snoozes that reached the bounded-park backoff stage",
             Counter::PoolMisses => "Mailbox buffers freshly allocated because the pool was empty",
             Counter::MailboxRecycled => "Mailbox buffers served from the recycling pool",

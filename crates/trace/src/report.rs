@@ -221,7 +221,6 @@ pub struct ThreadSummary {
     pub evals: u64,
     pub local_hits: u64,
     pub grid_sends: u64,
-    pub steals: u64,
     pub backoff_parks: u64,
 }
 
@@ -400,7 +399,6 @@ impl RunReport {
                 evals: t.evals,
                 local_hits: t.local_hits,
                 grid_sends: t.grid_sends,
-                steals: t.steals,
                 parks: t.backoff_parks,
                 ..WorkerReport::default()
             });
@@ -418,7 +416,6 @@ impl RunReport {
                 Some(w) => {
                     w.idle_ns = t.idle_ns;
                     w.parks = w.parks.max(t.backoff_parks);
-                    w.steals = w.steals.max(t.steals);
                     w.local_hits = w.local_hits.max(t.local_hits);
                     w.grid_sends = w.grid_sends.max(t.grid_sends);
                 }
@@ -430,7 +427,6 @@ impl RunReport {
                         evals: t.evals,
                         local_hits: t.local_hits,
                         grid_sends: t.grid_sends,
-                        steals: t.steals,
                         parks: t.backoff_parks,
                         ..WorkerReport::default()
                     });

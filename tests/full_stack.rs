@@ -229,8 +229,11 @@ fn parallel_engines_and_checkpoint_resume_match_oracle() {
 /// evals_skipped, quiet_steps)` are exact literals (captured before `Metrics` became a
 /// view over the telemetry registry; a refactor of the counting path must
 /// not move them — the `cpu`/`async` row was re-pinned once, when register
-/// lookahead cut its activations from 191 467). At 2 and 4 threads only
-/// the engine-independent identities hold.
+/// lookahead cut its activations from 191 467). The chaotic engine's
+/// one-thread `(local_hits, grid_sends, grid_batches)` are pinned too
+/// (captured while the pure-grid scheduler still existed beside the local
+/// deques): the CPU's 24 grid sends are local-deque overflow. At 2 and 4
+/// threads only the engine-independent identities hold.
 #[test]
 fn metrics_counts_are_pinned() {
     use parsim::engine::{SimError, SimResult};
@@ -256,6 +259,7 @@ fn metrics_counts_are_pinned() {
                 [1295, 6501, 6501, 321, 0, 0, 181019, 238],
                 [1295, 2583, 586, 0, 0, 0, 0, 0],
             ],
+            [586, 0, 0],
         ),
         (
             "cpu",
@@ -267,9 +271,10 @@ fn metrics_counts_are_pinned() {
                 [2716, 13293, 13293, 401, 0, 0, 556307, 350],
                 [2716, 7021, 18448, 0, 0, 0, 0, 0],
             ],
+            [18424, 24, 24],
         ),
     ];
-    for (name, netlist, end, pinned) in cases {
+    for (name, netlist, end, pinned, sched) in cases {
         let cfg = SimConfig::new(end);
         for ((engine, run), want) in engines.iter().zip(pinned) {
             let x = run(netlist, &cfg).unwrap().metrics;
@@ -284,6 +289,11 @@ fn metrics_counts_are_pinned() {
                 x.quiet_steps,
             ];
             assert_eq!(got, want, "{name}/{engine} x1");
+            if *engine == "async" {
+                let l = x.locality;
+                let got = [l.local_hits, l.grid_sends, l.grid_batches];
+                assert_eq!(got, sched, "{name}/async x1 scheduling");
+            }
         }
         // Every loop of the CPU runs through a register, so register
         // lookahead must keep buying at least 5x there — and none of it
