@@ -21,7 +21,7 @@
 //! store) and reclaims with [`NodeState::gc`]. Any fan-out consumer reads
 //! through a [`Cursor`]: `len` acquire load, then slot read; it publishes
 //! how far it has consumed via a release store into
-//! [`NodeState::consumed`], and `gc` frees a chunk only when *every*
+//! [`NodeState::consumed`], and `gc` reclaims a chunk only when *every*
 //! consumer's cursor is strictly past the chunk's last slot — which
 //! implies each consumer's chunk pointer has already followed `next`
 //! beyond it.
@@ -44,16 +44,28 @@
 //! test `quiet_window_peek_first_misses_the_covered_event` shows the
 //! opposite order adopting a window over an event it never saw.
 //!
+//! # Chunk reuse
+//!
+//! A reclaimed or dropped chunk goes back to a process-wide free-list of
+//! at most [`POOL_CAP`] chunks, not to the allocator, and the next list
+//! that grows takes it from there. Reuse is safe for the same reason a
+//! free followed by a malloc of the same address is: `gc` hands a chunk
+//! back only once every consumer's cursor is past it, and the new owner
+//! rewrites `base` and nulls `next` before linking it. Its old slot
+//! contents are never observed, because no slot at or beyond `len` is
+//! ever read.
+//!
 //! # Model checking
 //!
 //! Everything here compiles against the [`parsim_queue::sync`] facade.
 //! Under `RUSTFLAGS="--cfg parsim_model"` the chunk size shrinks to 2 so
 //! chunk linking and retirement are reachable within a bounded
-//! exploration, and `gc` *quarantines* instead of freeing: reclaimed
-//! chunks get every slot overwritten with a tombstone and are kept alive
-//! until `Drop`. A consumer that could still reach a reclaimed chunk then
-//! trips the explorer's data-race detector on the tombstone write (or
-//! asserts on the tombstone value) instead of dereferencing freed memory.
+//! exploration, the free-list is compiled out, and `gc` *quarantines*
+//! instead of freeing: reclaimed chunks get every slot overwritten with a
+//! tombstone and are kept alive until `Drop`. A consumer that could still
+//! reach a reclaimed chunk then trips the explorer's data-race detector
+//! on the tombstone write (or asserts on the tombstone value) instead of
+//! dereferencing freed memory.
 
 use std::mem::MaybeUninit;
 use std::ptr;
@@ -71,6 +83,12 @@ pub const CHUNK: usize = 64;
 #[cfg(parsim_model)]
 pub const CHUNK: usize = 2;
 
+/// Most chunks the process-wide free-list keeps: 16 384 chunks of 2 064
+/// bytes, 32.25 MiB, which covers a 16-bit gate multiplier's whole run
+/// (11 329 chunks). A return that would take the list past it frees the
+/// excess to the allocator.
+pub const POOL_CAP: usize = 16_384;
+
 /// One chunk of a node's append-only behavior list.
 pub struct Chunk {
     slots: [UnsafeCell<MaybeUninit<(u64, Value)>>; CHUNK],
@@ -79,8 +97,93 @@ pub struct Chunk {
     next: AtomicPtr<Chunk>,
 }
 
-/// Process-wide count of chunks allocated and not yet freed. Debug builds
-/// only: in release builds both functions are empty.
+impl Chunk {
+    fn boxed(base: u64) -> Box<Chunk> {
+        Box::new(Chunk {
+            slots: [const { UnsafeCell::new(MaybeUninit::uninit()) }; CHUNK],
+            base,
+            next: AtomicPtr::new(ptr::null_mut()),
+        })
+    }
+}
+
+/// The process-wide chunk free-list. It outlives every run: the engines
+/// start fresh worker threads per run, so a per-thread cache would die
+/// with its workers.
+#[cfg(not(parsim_model))]
+// A chunk is handed out by address, so each one stays in its own `Box`.
+#[allow(clippy::vec_box)]
+mod pool {
+    use std::cmp::Reverse;
+    use std::sync::{Mutex, MutexGuard};
+
+    use super::{Chunk, POOL_CAP};
+
+    /// Chunks a [`ChunkAlloc`](super::ChunkAlloc) moves per lock.
+    pub const BATCH: usize = 64;
+
+    struct Pool {
+        /// Free chunks; by descending address while `sorted`, so the
+        /// lowest addresses sit at the tail, where `refill` takes from.
+        free: Vec<Box<Chunk>>,
+        sorted: bool,
+    }
+
+    static POOL: Mutex<Pool> = Mutex::new(Pool {
+        free: Vec::new(),
+        sorted: true,
+    });
+
+    fn lock() -> MutexGuard<'static, Pool> {
+        // Nothing here can leave the list inconsistent mid-update.
+        POOL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Moves the `BATCH` lowest-addressed free chunks into `stash`, lowest
+    /// last (the stash pops from its end), or `BATCH` fresh ones when the
+    /// list is empty. The list is sorted here, on the first refill after
+    /// returns, so a run's worth of returned chunks is sorted once: handing
+    /// them out in address order lays the next run's lists out the way a
+    /// fresh heap would.
+    pub fn refill(stash: &mut Vec<Box<Chunk>>) {
+        let mut p = lock();
+        if p.free.is_empty() {
+            drop(p);
+            let from = stash.len();
+            stash.extend((0..BATCH).map(|_| Chunk::boxed(0)));
+            stash[from..].reverse();
+            return;
+        }
+        if !p.sorted {
+            p.free.sort_unstable_by_key(|c| Reverse(&**c as *const Chunk as usize));
+            p.sorted = true;
+        }
+        let from = p.free.len().saturating_sub(BATCH);
+        stash.extend(p.free.drain(from..));
+    }
+
+    /// Takes every chunk `chunks` yields: up to `POOL_CAP` stay on the
+    /// list, the rest go back to the allocator.
+    pub fn give(chunks: impl IntoIterator<Item = Box<Chunk>>) {
+        let mut chunks = chunks.into_iter();
+        let mut p = lock();
+        let before = p.free.len();
+        let room = POOL_CAP.saturating_sub(before);
+        p.free.extend(chunks.by_ref().take(room));
+        if p.free.len() > before {
+            p.sorted = false;
+        }
+        drop(p);
+        chunks.for_each(drop);
+    }
+
+    pub fn len() -> usize {
+        lock().free.len()
+    }
+}
+
+/// Process-wide count of chunks handed out and not yet returned. Debug
+/// builds only: in release builds both functions are empty.
 #[cfg(debug_assertions)]
 mod live {
     use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
@@ -106,34 +209,75 @@ mod live {
     }
 }
 
-/// Number of live behavior-list chunks in the process: a leak probe for
-/// tests (every engine run must return it to where it started, early
-/// exits included). Always `0` in release builds, where nothing counts.
+/// Number of behavior-list chunks handed out to lists and not yet
+/// returned: a leak probe for tests (every engine run must return it to
+/// where it started, early exits included). Pooled chunks do not count.
+/// Always `0` in release builds, where nothing counts.
 pub fn live_chunks() -> i64 {
     live::get()
 }
 
-/// One writer's chunk-allocation tally. Chunks are `Box`es from the
-/// global allocator; the handle is carried by the writer (`&mut`)
-/// through [`NodeState::push`] / [`NodeState::gc`] so chunk traffic is
-/// counted per thread without atomics.
-#[derive(Debug, Default)]
+/// Number of chunks on the process-wide free-list, at most [`POOL_CAP`].
+#[cfg(not(parsim_model))]
+pub fn pooled_chunks() -> usize {
+    pool::len()
+}
+
+/// Always `0`: model builds have no free-list.
+#[cfg(parsim_model)]
+pub fn pooled_chunks() -> usize {
+    0
+}
+
+/// One writer's chunk source and tally. Chunks come from a private
+/// stash, refilled 64 at a time from the process-wide free-list (fresh
+/// `Box`es only when that is empty); reclaimed chunks go back to the
+/// stash, which spills 64 to the list whenever it holds more than 128,
+/// and empties into the list when the handle drops. The handle is
+/// carried by the writer (`&mut`) through [`NodeState::push`] /
+/// [`NodeState::gc`] so chunk traffic is counted per thread without
+/// atomics.
+#[derive(Default)]
+#[allow(clippy::vec_box)] // see `pool`
 pub struct ChunkAlloc {
-    /// Chunks allocated through this handle.
+    /// Chunks handed out through this handle.
     pub allocs: u64,
-    /// Chunks freed through this handle.
+    /// Chunks reclaimed through this handle.
     pub frees: u64,
+    #[cfg(not(parsim_model))]
+    stash: Vec<Box<Chunk>>,
+}
+
+impl std::fmt::Debug for ChunkAlloc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChunkAlloc")
+            .field("allocs", &self.allocs)
+            .field("frees", &self.frees)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ChunkAlloc {
     fn alloc(&mut self, base: u64) -> *mut Chunk {
         self.allocs += 1;
         live::add(1);
-        Box::into_raw(Box::new(Chunk {
-            slots: [const { UnsafeCell::new(MaybeUninit::uninit()) }; CHUNK],
-            base,
-            next: AtomicPtr::new(ptr::null_mut()),
-        }))
+        Box::into_raw(self.take(base))
+    }
+
+    #[cfg(not(parsim_model))]
+    fn take(&mut self, base: u64) -> Box<Chunk> {
+        if self.stash.is_empty() {
+            pool::refill(&mut self.stash);
+        }
+        let mut chunk = self.stash.pop().expect("refill never leaves the stash empty");
+        chunk.base = base;
+        *chunk.next.get_mut() = ptr::null_mut();
+        chunk
+    }
+
+    #[cfg(parsim_model)]
+    fn take(&mut self, base: u64) -> Box<Chunk> {
+        Chunk::boxed(base)
     }
 
     /// # Safety
@@ -144,8 +288,17 @@ impl ChunkAlloc {
     unsafe fn free(&mut self, chunk: *mut Chunk) {
         self.frees += 1;
         live::add(-1);
-        // (u64, Value) is Copy: no per-slot drop needed.
-        drop(Box::from_raw(chunk));
+        self.stash.push(Box::from_raw(chunk));
+        if self.stash.len() > 2 * pool::BATCH {
+            pool::give(self.stash.drain(..pool::BATCH));
+        }
+    }
+}
+
+#[cfg(not(parsim_model))]
+impl Drop for ChunkAlloc {
+    fn drop(&mut self) {
+        pool::give(self.stash.drain(..));
     }
 }
 
@@ -212,15 +365,15 @@ impl NodeState {
         self.len.store(len + 1, Ordering::Release);
     }
 
-    /// Frees chunks every fan-out consumer has fully moved past. Caller
-    /// must be the node's (exclusive) writer. Returns the number of
-    /// chunks reclaimed.
+    /// Reclaims chunks every fan-out consumer has fully moved past into
+    /// `alloc`. Caller must be the node's (exclusive) writer. Returns the
+    /// number of chunks reclaimed.
     ///
-    /// A chunk `c` is freed only when every consumer's cursor exceeds
+    /// A chunk `c` is reclaimed only when every consumer's cursor exceeds
     /// `c.base + CHUNK`, which implies each consumer's chunk pointer has
     /// advanced beyond `c` (to consume an event of index `>= c.base +
     /// CHUNK` it must have followed `c.next`). The tail chunk is never
-    /// freed.
+    /// reclaimed.
     ///
     /// # Safety
     ///
@@ -272,14 +425,20 @@ impl Drop for NodeState {
         // walk is ordered even when the dropping thread never touched the
         // list (same discipline as the queue crate's drop-drains).
         let mut chunk = self.head.load(Ordering::Acquire);
-        while !chunk.is_null() {
+        let chain = std::iter::from_fn(|| {
+            if chunk.is_null() {
+                return None;
+            }
             // SAFETY: chunks were allocated and unlinked exactly once.
             let next = unsafe { (*chunk).next.load(Ordering::Acquire) };
-            // (u64, Value) is Copy: no per-slot drop needed.
-            drop(unsafe { Box::from_raw(chunk) });
             live::add(-1);
-            chunk = next;
-        }
+            // (u64, Value) is Copy: no per-slot drop needed.
+            Some(unsafe { Box::from_raw(std::mem::replace(&mut chunk, next)) })
+        });
+        #[cfg(not(parsim_model))]
+        pool::give(chain);
+        #[cfg(parsim_model)]
+        chain.for_each(drop);
         #[cfg(parsim_model)]
         self.quarantine.with_mut(|q| {
             for &c in unsafe { &*q }.iter() {
@@ -431,6 +590,36 @@ mod tests {
             assert_eq!(node.gc(&mut a), 1);
             assert_eq!(a.allocs, 3);
             assert_eq!(a.frees, 2);
+        }
+    }
+
+    #[test]
+    fn recycled_chunk_reads_only_events_pushed_after_recycling() {
+        let mut a = ChunkAlloc::default();
+        let old = NodeState::new(1, &mut a);
+        // SAFETY: single-threaded test — trivially exclusive.
+        unsafe {
+            for t in 0..(CHUNK as u64 * 3) {
+                old.push(t, Value::bit(true), &mut a);
+            }
+            let second = (*old.head.load(Ordering::Relaxed)).next.load(Ordering::Relaxed);
+            // Reclaims the chunks at base 0 and CHUNK; the stash hands out
+            // the last one first, full of stale events and still linked.
+            old.consumed[0].store(CHUNK as u64 * 2 + 1, Ordering::Release);
+            assert_eq!(old.gc(&mut a), 2);
+
+            let node = NodeState::new(1, &mut a);
+            let head = node.head.load(Ordering::Relaxed);
+            assert_eq!(head, second, "the reclaimed chunk is reused");
+            assert_eq!((*head).base, 0);
+            assert!((*head).next.load(Ordering::Relaxed).is_null());
+
+            let mut c = Cursor::new(&node, Value::x(1));
+            assert_eq!(c.peek(&node), None);
+            node.push(7, Value::bit(false), &mut a);
+            assert_eq!(c.peek(&node), Some((7, Value::bit(false))));
+            c.consume(&node);
+            assert_eq!(c.peek(&node), None);
         }
     }
 }

@@ -83,7 +83,7 @@
 //! backoff ([`Backoff`]) instead of burning a hardware thread. All of it
 //! is observable via [`Metrics::locality`](crate::Metrics::locality).
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
@@ -112,9 +112,10 @@ const ENGINE: &str = "chaotic-async";
 
 /// Per-worker results: recorded waveform changes, the worker's drained
 /// trace ring, and the events the worker computed beyond the segment cut
-/// (checkpoint capture mode). Counters travel through the worker's
-/// telemetry shard, not here.
-type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<PendingEvent>);
+/// (checkpoint capture mode), and its `ChunkAlloc` tally `(allocs,
+/// frees)`, summed after the join. Every other counter travels through
+/// the worker's telemetry shard.
+type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<PendingEvent>, (u64, u64));
 
 /// How many activations a worker runs between telemetry shard flushes.
 /// The chaotic hot loop has no step boundary to piggyback on, so counter
@@ -257,11 +258,6 @@ struct Ctx<'a> {
     /// Element index -> slot in `acts` (partition-grouped layout).
     act_of: Vec<u32>,
     pending: AtomicI64,
-    chunks_freed: AtomicU64,
-    /// Chunk-allocation totals flushed by each worker's `ChunkAlloc` at
-    /// thread end (plus the build-phase tallies, folded in post-join).
-    chunk_allocs: AtomicU64,
-    chunk_frees: AtomicU64,
     watched: Vec<bool>,
     /// Owner worker per element.
     owner: Vec<u32>,
@@ -552,10 +548,6 @@ impl ChaoticAsync {
             acts,
             act_of,
             pending: AtomicI64::new(0),
-            chunks_freed: AtomicU64::new(0),
-            // Build-phase chunk traffic folds into the run totals.
-            chunk_allocs: AtomicU64::new(seed_alloc.allocs),
-            chunk_frees: AtomicU64::new(seed_alloc.frees),
             watched,
             owner,
             end,
@@ -709,9 +701,7 @@ impl ChaoticAsync {
                     tally.add_elapsed(Counter::IdleNs, t0);
                 }
                 tally.flush(&shard);
-                ctx.chunk_allocs.fetch_add(alloc.allocs, Ordering::Relaxed);
-                ctx.chunk_frees.fetch_add(alloc.frees, Ordering::Relaxed);
-                (changes, tr, overflow)
+                (changes, tr, overflow, (alloc.allocs, alloc.frees))
             },
             |d| {
                 // Iterate elements (not slots): the partition-grouped `acts`
@@ -733,19 +723,23 @@ impl ChaoticAsync {
 
         let mut changes = init_changes;
         let mut worker_tracers = Vec::with_capacity(n_threads);
-        for (c, wt, of) in outputs {
+        // Build-phase chunk traffic folds into the run totals.
+        let (mut chunk_allocs, mut chunk_frees) = (seed_alloc.allocs, seed_alloc.frees);
+        for (c, wt, of, (allocs, frees)) in outputs {
             changes.extend(c);
             worker_tracers.push(wt);
             carry.extend(of);
+            chunk_allocs += allocs;
+            chunk_frees += frees;
         }
-        // Workers are joined, so every per-thread `ChunkAlloc` tally has
-        // been flushed into the ctx atomics; the totals publish once here,
-        // on the driver shard.
+        // `gc` is the only caller of `ChunkAlloc::free`, so the frees are
+        // the GC's reclaims; the totals publish once here, on the driver
+        // shard.
         {
             let d = registry.driver();
-            d.add(Counter::GcChunksFreed, ctx.chunks_freed.load(Ordering::Relaxed));
-            d.add(Counter::ArenaChunkAllocs, ctx.chunk_allocs.load(Ordering::Relaxed));
-            d.add(Counter::ArenaChunkFrees, ctx.chunk_frees.load(Ordering::Relaxed));
+            d.add(Counter::GcChunksFreed, chunk_frees);
+            d.add(Counter::ArenaChunkAllocs, chunk_allocs);
+            d.add(Counter::ArenaChunkFrees, chunk_frees);
         }
         let wall = start.elapsed();
         let snapshot = capture.then(|| {
@@ -1044,10 +1038,7 @@ unsafe fn run_element(
     // ---- asynchronous garbage collection ------------------------------------
     if ctx.gc {
         for &out in &meta.outputs {
-            let freed = ctx.nodes[out as usize].gc(alloc);
-            if freed > 0 {
-                ctx.chunks_freed.fetch_add(freed, Ordering::Relaxed);
-            }
+            ctx.nodes[out as usize].gc(alloc);
         }
     }
 }

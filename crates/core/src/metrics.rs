@@ -331,7 +331,9 @@ pub struct Metrics {
     /// [`without_lookahead`](crate::SimConfig::without_lookahead) runs).
     pub lookahead_extensions: u64,
     /// Event-list chunks reclaimed by the asynchronous engine's concurrent
-    /// garbage collector (zero for other engines).
+    /// garbage collector (zero for other engines). Always equal to
+    /// [`ArenaCounters::chunk_frees`]: both are published from the same
+    /// per-worker tallies.
     pub gc_chunks_freed: u64,
     /// Kernel blocks skipped by compiled-mode activity gating (zero for
     /// other engines and for gated runs that never go quiescent).
@@ -372,15 +374,17 @@ pub struct Metrics {
 /// Hot-path allocation counters.
 ///
 /// The name is historical: the slab arena these once described is gone
-/// (DESIGN.md §12) and every behavior-list chunk is one `Box` from the
-/// global allocator. The type keeps its name and field names because the
-/// benchmark reads them.
+/// (DESIGN.md §12). Behavior-list chunks come from a bounded process-wide
+/// free-list and go back to it (§12.1); the allocator is only asked when
+/// that list is empty. The type keeps its name and field names because
+/// the benchmark reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaCounters {
-    /// Behavior-list chunks allocated (all workers plus the build phase).
+    /// Behavior-list chunks handed out to lists (all workers plus the
+    /// build phase), whether recycled or freshly allocated.
     pub chunk_allocs: u64,
-    /// Behavior-list chunks freed by the writers' cursor GC (chunks still
-    /// linked at the end of the run are freed with their node).
+    /// Behavior-list chunks reclaimed by the writers' cursor GC (chunks
+    /// still linked at the end of the run go back with their node).
     pub chunk_frees: u64,
     /// Synchronous-engine mailbox buffers served from the recycling pool
     /// (the hit counter complementing [`Metrics::pool_misses`]).
@@ -400,7 +404,8 @@ impl ArenaCounters {
         *self == ArenaCounters::default()
     }
 
-    /// Global-allocator calls on the chunk hot path: one per chunk.
+    /// Chunk handouts; the name is historical (it once counted
+    /// global-allocator calls, one per chunk).
     pub fn global_allocs(&self) -> u64 {
         self.chunk_allocs
     }
@@ -604,7 +609,7 @@ impl fmt::Display for Metrics {
             )?;
         }
         if self.arena.chunk_allocs > 0 {
-            write!(f, ", {} chunk mallocs", self.arena.chunk_allocs)?;
+            write!(f, ", {} chunks handed out", self.arena.chunk_allocs)?;
         }
         if !self.checkpoint.is_empty() {
             write!(

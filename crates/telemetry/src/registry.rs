@@ -45,9 +45,9 @@ pub enum Counter {
     /// Compiled-mode steps jumped over because the circuit had settled and
     /// no stimulus was due (counted in `TimeSteps` too).
     QuietSteps,
-    /// Behavior-list chunks allocated.
+    /// Behavior-list chunks handed out.
     ArenaChunkAllocs,
-    /// Behavior-list chunks retired/freed.
+    /// Behavior-list chunks reclaimed by cursor GC.
     ArenaChunkFrees,
     /// Snapshots committed to disk by the checkpoint store.
     CheckpointWrites,
@@ -148,8 +148,8 @@ impl Counter {
             Counter::BlocksSkipped => "Compiled-mode level blocks skipped by activity gating",
             Counter::EvalsSkipped => "Evaluations eliminated by activity gating",
             Counter::QuietSteps => "Compiled-mode steps jumped over while the circuit was settled",
-            Counter::ArenaChunkAllocs => "Behavior-list chunks allocated",
-            Counter::ArenaChunkFrees => "Behavior-list chunks freed by cursor GC",
+            Counter::ArenaChunkAllocs => "Behavior-list chunks handed out",
+            Counter::ArenaChunkFrees => "Behavior-list chunks reclaimed by cursor GC",
             Counter::CheckpointWrites => "Snapshots committed to disk",
             Counter::CheckpointBytes => "Bytes across committed snapshot files",
             Counter::CheckpointWriteNs => "Nanoseconds spent committing snapshots",

@@ -174,9 +174,9 @@ pub struct CheckpointReport {
 /// the engine's metrics via [`RunReport::with_allocs`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocReport {
-    /// Behavior chunks allocated (one global-allocator call each).
+    /// Behavior chunks handed out to lists.
     pub chunk_allocs: u64,
-    /// Behavior chunks freed by the writers' cursor GC.
+    /// Behavior chunks reclaimed by the writers' cursor GC.
     pub chunk_frees: u64,
     /// Mailbox buffers reused from the recycling pool.
     pub mailbox_recycled: u64,
@@ -819,7 +819,7 @@ impl fmt::Display for RunReport {
         if let Some(a) = &self.allocs {
             writeln!(
                 f,
-                "\nmemory: {} chunk mallocs / {} frees, {} mailboxes recycled",
+                "\nmemory: {} chunks handed out / {} reclaimed, {} mailboxes recycled",
                 a.chunk_allocs, a.chunk_frees, a.mailbox_recycled
             )?;
         }
@@ -966,7 +966,7 @@ mod tests {
         let j = r.to_json();
         lint(&j).expect("allocs JSON must be well-formed");
         assert!(j.contains("\"allocs\": {\"chunk_allocs\": 120, \"chunk_frees\": 80"));
-        assert!(r.to_string().contains("memory: 120 chunk mallocs / 80 frees, 7 mailboxes"));
+        assert!(r.to_string().contains("memory: 120 chunks handed out / 80 reclaimed, 7 mailboxes"));
     }
 
     #[test]

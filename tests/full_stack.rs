@@ -223,6 +223,35 @@ fn parallel_engines_and_checkpoint_resume_match_oracle() {
     }
 }
 
+/// Behavior-list chunks outlive a run on the process-wide free-list, so
+/// every run after the first reuses chunks still full of earlier events.
+/// Three back-to-back runs of the 16-bit gate multiplier must each dump
+/// the oracle's VCD bytes and repeat the same counts.
+#[test]
+fn chaotic_runs_on_a_warm_chunk_pool_repeat_bytes_and_counts() {
+    let operands = [(40_503, 65_535), (1, 65_535), (65_535, 2), (12_345, 54_321)];
+    let m = gate_multiplier(16, &operands, 256).unwrap();
+    let watch: Vec<_> = m.netlist.iter_nodes().map(|(id, _)| id).collect();
+    let cfg = SimConfig::new(m.schedule_end()).watch_all(watch);
+    let oracle = EventDriven::run(&m.netlist, &cfg).unwrap().to_vcd();
+    let mut counts = Vec::new();
+    for run in 0..3 {
+        let r = ChaoticAsync::run(&m.netlist, &cfg).unwrap();
+        assert!(r.to_vcd() == oracle, "run {run}: VCD differs from EventDriven's");
+        let x = &r.metrics;
+        counts.push([
+            x.events_processed,
+            x.evaluations,
+            x.activations,
+            x.time_steps,
+            x.gc_chunks_freed,
+            x.pool_misses,
+            x.evals_skipped,
+        ]);
+    }
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "counts moved: {counts:?}");
+}
+
 /// The counting path, pinned against something other than itself. At one
 /// thread every engine is deterministic, so `(events_processed,
 /// evaluations, activations, time_steps, gc_chunks_freed, pool_misses,
