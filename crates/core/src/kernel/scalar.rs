@@ -18,15 +18,16 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use parsim_checkpoint::{EngineSnapshot, PendingEvent};
-use parsim_logic::{evaluate, expand_generator, ElemState, Time, Value};
+use parsim_logic::{evaluate, ElemState, Time, Value};
 use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
-use crate::checkpoint::{new_run_ctx, SegmentOut, SegmentSpec};
+use crate::checkpoint::{
+    generator_events, in_flight_events, new_run_ctx, start_state, SegmentOut, SegmentSpec,
+};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::exec::run_workers;
@@ -76,11 +77,9 @@ pub(crate) fn run_segment(
     seg: SegmentSpec<'_>,
 ) -> Result<SegmentOut, SimError> {
     let start = Instant::now();
-    let end = config.end_time.ticks();
-    let cut = seg.cut;
-    let t0 = seg.resume.map(|s| s.time);
-    let capture = seg.capture;
-    let first_step = t0.map(|t| t + 1).unwrap_or(0);
+    let bounds = seg.bounds(config);
+    let (cut, end) = (bounds.cut, bounds.horizon);
+    let first_step = bounds.t0.map_or(0, |t| t + 1);
     let threads = config.threads;
     let gating = config.activity_gating;
 
@@ -93,11 +92,9 @@ pub(crate) fn run_segment(
     }
     let watched = &watched;
 
-    // Generator schedule, applied by thread 0 (generators are excluded
-    // from the instruction stream). Expansion stops at the cut; a resumed
-    // segment re-expands and keeps only events past the previous cut.
-    // A resume snapshot's in-flight events ride the same schedule — they
-    // are node updates like any other, and their times land in `(t0, end]`.
+    // The segment's stimulus, applied by thread 0 (generators are excluded
+    // from the instruction stream): the generator schedules, then a resume
+    // snapshot's in-flight events, node updates like any other.
     // `(time, push order, slot, value)`, sorted by the first two (in place:
     // a stable sort's scratch buffer would be the run's peak allocation on
     // a circuit of fast clocks) and walked by a per-worker cursor: every
@@ -107,51 +104,37 @@ pub(crate) fn run_segment(
     for &gen in &generators {
         let e = netlist.element(gen);
         let slot = prog.slot_of(e.outputs()[0]);
-        let events = expand_generator(e.kind(), Time(cut));
+        let events = generator_events(e.kind(), bounds);
         if gen_events.is_empty() {
             // One allocation when the generators are alike (an array of
             // clocks), not a doubling series that fragments the heap;
             // pages reserved beyond what is pushed are never touched.
-            gen_events.reserve(events.len() * generators.len());
+            let (_, most) = events.size_hint();
+            gen_events.reserve(most.unwrap_or(0) * generators.len());
         }
         for (t, v) in events {
-            if t0.is_some_and(|t0| t.ticks() <= t0) {
-                continue;
-            }
-            gen_events.push((t.ticks(), gen_events.len() as u32, slot, v));
+            gen_events.push((t, gen_events.len() as u32, slot, v));
         }
     }
-    // In-flight events beyond even this segment's cut (possible only in
-    // snapshots captured by a multi-delay-capable engine) skip straight
-    // to the next snapshot.
-    let mut carry: Vec<PendingEvent> = Vec::new();
-    if let Some(snap) = seg.resume {
-        for ev in &snap.pending {
-            if ev.time <= cut {
-                let slot = prog.slot_of(NodeId::from_index(ev.node as usize));
-                gen_events.push((ev.time, gen_events.len() as u32, slot, ev.value));
-            } else {
-                carry.push(ev.clone());
-            }
-        }
-    }
+    // In-flight events past this segment's cut skip straight to the next
+    // snapshot.
+    let carry = in_flight_events(seg.resume, cut, |t, node, v| {
+        let slot = prog.slot_of(NodeId::from_index(node));
+        gen_events.push((t, gen_events.len() as u32, slot, v));
+        Ok(())
+    })?;
     gen_events.sort_unstable_by_key(|ev| (ev.0, ev.1));
     let gen_events = &gen_events;
 
+    let start_state = start_state(netlist, end, seg.resume);
     // Shared slot values: written single-writer during apply phases.
     let values: SharedSlice<Value> = SharedSlice::from_fn(prog.num_slots(), |s| {
-        match seg.resume {
-            Some(snap) => snap.values[prog.node_of(s as u32).index()],
-            None => Value::x(prog.slot_width(s as u32)),
-        }
+        start_state.values[prog.node_of(s as u32).index()]
     });
     let values = &values;
     // Per-instruction state: touched only by the owning thread.
     let states: SharedSlice<ElemState> = SharedSlice::from_fn(prog.num_insns(), |i| {
-        match seg.resume {
-            Some(snap) => snap.elem_states[prog.elem(i)].clone(),
-            None => ElemState::init(netlist.elements()[prog.elem(i)].kind()),
-        }
+        start_state.elem_states[prog.elem(i)].clone()
     });
     let states = &states;
     let dirty = DirtyMask::all_dirty(plan.blocks.len());
@@ -348,54 +331,18 @@ pub(crate) fn run_segment(
         leftover.extend(pend);
     }
     let wall = start.elapsed();
-    let snapshot = capture.then(|| {
-        let num_nodes = netlist.num_nodes();
-        // SAFETY: all workers are joined; single-threaded access with the
-        // joins as the synchronization edge.
-        let node_values: Vec<Value> = (0..num_nodes)
+    let snapshot = bounds.capture.then(|| {
+        // SAFETY (all reads below): workers are joined; single-threaded
+        // access with the joins as the synchronization edge.
+        let node_values: Vec<Value> = (0..netlist.num_nodes())
             .map(|i| unsafe { *values.get(prog.slot_of(NodeId::from_index(i)) as usize) })
             .collect();
-        // The event-driven engines' bookkeeping, reconstructed so the
-        // snapshot stays engine-portable: with one driver per node and no
-        // in-flight events other than `leftover`, the last value scheduled
-        // for a node is its pending value if one exists, else its current
-        // value; the monotone-transport floor only matters for nodes with
-        // a pending (future) event.
-        let mut last_scheduled = node_values.clone();
-        let mut last_sched_time = vec![0u64; num_nodes];
-        let mut pending: Vec<PendingEvent> = carry;
-        for (slot, v) in leftover {
-            let node = prog.node_of(slot).index();
-            last_scheduled[node] = v;
-            last_sched_time[node] = cut + 1;
-            pending.push(PendingEvent {
-                time: cut + 1,
-                node: node as u32,
-                value: v,
-            });
-        }
-        pending.sort_by_key(|ev| (ev.time, ev.node));
-        let mut elem_states: Vec<ElemState> = netlist
-            .elements()
-            .iter()
-            .map(|e| ElemState::init(e.kind()))
-            .collect();
+        let mut elem_states = start_state.elem_states.clone();
         for i in 0..prog.num_insns() {
-            // SAFETY: workers joined (as above).
             elem_states[prog.elem(i)] = unsafe { states.get(i) }.clone();
         }
-        EngineSnapshot {
-            end_time: end,
-            time: cut,
-            step: 0,
-            seeds: [0, 0],
-            values: node_values,
-            last_scheduled,
-            last_sched_time,
-            elem_states,
-            pending,
-            changes: Vec::new(),
-        }
+        let queued = leftover.into_iter().map(|(slot, v)| (prog.node_of(slot).index(), v));
+        bounds.unit_delay_snapshot(node_values, elem_states, queued, carry)
     });
     Ok(SegmentOut {
         changes,

@@ -168,6 +168,56 @@ fn all_nodes_vcd_bytes_are_pinned() {
     }
 }
 
+/// The snapshot bytes, pinned in tier-1: the FNV-1a of the newest `.psnap`
+/// a checkpointed one-thread run of the 8-bit gate multiplier commits on
+/// each engine (every node watched, so the change log's order is pinned
+/// too), and of a one-lane batch snapshot at the same cut. A change to the
+/// segment boundary that moves a byte of any of them has to say so. One
+/// thread, because at more the order of same-tick changes depends on the
+/// interleaving.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    use parsim::engine::LaneStimulus;
+
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
+    let end = m.schedule_end();
+    let every = end.ticks() / 4;
+    let watch: Vec<_> = m.netlist.iter_nodes().map(|(id, _)| id).collect();
+    let cfg = SimConfig::new(end).watch_all(watch);
+    let pinned = [
+        (EngineKind::Sequential, 2_722_689_983_378_798_440),
+        (EngineKind::Synchronous, 2_722_689_983_378_798_440),
+        (EngineKind::Compiled, 3_923_842_293_362_103_821),
+        (EngineKind::Chaotic, 177_867_306_987_821_965),
+    ];
+    for (kind, want) in pinned {
+        let dir = std::env::temp_dir()
+            .join(format!("parsim-snapshot-pin-{}-{}", kind.name(), std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = cfg.clone().with_checkpoint_dir(&dir).with_checkpoint_every(every);
+        checkpoint::run(kind, &m.netlist, &ckpt).unwrap();
+        let newest = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "psnap"))
+            .max()
+            .expect("three cuts commit snapshots");
+        let bytes = std::fs::read(&newest).unwrap();
+        assert_eq!(fnv1a(&bytes), want, "{} ({})", kind.name(), newest.display());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let cut = Time(3 * every);
+    let (_, snaps) =
+        CompiledMode::run_batch_segment(&m.netlist, &cfg, &[LaneStimulus::base()], None, cut)
+            .unwrap();
+    assert_eq!(fnv1a(&snaps[0].encode(0)), 11_536_594_935_373_166_620, "one-lane batch");
+}
+
 /// A stimulus the engines would assert on is a parse error with its line
 /// number, never a netlist.
 #[test]
