@@ -104,8 +104,9 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// An empty snapshot shaped for `netlist` at time 0 — the identity
-    /// element the segment driver folds captures into.
+    /// Every engine's fresh start on `netlist`: time 0, all values and
+    /// last-scheduled values X, zero schedule times, initial element
+    /// states, nothing pending.
     pub fn shaped_for(netlist: &Netlist, end_time: u64) -> EngineSnapshot {
         EngineSnapshot {
             end_time,

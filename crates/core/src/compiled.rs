@@ -295,7 +295,8 @@ impl CompiledMode {
     /// All of [`CompiledMode::run_batch`]'s errors, plus
     /// [`SimError::InvalidConfig`] when the resume snapshots don't match
     /// the lane count, disagree on their snapshot time, or are not
-    /// strictly before `cut`.
+    /// strictly before `cut`, and [`SimError::Checkpoint`] when one does
+    /// not fit the netlist or was captured for another `end_time`.
     pub fn run_batch_segment(
         netlist: &Netlist,
         config: &SimConfig,

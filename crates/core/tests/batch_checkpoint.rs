@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 
-use parsim_core::{CompiledMode, LaneStimulus, SimConfig};
+use parsim_core::{
+    CheckpointError, CompiledMode, EngineSnapshot, EventDriven, LaneStimulus, SimConfig, SimError,
+};
 use parsim_logic::{Delay, ElementKind, Time, Value};
 use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Builder, Netlist, NodeId};
@@ -249,8 +251,21 @@ fn in_flight_events_of_other_workers_resume_in_time_order() {
     }
 }
 
-/// Resume validation: wrong snapshot count, mismatched times, and a cut
-/// not after the snapshot time are all rejected.
+/// A two-inverter chain: another netlist than [`circuit`], for snapshots
+/// of the wrong shape.
+fn foreign_netlist() -> Netlist {
+    let mut b = Builder::new();
+    let (a, m, q) = (b.node("a", 1), b.node("m", 1), b.node("q", 1));
+    let osc = ElementKind::Clock { half_period: 2, offset: 1 };
+    b.element("osc", osc, Delay(1), &[], &[a]).unwrap();
+    b.element("i0", ElementKind::Not, Delay(1), &[a], &[m]).unwrap();
+    b.element("i1", ElementKind::Not, Delay(1), &[m], &[q]).unwrap();
+    b.finish().unwrap()
+}
+
+/// Resume validation: wrong snapshot count, mismatched times, a cut not
+/// after the snapshot time, a snapshot of another netlist and one
+/// captured for another horizon are all rejected.
 #[test]
 fn resume_validation_rejects_bad_snapshots() {
     let (netlist, watch, _) = circuit();
@@ -260,15 +275,71 @@ fn resume_validation_rejects_bad_snapshots() {
         CompiledMode::run_batch_segment(&netlist, &cfg, &stim, None, Time(20)).unwrap();
 
     let err = CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&snaps[..2]), Time(40));
-    assert!(matches!(err, Err(parsim_core::SimError::InvalidConfig { .. })));
+    assert!(matches!(err, Err(SimError::InvalidConfig { .. })));
 
     let mut skewed = snaps.clone();
     skewed[1].time = 19;
     let err = CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&skewed), Time(40));
-    assert!(matches!(err, Err(parsim_core::SimError::InvalidConfig { .. })));
+    assert!(matches!(err, Err(SimError::InvalidConfig { .. })));
 
     let err = CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&snaps), Time(20));
-    assert!(matches!(err, Err(parsim_core::SimError::InvalidConfig { .. })));
+    assert!(matches!(err, Err(SimError::InvalidConfig { .. })));
+
+    let foreign = foreign_netlist();
+    let base = vec![LaneStimulus::base(); 3];
+    let fcfg = SimConfig::new(Time(40)).with_lane_width(64);
+    let (_, alien) =
+        CompiledMode::run_batch_segment(&foreign, &fcfg, &base, None, Time(20)).unwrap();
+    let err = CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&alien), Time(40));
+    assert!(
+        matches!(err, Err(SimError::Checkpoint(CheckpointError::ShapeMismatch { .. }))),
+        "{err:?}"
+    );
+
+    let (_, later) =
+        CompiledMode::run_batch_segment(&netlist, &config(60, &watch), &stim, None, Time(20))
+            .unwrap();
+    let err = CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&later), Time(40));
+    assert!(
+        matches!(
+            err,
+            Err(SimError::Checkpoint(CheckpointError::EndTimeMismatch { snapshot: 60, config: 40 }))
+        ),
+        "{err:?}"
+    );
+}
+
+/// `EventDriven::run_lane_segment` applies the same check as the batch.
+#[test]
+fn lane_segment_resume_rejects_bad_snapshots() {
+    let (netlist, watch, _) = circuit();
+    let stim = &stimuli(1, 40)[0];
+    let cfg = SimConfig::new(Time(40)).watch_all(watch.clone());
+    let run = |snap: &EngineSnapshot| {
+        EventDriven::run_lane_segment(&netlist, &cfg, stim, Some(snap), Time(40)).map(|_| ())
+    };
+
+    let foreign = foreign_netlist();
+    let fcfg = SimConfig::new(Time(40));
+    let (_, alien) =
+        EventDriven::run_lane_segment(&foreign, &fcfg, &LaneStimulus::base(), None, Time(20))
+            .unwrap();
+    let err = run(&alien);
+    assert!(
+        matches!(err, Err(SimError::Checkpoint(CheckpointError::ShapeMismatch { .. }))),
+        "{err:?}"
+    );
+
+    let lcfg = SimConfig::new(Time(60)).watch_all(watch);
+    let (_, later) = EventDriven::run_lane_segment(&netlist, &lcfg, stim, None, Time(20)).unwrap();
+    let err = run(&later);
+    assert!(
+        matches!(
+            err,
+            Err(SimError::Checkpoint(CheckpointError::EndTimeMismatch { snapshot: 60, config: 40 }))
+        ),
+        "{err:?}"
+    );
 }
 
 /// `Arc` is used by `LaneStimulus` docs' `Vector` form; keep the import

@@ -10,10 +10,12 @@ use std::path::PathBuf;
 
 use parsim_circuits::{inverter_array, random_circuit, RandomCircuitParams};
 use parsim_core::{
-    checkpoint, equivalence_report, CheckpointError, CheckpointStore, EngineKind, EventDriven,
-    FaultPlan, SimConfig, SimError, StorageFault,
+    checkpoint, equivalence_report, CheckpointError, CheckpointStore, CompiledMode, EngineKind,
+    EngineSnapshot, EventDriven, FaultPlan, LaneStimulus, SimConfig, SimError, StorageFault,
 };
-use parsim_logic::Time;
+use parsim_checkpoint::PendingEvent;
+use parsim_logic::{Delay, ElementKind, Time};
+use parsim_netlist::Builder;
 use proptest::prelude::*;
 
 const ALL_ENGINES: [EngineKind; 4] = [
@@ -401,6 +403,120 @@ fn snapshots_are_engine_portable() {
             let _ = fs::remove_dir_all(&dir);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The carry: in-flight events past the next cut
+// ---------------------------------------------------------------------------
+
+/// The event engines; compiled mode runs every gate at unit delay.
+const EVENT_ENGINES: [EngineKind; 3] =
+    [EngineKind::Sequential, EngineKind::Synchronous, EngineKind::Chaotic];
+
+/// A clock into a buffer of delay 50, cut every 20 ticks: each snapshot
+/// holds buffer events more than one interval past its cut, so the next
+/// segment must carry them to its own snapshot unexecuted.
+fn carry_circuit() -> (parsim_netlist::Netlist, Vec<parsim_netlist::NodeId>) {
+    let mut b = Builder::new();
+    let clk = b.node("clk", 1);
+    let out = b.node("out", 1);
+    let osc = ElementKind::Clock { half_period: 9, offset: 3 };
+    b.element("osc", osc, Delay(1), &[], &[clk]).unwrap();
+    b.element("slow", ElementKind::Buf, Delay(50), &[clk], &[out]).unwrap();
+    (b.finish().unwrap(), vec![clk, out])
+}
+
+const CARRY_END: u64 = 200;
+const CARRY_EVERY: u64 = 20;
+
+fn carry_config(watch: &[parsim_netlist::NodeId], dir: &std::path::Path) -> SimConfig {
+    SimConfig::new(Time(CARRY_END))
+        .watch_all(watch.to_vec())
+        .threads(2)
+        .with_checkpoint_dir(dir)
+        .with_checkpoint_every(CARRY_EVERY)
+}
+
+/// Crashes `kind` during its third checkpoint write and checks what
+/// survived: the snapshot at the second cut, holding events past the
+/// third.
+fn crash_with_carry(kind: EngineKind, netlist: &parsim_netlist::Netlist, cfg: &SimConfig) {
+    let crashing = cfg.clone().with_fault(FaultPlan::storage_fault(2, StorageFault::FsyncCrash));
+    expect_injected_crash(checkpoint::run(kind, netlist, &crashing).unwrap_err());
+    let dir = &cfg.checkpoint.as_ref().unwrap().dir;
+    let store = CheckpointStore::open(dir, checkpoint::netlist_digest(netlist), 4).unwrap();
+    let snap = store.recover().unwrap().snapshot.expect("two cuts committed");
+    assert_eq!(snap.time, 2 * CARRY_EVERY, "{}", kind.name());
+    assert!(
+        snap.pending.iter().any(|ev| ev.time > snap.time + CARRY_EVERY),
+        "{}: no event past the next cut",
+        kind.name()
+    );
+}
+
+#[test]
+fn in_flight_events_past_the_next_cut_are_carried() {
+    let (netlist, watch) = carry_circuit();
+    let oracle =
+        EventDriven::run(&netlist, &SimConfig::new(Time(CARRY_END)).watch_all(watch.clone()))
+            .unwrap();
+    for kind in EVENT_ENGINES {
+        let dir = tmpdir(&format!("carry-{}", kind.name()));
+        let cfg = carry_config(&watch, &dir);
+        let r = checkpoint::run(kind, &netlist, &cfg).unwrap();
+        let rep = equivalence_report(&oracle, &r);
+        assert!(rep.is_equivalent(), "{} segmented: {rep}", kind.name());
+        let _ = fs::remove_dir_all(&dir);
+
+        crash_with_carry(kind, &netlist, &cfg);
+        let r = checkpoint::resume(kind, &netlist, &cfg).unwrap();
+        let rep = equivalence_report(&oracle, &r);
+        assert!(rep.is_equivalent(), "{} resumed: {rep}", kind.name());
+        let _ = fs::remove_dir_all(&dir);
+    }
+    for capture_kind in EVENT_ENGINES {
+        for resume_kind in EVENT_ENGINES {
+            let dir = tmpdir(&format!("carry-{}-{}", capture_kind.name(), resume_kind.name()));
+            let cfg = carry_config(&watch, &dir);
+            crash_with_carry(capture_kind, &netlist, &cfg);
+            let r = checkpoint::resume(resume_kind, &netlist, &cfg).unwrap();
+            let rep = equivalence_report(&oracle, &r);
+            assert!(
+                rep.is_equivalent(),
+                "{} -> {}: {rep}",
+                capture_kind.name(),
+                resume_kind.name()
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// The batch kernel's carry: a lane snapshot whose buffer events lie past
+/// the next cut, resumed on one batch lane to that cut, comes back with
+/// those events unchanged.
+#[test]
+fn batch_resume_carries_events_past_its_cut_unchanged() {
+    let (netlist, watch) = carry_circuit();
+    let cfg = SimConfig::new(Time(CARRY_END)).watch_all(watch);
+    let base = LaneStimulus::base();
+    let (_, snap) =
+        EventDriven::run_lane_segment(&netlist, &cfg, &base, None, Time(CARRY_EVERY)).unwrap();
+    let cut = 2 * CARRY_EVERY;
+    let past_cut = |snap: &EngineSnapshot| -> Vec<PendingEvent> {
+        snap.pending.iter().filter(|ev| ev.time > cut).cloned().collect()
+    };
+    let carried = past_cut(&snap);
+    assert!(!carried.is_empty(), "the lane snapshot holds events past the next cut");
+    let (_, snaps) = CompiledMode::run_batch_segment(
+        &netlist,
+        &cfg,
+        &[base],
+        Some(std::slice::from_ref(&snap)),
+        Time(cut),
+    )
+    .unwrap();
+    assert_eq!(past_cut(&snaps[0]), carried);
 }
 
 // ---------------------------------------------------------------------------
