@@ -214,8 +214,8 @@ impl CompiledMode {
     /// stored as two bit-plane word groups per node bit — lane `i` lives
     /// in bit `i` of its word group — so one AND instruction evaluates a
     /// gate for up to 512 lanes at once (64 per 64-bit word; the group
-    /// width is auto-detected from the CPU, or forced via
-    /// [`SimConfig::with_lane_width`] / `PARSIM_FORCE_LANE_WIDTH`).
+    /// width defaults from the host's CPU, or is set with
+    /// [`SimConfig::with_lane_width`]).
     /// Batches wider than one word group are chunked, so thousands of
     /// lanes are fine. Lanes' waveforms are extracted separately and are
     /// bit-identical to running each stimulus through the scalar engine.

@@ -95,13 +95,12 @@ pub struct SimConfig {
     /// waveforms: a checkpointed (or resumed) run is bit-identical to an
     /// uninterrupted one.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Forced SIMD lane width (in stimulus lanes per word group) for the
-    /// compiled batch kernel: one of 64, 128, 256, 512. `None` (the
-    /// default) uses the widest width the CPU supports at runtime (see
-    /// [`parsim_logic::wide::native_lane_width`]); the
-    /// `PARSIM_FORCE_LANE_WIDTH` environment variable overrides the
-    /// default when this is unset. Never changes waveforms, only how many
-    /// lanes each kernel invocation carries.
+    /// Chunk width (in stimulus lanes per word group) for the compiled
+    /// batch kernel: one of 64, 128, 256, 512. `None` (the default) uses
+    /// the host's default width
+    /// ([`parsim_logic::wide::native_lane_width`]). Never changes
+    /// waveforms or the kernel code, only how many lanes each chunk
+    /// carries.
     pub lane_width: Option<usize>,
     /// In-run telemetry sampling period. `None` (the default) leaves the
     /// always-on metrics registry running but takes no periodic samples;
@@ -294,9 +293,9 @@ impl SimConfig {
         self
     }
 
-    /// Forces the compiled batch kernel's SIMD lane width (ablation /
-    /// benchmarking knob; the default auto-detects the widest supported
-    /// width).
+    /// Sets the compiled batch kernel's chunk width in lanes (tests use
+    /// it to reach multi-chunk runs; the default is the host's
+    /// [`native_lane_width`](parsim_logic::wide::native_lane_width)).
     ///
     /// # Panics
     ///

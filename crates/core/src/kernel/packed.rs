@@ -1,22 +1,21 @@
-//! Width-generic SIMD executor for the compiled instruction stream.
+//! Width-generic bit-plane executor for the compiled instruction stream.
 //!
 //! Node values live as bit-plane word groups ([`WideLanes<W>`]): `W`
 //! 64-bit plane words per node bit, one *independent simulation* per
 //! lane, `64·W` lanes per kernel invocation. Gates, muxes, flip-flops,
 //! latches, and tri-states evaluate natively as word-group boolean
-//! algebra (see [`parsim_logic::wide`], which dispatches to SSE2 /
-//! AVX2 / AVX-512 `core::arch` paths when `W` matches the detected CPU
-//! tier); the remaining RTL ops (adders, memories, resolvers, …) fall
-//! back to the scalar evaluator lane by lane, so every element kind is
-//! supported and every lane stays bit-identical to a scalar run of that
-//! lane's stimulus.
+//! algebra (see [`parsim_logic::wide`]: one set of `[u64; W]` loops for
+//! every `W` and every host, no runtime dispatch); the remaining RTL ops
+//! (adders, memories, resolvers, …) fall back to the scalar evaluator
+//! lane by lane, so every element kind is supported and every lane stays
+//! bit-identical to a scalar run of that lane's stimulus.
 //!
-//! An arbitrary number of stimulus lanes is *chunked* over the widest
-//! available word group: a 1000-lane batch on an AVX-512 host runs as
-//! two 512-lane chunks, the ragged tail masked per word
-//! ([`wide::mask_first`]). The width is auto-detected and can be forced
-//! with [`SimConfig::lane_width`] or the `PARSIM_FORCE_LANE_WIDTH`
-//! environment variable (the scalar-fallback ablation leg).
+//! An arbitrary number of stimulus lanes is *chunked* over one word
+//! width: a 1000-lane batch at width 512 runs as two 512-lane chunks, the
+//! ragged tail masked per word ([`wide::mask_first`]). The width is
+//! [`SimConfig::lane_width`] when set, else the host's default
+//! ([`wide::native_lane_width`]); the last chunk drops to the narrowest
+//! word that covers its lanes.
 //!
 //! Each step is the scalar executor's: apply, [`SpinBarrier`], evaluate,
 //! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`], so a step
@@ -191,33 +190,16 @@ impl BatchCtx<'_> {
     }
 }
 
-/// Selects the batch lane width: explicit config, then the
-/// `PARSIM_FORCE_LANE_WIDTH` environment variable, then CPU detection.
+/// Selects the batch lane width: explicit config, else the host's
+/// default chunk width.
 fn select_lane_width(config: &SimConfig) -> Result<usize, SimError> {
-    if let Some(w) = config.lane_width {
-        if !LANE_WIDTHS.contains(&w) {
-            return Err(invalid(format!(
-                "lane_width must be one of 64, 128, 256, 512 (got {w})"
-            )));
-        }
-        return Ok(w);
+    match config.lane_width {
+        Some(w) if !LANE_WIDTHS.contains(&w) => Err(invalid(format!(
+            "lane_width must be one of 64, 128, 256, 512 (got {w})"
+        ))),
+        Some(w) => Ok(w),
+        None => Ok(wide::native_lane_width()),
     }
-    if let Ok(s) = std::env::var("PARSIM_FORCE_LANE_WIDTH") {
-        if !s.is_empty() {
-            let w: usize = s.parse().map_err(|_| {
-                invalid(format!(
-                    "PARSIM_FORCE_LANE_WIDTH must be one of 64, 128, 256, 512 (got '{s}')"
-                ))
-            })?;
-            if !LANE_WIDTHS.contains(&w) {
-                return Err(invalid(format!(
-                    "PARSIM_FORCE_LANE_WIDTH must be one of 64, 128, 256, 512 (got {w})"
-                )));
-            }
-            return Ok(w);
-        }
-    }
-    Ok(wide::native_lane_width())
 }
 
 /// Runs one checkpoint segment of the packed batch kernel over any number

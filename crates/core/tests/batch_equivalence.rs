@@ -390,8 +390,7 @@ fn ragged_lane_tails_match_oracle() {
         let per_lane = lane_schedules(&mut rng, lanes, 2, 40);
         check_lanes_cfg(seed, 2, 12, &per_lane, 2, Time(40), |c| {
             // Force 512-bit groups so 1/63/65/127 all exercise partially
-            // dead words (and 513 a one-lane tail chunk). On hosts
-            // without AVX-512 the same shapes run on the portable path.
+            // dead words (and 513 a one-lane tail chunk).
             c.with_lane_width(512)
         })
         .unwrap();
@@ -401,11 +400,10 @@ fn ragged_lane_tails_match_oracle() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The full execution matrix: every lane width (64 = portable scalar
-    /// fallback through 512 = widest SIMD tier) crossed with thread
-    /// counts, on random circuits and lane counts. Widths beyond the
-    /// CPU's SIMD tier run the portable word-group path, so the matrix is
-    /// meaningful on any host.
+    /// The full execution matrix: every lane width (64 through 512)
+    /// crossed with thread counts, on random circuits and lane counts.
+    /// The kernel code is the same on every host, so the matrix means the
+    /// same thing on any of them.
     #[test]
     fn width_by_threads_matrix_matches_oracle(
         seed in any::<u64>(),

@@ -5,8 +5,9 @@
 //! (slot, step), not per lane — so its peak live heap is the returned
 //! lists plus a fraction of them, not several copies: 1.19 × as one
 //! 256-lane chunk, 1.07 × as three 64-lane chunks. The per-lane record
-//! stream this replaced read 3.56 × and 2.21 ×. This file holds one test
-//! only: the counting allocator sees every thread of the process.
+//! stream this replaced read 3.56 × and 2.21 ×. The test checks both
+//! shapes: the host's default width, then lane width 64. This file holds
+//! one test only: the counting allocator sees every thread of the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,24 +95,35 @@ fn batch_peak_heap_is_bounded_by_the_waveforms_it_returns() {
         .collect();
     let cfg = SimConfig::new(end).watch_all(watch);
 
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let batch = CompiledMode::run_batch(&base.netlist, &cfg, &stimuli).unwrap();
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    // The host's default width first, then 64 lanes per word: 192 lanes
+    // as three chunks. Both passes stay in this one test, because the
+    // counting allocator is process-wide and a parallel test would move
+    // the peak.
+    for cfg in [cfg.clone(), cfg.with_lane_width(64)] {
+        let before = LIVE.load(Ordering::Relaxed);
+        PEAK.store(before, Ordering::Relaxed);
+        let batch = CompiledMode::run_batch(&base.netlist, &cfg, &stimuli).unwrap();
+        let peak = PEAK.load(Ordering::Relaxed) - before;
+        let width = batch.metrics.lane_width;
+        if cfg.lane_width == Some(64) {
+            assert_eq!(width, 64, "192 lanes at lane width 64 run as 64-lane chunks");
+        }
 
-    let change = std::mem::size_of::<(Time, Value)>();
-    let returned: usize = batch
-        .lanes
-        .iter()
-        .flat_map(|lane| lane.waveforms())
-        .map(|w| w.num_changes() * change)
-        .sum();
-    // Big enough that the 4 MiB of slack (value arenas, schedules, the
-    // packed logs' own headers) cannot hide a second copy of the result.
-    assert!(returned > 8 << 20, "only {returned} bytes of waveforms came back");
-    assert!(
-        peak <= 2 * returned + (4 << 20),
-        "run_batch peaked at {peak} live heap bytes for {returned} bytes of waveforms ({:.2}x)",
-        peak as f64 / returned as f64
-    );
+        let change = std::mem::size_of::<(Time, Value)>();
+        let returned: usize = batch
+            .lanes
+            .iter()
+            .flat_map(|lane| lane.waveforms())
+            .map(|w| w.num_changes() * change)
+            .sum();
+        // Big enough that the 4 MiB of slack (value arenas, schedules, the
+        // packed logs' own headers) cannot hide a second copy of the result.
+        assert!(returned > 8 << 20, "only {returned} bytes of waveforms came back");
+        assert!(
+            peak <= 2 * returned + (4 << 20),
+            "run_batch at lane width {width} peaked at {peak} live heap bytes for \
+             {returned} bytes of waveforms ({:.2}x)",
+            peak as f64 / returned as f64
+        );
+    }
 }

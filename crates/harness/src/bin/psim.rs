@@ -29,10 +29,10 @@
 //! `--lanes N` (with `--engine compiled`) runs the SIMD batch kernel
 //! with N copies of the base stimulus — a lane-throughput measurement
 //! mode. `--force-lane-width {64,128,256,512}` pins the word-group
-//! width instead of auto-detecting it from the CPU (64 forces the
-//! portable scalar path); it also applies to plain batch runs driven
-//! through the library. The chosen width is reported in the metrics
-//! line and, with `--trace --report`, in the run report.
+//! width instead of taking the host's default (64 runs a 130-lane batch
+//! as three chunks); the kernel code is the same at every width. The
+//! chosen width is reported in the metrics line and, with `--trace
+//! --report`, in the run report.
 //!
 //! Telemetry (always on, no feature flag): `--metrics-out OUT.prom`
 //! writes the final registry as Prometheus text-format 0.0.4 (self-

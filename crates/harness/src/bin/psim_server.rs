@@ -19,7 +19,7 @@ use std::sync::Arc;
 use parsim_server::{HttpServer, InProcTransport, Server, ServerConfig, Transport};
 
 const USAGE: &str = "usage: psim-server [--addr HOST:PORT] [--threads N] [--max-lanes N] \
-[--segment-ticks N] [--cache-capacity N] [--quota N] [--force-lane-width 64|128|256|512]
+[--segment-ticks N] [--cache-capacity N] [--quota N]
   --threads N         workers per compiled pass; a lone unit-delay job runs event-driven on the scheduler thread
   --cache-capacity N  circuits kept (parsed netlist + compiled program each), least recently used evicted";
 
@@ -64,15 +64,6 @@ fn parse_args() -> Result<Option<Options>, String> {
                 if opts.config.tenant_quota == 0 {
                     return Err("--quota must be at least 1".to_string());
                 }
-            }
-            "--force-lane-width" => {
-                let w = parse("--force-lane-width", value("--force-lane-width")?)?;
-                if ![64, 128, 256, 512].contains(&w) {
-                    return Err(format!(
-                        "--force-lane-width must be one of 64, 128, 256, 512 (got {w})"
-                    ));
-                }
-                opts.config.lane_width = Some(w);
             }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}`")),

@@ -10,8 +10,10 @@
 //!   gates, sequential elements, RTL/functional blocks (adders, multipliers),
 //!   and signal generators,
 //! - [`evaluate`]: the single evaluation kernel shared by all four simulation
-//!   engines, and
-//! - [`Time`]/[`Delay`]: simulation time arithmetic.
+//!   engines,
+//! - [`Time`]/[`Delay`]: simulation time arithmetic, and
+//! - [`wide`]: the bit-plane kernels that evaluate `64·W` stimulus lanes
+//!   per word group for the batch engine.
 //!
 //! # Examples
 //!
@@ -24,9 +26,10 @@
 //! assert_eq!(out.get(0), Value::bit(false));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod eval;
 mod kind;
-pub mod packed;
 mod time;
 mod value;
 pub mod wide;

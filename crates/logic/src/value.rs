@@ -224,7 +224,7 @@ impl Value {
     /// Plane `a` is set for `1` and `X` bits, plane `b` for `Z` and `X`
     /// bits. Together with [`Value::from_planes`] this is the bridge
     /// between scalar values and the word-parallel bit-plane kernels in
-    /// [`packed`](crate::packed).
+    /// [`wide`](crate::wide).
     #[inline]
     pub fn to_planes(&self) -> (u64, u64) {
         (self.a, self.b)

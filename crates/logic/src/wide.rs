@@ -1,32 +1,29 @@
-//! Width-generic bit-plane lane kernels: `64·W` stimulus lanes per word.
+//! Bit-plane lane kernels: `64·W` stimulus lanes per word group.
 //!
-//! [`packed`](crate::packed) fixes the lane word at one `u64` per plane
-//! (64 lanes). This module generalizes the same two-plane encoding to
-//! [`WideLanes<W>`]: `W` consecutive `u64` words per plane, giving
-//! 64/128/256/512 lanes for `W` ∈ {1, 2, 4, 8}. Every kernel here is
-//! *bit-identical* per lane to [`evaluate`](crate::evaluate) — the wide
-//! compiled-mode batch engine in `parsim-core` relies on that equivalence
-//! exactly as it does for the 64-lane kernels.
+//! A [`Value`] stores one logic vector as two planes `(a, b)` with one bit
+//! per *vector bit*. This module transposes that layout: a
+//! [`WideLanes<W>`] holds one *vector bit* across `64·W` independent
+//! simulations, as `W` consecutive `u64` words per plane (64/128/256/512
+//! lanes for `W` ∈ {1, 2, 4, 8}), so a node of width `w` is `w`
+//! consecutive `WideLanes`. Four-state logic then evaluates as plain
+//! word-wide boolean algebra. Every kernel here is *bit-identical* per
+//! lane to [`evaluate`](crate::evaluate); the compiled-mode batch engine
+//! in `parsim-core` relies on that, and the tests check it exhaustively
+//! for one-bit operands at `W = 1` and `W = 8`, and on random wide
+//! operands at every `W`.
 //!
-//! Lane masks generalize from `u64` to [`LaneMask<W>`] (`[u64; W]`, word
-//! `l / 64`, bit `l % 64` for lane `l`), so a batch whose lane count is
-//! not a multiple of the word width simply masks the ragged tail.
+//! Lane masks are [`LaneMask<W>`] (`[u64; W]`, word `l / 64`, bit
+//! `l % 64` for lane `l`), so a batch whose lane count is not a multiple
+//! of the word width simply masks the ragged tail.
 //!
-//! # SIMD dispatch
+//! The kernels are one set of `[u64; W]` loops with `W` fixed at compile
+//! time; the compiler vectorizes them for the target it builds for. There
+//! is no hand-written intrinsic path and no runtime dispatch: the batch
+//! kernel is bound by memory latency on its tables and value arena, not by
+//! word ops (DESIGN.md §11.1). [`simd_level`] probes the CPU only to pick
+//! the default chunk width ([`native_lane_width`]) and to name the host.
 //!
-//! The hot combinational kernels ([`load_logic`], [`fold_and`],
-//! [`fold_or`], [`fold_xor`], [`not_inplace`]) have explicit
-//! `core::arch::x86_64` implementations — SSE2 for `W = 2`, AVX2 for
-//! `W = 4`, AVX-512F for `W = 8` — selected once per process by
-//! [`simd_level`] (`is_x86_feature_detected!`, cached). The portable
-//! `[u64; W]` loops in [`portable`] are always compiled and always
-//! correct; intrinsics are a pure codegen upgrade, never a semantic
-//! fork, and `PARSIM_FORCE_PORTABLE=1` pins the portable path for A/B
-//! testing. Sequential/mux kernels interleave mask words with plane
-//! words and stay portable (LLVM vectorizes the fixed-`W` loops well).
-//!
-//! Encoding per lane (same convention as [`Value`] and
-//! [`Lanes`](crate::packed::Lanes)):
+//! Encoding per lane (same two-plane convention as [`Value`]):
 //!
 //! | state | a | b |
 //! |-------|---|---|
@@ -308,257 +305,89 @@ pub fn broadcast<const W: usize>(dst: &mut [WideLanes<W>], v: &Value) {
 }
 
 // ---------------------------------------------------------------------------
-// Portable kernels. Always compiled, always the semantic reference; the
-// dispatched entry points below fall back here whenever no intrinsic
-// implementation applies.
+// Gate kernels. All gate inputs pass through the logic view first, exactly
+// like `fold_logic` in the scalar evaluator: Z participates as X.
 // ---------------------------------------------------------------------------
 
-/// The portable `[u64; W]` implementations of the dispatched kernels.
-///
-/// Exposed so tests (and the `PARSIM_FORCE_PORTABLE` CI leg) can compare
-/// the intrinsic paths against these word-loop references directly.
-pub mod portable {
-    use super::{LaneMask, WideLanes};
-
-    /// `out = src.to_logic()` — the first fold step and the `Buf` kernel.
-    #[inline]
-    pub fn load_logic<const W: usize>(out: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        debug_assert_eq!(out.len(), src.len());
-        for (o, s) in out.iter_mut().zip(src) {
-            *o = s.to_logic();
-        }
+/// `out = src.to_logic()` — the first fold step and the `Buf` kernel.
+#[inline]
+pub fn load_logic<const W: usize>(out: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
+    debug_assert_eq!(out.len(), src.len());
+    for (o, s) in out.iter_mut().zip(src) {
+        *o = s.to_logic();
     }
+}
 
-    /// `acc = acc AND src.to_logic()` (acc already a logic view).
-    #[inline]
-    pub fn fold_and<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        debug_assert_eq!(acc.len(), src.len());
-        for (a, s) in acc.iter_mut().zip(src) {
-            let s = s.to_logic();
-            let zeros = join(a.k0(), s.k0(), |x, y| x | y);
-            let ones = join(a.k1(), s.k1(), |x, y| x & y);
-            *a = WideLanes::from_masks(zeros, ones);
-        }
+/// `acc = acc AND src.to_logic()` (acc already a logic view).
+#[inline]
+pub fn fold_and<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
+    debug_assert_eq!(acc.len(), src.len());
+    for (a, s) in acc.iter_mut().zip(src) {
+        let s = s.to_logic();
+        let zeros = join(a.k0(), s.k0(), |x, y| x | y);
+        let ones = join(a.k1(), s.k1(), |x, y| x & y);
+        *a = WideLanes::from_masks(zeros, ones);
     }
+}
 
-    /// `acc = acc OR src.to_logic()` (acc already a logic view).
-    #[inline]
-    pub fn fold_or<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        debug_assert_eq!(acc.len(), src.len());
-        for (a, s) in acc.iter_mut().zip(src) {
-            let s = s.to_logic();
-            let zeros = join(a.k0(), s.k0(), |x, y| x & y);
-            let ones = join(a.k1(), s.k1(), |x, y| x | y);
-            *a = WideLanes::from_masks(zeros, ones);
-        }
+/// `acc = acc OR src.to_logic()` (acc already a logic view).
+#[inline]
+pub fn fold_or<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
+    debug_assert_eq!(acc.len(), src.len());
+    for (a, s) in acc.iter_mut().zip(src) {
+        let s = s.to_logic();
+        let zeros = join(a.k0(), s.k0(), |x, y| x & y);
+        let ones = join(a.k1(), s.k1(), |x, y| x | y);
+        *a = WideLanes::from_masks(zeros, ones);
     }
+}
 
-    /// `acc = acc XOR src.to_logic()` (acc already a logic view).
-    #[inline]
-    pub fn fold_xor<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        debug_assert_eq!(acc.len(), src.len());
-        for (a, s) in acc.iter_mut().zip(src) {
-            let s = s.to_logic();
-            let mut zeros = [0u64; W];
-            let mut ones = [0u64; W];
-            for w in 0..W {
-                let known = !a.b[w] & !s.b[w];
-                ones[w] = (a.a[w] ^ s.a[w]) & known;
-                zeros[w] = known & !ones[w];
-            }
-            *a = WideLanes::from_masks(zeros, ones);
-        }
-    }
-
-    /// Four-state complement in place; mirrors [`Value::not`] per lane.
-    ///
-    /// [`Value::not`]: crate::Value::not
-    #[inline]
-    pub fn not_inplace<const W: usize>(v: &mut [WideLanes<W>]) {
-        for l in v.iter_mut() {
-            *l = WideLanes::from_masks(l.k1(), l.k0());
-        }
-    }
-
-    #[inline(always)]
-    fn join<const W: usize>(
-        x: LaneMask<W>,
-        y: LaneMask<W>,
-        f: impl Fn(u64, u64) -> u64,
-    ) -> LaneMask<W> {
-        let mut m = [0u64; W];
+/// `acc = acc XOR src.to_logic()` (acc already a logic view).
+#[inline]
+pub fn fold_xor<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
+    debug_assert_eq!(acc.len(), src.len());
+    for (a, s) in acc.iter_mut().zip(src) {
+        let s = s.to_logic();
+        let mut zeros = [0u64; W];
+        let mut ones = [0u64; W];
         for w in 0..W {
-            m[w] = f(x[w], y[w]);
+            let known = !a.b[w] & !s.b[w];
+            ones[w] = (a.a[w] ^ s.a[w]) & known;
+            zeros[w] = known & !ones[w];
         }
-        m
+        *a = WideLanes::from_masks(zeros, ones);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Runtime SIMD detection.
-// ---------------------------------------------------------------------------
-
-/// The widest intrinsic tier the running CPU supports.
-///
-/// Ordered: every tier implies the ones below it, so dispatch tests use
-/// `>=`. [`SimdLevel::lane_width`] is the natural word width of the tier
-/// — the lane count the batch engine packs per chunk word by default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SimdLevel {
-    /// Portable `u64` words only (also forced by `PARSIM_FORCE_PORTABLE`).
-    Scalar,
-    /// 128-bit `core::arch` path (`W = 2`).
-    Sse2,
-    /// 256-bit `core::arch` path (`W = 4`).
-    Avx2,
-    /// 512-bit `core::arch` path (`W = 8`).
-    Avx512,
-}
-
-impl SimdLevel {
-    /// The stimulus-lane count of this tier's natural word.
-    pub fn lane_width(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 64,
-            SimdLevel::Sse2 => 128,
-            SimdLevel::Avx2 => 256,
-            SimdLevel::Avx512 => 512,
-        }
-    }
-
-    /// Short human/JSON-friendly name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "u64",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
-        }
-    }
-}
-
-/// Detects (once, cached) the intrinsic tier to dispatch to.
-///
-/// Setting `PARSIM_FORCE_PORTABLE` to anything but `0`/empty pins
-/// [`SimdLevel::Scalar`], so the portable word loops serve every width —
-/// the CI leg for hosts without AVX uses this together with
-/// `PARSIM_FORCE_LANE_WIDTH=64`.
-pub fn simd_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(detect_simd_level)
-}
-
-fn detect_simd_level() -> SimdLevel {
-    if std::env::var("PARSIM_FORCE_PORTABLE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-    {
-        return SimdLevel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return SimdLevel::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") {
-            return SimdLevel::Avx2;
-        }
-        if is_x86_feature_detected!("sse2") {
-            return SimdLevel::Sse2;
-        }
-    }
-    SimdLevel::Scalar
-}
-
-/// The widest lane count one kernel word evaluates on this host:
-/// [`simd_level`]`().lane_width()`.
-pub fn native_lane_width() -> usize {
-    simd_level().lane_width()
-}
-
-// ---------------------------------------------------------------------------
-// Dispatched kernels: intrinsic when (W, detected tier) line up, portable
-// otherwise. `W` is a compile-time constant, so each monomorphization
-// keeps exactly one live branch plus the cached-level test.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn cast<const A: usize, const B: usize>(s: &[WideLanes<A>]) -> &[WideLanes<B>] {
-    assert_eq!(A, B);
-    // SAFETY: A == B, so WideLanes<A> and WideLanes<B> are the same type.
-    unsafe { std::slice::from_raw_parts(s.as_ptr().cast(), s.len()) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn cast_mut<const A: usize, const B: usize>(s: &mut [WideLanes<A>]) -> &mut [WideLanes<B>] {
-    assert_eq!(A, B);
-    // SAFETY: A == B, so WideLanes<A> and WideLanes<B> are the same type.
-    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast(), s.len()) }
-}
-
-macro_rules! dispatch_binary {
-    ($name:ident, $sse2:ident, $avx2:ident, $avx512:ident) => {
-        #[doc = concat!(
-            "Dispatched [`portable::", stringify!($name),
-            "`]: intrinsic path when the width matches the detected tier."
-        )]
-        #[inline]
-        pub fn $name<const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if W == 2 && simd_level() >= SimdLevel::Sse2 {
-                    // SAFETY: tier checked at runtime just above.
-                    return unsafe { simd::$sse2(cast_mut::<W, 2>(acc), cast::<W, 2>(src)) };
-                }
-                if W == 4 && simd_level() >= SimdLevel::Avx2 {
-                    // SAFETY: tier checked at runtime just above.
-                    return unsafe { simd::$avx2(cast_mut::<W, 4>(acc), cast::<W, 4>(src)) };
-                }
-                if W == 8 && simd_level() >= SimdLevel::Avx512 {
-                    // SAFETY: tier checked at runtime just above.
-                    return unsafe { simd::$avx512(cast_mut::<W, 8>(acc), cast::<W, 8>(src)) };
-                }
-            }
-            portable::$name(acc, src);
-        }
-    };
-}
-
-dispatch_binary!(load_logic, load_logic_sse2, load_logic_avx2, load_logic_avx512);
-dispatch_binary!(fold_and, fold_and_sse2, fold_and_avx2, fold_and_avx512);
-dispatch_binary!(fold_or, fold_or_sse2, fold_or_avx2, fold_or_avx512);
-dispatch_binary!(fold_xor, fold_xor_sse2, fold_xor_avx2, fold_xor_avx512);
-
-/// Dispatched [`portable::not_inplace`]: intrinsic path when the width
-/// matches the detected tier.
+/// Four-state complement in place; mirrors [`Value::not`] per lane.
 #[inline]
 pub fn not_inplace<const W: usize>(v: &mut [WideLanes<W>]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if W == 2 && simd_level() >= SimdLevel::Sse2 {
-            // SAFETY: tier checked at runtime just above.
-            return unsafe { simd::not_inplace_sse2(cast_mut::<W, 2>(v)) };
-        }
-        if W == 4 && simd_level() >= SimdLevel::Avx2 {
-            // SAFETY: tier checked at runtime just above.
-            return unsafe { simd::not_inplace_avx2(cast_mut::<W, 4>(v)) };
-        }
-        if W == 8 && simd_level() >= SimdLevel::Avx512 {
-            // SAFETY: tier checked at runtime just above.
-            return unsafe { simd::not_inplace_avx512(cast_mut::<W, 8>(v)) };
-        }
+    for l in v.iter_mut() {
+        *l = WideLanes::from_masks(l.k1(), l.k0());
     }
-    portable::not_inplace(v);
+}
+
+#[inline(always)]
+fn join<const W: usize>(
+    x: LaneMask<W>,
+    y: LaneMask<W>,
+    f: impl Fn(u64, u64) -> u64,
+) -> LaneMask<W> {
+    let mut m = [0u64; W];
+    for w in 0..W {
+        m[w] = f(x[w], y[w]);
+    }
+    m
 }
 
 // ---------------------------------------------------------------------------
-// Mux / sequential kernels (portable only: they interleave lane masks
-// with plane words, and run far less often than the fold kernels).
+// Mux / sequential kernels. These mirror the corresponding arms of
+// `evaluate` exactly, including the X-merge rules.
 // ---------------------------------------------------------------------------
 
-/// 2:1 mux; mirrors [`packed::mux`](crate::packed::mux) at width `W`.
+/// 2:1 mux: `sel == 0` picks `a` verbatim, `sel == 1` picks `b` verbatim;
+/// unknown select passes the operands through only where they agree on the
+/// whole vector, else `X`.
 #[inline]
 pub fn mux<const W: usize>(
     out: &mut [WideLanes<W>],
@@ -583,13 +412,15 @@ pub fn mux<const W: usize>(
 }
 
 /// Lanes where `(prev, now)` is a rising edge: previous clock a known 0
-/// and current clock a known 1.
+/// and current clock a known 1 — the raw-view rule of
+/// [`Value::is_rising_edge`].
 #[inline]
 pub fn rising_mask<const W: usize>(prev: WideLanes<W>, now: WideLanes<W>) -> LaneMask<W> {
     mask_and(&prev.k0(), &now.k1())
 }
 
-/// D flip-flop step; mirrors [`packed::dff`](crate::packed::dff).
+/// D flip-flop step: captures `d` into `q` on rising-edge lanes and records
+/// the clock. The caller copies `q` out afterwards.
 #[inline]
 pub fn dff<const W: usize>(
     q: &mut [WideLanes<W>],
@@ -605,8 +436,9 @@ pub fn dff<const W: usize>(
     *last_clk = clk;
 }
 
-/// D flip-flop with synchronous reset; mirrors
-/// [`packed::dffr`](crate::packed::dffr).
+/// D flip-flop with synchronous reset: a known-1 reset forces `q` to zero,
+/// a rising edge with known-0 reset captures `d`, and an unknown reset
+/// holds (no capture, no clear) — matching the `DffR` arm of `evaluate`.
 #[inline]
 pub fn dffr<const W: usize>(
     q: &mut [WideLanes<W>],
@@ -629,7 +461,9 @@ pub fn dffr<const W: usize>(
     *last_clk = clk;
 }
 
-/// Transparent latch step; mirrors [`packed::latch`](crate::packed::latch).
+/// Transparent latch step: known-1 enable is transparent, known-0 holds,
+/// unknown enable holds only if `q` already equals `d` (else `q` poisons to
+/// `X`), matching the `Latch` arm of `evaluate`.
 #[inline]
 pub fn latch<const W: usize>(q: &mut [WideLanes<W>], en: WideLanes<W>, d: &[WideLanes<W>]) {
     debug_assert_eq!(q.len(), d.len());
@@ -647,7 +481,8 @@ pub fn latch<const W: usize>(q: &mut [WideLanes<W>], en: WideLanes<W>, d: &[Wide
     }
 }
 
-/// Tri-state buffer; mirrors [`packed::tribuf`](crate::packed::tribuf).
+/// Tri-state buffer: known-1 enable passes `d` verbatim, known-0 releases
+/// to `Z`, unknown enable outputs `X`.
 #[inline]
 pub fn tribuf<const W: usize>(out: &mut [WideLanes<W>], en: WideLanes<W>, d: &[WideLanes<W>]) {
     debug_assert_eq!(out.len(), d.len());
@@ -664,243 +499,78 @@ pub fn tribuf<const W: usize>(out: &mut [WideLanes<W>], en: WideLanes<W>, d: &[W
 }
 
 // ---------------------------------------------------------------------------
-// Explicit core::arch implementations of the hot kernels, one tier per
-// supported width. The generic bodies are written once against a tiny
-// vector-ops trait; the `#[target_feature]` wrappers monomorphize them
-// inside a feature-enabled context so every helper inlines to raw SIMD.
+// CPU probe. It selects no code path: the kernels above are the same on
+// every host. It picks the default chunk width and names the host.
 // ---------------------------------------------------------------------------
 
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    #![allow(unsafe_op_in_unsafe_fn)]
+/// The widest x86-64 vector extension the running CPU reports.
+///
+/// This selects no code path; every host runs the same `[u64; W]` kernels.
+/// It does two things: [`SimdLevel::lane_width`] is the lane count the
+/// batch engine packs per chunk word by default ([`native_lane_width`]),
+/// and [`SimdLevel::name`] names the host in benchmark fingerprints.
+/// Ordered: every level implies the ones below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdLevel {
+    /// No vector extension detected (or not x86-64): 64-lane chunks.
+    Scalar,
+    /// SSE2, 128-bit vectors: 128-lane chunks (`W = 2`).
+    Sse2,
+    /// AVX2, 256-bit vectors: 256-lane chunks (`W = 4`).
+    Avx2,
+    /// AVX-512F, 512-bit vectors: 512-lane chunks (`W = 8`).
+    Avx512,
+}
 
-    use super::WideLanes;
-    use core::arch::x86_64::*;
-
-    /// Minimal bitwise vector-ops surface the kernels need. Every method
-    /// is `unsafe` because the intrinsics require their CPU feature; the
-    /// `#[target_feature]` wrapper functions below are the only callers.
-    trait V: Copy {
-        unsafe fn load(p: *const u64) -> Self;
-        unsafe fn store(self, p: *mut u64);
-        unsafe fn and(self, o: Self) -> Self;
-        unsafe fn or(self, o: Self) -> Self;
-        unsafe fn xor(self, o: Self) -> Self;
-        /// `!self & o` (the Intel `andnot` operand order).
-        unsafe fn andnot(self, o: Self) -> Self;
-        unsafe fn ones() -> Self;
-        #[inline(always)]
-        unsafe fn not(self) -> Self {
-            self.xor(Self::ones())
+impl SimdLevel {
+    /// The default chunk width, in stimulus lanes, on a host at this level.
+    pub fn lane_width(self) -> usize {
+        match self {
+            SimdLevel::Scalar => 64,
+            SimdLevel::Sse2 => 128,
+            SimdLevel::Avx2 => 256,
+            SimdLevel::Avx512 => 512,
         }
     }
 
-    #[derive(Clone, Copy)]
-    struct Sse2V(__m128i);
-
-    impl V for Sse2V {
-        #[inline(always)]
-        unsafe fn load(p: *const u64) -> Self {
-            Sse2V(_mm_loadu_si128(p.cast()))
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut u64) {
-            _mm_storeu_si128(p.cast(), self.0)
-        }
-        #[inline(always)]
-        unsafe fn and(self, o: Self) -> Self {
-            Sse2V(_mm_and_si128(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn or(self, o: Self) -> Self {
-            Sse2V(_mm_or_si128(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn xor(self, o: Self) -> Self {
-            Sse2V(_mm_xor_si128(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn andnot(self, o: Self) -> Self {
-            Sse2V(_mm_andnot_si128(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn ones() -> Self {
-            Sse2V(_mm_set1_epi64x(-1))
+    /// Short human/JSON-friendly name.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdLevel::Scalar => "u64",
+            SimdLevel::Sse2 => "sse2",
+            SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
+}
 
-    #[derive(Clone, Copy)]
-    struct Avx2V(__m256i);
+/// Detects (once, cached) the running CPU's [`SimdLevel`]. Selects no
+/// code path.
+pub fn simd_level() -> SimdLevel {
+    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
+    *LEVEL.get_or_init(detect_simd_level)
+}
 
-    impl V for Avx2V {
-        #[inline(always)]
-        unsafe fn load(p: *const u64) -> Self {
-            Avx2V(_mm256_loadu_si256(p.cast()))
+fn detect_simd_level() -> SimdLevel {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return SimdLevel::Avx512;
         }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut u64) {
-            _mm256_storeu_si256(p.cast(), self.0)
+        if is_x86_feature_detected!("avx2") {
+            return SimdLevel::Avx2;
         }
-        #[inline(always)]
-        unsafe fn and(self, o: Self) -> Self {
-            Avx2V(_mm256_and_si256(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn or(self, o: Self) -> Self {
-            Avx2V(_mm256_or_si256(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn xor(self, o: Self) -> Self {
-            Avx2V(_mm256_xor_si256(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn andnot(self, o: Self) -> Self {
-            Avx2V(_mm256_andnot_si256(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn ones() -> Self {
-            Avx2V(_mm256_set1_epi64x(-1))
+        if is_x86_feature_detected!("sse2") {
+            return SimdLevel::Sse2;
         }
     }
+    SimdLevel::Scalar
+}
 
-    #[derive(Clone, Copy)]
-    struct Avx512V(__m512i);
-
-    impl V for Avx512V {
-        #[inline(always)]
-        unsafe fn load(p: *const u64) -> Self {
-            Avx512V(_mm512_loadu_si512(p.cast()))
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut u64) {
-            _mm512_storeu_si512(p.cast(), self.0)
-        }
-        #[inline(always)]
-        unsafe fn and(self, o: Self) -> Self {
-            Avx512V(_mm512_and_si512(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn or(self, o: Self) -> Self {
-            Avx512V(_mm512_or_si512(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn xor(self, o: Self) -> Self {
-            Avx512V(_mm512_xor_si512(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn andnot(self, o: Self) -> Self {
-            Avx512V(_mm512_andnot_si512(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn ones() -> Self {
-            Avx512V(_mm512_set1_epi64(-1))
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn load_logic_impl<T: V, const W: usize>(out: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        for (o, s) in out.iter_mut().zip(src) {
-            let sa = T::load(s.a.as_ptr());
-            let sb = T::load(s.b.as_ptr());
-            sa.or(sb).store(o.a.as_mut_ptr());
-            sb.store(o.b.as_mut_ptr());
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn fold_and_impl<T: V, const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        for (a, s) in acc.iter_mut().zip(src) {
-            let aa = T::load(a.a.as_ptr());
-            let ab = T::load(a.b.as_ptr());
-            let sa = T::load(s.a.as_ptr());
-            let sb = T::load(s.b.as_ptr());
-            let sla = sa.or(sb); // logic-view a of src
-            let zeros = aa.or(ab).not().or(sla.not());
-            let ones = ab.andnot(aa).and(sb.andnot(sla));
-            let unknown = zeros.or(ones).not();
-            ones.or(unknown).store(a.a.as_mut_ptr());
-            unknown.store(a.b.as_mut_ptr());
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn fold_or_impl<T: V, const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        for (a, s) in acc.iter_mut().zip(src) {
-            let aa = T::load(a.a.as_ptr());
-            let ab = T::load(a.b.as_ptr());
-            let sa = T::load(s.a.as_ptr());
-            let sb = T::load(s.b.as_ptr());
-            let sla = sa.or(sb);
-            let zeros = aa.or(ab).not().and(sla.not());
-            let ones = ab.andnot(aa).or(sb.andnot(sla));
-            let unknown = zeros.or(ones).not();
-            ones.or(unknown).store(a.a.as_mut_ptr());
-            unknown.store(a.b.as_mut_ptr());
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn fold_xor_impl<T: V, const W: usize>(acc: &mut [WideLanes<W>], src: &[WideLanes<W>]) {
-        for (a, s) in acc.iter_mut().zip(src) {
-            let aa = T::load(a.a.as_ptr());
-            let ab = T::load(a.b.as_ptr());
-            let sa = T::load(s.a.as_ptr());
-            let sb = T::load(s.b.as_ptr());
-            let sla = sa.or(sb);
-            let known = ab.or(sb).not();
-            let ones = aa.xor(sla).and(known);
-            let nk = known.not();
-            ones.or(nk).store(a.a.as_mut_ptr());
-            nk.store(a.b.as_mut_ptr());
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn not_inplace_impl<T: V, const W: usize>(v: &mut [WideLanes<W>]) {
-        for l in v.iter_mut() {
-            let la = T::load(l.a.as_ptr());
-            let lb = T::load(l.b.as_ptr());
-            // from_masks(k1, k0): new a = (!a & !b) | b, new b unchanged.
-            la.or(lb).not().or(lb).store(l.a.as_mut_ptr());
-        }
-    }
-
-    macro_rules! binary_tiers {
-        ($impl_fn:ident, $sse2:ident, $avx2:ident, $avx512:ident) => {
-            #[target_feature(enable = "sse2")]
-            pub(super) unsafe fn $sse2(acc: &mut [WideLanes<2>], src: &[WideLanes<2>]) {
-                $impl_fn::<Sse2V, 2>(acc, src)
-            }
-            #[target_feature(enable = "avx2")]
-            pub(super) unsafe fn $avx2(acc: &mut [WideLanes<4>], src: &[WideLanes<4>]) {
-                $impl_fn::<Avx2V, 4>(acc, src)
-            }
-            #[target_feature(enable = "avx512f")]
-            pub(super) unsafe fn $avx512(acc: &mut [WideLanes<8>], src: &[WideLanes<8>]) {
-                $impl_fn::<Avx512V, 8>(acc, src)
-            }
-        };
-    }
-
-    binary_tiers!(load_logic_impl, load_logic_sse2, load_logic_avx2, load_logic_avx512);
-    binary_tiers!(fold_and_impl, fold_and_sse2, fold_and_avx2, fold_and_avx512);
-    binary_tiers!(fold_or_impl, fold_or_sse2, fold_or_avx2, fold_or_avx512);
-    binary_tiers!(fold_xor_impl, fold_xor_sse2, fold_xor_avx2, fold_xor_avx512);
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn not_inplace_sse2(v: &mut [WideLanes<2>]) {
-        not_inplace_impl::<Sse2V, 2>(v)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn not_inplace_avx2(v: &mut [WideLanes<4>]) {
-        not_inplace_impl::<Avx2V, 4>(v)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn not_inplace_avx512(v: &mut [WideLanes<8>]) {
-        not_inplace_impl::<Avx512V, 8>(v)
-    }
+/// The default batch chunk width on this host:
+/// [`simd_level`]`().lane_width()`. Selects no code path.
+pub fn native_lane_width() -> usize {
+    simd_level().lane_width()
 }
 
 #[cfg(test)]
@@ -919,8 +589,150 @@ mod tests {
         Value::from_bits(&bits)
     }
 
-    /// Random stimulus in every lane; checks the dispatched kernel, the
-    /// portable kernel, and the scalar evaluator lane by lane.
+    fn bitv(b: Bit) -> Value {
+        Value::from_bits(&[b])
+    }
+
+    /// Load, fold and (for the inverting gates) complement: the kernel
+    /// sequence the batch engine runs for a two-input gate.
+    fn gate<const W: usize>(
+        kind: &ElementKind,
+        xs: &[WideLanes<W>],
+        ys: &[WideLanes<W>],
+    ) -> Vec<WideLanes<W>> {
+        let mut out = vec![WideLanes::<W>::ZERO; xs.len()];
+        load_logic(&mut out, xs);
+        match kind {
+            ElementKind::And | ElementKind::Nand => fold_and(&mut out, ys),
+            ElementKind::Or | ElementKind::Nor => fold_or(&mut out, ys),
+            _ => fold_xor(&mut out, ys),
+        }
+        if matches!(
+            kind,
+            ElementKind::Nand | ElementKind::Nor | ElementKind::Xnor
+        ) {
+            not_inplace(&mut out);
+        }
+        out
+    }
+
+    /// `k` one-bit operands in which lane `l` carries state combination
+    /// `l % 4^k`, so every combination repeats across every word of the
+    /// group. Returns the operands and each lane's scalar inputs.
+    fn every_state_combo<const W: usize>(k: u32) -> (Vec<WideLanes<W>>, Vec<Vec<Value>>) {
+        let mut ops = vec![WideLanes::<W>::ZERO; k as usize];
+        let mut lanes = Vec::new();
+        for lane in 0..64 * W {
+            let combo = lane % 4usize.pow(k);
+            let vals: Vec<Value> = (0..k)
+                .map(|i| bitv(STATES[combo / 4usize.pow(k - 1 - i) % 4]))
+                .collect();
+            for (i, op) in ops.iter_mut().enumerate() {
+                scatter(std::slice::from_mut(op), lane as u32, &vals[i]);
+            }
+            lanes.push(vals);
+        }
+        (ops, lanes)
+    }
+
+    fn check_gates_every_state_pair<const W: usize>() {
+        let (ops, lanes) = every_state_combo::<W>(2);
+        for kind in [
+            ElementKind::And,
+            ElementKind::Nand,
+            ElementKind::Or,
+            ElementKind::Nor,
+            ElementKind::Xor,
+            ElementKind::Xnor,
+        ] {
+            let out = gate(&kind, &ops[..1], &ops[1..]);
+            for (lane, xy) in lanes.iter().enumerate() {
+                let expect = evaluate(&kind, xy, &mut ElemState::None).get(0);
+                assert_eq!(
+                    gather(&out, lane as u32),
+                    expect,
+                    "{kind:?} W={W} lane {lane} ({} op {})",
+                    xy[0],
+                    xy[1]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gates_match_scalar_for_every_state_pair() {
+        check_gates_every_state_pair::<1>();
+        check_gates_every_state_pair::<8>();
+    }
+
+    fn check_unary_every_state<const W: usize>() {
+        let (src, lanes) = every_state_combo::<W>(1);
+        for kind in [ElementKind::Not, ElementKind::Buf] {
+            let mut out = [WideLanes::<W>::ZERO; 1];
+            load_logic(&mut out, &src);
+            if kind == ElementKind::Not {
+                not_inplace(&mut out);
+            }
+            for (lane, x) in lanes.iter().enumerate() {
+                let expect = evaluate(&kind, x, &mut ElemState::None).get(0);
+                assert_eq!(
+                    gather(&out, lane as u32),
+                    expect,
+                    "{kind:?} W={W} on {}",
+                    x[0]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unary_gates_match_scalar_for_every_state() {
+        check_unary_every_state::<1>();
+        check_unary_every_state::<8>();
+    }
+
+    /// Every (select, a, b) state triple, so the X and Z select arms and
+    /// both of their agree/disagree cases are all hit; and every
+    /// (enable, d) pair of the tri-state buffer.
+    fn check_mux_tribuf_every_state<const W: usize>() {
+        let (ops, lanes) = every_state_combo::<W>(3);
+        let mut out = [WideLanes::<W>::ZERO; 1];
+        mux(&mut out, ops[0], &ops[1..2], &ops[2..]);
+        let mk = ElementKind::Mux { width: 1 };
+        for (lane, sab) in lanes.iter().enumerate() {
+            let expect = evaluate(&mk, sab, &mut ElemState::None).get(0);
+            assert_eq!(
+                gather(&out, lane as u32),
+                expect,
+                "mux W={W} sel {} a {} b {}",
+                sab[0],
+                sab[1],
+                sab[2]
+            );
+        }
+        let (ops, lanes) = every_state_combo::<W>(2);
+        tribuf(&mut out, ops[0], &ops[1..]);
+        let tk = ElementKind::TriBuf { width: 1 };
+        for (lane, ed) in lanes.iter().enumerate() {
+            let expect = evaluate(&tk, ed, &mut ElemState::None).get(0);
+            assert_eq!(
+                gather(&out, lane as u32),
+                expect,
+                "tribuf W={W} en {} d {}",
+                ed[0],
+                ed[1]
+            );
+        }
+    }
+
+    #[test]
+    fn mux_and_tribuf_match_scalar_for_every_state() {
+        check_mux_tribuf_every_state::<1>();
+        check_mux_tribuf_every_state::<8>();
+    }
+
+    /// Random multi-bit stimulus in every lane, checked against the scalar
+    /// evaluator lane by lane.
     fn check_gate_all_lanes<const W: usize>(kind: ElementKind, seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let w = 5usize;
@@ -934,43 +746,11 @@ mod tests {
             scatter(&mut ys, lane, &y);
             scalar.push((x, y));
         }
-        let run = |portable_only: bool| -> Vec<WideLanes<W>> {
-            let mut out = vec![WideLanes::<W>::ZERO; w];
-            if portable_only {
-                portable::load_logic(&mut out, &xs);
-            } else {
-                load_logic(&mut out, &xs);
-            }
-            match (&kind, portable_only) {
-                (ElementKind::And | ElementKind::Nand, true) => portable::fold_and(&mut out, &ys),
-                (ElementKind::And | ElementKind::Nand, false) => fold_and(&mut out, &ys),
-                (ElementKind::Or | ElementKind::Nor, true) => portable::fold_or(&mut out, &ys),
-                (ElementKind::Or | ElementKind::Nor, false) => fold_or(&mut out, &ys),
-                (_, true) => portable::fold_xor(&mut out, &ys),
-                (_, false) => fold_xor(&mut out, &ys),
-            }
-            if matches!(
-                kind,
-                ElementKind::Nand | ElementKind::Nor | ElementKind::Xnor
-            ) {
-                if portable_only {
-                    portable::not_inplace(&mut out);
-                } else {
-                    not_inplace(&mut out);
-                }
-            }
-            out
-        };
-        let dispatched = run(false);
-        let reference = run(true);
-        assert_eq!(
-            dispatched, reference,
-            "{kind:?} W={W}: dispatched != portable"
-        );
+        let out = gate(&kind, &xs, &ys);
         for (lane, (x, y)) in scalar.iter().enumerate() {
             let expect = evaluate(&kind, &[*x, *y], &mut ElemState::None).get(0);
             assert_eq!(
-                gather(&dispatched, lane as u32),
+                gather(&out, lane as u32),
                 expect,
                 "{kind:?} W={W} lane {lane}"
             );
@@ -994,6 +774,9 @@ mod tests {
         }
     }
 
+    /// 200 steps of random clock, reset and data in every lane through
+    /// the dff, dffr and latch kernels, checked against one scalar
+    /// evaluator state per lane after every step.
     fn check_seq_all_lanes<const W: usize>(seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let w = 3usize;
@@ -1007,14 +790,14 @@ mod tests {
             let mut last_clk = WideLanes::<W>::X;
             let mut states: Vec<ElemState> =
                 (0..lanes).map(|_| ElemState::init(&kind)).collect();
-            for _step in 0..60 {
+            for _step in 0..200 {
                 let mut clks = [WideLanes::<W>::ZERO; 1];
                 let mut rsts = [WideLanes::<W>::ZERO; 1];
                 let mut ds = vec![WideLanes::<W>::ZERO; w];
                 let mut scalar = Vec::new();
                 for lane in 0..lanes as u32 {
-                    let c = Value::from_bits(&[STATES[rng.gen_range(0..4)]]);
-                    let r = Value::from_bits(&[STATES[rng.gen_range(0..4)]]);
+                    let c = bitv(STATES[rng.gen_range(0..4)]);
+                    let r = bitv(STATES[rng.gen_range(0..4)]);
                     let d = rand_value(&mut rng, w as u8);
                     scatter(&mut clks, lane, &c);
                     scatter(&mut rsts, lane, &r);
@@ -1062,7 +845,7 @@ mod tests {
             let mut bvs = vec![WideLanes::<W>::ZERO; w];
             let mut scalar = Vec::new();
             for lane in 0..lanes as u32 {
-                let s = Value::from_bits(&[STATES[rng.gen_range(0..4)]]);
+                let s = bitv(STATES[rng.gen_range(0..4)]);
                 let a = rand_value(&mut rng, w as u8);
                 let b = if rng.gen_bool(0.4) {
                     a
@@ -1129,38 +912,6 @@ mod tests {
         check_scatter_gather::<2>();
         check_scatter_gather::<4>();
         check_scatter_gather::<8>();
-    }
-
-    #[test]
-    fn wide_matches_packed_at_w1() {
-        // WideLanes<1> and packed::Lanes implement the same kernels; spot
-        // check them against each other on random operands.
-        use crate::packed;
-        let mut rng = SmallRng::seed_from_u64(59);
-        let w = 6usize;
-        let mut xs_w = vec![WideLanes::<1>::ZERO; w];
-        let mut ys_w = vec![WideLanes::<1>::ZERO; w];
-        let mut xs_p = vec![packed::Lanes::ZERO; w];
-        let mut ys_p = vec![packed::Lanes::ZERO; w];
-        for lane in 0..64u32 {
-            let x = rand_value(&mut rng, w as u8);
-            let y = rand_value(&mut rng, w as u8);
-            scatter(&mut xs_w, lane, &x);
-            scatter(&mut ys_w, lane, &y);
-            packed::scatter(&mut xs_p, lane, &x);
-            packed::scatter(&mut ys_p, lane, &y);
-        }
-        let mut out_w = vec![WideLanes::<1>::ZERO; w];
-        load_logic(&mut out_w, &xs_w);
-        fold_and(&mut out_w, &ys_w);
-        not_inplace(&mut out_w);
-        let mut out_p = vec![packed::Lanes::ZERO; w];
-        packed::load_logic(&mut out_p, &xs_p);
-        packed::fold_and(&mut out_p, &ys_p);
-        packed::not_inplace(&mut out_p);
-        for lane in 0..64u32 {
-            assert_eq!(gather(&out_w, lane), packed::gather(&out_p, lane));
-        }
     }
 
     #[test]

@@ -63,8 +63,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Most queued-or-running jobs one tenant may hold.
     pub tenant_quota: usize,
-    /// Forced SIMD lane width (64/128/256/512), `None` = native.
-    pub lane_width: Option<usize>,
     /// Start with dispatch paused (tests use this to pack a bin before
     /// the first pass). [`Server::resume`] unblocks.
     pub start_paused: bool,
@@ -78,7 +76,6 @@ impl Default for ServerConfig {
             segment_ticks: 0,
             cache_capacity: 8,
             tenant_quota: 4,
-            lane_width: None,
             start_paused: false,
         }
     }
@@ -510,9 +507,6 @@ fn pass_config(inner: &Inner, members: &[(JobId, JobSpec)]) -> (SimConfig, Time)
     let mut cfg = SimConfig::new(end)
         .watch_all(watch)
         .threads(inner.config.threads.max(1));
-    if let Some(w) = inner.config.lane_width {
-        cfg = cfg.with_lane_width(w);
-    }
     let budgets: Vec<Option<Duration>> = members.iter().map(|(_, s)| s.deadline).collect();
     if budgets.iter().all(|b| b.is_some()) {
         if let Some(widest) = budgets.into_iter().flatten().max() {

@@ -4,13 +4,13 @@
 
 use parsim::circuits::{
     functional_multiplier, gate_multiplier, inverter_array, pipelined_cpu, random_circuit,
-    RandomCircuitParams,
+    GateMultiplier, RandomCircuitParams,
 };
 use parsim::engine::{
     assert_equivalent, checkpoint, ChaoticAsync, CompiledMode, EngineKind, EventDriven, FaultPlan,
-    SimConfig, StorageFault, SyncEventDriven,
+    LaneStimulus, SimConfig, StorageFault, SyncEventDriven,
 };
-use parsim::logic::Time;
+use parsim::logic::{expand_generator, ElementKind, Time, Value};
 use parsim::machine::{model_async, model_seq, model_sync, trace_execution, MachineConfig};
 use parsim::netlist::Netlist;
 
@@ -177,8 +177,6 @@ fn all_nodes_vcd_bytes_are_pinned() {
 /// interleaving.
 #[test]
 fn snapshot_bytes_are_pinned() {
-    use parsim::engine::LaneStimulus;
-
     let fnv1a = |bytes: &[u8]| {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -422,7 +420,6 @@ fn metrics_counts_are_pinned() {
 /// standalone `EventDriven` run of a multiplier built with its operands.
 #[test]
 fn server_packs_two_tenants_of_one_text_into_one_oracle_exact_pass() {
-    use parsim::logic::{expand_generator, ElementKind, Value};
     use parsim_server::{InProcTransport, Request, Response, Server, ServerConfig, Transport};
     use parsim_telemetry::ServerCounter;
 
@@ -511,7 +508,6 @@ fn server_packs_two_tenants_of_one_text_into_one_oracle_exact_pass() {
 /// of a multiplier built with its operands gives.
 #[test]
 fn server_runs_a_lone_unit_delay_job_event_driven_without_lowering() {
-    use parsim::logic::{expand_generator, ElementKind, Value};
     use parsim_server::{InProcTransport, Request, Response, Server, ServerConfig, Transport};
     use parsim_telemetry::ServerCounter;
 
@@ -599,30 +595,17 @@ fn server_runs_a_lone_unit_delay_job_event_driven_without_lowering() {
 /// into per-lane lists and the segment stitch all sit under `cargo test`.
 #[test]
 fn batch_lanes_cut_resumed_and_stitched_match_their_oracles_byte_for_byte() {
-    use parsim::engine::LaneStimulus;
-    use parsim::logic::{expand_generator, ElementKind, Value};
-
     const BITS: usize = 4;
     const PERIOD: u64 = 64;
     let operands: [[(u64, u64); 2]; 3] = [[(0, 0), (0, 0)], [(3, 5), (15, 15)], [(9, 7), (2, 12)]];
     let base = gate_multiplier(BITS, &operands[0], PERIOD).unwrap();
     let end = base.schedule_end();
     let cut = Time(PERIOD + 5);
-
-    // A lane's operands as overrides of the base netlist's input
-    // generators: the expansion the engines apply to a `Pattern` of the bit.
-    let drive = |pairs: &[(u64, u64)]| {
-        let mut stim = LaneStimulus::base();
-        for (i, &node) in base.a_inputs.iter().chain(&base.b_inputs).enumerate() {
-            let operand = |&(a, b): &(u64, u64)| if i < BITS { a } else { b };
-            let values: Vec<Value> =
-                pairs.iter().map(|p| Value::bit((operand(p) >> (i % BITS)) & 1 == 1)).collect();
-            let kind = ElementKind::Pattern { period: PERIOD, values: values.into() };
-            stim = stim.drive(node, expand_generator(&kind, end));
-        }
-        stim
-    };
-    let stimuli = [LaneStimulus::base(), drive(&operands[1]), drive(&operands[2])];
+    let stimuli = [
+        LaneStimulus::base(),
+        operand_lane(&base, &operands[1], end),
+        operand_lane(&base, &operands[2], end),
+    ];
 
     let cfg = SimConfig::new(end).watch_all(base.product.iter().copied()).threads(2);
     let (head, snaps) =
@@ -633,11 +616,67 @@ fn batch_lanes_cut_resumed_and_stitched_match_their_oracles_byte_for_byte() {
 
     for ((mut lane, tail), pairs) in head.lanes.into_iter().zip(&tail.lanes).zip(&operands) {
         lane.append_segment(tail);
-        let own = gate_multiplier(BITS, pairs, PERIOD).unwrap();
-        assert_eq!(own.product, base.product);
-        let oracle_cfg = SimConfig::new(end).watch_all(own.product.iter().copied());
-        let oracle = EventDriven::run(&own.netlist, &oracle_cfg).unwrap();
-        assert_eq!(lane.to_vcd(), oracle.to_vcd(), "operands {pairs:?}");
+        assert_eq!(lane.to_vcd(), multiplier_oracle_vcd(&base, pairs), "operands {pairs:?}");
+    }
+}
+
+/// A lane that multiplies `pairs` on `base`'s netlist: overrides of its
+/// operand generators, expanded as the engines expand a `Pattern` of each
+/// bit.
+fn operand_lane(base: &GateMultiplier, pairs: &[(u64, u64)], end: Time) -> LaneStimulus {
+    let bits = base.a_inputs.len();
+    let mut stim = LaneStimulus::base();
+    for (i, &node) in base.a_inputs.iter().chain(&base.b_inputs).enumerate() {
+        let operand = |&(a, b): &(u64, u64)| if i < bits { a } else { b };
+        let values: Vec<Value> =
+            pairs.iter().map(|p| Value::bit((operand(p) >> (i % bits)) & 1 == 1)).collect();
+        let kind = ElementKind::Pattern { period: base.period, values: values.into() };
+        stim = stim.drive(node, expand_generator(&kind, end));
+    }
+    stim
+}
+
+/// The product VCD of an uncut `EventDriven` run of a multiplier shaped
+/// like `base` but built with `pairs`, over `base`'s schedule.
+fn multiplier_oracle_vcd(base: &GateMultiplier, pairs: &[(u64, u64)]) -> String {
+    let own = gate_multiplier(base.a_inputs.len(), pairs, base.period).unwrap();
+    assert_eq!(own.product, base.product);
+    let cfg = SimConfig::new(base.schedule_end()).watch_all(own.product.iter().copied());
+    EventDriven::run(&own.netlist, &cfg).unwrap().to_vcd()
+}
+
+/// The batch kernel at every word width inside tier-1: 130 lanes, each
+/// multiplying its own operands, at lane widths 64, 128, 256 and 512 —
+/// three chunks, two chunks, and one 256-lane word twice (130 lanes need
+/// no wider word). Every lane's VCD is byte-identical at all four widths,
+/// and lanes 0, 64 and 129 (the first lane of the first and second
+/// 64-lane chunks, and the ragged last lane) are byte-equal to
+/// `EventDriven` on a multiplier built with their operands.
+#[test]
+fn batch_lanes_are_byte_identical_at_every_lane_width() {
+    const LANES: u64 = 130;
+    let base = gate_multiplier(4, &[(0, 0); 2], 64).unwrap();
+    let end = base.schedule_end();
+    // Lane `l`'s first pair is (l % 16, l / 16): no two lanes alike.
+    let pairs = |l: u64| [(l % 16, l / 16), (15 - l % 16, (l * 7) % 16)];
+    let stimuli: Vec<LaneStimulus> =
+        (0..LANES).map(|l| operand_lane(&base, &pairs(l), end)).collect();
+    let cfg = SimConfig::new(end).watch_all(base.product.iter().copied()).threads(2);
+
+    let mut runs: Vec<Vec<String>> = Vec::new();
+    for (width, used) in [(64, 64), (128, 128), (256, 256), (512, 256)] {
+        let wide = cfg.clone().with_lane_width(width);
+        let batch = CompiledMode::run_batch(&base.netlist, &wide, &stimuli).unwrap();
+        assert_eq!(batch.metrics.lane_width, used, "lane width {width}");
+        runs.push(batch.lanes.iter().map(|lane| lane.to_vcd()).collect());
+    }
+    for (run, width) in runs.iter().zip([64, 128, 256, 512]).skip(1) {
+        for (lane, vcd) in run.iter().enumerate() {
+            assert_eq!(vcd, &runs[0][lane], "lane {lane} at width {width} vs 64");
+        }
+    }
+    for l in [0, 64, 129] {
+        assert_eq!(runs[0][l as usize], multiplier_oracle_vcd(&base, &pairs(l)), "lane {l}");
     }
 }
 
@@ -646,7 +685,7 @@ fn batch_lanes_cut_resumed_and_stitched_match_their_oracles_byte_for_byte() {
 /// on the same netlist is byte-equal to its oracle.
 #[test]
 fn batch_worker_panic_is_contained_and_the_next_run_is_clean() {
-    use parsim::engine::{LaneStimulus, SimError};
+    use parsim::engine::SimError;
 
     let m = gate_multiplier(4, &[(3, 5), (9, 7)], 64).unwrap();
     let end = m.schedule_end();
