@@ -11,6 +11,18 @@
 //! on bit-plane words), and one step: apply, [`SpinBarrier`], evaluate,
 //! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`].
 //!
+//! Shared-state discipline: between two barriers a worker writes only
+//! cache lines no other worker writes. The scalar executor's slot file is
+//! numbered by writing worker ([`SlotLayout`]): each worker's region of
+//! value slots starts on a fresh line and shares none with another region,
+//! and each worker's instructions read and write it through position lists
+//! fixed when the layout is built. The dirty bits of each worker's blocks
+//! sit in words on lines of their own ([`DirtyMask`]), so the owner's
+//! evaluate-phase `take` touches no line a peer touches in that phase.
+//! Element state is a per-worker `Vec` the worker owns outright. What
+//! crosses workers — a slot value read in the evaluate phase, a dirty mark
+//! set in the apply phase — crosses only at a barrier.
+//!
 //! [`SpinBarrier`]: parsim_queue::SpinBarrier
 //! [`WriteMark::note`]: parsim_queue::WriteMark::note
 //! [`WriteMark::quiet`]: parsim_queue::WriteMark::quiet
@@ -18,10 +30,15 @@
 pub(crate) mod packed;
 pub(crate) mod scalar;
 
+use std::mem::size_of;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use parsim_logic::Value;
 use parsim_netlist::compile::CompiledProgram;
 use parsim_telemetry::{Counter, Gauge, Shard, Tally};
+
+use crate::shared::SharedSlice;
 
 /// Maximum instructions per activity-gating block. Small enough that one
 /// quiescent functional unit is skippable, large enough that the dirty
@@ -37,6 +54,30 @@ pub(crate) struct Block {
     pub hi: u32,
 }
 
+/// Rows of `u32`s in one allocation: row `k` is
+/// `items[start[k]..start[k + 1]]`.
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    fn from_rows<R: IntoIterator<Item = u32>>(rows: impl IntoIterator<Item = R>) -> Csr {
+        let mut start = vec![0];
+        let mut items = Vec::new();
+        for row in rows {
+            items.extend(row);
+            start.push(items.len() as u32);
+        }
+        Csr { start, items }
+    }
+
+    #[inline]
+    fn row(&self, k: usize) -> &[u32] {
+        &self.items[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
 /// A compiled program bound to a thread count through its level-aware
 /// partition ([`CompiledProgram::level_partition`]), the one placement
 /// both executors use.
@@ -46,11 +87,9 @@ pub(crate) struct ExecPlan {
     /// All gating blocks; ids are global across threads.
     pub blocks: Vec<Block>,
     /// Contiguous block-id range owned by each thread.
-    pub thread_blocks: Vec<std::ops::Range<usize>>,
-    /// CSR: blocks reading each slot (`fan_start[slot]..fan_start[slot+1]`
-    /// indexes `fan_blocks`).
-    fan_start: Vec<u32>,
-    fan_blocks: Vec<u32>,
+    pub thread_blocks: Vec<Range<usize>>,
+    /// Slot → blocks reading it.
+    fan: Csr,
 }
 
 impl ExecPlan {
@@ -99,29 +138,25 @@ impl ExecPlan {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let mut fan_start = vec![0u32; prog.num_slots() + 1];
-        for &(slot, _) in &pairs {
-            fan_start[slot as usize + 1] += 1;
-        }
-        for s in 1..fan_start.len() {
-            fan_start[s] += fan_start[s - 1];
-        }
-        let fan_blocks: Vec<u32> = pairs.into_iter().map(|(_, b)| b).collect();
+        let mut rest = &pairs[..];
+        let fan = Csr::from_rows((0..prog.num_slots() as u32).map(|slot| {
+            let (row, tail) = rest.split_at(rest.partition_point(|&(s, _)| s == slot));
+            rest = tail;
+            row.iter().map(|&(_, b)| b)
+        }));
 
         ExecPlan {
             thread_insns,
             blocks,
             thread_blocks,
-            fan_start,
-            fan_blocks,
+            fan,
         }
     }
 
     /// The gating blocks that read `slot`.
     #[inline]
     pub fn fanout(&self, slot: u32) -> &[u32] {
-        &self.fan_blocks[self.fan_start[slot as usize] as usize
-            ..self.fan_start[slot as usize + 1] as usize]
+        self.fan.row(slot as usize)
     }
 
     /// The instructions of block `b`.
@@ -132,44 +167,276 @@ impl ExecPlan {
     }
 }
 
+/// Bytes per cache line: the unit two workers must never both write
+/// between barriers.
+const LINE: usize = 64;
+
+const fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Value slots per slot-file group: the fewest `Value`s that fill whole
+/// cache lines (8 × 24 bytes = 3 lines).
+pub(crate) const GROUP: usize = LINE / gcd(LINE, size_of::<Value>());
+
+/// `GROUP` value slots on whole cache lines, the unit the scalar slot file
+/// is allocated in: a region that starts on a group boundary starts on a
+/// fresh line, and one padded to a boundary keeps its last line to itself.
+#[repr(C, align(64))]
+pub(crate) struct SlotGroup(pub [Value; GROUP]);
+
+const _: () = assert!(std::mem::align_of::<SlotGroup>() == LINE);
+const _: () = assert!(size_of::<SlotGroup>() == GROUP * size_of::<Value>());
+
+/// One worker's instructions, in its [`ExecPlan::thread_insns`] order,
+/// with their slot lists translated into [`SlotLayout`] positions.
+pub(crate) struct WorkerCode {
+    inputs: Csr,
+    outputs: Csr,
+}
+
+impl WorkerCode {
+    /// Input positions of the worker's `k`-th instruction, in port order.
+    #[inline]
+    pub fn inputs(&self, k: usize) -> &[u32] {
+        self.inputs.row(k)
+    }
+
+    /// Output positions of the worker's `k`-th instruction, in port order.
+    #[inline]
+    pub fn outputs(&self, k: usize) -> &[u32] {
+        self.outputs.row(k)
+    }
+}
+
+/// The scalar executor's slot file, numbered by writing worker.
+///
+/// Every program slot gets a *position*. Worker `p`'s region holds the
+/// output slots of its instructions — worker 0's also the generator and
+/// undriven slots — in program-slot order, so locality inside a worker is
+/// the stream's. Each region starts on a [`GROUP`] boundary, and the
+/// positions up to the next region's start are padding nobody touches, so
+/// no cache line of the file holds slots of two writers. The executor
+/// works in positions only; program slots and nodes appear at its edges
+/// (stimulus, watch flags, waveform changes, snapshots).
+pub(crate) struct SlotLayout {
+    /// Position of each program slot.
+    pos: Vec<u32>,
+    /// Program slot at each position; `u32::MAX` marks padding.
+    slot_at: Vec<u32>,
+    /// Each worker's positions, padding excluded.
+    regions: Vec<Range<u32>>,
+    /// Per worker: its instructions' slot lists in positions.
+    code: Vec<WorkerCode>,
+    /// Position → blocks reading it.
+    fan: Csr,
+}
+
+impl SlotLayout {
+    /// Lays out `prog`'s slots for the workers of `plan`.
+    pub fn build(prog: &CompiledProgram, plan: &ExecPlan) -> SlotLayout {
+        let mut writer = vec![0usize; prog.num_slots()];
+        for (p, insns) in plan.thread_insns.iter().enumerate() {
+            for &i in insns {
+                for &slot in prog.outputs(i as usize) {
+                    writer[slot as usize] = p;
+                }
+            }
+        }
+        // Counting sort by writer; each region rounded up to a group.
+        let mut next = vec![0usize; plan.thread_insns.len()];
+        for &w in &writer {
+            next[w] += 1;
+        }
+        let mut len = 0;
+        for first in &mut next {
+            let count = *first;
+            *first = len;
+            len = (len + count).next_multiple_of(GROUP);
+        }
+        let firsts = next.clone();
+        let mut pos = Vec::with_capacity(writer.len());
+        let mut slot_at = vec![u32::MAX; len];
+        for (slot, &w) in writer.iter().enumerate() {
+            pos.push(next[w] as u32);
+            slot_at[next[w]] = slot as u32;
+            next[w] += 1;
+        }
+        let regions = firsts
+            .iter()
+            .zip(&next)
+            .map(|(&a, &b)| a as u32..b as u32)
+            .collect();
+
+        let code = plan
+            .thread_insns
+            .iter()
+            .map(|insns| {
+                let (pos, rows) = (&pos, insns.iter().map(|&i| i as usize));
+                WorkerCode {
+                    inputs: Csr::from_rows(
+                        rows.clone()
+                            .map(|i| prog.inputs(i).iter().map(|&s| pos[s as usize])),
+                    ),
+                    outputs: Csr::from_rows(
+                        rows.map(|i| prog.outputs(i).iter().map(|&s| pos[s as usize])),
+                    ),
+                }
+            })
+            .collect();
+        let fan = Csr::from_rows(slot_at.iter().map(|&slot| {
+            match slot {
+                u32::MAX => &[][..],
+                slot => plan.fanout(slot),
+            }
+            .iter()
+            .copied()
+        }));
+        SlotLayout {
+            pos,
+            slot_at,
+            regions,
+            code,
+            fan,
+        }
+    }
+
+    /// The number of positions, padding included.
+    pub fn positions(&self) -> usize {
+        self.slot_at.len()
+    }
+
+    /// The position of program slot `slot`.
+    #[inline]
+    pub fn pos(&self, slot: u32) -> u32 {
+        self.pos[slot as usize]
+    }
+
+    /// The program slot at position `pos` (never padding for a position
+    /// an instruction list, the stimulus or a pending write names).
+    #[inline]
+    pub fn slot_at(&self, pos: u32) -> u32 {
+        self.slot_at[pos as usize]
+    }
+
+    /// Worker `p`'s positions: the slots it writes.
+    pub fn region(&self, p: usize) -> Range<u32> {
+        self.regions[p].clone()
+    }
+
+    /// Worker `p`'s instructions in positions.
+    #[inline]
+    pub fn code(&self, p: usize) -> &WorkerCode {
+        &self.code[p]
+    }
+
+    /// The gating blocks that read position `pos`.
+    #[inline]
+    pub fn fanout(&self, pos: u32) -> &[u32] {
+        self.fan.row(pos as usize)
+    }
+
+    /// A slot file holding `init(slot)` at each program slot's position
+    /// (padding holds an `X` nobody reads).
+    pub fn slot_file(&self, init: impl Fn(u32) -> Value) -> SharedSlice<SlotGroup> {
+        SharedSlice::from_fn(self.slot_at.len() / GROUP, |g| {
+            SlotGroup(std::array::from_fn(|j| match self.slot_at[g * GROUP + j] {
+                u32::MAX => Value::x(1),
+                slot => init(slot),
+            }))
+        })
+    }
+}
+
+/// Dirty-bit words per cache line.
+const LINE_WORDS: usize = LINE / size_of::<AtomicU64>();
+/// Dirty bits per cache line.
+const LINE_BITS: usize = 64 * LINE_WORDS;
+
+#[repr(C, align(64))]
+struct MaskLine([AtomicU64; LINE_WORDS]);
+
 /// One dirty bit per gating block.
 ///
-/// Bits are *set* (by any thread, via `fetch_or`) during the apply phase
-/// when a feeding slot changes, and *read-and-cleared* only by the owning
-/// thread during the evaluate phase. The post-apply step barrier orders
-/// every mark of a step before every `take` of it, and the post-evaluate
-/// barrier orders every `take` before the next step's marks, so `Relaxed`
-/// ordering suffices. (`crates/queue/tests/model.rs` checks that the
-/// barrier carries a `Relaxed` mark.)
+/// Each worker's blocks have their bits in words on cache lines of their
+/// own, so a worker's `take`s touch no line another worker's `take`s do.
+/// Bits are *set* (by any worker) during the apply phase when a feeding
+/// slot changes, and *read-and-cleared* only by the owning worker during
+/// the evaluate phase; the post-apply step barrier orders every mark of a
+/// step before every `take` of it, and the post-evaluate barrier orders
+/// every `take` before the next step's marks, so `Relaxed` suffices.
+///
+/// `mark` loads first and `fetch_or`s only a clear bit: most marks land on
+/// a block some other input already dirtied, and a load leaves the line
+/// shared where an RMW would pull it over. A bit seen set stays set until
+/// the next evaluate phase, because no `take` runs in an apply phase.
+///
+/// `take` is a load and a plain store, no RMW. That is sound because a
+/// word is taken only by its owner and no `mark` runs in an evaluate
+/// phase: nothing can write the word between the load and the store. (It
+/// would not be with two owners' bits in one word, which the per-worker
+/// lines rule out.) `crates/queue/tests/model.rs` checks this protocol on
+/// the real barrier.
 pub(crate) struct DirtyMask {
-    words: Vec<AtomicU64>,
+    lines: Vec<MaskLine>,
+    /// Bit index of each block: worker `p`'s blocks take consecutive bits
+    /// from the first bit of a line of its own.
+    bit: Vec<u32>,
 }
 
 impl DirtyMask {
     /// All blocks start dirty: every instruction runs at least once.
-    pub fn all_dirty(blocks: usize) -> DirtyMask {
+    /// `thread_blocks` are the workers' block ranges, in ascending order
+    /// and covering `0..blocks` ([`ExecPlan::thread_blocks`]).
+    pub fn all_dirty(thread_blocks: &[Range<usize>]) -> DirtyMask {
+        let mut bit = Vec::new();
+        let mut lines = 0;
+        for blocks in thread_blocks {
+            bit.extend((0..blocks.len()).map(|k| (lines * LINE_BITS + k) as u32));
+            lines += blocks.len().div_ceil(LINE_BITS);
+        }
         DirtyMask {
-            words: (0..blocks.div_ceil(64)).map(|_| AtomicU64::new(!0)).collect(),
+            lines: (0..lines)
+                .map(|_| MaskLine(std::array::from_fn(|_| AtomicU64::new(!0))))
+                .collect(),
+            bit,
         }
     }
 
-    /// Marks block `b` dirty.
+    /// Block `b`'s word and bit.
+    #[inline]
+    fn word(&self, b: u32) -> (&AtomicU64, u64) {
+        let bit = self.bit[b as usize] as usize;
+        (
+            &self.lines[bit / LINE_BITS].0[bit / 64 % LINE_WORDS],
+            1 << (bit % 64),
+        )
+    }
+
+    /// Marks block `b` dirty (apply phase).
     #[inline]
     pub fn mark(&self, b: u32) {
-        self.words[b as usize / 64].fetch_or(1 << (b % 64), Ordering::Relaxed);
+        let (word, bit) = self.word(b);
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
     }
 
-    /// Clears and returns block `b`'s dirty bit (owner thread only).
+    /// Clears and returns block `b`'s dirty bit (owner only, evaluate
+    /// phase).
     #[inline]
     pub fn take(&self, b: u32) -> bool {
-        let word = &self.words[b as usize / 64];
-        let bit = 1u64 << (b % 64);
-        if word.load(Ordering::Relaxed) & bit != 0 {
-            word.fetch_and(!bit, Ordering::Relaxed);
-            true
-        } else {
-            false
+        let (word, bit) = self.word(b);
+        let v = word.load(Ordering::Relaxed);
+        if v & bit == 0 {
+            return false;
         }
+        word.store(v & !bit, Ordering::Relaxed);
+        true
     }
 }
 
@@ -263,12 +530,95 @@ mod tests {
 
     #[test]
     fn dirty_mask_set_take_cycle() {
-        let m = DirtyMask::all_dirty(70);
-        assert!(m.take(0));
-        assert!(!m.take(0));
-        assert!(m.take(69));
-        m.mark(69);
-        assert!(m.take(69));
-        assert!(!m.take(69));
+        // One worker owning all 70 blocks, and three.
+        for cuts in [&[0, 70][..], &[0, 24, 48, 70]] {
+            let workers: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+            let m = DirtyMask::all_dirty(&workers);
+            assert!(m.take(0));
+            assert!(!m.take(0));
+            assert!(m.take(69));
+            m.mark(69);
+            assert!(m.take(69));
+            assert!(!m.take(69));
+            // Two marked bits of one word: taking one keeps the other.
+            for (a, b) in [(5, 6), (30, 31)] {
+                m.take(a);
+                m.take(b);
+                m.mark(a);
+                m.mark(b);
+                m.mark(b);
+                assert!(m.take(a), "{workers:?}: block {a}");
+                assert!(m.take(b), "{workers:?}: block {b} lost with {a}'s take");
+                assert!(!m.take(a) && !m.take(b), "{workers:?}: {a}/{b} still set");
+            }
+        }
+    }
+
+    /// Between barriers no two workers write one cache line: not in the
+    /// slot file (its positions times `size_of::<Value>()`, in an
+    /// allocation of line-aligned `SlotGroup`s), not in the dirty mask (the
+    /// words' addresses). And the layout's position lists name the
+    /// program's own slots.
+    #[test]
+    fn workers_write_disjoint_cache_lines() {
+        use std::collections::BTreeMap;
+
+        let array = parsim_circuits::inverter_array(33, 5, 2).unwrap().netlist;
+        let cpu = parsim_circuits::pipelined_cpu(8, 48).unwrap().netlist;
+        for (name, netlist) in [("array", &array), ("cpu", &cpu)] {
+            let prog = CompiledProgram::compile(netlist);
+            for threads in 1..=3 {
+                let case = format!("{name} x{threads}");
+                let plan = ExecPlan::build(&prog, threads);
+                let layout = SlotLayout::build(&prog, &plan);
+                // A slot's writer drives it; worker 0 applies the rest.
+                let mut writer = vec![0; prog.num_slots()];
+                for (p, insns) in plan.thread_insns.iter().enumerate() {
+                    for &i in insns {
+                        for &slot in prog.outputs(i as usize) {
+                            writer[slot as usize] = p;
+                        }
+                    }
+                }
+                assert_eq!(std::mem::align_of::<SlotGroup>(), LINE);
+                let mut line_writer = BTreeMap::new();
+                for (slot, &w) in writer.iter().enumerate() {
+                    let pos = layout.pos(slot as u32);
+                    assert_eq!(layout.slot_at(pos), slot as u32, "{case}");
+                    assert!(layout.region(w).contains(&pos), "{case}: slot {slot}");
+                    assert_eq!(layout.fanout(pos), plan.fanout(slot as u32), "{case}");
+                    let first = pos as usize * size_of::<Value>();
+                    let last = first + size_of::<Value>() - 1;
+                    for line in first / LINE..=last / LINE {
+                        let owner = *line_writer.entry(line).or_insert(w);
+                        assert_eq!(owner, w, "{case}: slot-file line {line} written by two");
+                    }
+                }
+                let file_bytes = layout.positions() * size_of::<Value>();
+                assert!(file_bytes.is_multiple_of(LINE), "{case}");
+                let writers: std::collections::BTreeSet<_> = line_writer.values().collect();
+                assert_eq!(writers.len(), threads, "{case}: every worker writes");
+                for (p, insns) in plan.thread_insns.iter().enumerate() {
+                    let code = layout.code(p);
+                    for (k, &i) in insns.iter().enumerate() {
+                        let slots = |pos: &[u32]| -> Vec<u32> {
+                            pos.iter().map(|&x| layout.slot_at(x)).collect()
+                        };
+                        assert_eq!(slots(code.inputs(k)), prog.inputs(i as usize), "{case}");
+                        assert_eq!(slots(code.outputs(k)), prog.outputs(i as usize), "{case}");
+                    }
+                }
+
+                let mask = DirtyMask::all_dirty(&plan.thread_blocks);
+                let mut line_owner = BTreeMap::new();
+                for (p, blocks) in plan.thread_blocks.iter().enumerate() {
+                    for b in blocks.clone() {
+                        let addr = mask.word(b as u32).0 as *const AtomicU64 as usize;
+                        let owner = *line_owner.entry(addr / LINE).or_insert(p);
+                        assert_eq!(owner, p, "{case}: dirty-mask line of block {b} shared");
+                    }
+                }
+            }
+        }
     }
 }

@@ -577,7 +577,7 @@ fn run_chunk<const W: usize>(
 
     // Resume restarts with an all-dirty mask (same rationale as scalar:
     // re-evaluating a clean block is idempotent).
-    let dirty = DirtyMask::all_dirty(plan.blocks.len());
+    let dirty = DirtyMask::all_dirty(&plan.thread_blocks);
     let dirty = &dirty;
 
     let barrier = &SpinBarrier::new(threads);

@@ -9,11 +9,18 @@
 //! any worker the loop jumps to the next scheduled stimulus, since nothing
 //! can change in between ([`WriteMark`]).
 //!
-//! Shared-state discipline: a value slot is written only by the thread
-//! owning its driving instruction (plus thread 0 for generator slots)
-//! during the *apply* phase and read by everyone during the *evaluate*
-//! phase; a [`SpinBarrier`] separates the phases. Dirty bits are set during
-//! apply and taken by owners during evaluate under the same barrier edges.
+//! Shared-state discipline: between two barriers a worker writes only
+//! cache lines no other worker writes. A value slot is written only by the
+//! worker owning its driving instruction (plus worker 0 for generator and
+//! undriven slots) during the *apply* phase and read by everyone during the
+//! *evaluate* phase, with a [`SpinBarrier`] between the phases; the slot
+//! file is laid out by writing worker ([`SlotLayout`]), so each worker's
+//! writes land on lines of its own, and the hot loops index it through the
+//! layout's per-worker position lists, never through a remap. Dirty bits
+//! are set during apply and taken by their owner during evaluate, under
+//! the same barrier edges, in words on each owner's own lines
+//! ([`DirtyMask`]). Element state is a `Vec` per worker in its instruction
+//! order, moved into the worker and handed back for the snapshot.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -32,18 +39,29 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::exec::run_workers;
 use crate::fault::FaultAction;
-use crate::kernel::{credit_quiet_steps, DirtyMask, ExecPlan};
-use crate::shared::SharedSlice;
+use crate::kernel::{credit_quiet_steps, DirtyMask, ExecPlan, SlotLayout, GROUP};
 use crate::waveform::SimResult;
 
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "compiled-mode";
 
 /// Per-worker results: waveform changes, the worker's drained trace ring,
-/// and the unapplied pending set the worker held when the segment ended
+/// the unapplied pending set the worker held when the segment ended
 /// (checkpoint capture mode: these are the unit-delay events for
-/// `cut + 1`). Counters travel through the worker's telemetry shard.
-type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<(u32, Value)>);
+/// `cut + 1`, by slot-file position), and the worker's element states.
+/// Counters travel through the worker's telemetry shard.
+type WorkerOutput = (
+    Vec<(Time, NodeId, Value)>,
+    WorkerTracer,
+    Vec<(u32, Value)>,
+    Vec<ElemState>,
+);
+
+/// The slot-file group and index of position `pos`.
+#[inline]
+fn cell(pos: u32) -> (usize, usize) {
+    (pos as usize / GROUP, pos as usize % GROUP)
+}
 
 /// Runs the scalar compiled-mode kernel (whole run).
 pub(crate) fn run(
@@ -66,8 +84,9 @@ pub(crate) fn run(
 /// Compiled mode is unit-delay, so a snapshot at cut `T` is simply: slot
 /// values after the apply phase of step `T`, instruction states after the
 /// evaluate phase of step `T`, and the pending set that evaluate produced
-/// (events for `T + 1`). Resume re-applies that pending set (thread 0,
-/// like generator events) and restarts the step loop at `T + 1` with an
+/// (events for `T + 1`). Resume re-applies that pending set (each event by
+/// the worker whose region holds its slot, like generator events) and
+/// restarts the step loop at `T + 1` with an
 /// all-dirty mask — re-evaluating a clean block is idempotent, so the
 /// conservative mask costs work, never correctness.
 pub(crate) fn run_segment(
@@ -85,25 +104,31 @@ pub(crate) fn run_segment(
 
     let plan = ExecPlan::build(prog, threads);
     let plan = &plan;
+    let layout = SlotLayout::build(prog, plan);
+    let layout = &layout;
+    // Program slots and nodes cross into positions here, at the edges.
+    let pos_of = |node: NodeId| layout.pos(prog.slot_of(node));
+    let node_at = |pos: u32| prog.node_of(layout.slot_at(pos));
 
-    let mut watched = vec![false; prog.num_slots()];
+    let mut watched = vec![false; layout.positions()];
     for &n in &config.watch {
-        watched[prog.slot_of(n) as usize] = true;
+        watched[pos_of(n) as usize] = true;
     }
     let watched = &watched;
 
-    // The segment's stimulus, applied by thread 0 (generators are excluded
-    // from the instruction stream): the generator schedules, then a resume
-    // snapshot's in-flight events, node updates like any other.
+    // The segment's stimulus (generators are excluded from the instruction
+    // stream): the generator schedules, then a resume snapshot's in-flight
+    // events, node updates like any other.
     // `(time, push order, slot, value)`, sorted by the first two (in place:
     // a stable sort's scratch buffer would be the run's peak allocation on
     // a circuit of fast clocks) and walked by a per-worker cursor: every
-    // worker needs the next stimulus time, thread 0 also applies.
+    // worker needs the next stimulus time and applies the events that land
+    // in its region (all of a generator's are worker 0's).
     let mut gen_events: Vec<(u64, u32, u32, Value)> = Vec::new();
     let generators = netlist.generators();
     for &gen in &generators {
         let e = netlist.element(gen);
-        let slot = prog.slot_of(e.outputs()[0]);
+        let slot = pos_of(e.outputs()[0]);
         let events = generator_events(e.kind(), bounds);
         if gen_events.is_empty() {
             // One allocation when the generators are alike (an array of
@@ -119,7 +144,7 @@ pub(crate) fn run_segment(
     // In-flight events past this segment's cut skip straight to the next
     // snapshot.
     let carry = in_flight_events(seg.resume, cut, |t, node, v| {
-        let slot = prog.slot_of(NodeId::from_index(node));
+        let slot = pos_of(NodeId::from_index(node));
         gen_events.push((t, gen_events.len() as u32, slot, v));
         Ok(())
     })?;
@@ -128,16 +153,18 @@ pub(crate) fn run_segment(
 
     let start_state = start_state(netlist, end, seg.resume);
     // Shared slot values: written single-writer during apply phases.
-    let values: SharedSlice<Value> = SharedSlice::from_fn(prog.num_slots(), |s| {
-        start_state.values[prog.node_of(s as u32).index()]
-    });
+    let values = layout.slot_file(|slot| start_state.values[prog.node_of(slot).index()]);
     let values = &values;
-    // Per-instruction state: touched only by the owning thread.
-    let states: SharedSlice<ElemState> = SharedSlice::from_fn(prog.num_insns(), |i| {
-        start_state.elem_states[prog.elem(i)].clone()
-    });
-    let states = &states;
-    let dirty = DirtyMask::all_dirty(plan.blocks.len());
+    // Per-worker element state, in the worker's instruction order.
+    let states: Vec<Vec<ElemState>> = plan
+        .thread_insns
+        .iter()
+        .map(|insns| {
+            let state = |&i: &u32| start_state.elem_states[prog.elem(i as usize)].clone();
+            insns.iter().map(state).collect()
+        })
+        .collect();
+    let dirty = DirtyMask::all_dirty(&plan.thread_blocks);
     let dirty = &dirty;
 
     let barrier = &SpinBarrier::new(threads);
@@ -160,8 +187,10 @@ pub(crate) fn run_segment(
         config,
         &seg.telemetry,
         Some(barrier),
-        vec![(); threads],
-        |p, (), cont| {
+        states,
+        |p, mut states, cont| {
+            let code = layout.code(p);
+            let region = layout.region(p);
             let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
             let mut tr = tracer.worker(p);
             let shard = registry.worker(p);
@@ -185,15 +214,17 @@ pub(crate) fn run_segment(
                 tr.begin(EventKind::PhaseApply, t as u32);
                 // ---- apply phase ----------------------------
                 for &(slot, v) in &pending {
-                    // SAFETY: single writer per slot (driver
-                    // thread), phases separated by barriers.
-                    unsafe { *values.get_mut(slot as usize) = v };
+                    let (g, j) = cell(slot);
+                    // SAFETY: the slot's group lies in this worker's
+                    // region, which only it writes and nobody reads
+                    // during apply; phases are separated by barriers.
+                    unsafe { values.get_mut(g) }.0[j] = v;
                     tally.inc(Counter::EventsProcessed);
                     if watched[slot as usize] {
-                        changes.push((Time(t), prog.node_of(slot), v));
+                        changes.push((Time(t), node_at(slot), v));
                     }
                     if gating {
-                        for &b in plan.fanout(slot) {
+                        for &b in layout.fanout(slot) {
                             dirty.mark(b);
                         }
                     }
@@ -203,20 +234,20 @@ pub(crate) fn run_segment(
                 // what is due is exactly the entries at `t`.
                 while let Some(&(_, _, slot, v)) = gen_events.get(cursor).filter(|ev| ev.0 == t) {
                     cursor += 1;
-                    if p != 0 {
+                    if !region.contains(&slot) {
                         continue;
                     }
-                    // SAFETY: generator slots are only
-                    // written here, by thread 0.
-                    let cur = unsafe { values.get_mut(slot as usize) };
+                    let (g, j) = cell(slot);
+                    // SAFETY: as above, the slot is in this worker's region.
+                    let cur = &mut unsafe { values.get_mut(g) }.0[j];
                     if *cur != v {
                         *cur = v;
                         tally.inc(Counter::EventsProcessed);
                         if watched[slot as usize] {
-                            changes.push((Time(t), prog.node_of(slot), v));
+                            changes.push((Time(t), node_at(slot), v));
                         }
                         if gating {
-                            for &b in plan.fanout(slot) {
+                            for &b in layout.fanout(slot) {
                                 dirty.mark(b);
                             }
                         }
@@ -239,15 +270,16 @@ pub(crate) fn run_segment(
                 let mut step_evals = 0u64;
                 if t < end {
                     for b in plan.thread_blocks[p].clone() {
-                        let insns = plan.block_insns(b);
+                        let block = plan.blocks[b];
+                        let (lo, hi) = (block.lo as usize, block.hi as usize);
                         if gating && !dirty.take(b as u32) {
                             tally.inc(Counter::BlocksSkipped);
-                            tally.add(Counter::EvalsSkipped, insns.len() as u64);
+                            tally.add(Counter::EvalsSkipped, (hi - lo) as u64);
                             tr.instant(EventKind::BlockSkip, b as u32);
                             continue;
                         }
                         tr.instant(EventKind::BlockRun, b as u32);
-                        for &i in insns {
+                        for (k, state) in (lo..hi).zip(&mut states[lo..hi]) {
                             if let FaultAction::Exit =
                                 config.fault.check(p, processed, cont.cancel_flag())
                             {
@@ -258,25 +290,24 @@ pub(crate) fn run_segment(
                             }
                             processed += 1;
                             cont.beat(p);
-                            let i = i as usize;
+                            let i = plan.thread_insns[p][k] as usize;
                             inputs_buf.clear();
-                            for &inp in prog.inputs(i) {
+                            for &inp in code.inputs(k) {
+                                let (g, j) = cell(inp);
                                 // SAFETY: read-only phase.
-                                inputs_buf.push(unsafe { *values.get(inp as usize) });
+                                inputs_buf.push(unsafe { values.get(g) }.0[j]);
                             }
                             let kind = netlist.elements()[prog.elem(i)].kind();
-                            // SAFETY: instruction owned by this thread.
-                            let state = unsafe { states.get_mut(i) };
                             let out = evaluate(kind, &inputs_buf, state);
                             step_evals += 1;
                             tr.instant(EventKind::Eval, i as u32);
                             for (port, v) in out.iter() {
-                                let slot = prog.outputs(i)[port];
-                                // SAFETY: reading a slot this
-                                // thread exclusively writes.
-                                if unsafe { *values.get(slot as usize) } != v {
+                                let slot = code.outputs(k)[port];
+                                let (g, j) = cell(slot);
+                                // SAFETY: read-only phase.
+                                if unsafe { values.get(g) }.0[j] != v {
                                     pending.push((slot, v));
-                                    tr.instant(EventKind::EventInsert, slot);
+                                    tr.instant(EventKind::EventInsert, layout.slot_at(slot));
                                 }
                             }
                         }
@@ -317,7 +348,7 @@ pub(crate) fn run_segment(
             }
             // The last barrier's idle time and any early break.
             tally.flush(&shard);
-            (changes, tr, pending)
+            (changes, tr, pending, states)
         },
         |d| d.sim_time = Some(Time(cur_step.load(Ordering::Relaxed))),
     )?;
@@ -325,23 +356,32 @@ pub(crate) fn run_segment(
     let mut changes = Vec::new();
     let mut worker_tracers = Vec::with_capacity(threads);
     let mut leftover: Vec<(u32, Value)> = Vec::new();
-    for (c, wt, pend) in outputs {
+    let mut worker_states = Vec::with_capacity(threads);
+    for (c, wt, pend, st) in outputs {
         changes.extend(c);
         worker_tracers.push(wt);
         leftover.extend(pend);
+        worker_states.push(st);
     }
     let wall = start.elapsed();
     let snapshot = bounds.capture.then(|| {
-        // SAFETY (all reads below): workers are joined; single-threaded
-        // access with the joins as the synchronization edge.
         let node_values: Vec<Value> = (0..netlist.num_nodes())
-            .map(|i| unsafe { *values.get(prog.slot_of(NodeId::from_index(i)) as usize) })
+            .map(|n| {
+                let (g, j) = cell(pos_of(NodeId::from_index(n)));
+                // SAFETY: workers are joined; single-threaded access with
+                // the joins as the synchronization edge.
+                unsafe { values.get(g) }.0[j]
+            })
             .collect();
         let mut elem_states = start_state.elem_states.clone();
-        for i in 0..prog.num_insns() {
-            elem_states[prog.elem(i)] = unsafe { states.get(i) }.clone();
+        for (insns, states) in plan.thread_insns.iter().zip(worker_states) {
+            for (&i, state) in insns.iter().zip(states) {
+                elem_states[prog.elem(i as usize)] = state;
+            }
         }
-        let queued = leftover.into_iter().map(|(slot, v)| (prog.node_of(slot).index(), v));
+        let queued = leftover
+            .into_iter()
+            .map(|(pos, v)| (node_at(pos).index(), v));
         bounds.unit_delay_snapshot(node_values, elem_states, queued, carry)
     });
     Ok(SegmentOut {

@@ -385,35 +385,55 @@ fn barriers_order_a_plain_slot_across_a_quiet_jump() {
     check_step_walk("plain slot across a jump", 2, 2, true, |_, _| false, &[3], 4, &[0, 3, 4]);
 }
 
-/// The dirty-mask contract: a feeding slot's writer marks a block with a
-/// `Relaxed` `fetch_or` in the apply phase, and the block's owner takes the
-/// mark with `Relaxed` loads and `fetch_and` while evaluating. Only the
-/// barriers order them — the post-apply one carries each mark to its take,
-/// the post-evaluate one keeps the next step's mark from landing before the
-/// take clears the last one (and being cleared with it).
+/// The dirty-mask contract (`DirtyMask` in the compiled kernels): a feeding
+/// slot's writer marks a block in the apply phase with a check-before-set
+/// (a `Relaxed` load, then `fetch_or` only if the bit is clear), and the
+/// block's owner takes the mark while evaluating with a `Relaxed` load and a
+/// plain `Relaxed` store of the word minus the bit — no RMW. Only the
+/// barriers order them: the post-apply one carries each mark to its take,
+/// the post-evaluate one keeps the next step's mark from landing between
+/// the take's load and its store (and being overwritten by it). The peer
+/// marks two bits of one word — bit 0 every step, bit 1 on step 1 only —
+/// so a take of one bit that clobbered the other would show.
 #[test]
 fn barrier_carries_a_relaxed_dirty_mark() {
     let outcome = Explorer::new().max_preemptions(2).check(|| {
         const STEPS: usize = 2;
+        const ONCE: usize = 1;
         let barrier = Arc::new(SpinBarrier::new(2));
         let mask = Arc::new(AtomicU64::new(0));
         let (b2, m2) = (Arc::clone(&barrier), Arc::clone(&mask));
         // Apply, barrier, evaluate, barrier — minus the last step's second
         // barrier, which orders nothing here.
         let t = thread::spawn(move || {
+            let mark = |bit: u64| {
+                if m2.load(Ordering::Relaxed) & bit == 0 {
+                    m2.fetch_or(bit, Ordering::Relaxed);
+                }
+            };
             for step in 0..STEPS {
-                m2.fetch_or(1, Ordering::Relaxed);
+                mark(1);
+                if step == ONCE {
+                    mark(2);
+                }
                 b2.wait();
                 if step + 1 < STEPS {
                     b2.wait();
                 }
             }
         });
+        let take = |bit: u64| {
+            let word = mask.load(Ordering::Relaxed);
+            if word & bit == 0 {
+                return false;
+            }
+            mask.store(word & !bit, Ordering::Relaxed);
+            true
+        };
         for step in 0..STEPS {
             barrier.wait();
-            let dirty = mask.load(Ordering::Relaxed) & 1 != 0;
-            assert!(dirty, "step {step}: dirty mark lost across the barrier");
-            mask.fetch_and(!1, Ordering::Relaxed);
+            assert!(take(1), "step {step}: bit 0's mark lost across the barrier");
+            assert_eq!(take(2), step == ONCE, "step {step}: bit 1 lost or stale");
             if step + 1 < STEPS {
                 barrier.wait();
             }

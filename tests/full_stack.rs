@@ -271,6 +271,49 @@ fn parallel_engines_and_checkpoint_resume_match_oracle() {
     }
 }
 
+/// Each compiled worker writes its own region of the slot file and owns its
+/// element state, so the layout changes with the thread count; the
+/// waveform must not. At 1 to 4 threads the scalar kernel's all-nodes VCD
+/// is `EventDriven`'s, byte for byte, on an array whose 33 columns split
+/// into uneven regions and on a CPU whose flip-flops keep per-worker state;
+/// so is a checkpointed run at 3 threads that crashes after its first
+/// snapshot and resumes at 2.
+#[test]
+fn compiled_workers_match_the_oracle_at_every_thread_count_and_cut() {
+    let array = inverter_array(33, 5, 2).unwrap();
+    let cpu = pipelined_cpu(8, 48).unwrap();
+    for (name, netlist, end) in [
+        ("array", &array.netlist, Time(200)),
+        ("cpu", &cpu.netlist, Time(400)),
+    ] {
+        let watch: Vec<_> = netlist.iter_nodes().map(|(id, _)| id).collect();
+        let cfg = SimConfig::new(end).watch_all(watch);
+        let oracle = EventDriven::run(netlist, &cfg).unwrap().to_vcd();
+        for threads in 1..=4 {
+            let r = CompiledMode::run(netlist, &cfg.clone().threads(threads)).unwrap();
+            assert!(r.to_vcd() == oracle, "{name}: compiled x{threads} differs");
+        }
+
+        let dir = std::env::temp_dir().join(format!(
+            "parsim-compiled-workers-{name}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = cfg
+            .with_checkpoint_dir(&dir)
+            .with_checkpoint_every(end.ticks() / 4);
+        let crashing = ckpt
+            .clone()
+            .threads(3)
+            .with_fault(FaultPlan::storage_fault(1, StorageFault::FsyncCrash));
+        checkpoint::run(EngineKind::Compiled, netlist, &crashing)
+            .expect_err("the injected storage crash must end the run");
+        let r = checkpoint::resume(EngineKind::Compiled, netlist, &ckpt.threads(2)).unwrap();
+        assert!(r.to_vcd() == oracle, "{name}: resumed at 2 threads differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Behavior-list chunks outlive a run on the process-wide free-list, so
 /// every run after the first reuses chunks still full of earlier events.
 /// Three back-to-back runs of the 16-bit gate multiplier must each dump
