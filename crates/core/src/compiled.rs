@@ -213,23 +213,23 @@ impl CompiledMode {
     /// top of the base generators (see [`LaneStimulus`]). Node values are
     /// stored as two bit-plane word groups per node bit — lane `i` lives
     /// in bit `i` of its word group — so one AND instruction evaluates a
-    /// gate for up to 512 lanes at once (64 per 64-bit word; the group
-    /// width defaults from the host's CPU, or is set with
-    /// [`SimConfig::with_lane_width`]).
-    /// Batches wider than one word group are chunked, so thousands of
-    /// lanes are fine. Lanes' waveforms are extracted separately and are
-    /// bit-identical to running each stimulus through the scalar engine.
+    /// gate for up to 512 lanes at once (64 per 64-bit word).
+    /// The lanes are split into contiguous chunks by the batch's shape:
+    /// at most 512 lanes each, and at least one per thread while lanes
+    /// last (or [`SimConfig::with_lane_width`] lanes each), each run at
+    /// the narrowest word group that covers it, so thousands of lanes are
+    /// fine. Threads split lanes, not gates: worker `w` of
+    /// `min(threads, chunks)` runs chunks `w`, `w + workers`, … start to
+    /// finish, with no step barrier. Lanes' waveforms are extracted
+    /// separately and are bit-identical to running each stimulus through
+    /// the scalar engine.
     ///
-    /// Each step is the scalar kernel's: apply, one barrier, evaluate, one
-    /// barrier, and a jump to the next stimulus when no worker queued a
-    /// write.
-    ///
-    /// Activity gating and the containment machinery (watchdog, fault
-    /// plan, barrier poisoning) behave exactly as in
-    /// [`CompiledMode::run`]. In the returned metrics, `evaluations`
-    /// counts word-group instruction executions (all lanes of a chunk at
-    /// once), `events_processed` counts per-lane value changes, and
-    /// [`Metrics::lane_width`] reports the widest word group used.
+    /// Activity gating, quiet-step jumps and the containment machinery
+    /// (watchdog, fault plan) behave as in [`CompiledMode::run`]. In the
+    /// returned metrics, `evaluations` counts word-group instruction
+    /// executions (all lanes of a chunk at once), `events_processed`
+    /// counts per-lane value changes, and [`Metrics::lane_width`] reports
+    /// the widest word group used.
     ///
     /// # Errors
     ///

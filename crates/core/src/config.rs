@@ -96,11 +96,11 @@ pub struct SimConfig {
     /// uninterrupted one.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Chunk width (in stimulus lanes per word group) for the compiled
-    /// batch kernel: one of 64, 128, 256, 512. `None` (the default) uses
-    /// the host's default width
-    /// ([`parsim_logic::wide::native_lane_width`]). Never changes
-    /// waveforms or the kernel code, only how many lanes each chunk
-    /// carries.
+    /// batch kernel: one of 64, 128, 256, 512. `None` (the default) chunks
+    /// by the batch's shape alone: at most 512 lanes a chunk, at least one
+    /// chunk per thread while lanes last, sizes within one lane of each
+    /// other, and the same on every host. Never changes waveforms or the
+    /// kernel code, only how many lanes each chunk carries.
     pub lane_width: Option<usize>,
     /// In-run telemetry sampling period. `None` (the default) leaves the
     /// always-on metrics registry running but takes no periodic samples;
@@ -293,9 +293,10 @@ impl SimConfig {
         self
     }
 
-    /// Sets the compiled batch kernel's chunk width in lanes (tests use
-    /// it to reach multi-chunk runs; the default is the host's
-    /// [`native_lane_width`](parsim_logic::wide::native_lane_width)).
+    /// Sets the compiled batch kernel's chunk width in lanes: every chunk
+    /// holds `width` lanes but the last. Tests use it to reach multi-chunk
+    /// runs; by default chunks follow the lane and thread counts (see
+    /// [`SimConfig::lane_width`]).
     ///
     /// # Panics
     ///

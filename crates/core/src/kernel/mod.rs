@@ -6,12 +6,16 @@
 //! within a thread), fixed-size *blocks* that never cross level boundaries,
 //! and a slot→block fanout map driving the activity-gating dirty bitmask.
 //!
-//! Two executors share one plan: [`scalar`] (one stimulus, `Value`-typed
-//! slots — the rewritten §3 engine) and [`packed`] (up to 64 stimulus lanes
-//! on bit-plane words), and one step: apply, [`SpinBarrier`], evaluate,
-//! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`].
+//! Two executors use the plan. [`scalar`] (one stimulus, `Value`-typed
+//! slots — the rewritten §3 engine) splits the instructions over its
+//! workers and runs one step: apply, [`SpinBarrier`], evaluate,
+//! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`]. [`packed`]
+//! (up to 512 stimulus lanes per chunk on bit-plane words) binds the whole
+//! program to one worker and splits lanes instead: a chunk runs start to
+//! finish on one thread, with no barrier and nothing shared but the plan.
 //!
-//! Shared-state discipline: between two barriers a worker writes only
+//! Shared-state discipline (the scalar executor's, the only one whose
+//! workers share a step): between two barriers a worker writes only
 //! cache lines no other worker writes. The scalar executor's slot file is
 //! numbered by writing worker ([`SlotLayout`]): each worker's region of
 //! value slots starts on a fresh line and shares none with another region,

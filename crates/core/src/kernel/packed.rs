@@ -10,27 +10,24 @@
 //! lane by lane, so every element kind is supported and every lane stays
 //! bit-identical to a scalar run of that lane's stimulus.
 //!
-//! An arbitrary number of stimulus lanes is *chunked* over one word
-//! width: a 1000-lane batch at width 512 runs as two 512-lane chunks, the
-//! ragged tail masked per word ([`wide::mask_first`]). The width is
-//! [`SimConfig::lane_width`] when set, else the host's default
-//! ([`wide::native_lane_width`]); the last chunk drops to the narrowest
-//! word that covers its lanes.
+//! A batch is split into contiguous lane *chunks* by its shape alone
+//! ([`lane_chunks`]): at most 512 lanes each, at least one per thread
+//! while lanes last, or [`SimConfig::lane_width`] lanes each when set.
+//! Each chunk runs at the narrowest word group that covers it, its ragged
+//! tail masked per word ([`wide::mask_first`]).
 //!
-//! Each step is the scalar executor's: apply, [`SpinBarrier`], evaluate,
-//! [`WriteMark::note`], [`SpinBarrier`], [`WriteMark::quiet`], so a step
-//! that queued no write on any worker jumps to the next stimulus. The
-//! barrier + `WriteMark` agreement is model-checked in
-//! `crates/queue/tests/model.rs`.
-//!
-//! Each chunk's workers run through `exec::run_workers`, as every parallel
-//! engine's do, so watchdog and fault containment are shared and the
-//! deadline covers all chunks of a batch. Activity gating and checkpoint
-//! segments (capture/resume of every lane at a cut,
-//! [`run_batch_segment`]) mirror `kernel/scalar.rs`.
+//! Threads split lanes, not gates: one `exec::run_workers` call per batch
+//! hands chunk `c` to worker `c mod workers`, and a worker runs its chunks
+//! one after another, each start to finish on arenas it owns. A step is
+//! apply, evaluate, and a jump to the next stimulus when the step queued
+//! no write; no step barrier, no shared value arena. Watchdog and fault
+//! containment are every engine's, and the deadline covers the whole
+//! batch. Activity gating and checkpoint segments (capture/resume of every
+//! lane at a cut, [`run_batch_segment`]) mirror `kernel/scalar.rs`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parsim_checkpoint::{EngineSnapshot, PendingEvent};
@@ -38,7 +35,6 @@ use parsim_logic::wide::{self, LaneMask, WideLanes, LANE_WIDTHS};
 use parsim_logic::{evaluate, ElemState, Time, Value};
 use parsim_netlist::compile::{CompiledProgram, Opcode};
 use parsim_netlist::{Netlist, NodeId};
-use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally, TelemetryCtx};
 
 use crate::checkpoint::{
@@ -48,11 +44,10 @@ use crate::checkpoint::{
 use crate::compiled::{BatchResult, LaneStimulus};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::exec::run_workers;
+use crate::exec::{run_workers, Containment};
 use crate::fault::FaultAction;
 use crate::kernel::{credit_quiet_steps, DirtyMask, ExecPlan};
 use crate::metrics::Metrics;
-use crate::shared::SharedSlice;
 use crate::waveform::{SimResult, WatchSlots};
 
 /// Engine tag used in [`SimError`] values.
@@ -62,7 +57,7 @@ fn invalid(reason: String) -> SimError {
     SimError::InvalidConfig { reason }
 }
 
-/// One worker's change log of one watched slot, still packed: record `r`
+/// A chunk's change log of one watched slot, still packed: record `r`
 /// says that at step `recs[r].0` (strictly increasing) the lanes of
 /// `recs[r].1` (never empty) took the values in the `r`-th slot-width run
 /// of `planes`. A step that changes 55 lanes of a slot writes one record,
@@ -96,54 +91,35 @@ struct GenWrite<const W: usize> {
 /// `watch_of` entry of a slot nobody watches; indexes past every log list.
 const UNWATCHED: u32 = u32::MAX;
 
-/// Transposes the packed logs of one watched slot, `width` bits wide, into
+/// Transposes the packed log of one watched slot, `width` bits wide, into
 /// one change list per lane `0..chunk_lanes`, each allocated once at its
 /// exact final length.
-///
-/// `logs` must already be in time order end to end. They are: a slot has
-/// one writer per step and at most two over a segment — thread 0 (all of a
-/// generator-driven slot; an instruction-driven one only at a resumed
-/// segment's first step, for injected pending events) and the thread that
-/// owns its driving instruction, whose pending set is still empty at that
-/// first step — so thread 0's log followed by the owner's needs no sort.
 fn transpose_slot<const W: usize>(
-    logs: &[&SlotLog<W>],
+    log: &SlotLog<W>,
     width: usize,
     chunk_lanes: usize,
 ) -> Vec<Vec<(Time, Value)>> {
     debug_assert!(
-        logs.iter()
-            .flat_map(|log| log.recs.iter().map(|r| r.0))
-            .is_sorted_by(|a, b| a < b),
-        "a watched slot's logs must concatenate in strictly increasing step order"
+        log.recs.is_sorted_by(|a, b| a.0 < b.0),
+        "a watched slot's log must be in strictly increasing step order"
     );
     let mut counts = vec![0usize; chunk_lanes];
-    for log in logs {
-        for (_, mask) in &log.recs {
-            wide::for_each_lane(mask, |lane| counts[lane as usize] += 1);
-        }
+    for (_, mask) in &log.recs {
+        wide::for_each_lane(mask, |lane| counts[lane as usize] += 1);
     }
     let mut lists: Vec<Vec<(Time, Value)>> =
         counts.into_iter().map(Vec::with_capacity).collect();
-    for log in logs {
-        for ((t, mask), planes) in log.recs.iter().zip(log.planes.chunks_exact(width)) {
-            wide::for_each_lane(mask, |lane| {
-                lists[lane as usize].push((Time(*t), wide::gather(planes, lane)));
-            });
-        }
+    for ((t, mask), planes) in log.recs.iter().zip(log.planes.chunks_exact(width)) {
+        wide::for_each_lane(mask, |lane| {
+            lists[lane as usize].push((Time(*t), wide::gather(planes, lane)));
+        });
     }
     lists
 }
 
-/// Per-worker chunk results: one packed log per watched slot and the
-/// unapplied pending set (slot list + flat plane arena) held when the
-/// segment ended — the unit-delay events for `cut + 1`, for checkpoint
-/// capture. Counters travel through the worker's shared telemetry shard.
-type ChunkWorkerOutput<const W: usize> = (Vec<SlotLog<W>>, Vec<u32>, Vec<WideLanes<W>>);
-
-/// What the chunks of a batch add to, lane by lane: one change list per
-/// watched node in watch order, and a snapshot if the segment captures.
-struct BatchOut {
+/// What one chunk hands back, lane by lane: one change list per watched
+/// node in watch order, and a snapshot if the segment captures.
+struct ChunkOut {
     lanes: Vec<Vec<Vec<(Time, Value)>>>,
     snapshots: Option<Vec<EngineSnapshot>>,
 }
@@ -153,6 +129,7 @@ struct BatchCtx<'a> {
     netlist: &'a Netlist,
     config: &'a SimConfig,
     prog: &'a CompiledProgram,
+    /// The program bound to one worker: every chunk runs all of it.
     plan: &'a ExecPlan,
     /// The watched slots, in watch (node) order.
     watch_slots: &'a [u32],
@@ -178,6 +155,8 @@ struct BatchCtx<'a> {
     /// only then).
     fresh: Option<&'a EngineSnapshot>,
     telemetry: &'a TelemetryCtx,
+    /// The step worker 0 is at, for a stall diagnostic.
+    step: &'a AtomicU64,
 }
 
 impl BatchCtx<'_> {
@@ -190,15 +169,45 @@ impl BatchCtx<'_> {
     }
 }
 
-/// Selects the batch lane width: explicit config, else the host's
-/// default chunk width.
-fn select_lane_width(config: &SimConfig) -> Result<usize, SimError> {
+/// Validates a forced batch lane width ([`SimConfig::lane_width`]).
+fn select_lane_width(config: &SimConfig) -> Result<Option<usize>, SimError> {
     match config.lane_width {
         Some(w) if !LANE_WIDTHS.contains(&w) => Err(invalid(format!(
             "lane_width must be one of 64, 128, 256, 512 (got {w})"
         ))),
-        Some(w) => Ok(w),
-        None => Ok(wide::native_lane_width()),
+        width => Ok(width),
+    }
+}
+
+/// Splits `lanes` lanes into contiguous chunks, in lane order, by shape
+/// alone. With no forced `width`, `lanes` at `threads` make
+/// `max(⌈lanes / 512⌉, min(threads, lanes))` chunks whose sizes differ by
+/// at most one lane, the larger first; with one, chunks are `width` lanes
+/// and the last is narrower. Each runs at [`group_words`] of its length.
+fn lane_chunks(lanes: usize, threads: usize, width: Option<usize>) -> Vec<Range<usize>> {
+    match width {
+        Some(w) => (0..lanes).step_by(w).map(|lo| lo..(lo + w).min(lanes)).collect(),
+        None => {
+            let widest = LANE_WIDTHS[LANE_WIDTHS.len() - 1];
+            let n = lanes.div_ceil(widest).max(threads.clamp(1, lanes));
+            // The first `lanes % n` chunks take one lane more.
+            let start = |c: usize| c * (lanes / n) + c.min(lanes % n);
+            (0..n).map(|c| start(c)..start(c + 1)).collect()
+        }
+    }
+}
+
+/// The narrowest word group (`W`, in 64-lane words) covering `lanes`.
+fn group_words(lanes: usize) -> usize {
+    lanes.div_ceil(64).next_power_of_two()
+}
+
+/// The 64 bits of `bits` from bit `start` on; bits past its end read 0.
+fn bits_at(bits: &[u64], start: usize) -> u64 {
+    let word = |k: usize| bits.get(k).copied().unwrap_or(0);
+    match start % 64 {
+        0 => word(start / 64),
+        s => word(start / 64) >> s | word(start / 64 + 1) << (64 - s),
     }
 }
 
@@ -230,7 +239,7 @@ pub(crate) fn run_batch_segment(
     }
     let start = Instant::now();
     let end = config.end_time.ticks();
-    let max_width = select_lane_width(config)?;
+    let chunks = lane_chunks(lanes, config.threads, select_lane_width(config)?);
 
     // ---- lane stimulus validation ---------------------------------------
     // `overridden[slot]` = bitset of lanes whose stimulus replaces that
@@ -294,7 +303,7 @@ pub(crate) fn run_batch_segment(
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    let plan = ExecPlan::build(prog, config.threads);
+    let plan = ExecPlan::build(prog, 1);
 
     let slots = WatchSlots::new(netlist, &config.watch);
     let watch_slots: Vec<u32> = slots.nodes().map(|n| prog.slot_of(n)).collect();
@@ -330,6 +339,7 @@ pub(crate) fn run_batch_segment(
     // batch result instead).
     let telemetry = new_run_ctx(config);
     let fresh = resume.is_none().then(|| start_state(netlist, end, None).into_owned());
+    let step = AtomicU64::new(0);
     let ctx = BatchCtx {
         netlist,
         config,
@@ -348,44 +358,61 @@ pub(crate) fn run_batch_segment(
         bounds,
         fresh: fresh.as_ref(),
         telemetry: &telemetry,
+        step: &step,
     };
 
-    // ---- chunk loop ------------------------------------------------------
-    // Chunks are `max_width` lanes except the last, which drops to the
-    // narrowest word group covering the remainder (a 65-lane tail runs as
-    // one 128-wide chunk, not a 512-wide one).
-    let mut out = BatchOut {
-        lanes: Vec::with_capacity(lanes),
-        snapshots: capture.then(Vec::new),
-    };
-    let mut used_width = 0u64;
-    let mut lane_base = 0usize;
-    while lane_base < lanes {
-        let chunk_lanes = (lanes - lane_base).min(max_width);
-        let words = LANE_WIDTHS
-            .iter()
-            .map(|w| w / 64)
-            .find(|w| w * 64 >= chunk_lanes)
-            .expect("chunk_lanes <= 512")
-            .min(max_width / 64);
-        used_width = used_width.max(64 * words as u64);
-        match words {
-            1 => run_chunk::<1>(&ctx, lane_base, chunk_lanes, &mut out),
-            2 => run_chunk::<2>(&ctx, lane_base, chunk_lanes, &mut out),
-            4 => run_chunk::<4>(&ctx, lane_base, chunk_lanes, &mut out),
-            8 => run_chunk::<8>(&ctx, lane_base, chunk_lanes, &mut out),
-            _ => unreachable!("lane widths are 64/128/256/512"),
-        }?;
-        lane_base += chunk_lanes;
+    // ---- chunks on workers -----------------------------------------------
+    // Chunk `c` runs on worker `c mod workers`, each worker's in order; no
+    // stealing, so fault plans and counts do not depend on timing.
+    let workers = config.threads.clamp(1, chunks.len());
+    let outputs: Vec<Vec<ChunkOut>> = run_workers(
+        ENGINE,
+        config,
+        &telemetry,
+        None,
+        vec![(); workers],
+        |p, (), cont| {
+            // The fault plan counts a worker's activations across its chunks.
+            let mut processed = 0u64;
+            let mut outs = Vec::new();
+            for chunk in chunks.iter().skip(p).step_by(workers) {
+                if cont.cancelled() {
+                    break;
+                }
+                let (lanes, n) = (chunk.clone(), &mut processed);
+                outs.push(match group_words(chunk.len()) {
+                    1 => run_chunk::<1>(&ctx, lanes, p, cont, n),
+                    2 => run_chunk::<2>(&ctx, lanes, p, cont, n),
+                    4 => run_chunk::<4>(&ctx, lanes, p, cont, n),
+                    8 => run_chunk::<8>(&ctx, lanes, p, cont, n),
+                    _ => unreachable!("chunks hold at most 512 lanes"),
+                });
+            }
+            outs
+        },
+        |d| d.sim_time = Some(Time(step.load(Ordering::Relaxed))),
+    )?;
+
+    // Lane order is chunk order: chunk `c` is worker `c mod workers`'s
+    // `c / workers`-th.
+    let mut per_worker: Vec<_> = outputs.into_iter().map(Vec::into_iter).collect();
+    let mut lane_lists = Vec::with_capacity(lanes);
+    let mut snapshots = capture.then(|| Vec::with_capacity(lanes));
+    for c in 0..chunks.len() {
+        let out = per_worker[c % workers].next().expect("every chunk ran");
+        lane_lists.extend(out.lanes);
+        if let (Some(all), Some(snaps)) = (&mut snapshots, out.snapshots) {
+            all.extend(snaps);
+        }
     }
 
+    let used_width = chunks.iter().map(|c| 64 * group_words(c.len()) as u64).fold(0, u64::max);
     telemetry.registry.driver().gauge_max(Gauge::LaneWidth, used_width);
     let wall = start.elapsed();
     let run_telemetry = telemetry.finish();
     let metrics = Metrics::from_registry(&telemetry.registry, &run_telemetry.finals, wall);
 
-    let lanes_out = out
-        .lanes
+    let lanes_out = lane_lists
         .into_iter()
         .map(|lists| SimResult::from_lists(config.end_time, &slots, lists, metrics.clone()))
         .collect();
@@ -395,19 +422,21 @@ pub(crate) fn run_batch_segment(
             metrics,
             telemetry: Some(run_telemetry),
         },
-        out.snapshots,
+        snapshots,
     ))
 }
 
-/// Runs lanes `lane_base .. lane_base + chunk_lanes` (local lanes
-/// `0..chunk_lanes` of a `64·W`-wide word group) through the full
-/// segment step loop and appends their results to `out`.
+/// Runs the lanes of `chunk` (local lanes `0..chunk.len()` of a
+/// `64·W`-wide word group) through the full segment step loop on worker
+/// `p`, on arenas of its own, and returns their results. `processed`
+/// carries the worker's activation count from chunk to chunk.
 fn run_chunk<const W: usize>(
     ctx: &BatchCtx<'_>,
-    lane_base: usize,
-    chunk_lanes: usize,
-    out: &mut BatchOut,
-) -> Result<(), SimError> {
+    chunk: Range<usize>,
+    p: usize,
+    cont: &Containment,
+    processed: &mut u64,
+) -> ChunkOut {
     let BatchCtx {
         netlist,
         config,
@@ -422,18 +451,17 @@ fn run_chunk<const W: usize>(
         telemetry,
         ..
     } = *ctx;
+    let (lane_base, chunk_lanes) = (chunk.start, chunk.len());
     let (cut, end) = (bounds.cut, bounds.horizon);
     let first_step = bounds.t0.map_or(0, |t| t + 1);
-    let threads = config.threads;
     let gating = config.activity_gating;
     let lane_mask: LaneMask<W> = wide::mask_first::<W>(chunk_lanes);
     let lane_mask = &lane_mask;
 
     // ---- this chunk's stimulus schedule ----------------------------------
     // One masked write per (step, slot), sorted by step and walked by a
-    // per-worker cursor: every worker needs the next stimulus time, thread
-    // 0 also applies. Built in one bucket per stimulated slot, each sorted
-    // by step: a source's events come in step order, so merging them in
+    // cursor. Built in one bucket per stimulated slot, each sorted by
+    // step: a source's events come in step order, so merging them in
     // (same-step lane writes into one masked write) is a cursor walk over
     // the slot's bucket, with no search per event.
     let mut bucket_of = vec![u32::MAX; prog.num_slots()];
@@ -474,9 +502,8 @@ fn run_chunk<const W: usize>(
         // keeping every lane's values well-defined.
         let mut base_mask = wide::mask_all::<W>();
         if let Some(bits) = ctx.overridden.get(slot) {
-            let w0 = lane_base / 64;
-            for (i, word) in base_mask.iter_mut().enumerate() {
-                *word = !bits.get(w0 + i).copied().unwrap_or(0);
+            for (i, (word, live)) in base_mask.iter_mut().zip(lane_mask).enumerate() {
+                *word = !(bits_at(bits, lane_base + 64 * i) & live);
             }
         }
         if !wide::mask_any(&base_mask) {
@@ -490,7 +517,7 @@ fn run_chunk<const W: usize>(
     // Per-lane overrides go through the `Vector` generator's own expansion,
     // so a lane's trajectory is exactly what a netlist with a `Vector`
     // driver would produce (the per-lane equivalence oracle).
-    for (local, stim) in ctx.stimuli[lane_base..lane_base + chunk_lanes].iter().enumerate() {
+    for (local, stim) in ctx.stimuli[chunk.clone()].iter().enumerate() {
         let mask = wide::mask_lane::<W>(local as u32);
         for (node, schedule) in &stim.overrides {
             let slot = prog.slot_of(*node);
@@ -499,78 +526,59 @@ fn run_chunk<const W: usize>(
         }
     }
     for &(lane, t, slot, v) in ctx.injections {
-        if lane < lane_base || lane >= lane_base + chunk_lanes {
-            continue;
+        if chunk.contains(&lane) {
+            add(&mut 0, t, slot, &wide::mask_lane::<W>((lane - lane_base) as u32), &v);
         }
-        let mask = wide::mask_lane::<W>((lane - lane_base) as u32);
-        add(&mut 0, t, slot, &mask, &v);
     }
     let mut gen_writes: Vec<GenWrite<W>> = buckets.into_iter().flatten().collect();
     gen_writes.sort_unstable_by_key(|w| (w.t, w.slot));
-    let (gen_writes, gen_planes) = (&gen_writes, &gen_planes);
 
     // ---- execution state -------------------------------------------------
     // Packed slot values: a flat bit-plane arena, `slot_offset(s)..+width`
-    // per slot. Written single-writer during apply phases.
-    let values: SharedSlice<WideLanes<W>> =
-        SharedSlice::from_fn(prog.total_bits().max(1), |_| WideLanes::X);
-    let values = &values;
-
-    // Native sequential state (q planes, plus last_clk for edge ops) lives
-    // in its own arena, touched only by the owning thread.
-    let state_len = state_offset[prog.num_insns()] as usize;
-    let nat_state: SharedSlice<WideLanes<W>> =
-        SharedSlice::from_fn(state_len.max(1), |_| WideLanes::X);
-    let nat_state = &nat_state;
+    // per slot.
+    let mut values = vec![WideLanes::<W>::X; prog.total_bits().max(1)];
+    // Native sequential state (q planes, plus last_clk for edge ops).
+    let mut nat_state = vec![WideLanes::<W>::X; state_offset[prog.num_insns()].max(1) as usize];
     // Per-lane scalar states for fallback instructions (empty for native).
-    let fb_state: SharedSlice<Vec<ElemState>> = SharedSlice::from_fn(prog.num_insns(), |i| {
-        if prog.opcode(i).has_packed_kernel() {
-            Vec::new()
-        } else {
-            (0..chunk_lanes)
-                .map(|local| ctx.start(lane_base + local).elem_states[prog.elem(i)].clone())
-                .collect()
-        }
-    });
-    let fb_state = &fb_state;
+    let mut fb_state: Vec<Vec<ElemState>> = (0..prog.num_insns())
+        .map(|i| {
+            if prog.opcode(i).has_packed_kernel() {
+                Vec::new()
+            } else {
+                let state = |lane| ctx.start(lane).elem_states[prog.elem(i)].clone();
+                chunk.clone().map(state).collect()
+            }
+        })
+        .collect();
 
     if let Some(snaps) = resume {
-        // Scatter each lane's snapshot into the wide arenas. SAFETY (all
-        // `slice_mut` calls here): no worker threads exist yet.
+        // Scatter each lane's snapshot into the wide arenas.
+        let snaps = &snaps[chunk.clone()];
         for s in 0..prog.num_slots() as u32 {
-            let w = prog.slot_width(s) as usize;
             let off = prog.slot_offset(s);
-            let dst = unsafe { values.slice_mut(off..off + w) };
+            let dst = &mut values[off..off + prog.slot_width(s) as usize];
             let node = prog.node_of(s).index();
-            for local in 0..chunk_lanes {
-                wide::scatter(dst, local as u32, &snaps[lane_base + local].values[node]);
+            for (local, snap) in snaps.iter().enumerate() {
+                wide::scatter(dst, local as u32, &snap.values[node]);
             }
         }
         for (i, &off) in state_offset.iter().enumerate().take(prog.num_insns()) {
-            let w = prog.width(i) as usize;
-            let off = off as usize;
-            match prog.opcode(i) {
-                Opcode::Dff | Opcode::DffR => {
-                    let st = unsafe { nat_state.slice_mut(off..off + w + 1) };
-                    let (q, rest) = st.split_at_mut(w);
-                    for local in 0..chunk_lanes {
-                        let state = &snaps[lane_base + local].elem_states[prog.elem(i)];
-                        if let ElemState::Edge { q: qv, last_clk } = state {
-                            wide::scatter(q, local as u32, qv);
-                            wide::scatter(&mut rest[..1], local as u32, last_clk);
-                        }
+            let (op, w) = (prog.opcode(i), prog.width(i) as usize);
+            if !matches!(op, Opcode::Dff | Opcode::DffR | Opcode::Latch) {
+                continue;
+            }
+            let st = &mut nat_state[off as usize..];
+            for (local, snap) in snaps.iter().enumerate() {
+                match (op, &snap.elem_states[prog.elem(i)]) {
+                    (Opcode::Dff | Opcode::DffR, ElemState::Edge { q, last_clk }) => {
+                        wide::scatter(&mut st[..w], local as u32, q);
+                        wide::scatter(&mut st[w..w + 1], local as u32, last_clk);
                     }
-                }
-                Opcode::Latch => {
-                    let q = unsafe { nat_state.slice_mut(off..off + w) };
-                    for local in 0..chunk_lanes {
-                        let state = &snaps[lane_base + local].elem_states[prog.elem(i)];
-                        if let ElemState::Stored(v) = state {
-                            wide::scatter(q, local as u32, v);
-                        }
+                    (Opcode::Latch, ElemState::Stored(v)) => {
+                        wide::scatter(&mut st[..w], local as u32, v);
                     }
+                    _ => {}
                 }
-                _ => {}
             }
         }
     }
@@ -578,285 +586,207 @@ fn run_chunk<const W: usize>(
     // Resume restarts with an all-dirty mask (same rationale as scalar:
     // re-evaluating a clean block is idempotent).
     let dirty = DirtyMask::all_dirty(&plan.thread_blocks);
-    let dirty = &dirty;
+    let blocks = plan.thread_blocks[0].clone();
 
-    let barrier = &SpinBarrier::new(threads);
-    let last_write = WriteMark::new();
-    let last_write = &last_write;
-    let registry = &telemetry.registry;
-    let stop = AtomicBool::new(false);
-    let stop = &stop;
-    let cur_step = AtomicU64::new(0);
-    let cur_step = &cur_step;
-
-    let outputs: Vec<ChunkWorkerOutput<W>> = run_workers(
-        ENGINE,
-        config,
-        telemetry,
-        Some(barrier),
-        vec![(); threads],
-        |p, (), cont| {
-            let mut logs: Vec<SlotLog<W>> =
-                watch_slots.iter().map(|_| SlotLog::default()).collect();
-            let shard = registry.worker(p);
-            let mut tally = Tally::default();
-            // Pending writes: slot list plus a flat plane arena
-            // (widths are implied by the slots), reused across
-            // steps so the hot loop never allocates.
-            let mut pend_slots: Vec<u32> = Vec::new();
-            let mut pend_data: Vec<WideLanes<W>> = Vec::new();
-            let mut scratch: Vec<WideLanes<W>> = vec![WideLanes::X; max_out_bits];
-            let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
-            let mut processed = 0u64;
-            let mut gen_cursor = 0usize;
-            let mut t = first_step;
-            'run: while t <= cut {
-                cont.beat(p);
-                if p == 0 {
-                    cur_step.store(t, Ordering::Relaxed);
-                    // Steps are shared across lane chunks; only
-                    // the first chunk counts them so multi-chunk
-                    // batches don't multiply the step count.
-                    if lane_base == 0 {
-                        tally.inc(Counter::TimeSteps);
-                        shard.set_gauge(Gauge::SimTime, t);
-                    }
-                    if cont.cancelled() {
-                        stop.store(true, Ordering::Release);
-                    }
-                }
-                let busy_start = Instant::now();
-                // ---- apply phase ----------------------------
-                // What a write owes once its masked diff is
-                // known: the event count, the watched slot's
-                // packed record, its fan-out's dirty bits.
-                let mut commit = |slot: u32, diff: &LaneMask<W>, new: &[WideLanes<W>]| {
-                    tally.add(Counter::EventsProcessed, u64::from(wide::mask_count(diff)));
-                    // A cut past `end_time` records nothing there.
-                    let watch = if t <= end {
-                        watch_of[slot as usize]
-                    } else {
-                        UNWATCHED
-                    };
-                    if let Some(log) = logs.get_mut(watch as usize) {
-                        log.record(t, diff, new);
-                    }
-                    if gating && wide::mask_any(diff) {
-                        for &b in plan.fanout(slot) {
-                            dirty.mark(b);
-                        }
-                    }
-                };
-                let mut cursor = 0usize;
-                for &slot in &pend_slots {
-                    let w = prog.slot_width(slot) as usize;
-                    let new = &pend_data[cursor..cursor + w];
-                    cursor += w;
-                    let off = prog.slot_offset(slot);
-                    // SAFETY: single writer per slot (driver
-                    // thread), phases separated by barriers.
-                    let cur = unsafe { values.slice_mut(off..off + w) };
-                    let diff = wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
-                    commit(slot, &diff, new);
-                    cur.copy_from_slice(new);
-                }
-                pend_slots.clear();
-                pend_data.clear();
-                // Every executed step is at or before the next stimulus, so
-                // what is due is exactly the entries at `t`.
-                while let Some(wr) = gen_writes.get(gen_cursor).filter(|wr| wr.t == t) {
-                    gen_cursor += 1;
-                    if p != 0 {
-                        continue;
-                    }
-                    let w = prog.slot_width(wr.slot) as usize;
-                    let data = &gen_planes[wr.off..wr.off + w];
-                    let off = prog.slot_offset(wr.slot);
-                    // SAFETY: generator slots are only
-                    // written here, by thread 0.
-                    let cur = unsafe { values.slice_mut(off..off + w) };
-                    let mut diff = wide::mask_none::<W>();
-                    for (c, d) in cur.iter_mut().zip(data) {
-                        let eff = WideLanes::select(&wr.mask, *d, *c);
-                        wide::mask_or_assign(&mut diff, &c.diff(eff));
-                        *c = eff;
-                    }
-                    commit(wr.slot, &wide::mask_and(&diff, lane_mask), cur);
-                }
-                tally.add_elapsed(Counter::BusyNs, busy_start);
-                let wait_start = Instant::now();
-                barrier.wait();
-                tally.add_elapsed(Counter::IdleNs, wait_start);
-                // All threads observe the same `stop` value here (set before
-                // the barrier), so they break at the same step.
-                if barrier.is_poisoned() || stop.load(Ordering::Acquire) {
-                    break 'run;
-                }
-
-                // ---- evaluate phase -------------------------
-                let busy_start = Instant::now();
-                let mut step_evals = 0u64;
-                if t < end {
-                    for b in plan.thread_blocks[p].clone() {
-                        let insns = plan.block_insns(b);
-                        if gating && !dirty.take(b as u32) {
-                            tally.inc(Counter::BlocksSkipped);
-                            tally.add(Counter::EvalsSkipped, insns.len() as u64);
-                            continue;
-                        }
-                        for &i in insns {
-                            if let FaultAction::Exit =
-                                config.fault.check(p, processed, cont.cancel_flag())
-                            {
-                                // Only reached after cancellation,
-                                // which always poisons the barrier,
-                                // so peers are not left waiting.
-                                break 'run;
-                            }
-                            processed += 1;
-                            cont.beat(p);
-                            let i = i as usize;
-                            eval_insn(
-                                netlist,
-                                prog,
-                                values,
-                                nat_state,
-                                state_offset,
-                                fb_state,
-                                i,
-                                chunk_lanes,
-                                &mut scratch,
-                                &mut inputs_buf,
-                            );
-                            step_evals += 1;
-                            // Compare against current values and queue changed
-                            // ports. The compare is masked: tail lanes of a
-                            // fallback instruction hold stale scratch and must
-                            // not keep blocks dirty.
-                            let mut s_off = 0usize;
-                            for &slot in prog.outputs(i) {
-                                let w = prog.slot_width(slot) as usize;
-                                let new = &scratch[s_off..s_off + w];
-                                s_off += w;
-                                let off = prog.slot_offset(slot);
-                                // SAFETY: reading a slot this
-                                // thread exclusively writes.
-                                let cur = unsafe { values.slice(off..off + w) };
-                                let diff = wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
-                                if wide::mask_any(&diff) {
-                                    pend_slots.push(slot);
-                                    pend_data.extend_from_slice(new);
-                                }
-                            }
-                        }
-                    }
-                }
-                tally.add_elapsed(Counter::BusyNs, busy_start);
-                // Publish this step's deltas (never per event).
-                tally.add(Counter::Evaluations, step_evals);
-                tally.add(Counter::Activations, step_evals);
-                tally.flush(&shard);
-                shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
-                if gating && !pend_slots.is_empty() {
-                    last_write.note(t);
-                }
-                let wait_start = Instant::now();
-                barrier.wait();
-                tally.add_elapsed(Counter::IdleNs, wait_start);
-                if barrier.is_poisoned() {
-                    break 'run;
-                }
-                // A step that queued no write anywhere left no
-                // dirty block either: nothing changes until the
-                // next stimulus, so continue there.
-                let mut next = t + 1;
-                let stimulus = gen_writes.get(gen_cursor).map_or(cut + 1, |wr| wr.t);
-                if gating && stimulus > next && last_write.quiet(t) {
-                    next = stimulus;
-                    // Steps are shared across lane chunks;
-                    // only the first chunk counts them.
-                    let counts = (p == 0 && lane_base == 0).then_some(&*shard);
-                    credit_quiet_steps(&mut tally, plan, p, counts, (t, next, end));
-                }
-                t = next;
+    // Steps are shared by every chunk of a batch; chunk 0 alone counts them.
+    let shard = telemetry.registry.worker(p);
+    let counts_steps = (lane_base == 0).then_some(&*shard);
+    let mut logs: Vec<SlotLog<W>> = watch_slots.iter().map(|_| SlotLog::default()).collect();
+    let mut tally = Tally::default();
+    // Pending writes: slot list plus a flat plane arena (widths are
+    // implied by the slots), reused across steps so the hot loop never
+    // allocates.
+    let mut pend_slots: Vec<u32> = Vec::new();
+    let mut pend_data: Vec<WideLanes<W>> = Vec::new();
+    let mut scratch: Vec<WideLanes<W>> = vec![WideLanes::X; max_out_bits];
+    let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
+    let mut gen_cursor = 0usize;
+    let mut t = first_step;
+    'run: while t <= cut {
+        cont.beat(p);
+        if cont.cancelled() {
+            break;
+        }
+        if p == 0 {
+            ctx.step.store(t, Ordering::Relaxed);
+        }
+        if counts_steps.is_some() {
+            tally.inc(Counter::TimeSteps);
+            shard.set_gauge(Gauge::SimTime, t);
+        }
+        let busy_start = Instant::now();
+        // ---- apply phase ----------------------------------------------
+        // What a write owes once its masked diff is known: the event
+        // count, the watched slot's packed record, its fan-out's dirty
+        // bits.
+        let mut commit = |slot: u32, diff: &LaneMask<W>, new: &[WideLanes<W>]| {
+            tally.add(Counter::EventsProcessed, u64::from(wide::mask_count(diff)));
+            // A cut past `end_time` records nothing there.
+            let watch = if t <= end { watch_of[slot as usize] } else { UNWATCHED };
+            if let Some(log) = logs.get_mut(watch as usize) {
+                log.record(t, diff, new);
             }
-            // The last barrier's idle time and any early break.
-            tally.flush(&shard);
-            (logs, pend_slots, pend_data)
-        },
-        |d| d.sim_time = Some(Time(cur_step.load(Ordering::Relaxed))),
-    )?;
+            if gating && wide::mask_any(diff) {
+                for &b in plan.fanout(slot) {
+                    dirty.mark(b);
+                }
+            }
+        };
+        let mut cursor = 0usize;
+        for &slot in &pend_slots {
+            let w = prog.slot_width(slot) as usize;
+            let new = &pend_data[cursor..cursor + w];
+            cursor += w;
+            let off = prog.slot_offset(slot);
+            let cur = &mut values[off..off + w];
+            let diff = wide::mask_and(&wide::changed_mask(cur, new), lane_mask);
+            commit(slot, &diff, new);
+            cur.copy_from_slice(new);
+        }
+        pend_slots.clear();
+        pend_data.clear();
+        // Every executed step is at or before the next stimulus, so what
+        // is due is exactly the entries at `t`.
+        while let Some(wr) = gen_writes.get(gen_cursor).filter(|wr| wr.t == t) {
+            gen_cursor += 1;
+            let w = prog.slot_width(wr.slot) as usize;
+            let data = &gen_planes[wr.off..wr.off + w];
+            let off = prog.slot_offset(wr.slot);
+            let cur = &mut values[off..off + w];
+            let mut diff = wide::mask_none::<W>();
+            for (c, d) in cur.iter_mut().zip(data) {
+                let eff = WideLanes::select(&wr.mask, *d, *c);
+                wide::mask_or_assign(&mut diff, &c.diff(eff));
+                *c = eff;
+            }
+            commit(wr.slot, &wide::mask_and(&diff, lane_mask), cur);
+        }
+
+        // ---- evaluate phase -------------------------------------------
+        let mut step_evals = 0u64;
+        if t < end {
+            for b in blocks.clone() {
+                let insns = plan.block_insns(b);
+                if gating && !dirty.take(b as u32) {
+                    tally.inc(Counter::BlocksSkipped);
+                    tally.add(Counter::EvalsSkipped, insns.len() as u64);
+                    continue;
+                }
+                for &i in insns {
+                    if let FaultAction::Exit = config.fault.check(p, *processed, cont.cancel_flag())
+                    {
+                        // Only reached after cancellation.
+                        break 'run;
+                    }
+                    *processed += 1;
+                    cont.beat(p);
+                    let i = i as usize;
+                    eval_insn(
+                        netlist,
+                        prog,
+                        &values,
+                        &mut nat_state,
+                        state_offset,
+                        &mut fb_state,
+                        i,
+                        chunk_lanes,
+                        &mut scratch,
+                        &mut inputs_buf,
+                    );
+                    step_evals += 1;
+                    // Compare against current values and queue changed
+                    // ports. The compare is masked: tail lanes of a
+                    // fallback instruction hold stale scratch and must
+                    // not keep blocks dirty.
+                    let mut s_off = 0usize;
+                    for &slot in prog.outputs(i) {
+                        let w = prog.slot_width(slot) as usize;
+                        let new = &scratch[s_off..s_off + w];
+                        s_off += w;
+                        let off = prog.slot_offset(slot);
+                        let changed = wide::changed_mask(&values[off..off + w], new);
+                        let diff = wide::mask_and(&changed, lane_mask);
+                        if wide::mask_any(&diff) {
+                            pend_slots.push(slot);
+                            pend_data.extend_from_slice(new);
+                        }
+                    }
+                }
+            }
+        }
+        tally.add_elapsed(Counter::BusyNs, busy_start);
+        // Publish this step's deltas (never per event).
+        tally.add(Counter::Evaluations, step_evals);
+        tally.add(Counter::Activations, step_evals);
+        tally.flush(&shard);
+        shard.set_gauge(Gauge::QueueDepth, pend_slots.len() as u64);
+        // A step that queued no write left no dirty block either: nothing
+        // changes until the next stimulus, so continue there.
+        let mut next = t + 1;
+        let stimulus = gen_writes.get(gen_cursor).map_or(cut + 1, |wr| wr.t);
+        if gating && stimulus > next && pend_slots.is_empty() {
+            next = stimulus;
+            credit_quiet_steps(&mut tally, plan, 0, counts_steps, (t, next, end));
+        }
+        t = next;
+    }
+    // Any early break.
+    tally.flush(&shard);
 
     // Slot-major: one slot's `chunk_lanes` list tails stay cache-resident
     // while its log is replayed.
-    out.lanes.extend((0..chunk_lanes).map(|_| Vec::with_capacity(watch_slots.len())));
-    for (k, &slot) in watch_slots.iter().enumerate() {
-        let logs: Vec<&SlotLog<W>> = outputs.iter().map(|(logs, ..)| &logs[k]).collect();
-        let lists = transpose_slot(&logs, prog.slot_width(slot) as usize, chunk_lanes);
-        for (lane, list) in out.lanes[lane_base..].iter_mut().zip(lists) {
+    let mut lanes: Vec<Vec<Vec<(Time, Value)>>> =
+        (0..chunk_lanes).map(|_| Vec::with_capacity(watch_slots.len())).collect();
+    for (log, &slot) in logs.iter().zip(watch_slots) {
+        let lists = transpose_slot(log, prog.slot_width(slot) as usize, chunk_lanes);
+        for (lane, list) in lanes.iter_mut().zip(lists) {
             lane.push(list);
         }
     }
-    let mut leftover: Vec<(u32, Vec<WideLanes<W>>)> = Vec::new();
-    for (_, pend_slots, pend_data) in outputs {
-        let mut cursor = 0usize;
-        for slot in pend_slots {
-            let w = prog.slot_width(slot) as usize;
-            leftover.push((slot, pend_data[cursor..cursor + w].to_vec()));
-            cursor += w;
-        }
-    }
 
-    if let Some(snapshots) = &mut out.snapshots {
-        let num_nodes = netlist.num_nodes();
-        snapshots.extend((0..chunk_lanes).map(|local| {
-            let lane = local as u32;
-            // SAFETY (all raw reads below): workers are joined;
-            // single-threaded access with the joins as the edge.
-            let node_values: Vec<Value> = (0..num_nodes)
-                .map(|n| {
-                    let s = prog.slot_of(NodeId::from_index(n));
-                    let w = prog.slot_width(s) as usize;
-                    let off = prog.slot_offset(s);
-                    wide::gather(unsafe { values.slice(off..off + w) }, lane)
-                })
-                .collect();
-            let mut elem_states = ctx.start(lane_base + local).elem_states.clone();
-            for i in 0..prog.num_insns() {
-                let w = prog.width(i) as usize;
-                let off = state_offset[i] as usize;
-                match prog.opcode(i) {
-                    Opcode::Dff | Opcode::DffR => {
-                        let st = unsafe { nat_state.slice(off..off + w + 1) };
-                        elem_states[prog.elem(i)] = ElemState::Edge {
-                            q: wide::gather(&st[..w], lane),
-                            last_clk: wide::gather(&st[w..], lane),
-                        };
-                    }
-                    Opcode::Latch => {
-                        let st = unsafe { nat_state.slice(off..off + w) };
-                        elem_states[prog.elem(i)] = ElemState::Stored(wide::gather(st, lane));
-                    }
-                    _ => {
-                        let states = unsafe { fb_state.get_mut(i) };
-                        if let Some(s) = states.get(local) {
-                            elem_states[prog.elem(i)] = s.clone();
-                        }
-                    }
+    let snapshots = bounds.capture.then(|| {
+        let gather = |arena: &[WideLanes<W>], off: usize, w: usize, lane: u32| {
+            wide::gather(&arena[off..off + w], lane)
+        };
+        (0..chunk_lanes)
+            .map(|local| {
+                let lane = local as u32;
+                let node_values: Vec<Value> = (0..netlist.num_nodes())
+                    .map(|n| {
+                        let s = prog.slot_of(NodeId::from_index(n));
+                        gather(&values, prog.slot_offset(s), prog.slot_width(s) as usize, lane)
+                    })
+                    .collect();
+                let mut elem_states = ctx.start(lane_base + local).elem_states.clone();
+                for i in 0..prog.num_insns() {
+                    let (w, off) = (prog.width(i) as usize, state_offset[i] as usize);
+                    elem_states[prog.elem(i)] = match prog.opcode(i) {
+                        Opcode::Dff | Opcode::DffR => ElemState::Edge {
+                            q: gather(&nat_state, off, w, lane),
+                            last_clk: gather(&nat_state, off + w, 1, lane),
+                        },
+                        Opcode::Latch => ElemState::Stored(gather(&nat_state, off, w, lane)),
+                        _ => match fb_state[i].get(local) {
+                            Some(s) => s.clone(),
+                            None => continue,
+                        },
+                    };
                 }
-            }
-            // A queued wide write is this lane's unit-delay event only where
-            // the lane changed, exactly when the scalar engine would have
-            // queued it.
-            let queued = leftover
-                .iter()
-                .map(|(slot, data)| (prog.node_of(*slot).index(), wide::gather(data, lane)));
-            let carry = ctx.carry[lane_base + local].clone();
-            bounds.unit_delay_snapshot(node_values, elem_states, queued, carry)
-        }));
-    }
-
-    Ok(())
+                // A queued wide write is this lane's unit-delay event only
+                // where the lane changed, exactly when the scalar engine
+                // would have queued it.
+                let mut cursor = 0usize;
+                let queued = pend_slots.iter().map(|&slot| {
+                    let w = prog.slot_width(slot) as usize;
+                    cursor += w;
+                    (prog.node_of(slot).index(), gather(&pend_data, cursor - w, w, lane))
+                });
+                let carry = ctx.carry[lane_base + local].clone();
+                bounds.unit_delay_snapshot(node_values, elem_states, queued, carry)
+            })
+            .collect()
+    });
+    ChunkOut { lanes, snapshots }
 }
 
 /// Evaluates instruction `i` into `scratch` (output ports concatenated).
@@ -865,23 +795,19 @@ fn run_chunk<const W: usize>(
 fn eval_insn<const W: usize>(
     netlist: &Netlist,
     prog: &CompiledProgram,
-    values: &SharedSlice<WideLanes<W>>,
-    nat_state: &SharedSlice<WideLanes<W>>,
+    values: &[WideLanes<W>],
+    nat_state: &mut [WideLanes<W>],
     state_offset: &[u32],
-    fb_state: &SharedSlice<Vec<ElemState>>,
+    fb_state: &mut [Vec<ElemState>],
     i: usize,
     chunk_lanes: usize,
     scratch: &mut [WideLanes<W>],
     inputs_buf: &mut Vec<Value>,
 ) {
     let ins = prog.inputs(i);
-    // SAFETY (all `values.slice` calls below): evaluate phase is read-only
-    // for slot values; the barrier orders it after the last apply-phase
-    // write.
     let input = |k: usize| {
         let off = prog.slot_offset(ins[k]);
-        let w = prog.slot_width(ins[k]) as usize;
-        unsafe { values.slice(off..off + w) }
+        &values[off..off + prog.slot_width(ins[k]) as usize]
     };
     let w = prog.width(i) as usize;
     let op = prog.opcode(i);
@@ -913,9 +839,7 @@ fn eval_insn<const W: usize>(
         }
         Opcode::Dff | Opcode::DffR => {
             let off = state_offset[i] as usize;
-            // SAFETY: native state is touched only by the owning thread.
-            let st = unsafe { nat_state.slice_mut(off..off + w + 1) };
-            let (q, rest) = st.split_at_mut(w);
+            let (q, rest) = nat_state[off..off + w + 1].split_at_mut(w);
             let last_clk = &mut rest[0];
             let clk = input(0)[0];
             if op == Opcode::Dff {
@@ -927,8 +851,7 @@ fn eval_insn<const W: usize>(
         }
         Opcode::Latch => {
             let off = state_offset[i] as usize;
-            // SAFETY: native state is touched only by the owning thread.
-            let q = unsafe { nat_state.slice_mut(off..off + w) };
+            let q = &mut nat_state[off..off + w];
             wide::latch(q, input(0)[0], input(1));
             scratch[..w].copy_from_slice(q);
         }
@@ -938,8 +861,7 @@ fn eval_insn<const W: usize>(
             // kernel. Tail lanes (>= chunk_lanes) are left stale in
             // scratch; the caller masks them out of the change compare.
             let kind = netlist.elements()[prog.elem(i)].kind();
-            // SAFETY: fallback state is touched only by the owning thread.
-            let states = unsafe { fb_state.get_mut(i) };
+            let states = &mut fb_state[i];
             for lane in 0..chunk_lanes as u32 {
                 inputs_buf.clear();
                 for k in 0..ins.len() {
@@ -1011,18 +933,15 @@ mod tests {
                 (7 + 3 * t, wide::mask_and(&diff, &live), planes)
             })
             .collect();
-        // Two writers, as after a resume: thread 0 holds the first step,
-        // the slot's owner every later one.
-        let mut logs = [SlotLog::<W>::default(), SlotLog::default()];
-        for (i, (t, diff, new)) in writes.iter().enumerate() {
-            logs[usize::from(i > 0)].record(*t, diff, new);
+        let mut log = SlotLog::<W>::default();
+        for (t, diff, new) in &writes {
+            log.record(*t, diff, new);
         }
-        let logged: usize = logs.iter().map(|log| log.recs.len()).sum();
-        assert_eq!(logged, writes.iter().filter(|w| wide::mask_any(&w.1)).count());
-        assert!(logs.iter().all(|log| log.recs.iter().all(|(_, m)| wide::mask_any(m))));
-        assert!(logs.iter().all(|log| log.planes.len() == width * log.recs.len()));
+        assert_eq!(log.recs.len(), writes.iter().filter(|w| wide::mask_any(&w.1)).count());
+        assert!(log.recs.iter().all(|(_, m)| wide::mask_any(m)));
+        assert_eq!(log.planes.len(), width * log.recs.len());
 
-        let got = transpose_slot(&[&logs[0], &logs[1]], width, chunk_lanes);
+        let got = transpose_slot(&log, width, chunk_lanes);
         assert_eq!(got, per_lane_reference(&writes, chunk_lanes), "W={W} width={width}");
         assert!(got.iter().all(|list| list.capacity() == list.len()));
     }
@@ -1049,8 +968,68 @@ mod tests {
         let mut log = SlotLog::<2>::default();
         log.record(5, &wide::mask_none::<2>(), &[WideLanes::ONE]);
         assert!(log.recs.is_empty() && log.planes.is_empty());
-        let lists = transpose_slot(&[&log, &SlotLog::default()], 1, 100);
+        let lists = transpose_slot(&log, 1, 100);
         assert_eq!(lists.len(), 100);
         assert!(lists.iter().all(|list| list.is_empty() && list.capacity() == 0));
+    }
+
+    /// The chunk rule over lanes 1..=1100 × threads 1..=5 × every forced
+    /// width: contiguous, non-empty chunks of at most 512 lanes covering
+    /// every lane, as many as the rule says, even when unforced, each run
+    /// at the narrowest word group that covers it.
+    #[test]
+    fn lane_chunks_cover_every_lane_by_shape() {
+        for lanes in 1..=1100usize {
+            for threads in 1..=5usize {
+                for width in [None, Some(64), Some(128), Some(256), Some(512)] {
+                    let case = format!("{lanes} lanes, {threads} threads, width {width:?}");
+                    let chunks = lane_chunks(lanes, threads, width);
+                    let mut next = 0;
+                    for chunk in &chunks {
+                        assert_eq!(chunk.start, next, "{case}: {chunks:?}");
+                        assert!(!chunk.is_empty() && chunk.len() <= 512, "{case}: {chunk:?}");
+                        let words = group_words(chunk.len());
+                        assert!([1, 2, 4, 8].contains(&words), "{case}");
+                        assert!(words * 64 >= chunk.len(), "{case}: W={words} too narrow");
+                        let narrower = words / 2 * 64;
+                        assert!(words == 1 || narrower < chunk.len(), "{case}: W={words} too wide");
+                        next = chunk.end;
+                    }
+                    assert_eq!(next, lanes, "{case}: lanes left over");
+                    let sizes = chunks.iter().map(|c| c.len());
+                    match width {
+                        Some(w) => {
+                            assert_eq!(chunks.len(), lanes.div_ceil(w), "{case}");
+                            assert!(sizes.rev().skip(1).all(|n| n == w), "{case}");
+                        }
+                        None => {
+                            let n = lanes.div_ceil(512).max(threads.min(lanes));
+                            assert_eq!(chunks.len(), n, "{case}");
+                            let (lo, hi) = (sizes.clone().min(), sizes.max());
+                            assert!(hi.unwrap() - lo.unwrap() <= 1, "{case}: {chunks:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The override bitset read at any lane offset: aligned, straddling two
+    /// words, and past the end.
+    #[test]
+    fn bits_at_reads_any_lane_offset() {
+        let bits = [0xdead_beef_0123_4567u64, 0x89ab_cdef_f00d_cafe];
+        assert_eq!(bits_at(&bits, 0), bits[0]);
+        assert_eq!(bits_at(&bits, 64), bits[1]);
+        assert_eq!(bits_at(&bits, 4), bits[0] >> 4 | bits[1] << 60);
+        assert_eq!(bits_at(&bits, 100), bits[1] >> 36);
+        assert_eq!(bits_at(&bits, 128), 0);
+        for start in 0..128 {
+            for lane in 0..64 {
+                let g = start + lane;
+                let want = g < 128 && bits[g / 64] >> (g % 64) & 1 == 1;
+                assert_eq!(bits_at(&bits, start) >> lane & 1 == 1, want, "{start}+{lane}");
+            }
+        }
     }
 }

@@ -80,23 +80,6 @@ impl<T> SharedSlice<T> {
         let slots = &self.slots[range];
         &*(slots as *const [UnsafeCell<T>] as *const [T])
     }
-
-    /// Returns an exclusive reference to the contiguous slot range.
-    ///
-    /// # Safety
-    ///
-    /// As for [`SharedSlice::get_mut`], applied to every slot in `range`.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
-        let slots = &self.slots[range];
-        if slots.is_empty() {
-            return &mut [];
-        }
-        // `UnsafeCell::get` is the sanctioned `&self -> *mut T` door;
-        // adjacent cells are contiguous and layout-identical to `T`.
-        std::slice::from_raw_parts_mut(slots[0].get(), slots.len())
-    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use parsim_core::{
     CheckpointError, CompiledMode, EngineSnapshot, EventDriven, LaneStimulus, SimConfig, SimError,
 };
+use parsim_checkpoint::netlist_digest;
 use parsim_logic::{Delay, ElementKind, Time, Value};
-use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Builder, Netlist, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -178,14 +178,15 @@ fn multi_cut_chain_matches_single_segment() {
     assert_eq!(snaps.unwrap(), straight);
 }
 
-/// A cut taken while watched, instruction-driven nodes owned by workers
-/// other than 0 have an event in flight. On resume thread 0 injects that
-/// event at the first step and logs it, and the owner logs every later
-/// change of the same node: two logs of one slot, which the result path
-/// concatenates thread 0 first without sorting. The stitched lists must
-/// come out strictly time-ordered and equal to the uncut run.
+/// A cut taken while watched, instruction-driven nodes have an event in
+/// flight, with the lanes split over threads: at 2 threads lanes 0–1 and
+/// lane 2 are two chunks (the second starts at lane 2, inside a word), at
+/// 3 threads every lane is a chunk of its own. The snapshots
+/// must encode to the 1-thread bytes, the stitched lists must come out
+/// strictly time-ordered and equal to the uncut run, and a cut taken at 3
+/// threads must resume at 1 thread to the same lists.
 #[test]
-fn in_flight_events_of_other_workers_resume_in_time_order() {
+fn in_flight_events_resume_in_time_order_at_any_thread_count() {
     // A clock fanning out to six inverters, each feeding a second one: at
     // a step where the clock toggles, every first-rank output is pending.
     let mut b = Builder::new();
@@ -201,6 +202,7 @@ fn in_flight_events_of_other_workers_resume_in_time_order() {
         watch.extend([n, m]);
     }
     let netlist = b.finish().unwrap();
+    let digest = netlist_digest(&netlist);
     let (end, cut) = (40u64, 9u64);
     // Lane 0 follows the base clock (toggles at the cut, first rank in
     // flight); the others have one edge, at the cut and one step before it
@@ -213,39 +215,45 @@ fn in_flight_events_of_other_workers_resume_in_time_order() {
             LaneStimulus::base().drive(clk, sched)
         }))
         .collect();
+    let config_at =
+        |threads: usize| SimConfig::new(Time(end)).watch_all(watch.clone()).threads(threads);
+    let encoded =
+        |snaps: &[EngineSnapshot]| snaps.iter().map(|s| s.encode(digest)).collect::<Vec<_>>();
+
+    let (_, one_thread) =
+        CompiledMode::run_batch_segment(&netlist, &config_at(1), &stim, None, Time(cut)).unwrap();
+    for (l, snap) in one_thread.iter().enumerate() {
+        assert!(!snap.pending.is_empty(), "lane {l}: the cut catches events in flight");
+        assert!(snap.pending.iter().all(|ev| ev.time == cut + 1));
+    }
 
     for threads in [2usize, 3] {
-        let cfg = config(end, &watch).threads(threads).with_lane_width(64);
+        let cfg = config_at(threads);
         let (whole, _) =
             CompiledMode::run_batch_segment(&netlist, &cfg, &stim, None, Time(end)).unwrap();
         let (head, snaps) =
             CompiledMode::run_batch_segment(&netlist, &cfg, &stim, None, Time(cut)).unwrap();
-        let (tail, _) =
-            CompiledMode::run_batch_segment(&netlist, &cfg, &stim, Some(&snaps), Time(end))
-                .unwrap();
+        assert_eq!(encoded(&snaps), encoded(&one_thread), "x{threads}: snapshot bytes");
 
-        // The scenario is the one described: some watched node in flight
-        // at the cut is driven by an instruction of a worker other than 0.
-        let owners = CompiledProgram::compile(&netlist).level_partition(threads);
-        let owner = |node: u32| {
-            let (driver, _) = netlist.node(NodeId::from_index(node as usize)).driver().unwrap();
-            owners.assignment()[driver.index()]
-        };
-        for (l, snap) in snaps.iter().enumerate() {
-            assert!(snap.pending.iter().all(|ev| ev.time == cut + 1));
-            assert!(snap.pending.iter().any(|ev| owner(ev.node) != 0), "lane {l} x{threads}");
-        }
-
-        for (l, mut stitched) in head.lanes.into_iter().enumerate() {
-            stitched.append_segment(&tail.lanes[l]);
-            for &n in &watch {
-                let changes = stitched.waveform(n).unwrap().changes();
-                assert!(changes.windows(2).all(|w| w[0].0 < w[1].0), "lane {l} node {n:?}");
-                assert_eq!(
-                    changes,
-                    whole.lanes[l].waveform(n).unwrap().changes(),
-                    "lane {l} node {n:?} x{threads}"
-                );
+        // Resumed at the cut's thread count and at one thread.
+        for resumed in [threads, 1] {
+            let (tail, _) = CompiledMode::run_batch_segment(
+                &netlist,
+                &config_at(resumed),
+                &stim,
+                Some(&snaps),
+                Time(end),
+            )
+            .unwrap();
+            for (l, lane) in head.lanes.iter().enumerate() {
+                let mut stitched = lane.clone();
+                stitched.append_segment(&tail.lanes[l]);
+                for &n in &watch {
+                    let changes = stitched.waveform(n).unwrap().changes();
+                    let case = format!("lane {l} node {n:?}, cut x{threads}, resumed x{resumed}");
+                    assert!(changes.windows(2).all(|w| w[0].0 < w[1].0), "{case}");
+                    assert_eq!(changes, whole.lanes[l].waveform(n).unwrap().changes(), "{case}");
+                }
             }
         }
     }

@@ -191,8 +191,14 @@ fn check_built_lanes(
         .collect();
     let batch = CompiledMode::run_batch(&netlist, &cfg, &stimuli).unwrap();
     prop_assert_eq!(batch.lanes.len(), per_lane.len());
-    // One time-weighted row per worker, however many lane chunks ran.
-    prop_assert_eq!(batch.metrics.per_thread.len(), threads);
+    // One time-weighted row per worker that ran: threads take whole lane
+    // chunks, so `min(threads, chunks)` of them.
+    let lanes = per_lane.len();
+    let chunks = match cfg.lane_width {
+        Some(w) => lanes.div_ceil(w),
+        None => lanes.div_ceil(512).max(threads.min(lanes)),
+    };
+    prop_assert_eq!(batch.metrics.per_thread.len(), threads.min(chunks));
     for (l, schedules) in per_lane.iter().enumerate() {
         let (oracle_netlist, oracle_watch, _) = build(Some(schedules));
         prop_assert_eq!(&oracle_watch, &watch);

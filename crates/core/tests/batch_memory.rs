@@ -5,9 +5,11 @@
 //! (slot, step), not per lane — so its peak live heap is the returned
 //! lists plus a fraction of them, not several copies: 1.19 × as one
 //! 256-lane chunk, 1.07 × as three 64-lane chunks. The per-lane record
-//! stream this replaced read 3.56 × and 2.21 ×. The test checks both
-//! shapes: the host's default width, then lane width 64. This file holds
-//! one test only: the counting allocator sees every thread of the process.
+//! stream this replaced read 3.56 × and 2.21 ×. The test checks three
+//! shapes: one chunk at one thread, three 64-lane chunks, and two 96-lane
+//! chunks running at once on two threads, each holding its own arenas and
+//! packed logs. This file holds one test only: the counting allocator
+//! sees every thread of the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,11 +97,11 @@ fn batch_peak_heap_is_bounded_by_the_waveforms_it_returns() {
         .collect();
     let cfg = SimConfig::new(end).watch_all(watch);
 
-    // The host's default width first, then 64 lanes per word: 192 lanes
-    // as three chunks. Both passes stay in this one test, because the
-    // counting allocator is process-wide and a parallel test would move
-    // the peak.
-    for cfg in [cfg.clone(), cfg.with_lane_width(64)] {
+    // One 192-lane chunk, then 64 lanes per word: 192 lanes as three
+    // chunks, then two threads: two 96-lane chunks at once. All passes
+    // stay in this one test, because the counting allocator is
+    // process-wide and a parallel test would move the peak.
+    for cfg in [cfg.clone(), cfg.clone().with_lane_width(64), cfg.threads(2)] {
         let before = LIVE.load(Ordering::Relaxed);
         PEAK.store(before, Ordering::Relaxed);
         let batch = CompiledMode::run_batch(&base.netlist, &cfg, &stimuli).unwrap();
@@ -107,6 +109,11 @@ fn batch_peak_heap_is_bounded_by_the_waveforms_it_returns() {
         let width = batch.metrics.lane_width;
         if cfg.lane_width == Some(64) {
             assert_eq!(width, 64, "192 lanes at lane width 64 run as 64-lane chunks");
+        }
+        if cfg.threads == 2 {
+            assert_eq!(width, 128, "192 lanes at two threads run as two 96-lane chunks");
+            let ran = batch.metrics.per_thread.iter().filter(|t| t.evaluations > 0);
+            assert_eq!(ran.count(), 2, "both chunks ran, one per worker");
         }
 
         let change = std::mem::size_of::<(Time, Value)>();
@@ -121,8 +128,9 @@ fn batch_peak_heap_is_bounded_by_the_waveforms_it_returns() {
         assert!(returned > 8 << 20, "only {returned} bytes of waveforms came back");
         assert!(
             peak <= 2 * returned + (4 << 20),
-            "run_batch at lane width {width} peaked at {peak} live heap bytes for \
-             {returned} bytes of waveforms ({:.2}x)",
+            "run_batch at lane width {width}, {} threads, peaked at {peak} live heap \
+             bytes for {returned} bytes of waveforms ({:.2}x)",
+            cfg.threads,
             peak as f64 / returned as f64
         );
     }

@@ -45,10 +45,11 @@ fn busy_netlist() -> Netlist {
 
 type Engine = fn(&Netlist, &SimConfig) -> Result<SimResult, SimError>;
 
-/// `CompiledMode::run_batch` over 130 base lanes at 64 lanes per word
-/// group, so three chunks; lane 0 stands for the batch.
+/// `CompiledMode::run_batch` over 260 base lanes at 64 lanes per word
+/// group, so five chunks: every worker has one at 2, 3 and 4 threads, and
+/// some run two. Lane 0 stands for the batch.
 fn run_batch(netlist: &Netlist, config: &SimConfig) -> Result<SimResult, SimError> {
-    let lanes = vec![LaneStimulus::base(); 130];
+    let lanes = vec![LaneStimulus::base(); 260];
     let config = config.clone().with_lane_width(64);
     Ok(CompiledMode::run_batch(netlist, &config, &lanes)?
         .lanes

@@ -28,8 +28,8 @@
 //!
 //! `--lanes N` (with `--engine compiled`) runs the SIMD batch kernel
 //! with N copies of the base stimulus — a lane-throughput measurement
-//! mode. `--force-lane-width {64,128,256,512}` pins the word-group
-//! width instead of taking the host's default (64 runs a 130-lane batch
+//! mode. `--force-lane-width {64,128,256,512}` pins the chunk width
+//! instead of chunking by lane and thread count (64 runs a 130-lane batch
 //! as three chunks); the kernel code is the same at every width. The
 //! chosen width is reported in the metrics line and, with `--trace
 //! --report`, in the run report.

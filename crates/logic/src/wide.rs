@@ -20,8 +20,8 @@
 //! time; the compiler vectorizes them for the target it builds for. There
 //! is no hand-written intrinsic path and no runtime dispatch: the batch
 //! kernel is bound by memory latency on its tables and value arena, not by
-//! word ops (DESIGN.md §11.1). [`simd_level`] probes the CPU only to pick
-//! the default chunk width ([`native_lane_width`]) and to name the host.
+//! word ops (DESIGN.md §11.1). [`simd_level`] probes the CPU only to name
+//! the host.
 //!
 //! Encoding per lane (same two-plane convention as [`Value`]):
 //!
@@ -500,39 +500,28 @@ pub fn tribuf<const W: usize>(out: &mut [WideLanes<W>], en: WideLanes<W>, d: &[W
 
 // ---------------------------------------------------------------------------
 // CPU probe. It selects no code path: the kernels above are the same on
-// every host. It picks the default chunk width and names the host.
+// every host. It names the host.
 // ---------------------------------------------------------------------------
 
 /// The widest x86-64 vector extension the running CPU reports.
 ///
-/// This selects no code path; every host runs the same `[u64; W]` kernels.
-/// It does two things: [`SimdLevel::lane_width`] is the lane count the
-/// batch engine packs per chunk word by default ([`native_lane_width`]),
-/// and [`SimdLevel::name`] names the host in benchmark fingerprints.
-/// Ordered: every level implies the ones below it.
+/// This selects no code path and no chunk width; every host runs the same
+/// `[u64; W]` kernels on the same chunks. [`SimdLevel::name`] names the
+/// host in benchmark fingerprints. Ordered: every level implies the ones
+/// below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// No vector extension detected (or not x86-64): 64-lane chunks.
+    /// No vector extension detected (or not x86-64).
     Scalar,
-    /// SSE2, 128-bit vectors: 128-lane chunks (`W = 2`).
+    /// SSE2, 128-bit vectors.
     Sse2,
-    /// AVX2, 256-bit vectors: 256-lane chunks (`W = 4`).
+    /// AVX2, 256-bit vectors.
     Avx2,
-    /// AVX-512F, 512-bit vectors: 512-lane chunks (`W = 8`).
+    /// AVX-512F, 512-bit vectors.
     Avx512,
 }
 
 impl SimdLevel {
-    /// The default chunk width, in stimulus lanes, on a host at this level.
-    pub fn lane_width(self) -> usize {
-        match self {
-            SimdLevel::Scalar => 64,
-            SimdLevel::Sse2 => 128,
-            SimdLevel::Avx2 => 256,
-            SimdLevel::Avx512 => 512,
-        }
-    }
-
     /// Short human/JSON-friendly name.
     pub fn name(self) -> &'static str {
         match self {
@@ -565,12 +554,6 @@ fn detect_simd_level() -> SimdLevel {
         }
     }
     SimdLevel::Scalar
-}
-
-/// The default batch chunk width on this host:
-/// [`simd_level`]`().lane_width()`. Selects no code path.
-pub fn native_lane_width() -> usize {
-    simd_level().lane_width()
 }
 
 #[cfg(test)]
@@ -954,8 +937,6 @@ mod tests {
     #[test]
     fn simd_level_is_consistent() {
         let level = simd_level();
-        assert_eq!(level.lane_width(), native_lane_width());
-        assert!(LANE_WIDTHS.contains(&level.lane_width()));
         assert!(!level.name().is_empty());
         // Cached: a second call returns the same tier.
         assert_eq!(simd_level(), level);

@@ -723,6 +723,50 @@ fn batch_lanes_are_byte_identical_at_every_lane_width() {
     }
 }
 
+/// Threads split lanes, not gates, inside tier-1: the same 130 lanes with
+/// no forced width at 1, 2, 3 and 4 threads run as one 256-wide chunk, two
+/// 65-lane chunks at 128, and three or four chunks at 64, one worker per
+/// chunk. Every fifth lane keeps the netlist's own operands, so chunks
+/// that start inside a word mix base and overridden lanes. Every lane's
+/// VCD and the event count match the 1-thread run, and a 2-lane batch at
+/// 4 threads starts 2 workers.
+#[test]
+fn batch_threads_split_lanes_and_match_one_thread() {
+    const LANES: u64 = 130;
+    let base = gate_multiplier(4, &[(5, 3), (9, 14)], 64).unwrap();
+    let end = base.schedule_end();
+    let pairs = |l: u64| [(l % 16, l / 16), (15 - l % 16, (l * 7) % 16)];
+    let stimuli: Vec<LaneStimulus> = (0..LANES)
+        .map(|l| match l % 5 {
+            0 => LaneStimulus::base(),
+            _ => operand_lane(&base, &pairs(l), end),
+        })
+        .collect();
+    let cfg = SimConfig::new(end).watch_all(base.product.iter().copied());
+    let workers_ran =
+        |m: &parsim::engine::Metrics| m.per_thread.iter().filter(|t| t.evaluations > 0).count();
+
+    let one = CompiledMode::run_batch(&base.netlist, &cfg, &stimuli).unwrap();
+    let vcds: Vec<String> = one.lanes.iter().map(|lane| lane.to_vcd()).collect();
+    for (threads, width, chunks) in [(1, 256, 1), (2, 128, 2), (3, 64, 3), (4, 64, 4)] {
+        let batch =
+            CompiledMode::run_batch(&base.netlist, &cfg.clone().threads(threads), &stimuli)
+                .unwrap();
+        assert_eq!(batch.metrics.lane_width, width, "x{threads}");
+        assert_eq!(batch.metrics.events_processed, one.metrics.events_processed, "x{threads}");
+        assert_eq!(workers_ran(&batch.metrics), threads.min(chunks), "x{threads}");
+        for (l, lane) in batch.lanes.iter().enumerate() {
+            assert_eq!(lane.to_vcd(), vcds[l], "lane {l} at {threads} threads");
+        }
+    }
+
+    let two = CompiledMode::run_batch(&base.netlist, &cfg.threads(4), &stimuli[..2]).unwrap();
+    assert_eq!(workers_ran(&two.metrics), 2, "two lanes make two chunks");
+    for (l, lane) in two.lanes.iter().enumerate() {
+        assert_eq!(lane.to_vcd(), vcds[l], "lane {l} of two");
+    }
+}
+
 /// The batch kernel's failure containment inside tier-1: a worker that
 /// panics mid-run is reported by index, and the next run of the same batch
 /// on the same netlist is byte-equal to its oracle.
