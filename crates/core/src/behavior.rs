@@ -40,7 +40,7 @@
 //! covers it, and the two can carry the same time. A reader that wants
 //! "this node has no event I have not seen through T" must therefore load
 //! `valid_until` first and look at the list second —
-//! [`Cursor::quiet_through`] is the one place that does it, and the model
+//! [`Cursor::scan_quiet`] is the one place that does it, and the model
 //! test `quiet_window_peek_first_misses_the_covered_event` shows the
 //! opposite order adopting a window over an event it never saw.
 //!
@@ -70,7 +70,7 @@
 use std::mem::MaybeUninit;
 use std::ptr;
 
-use parsim_logic::Value;
+use parsim_logic::{scan_quiet, Edge, Value};
 use parsim_queue::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use parsim_queue::sync::UnsafeCell;
 
@@ -507,28 +507,40 @@ impl Cursor {
         self.cached
     }
 
-    /// The time through which `node` is known to carry no event this
-    /// cursor has not consumed: one tick before the next unconsumed event,
-    /// or the node's `valid_until` when none is published. This is what
-    /// the engine's lookahead rules read to learn how long an input keeps
-    /// its current value.
+    /// The time through which `node` carries no event past this cursor
+    /// that `edge` says can move the consumer's output: the lookahead
+    /// rules' quiet window ([`scan_quiet`] over the published events,
+    /// starting from [`Cursor::value`]). With [`Edge::Any`] it is one tick
+    /// before the next unconsumed event, or the node's `valid_until` when
+    /// none is published. Nothing is consumed: the events the window
+    /// covers stay in the list and are replayed once valid.
     ///
-    /// The order of the two loads matters. The writer pushes an event at
-    /// `te` and only *then* stores a `valid_until` that may equal `te`, so
-    /// peeking first could miss the event and still read the validity that
-    /// covers it. Loading `valid_until` first (`Acquire`, pairing with the
-    /// writer's `Release` store) makes every event at or before the loaded
-    /// value visible to the peek that follows.
+    /// The order of the loads matters. The writer pushes an event at `te`
+    /// and only *then* stores a `valid_until` that may equal `te`, so
+    /// reading the list first could miss the event and still read the
+    /// validity that covers it. Loading `valid_until` first (`Acquire`,
+    /// pairing with the writer's `Release` store) makes every event at or
+    /// before the loaded value visible to the `len` load that follows.
     ///
     /// # Safety
     ///
     /// Caller must hold the element exclusively (activation machine).
-    pub unsafe fn quiet_through(&mut self, node: &NodeState) -> u64 {
+    pub unsafe fn scan_quiet(&self, node: &NodeState, edge: Edge) -> u64 {
         let valid = node.valid_until.load(Ordering::Acquire);
-        match self.peek(node) {
-            Some((t, _)) => t.saturating_sub(1),
-            None => valid,
-        }
+        let len = node.len.load(Ordering::Acquire);
+        let (mut chunk, mut global) = (self.chunk, self.global);
+        let published = std::iter::from_fn(|| {
+            if global >= len {
+                return None;
+            }
+            while global >= (*chunk).base + CHUNK as u64 {
+                chunk = (*chunk).next.load(Ordering::Acquire);
+            }
+            let idx = (global - (*chunk).base) as usize;
+            global += 1;
+            Some((*chunk).slots[idx].with(|slot| (*slot).assume_init()))
+        });
+        scan_quiet(valid, self.value, published, edge)
     }
 
     /// Consumes the event returned by the last `peek`.

@@ -17,15 +17,17 @@
 //!    activation machine's AcqRel handoff chain — the justification for
 //!    the two `Relaxed` loads in `chaotic.rs` (`known_through` and
 //!    `out_valid` extension sites);
-//! 4. the lookahead rules' quiet-window read ([`Cursor::quiet_through`]):
-//!    `valid_until` must be loaded *before* the list is peeked, because
+//! 4. the lookahead rules' quiet-window scan ([`Cursor::scan_quiet`]):
+//!    `valid_until` must be loaded *before* the list is read, because
 //!    the writer pushes an event at `te` before it stores a `valid_until`
 //!    that can equal `te`. The peek-first order the engine used to have is
-//!    kept here as a shape the explorer must keep rejecting.
+//!    kept here as a shape the explorer must keep rejecting, and the
+//!    edge-aware scan must stop before a moving event that follows
+//!    non-moving ones across a chunk link.
 #![cfg(parsim_model)]
 
 use parsim_core::behavior::{ChunkAlloc, Cursor, NodeState, CHUNK};
-use parsim_logic::Value;
+use parsim_logic::{Edge, Value};
 use parsim_model_check::{thread, CexKind, Explorer};
 use parsim_queue::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parsim_queue::sync::Arc;
@@ -208,8 +210,13 @@ fn quiet_window_shape(read: unsafe fn(&mut Cursor, &NodeState) -> u64) {
     );
 }
 
-/// The order `run_element` had before `quiet_through` existed: peek, and
-/// only on an empty list fall back to `valid_until`.
+/// The controlling-value rule's read: every event moves.
+unsafe fn every_event_moves(cursor: &mut Cursor, node: &NodeState) -> u64 {
+    cursor.scan_quiet(node, Edge::Any)
+}
+
+/// The order `run_element` had before the quiet-window read existed:
+/// peek, and only on an empty list fall back to `valid_until`.
 unsafe fn peek_then_valid(cursor: &mut Cursor, node: &NodeState) -> u64 {
     match cursor.peek(node) {
         Some((t, _)) => t.saturating_sub(1),
@@ -221,8 +228,44 @@ unsafe fn peek_then_valid(cursor: &mut Cursor, node: &NodeState) -> u64 {
 fn quiet_window_loads_valid_until_before_peeking() {
     Explorer::new()
         .max_preemptions(3)
-        .check(|| quiet_window_shape(Cursor::quiet_through))
+        .check(|| quiet_window_shape(every_event_moves))
         .assert_pass("lookahead quiet-window read");
+}
+
+/// A register's clock scan racing the clock's writer: two non-moving
+/// events (X→1, 1→0), then a rising edge, the third event crossing into
+/// a second chunk at `CHUNK = 2`, and validity stored last. Whatever
+/// prefix of the list and the validity the scan sees, its window must end
+/// before the rising edge.
+#[test]
+fn edge_scan_stops_before_a_moving_event_across_a_chunk() {
+    assert_eq!(CHUNK, 2, "model builds shrink the chunk size");
+    const EVENTS: [(u64, bool); 3] = [(3, true), (5, false), (7, true)];
+    Explorer::new()
+        .max_preemptions(3)
+        .check(|| {
+            let mut alloc = ChunkAlloc::default();
+            let node = Arc::new(NodeState::new(1, &mut alloc));
+            let n2 = Arc::clone(&node);
+            let writer = thread::spawn(move || {
+                let mut a = ChunkAlloc::default();
+                for (t, v) in EVENTS {
+                    // SAFETY: this thread is the node's only writer.
+                    unsafe { n2.push(t, Value::bit(v), &mut a) };
+                }
+                n2.valid_until.store(7, Ordering::Release);
+            });
+            let cursor = Cursor::new(&node, Value::x(1));
+            // SAFETY: this thread is the element's only runner.
+            let quiet = unsafe { cursor.scan_quiet(&node, Edge::Rising) };
+            writer.join();
+            assert!(quiet < 7, "window through {quiet} covers the rising edge at 7");
+            // Once validity is out, the whole list is visible: the window
+            // is exactly the tick before the edge.
+            let settled = unsafe { cursor.scan_quiet(&node, Edge::Rising) };
+            assert_eq!(settled, 6, "a settled list scans to the tick before the edge");
+        })
+        .assert_pass("edge-aware quiet-window scan");
 }
 
 #[test]

@@ -4,8 +4,10 @@
 //! at 1, 2 and 4 threads.
 //!
 //! The rule under test lets a `Dff`/`DffR`/`Memory` (and a `Latch` while
-//! `en = 0`) publish its output as valid up to its next clock/reset/enable
-//! event, however far behind its data inputs are. The circuits here put
+//! `en = 0`) publish its output as valid up to its next trigger event that
+//! can move it — a rising clock edge, a reset asserting, an enable
+//! changing — however far behind its data inputs are, and past falling
+//! edges, reset releases and X/Z clock transitions on the way. The circuits here put
 //! every register inside a feedback loop (so the data input really does
 //! lag), move the data while the trigger ports are quiet, and vary how
 //! much the engine knows about the clock: straight from a generator
@@ -324,6 +326,114 @@ fn chaotic_cut_inside_a_clock_half_period_resumes_byte_equal() {
             .expect_err("the injected storage crash must end the run");
         let resumed = checkpoint::resume(EngineKind::Chaotic, &case.netlist, &cfg).unwrap();
         assert_eq!(resumed.to_vcd(), want, "{kind}: resumed run");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Registers whose trigger ports carry every transition the edge rule
+/// looks past: falling clock edges, a clock through X and Z (X→1 and
+/// Z→1 are not rising edges), a train of 1↔X glitches longer than one
+/// scan reads, and a reset that releases, goes unknown and returns to 0.
+/// The regular clock `clk` has half-period 10 from tick 13: rising edges
+/// at 13, 33, 53, ..., falling edges at 23, 43, ..., so a cut at every
+/// multiple of 20 lies between a falling edge and the next rising one.
+fn non_moving_edges_case() -> Case {
+    let mut b = Builder::new();
+    let (lo, hi, x, z) = (Value::bit(false), Value::bit(true), Value::x(1), Value::z(1));
+    let clk = clock(&mut b, "clk", 10, 13);
+    let mut glitchy = vec![(0, lo), (10, hi), (15, lo), (20, x), (24, hi), (28, z), (31, hi)];
+    glitchy.extend((0..24).map(|k| (34 + k, if k % 2 == 0 { x } else { hi })));
+    glitchy.extend([(60, lo), (66, hi), (70, z), (74, lo), (80, hi), (86, lo), (95, x), (99, lo)]);
+    glitchy.extend((0..30).map(|k| (110 + 6 * k, if k % 2 == 0 { hi } else { lo })));
+    let gclk = vector(&mut b, "gclk", &glitchy);
+    let load = vector(&mut b, "load", &[(0, hi), (25, lo)]);
+    let zero = b.node("zero", 1);
+    b.element("zero_gen", ElementKind::Const { value: lo }, Delay(1), &[], &[zero]).unwrap();
+    // A toggle ring on each clock, so the data input lags its register.
+    let mut watch = vec![clk, gclk];
+    for (name, c) in [("g", gclk), ("t", clk)] {
+        let [q, nq, d] = ["q", "nq", "d"].map(|n| b.node(&format!("{name}{n}"), 1));
+        let ff = ElementKind::Dff { width: 1 };
+        b.element_with_delays(&format!("{name}ff"), ff, Delay(2), Delay(1), &[c, d], &[q]).unwrap();
+        b.element(&format!("{name}inv"), ElementKind::Not, Delay(1), &[q], &[nq]).unwrap();
+        let sel = ElementKind::Mux { width: 1 };
+        b.element(&format!("{name}sel"), sel, Delay(1), &[load, nq, zero], &[d]).unwrap();
+        watch.extend([q, d]);
+    }
+    let resets = [(0, hi), (5, lo), (40, hi), (45, lo), (70, x), (77, lo), (100, z), (103, hi)];
+    let rst = vector(&mut b, "rst", &[&resets[..], &[(106, lo), (150, hi), (151, lo)]].concat());
+    // A 4-bit word moving every 4 ticks, never resting on one value.
+    let data = b.node("data", 4);
+    let words: Vec<Value> = [3, 9, 14, 5, 12, 6, 10].map(|w| Value::from_u64(w, 4)).to_vec();
+    let pattern = ElementKind::Pattern { period: 4, values: words.into() };
+    b.element("data_gen", pattern, Delay(1), &[], &[data]).unwrap();
+    // The reset register's data comes back from its own output.
+    let (r, rd) = (b.node("r", 4), b.node("rd", 4));
+    b.element("reg", ElementKind::DffR { width: 4 }, Delay(2), &[clk, rd, rst], &[r]).unwrap();
+    b.element("mix", ElementKind::Xor, Delay(1), &[r, data], &[rd]).unwrap();
+    // So does the memory's write data, from its read port, once a
+    // start-up phase has filled the cells with known words.
+    let addr = lfsr(&mut b, "addr", 2, 5, 0x2d);
+    let we = clock(&mut b, "we", 11, 4);
+    let filling = vector(&mut b, "filling", &[(0, hi), (130, lo)]);
+    let [rdata, back, wdata] = ["rdata", "back", "wdata"].map(|n| b.node(n, 4));
+    let mem = ElementKind::Memory { addr_bits: 2, width: 4 };
+    b.element("mem", mem, Delay(1), &[gclk, we, addr, wdata], &[rdata]).unwrap();
+    b.element("wmix", ElementKind::Xor, Delay(2), &[rdata, data], &[back]).unwrap();
+    let sel = ElementKind::Mux { width: 4 };
+    b.element("wsel", sel, Delay(1), &[filling, back, data], &[wdata]).unwrap();
+    watch.extend([rst, data, r, rd, rdata, wdata]);
+    Case { netlist: b.finish().unwrap(), watch }
+}
+
+#[test]
+fn scans_past_falling_edges_resets_released_and_unknown_clocks_match_the_oracle() {
+    let case = non_moving_edges_case();
+    let cfg = SimConfig::new(Time(300)).watch_all(case.watch.clone());
+    let seq = EventDriven::run(&case.netlist, &cfg).unwrap();
+    for &w in &case.watch {
+        let known = seq.waveform(w).unwrap().changes().iter();
+        assert!(
+            known.filter(|(_, v)| v.to_u64().is_some()).count() >= 4,
+            "{} stays unknown",
+            case.netlist.node(w).name()
+        );
+    }
+    let want = seq.to_vcd();
+    for threads in [1, 2, 4] {
+        let reps = if threads == 1 { 1 } else { 8 };
+        for _ in 0..reps {
+            let r = ChaoticAsync::run(&case.netlist, &cfg.clone().threads(threads)).unwrap();
+            assert_eq!(r.to_vcd(), want, "x{threads}");
+            assert_eq!(r.metrics.events_processed, seq.metrics.events_processed, "x{threads}");
+            assert!(r.metrics.lookahead_extensions > 0, "x{threads}: rule never fired");
+        }
+    }
+}
+
+/// Cuts every 20 ticks, each between a falling edge and the next rising
+/// one of `clk`: a register's output was published valid past the cut,
+/// over the falling edge, and the resumed segment must pick up
+/// byte-equal, at every thread count and after a crash.
+#[test]
+fn chaotic_cut_between_a_falling_and_the_next_rising_edge_resumes_byte_equal() {
+    let case = non_moving_edges_case();
+    let plain = SimConfig::new(Time(300)).watch_all(case.watch.clone());
+    let want = EventDriven::run(&case.netlist, &plain).unwrap().to_vcd();
+    for threads in [1, 2, 4] {
+        let dir = std::env::temp_dir()
+            .join(format!("parsim-edgecut-{threads}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cfg =
+            plain.clone().threads(threads).with_checkpoint_dir(&dir).with_checkpoint_every(20);
+        let whole = checkpoint::run(EngineKind::Chaotic, &case.netlist, &cfg).unwrap();
+        assert_eq!(whole.to_vcd(), want, "x{threads}: segmented run");
+        let _ = fs::remove_dir_all(&dir);
+        let fault = FaultPlan::storage_fault(3, StorageFault::FsyncCrash);
+        checkpoint::run(EngineKind::Chaotic, &case.netlist, &cfg.clone().with_fault(fault))
+            .expect_err("the injected storage crash must end the run");
+        let resumed = checkpoint::resume(EngineKind::Chaotic, &case.netlist, &cfg).unwrap();
+        assert_eq!(resumed.to_vcd(), want, "x{threads}: resumed run");
         let _ = fs::remove_dir_all(&dir);
     }
 }

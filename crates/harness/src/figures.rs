@@ -390,7 +390,7 @@ pub fn ablation_lookahead() -> Table {
         fmt2(ms(&without)),
         fmt2(ms(&without) / ms(&with)),
     ]);
-    t.note("paper: knowledge of an AND gate's controlling value lets events on other inputs be ignored while the output is pinned. The same §4 idea applied to registers: a flip-flop's output cannot move before its next clock or reset event, whatever its data input does.");
+    t.note("paper: knowledge of an AND gate's controlling value lets events on other inputs be ignored while the output is pinned. The same §4 idea applied to registers: a flip-flop's output cannot move before its next rising clock edge or reset assertion, whatever its data input, a falling edge or a reset release does.");
     t
 }
 

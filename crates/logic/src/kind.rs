@@ -132,18 +132,84 @@ pub struct Controlling {
 
 /// The trigger rule of a clocked element, used by the asynchronous
 /// engine's register lookahead: the output can only move at an event on
-/// one of the `ports`, whatever the other inputs do in between. An
-/// evaluation caused by any other input leaves both the output and the
-/// internal state as they were, so the output is known up to the next
-/// trigger event.
+/// one of the `ports`, and there only at a transition its [`Edge`]
+/// accepts, whatever the other inputs do in between. An evaluation
+/// caused by any other input leaves both the output and the internal
+/// state as they were, so the output is known up to the next trigger
+/// event that can move it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Triggers {
-    /// Input ports whose events can move the output.
-    pub ports: &'static [usize],
+    /// Input ports whose events can move the output, each with the
+    /// transitions on it that can.
+    pub ports: &'static [(usize, Edge)],
     /// Level-sensitive elements: the rule holds only while every trigger
     /// port carries this known bit (a latch is opaque while `en = 0`).
     /// `None` for edge-triggered elements, where it always holds.
     pub while_level: Option<Bit>,
+}
+
+/// Which transitions of one input can move an element's output: the
+/// predicate a lookahead scan applies to each event it reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// Every change: a latch enable, or any input of a controlling-value
+    /// gate.
+    Any,
+    /// A known 0 to a known 1 ([`Value::is_rising_edge`]): a register
+    /// samples on nothing else, and the previous clock value it compares
+    /// against is the one the port carried before the event.
+    Rising,
+    /// A change to a known 1: an asynchronous reset asserting. Leaving 1,
+    /// or going to X or Z, holds the stored word.
+    ToOne,
+}
+
+impl Edge {
+    /// True if an event taking the input from `prev` to `now` can move
+    /// the output.
+    pub fn moves(self, prev: &Value, now: &Value) -> bool {
+        match self {
+            Edge::Any => true,
+            Edge::Rising => Value::is_rising_edge(prev, now),
+            Edge::ToOne => now.to_logic().to_u64() == Some(1),
+        }
+    }
+}
+
+/// Most events [`scan_quiet`] reads past a cursor.
+const SCAN_LIMIT: usize = 16;
+
+/// The time through which an input, read from a consumer's position,
+/// carries no event that can move the consumer's output: the lookahead
+/// rules' quiet window.
+///
+/// `prev` is the input's value at the consumer's position, `events` the
+/// events published past it in time order, and `valid` the input's valid
+/// time, read *before* `events` (a node's driver appends an event before
+/// it publishes a validity covering it). The window ends one tick before
+/// the first event `edge` says moves the output. Through `valid` every
+/// event is in `events`, so a drained scan returns `valid`; a scan that
+/// reaches `valid`, or reads its limit of events, stops at the last
+/// event it read, since nothing unread can lie at or before it. Reading
+/// at most 16 events keeps a glitchy input, one that piles up non-moving
+/// events faster than they are consumed, from making every caller rescan
+/// them all.
+pub fn scan_quiet(
+    valid: u64,
+    mut prev: Value,
+    events: impl IntoIterator<Item = (u64, Value)>,
+    edge: Edge,
+) -> u64 {
+    for (read, (t, v)) in events.into_iter().enumerate() {
+        if edge.moves(&prev, &v) {
+            return t.saturating_sub(1);
+        }
+        if t >= valid || read + 1 == SCAN_LIMIT {
+            return t;
+        }
+        prev = v;
+    }
+    valid
 }
 
 /// The gate-specific lookahead rule (§4) an asynchronous simulator may
@@ -326,14 +392,15 @@ impl ElementKind {
     /// The trigger rule for this element, if it is clocked.
     ///
     /// Port numbers follow the input order documented on each variant:
-    /// a flip-flop or memory only samples on its clock (and a `DffR` also
-    /// moves on its asynchronous reset); a latch holds while its enable
-    /// is a known 0 and is transparent — no rule — otherwise.
+    /// a flip-flop or memory only samples on a rising clock edge (and a
+    /// `DffR` also moves when its asynchronous reset asserts); a latch
+    /// holds while its enable is a known 0, until the enable changes, and
+    /// is transparent — no rule — otherwise.
     pub fn triggers(&self) -> Option<Triggers> {
-        let (ports, while_level): (&'static [usize], _) = match self {
-            ElementKind::Dff { .. } | ElementKind::Memory { .. } => (&[0], None),
-            ElementKind::DffR { .. } => (&[0, 2], None),
-            ElementKind::Latch { .. } => (&[0], Some(Bit::Zero)),
+        let (ports, while_level): (&'static [(usize, Edge)], _) = match self {
+            ElementKind::Dff { .. } | ElementKind::Memory { .. } => (&[(0, Edge::Rising)], None),
+            ElementKind::DffR { .. } => (&[(0, Edge::Rising), (2, Edge::ToOne)], None),
+            ElementKind::Latch { .. } => (&[(0, Edge::Any)], Some(Bit::Zero)),
             _ => return None,
         };
         Some(Triggers { ports, while_level })
@@ -514,13 +581,13 @@ mod tests {
     #[test]
     fn trigger_ports_name_clock_reset_and_enable() {
         let t = ElementKind::Dff { width: 4 }.triggers().unwrap();
-        assert_eq!((t.ports, t.while_level), (&[0usize][..], None));
+        assert_eq!((t.ports, t.while_level), (&[(0, Edge::Rising)][..], None));
         let t = ElementKind::DffR { width: 1 }.triggers().unwrap();
-        assert_eq!((t.ports, t.while_level), (&[0usize, 2][..], None));
+        assert_eq!((t.ports, t.while_level), (&[(0, Edge::Rising), (2, Edge::ToOne)][..], None));
         let t = ElementKind::Memory { addr_bits: 2, width: 8 }.triggers().unwrap();
-        assert_eq!((t.ports, t.while_level), (&[0usize][..], None));
+        assert_eq!((t.ports, t.while_level), (&[(0, Edge::Rising)][..], None));
         let t = ElementKind::Latch { width: 2 }.triggers().unwrap();
-        assert_eq!((t.ports, t.while_level), (&[0usize][..], Some(Bit::Zero)));
+        assert_eq!((t.ports, t.while_level), (&[(0, Edge::Any)][..], Some(Bit::Zero)));
         // Exactly the sequential kinds have a rule.
         for kind in [ElementKind::Dff { width: 4 }, ElementKind::Latch { width: 2 }] {
             assert_eq!(kind.lookahead(false), Lookahead::Triggers(kind.triggers().unwrap()));
@@ -531,6 +598,42 @@ mod tests {
         assert!(ElementKind::And.triggers().is_none());
         assert!(ElementKind::TriBuf { width: 1 }.triggers().is_none());
         assert!(ElementKind::Clock { half_period: 1, offset: 0 }.triggers().is_none());
+    }
+
+    #[test]
+    fn edges_name_the_moving_transitions() {
+        let (lo, hi, x, z) = (Value::bit(false), Value::bit(true), Value::x(1), Value::z(1));
+        assert!(Edge::Rising.moves(&lo, &hi));
+        for (prev, now) in [(hi, lo), (x, hi), (z, hi), (lo, x), (hi, x)] {
+            assert!(!Edge::Rising.moves(&prev, &now), "{prev} -> {now}");
+        }
+        for prev in [lo, x, z] {
+            assert!(Edge::ToOne.moves(&prev, &hi), "{prev} -> 1");
+        }
+        for (prev, now) in [(hi, lo), (hi, x), (lo, z), (x, lo)] {
+            assert!(!Edge::ToOne.moves(&prev, &now), "{prev} -> {now}");
+        }
+        assert!(Edge::Any.moves(&hi, &lo));
+    }
+
+    #[test]
+    fn scan_quiet_stops_before_the_first_moving_event() {
+        let (lo, hi) = (Value::bit(false), Value::bit(true));
+        let clock = [(10, hi), (20, lo), (30, hi), (40, lo)];
+        // From 0, the rising edge at 10 moves; from 1, the one at 30.
+        assert_eq!(scan_quiet(50, lo, clock, Edge::Rising), 9);
+        assert_eq!(scan_quiet(50, hi, clock[1..].iter().copied(), Edge::Rising), 29);
+        // Every event moves: one tick before the next event, as a peek.
+        assert_eq!(scan_quiet(50, hi, clock[1..].iter().copied(), Edge::Any), 19);
+        // Drained: the valid time. A non-moving event at or past it: that
+        // event's time.
+        assert_eq!(scan_quiet(50, lo, [(40, lo)], Edge::Rising), 50);
+        assert_eq!(scan_quiet(50, lo, std::iter::empty(), Edge::Rising), 50);
+        assert_eq!(scan_quiet(15, hi, clock[1..].iter().copied(), Edge::Rising), 20);
+        // A glitch train: the scan stops at its limit, on the last event
+        // it read.
+        let glitches = (1..=100u64).map(|t| (t, if t % 2 == 1 { Value::x(1) } else { hi }));
+        assert_eq!(scan_quiet(1_000, hi, glitches, Edge::Rising), SCAN_LIMIT as u64);
     }
 
     #[test]

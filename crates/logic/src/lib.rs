@@ -35,6 +35,6 @@ mod value;
 pub mod wide;
 
 pub use eval::{evaluate, expand_generator, expand_vector, ElemState, Outputs};
-pub use kind::{Controlling, ElementKind, Lookahead, PortCountError, Triggers};
+pub use kind::{scan_quiet, Controlling, Edge, ElementKind, Lookahead, PortCountError, Triggers};
 pub use time::{transition_delay, Delay, Time};
 pub use value::{Bit, ParseValueError, Value};

@@ -19,8 +19,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use parsim_logic::{
-    evaluate, expand_generator, transition_delay, Bit, Delay, ElemState, ElementKind, Lookahead, Time,
-    Value,
+    evaluate, expand_generator, scan_quiet, transition_delay, Bit, Delay, Edge, ElemState,
+    ElementKind, Lookahead, Time, Value,
 };
 use parsim_netlist::Netlist;
 
@@ -363,12 +363,10 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
         }
 
         // ---- lookahead (controlling value / register triggers) ------------
-        let quiet_through = |elem: &ElemSim, i: usize| {
+        let quiet = |elem: &ElemSim, i: usize, edge: Edge| {
             let node = &nodes[elem.inputs[i] as usize];
-            match node.events.get(elem.cursors[i]) {
-                Some(&(t, _)) => t.saturating_sub(1),
-                None => node.valid,
-            }
+            let unconsumed = node.events[elem.cursors[i]..].iter().copied();
+            scan_quiet(node.valid, elem.cur_vals[i], unconsumed, edge)
         };
         let mut effective_valid = min_valid;
         match elems[e].lookahead {
@@ -380,7 +378,7 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
                     if bit_of(&elems[e].cur_vals[i]) != Some(ctrl) {
                         continue;
                     }
-                    pin_end = pin_end.max(quiet_through(&elems[e], i));
+                    pin_end = pin_end.max(quiet(&elems[e], i, Edge::Any));
                     pinned = true;
                 }
                 if !pinned || pin_end <= effective_valid {
@@ -406,11 +404,11 @@ pub fn model_async(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mod
             Lookahead::Triggers(rule) => {
                 let elem = &elems[e];
                 let armed = rule.while_level.is_none_or(|level| {
-                    rule.ports.iter().all(|&p| bit_of(&elem.cur_vals[p]) == Some(level))
+                    rule.ports.iter().all(|&(p, _)| bit_of(&elem.cur_vals[p]) == Some(level))
                 });
                 if armed {
-                    let quiet = rule.ports.iter().map(|&p| quiet_through(elem, p)).min();
-                    effective_valid = effective_valid.max(quiet.unwrap_or(min_valid));
+                    let through = rule.ports.iter().map(|&(p, edge)| quiet(elem, p, edge)).min();
+                    effective_valid = effective_valid.max(through.unwrap_or(min_valid));
                 }
             }
         }

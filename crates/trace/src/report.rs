@@ -196,6 +196,19 @@ pub struct LookaheadReport {
     pub extensions: u64,
 }
 
+impl LookaheadReport {
+    /// Utilisation ⟨u⟩ = 1 − empty / activations: the fraction of
+    /// activations that found an input event to consume (Kolakowska,
+    /// Novotny & Rikvold's update statistic for conservative PDES). Zero
+    /// when nothing was activated.
+    pub fn utilisation(&self) -> f64 {
+        if self.activations == 0 {
+            return 0.0;
+        }
+        1.0 - self.empty_activations as f64 / self.activations as f64
+    }
+}
+
 /// What compiled-mode activity gating skipped. From the engine's metrics
 /// via [`RunReport::with_gating`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -619,8 +632,11 @@ impl RunReport {
         if let Some(l) = &self.lookahead {
             s.push_str(&format!(
                 ",\n  \"lookahead\": {{\"activations\": {}, \"empty_activations\": {}, \
-                 \"extensions\": {}}}",
-                l.activations, l.empty_activations, l.extensions
+                 \"extensions\": {}, \"utilisation\": {}}}",
+                l.activations,
+                l.empty_activations,
+                l.extensions,
+                fmt_f64_prec(l.utilisation(), 4)
             ));
         }
         if let Some(g) = &self.gating {
@@ -826,8 +842,12 @@ impl fmt::Display for RunReport {
         if let Some(l) = &self.lookahead {
             writeln!(
                 f,
-                "\nlookahead: {} of {} activations extended validity, {} consumed no event",
-                l.extensions, l.activations, l.empty_activations
+                "\nlookahead: {} of {} activations extended validity, {} consumed no event \
+                 (utilisation {:.3})",
+                l.extensions,
+                l.activations,
+                l.empty_activations,
+                l.utilisation()
             )?;
         }
         if let Some(g) = &self.gating {
@@ -979,11 +999,14 @@ mod tests {
         let j = r.to_json();
         lint(&j).expect("lookahead JSON must be well-formed");
         assert!(j.contains(
-            "\"lookahead\": {\"activations\": 500, \"empty_activations\": 40, \"extensions\": 120}"
+            "\"lookahead\": {\"activations\": 500, \"empty_activations\": 40, \"extensions\": 120, \
+             \"utilisation\": 0.9200}"
         ));
-        assert!(r
-            .to_string()
-            .contains("lookahead: 120 of 500 activations extended validity, 40 consumed no event"));
+        assert!(r.to_string().contains(
+            "lookahead: 120 of 500 activations extended validity, 40 consumed no event \
+             (utilisation 0.920)"
+        ));
+        assert_eq!(LookaheadReport::default().utilisation(), 0.0);
     }
 
     #[test]

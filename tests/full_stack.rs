@@ -389,9 +389,9 @@ fn metrics_counts_are_pinned() {
                 [2716, 7021, 7021, 51, 0, 0, 0, 0],
                 [2716, 7021, 7021, 51, 0, 0, 0, 0],
                 [2716, 13293, 13293, 401, 0, 0, 556307, 350],
-                [2716, 7021, 18448, 0, 0, 0, 0, 0],
+                [2716, 7015, 10459, 0, 0, 0, 0, 0],
             ],
-            [18424, 24, 24],
+            [10435, 24, 24],
         ),
     ];
     for (name, netlist, end, pinned, sched) in cases {
