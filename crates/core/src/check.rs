@@ -17,7 +17,7 @@ use crate::waveform::SimResult;
 pub struct EquivalenceReport {
     /// Nodes whose waveforms differ, with the first divergence rendered.
     pub mismatches: Vec<(NodeId, String)>,
-    /// Nodes compared.
+    /// Nodes compared: every node watched on either side.
     pub compared: usize,
 }
 
@@ -47,7 +47,9 @@ impl fmt::Display for EquivalenceReport {
     }
 }
 
-/// Compares every waveform watched by both results.
+/// Compares every waveform watched by either result. A node watched on one
+/// side only is a mismatch: an engine that drops a watched waveform is not
+/// equivalent to one that records it.
 ///
 /// # Examples
 ///
@@ -69,13 +71,19 @@ pub fn equivalence_report(a: &SimResult, b: &SimResult) -> EquivalenceReport {
     let mut report = EquivalenceReport::default();
     for wa in a.waveforms() {
         let node = wa.node();
-        let Some(wb) = b.waveform(node) else {
-            continue;
-        };
         report.compared += 1;
-        if wa.changes() != wb.changes() {
-            let detail = first_divergence(wa.changes(), wb.changes());
-            report.mismatches.push((node, detail));
+        let detail = match b.waveform(node) {
+            Some(wb) if wa.changes() == wb.changes() => continue,
+            Some(wb) => first_divergence(wa.changes(), wb.changes()),
+            None => "watched on the left only".to_string(),
+        };
+        report.mismatches.push((node, detail));
+    }
+    for wb in b.waveforms() {
+        if a.waveform(wb.node()).is_none() {
+            report.compared += 1;
+            let detail = "watched on the right only".to_string();
+            report.mismatches.push((wb.node(), detail));
         }
     }
     report
@@ -156,5 +164,28 @@ mod tests {
         let rep = equivalence_report(&a, &c);
         assert!(!rep.is_equivalent());
         assert!(rep.to_string().contains("waveforms differ"));
+    }
+
+    #[test]
+    fn a_waveform_watched_on_one_side_only_is_a_mismatch() {
+        let mut b = Builder::new();
+        let x = b.node("x", 1);
+        let y = b.node("y", 1);
+        let n = b.finish().unwrap();
+        let changes = vec![(Time(1), x, Value::bit(true))];
+        let mk = |watch: &[parsim_netlist::NodeId]| {
+            let m = Metrics::default();
+            crate::waveform::SimResult::from_changes(&n, Time(10), watch, changes.clone(), m)
+        };
+        let both = mk(&[x, y]);
+        let only_x = mk(&[x]);
+        for (left, right, side) in [(&both, &only_x, "left"), (&only_x, &both, "right")] {
+            let rep = equivalence_report(left, right);
+            assert!(!rep.is_equivalent(), "y watched on the {side} only");
+            assert_eq!(rep.compared, 2);
+            assert_eq!(rep.mismatches.len(), 1);
+            assert_eq!(rep.mismatches[0].0, y);
+            assert!(rep.mismatches[0].1.contains(side), "{}", rep.mismatches[0].1);
+        }
     }
 }

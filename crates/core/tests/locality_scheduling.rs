@@ -1,43 +1,17 @@
 //! Locality-aware scheduling in the asynchronous engine: waveform
-//! equivalence against the sequential oracle at every thread count, the
-//! local deque's overflow path through the grid, and the scheduling-counter
-//! invariants (batches never exceed sends, chain circuits stay
-//! processor-local).
+//! equivalence against the sequential oracle on a chain array and on a
+//! fan-out wide enough to overflow the local deque into the grid, and the
+//! scheduling-counter invariants (the overflow happens, batches never
+//! exceed sends, chain circuits stay processor-local).
+
+mod support;
 
 use parsim_circuits::{inverter_array, random_circuit, RandomCircuitParams};
-use parsim_core::{equivalence_report, ChaoticAsync, EventDriven, SimConfig};
+use parsim_core::{ChaoticAsync, SimConfig};
 use parsim_logic::{Delay, ElementKind, Time};
 use parsim_netlist::{Builder, Netlist, NodeId};
-use proptest::prelude::*;
 
-fn params_strategy() -> impl Strategy<Value = RandomCircuitParams> {
-    (
-        5usize..80,   // elements
-        1usize..6,    // inputs
-        0u64..4,      // seq fraction in quarters
-        1u64..4,      // max delay
-        any::<u64>(), // seed
-    )
-        .prop_map(|(elements, inputs, seqq, max_delay, seed)| RandomCircuitParams {
-            elements,
-            inputs,
-            seq_fraction: seqq as f64 * 0.25,
-            max_delay,
-            seed,
-        })
-}
-
-#[test]
-fn locality_scheduled_waveforms_match_oracle_on_fixed_circuit() {
-    let arr = inverter_array(16, 8, 2).unwrap();
-    let cfg = SimConfig::new(Time(400)).watch_all(arr.taps.clone());
-    let oracle = EventDriven::run(&arr.netlist, &cfg).unwrap();
-    for threads in [1usize, 2, 4, 8] {
-        let r = ChaoticAsync::run(&arr.netlist, &cfg.clone().threads(threads)).unwrap();
-        let rep = equivalence_report(&oracle, &r);
-        assert!(rep.is_equivalent(), "locality x{threads}: {rep}");
-    }
-}
+use support::{check, Circuit};
 
 /// Buffers hanging off the ring oscillator of [`wide_fanout_ring`].
 const FANOUT: usize = 2_000;
@@ -84,27 +58,21 @@ fn wide_fanout_ring() -> (Netlist, Vec<NodeId>) {
 #[test]
 fn local_deque_overflow_routes_through_the_grid() {
     let (netlist, watch) = wide_fanout_ring();
-    let cfg = SimConfig::new(Time(120)).watch_all(watch);
-    let oracle = EventDriven::run(&netlist, &cfg).unwrap();
-    for threads in [1usize, 2, 4] {
-        let r = ChaoticAsync::run(&netlist, &cfg.clone().threads(threads)).unwrap();
-        let rep = equivalence_report(&oracle, &r);
-        assert!(rep.is_equivalent(), "wide fan-out x{threads}: {rep}");
-        if threads == 1 {
-            // A lone worker owns every element, so only the deque's
-            // overflow can reach the grid — and it must here.
-            let l = &r.metrics.locality;
-            assert!(l.grid_sends > 0, "the deque never overflowed: {l:?}");
-        }
-    }
+    check(&Circuit::new("wide fan-out ring", &netlist, watch, Time(120)));
+    // A lone worker owns every element, so only the deque's overflow can
+    // reach the grid — and it must here.
+    let r = ChaoticAsync::run(&netlist, &SimConfig::new(Time(120))).unwrap();
+    let l = &r.metrics.locality;
+    assert!(l.grid_sends > 0, "the deque never overflowed: {l:?}");
 }
 
 #[test]
-fn chain_circuits_stay_processor_local() {
+fn chain_circuits_match_the_oracle_and_stay_processor_local() {
     // Independent inverter chains are pure fan-out cones: the partitioner
     // must keep each chain on one worker, so well over half (here: all)
     // of the scheduled activations bypass the grid.
     let arr = inverter_array(16, 8, 2).unwrap();
+    check(&Circuit::new("inverter array 16x8", &arr.netlist, arr.taps.clone(), Time(400)));
     let cfg = SimConfig::new(Time(400));
     for threads in [2usize, 4] {
         let r = ChaoticAsync::run(&arr.netlist, &cfg.clone().threads(threads)).unwrap();
@@ -136,22 +104,5 @@ fn batches_never_exceed_sends() {
     );
     if l.grid_sends > 0 {
         assert!(l.batch_occupancy() >= 1.0, "{l:?}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn locality_matches_reference(
-        params in params_strategy(),
-        threads in 1usize..9,
-    ) {
-        let c = random_circuit(&params).unwrap();
-        let cfg = SimConfig::new(Time(150)).watch_all(c.watch.clone());
-        let seq = EventDriven::run(&c.netlist, &cfg).unwrap();
-        let local = ChaoticAsync::run(&c.netlist, &cfg.clone().threads(threads)).unwrap();
-        let rep = equivalence_report(&seq, &local);
-        prop_assert!(rep.is_equivalent(), "seed {} local x{threads}: {rep}", params.seed);
     }
 }

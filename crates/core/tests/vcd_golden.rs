@@ -2,19 +2,21 @@
 //!
 //! Two anchors: a literal small enough to check by hand, and the encoder
 //! this crate shipped before the allocation-free one — kept here verbatim
-//! as a reference and compared byte for byte on real circuits, every
-//! engine, and the three ways a `SimResult` comes to be other than straight
-//! from an engine (`restricted`, `append_segment`, duplicate watch entries).
+//! as a reference and compared byte for byte on real circuits, and the
+//! three ways a `SimResult` comes to be other than straight from an engine
+//! (`restricted`, `append_segment`, duplicate watch entries, the last on
+//! every engine through the equivalence driver).
 
 use std::fmt::Write as _;
 
+mod support;
+
 use parsim_circuits::{gate_multiplier, pipelined_cpu};
-use parsim_core::{
-    ChaoticAsync, CompiledMode, EventDriven, LaneStimulus, SimConfig, SimError, SimResult,
-    SyncEventDriven,
-};
+use parsim_core::{CompiledMode, EventDriven, LaneStimulus, SimConfig, SimResult};
 use parsim_logic::{Delay, ElementKind, Time, Value};
 use parsim_netlist::{Builder, Netlist, NodeId};
+
+use support::{check, Circuit};
 
 /// The retired encoder: two `String`s and a `fmt` call per change, then a
 /// global sort. Slow, obviously right, and the format's definition.
@@ -203,21 +205,16 @@ fn late_times_are_grouped_in_order() {
     assert_matches_reference(&r, "late times");
 }
 
-type Run = fn(&Netlist, &SimConfig) -> Result<SimResult, SimError>;
-
-const ENGINES: [(&str, Run); 4] = [
-    ("seq", EventDriven::run),
-    ("sync", SyncEventDriven::run),
-    ("compiled", CompiledMode::run),
-    ("async", ChaoticAsync::run),
-];
-
 fn all_nodes(netlist: &Netlist) -> Vec<NodeId> {
     netlist.iter_nodes().map(|(id, _)| id).collect()
 }
 
+/// The oracle's all-nodes dump is the reference encoder's, on the
+/// multiplier and on the CPU. The equivalence driver holds every engine
+/// configuration to the oracle's bytes; `tests/full_stack.rs` runs it on
+/// these two circuits with every node watched.
 #[test]
-fn every_engine_matches_the_reference_encoder_with_all_nodes_watched() {
+fn the_oracle_matches_the_reference_encoder_with_all_nodes_watched() {
     let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
     let cpu = pipelined_cpu(8, 48).unwrap();
     for (name, netlist, end) in [
@@ -225,15 +222,7 @@ fn every_engine_matches_the_reference_encoder_with_all_nodes_watched() {
         ("cpu", &cpu.netlist, Time(400)),
     ] {
         let cfg = SimConfig::new(end).watch_all(all_nodes(netlist));
-        let oracle = reference_vcd(&EventDriven::run(netlist, &cfg).unwrap());
-        for (engine, run) in ENGINES {
-            for threads in [1, 2] {
-                let r = run(netlist, &cfg.clone().threads(threads)).unwrap();
-                let tag = format!("{name}/{engine} x{threads}");
-                assert_matches_reference(&r, &tag);
-                assert!(r.to_vcd() == oracle, "{tag}: VCD differs from the sequential oracle's");
-            }
-        }
+        assert_matches_reference(&EventDriven::run(netlist, &cfg).unwrap(), name);
     }
 }
 
@@ -246,12 +235,10 @@ fn duplicate_watch_entries_encode_once() {
     let end = m.schedule_end();
     let once = EventDriven::run(&m.netlist, &SimConfig::new(end).watch_all(m.product.clone()))
         .unwrap();
-    for (engine, run) in ENGINES {
-        let r = run(&m.netlist, &SimConfig::new(end).watch_all(watch.clone())).unwrap();
-        assert_matches_reference(&r, engine);
-        assert_eq!(r.to_vcd(), once.to_vcd(), "{engine}: duplicates changed the document");
-        assert_eq!(r.waveforms().len(), m.product.len(), "{engine}");
-    }
+    let r = check(&Circuit::new("duplicate watch", &m.netlist, watch, end)).oracle;
+    assert_matches_reference(&r, "duplicate watch");
+    assert_eq!(r.to_vcd(), once.to_vcd(), "duplicates changed the document");
+    assert_eq!(r.waveforms().len(), m.product.len());
 }
 
 #[test]
