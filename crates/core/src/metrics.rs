@@ -351,10 +351,11 @@ pub struct Metrics {
     /// Aggregated scheduling-locality counters (asynchronous engine only;
     /// the per-thread split lives in [`Metrics::per_thread`]).
     pub locality: LocalityMetrics,
-    /// Synchronous-engine mailbox-pool misses: update buffers that had to
-    /// be freshly allocated because the recycling pool was empty (zero for
-    /// the other engines). A warmed-up pool should hold this near the
-    /// number of distinct (worker, target) pairs.
+    /// Synchronous-engine calendar buffer misses: update buffers that had
+    /// to be freshly allocated because the worker had no drained calendar
+    /// buffer to reuse (zero for the other engines). Bounded by the peak
+    /// number of live calendar entries, not by the event count. The name
+    /// is historical.
     pub pool_misses: u64,
     /// Checkpoint write/restore counters (all zero unless the run was
     /// driven through the [`checkpoint`](crate::checkpoint) module).
@@ -386,7 +387,7 @@ pub struct ArenaCounters {
     /// Behavior-list chunks reclaimed by the writers' cursor GC (chunks
     /// still linked at the end of the run go back with their node).
     pub chunk_frees: u64,
-    /// Synchronous-engine mailbox buffers served from the recycling pool
+    /// Synchronous-engine calendar buffers reused from drained entries
     /// (the hit counter complementing [`Metrics::pool_misses`]).
     pub mailbox_recycled: u64,
 }

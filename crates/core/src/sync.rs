@@ -1,26 +1,37 @@
 //! The synchronous parallel event-driven engine (§2 of the paper).
 //!
 //! The classic two-phase event-driven algorithm run in parallel with a
-//! barrier between phases, incorporating both of the paper's key fixes:
+//! barrier between phases. Work is routed to its owner at insert time:
 //!
-//! - **Distributed queues**: "the queues were distributed with each
-//!   processor having one queue for each of the other processors ... thus
-//!   splitting up the problem into n parts when adding to the list rather
-//!   than when removing from the list." Scheduled node updates and element
-//!   activations are scattered round-robin at *insert* time into per-pair
-//!   mailboxes with a single writer and a single reader each.
+//! - **Owned state**: every element belongs to one worker, the placement
+//!   of [`cone_cluster`] (the one the asynchronous engine uses), and every
+//!   node to the owner of its driver (undriven nodes to worker 0). A node
+//!   update goes to its owner's outbox and waits in that owner's private
+//!   time-keyed calendar; only the owner applies it. An element
+//!   activation goes to the element owner's outbox, and only the owner
+//!   dedupes it, with a private step stamp. Every outbox has a single
+//!   writer and a single reader, so the paper's "splitting up the problem
+//!   into n parts when adding to the list rather than when removing from
+//!   the list" holds with a fixed split instead of its round-robin one.
 //! - **End-of-phase work stealing**: "once a processor has finished all
 //!   the tasks assigned to it, it looks at the queues on the other
 //!   processors for more work. This introduces a little contention ...
 //!   but only at the very end of each phase" (reported +15–20%
-//!   utilization). Each processor's per-phase work list is consumed
-//!   through an atomic cursor that idle processors advance on behalf of
-//!   the owner.
+//!   utilization). Each worker's evaluate-phase work list is consumed
+//!   through an atomic cursor that idle workers advance on behalf of the
+//!   owner. The apply phase does not steal: a node has one writer.
+//!
+//! A step is three phases behind three barriers: apply (file inbound
+//! updates, apply the step's own, route fan-out activations), fill (drain
+//! and dedupe activations into the work list) and evaluate (evaluate and
+//! steal, route outputs). After the last barrier every worker reads the
+//! same per-worker slots — earliest pending time, events, cancellation —
+//! and so derives the same next step without a leader.
 //!
 //! Shared-state discipline: every `SharedSlice` slot is written by at most
-//! one thread per phase (updates are unique per `(node, time)`; element
-//! activation is made exclusive by a compare-and-swap step stamp), and
-//! barriers provide the cross-phase synchronization edges.
+//! one thread per phase (a node value by its owner; an element's state and
+//! its outputs' scheduling bookkeeping by whoever evaluates it, once per
+//! step), and the barriers provide the cross-phase synchronization edges.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -28,8 +39,9 @@ use std::time::Instant;
 
 use parsim_checkpoint::PendingEvent;
 use parsim_logic::{evaluate, ElemState, Time, Value};
+use parsim_netlist::partition::cone_cluster;
 use parsim_netlist::{Netlist, NodeId};
-use parsim_queue::{MailPool, SpinBarrier};
+use parsim_queue::{CachePadded, SpinBarrier};
 use parsim_telemetry::{Counter, Gauge, Tally};
 use parsim_trace::{EventKind, Tracer, WorkerTracer};
 
@@ -57,6 +69,22 @@ type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<PendingEvent>
 struct Update {
     node: u32,
     value: Value,
+}
+
+/// A worker's private calendar: node updates it owns, keyed by time.
+type Calendar = BTreeMap<u64, Vec<Update>>;
+
+/// What a worker publishes before a step's last barrier; every worker
+/// reads all slots after it.
+#[derive(Default)]
+struct StepSlot {
+    /// The earliest time this worker holds or sent an update for
+    /// (`u64::MAX`: none).
+    next: AtomicU64,
+    /// Node updates the worker applied this step.
+    events: AtomicU64,
+    /// Whether the worker saw the run cancelled.
+    cancelled: AtomicBool,
 }
 
 /// The synchronous parallel event-driven simulator.
@@ -89,10 +117,10 @@ impl SyncEventDriven {
 
     /// Runs one segment — the whole run when `seg` is
     /// [`SegmentSpec::whole`]. Resume seeds the shared state slices from
-    /// the snapshot and re-injects its pending events into the mailboxes
-    /// before any worker spawns; capture routes events computed beyond
-    /// `seg.cut` (but within the horizon) into per-worker overflow lists
-    /// that become the returned snapshot's pending set. See
+    /// the snapshot and files its pending events into their owners'
+    /// calendars before any worker spawns; capture routes events computed
+    /// beyond `seg.cut` (but within the horizon) into per-worker overflow
+    /// lists that become the returned snapshot's pending set. See
     /// [`EventDriven::run_segment`](crate::seq::EventDriven::run_segment)
     /// for the bookkeeping rules both engines share.
     pub(crate) fn run_segment(
@@ -111,12 +139,21 @@ impl SyncEventDriven {
         }
         let watched = &watched;
 
+        // Owners: an element's is its cone cluster's, a node's its driver's.
+        let elem_owner = cone_cluster(netlist, n).assignment().to_vec();
+        let node_owner: Vec<u32> = netlist
+            .nodes()
+            .iter()
+            .map(|nd| nd.driver().map_or(0, |(d, _)| elem_owner[d.index()]))
+            .collect();
+        let (elem_owner, node_owner) = (&elem_owner, &node_owner);
+
         let start_state = start_state(netlist, bounds.horizon, seg.resume).into_owned();
-        // Shared node values: one writer per (node, time) in phase A.
+        // Shared node values: written only by the node's owner, in phase A.
         let values: SharedSlice<Value> = SharedSlice::new(start_state.values);
         let values = &values;
         // Last value scheduled per node: touched only while evaluating the
-        // node's (unique) driver, which is exclusive per step.
+        // node's (unique) driver, which is evaluated once per step.
         let last_scheduled: SharedSlice<Value> = SharedSlice::new(start_state.last_scheduled);
         let last_scheduled = &last_scheduled;
         // Last scheduled event time per node (same single-writer
@@ -126,80 +163,46 @@ impl SyncEventDriven {
         let states: SharedSlice<ElemState> = SharedSlice::new(start_state.elem_states);
         let states = &states;
 
-        // Per-element activation stamp: the step at which the element was
-        // last scheduled. CAS makes scheduling exactly-once per step.
-        let stamps: Vec<AtomicU64> = (0..netlist.num_elements())
-            .map(|_| AtomicU64::new(u64::MAX))
-            .collect();
-        let stamps = &stamps;
-
-        // n x n mailboxes: slot i*n+j written by thread i, drained by j.
-        let node_mail: SharedSlice<BTreeMap<u64, Vec<Update>>> =
-            SharedSlice::from_fn(n * n, |_| BTreeMap::new());
-        // Recycled update buffers, one pool per mailbox slot
-        // ([`parsim_queue::MailPool`]). The drain side (phase A fill, reader
-        // thread) puts emptied vectors back; the insert side (phase B,
-        // writer thread) takes them for new time entries. The two sides
-        // run in barrier-separated phases, so each slot has one accessor
-        // at a time — the same discipline as the mailbox it shadows. Net
-        // effect: the scheduling hot path performs zero steady-state
-        // allocations; `Counter::PoolMisses` counts the fresh ones, bounded
-        // by the peak number of live `(mailbox, time)` entries, not by the
-        // event count (`tests::update_buffers_are_recycled`).
-        let free_mail: MailPool<Update> = MailPool::new(n);
-        let elem_mail: SharedSlice<Vec<u32>> = SharedSlice::from_fn(n * n, |_| Vec::new());
-        // Per-thread phase work lists + steal cursors.
-        let phase_nodes: SharedSlice<Vec<Update>> = SharedSlice::from_fn(n, |_| Vec::new());
+        // n x n outboxes: slot i*n+j written by worker i, drained by j.
+        // Updates are written in phase B and filed in phase A; activations
+        // are written in phase A and drained in the fill.
+        let update_out: SharedSlice<Vec<(u64, Update)>> =
+            SharedSlice::from_fn(n * n, |_| Vec::new());
+        // The initialization pass (first segment only) activates every
+        // non-generator element at step 0, in its owner's own slot.
+        let mut first_acts: Vec<Vec<u32>> = vec![Vec::new(); n * n];
+        if seg.resume.is_none() {
+            for (id, e) in netlist.iter_elements() {
+                if !e.kind().is_generator() {
+                    let w = elem_owner[id.index()] as usize;
+                    first_acts[w * n + w].push(id.index() as u32);
+                }
+            }
+        }
+        let act_out: SharedSlice<Vec<u32>> = SharedSlice::new(first_acts);
+        let (update_out, act_out) = (&update_out, &act_out);
+        // Per-worker evaluate-phase work lists + steal cursors.
         let phase_elems: SharedSlice<Vec<u32>> = SharedSlice::from_fn(n, |_| Vec::new());
-        let node_cursor: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let elem_cursor: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let (node_mail, elem_mail) = (&node_mail, &elem_mail);
-        let free_mail = &free_mail;
-        let (phase_nodes, phase_elems) = (&phase_nodes, &phase_elems);
-        let (node_cursor, elem_cursor) = (&node_cursor, &elem_cursor);
+        let (phase_elems, elem_cursor) = (&phase_elems, &elem_cursor);
+        let slots: Vec<CachePadded<StepSlot>> =
+            (0..n).map(|_| CachePadded::new(StepSlot::default())).collect();
+        let slots = &slots;
 
         // Seed the segment's stimulus, then the resume snapshot's in-flight
-        // events, round-robin into thread 0's mailbox row (safe: threads
-        // have not started); each of the two starts at column 0. The carry
-        // skips this segment unexecuted.
-        let file = |rr: &mut usize, t: u64, node: usize, value: Value| {
-            // SAFETY: pre-spawn exclusive access.
-            unsafe { node_mail.get_mut(*rr) }
+        // events, into their owners' calendars. The carry skips this
+        // segment unexecuted.
+        let mut calendars: Vec<Calendar> = vec![Calendar::new(); n];
+        let mut file = |t: u64, node: usize, value: Value| {
+            calendars[node_owner[node] as usize]
                 .entry(t)
                 .or_default()
                 .push(Update { node: node as u32, value });
-            *rr = (*rr + 1) % n;
             Ok(())
         };
-        let mut rr = 0usize;
-        stimulus_events(netlist, &LaneStimulus::base(), bounds, |t, node, v| {
-            file(&mut rr, t, node, v)
-        })?;
-        let mut rr = 0usize;
-        let mut carry = in_flight_events(seg.resume, cut, |t, node, v| file(&mut rr, t, node, v))?;
-        if seg.resume.is_none() {
-            // Initialization pass: activate every non-generator element at
-            // step 0 (first segment only).
-            let mut rr = 0usize;
-            for (id, e) in netlist.iter_elements() {
-                if e.kind().is_generator() {
-                    continue;
-                }
-                stamps[id.index()].store(0, Ordering::Relaxed);
-                // SAFETY: pre-spawn exclusive access.
-                unsafe { elem_mail.get_mut(rr) }.push(id.index() as u32);
-                rr = (rr + 1) % n;
-            }
-        }
+        stimulus_events(netlist, &LaneStimulus::base(), bounds, &mut file)?;
+        let mut carry = in_flight_events(seg.resume, cut, &mut file)?;
 
-        let next_time = AtomicU64::new(0);
-        let done = AtomicBool::new(false);
-        // Events applied in the current step, summed across workers in
-        // phase A and taken (reset) by the step leader between barriers 3
-        // and 4 for the events-per-step histogram.
-        let step_events = AtomicU64::new(0);
-        let (next_time, done) = (&next_time, &done);
-        let step_events = &step_events;
         let registry = &seg.telemetry.registry;
         let barrier = &SpinBarrier::new(n);
         let tracer = Tracer::new(config.trace.as_ref());
@@ -211,73 +214,58 @@ impl SyncEventDriven {
             config,
             &seg.telemetry,
             Some(barrier),
-            vec![(); n],
-            |me, (), cont| {
+            calendars,
+            |me, mut calendar, cont| {
                 let mut changes: Vec<(Time, NodeId, Value)> = Vec::new();
                 let mut overflow: Vec<PendingEvent> = Vec::new();
                 let mut tr = tracer.worker(me);
                 let shard = registry.worker(me);
                 let mut tally = Tally::default();
-                let mut rr_elem = (me + 1) % n;
-                let mut rr_node = (me + 1) % n;
+                // Drained calendar buffers, reused for new time entries.
+                let mut spare: Vec<Vec<Update>> = Vec::new();
+                // The step each owned element was last put on the work
+                // list: activation is exactly-once per step.
+                let mut stamp = vec![u64::MAX; netlist.num_elements()];
                 let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
                 let mut processed = 0u64;
+                let mut t = 0u64;
                 'run: loop {
                     // Every worker reaches this point once per step: the
                     // liveness signal the watchdog samples.
                     cont.beat(me);
-                    let t = next_time.load(Ordering::Acquire);
 
-                    // ---- phase A fill: drain updates for time t --
-                    let busy = Instant::now();
-                    {
-                        // SAFETY: each thread touches only its own
-                        // work list; barrier-separated from steals.
-                        let work = unsafe { phase_nodes.get_mut(me) };
-                        work.clear();
-                        for i in 0..n {
-                            // SAFETY: slot (i, me) is drained only by `me`;
-                            // writers are quiescent (previous barrier).
-                            let mail = unsafe { node_mail.get_mut(i * n + me) };
-                            if let Some(mut us) = mail.remove(&t) {
-                                // `append` drains `us` but keeps its capacity:
-                                // recycle it for the writer of this slot.
-                                work.append(&mut us);
-                                // SAFETY: pool slot (i, me) is put only here
-                                // (phase A, by `me`); the taking writer runs in
-                                // barrier-separated phase B.
-                                unsafe { free_mail.put(i, me, us) };
-                            }
-                        }
-                        node_cursor[me].store(0, Ordering::Release);
-                    }
-                    tally.add_elapsed(Counter::BusyNs, busy);
-                    let wait = Instant::now();
-                    barrier.wait_traced(&mut tr, 0);
-                    tally.add_elapsed(Counter::IdleNs, wait);
-                    if barrier.is_poisoned() {
-                        break 'run;
-                    }
-
-                    // ---- phase A process: apply updates, activate
-                    // fan-out (with stealing) ----------------------
+                    // ---- phase A: file inbound updates, apply step t,
+                    // route fan-out activations to their owners ----
                     let busy = Instant::now();
                     tr.begin(EventKind::PhaseNodes, t as u32);
+                    for i in 0..n {
+                        // SAFETY: outbox (i, me) is drained only by `me`,
+                        // in phase A; its writer filled it before the
+                        // previous step's last barrier.
+                        for (te, u) in unsafe { update_out.get_mut(i * n + me) }.drain(..) {
+                            calendar
+                                .entry(te)
+                                .or_insert_with(|| match spare.pop() {
+                                    Some(buf) => {
+                                        tally.inc(Counter::MailboxRecycled);
+                                        buf
+                                    }
+                                    None => {
+                                        tally.inc(Counter::PoolMisses);
+                                        tr.instant(EventKind::PoolMiss, me as u32);
+                                        Vec::new()
+                                    }
+                                })
+                                .push(u);
+                        }
+                    }
                     let mut my_events = 0u64;
-                    for v in 0..n {
-                        let victim = (me + v) % n;
-                        // SAFETY: immutable during the processing
-                        // phase (writers filled before barrier).
-                        let work = unsafe { phase_nodes.get(victim) };
-                        loop {
-                            let idx = node_cursor[victim].fetch_add(1, Ordering::AcqRel);
-                            if idx >= work.len() {
-                                break;
-                            }
-                            let Update { node, value } = work[idx];
+                    if let Some(due) = calendar.first_entry().filter(|d| *d.key() == t) {
+                        let mut due = due.remove();
+                        for &Update { node, value } in &due {
                             let node = node as usize;
-                            // SAFETY: updates are unique per
-                            // (node, time): exclusive writer.
+                            // SAFETY: only the node's owner writes its
+                            // value, and only in phase A.
                             let slot = unsafe { values.get_mut(node) };
                             if *slot == value {
                                 continue;
@@ -289,35 +277,59 @@ impl SyncEventDriven {
                             }
                             for &(elem, _) in netlist.nodes()[node].fanout() {
                                 let e = elem.index();
-                                // Exactly-once activation per step.
-                                let mut cur = stamps[e].load(Ordering::Relaxed);
-                                loop {
-                                    if cur == t {
-                                        break;
-                                    }
-                                    match stamps[e].compare_exchange_weak(
-                                        cur,
-                                        t,
-                                        Ordering::AcqRel,
-                                        Ordering::Relaxed,
-                                    ) {
-                                        Ok(_) => {
-                                            // SAFETY: row `me` is written only
-                                            // by this thread this phase.
-                                            unsafe { elem_mail.get_mut(me * n + rr_elem) }
-                                                .push(e as u32);
-                                            rr_elem = (rr_elem + 1) % n;
-                                            break;
-                                        }
-                                        Err(now) => cur = now,
-                                    }
-                                }
+                                let owner = elem_owner[e] as usize;
+                                // SAFETY: row `me` is written only by `me`,
+                                // in phase A.
+                                unsafe { act_out.get_mut(me * n + owner) }.push(e as u32);
                             }
                         }
+                        due.clear();
+                        spare.push(due);
                     }
                     tr.end(EventKind::PhaseNodes);
-                    step_events.fetch_add(my_events, Ordering::Relaxed);
                     tally.add(Counter::EventsProcessed, my_events);
+                    tally.add_elapsed(Counter::BusyNs, busy);
+                    let wait = Instant::now();
+                    barrier.wait_traced(&mut tr, 0);
+                    tally.add_elapsed(Counter::IdleNs, wait);
+                    if barrier.is_poisoned() {
+                        break 'run;
+                    }
+
+                    // ---- fill: drain and dedupe owned activations ----
+                    let busy = Instant::now();
+                    {
+                        // SAFETY: own work list; stealers finished with it
+                        // before the previous step's last barrier.
+                        let work = unsafe { phase_elems.get_mut(me) };
+                        work.clear();
+                        for i in 0..n {
+                            // SAFETY: slot (i, me) is drained only by `me`;
+                            // its writer is past the barrier above.
+                            for e in unsafe { act_out.get_mut(i * n + me) }.drain(..) {
+                                if stamp[e as usize] == t {
+                                    continue;
+                                }
+                                // The fault point is the owner's, not the
+                                // evaluator's: which worker evaluates an
+                                // element depends on the stealing race.
+                                if let FaultAction::Exit =
+                                    config.fault.check(me, processed, cont.cancel_flag())
+                                {
+                                    // Only reached after cancellation,
+                                    // which always poisons the barrier,
+                                    // so peers are not left waiting.
+                                    break 'run;
+                                }
+                                processed += 1;
+                                stamp[e as usize] = t;
+                                work.push(e);
+                            }
+                        }
+                        elem_cursor[me].store(0, Ordering::Release);
+                        shard.set_gauge(Gauge::QueueDepth, work.len() as u64);
+                        tr.counter(EventKind::QueueDepth, work.len() as u32);
+                    }
                     tally.add_elapsed(Counter::BusyNs, busy);
                     let wait = Instant::now();
                     barrier.wait_traced(&mut tr, 1);
@@ -326,34 +338,12 @@ impl SyncEventDriven {
                         break 'run;
                     }
 
-                    // ---- phase B fill: drain activated elements --
-                    let busy = Instant::now();
-                    {
-                        // SAFETY: own work list.
-                        let work = unsafe { phase_elems.get_mut(me) };
-                        work.clear();
-                        for i in 0..n {
-                            // SAFETY: slot (i, me) drained only by
-                            // `me`; writers quiescent.
-                            let mail = unsafe { elem_mail.get_mut(i * n + me) };
-                            work.append(mail);
-                        }
-                        elem_cursor[me].store(0, Ordering::Release);
-                        shard.set_gauge(Gauge::QueueDepth, work.len() as u64);
-                        tr.counter(EventKind::QueueDepth, work.len() as u32);
-                    }
-                    tally.add_elapsed(Counter::BusyNs, busy);
-                    let wait = Instant::now();
-                    barrier.wait_traced(&mut tr, 2);
-                    tally.add_elapsed(Counter::IdleNs, wait);
-                    if barrier.is_poisoned() {
-                        break 'run;
-                    }
-
-                    // ---- phase B process: evaluate + schedule ----
+                    // ---- phase B: evaluate + steal, route outputs to the
+                    // node owners ----
                     let busy = Instant::now();
                     tr.begin(EventKind::PhaseElems, t as u32);
                     let mut my_evals = 0u64;
+                    let mut next = calendar.first_key_value().map_or(u64::MAX, |(&k, _)| k);
                     for v in 0..n {
                         let victim = (me + v) % n;
                         // SAFETY: immutable during processing.
@@ -369,15 +359,6 @@ impl SyncEventDriven {
                                 // list: end-of-phase stealing.
                                 tr.instant(EventKind::Steal, e as u32);
                             }
-                            if let FaultAction::Exit =
-                                config.fault.check(me, processed, cont.cancel_flag())
-                            {
-                                // Only reached after cancellation,
-                                // which always poisons the barrier,
-                                // so peers are not left waiting.
-                                break 'run;
-                            }
-                            processed += 1;
                             cont.beat(me);
                             let elem = &netlist.elements()[e];
                             inputs_buf.clear();
@@ -385,7 +366,8 @@ impl SyncEventDriven {
                                 // SAFETY: values quiescent in B.
                                 inputs_buf.push(unsafe { *values.get(inp.index()) });
                             }
-                            // SAFETY: element exclusive (stamp CAS).
+                            // SAFETY: each element is on one work list
+                            // once per step, so one worker evaluates it.
                             let state = unsafe { states.get_mut(e) };
                             let out = evaluate(elem.kind(), &inputs_buf, state);
                             my_evals += 1;
@@ -413,31 +395,16 @@ impl SyncEventDriven {
                                     }
                                     Route::Drop => continue,
                                 };
-                                // SAFETY: row `me` written only by this thread
-                                // this phase (mailbox and its buffer pool alike).
-                                unsafe { node_mail.get_mut(me * n + rr_node) }
-                                    .entry(te)
-                                    .or_insert_with(|| {
-                                        // SAFETY: slot (me, rr_node) is taken
-                                        // only by `me` in this phase.
-                                        match unsafe { free_mail.take(me, rr_node) } {
-                                            Some(buf) => {
-                                                tally.inc(Counter::MailboxRecycled);
-                                                buf
-                                            }
-                                            None => {
-                                                tally.inc(Counter::PoolMisses);
-                                                tr.instant(EventKind::PoolMiss, rr_node as u32);
-                                                Vec::new()
-                                            }
-                                        }
-                                    })
-                                    .push(Update {
-                                        node: out_node as u32,
-                                        value: val,
-                                    });
+                                let owner = node_owner[out_node] as usize;
+                                let update = Update {
+                                    node: out_node as u32,
+                                    value: val,
+                                };
+                                // SAFETY: row `me` is written only by `me`,
+                                // in phase B.
+                                unsafe { update_out.get_mut(me * n + owner) }.push((te, update));
                                 tr.instant(EventKind::EventInsert, out_node as u32);
-                                rr_node = (rr_node + 1) % n;
+                                next = next.min(te);
                             }
                         }
                     }
@@ -448,46 +415,47 @@ impl SyncEventDriven {
                     tally.add_elapsed(Counter::BusyNs, busy);
                     // One flush per worker per step, never per event.
                     tally.flush(&shard);
+                    let mine = &slots[me];
+                    mine.next.store(next, Ordering::Relaxed);
+                    mine.events.store(my_events, Ordering::Relaxed);
+                    mine.cancelled.store(cont.cancelled(), Ordering::Relaxed);
                     let wait = Instant::now();
-                    let leader = barrier.wait_traced(&mut tr, 3);
-                    // ---- reduce: find the next active time -------
+                    let leader = barrier.wait_traced(&mut tr, 2);
+                    tally.add_elapsed(Counter::IdleNs, wait);
+                    if barrier.is_poisoned() {
+                        break 'run;
+                    }
+                    // ---- every worker derives the same next step ----
+                    // The slots are next written after the next step's
+                    // fill barrier, which every reader has passed by then.
+                    let (mut next, mut events, mut cancelled) = (u64::MAX, 0, false);
+                    for s in slots {
+                        next = next.min(s.next.load(Ordering::Relaxed));
+                        events += s.events.load(Ordering::Relaxed);
+                        cancelled |= s.cancelled.load(Ordering::Relaxed);
+                    }
                     if leader {
-                        // Leader-exclusive (barrier-ordered):
-                        // record this step's global event count.
-                        let events = step_events.swap(0, Ordering::Relaxed);
                         if events > 0 {
                             registry.driver().record_step_events(events);
                         }
                         registry.driver().inc(Counter::TimeSteps);
                         registry.driver().set_gauge(Gauge::SimTime, t);
-                        let mut min_t = u64::MAX;
-                        for slot in 0..n * n {
-                            // SAFETY: all writers are at the barrier below.
-                            if let Some((&k, _)) = unsafe { node_mail.get(slot) }.first_key_value()
-                            {
-                                min_t = min_t.min(k);
-                            }
-                        }
-                        // Cooperative cancellation folds into the existing
-                        // `done` mechanism: only the leader samples the flag,
-                        // so workers never diverge at a barrier.
-                        if min_t == u64::MAX || min_t > cut || cont.cancelled() {
-                            done.store(true, Ordering::Release);
-                        } else {
-                            next_time.store(min_t, Ordering::Release);
-                        }
                     }
-                    barrier.wait_traced(&mut tr, 4);
-                    tally.add_elapsed(Counter::IdleNs, wait);
-                    if barrier.is_poisoned() || done.load(Ordering::Acquire) {
+                    if next == u64::MAX || next > cut || cancelled {
                         break 'run;
                     }
+                    t = next;
                 }
                 // The last step's idle time and any early break.
                 tally.flush(&shard);
                 (changes, tr, overflow)
             },
-            |d| d.sim_time = Some(Time(next_time.load(Ordering::Acquire))),
+            // The step the workers last agreed on (or, for a worker that
+            // already published, the one after it).
+            |d| {
+                let next = slots.iter().map(|s| s.next.load(Ordering::Relaxed)).min();
+                d.sim_time = next.map(Time);
+            },
         )?;
 
         let mut changes = Vec::new();
@@ -624,18 +592,18 @@ mod tests {
         assert!(seq.waveform(q0).unwrap().num_changes() > 5);
     }
 
-    /// The scheduling hot path must not allocate per activation: drained
-    /// update buffers are recycled, so pool misses (fresh allocations) are
-    /// bounded by peak calendar occupancy, not by event count. The counter
-    /// is per-run ([`Metrics::pool_misses`]) and lives in release builds
-    /// too, so pool effectiveness is observable outside debug runs.
+    /// The scheduling hot path must not allocate per activation: each
+    /// worker reuses its drained calendar buffers, so misses (fresh
+    /// allocations) are bounded by peak calendar occupancy, not by event
+    /// count. The counter is per-run ([`Metrics::pool_misses`]) and lives
+    /// in release builds too, so reuse is observable outside debug runs.
     #[test]
     fn update_buffers_are_recycled() {
         let (n, watch) = mixed_delay_circuit();
         let cfg = SimConfig::new(Time(5000)).watch_all(watch).threads(2);
         let r = SyncEventDriven::run(&n, &cfg).unwrap();
         let misses = r.metrics.pool_misses;
-        // Thousands of events; misses only during pool warm-up.
+        // Thousands of events; misses only while the calendars warm up.
         assert!(r.metrics.events_processed > 1000, "circuit too quiet");
         assert!(misses > 0, "warm-up must allocate at least one buffer");
         assert!(
@@ -643,6 +611,38 @@ mod tests {
             "pool misses ({misses}) scale with events ({}) — buffers not recycled",
             r.metrics.events_processed
         );
+    }
+
+    /// Only a node's owner applies its updates, so each worker's event
+    /// count is exactly the oracle's changes on the nodes it owns — in
+    /// every run, whatever the stealing did.
+    #[test]
+    fn each_worker_applies_the_nodes_it_owns() {
+        use parsim_circuits::{gate_multiplier, pipelined_cpu};
+        let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
+        let cpu = pipelined_cpu(8, 48).unwrap();
+        for (name, netlist, end) in [
+            ("multiplier", &m.netlist, m.schedule_end()),
+            ("cpu", &cpu.netlist, Time(400)),
+        ] {
+            let all: Vec<NodeId> = (0..netlist.num_nodes()).map(NodeId::from_index).collect();
+            let cfg = SimConfig::new(end).watch_all(all.iter().copied());
+            let oracle = EventDriven::run(netlist, &cfg).unwrap();
+            let elem_owner = cone_cluster(netlist, 2);
+            let mut owned = [0u64; 2];
+            for &node in &all {
+                let owner = netlist
+                    .node(node)
+                    .driver()
+                    .map_or(0, |(d, _)| elem_owner.assignment()[d.index()] as usize);
+                owned[owner] += oracle.waveform(node).unwrap().num_changes() as u64;
+            }
+            for run in 0..4 {
+                let r = SyncEventDriven::run(netlist, &cfg.clone().threads(2)).unwrap();
+                let events: Vec<u64> = r.metrics.per_thread.iter().map(|p| p.events).collect();
+                assert_eq!(events, owned, "{name} run {run}");
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! two processors per card sharing one cache). This host has a single
 //! core, so wall-clock speed-up curves are physically unobtainable —
 //! instead, this crate *simulates the multiprocessor*: it executes the
-//! same scheduling decisions the real engines make (round-robin scatter,
-//! end-of-phase work stealing, at-most-once activation, event batching)
+//! paper's scheduling decisions (round-robin scatter, where the threaded
+//! §2 engine routes to owners instead; end-of-phase work stealing,
+//! at-most-once activation, event batching)
 //! while charging per-operation costs from a [`CostModel`], and reports
 //! virtual execution time and per-processor utilization.
 //!

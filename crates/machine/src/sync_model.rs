@@ -4,8 +4,9 @@
 //! The model replays the circuit's real execution trace (see
 //! [`trace_execution`](crate::trace_execution)) under the machine's cost
 //! model: per step, node updates and element evaluations are scattered
-//! round-robin across the virtual processors exactly as the engine
-//! scatters them, idle processors steal from the back of the longest
+//! round-robin across the virtual processors, the paper's §2 split that
+//! Figure 1 is about (the threaded engine routes work to owners
+//! instead), idle processors steal from the back of the longest
 //! remaining queue, the phases end with barriers, and (optionally) every
 //! queue operation serializes through a central lock — reproducing the §2
 //! strawman that capped speed-up at ~2.
@@ -158,7 +159,7 @@ pub fn model_sync(netlist: &Netlist, end: Time, machine: &MachineConfig) -> Mode
 /// Greedy scheduling of one phase's work items over the virtual
 /// processors.
 ///
-/// Items are dealt round-robin into per-processor queues (the engine's
+/// Items are dealt round-robin into per-processor queues (the paper's
 /// insert-time scatter). Each processor consumes its own queue; with work
 /// stealing enabled, a processor whose queue is empty steals from the back
 /// of the longest remaining queue at `steal_cost` extra. With a central

@@ -18,9 +18,7 @@
 //! - [`batch::IdBatch`]: a cache-line-sized batch of element ids so one
 //!   grid slot carries many activations (locality-aware scheduling),
 //! - [`backoff::Backoff`]: truncated exponential backoff for idle
-//!   workers (spin → yield → bounded park), and
-//! - [`mailpool::MailPool`]: the synchronous engine's barrier-separated
-//!   mailbox-buffer recycler.
+//!   workers (spin → yield → bounded park).
 //!
 //! The barrier, backoff, and grid primitives additionally expose
 //! `*_traced` variants that record into a `parsim_trace::WorkerTracer`
@@ -45,7 +43,6 @@ pub mod batch;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod grid;
-pub mod mailpool;
 pub mod pad;
 pub mod spsc;
 pub mod sync;
@@ -56,5 +53,4 @@ pub use batch::{IdBatch, BATCH_CAPACITY};
 pub use pad::CachePadded;
 pub use barrier::{SpinBarrier, WriteMark};
 pub use grid::{grid, GridReceiver, GridSender};
-pub use mailpool::MailPool;
 pub use spsc::{channel, Receiver, Sender};

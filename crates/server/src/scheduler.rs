@@ -676,41 +676,10 @@ fn run_pass(inner: &Inner, batch: Batch) {
         engine,
         lanes_in_batch: lanes,
     };
-    let seg = inner.config.segment_ticks;
-    if seg == 0 || seg >= end.ticks() {
-        run_single_pass(&pass, batch.members);
-    } else {
-        run_segmented_pass(&pass, batch.members, end, seg);
-    }
+    run_segments(&pass, batch.members, end, inner.config.segment_ticks);
 }
 
-fn run_single_pass(pass: &Pass, members: Vec<(JobId, JobSpec)>) {
-    let inner = pass.inner;
-    let stimuli: Vec<LaneStimulus> = members.iter().map(|(_, s)| s.stimulus.clone()).collect();
-    match pass.run(&stimuli, None, None) {
-        Ok(out) => {
-            let artifacts: Vec<Arc<JobArtifact>> = members
-                .iter()
-                .zip(&out.lanes)
-                .enumerate()
-                .map(|(lane, ((_, spec), lane_result))| {
-                    pass.artifact(spec, lane, lane_result, &out.telemetry)
-                })
-                .collect();
-            // The lock covers only the status flips: the artifact, or the
-            // cancellation requested while the pass ran.
-            let mut st = inner.lock();
-            for ((id, _), artifact) in members.iter().zip(artifacts) {
-                let cancelled = st.jobs[id].cancel_requested;
-                let end = if cancelled { Phase::Cancelled } else { Phase::Done(artifact) };
-                finish_job(inner, &mut st, *id, end);
-            }
-        }
-        Err(err) => pass.fail(members.iter().map(|(id, _)| *id), &err),
-    }
-}
-
-/// A member still inside a segmented pass.
+/// A member still inside a pass.
 struct Live {
     id: JobId,
     spec: JobSpec,
@@ -720,13 +689,12 @@ struct Live {
     acc: Option<SimResult>,
 }
 
-fn run_segmented_pass(
-    pass: &Pass,
-    members: Vec<(JobId, JobSpec)>,
-    end: Time,
-    segment_ticks: u64,
-) {
+/// Runs a pass segment by segment, `segment_ticks` apart. A pass that
+/// fits in one segment (or runs with segmenting off) is one whole-run
+/// engine call, with no cut and no snapshot.
+fn run_segments(pass: &Pass, members: Vec<(JobId, JobSpec)>, end: Time, segment_ticks: u64) {
     let inner = pass.inner;
+    let whole = segment_ticks == 0 || segment_ticks >= end.ticks();
     // `live` and the resume snapshots stay index-parallel across segments.
     let mut live: Vec<Live> = members
         .into_iter()
@@ -737,13 +705,13 @@ fn run_segmented_pass(
     let mut from = 0u64;
 
     while !live.is_empty() {
-        let cut = Time(from.saturating_add(segment_ticks).min(end.ticks()));
+        let cut = (!whole).then(|| Time(from.saturating_add(segment_ticks).min(end.ticks())));
         let stimuli: Vec<LaneStimulus> = live.iter().map(|l| l.spec.stimulus.clone()).collect();
         let PassOut {
             lanes,
             snapshots: mut new_snaps,
             telemetry,
-        } = match pass.run(&stimuli, snaps.as_deref(), Some(cut)) {
+        } = match pass.run(&stimuli, snaps.as_deref(), cut) {
             Ok(out) => out,
             Err(err) => return pass.fail(live.iter().map(|l| l.id), &err),
         };
@@ -753,7 +721,7 @@ fn run_segmented_pass(
                 None => l.acc = Some(lane_result),
             }
         }
-        from = cut.ticks();
+        from = cut.unwrap_or(end).ticks();
         let finished = from >= end.ticks();
 
         // Between cuts: deliver members whose own end was reached, evict

@@ -32,9 +32,10 @@ pub enum Counter {
     GridBatches,
     /// Idle snoozes that reached the bounded-park backoff stage.
     BackoffParks,
-    /// Synchronous-engine mailbox buffers freshly allocated (pool empty).
+    /// Synchronous-engine calendar buffers freshly allocated (no drained
+    /// buffer to reuse).
     PoolMisses,
-    /// Synchronous-engine mailbox buffers served from the recycling pool.
+    /// Synchronous-engine calendar buffers reused from drained entries.
     MailboxRecycled,
     /// Event-list chunks reclaimed by the chaotic engine's concurrent GC.
     GcChunksFreed,
@@ -142,8 +143,8 @@ impl Counter {
             Counter::GridSends => "Element ids sent across the SPSC grid",
             Counter::GridBatches => "Grid slots used to carry sent ids",
             Counter::BackoffParks => "Idle snoozes that reached the bounded-park backoff stage",
-            Counter::PoolMisses => "Mailbox buffers freshly allocated because the pool was empty",
-            Counter::MailboxRecycled => "Mailbox buffers served from the recycling pool",
+            Counter::PoolMisses => "Calendar buffers freshly allocated because no drained one was free",
+            Counter::MailboxRecycled => "Calendar buffers reused from drained entries",
             Counter::GcChunksFreed => "Event-list chunks reclaimed by the concurrent GC",
             Counter::BlocksSkipped => "Compiled-mode level blocks skipped by activity gating",
             Counter::EvalsSkipped => "Evaluations eliminated by activity gating",

@@ -105,7 +105,8 @@ pub enum EventKind {
     /// Instant: compiled-mode level block skipped by activity gating.
     /// `arg` = block id.
     BlockSkip = 17,
-    /// Instant: sync engine mailbox pool miss (fresh allocation).
+    /// Instant: sync engine calendar buffer freshly allocated (no drained
+    /// buffer to reuse). `arg` = worker.
     PoolMiss = 18,
     /// Instant: compiled mode jumped from a settled circuit to the next
     /// stimulus. `arg` = steps jumped over (saturating); those steps have

@@ -178,7 +178,7 @@ pub struct AllocReport {
     pub chunk_allocs: u64,
     /// Behavior chunks reclaimed by the writers' cursor GC.
     pub chunk_frees: u64,
-    /// Mailbox buffers reused from the recycling pool.
+    /// Synchronous-engine calendar buffers reused from drained entries.
     pub mailbox_recycled: u64,
 }
 
