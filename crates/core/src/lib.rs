@@ -3,7 +3,7 @@
 //! | Engine | Paper section | Synchronization |
 //! |---|---|---|
 //! | [`EventDriven`] | §2 (uniprocessor baseline) | none (sequential) |
-//! | [`SyncEventDriven`] | §2 | three barriers per step, owner-routed queues, evaluate-phase stealing |
+//! | [`SyncEventDriven`] | §2 | two barriers per step, owner-routed activations, no stealing; outputs go to the evaluator's own calendar |
 //! | [`CompiledMode`] | §3 | barrier per unit-delay time step, static partition |
 //! | [`ChaoticAsync`] | §4 | **none** — lock-free SPSC grid, per-node valid times |
 //!

@@ -1,40 +1,43 @@
 //! The synchronous parallel event-driven engine (§2 of the paper).
 //!
 //! The classic two-phase event-driven algorithm run in parallel with a
-//! barrier between phases. Work is routed to its owner at insert time:
+//! barrier after each phase. Work is routed to its owner at insert time,
+//! and only the owner does it:
 //!
 //! - **Owned state**: every element belongs to one worker, the placement
 //!   of [`cone_cluster`] (the one the asynchronous engine uses), and every
-//!   node to the owner of its driver (undriven nodes to worker 0). A node
-//!   update goes to its owner's outbox and waits in that owner's private
-//!   time-keyed calendar; only the owner applies it. An element
-//!   activation goes to the element owner's outbox, and only the owner
-//!   dedupes it, with a private step stamp. Every outbox has a single
-//!   writer and a single reader, so the paper's "splitting up the problem
-//!   into n parts when adding to the list rather than when removing from
-//!   the list" holds with a fixed split instead of its round-robin one.
-//! - **End-of-phase work stealing**: "once a processor has finished all
-//!   the tasks assigned to it, it looks at the queues on the other
-//!   processors for more work. This introduces a little contention ...
-//!   but only at the very end of each phase" (reported +15–20%
-//!   utilization). Each worker's evaluate-phase work list is consumed
-//!   through an atomic cursor that idle workers advance on behalf of the
-//!   owner. The apply phase does not steal: a node has one writer.
+//!   node to the owner of its driver (undriven nodes to worker 0). An
+//!   element activation goes to the element owner's outbox; only the owner
+//!   dedupes it, with a private step stamp, and evaluates it. Since a node
+//!   belongs to its driver's owner, every output the evaluator schedules
+//!   is for a node it owns: the update goes straight into the evaluator's
+//!   own private time-keyed calendar, and only that worker applies it.
+//!   Every outbox has a single writer and a single reader, so the paper's
+//!   "splitting up the problem into n parts when adding to the list rather
+//!   than when removing from the list" holds with a fixed split instead of
+//!   its round-robin one.
+//! - **No stealing**: the paper steals at the end of each phase for
+//!   +15–20% utilization. Here a stolen element's outputs would belong to
+//!   another worker, which costs a shared work list, an atomic cursor per
+//!   item, an update outbox per worker pair and a third barrier per step;
+//!   on two cores that costs more than it buys. The machine model
+//!   (`parsim-machine`) keeps the paper's stealing for its ablation.
 //!
-//! A step is three phases behind three barriers: apply (file inbound
-//! updates, apply the step's own, route fan-out activations), fill (drain
-//! and dedupe activations into the work list) and evaluate (evaluate and
-//! steal, route outputs). After the last barrier every worker reads the
-//! same per-worker slots — earliest pending time, events, cancellation —
-//! and so derives the same next step without a leader.
+//! A step is two phases behind two barriers: apply (apply the step's
+//! updates, route fan-out activations) and evaluate (drain, dedupe and
+//! evaluate activations, file outputs in the own calendar). After the
+//! second barrier every worker reads the same per-worker slots — earliest
+//! pending time, events, cancellation — and so derives the same next step
+//! without a leader.
 //!
-//! Shared-state discipline: every `SharedSlice` slot is written by at most
-//! one thread per phase (a node value by its owner; an element's state and
-//! its outputs' scheduling bookkeeping by whoever evaluates it, once per
-//! step), and the barriers provide the cross-phase synchronization edges.
+//! Shared-state discipline: every `SharedSlice` slot has one writer for
+//! the whole run (a node value, its scheduling bookkeeping and its
+//! driver's state by the driver's owner; an outbox by its row's worker),
+//! and the barriers provide the cross-phase synchronization edges: node
+//! values are written in phase A and read by any worker in phase B.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use parsim_checkpoint::PendingEvent;
@@ -78,8 +81,7 @@ type Calendar = BTreeMap<u64, Vec<Update>>;
 /// reads all slots after it.
 #[derive(Default)]
 struct StepSlot {
-    /// The earliest time this worker holds or sent an update for
-    /// (`u64::MAX`: none).
+    /// The earliest time in this worker's calendar (`u64::MAX`: none).
     next: AtomicU64,
     /// Node updates the worker applied this step.
     events: AtomicU64,
@@ -146,14 +148,14 @@ impl SyncEventDriven {
             .iter()
             .map(|nd| nd.driver().map_or(0, |(d, _)| elem_owner[d.index()]))
             .collect();
-        let (elem_owner, node_owner) = (&elem_owner, &node_owner);
+        let elem_owner = &elem_owner;
 
         let start_state = start_state(netlist, bounds.horizon, seg.resume).into_owned();
         // Shared node values: written only by the node's owner, in phase A.
         let values: SharedSlice<Value> = SharedSlice::new(start_state.values);
         let values = &values;
-        // Last value scheduled per node: touched only while evaluating the
-        // node's (unique) driver, which is evaluated once per step.
+        // Last value scheduled per node: touched only by the owner of the
+        // node's (unique) driver, while evaluating it once per step.
         let last_scheduled: SharedSlice<Value> = SharedSlice::new(start_state.last_scheduled);
         let last_scheduled = &last_scheduled;
         // Last scheduled event time per node (same single-writer
@@ -163,13 +165,10 @@ impl SyncEventDriven {
         let states: SharedSlice<ElemState> = SharedSlice::new(start_state.elem_states);
         let states = &states;
 
-        // n x n outboxes: slot i*n+j written by worker i, drained by j.
-        // Updates are written in phase B and filed in phase A; activations
-        // are written in phase A and drained in the fill.
-        let update_out: SharedSlice<Vec<(u64, Update)>> =
-            SharedSlice::from_fn(n * n, |_| Vec::new());
-        // The initialization pass (first segment only) activates every
-        // non-generator element at step 0, in its owner's own slot.
+        // n x n activation outboxes: slot i*n+j written by worker i in
+        // phase A, drained by j in phase B. The initialization pass (first
+        // segment only) activates every non-generator element at step 0,
+        // in its owner's own slot.
         let mut first_acts: Vec<Vec<u32>> = vec![Vec::new(); n * n];
         if seg.resume.is_none() {
             for (id, e) in netlist.iter_elements() {
@@ -180,11 +179,7 @@ impl SyncEventDriven {
             }
         }
         let act_out: SharedSlice<Vec<u32>> = SharedSlice::new(first_acts);
-        let (update_out, act_out) = (&update_out, &act_out);
-        // Per-worker evaluate-phase work lists + steal cursors.
-        let phase_elems: SharedSlice<Vec<u32>> = SharedSlice::from_fn(n, |_| Vec::new());
-        let elem_cursor: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let (phase_elems, elem_cursor) = (&phase_elems, &elem_cursor);
+        let act_out = &act_out;
         let slots: Vec<CachePadded<StepSlot>> =
             (0..n).map(|_| CachePadded::new(StepSlot::default())).collect();
         let slots = &slots;
@@ -223,8 +218,8 @@ impl SyncEventDriven {
                 let mut tally = Tally::default();
                 // Drained calendar buffers, reused for new time entries.
                 let mut spare: Vec<Vec<Update>> = Vec::new();
-                // The step each owned element was last put on the work
-                // list: activation is exactly-once per step.
+                // The step each owned element was last evaluated in:
+                // activation is exactly-once per step.
                 let mut stamp = vec![u64::MAX; netlist.num_elements()];
                 let mut inputs_buf: Vec<Value> = Vec::with_capacity(8);
                 let mut processed = 0u64;
@@ -234,31 +229,10 @@ impl SyncEventDriven {
                     // liveness signal the watchdog samples.
                     cont.beat(me);
 
-                    // ---- phase A: file inbound updates, apply step t,
-                    // route fan-out activations to their owners ----
+                    // ---- phase A: apply step t, route fan-out
+                    // activations to their owners ----
                     let busy = Instant::now();
                     tr.begin(EventKind::PhaseNodes, t as u32);
-                    for i in 0..n {
-                        // SAFETY: outbox (i, me) is drained only by `me`,
-                        // in phase A; its writer filled it before the
-                        // previous step's last barrier.
-                        for (te, u) in unsafe { update_out.get_mut(i * n + me) }.drain(..) {
-                            calendar
-                                .entry(te)
-                                .or_insert_with(|| match spare.pop() {
-                                    Some(buf) => {
-                                        tally.inc(Counter::MailboxRecycled);
-                                        buf
-                                    }
-                                    None => {
-                                        tally.inc(Counter::PoolMisses);
-                                        tr.instant(EventKind::PoolMiss, me as u32);
-                                        Vec::new()
-                                    }
-                                })
-                                .push(u);
-                        }
-                    }
                     let mut my_events = 0u64;
                     if let Some(due) = calendar.first_entry().filter(|d| *d.key() == t) {
                         let mut due = due.remove();
@@ -296,69 +270,29 @@ impl SyncEventDriven {
                         break 'run;
                     }
 
-                    // ---- fill: drain and dedupe owned activations ----
-                    let busy = Instant::now();
-                    {
-                        // SAFETY: own work list; stealers finished with it
-                        // before the previous step's last barrier.
-                        let work = unsafe { phase_elems.get_mut(me) };
-                        work.clear();
-                        for i in 0..n {
-                            // SAFETY: slot (i, me) is drained only by `me`;
-                            // its writer is past the barrier above.
-                            for e in unsafe { act_out.get_mut(i * n + me) }.drain(..) {
-                                if stamp[e as usize] == t {
-                                    continue;
-                                }
-                                // The fault point is the owner's, not the
-                                // evaluator's: which worker evaluates an
-                                // element depends on the stealing race.
-                                if let FaultAction::Exit =
-                                    config.fault.check(me, processed, cont.cancel_flag())
-                                {
-                                    // Only reached after cancellation,
-                                    // which always poisons the barrier,
-                                    // so peers are not left waiting.
-                                    break 'run;
-                                }
-                                processed += 1;
-                                stamp[e as usize] = t;
-                                work.push(e);
-                            }
-                        }
-                        elem_cursor[me].store(0, Ordering::Release);
-                        shard.set_gauge(Gauge::QueueDepth, work.len() as u64);
-                        tr.counter(EventKind::QueueDepth, work.len() as u32);
-                    }
-                    tally.add_elapsed(Counter::BusyNs, busy);
-                    let wait = Instant::now();
-                    barrier.wait_traced(&mut tr, 1);
-                    tally.add_elapsed(Counter::IdleNs, wait);
-                    if barrier.is_poisoned() {
-                        break 'run;
-                    }
-
-                    // ---- phase B: evaluate + steal, route outputs to the
-                    // node owners ----
+                    // ---- phase B: drain, dedupe and evaluate owned
+                    // activations, file outputs in the own calendar ----
                     let busy = Instant::now();
                     tr.begin(EventKind::PhaseElems, t as u32);
                     let mut my_evals = 0u64;
-                    let mut next = calendar.first_key_value().map_or(u64::MAX, |(&k, _)| k);
-                    for v in 0..n {
-                        let victim = (me + v) % n;
-                        // SAFETY: immutable during processing.
-                        let work = unsafe { phase_elems.get(victim) };
-                        loop {
-                            let idx = elem_cursor[victim].fetch_add(1, Ordering::AcqRel);
-                            if idx >= work.len() {
-                                break;
+                    for i in 0..n {
+                        // SAFETY: slot (i, me) is drained only by `me`, in
+                        // phase B; its writer is past the barrier above.
+                        for e in unsafe { act_out.get_mut(i * n + me) }.drain(..) {
+                            let e = e as usize;
+                            if stamp[e] == t {
+                                continue;
                             }
-                            let e = work[idx] as usize;
-                            if v != 0 {
-                                // Work taken from another worker's
-                                // list: end-of-phase stealing.
-                                tr.instant(EventKind::Steal, e as u32);
+                            if let FaultAction::Exit =
+                                config.fault.check(me, processed, cont.cancel_flag())
+                            {
+                                // Only reached after cancellation, which
+                                // always poisons the barrier, so peers are
+                                // not left waiting.
+                                break 'run;
                             }
+                            processed += 1;
+                            stamp[e] = t;
                             cont.beat(me);
                             let elem = &netlist.elements()[e];
                             inputs_buf.clear();
@@ -366,16 +300,15 @@ impl SyncEventDriven {
                                 // SAFETY: values quiescent in B.
                                 inputs_buf.push(unsafe { *values.get(inp.index()) });
                             }
-                            // SAFETY: each element is on one work list
-                            // once per step, so one worker evaluates it.
+                            // SAFETY: only the element's owner evaluates it.
                             let state = unsafe { states.get_mut(e) };
                             let out = evaluate(elem.kind(), &inputs_buf, state);
                             my_evals += 1;
                             tr.instant(EventKind::Eval, e as u32);
                             for (port, val) in out.iter() {
                                 let out_node = elem.outputs()[port].index();
-                                // SAFETY: only the driver's
-                                // evaluator touches this slot.
+                                // SAFETY: the output's owner is the
+                                // element's, the only thread that gets here.
                                 let ls = unsafe { last_scheduled.get_mut(out_node) };
                                 if *ls == val {
                                     continue;
@@ -395,20 +328,30 @@ impl SyncEventDriven {
                                     }
                                     Route::Drop => continue,
                                 };
-                                let owner = node_owner[out_node] as usize;
-                                let update = Update {
-                                    node: out_node as u32,
-                                    value: val,
-                                };
-                                // SAFETY: row `me` is written only by `me`,
-                                // in phase B.
-                                unsafe { update_out.get_mut(me * n + owner) }.push((te, update));
+                                calendar
+                                    .entry(te)
+                                    .or_insert_with(|| match spare.pop() {
+                                        Some(buf) => {
+                                            tally.inc(Counter::MailboxRecycled);
+                                            buf
+                                        }
+                                        None => {
+                                            tally.inc(Counter::PoolMisses);
+                                            tr.instant(EventKind::PoolMiss, me as u32);
+                                            Vec::new()
+                                        }
+                                    })
+                                    .push(Update {
+                                        node: out_node as u32,
+                                        value: val,
+                                    });
                                 tr.instant(EventKind::EventInsert, out_node as u32);
-                                next = next.min(te);
                             }
                         }
                     }
                     tr.end(EventKind::PhaseElems);
+                    shard.set_gauge(Gauge::QueueDepth, my_evals);
+                    tr.counter(EventKind::QueueDepth, my_evals as u32);
                     // Every evaluated element was activated once.
                     tally.add(Counter::Evaluations, my_evals);
                     tally.add(Counter::Activations, my_evals);
@@ -416,18 +359,19 @@ impl SyncEventDriven {
                     // One flush per worker per step, never per event.
                     tally.flush(&shard);
                     let mine = &slots[me];
+                    let next = calendar.first_key_value().map_or(u64::MAX, |(&k, _)| k);
                     mine.next.store(next, Ordering::Relaxed);
                     mine.events.store(my_events, Ordering::Relaxed);
                     mine.cancelled.store(cont.cancelled(), Ordering::Relaxed);
                     let wait = Instant::now();
-                    let leader = barrier.wait_traced(&mut tr, 2);
+                    let leader = barrier.wait_traced(&mut tr, 1);
                     tally.add_elapsed(Counter::IdleNs, wait);
                     if barrier.is_poisoned() {
                         break 'run;
                     }
                     // ---- every worker derives the same next step ----
-                    // The slots are next written after the next step's
-                    // fill barrier, which every reader has passed by then.
+                    // The slots are next written in the next step's phase
+                    // B, after a barrier every reader has passed by then.
                     let (mut next, mut events, mut cancelled) = (u64::MAX, 0, false);
                     for s in slots {
                         next = next.min(s.next.load(Ordering::Relaxed));
@@ -613,12 +557,15 @@ mod tests {
         );
     }
 
-    /// Only a node's owner applies its updates, so each worker's event
-    /// count is exactly the oracle's changes on the nodes it owns — in
-    /// every run, whatever the stealing did.
+    /// Only a node's owner applies its updates and only an element's owner
+    /// evaluates it, so each worker's event count is exactly the oracle's
+    /// changes on the nodes it owns, and its evaluation count one per
+    /// owned non-generator element per step in which it was activated:
+    /// step 0 and every step that changed one of its inputs.
     #[test]
     fn each_worker_applies_the_nodes_it_owns() {
         use parsim_circuits::{gate_multiplier, pipelined_cpu};
+        use std::collections::BTreeSet;
         let m = gate_multiplier(8, &[(123, 231), (255, 1)], 160).unwrap();
         let cpu = pipelined_cpu(8, 48).unwrap();
         for (name, netlist, end) in [
@@ -637,10 +584,29 @@ mod tests {
                     .map_or(0, |(d, _)| elem_owner.assignment()[d.index()] as usize);
                 owned[owner] += oracle.waveform(node).unwrap().num_changes() as u64;
             }
+            let mut evaluated = [0u64; 2];
+            for (id, e) in netlist.iter_elements() {
+                if e.kind().is_generator() {
+                    continue;
+                }
+                let mut steps = BTreeSet::from([0u64]);
+                for &inp in e.inputs() {
+                    let changes = oracle.waveform(inp).unwrap().changes();
+                    steps.extend(changes.iter().map(|&(t, _)| t.0));
+                }
+                evaluated[elem_owner.assignment()[id.index()] as usize] += steps.len() as u64;
+            }
+            assert_eq!(
+                evaluated.iter().sum::<u64>(),
+                oracle.metrics.evaluations,
+                "{name}: activated steps must be the oracle's evaluations"
+            );
             for run in 0..4 {
                 let r = SyncEventDriven::run(netlist, &cfg.clone().threads(2)).unwrap();
                 let events: Vec<u64> = r.metrics.per_thread.iter().map(|p| p.events).collect();
                 assert_eq!(events, owned, "{name} run {run}");
+                let evals: Vec<u64> = r.metrics.per_thread.iter().map(|p| p.evaluations).collect();
+                assert_eq!(evals, evaluated, "{name} run {run}: evaluations");
             }
         }
     }

@@ -1,12 +1,12 @@
 //! A deterministic virtual Encore Multimax.
 //!
 //! The paper's evaluation ran on a 16-processor Encore Multimax (8 cards,
-//! two processors per card sharing one cache). This host has a single
-//! core, so wall-clock speed-up curves are physically unobtainable —
-//! instead, this crate *simulates the multiprocessor*: it executes the
-//! paper's scheduling decisions (round-robin scatter, where the threaded
-//! §2 engine routes to owners instead; end-of-phase work stealing,
-//! at-most-once activation, event batching)
+//! two processors per card sharing one cache). This host has two vCPUs,
+//! so wall-clock speed-up curves to 16 processors are physically
+//! unobtainable — instead, this crate *simulates the multiprocessor*: it
+//! executes the paper's scheduling decisions (round-robin scatter and
+//! end-of-phase work stealing, where the threaded §2 engine routes to
+//! owners and does not steal; at-most-once activation, event batching)
 //! while charging per-operation costs from a [`CostModel`], and reports
 //! virtual execution time and per-processor utilization.
 //!

@@ -5,11 +5,11 @@
 //! [`trace_execution`](crate::trace_execution)) under the machine's cost
 //! model: per step, node updates and element evaluations are scattered
 //! round-robin across the virtual processors, the paper's §2 split that
-//! Figure 1 is about (the threaded engine routes work to owners
-//! instead), idle processors steal from the back of the longest
-//! remaining queue, the phases end with barriers, and (optionally) every
-//! queue operation serializes through a central lock — reproducing the §2
-//! strawman that capped speed-up at ~2.
+//! Figure 1 is about, idle processors steal from the back of the longest
+//! remaining queue (the threaded engine neither scatters nor steals: it
+//! routes work to owners), the phases end with barriers, and (optionally)
+//! every queue operation serializes through a central lock — reproducing
+//! the §2 strawman that capped speed-up at ~2.
 
 use std::collections::VecDeque;
 

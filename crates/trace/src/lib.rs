@@ -89,8 +89,7 @@ pub enum EventKind {
     /// Instant: an activation was served from the worker-local deque.
     /// `arg` = element id.
     LocalHit = 10,
-    /// Instant: a steal attempt. `arg` = element id (or 0).
-    Steal = 11,
+    // 11 is retired and stays unused, so recorded kinds keep their values.
     /// Instant: the idle backoff escalated to an OS park. `arg` = park count.
     BackoffPark = 12,
     /// Instant: watchdog heartbeat from an idle worker.
@@ -129,7 +128,6 @@ impl EventKind {
             EventKind::GridSend => "grid_send",
             EventKind::GridRecv => "grid_recv",
             EventKind::LocalHit => "local_hit",
-            EventKind::Steal => "steal",
             EventKind::BackoffPark => "backoff_park",
             EventKind::Heartbeat => "heartbeat",
             EventKind::Eval => "eval",

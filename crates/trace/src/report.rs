@@ -102,7 +102,6 @@ pub struct WorkerReport {
     pub grid_sends: u64,
     pub grid_recvs: u64,
     pub local_hits: u64,
-    pub steals: u64,
     pub parks: u64,
     pub heartbeats: u64,
     pub pool_misses: u64,
@@ -361,7 +360,6 @@ impl RunReport {
                         EventKind::GridSend => wr.grid_sends += 1,
                         EventKind::GridRecv => wr.grid_recvs += 1,
                         EventKind::LocalHit => wr.local_hits += 1,
-                        EventKind::Steal => wr.steals += 1,
                         EventKind::BackoffPark => wr.parks += 1,
                         EventKind::Heartbeat => wr.heartbeats += 1,
                         EventKind::PoolMiss => wr.pool_misses += 1,
@@ -569,7 +567,7 @@ impl RunReport {
                  \"idle_ns\": {}, \"barrier_ns\": {}, \"utilization\": {}, \"spans\": {}, \
                  \"inserts\": {}, \
                  \"evals\": {}, \"grid_sends\": {}, \"grid_recvs\": {}, \"local_hits\": {}, \
-                 \"steals\": {}, \"parks\": {}, \"heartbeats\": {}, \"pool_misses\": {}}}{}\n",
+                 \"parks\": {}, \"heartbeats\": {}, \"pool_misses\": {}}}{}\n",
                 w.worker,
                 w.events,
                 w.dropped,
@@ -583,7 +581,6 @@ impl RunReport {
                 w.grid_sends,
                 w.grid_recvs,
                 w.local_hits,
-                w.steals,
                 w.parks,
                 w.heartbeats,
                 w.pool_misses,
@@ -778,23 +775,19 @@ impl fmt::Display for RunReport {
                 }
             )?;
         }
-        let sched: (u64, u64, u64, u64, u64) = self.workers.iter().fold(
-            (0, 0, 0, 0, 0),
-            |acc, w| {
-                (
-                    acc.0 + w.local_hits,
-                    acc.1 + w.grid_sends,
-                    acc.2 + w.grid_recvs,
-                    acc.3 + w.steals,
-                    acc.4 + w.parks,
-                )
-            },
-        );
-        if sched != (0, 0, 0, 0, 0) {
+        let sched: (u64, u64, u64, u64) = self.workers.iter().fold((0, 0, 0, 0), |acc, w| {
+            (
+                acc.0 + w.local_hits,
+                acc.1 + w.grid_sends,
+                acc.2 + w.grid_recvs,
+                acc.3 + w.parks,
+            )
+        });
+        if sched != (0, 0, 0, 0) {
             writeln!(
                 f,
-                "\nscheduling: {} local hits, {} grid sends, {} grid recvs, {} steals, {} parks",
-                sched.0, sched.1, sched.2, sched.3, sched.4
+                "\nscheduling: {} local hits, {} grid sends, {} grid recvs, {} parks",
+                sched.0, sched.1, sched.2, sched.3
             )?;
         }
         let bins: Vec<&DepthBin> = self.queue_depth.iter().filter(|b| b.samples > 0).collect();
