@@ -86,7 +86,22 @@
 //! overlap. The idle branch escalates through a truncated exponential
 //! backoff ([`Backoff`]) instead of burning a hardware thread. All of it
 //! is observable via [`Metrics::locality`](crate::Metrics::locality).
+//!
+//! # Run state: flat pin tables
+//!
+//! A run's set-up is paid on every run, and on a clocked design it is
+//! much of the run, so it is a few flat tables rather than `Vec`s per
+//! element. `Wiring` lays every element's pins end to end: `pins_in`
+//! holds `(node, position in the node's fan-out list)` per input pin,
+//! filled from the nodes' fan-out lists, and `pins_out` the driven node
+//! per output pin; `ElemMeta` keeps the two spans. The mutable state is
+//! six `SharedSlice` tables indexed by input pin (cursors, current
+//! values), output pin (last scheduled value and time, value at the cut)
+//! or element (evaluation state), and `Ctx::run` lends one element its
+//! slots as an `ElemRun`. Workers charge busy time per busy span, not
+//! per activation (`Span`), so the hot loop reads no clock.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
@@ -126,6 +141,31 @@ type WorkerOutput = (Vec<(Time, NodeId, Value)>, WorkerTracer, Vec<PendingEvent>
 /// The chaotic hot loop has no step boundary to piggyback on, so counter
 /// publishes are micro-batched to keep them off the per-event path.
 const TELEMETRY_FLUSH_EVERY: u64 = 256;
+
+/// The span a worker's time is charged to: [`Counter::BusyNs`] from the
+/// pop that ends a lull (or starts the run) until the worker next finds
+/// nothing to do, [`Counter::IdleNs`] from then until its next pop. One
+/// clock read closes a span and opens the next, so spans neither gap nor
+/// overlap, and an activation inside a busy span reads no clock at all.
+#[derive(Default)]
+struct Span(Option<(Counter, Instant)>);
+
+impl Span {
+    /// Whether the open span is charged to `c`.
+    fn is(&self, c: Counter) -> bool {
+        matches!(self.0, Some((open, _)) if open == c)
+    }
+
+    /// Charges the open span, if any, through now and opens one charged
+    /// to `to` (none when `to` is `None`).
+    fn switch(&mut self, to: Option<Counter>, tally: &mut Tally) {
+        let now = Instant::now();
+        if let Some((c, since)) = self.0 {
+            tally.add(c, now.duration_since(since).as_nanos() as u64);
+        }
+        self.0 = to.map(|c| (c, now));
+    }
+}
 
 /// Push-side bound of the local LIFO deque: fan-out pushes beyond this
 /// divert to the owner's grid column instead, so one worker cannot hoard
@@ -229,36 +269,112 @@ struct ElemMeta {
     fall: Delay,
     /// min(rise, fall): the conservative validity increment.
     delay: u64,
-    /// Per input port: (node index, position in that node's fanout list).
-    inputs: Vec<(u32, u32)>,
-    /// Output node indices.
-    outputs: Vec<u32>,
+    /// This element's input pins, one per input port: `start..end` in
+    /// [`Wiring::pins_in`] and in the per-input-pin run tables.
+    ins: (u32, u32),
+    /// This element's output pins, one per output port: `start..end` in
+    /// [`Wiring::pins_out`] and in the per-output-pin run tables.
+    outs: (u32, u32),
     /// The lookahead rule `run_element` applies after replay
     /// ([`Lookahead::None`] for every element when
     /// [`SimConfig::lookahead`](crate::SimConfig) is off).
     lookahead: Lookahead,
 }
 
-/// Mutable per-element run state, exclusive via the activation machine.
-struct ElemRun {
-    cursors: Vec<Cursor>,
-    cur_vals: Vec<Value>,
-    state: ElemState,
-    last_out: Vec<Value>,
-    /// Last appended event time per output port (monotone transport).
-    last_te: Vec<u64>,
+/// A `(start, end)` pin span as a table index range.
+#[inline(always)]
+fn pin_range((start, end): (u32, u32)) -> Range<usize> {
+    start as usize..end as usize
+}
+
+/// The static wiring: per-element metadata and two flat pin tables, every
+/// element's pins laid end to end in element order.
+struct Wiring {
+    meta: Vec<ElemMeta>,
+    /// Per input pin: the node it reads and this pin's position in that
+    /// node's fan-out list (its consumption slot in `NodeState::consumed`).
+    pins_in: Vec<(u32, u32)>,
+    /// Per output pin: the node it drives.
+    pins_out: Vec<u32>,
+}
+
+impl Wiring {
+    /// One prefix-sum pass over the elements places their pins; each
+    /// node's fan-out list then fills the input pins it feeds, which
+    /// names every pin's consumption slot without a per-element lookup.
+    fn new(netlist: &Netlist, lookahead: bool) -> Wiring {
+        let mut n_in = 0u32;
+        let mut pins_out: Vec<u32> = Vec::with_capacity(netlist.num_elements());
+        let meta: Vec<ElemMeta> = netlist
+            .iter_elements()
+            .map(|(_, e)| {
+                let ins = (n_in, n_in + e.inputs().len() as u32);
+                n_in = ins.1;
+                let first_out = pins_out.len() as u32;
+                pins_out.extend(e.outputs().iter().map(|&o| o.index() as u32));
+                let scalar = e.inputs().iter().all(|&i| netlist.node(i).width() == 1)
+                    && e.outputs().iter().all(|&o| netlist.node(o).width() == 1);
+                ElemMeta {
+                    kind: e.kind().clone(),
+                    rise: e.rise_delay(),
+                    fall: e.fall_delay(),
+                    delay: e.min_delay().ticks(),
+                    ins,
+                    outs: (first_out, pins_out.len() as u32),
+                    lookahead: if lookahead {
+                        e.kind().lookahead(scalar)
+                    } else {
+                        Lookahead::None
+                    },
+                }
+            })
+            .collect();
+        let mut pins_in = vec![(0u32, 0u32); n_in as usize];
+        for (i, node) in netlist.nodes().iter().enumerate() {
+            for (k, &(elem, port)) in node.fanout().iter().enumerate() {
+                pins_in[meta[elem.index()].ins.0 as usize + port as usize] = (i as u32, k as u32);
+            }
+        }
+        Wiring {
+            meta,
+            pins_in,
+            pins_out,
+        }
+    }
+}
+
+/// One element's mutable run state: its slots of the run tables, lent by
+/// [`Ctx::run`] to whoever holds the element exclusively.
+struct ElemRun<'a> {
+    /// Per input pin.
+    cursors: &'a mut [Cursor],
+    /// Per input pin.
+    cur_vals: &'a mut [Value],
+    state: &'a mut ElemState,
+    /// Per output pin.
+    last_out: &'a mut [Value],
+    /// Last appended event time per output pin (monotone transport).
+    last_te: &'a mut [u64],
     /// Value of each output node at the segment cut: the last event value
     /// appended *within* the cut (unlike `last_out`, which also tracks
     /// beyond-cut overflow events). Read post-join for snapshot capture.
-    cut_val: Vec<Value>,
+    cut_val: &'a mut [Value],
 }
 
 /// Everything a worker needs, shared immutably.
 struct Ctx<'a> {
     netlist: &'a Netlist,
     nodes: Vec<NodeState>,
-    meta: Vec<ElemMeta>,
-    runs: SharedSlice<ElemRun>,
+    wiring: Wiring,
+    // The run tables behind `ElemRun`: `cursors` and `cur_vals` per input
+    // pin, `last_out`, `last_te` and `cut_val` per output pin, `states`
+    // per element.
+    cursors: SharedSlice<Cursor>,
+    cur_vals: SharedSlice<Value>,
+    last_out: SharedSlice<Value>,
+    last_te: SharedSlice<u64>,
+    cut_val: SharedSlice<Value>,
+    states: SharedSlice<ElemState>,
     acts: Vec<ActivationState>,
     /// Element index -> slot in `acts` (partition-grouped layout).
     act_of: Vec<u32>,
@@ -276,6 +392,29 @@ impl Ctx<'_> {
     #[inline(always)]
     fn act(&self, e: usize) -> &ActivationState {
         &self.acts[self.act_of[e] as usize]
+    }
+
+    /// Lends element `e` its slots of the run tables.
+    ///
+    /// # Safety
+    ///
+    /// The caller must hold `e` exclusively: a worker inside `e`'s
+    /// activation (the activation machine admits one run at a time and
+    /// orders successive runs), or the driver after the workers have
+    /// joined. Elements' pin spans are disjoint, so runs of distinct
+    /// elements never alias.
+    #[inline(always)]
+    unsafe fn run(&self, e: usize) -> ElemRun<'_> {
+        let m = &self.wiring.meta[e];
+        let (ins, outs) = (pin_range(m.ins), pin_range(m.outs));
+        ElemRun {
+            cursors: self.cursors.slice_mut(ins.clone()),
+            cur_vals: self.cur_vals.slice_mut(ins),
+            state: self.states.get_mut(e),
+            last_out: self.last_out.slice_mut(outs.clone()),
+            last_te: self.last_te.slice_mut(outs.clone()),
+            cut_val: self.cut_val.slice_mut(outs),
+        }
     }
 }
 
@@ -332,44 +471,7 @@ impl ChaoticAsync {
             watched[w.index()] = true;
         }
 
-        // ---- static wiring ------------------------------------------------
-        let mut fanout_pos: Vec<Vec<u32>> = vec![Vec::new(); netlist.num_elements()];
-        for node in netlist.nodes() {
-            for (k, &(elem, port)) in node.fanout().iter().enumerate() {
-                let list = &mut fanout_pos[elem.index()];
-                if list.len() <= port as usize {
-                    list.resize(port as usize + 1, 0);
-                }
-                list[port as usize] = k as u32;
-            }
-        }
-        let meta: Vec<ElemMeta> = netlist
-            .iter_elements()
-            .map(|(id, e)| {
-                let inputs = e
-                    .inputs()
-                    .iter()
-                    .enumerate()
-                    .map(|(port, &node)| (node.index() as u32, fanout_pos[id.index()][port]))
-                    .collect();
-                let scalar = e.inputs().iter().all(|&i| netlist.node(i).width() == 1)
-                    && e.outputs().iter().all(|&o| netlist.node(o).width() == 1);
-                ElemMeta {
-                    kind: e.kind().clone(),
-                    rise: e.rise_delay(),
-                    fall: e.fall_delay(),
-                    delay: e.min_delay().ticks(),
-                    inputs,
-                    outputs: e.outputs().iter().map(|&o| o.index() as u32).collect(),
-                    lookahead: if config.lookahead {
-                        e.kind().lookahead(scalar)
-                    } else {
-                        Lookahead::None
-                    },
-                }
-            })
-            .collect();
-
+        let wiring = Wiring::new(netlist, config.lookahead);
         let owner: Vec<u32> = cone_cluster(netlist, n_threads).assignment().to_vec();
 
         let mut seed_alloc = ChunkAlloc::default();
@@ -440,37 +542,16 @@ impl ChaoticAsync {
             Ok(())
         })?;
 
-        let runs: SharedSlice<ElemRun> = SharedSlice::new(
-            meta.iter()
-                .enumerate()
-                .map(|(e, m)| ElemRun {
-                    cursors: m
-                        .inputs
-                        .iter()
-                        .map(|&(node, _)| {
-                            Cursor::new(&nodes[node as usize], start_state.values[node as usize])
-                        })
-                        .collect(),
-                    cur_vals: m
-                        .inputs
-                        .iter()
-                        .map(|&(node, _)| start_state.values[node as usize])
-                        .collect(),
-                    state: start_state.elem_states[e].clone(),
-                    last_out: m
-                        .outputs
-                        .iter()
-                        .map(|&o| start_state.last_scheduled[o as usize])
-                        .collect(),
-                    last_te: m
-                        .outputs
-                        .iter()
-                        .map(|&o| start_state.last_sched_time[o as usize])
-                        .collect(),
-                    cut_val: m.outputs.iter().map(|&o| base_vals[o as usize]).collect(),
-                })
-                .collect(),
-        );
+        // ---- run tables: one slot per input pin, output pin or element ----
+        let in_nodes = || wiring.pins_in.iter().map(|&(n, _)| n as usize);
+        let out_nodes = || wiring.pins_out.iter().map(|&o| o as usize);
+        let values = &start_state.values;
+        let cursors = in_nodes().map(|n| Cursor::new(&nodes[n], values[n])).collect();
+        let cur_vals = in_nodes().map(|n| values[n]).collect();
+        let last_out = out_nodes().map(|o| start_state.last_scheduled[o]).collect();
+        let last_te = out_nodes().map(|o| start_state.last_sched_time[o]).collect();
+        let cut_val = out_nodes().map(|o| base_vals[o]).collect();
+        let states = start_state.elem_states.iter().cloned().collect();
 
         // Activation flags, grouped by owning worker with a cache line's
         // worth of padding between partitions so one partition's CAS
@@ -498,8 +579,13 @@ impl ChaoticAsync {
         let ctx = Ctx {
             netlist,
             nodes,
-            meta,
-            runs,
+            wiring,
+            cursors,
+            cur_vals,
+            last_out,
+            last_te,
+            cut_val,
+            states,
             acts,
             act_of,
             pending: AtomicI64::new(0),
@@ -562,7 +648,7 @@ impl ChaoticAsync {
                 let mut sched = Sched::new(w, tx, init);
                 let mut alloc = ChunkAlloc::default();
                 let mut backoff = Backoff::new();
-                let mut idle_since: Option<Instant> = None;
+                let mut span = Span::default();
                 let mut processed = 0u64;
                 loop {
                     if cont.cancelled() {
@@ -579,8 +665,8 @@ impl ChaoticAsync {
                     };
                     match next {
                         Some(e) => {
-                            if let Some(t0) = idle_since.take() {
-                                tally.add_elapsed(Counter::IdleNs, t0);
+                            if !span.is(Counter::BusyNs) {
+                                span.switch(Some(Counter::BusyNs), &mut tally);
                             }
                             backoff.reset();
                             if let FaultAction::Exit =
@@ -590,7 +676,6 @@ impl ChaoticAsync {
                             }
                             processed += 1;
                             cont.beat(w);
-                            let busy = Instant::now();
                             let e = e as usize;
                             tr.begin(EventKind::ActivationReplay, e as u32);
                             ctx.act(e).begin_run();
@@ -620,10 +705,12 @@ impl ChaoticAsync {
                             sched.flush_all(&mut tally, &mut tr);
                             tr.end(EventKind::ActivationReplay);
                             tr.counter(EventKind::QueueDepth, sched.local.len() as u32);
-                            tally.add_elapsed(Counter::BusyNs, busy);
                             since_flush += 1;
                             if since_flush >= TELEMETRY_FLUSH_EVERY {
                                 since_flush = 0;
+                                // Split the busy span so a live sampler
+                                // sees busy time advance mid-span.
+                                span.switch(Some(Counter::BusyNs), &mut tally);
                                 tally.flush(&shard);
                                 shard.set_gauge(Gauge::QueueDepth, sched.local.len() as u64);
                             }
@@ -632,8 +719,8 @@ impl ChaoticAsync {
                             if ctx.pending.load(Ordering::Acquire) == 0 {
                                 break;
                             }
-                            if idle_since.is_none() {
-                                idle_since = Some(Instant::now());
+                            if !span.is(Counter::IdleNs) {
+                                span.switch(Some(Counter::IdleNs), &mut tally);
                                 tr.instant(EventKind::Heartbeat, 0);
                                 // Going idle is off the hot path: flush so a
                                 // sampler snapshot taken during the lull sees
@@ -647,12 +734,9 @@ impl ChaoticAsync {
                         }
                     }
                 }
-                // Close the trailing idle span on every exit path (termination,
-                // cancellation, fault exit) — it used to leak unless the worker
-                // happened to pop one more element.
-                if let Some(t0) = idle_since.take() {
-                    tally.add_elapsed(Counter::IdleNs, t0);
-                }
+                // Close the open span, busy or idle, on every exit path
+                // (termination, cancellation, fault exit).
+                span.switch(None, &mut tally);
                 tally.flush(&shard);
                 (changes, tr, overflow, (alloc.allocs, alloc.frees))
             },
@@ -704,13 +788,13 @@ impl ChaoticAsync {
             let mut last_scheduled = start_state.last_scheduled.clone();
             let mut last_sched_time = start_state.last_sched_time.clone();
             let mut elem_states: Vec<ElemState> = Vec::with_capacity(netlist.num_elements());
-            for e in 0..netlist.num_elements() {
-                let run = unsafe { ctx.runs.get(e) };
+            for (e, meta) in ctx.wiring.meta.iter().enumerate() {
+                let run = unsafe { ctx.run(e) };
                 elem_states.push(run.state.clone());
-                for (port, &out) in ctx.meta[e].outputs.iter().enumerate() {
-                    if ctx.meta[e].kind.is_generator() {
-                        continue;
-                    }
+                if meta.kind.is_generator() {
+                    continue;
+                }
+                for (port, &out) in ctx.wiring.pins_out[pin_range(meta.outs)].iter().enumerate() {
                     values[out as usize] = run.cut_val[port];
                     last_scheduled[out as usize] = run.last_out[port];
                     last_sched_time[out as usize] = run.last_te[port];
@@ -733,8 +817,8 @@ impl ChaoticAsync {
 /// # Safety
 ///
 /// The caller must hold the element exclusively (activation machine), which
-/// makes `runs[e]`, the output nodes' writer sides, and `last_scheduled`
-/// state single-writer.
+/// makes its run-table slots ([`Ctx::run`]) and the output nodes' writer
+/// sides single-writer.
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_element(
     ctx: &Ctx<'_>,
@@ -746,8 +830,10 @@ unsafe fn run_element(
     tally: &mut Tally,
     tr: &mut WorkerTracer,
 ) {
-    let meta = &ctx.meta[e];
-    let run = ctx.runs.get_mut(e);
+    let meta = &ctx.wiring.meta[e];
+    let pins = &ctx.wiring.pins_in[pin_range(meta.ins)];
+    let outs = &ctx.wiring.pins_out[pin_range(meta.outs)];
+    let run = ctx.run(e);
     let mut outputs_touched = false;
     let mut validity_extended = false;
     // First-touch pipelining: wake each output's fan-out once, as soon as
@@ -757,8 +843,7 @@ unsafe fn run_element(
     let mut woken = [false; 2];
 
     // The minimum time through which *all* inputs are known.
-    let min_valid = meta
-        .inputs
+    let min_valid = pins
         .iter()
         .map(|&(node, _)| ctx.nodes[node as usize].valid_until.load(Ordering::Acquire))
         .min()
@@ -766,14 +851,14 @@ unsafe fn run_element(
 
     // ---- replay every input event at or before min_valid ------------------
     // Allocation invariant: this loop is allocation-free in steady state.
-    // Input replay reuses the pre-sized `run.cursors` / `run.cur_vals`,
+    // Input replay reuses the element's `run.cursors` / `run.cur_vals`,
     // `evaluate` returns the stack-only `Outputs` (and `Value::resolve` is
     // pure bit-plane arithmetic with no temporaries), and `Node::push`
     // appends into chunked arenas whose growth is amortized. Keep it that
     // way: never construct a `Vec` per activation here.
     loop {
         let mut t_next = u64::MAX;
-        for (i, &(node, _)) in meta.inputs.iter().enumerate() {
+        for (i, &(node, _)) in pins.iter().enumerate() {
             if let Some((t, _)) = run.cursors[i].peek(&ctx.nodes[node as usize]) {
                 if t <= min_valid && t < t_next {
                     t_next = t;
@@ -784,7 +869,7 @@ unsafe fn run_element(
             break;
         }
         // Advance every input through time t_next.
-        for (i, &(node, _)) in meta.inputs.iter().enumerate() {
+        for (i, &(node, _)) in pins.iter().enumerate() {
             let node = &ctx.nodes[node as usize];
             while let Some((t, _)) = run.cursors[i].peek(node) {
                 if t > t_next {
@@ -794,7 +879,7 @@ unsafe fn run_element(
             }
             run.cur_vals[i] = run.cursors[i].value;
         }
-        let out = evaluate(&meta.kind, &run.cur_vals, &mut run.state);
+        let out = evaluate(&meta.kind, run.cur_vals, run.state);
         tally.inc(Counter::Evaluations);
         tr.instant(EventKind::Eval, e as u32);
         // Inputs are known through t_next, so every output is now known
@@ -806,7 +891,7 @@ unsafe fn run_element(
         // fan-out of that element."
         let known_through = (t_next + meta.delay).min(ctx.bounds.cut);
         for (port, v) in out.iter() {
-            let out_node = meta.outputs[port] as usize;
+            let out_node = outs[port] as usize;
             let changed = run.last_out[port] != v;
             if changed {
                 let (last, last_t) = (&mut run.last_out[port], &mut run.last_te[port]);
@@ -865,7 +950,7 @@ unsafe fn run_element(
             // How long does some input pin the output?
             let mut pin_end = 0u64;
             let mut pinned = false;
-            for (i, &(node, _)) in meta.inputs.iter().enumerate() {
+            for (i, &(node, _)) in pins.iter().enumerate() {
                 if bit_of(&run.cur_vals[i]) != Some(ctrl) {
                     continue;
                 }
@@ -880,7 +965,7 @@ unsafe fn run_element(
             // Skip events the pinned output makes irrelevant; the values
             // still update so later evaluations start from the right state.
             let mut skipped_any = false;
-            for (i, &(node, _)) in meta.inputs.iter().enumerate() {
+            for (i, &(node, _)) in pins.iter().enumerate() {
                 let node = &ctx.nodes[node as usize];
                 while let Some((t, _)) = run.cursors[i].peek(node) {
                     if t > pin_end {
@@ -909,7 +994,7 @@ unsafe fn run_element(
                     .ports
                     .iter()
                     .map(|&(p, edge)| {
-                        run.cursors[p].scan_quiet(&ctx.nodes[meta.inputs[p].0 as usize], edge)
+                        run.cursors[p].scan_quiet(&ctx.nodes[pins[p].0 as usize], edge)
                     })
                     .min()
                     .unwrap_or(min_valid);
@@ -923,7 +1008,7 @@ unsafe fn run_element(
 
     // ---- publish consumption cursors (enables GC) --------------------------
     let mut consumed_any = false;
-    for (i, &(node, fanout_pos)) in meta.inputs.iter().enumerate() {
+    for (i, &(node, fanout_pos)) in pins.iter().enumerate() {
         let slot = &ctx.nodes[node as usize].consumed[fanout_pos as usize];
         // Relaxed: this element is the slot's only writer.
         consumed_any |= slot.load(Ordering::Relaxed) != run.cursors[i].global;
@@ -935,7 +1020,7 @@ unsafe fn run_element(
 
     // ---- extend output valid times (incremental clock values) --------------
     let out_valid = effective_valid.saturating_add(meta.delay).min(ctx.bounds.cut);
-    for &out in &meta.outputs {
+    for &out in outs {
         let vu = &ctx.nodes[out as usize].valid_until;
         // Relaxed load justified by writer exclusivity — same argument as
         // the `known_through` site above (and the same model test).
@@ -947,7 +1032,7 @@ unsafe fn run_element(
 
     // ---- stimulate fan-out at most once ------------------------------------
     if outputs_touched || validity_extended {
-        for &out in &meta.outputs {
+        for &out in outs {
             for &(consumer, _) in ctx.netlist.nodes()[out as usize].fanout() {
                 let c = consumer.index();
                 if ctx.act(c).try_activate() {
@@ -960,7 +1045,7 @@ unsafe fn run_element(
 
     // ---- asynchronous garbage collection ------------------------------------
     if ctx.gc {
-        for &out in &meta.outputs {
+        for &out in outs {
             ctx.nodes[out as usize].gc(alloc);
         }
     }
@@ -985,6 +1070,7 @@ mod tests {
     use crate::seq::EventDriven;
     use parsim_logic::Delay;
     use parsim_netlist::Builder;
+    use std::time::Duration;
 
     fn pipeline_circuit() -> (Netlist, Vec<NodeId>) {
         // gen -> e1 -> e2 <- e3 feedback: the paper's Fig. 4 example shape.
@@ -1011,6 +1097,57 @@ mod tests {
         b.element("e3", ElementKind::Not, Delay(1), &[n3], &[n4])
             .unwrap();
         (b.finish().unwrap(), vec![n1, n2, n3, n4])
+    }
+
+    #[test]
+    fn pin_tables_match_the_netlist() {
+        let cpu = parsim_circuits::pipelined_cpu(16, 128).unwrap().netlist;
+        let mult = parsim_circuits::gate_multiplier(16, &[(3, 5)], 256).unwrap().netlist;
+        for netlist in [cpu, mult] {
+            let w = Wiring::new(&netlist, true);
+            assert_eq!(w.meta.len(), netlist.num_elements());
+            for (id, e) in netlist.iter_elements() {
+                let m = &w.meta[id.index()];
+                assert_eq!(pin_range(m.ins).len(), e.inputs().len());
+                for (p, &input) in e.inputs().iter().enumerate() {
+                    let (node, k) = w.pins_in[m.ins.0 as usize + p];
+                    assert_eq!(node as usize, input.index());
+                    let fanout = netlist.node(input).fanout();
+                    assert_eq!(fanout[k as usize], (id, p as u16), "{id:?} port {p}");
+                }
+                let outs: Vec<NodeId> = w.pins_out[pin_range(m.outs)]
+                    .iter()
+                    .map(|&o| NodeId::from_index(o as usize))
+                    .collect();
+                assert_eq!(outs, e.outputs());
+            }
+        }
+    }
+
+    #[test]
+    fn busy_spans_fit_in_the_wall_time() {
+        let cpu = parsim_circuits::pipelined_cpu(16, 128).unwrap();
+        for threads in [1, 2] {
+            let cfg = SimConfig::new(Time(512)).watch_all(cpu.pc.clone()).threads(threads);
+            let m = ChaoticAsync::run(&cpu.netlist, &cfg).unwrap().metrics;
+            assert_eq!(m.per_thread.len(), threads, "one row per worker");
+            for (w, t) in m.per_thread.iter().enumerate() {
+                // A worker that exits mid-span still publishes it.
+                assert!(t.busy > Duration::ZERO, "x{threads} worker {w}: no busy time");
+                assert!(
+                    t.busy + t.idle <= m.wall,
+                    "x{threads} worker {w}: {:?} + {:?} > wall {:?}",
+                    t.busy,
+                    t.idle,
+                    m.wall
+                );
+            }
+            if threads == 1 {
+                // A lone worker runs out of work only when `pending` is 0,
+                // and then it exits instead of idling.
+                assert_eq!(m.per_thread[0].idle, Duration::ZERO);
+            }
+        }
     }
 
     #[test]

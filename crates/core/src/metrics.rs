@@ -272,6 +272,9 @@ impl LocalityMetrics {
 #[derive(Debug, Clone, Default)]
 pub struct ThreadMetrics {
     /// Time spent doing useful work (evaluations, updates, scheduling).
+    /// The chaotic engine measures busy spans: from the pop that ends a
+    /// lull until the worker next finds its queues empty, scheduling
+    /// included, rather than timing each activation.
     pub busy: Duration,
     /// Time spent waiting: barriers, empty queues.
     pub idle: Duration,

@@ -30,14 +30,12 @@ unsafe impl<T: Send> Send for SharedSlice<T> {}
 impl<T> SharedSlice<T> {
     /// Builds a slice from per-slot initial values.
     pub fn new(values: Vec<T>) -> SharedSlice<T> {
-        SharedSlice {
-            slots: values.into_iter().map(UnsafeCell::new).collect(),
-        }
+        values.into_iter().collect()
     }
 
     /// Builds a slice of `len` slots with `f(i)` initial values.
     pub fn from_fn(len: usize, f: impl FnMut(usize) -> T) -> SharedSlice<T> {
-        SharedSlice::new((0..len).map(f).collect())
+        (0..len).map(f).collect()
     }
 
     /// The number of slots.
@@ -80,6 +78,30 @@ impl<T> SharedSlice<T> {
         let slots = &self.slots[range];
         &*(slots as *const [UnsafeCell<T>] as *const [T])
     }
+
+    /// Returns an exclusive reference to the contiguous slot range.
+    ///
+    /// # Safety
+    ///
+    /// As for [`SharedSlice::get_mut`], applied to every slot in `range`.
+    /// `UnsafeCell::raw_get` yields the slots' contents with write
+    /// permission, and `UnsafeCell<T>` has the same layout as `T`.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
+        let slots = &self.slots[range];
+        // SAFETY: the pointer and length come from a live in-bounds
+        // subslice; exclusivity is the caller's guarantee (see above).
+        std::slice::from_raw_parts_mut(UnsafeCell::raw_get(slots.as_ptr()), slots.len())
+    }
+}
+
+impl<T> FromIterator<T> for SharedSlice<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(values: I) -> SharedSlice<T> {
+        SharedSlice {
+            slots: values.into_iter().map(UnsafeCell::new).collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -94,6 +116,8 @@ mod tests {
             *s.get_mut(2) = 99;
             assert_eq!(*s.get(2), 99);
             assert_eq!(*s.get(0), 0);
+            s.slice_mut(1..3).copy_from_slice(&[7, 8]);
+            assert_eq!(s.slice(0..4), &[0, 7, 8, 30]);
         }
         assert_eq!(s.len(), 4);
     }

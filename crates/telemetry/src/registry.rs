@@ -58,7 +58,8 @@ pub enum Counter {
     CheckpointWriteNs,
     /// Wall nanoseconds spent scanning/validating/loading at resume.
     CheckpointRestoreNs,
-    /// Wall nanoseconds spent doing useful work (per-thread busy time).
+    /// Wall nanoseconds spent doing useful work (per-thread busy time;
+    /// the chaotic engine charges whole busy spans, not activations).
     BusyNs,
     /// Wall nanoseconds spent waiting: barriers, empty queues.
     IdleNs,
@@ -155,7 +156,9 @@ impl Counter {
             Counter::CheckpointBytes => "Bytes across committed snapshot files",
             Counter::CheckpointWriteNs => "Nanoseconds spent committing snapshots",
             Counter::CheckpointRestoreNs => "Nanoseconds spent restoring a snapshot at resume",
-            Counter::BusyNs => "Nanoseconds of useful per-thread work",
+            Counter::BusyNs => {
+                "Nanoseconds of useful per-thread work (chaotic engine: busy spans between idle lulls)"
+            }
             Counter::IdleNs => "Nanoseconds waiting at barriers or on empty queues",
             Counter::MonitorWakeups => "Watchdog monitor-thread wakeups",
         }
