@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use parsim_circuits::{gate_multiplier, inverter_array, pipelined_cpu};
-use parsim_core::behavior::{live_chunks, pooled_chunks, ChunkAlloc, NodeState, POOL_CAP};
+use parsim_core::behavior::{live_chunks, pooled_chunks, POOL_CAP};
 use parsim_core::{assert_equivalent, ChaoticAsync, EventDriven, FaultPlan, SimConfig, SimError};
 use parsim_logic::Time;
 use parsim_netlist::{Netlist, NodeId};
@@ -42,16 +42,18 @@ fn watch_all(netlist: &Netlist, end: Time) -> SimConfig {
     SimConfig::new(end).watch_all((0..netlist.num_nodes()).map(NodeId::from_index))
 }
 
-/// The probe itself: a node's head chunk is live until the node drops.
+/// The probe itself: each list's head chunk is live until the lists drop.
 #[test]
 #[cfg(debug_assertions)]
 fn probe_counts_allocation_and_drop() {
+    use parsim_core::behavior::{ChunkAlloc, Lists};
+
     let _g = serial();
     let before = live_chunks();
-    let node = NodeState::new(1, &mut ChunkAlloc::default());
-    assert_eq!(live_chunks(), before + 1);
-    drop(node);
-    assert_returned(before, "one node");
+    let lists = Lists::new([1, 0], &mut ChunkAlloc::default());
+    assert_eq!(live_chunks(), before + 2);
+    drop(lists);
+    assert_returned(before, "two lists");
 }
 
 #[test]

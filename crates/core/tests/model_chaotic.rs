@@ -11,7 +11,11 @@
 //! 2. garbage collection: a chunk is reclaimed only when every consumer
 //!    has consumed strictly past it — under the model, `gc` tombstones
 //!    reclaimed chunks, so any schedule in which a consumer can still
-//!    reach one is reported as a data race on the tombstone write;
+//!    reach one is reported as a data race on the tombstone write — by
+//!    the writer after its pushes or by a reader whose published cursor
+//!    has just crossed a chunk boundary; with the writer and two readers
+//!    reclaiming one node at once, the per-node try-flag must keep any
+//!    chunk from being quarantined twice;
 //! 3. the `valid_until` writer-exclusive read-modify-write (`Relaxed`
 //!    load + `Release` store), whose safety rests entirely on the
 //!    activation machine's AcqRel handoff chain — the justification for
@@ -26,7 +30,7 @@
 //!    non-moving ones across a chunk link.
 #![cfg(parsim_model)]
 
-use parsim_core::behavior::{ChunkAlloc, Cursor, NodeState, CHUNK};
+use parsim_core::behavior::{crosses_chunk, ChunkAlloc, Cursor, Lists, NodeState, CHUNK};
 use parsim_logic::{Edge, Value};
 use parsim_model_check::{thread, CexKind, Explorer};
 use parsim_queue::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,31 +46,32 @@ fn behavior_publish_consume_across_chunks() {
     assert_eq!(CHUNK, 2, "model builds shrink the chunk size");
     let outcome = Explorer::new().max_preemptions(2).check(|| {
         let mut alloc = ChunkAlloc::default();
-        let node = Arc::new(NodeState::new(1, &mut alloc));
-        let n2 = Arc::clone(&node);
+        let lists = Arc::new(Lists::new([1], &mut alloc));
+        let l2 = Arc::clone(&lists);
         let writer = thread::spawn(move || {
             let mut a = ChunkAlloc::default();
             for t in 0..3u64 {
                 // SAFETY: this thread is the node's only writer.
-                unsafe { n2.push(t, Value::bit(t % 2 == 1), &mut a) };
+                unsafe { l2[0].push(t, Value::bit(t % 2 == 1), &mut a) };
             }
         });
-        let mut cursor = Cursor::new(&node, Value::x(1));
+        let node = &lists[0];
+        let mut cursor = Cursor::new(node, Value::x(1));
         let mut next = 0u64;
         while next < 3 {
             // SAFETY: this thread is the element's only runner.
-            match unsafe { cursor.peek(&node) } {
+            match unsafe { cursor.peek(node) } {
                 Some((t, v)) => {
                     assert_eq!(t, next, "events replay in append order");
                     assert_eq!(v, Value::bit(t % 2 == 1), "torn event");
-                    unsafe { cursor.consume(&node) };
+                    unsafe { cursor.consume(node) };
                     assert_eq!(cursor.value, v);
                     next += 1;
                 }
                 None => thread::yield_now(),
             }
         }
-        assert!(unsafe { cursor.peek(&node) }.is_none());
+        assert!(unsafe { cursor.peek(node) }.is_none());
         writer.join();
     });
     outcome.assert_pass("behavior-list publication across chunks");
@@ -75,38 +80,39 @@ fn behavior_publish_consume_across_chunks() {
 /// The writer garbage-collects after every append while the consumer is
 /// still replaying: no schedule may reclaim a chunk the consumer's
 /// cursor can still reach. The consumer publishes its progress with a
-/// release store into `consumed[0]` after each consume — exactly the
+/// release store ([`Lists::publish`]) after each consume — exactly the
 /// engine's cursor-publication step — and the strict `>` in `gc`'s
 /// reachability check is what keeps the in-progress chunk alive.
 #[test]
 fn behavior_gc_never_reclaims_reachable_chunk() {
     let outcome = Explorer::new().max_preemptions(2).check(|| {
         let mut alloc = ChunkAlloc::default();
-        let node = Arc::new(NodeState::new(1, &mut alloc));
-        let n2 = Arc::clone(&node);
+        let lists = Arc::new(Lists::new([1], &mut alloc));
+        let l2 = Arc::clone(&lists);
         let writer = thread::spawn(move || {
             let mut a = ChunkAlloc::default();
             let mut freed = 0u64;
             for t in 0..4u64 {
-                // SAFETY: this thread is the node's only writer (push and
-                // gc are both writer-side operations).
+                // SAFETY: this thread is the node's only writer; the one
+                // consumer publishes only positions it has reached.
                 unsafe {
-                    n2.push(t, Value::bit(t % 2 == 1), &mut a);
-                    freed += n2.gc(&mut a);
+                    l2[0].push(t, Value::bit(t % 2 == 1), &mut a);
+                    freed += l2.gc(0, &mut a);
                 }
             }
             freed
         });
-        let mut cursor = Cursor::new(&node, Value::x(1));
+        let node = &lists[0];
+        let mut cursor = Cursor::new(node, Value::x(1));
         let mut next = 0u64;
         while next < 4 {
             // SAFETY: this thread is the element's only runner.
-            match unsafe { cursor.peek(&node) } {
+            match unsafe { cursor.peek(node) } {
                 Some((t, v)) => {
                     assert_eq!(t, next);
                     assert_eq!(v, Value::bit(t % 2 == 1), "read a reclaimed slot");
-                    unsafe { cursor.consume(&node) };
-                    node.consumed[0].store(cursor.global, Ordering::Release);
+                    unsafe { cursor.consume(node) };
+                    lists.publish(0, 0, cursor.global);
                     next += 1;
                 }
                 None => thread::yield_now(),
@@ -119,13 +125,86 @@ fn behavior_gc_never_reclaims_reachable_chunk() {
         // satisfies for the chunk based at 0... only once the cursor is
         // past it. SAFETY: the writer thread has exited; exclusivity
         // transfers through the join edge.
-        let freed_final = unsafe { node.gc(&mut ChunkAlloc::default()) };
+        let freed_final = unsafe { lists.gc(0, &mut ChunkAlloc::default()) };
         assert!(
             freed_concurrent + freed_final >= 1,
             "fully consumed chunks must eventually be reclaimed"
         );
     });
     outcome.assert_pass("behavior-list GC reachability");
+}
+
+/// One element run of a reader, as `run_element` does it: replay what is
+/// published, publish the cursor, and reclaim if the cursor has just
+/// passed a chunk's last slot. Returns the chunks it reclaimed.
+fn reader_run(lists: &Lists, k: usize, cursor: &mut Cursor, alloc: &mut ChunkAlloc) -> u64 {
+    let node = &lists[0];
+    // SAFETY: the caller is the element's only runner, and it publishes
+    // only what its cursor has consumed.
+    unsafe {
+        while let Some((t, v)) = cursor.peek(node) {
+            assert_eq!(t, cursor.global, "read a reclaimed slot");
+            assert_eq!(v, Value::bit(t % 2 == 1), "read a reclaimed slot");
+            cursor.consume(node);
+        }
+        let prev = lists.publish(0, k, cursor.global);
+        if crosses_chunk(prev, cursor.global) {
+            lists.gc(0, alloc)
+        } else {
+            0
+        }
+    }
+}
+
+/// The last reader to leave a chunk frees it. The writer pushes five
+/// events across three model chunks and then reclaims, as the engine's
+/// writer does at the end of its run, while two readers each run
+/// once, concurrently, replaying whatever is published: three reclaimers
+/// of one node. A reader that could still reach a reclaimed chunk races
+/// the tombstone writes (or reads a tombstone and fails its assertion),
+/// and a chunk quarantined twice fails `reclaim`'s assertion. After the
+/// joins each reader runs once more, to the end of the list, and one more
+/// `gc` covers a loser of the try-flag: every chunk but the tail has then
+/// been reclaimed, each exactly once.
+#[test]
+fn behavior_readers_and_writer_reclaim_concurrently() {
+    const EVENTS: u64 = 5;
+    assert_eq!(CHUNK, 2, "model builds shrink the chunk size");
+    let outcome = Explorer::new().max_preemptions(2).check(|| {
+        let mut alloc = ChunkAlloc::default();
+        let lists = Arc::new(Lists::new([2], &mut alloc));
+        let l2 = Arc::clone(&lists);
+        let writer = thread::spawn(move || {
+            let mut a = ChunkAlloc::default();
+            // SAFETY: this thread is the node's only writer; each reader
+            // publishes only positions it has reached.
+            unsafe {
+                for t in 0..EVENTS {
+                    l2[0].push(t, Value::bit(t % 2 == 1), &mut a);
+                }
+                l2.gc(0, &mut a)
+            }
+        });
+        let l3 = Arc::clone(&lists);
+        let other = thread::spawn(move || {
+            let mut cursor = Cursor::new(&l3[0], Value::x(1));
+            let freed = reader_run(&l3, 1, &mut cursor, &mut ChunkAlloc::default());
+            (cursor, freed)
+        });
+        let mut alloc = ChunkAlloc::default();
+        let mut cursor = Cursor::new(&lists[0], Value::x(1));
+        let mut freed = reader_run(&lists, 0, &mut cursor, &mut alloc);
+        let (mut other_cursor, other_freed) = other.join();
+        freed += writer.join() + other_freed;
+        freed += reader_run(&lists, 0, &mut cursor, &mut alloc);
+        freed += reader_run(&lists, 1, &mut other_cursor, &mut alloc);
+        assert_eq!(cursor.global, EVENTS);
+        // SAFETY: every thread has joined; the cursors are final.
+        freed += unsafe { lists.gc(0, &mut alloc) };
+        let chunks = EVENTS.div_ceil(CHUNK as u64);
+        assert_eq!(freed, chunks - 1, "every chunk but the tail, each once");
+    });
+    outcome.assert_pass("behavior-list reclamation by readers and the writer");
 }
 
 /// The `valid_until` read-modify-write as the chaotic engine performs it:
@@ -190,19 +269,20 @@ fn valid_until_relaxed_rmw_is_exclusive() {
 fn quiet_window_shape(read: unsafe fn(&mut Cursor, &NodeState) -> u64) {
     const TE: u64 = 5;
     let mut alloc = ChunkAlloc::default();
-    let node = Arc::new(NodeState::new(1, &mut alloc));
-    let n2 = Arc::clone(&node);
+    let lists = Arc::new(Lists::new([1], &mut alloc));
+    let l2 = Arc::clone(&lists);
     let writer = thread::spawn(move || {
         let mut a = ChunkAlloc::default();
         // SAFETY: this thread is the node's only writer.
-        unsafe { n2.push(TE, Value::bit(true), &mut a) };
-        n2.valid_until.store(TE, Ordering::Release);
+        unsafe { l2[0].push(TE, Value::bit(true), &mut a) };
+        l2[0].valid_until.store(TE, Ordering::Release);
     });
-    let mut cursor = Cursor::new(&node, Value::x(1));
+    let node = &lists[0];
+    let mut cursor = Cursor::new(node, Value::x(1));
     // SAFETY: this thread is the element's only runner.
-    let quiet = unsafe { read(&mut cursor, &node) };
+    let quiet = unsafe { read(&mut cursor, node) };
     writer.join();
-    let next = unsafe { cursor.peek(&node) }.expect("the writer has appended");
+    let next = unsafe { cursor.peek(node) }.expect("the writer has appended");
     assert!(
         next.0 > quiet,
         "adopted a quiet window through {quiet} that covers the unconsumed event at {}",
@@ -245,24 +325,25 @@ fn edge_scan_stops_before_a_moving_event_across_a_chunk() {
         .max_preemptions(3)
         .check(|| {
             let mut alloc = ChunkAlloc::default();
-            let node = Arc::new(NodeState::new(1, &mut alloc));
-            let n2 = Arc::clone(&node);
+            let lists = Arc::new(Lists::new([1], &mut alloc));
+            let l2 = Arc::clone(&lists);
             let writer = thread::spawn(move || {
                 let mut a = ChunkAlloc::default();
                 for (t, v) in EVENTS {
                     // SAFETY: this thread is the node's only writer.
-                    unsafe { n2.push(t, Value::bit(v), &mut a) };
+                    unsafe { l2[0].push(t, Value::bit(v), &mut a) };
                 }
-                n2.valid_until.store(7, Ordering::Release);
+                l2[0].valid_until.store(7, Ordering::Release);
             });
-            let cursor = Cursor::new(&node, Value::x(1));
+            let node = &lists[0];
+            let cursor = Cursor::new(node, Value::x(1));
             // SAFETY: this thread is the element's only runner.
-            let quiet = unsafe { cursor.scan_quiet(&node, Edge::Rising) };
+            let quiet = unsafe { cursor.scan_quiet(node, Edge::Rising) };
             writer.join();
             assert!(quiet < 7, "window through {quiet} covers the rising edge at 7");
             // Once validity is out, the whole list is visible: the window
             // is exactly the tick before the edge.
-            let settled = unsafe { cursor.scan_quiet(&node, Edge::Rising) };
+            let settled = unsafe { cursor.scan_quiet(node, Edge::Rising) };
             assert_eq!(settled, 6, "a settled list scans to the tick before the edge");
         })
         .assert_pass("edge-aware quiet-window scan");
