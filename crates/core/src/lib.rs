@@ -64,6 +64,7 @@ mod exec;
 mod fault;
 mod kernel;
 mod metrics;
+pub mod report;
 pub mod seq;
 mod shared;
 pub mod sync;
@@ -85,10 +86,8 @@ pub use metrics::{
 pub use parsim_checkpoint::{
     CheckpointError, CheckpointStore, EngineSnapshot, StorageFault, StorageFaultPlan,
 };
-pub use parsim_trace::{
-    CheckpointReport, RunReport, ThreadSummary, TimeSeriesPoint, TimeSeriesReport, Trace,
-    TraceConfig,
-};
+pub use parsim_trace::{Trace, TraceConfig};
+pub use report::RunReport;
 pub use seq::EventDriven;
 pub use sync::SyncEventDriven;
 pub use testbench::{TestBench, TestBenchError, TestRun};

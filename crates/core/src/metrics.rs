@@ -566,6 +566,18 @@ impl Metrics {
         }
     }
 
+    /// Utilisation ⟨u⟩ = 1 − empty_activations / activations: the share
+    /// of chaotic-engine activations that found an input event to consume
+    /// (Kolakowska, Novotny & Rikvold's update statistic for conservative
+    /// PDES). Zero when nothing was activated.
+    pub fn activation_utilisation(&self) -> f64 {
+        if self.activations == 0 {
+            0.0
+        } else {
+            1.0 - self.empty_activations as f64 / self.activations as f64
+        }
+    }
+
     /// Mean input events consumed per element evaluation — the batching
     /// factor that makes the asynchronous algorithm faster per event than
     /// the event-driven one (§5).

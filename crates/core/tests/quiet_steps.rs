@@ -409,6 +409,6 @@ fn a_traced_jump_is_one_instant_carrying_its_length() {
         let applies = count(EventKind::PhaseApply, Mark::Begin).count() as u64;
         assert_eq!(applies, m.time_steps - m.quiet_steps, "worker {}", w.worker);
     }
-    let report = RunReport::from_trace(trace);
+    let report = RunReport::new(m, Some(trace), None);
     assert!((0.0..=1.0).contains(&report.utilization()));
 }

@@ -92,7 +92,7 @@ mod with_feature {
         let json = trace.to_chrome_json();
         parsim_trace::json::lint(&json)
             .unwrap_or_else(|e| panic!("{name}: chrome export not valid JSON: {e}"));
-        let report = RunReport::from_trace(&trace);
+        let report = RunReport::new(&result.metrics, Some(&trace), None);
         assert_eq!(report.workers.len(), workers);
         let util = report.utilization();
         assert!(

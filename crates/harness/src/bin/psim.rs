@@ -12,11 +12,14 @@
 //! `--watch` flags, every named node that is not auto-generated (`_t...`)
 //! is watched. `--stats` prints netlist statistics and exits.
 //!
-//! `--trace OUT.json` (requires building with `--features trace`) records
-//! a per-worker event trace and writes it in Chrome `trace_events` format
-//! — load it at <https://ui.perfetto.dev>. Adding `--report` also prints
-//! a run report (per-phase utilization, barrier imbalance, queue
-//! occupancy, hottest elements, checkpoint latency) and writes it as
+//! `--report` prints the run report (`parsim_core::RunReport`):
+//! per-worker utilization, idle time, evaluations and parks, and the
+//! engine's checkpoint, chunk, lookahead, gating and sampled time-series
+//! counters. `--trace OUT.json` (requires building with `--features
+//! trace`) records a per-worker event trace and writes it in Chrome
+//! `trace_events` format — load it at <https://ui.perfetto.dev>; with
+//! `--report` the report then adds per-phase time, barrier imbalance,
+//! queue occupancy and the hottest elements, and is also written as
 //! `OUT.report.json`.
 //!
 //! `--checkpoint-dir DIR --checkpoint-every N` snapshots the run every N
@@ -31,8 +34,7 @@
 //! mode. `--force-lane-width {64,128,256,512}` pins the chunk width
 //! instead of chunking by lane and thread count (64 runs a 130-lane batch
 //! as three chunks); the kernel code is the same at every width. The
-//! chosen width is reported in the metrics line and, with `--trace
-//! --report`, in the run report.
+//! chosen width is reported in the metrics line.
 //!
 //! Telemetry (always on, no feature flag): `--metrics-out OUT.prom`
 //! writes the final registry as Prometheus text-format 0.0.4 (self-
@@ -42,9 +44,6 @@
 //! every MS milliseconds into a bounded ring). `--live-stats` prints a
 //! one-line stderr progress ticker (events/s, utilization, queue depth,
 //! last checkpoint) while the run is in flight.
-//! `--report` no longer requires `--trace`: without a trace it prints
-//! the metrics-derived per-worker utilization report (busy/idle/parks),
-//! so scheduling imbalance is visible on every build.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,9 +51,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parsim_core::{
-    checkpoint, ChaoticAsync, CheckpointReport, CompiledMode, EngineKind, EventDriven, Metrics,
-    RunReport, SimConfig, SyncEventDriven, ThreadSummary, TimeSeriesPoint, TimeSeriesReport,
-    TraceConfig,
+    checkpoint, ChaoticAsync, CompiledMode, EngineKind, EventDriven, RunReport, SimConfig,
+    SyncEventDriven, TraceConfig,
 };
 use parsim_harness::Table;
 use parsim_logic::Time;
@@ -419,40 +417,23 @@ fn run(opts: &Options) -> Result<(), String> {
             trace.num_events(),
             trace.dropped()
         );
+    }
 
-        if opts.report {
-            let report = attach_metrics(
-                RunReport::from_trace(trace),
-                &result.metrics,
-                result.telemetry.as_ref(),
-                opts.checkpoint_dir.is_some(),
-            );
+    // Traced or not, one report: engine counters from the metrics, the
+    // phase split, barrier waits and hottest elements from the trace.
+    if opts.report {
+        let report =
+            RunReport::new(&result.metrics, result.trace.as_ref(), result.telemetry.as_ref());
+        println!("\n{report}");
+        if let Some(trace_path) = &opts.trace {
             let report_path = format!("{}.report.json", trace_path.trim_end_matches(".json"));
             let report_json = report.to_json();
             parsim_trace::json::lint(&report_json)
                 .map_err(|e| format!("internal error: run report is not valid JSON: {e}"))?;
             std::fs::write(&report_path, &report_json)
                 .map_err(|e| format!("cannot write {report_path}: {e}"))?;
-            println!("\n{report}");
             println!("wrote {report_path}");
         }
-    }
-
-    // `--report` without `--trace`: the metrics-derived utilization
-    // report. Coarser than the trace analyzer (no phase breakdown, no
-    // hottest elements) but available on every build — per-worker
-    // busy/idle imbalance and backoff parks come from engine metrics.
-    if opts.report && opts.trace.is_none() {
-        let report = attach_metrics(
-            RunReport::from_thread_summaries(
-                result.metrics.wall.as_nanos() as u64,
-                &thread_summaries(&result.metrics),
-            ),
-            &result.metrics,
-            result.telemetry.as_ref(),
-            opts.checkpoint_dir.is_some(),
-        );
-        println!("\n{report}");
     }
 
     if let Some(path) = &opts.metrics_out {
@@ -460,104 +441,6 @@ fn run(opts: &Options) -> Result<(), String> {
         write_metrics(path, h, result.telemetry.as_ref())?;
     }
     Ok(())
-}
-
-/// Per-worker scheduling/timing summaries from engine metrics, in the
-/// trace crate's cycle-free vocabulary.
-fn thread_summaries(m: &Metrics) -> Vec<ThreadSummary> {
-    if m.per_thread.is_empty() {
-        // Sequential engine: one implicit worker, busy for the whole run.
-        return vec![ThreadSummary {
-            busy_ns: m.wall.as_nanos() as u64,
-            evals: m.evaluations,
-            ..ThreadSummary::default()
-        }];
-    }
-    m.per_thread
-        .iter()
-        .map(|t| ThreadSummary {
-            busy_ns: t.busy.as_nanos() as u64,
-            idle_ns: t.idle.as_nanos() as u64,
-            evals: t.evaluations,
-            local_hits: t.sched.local_hits,
-            grid_sends: t.sched.grid_sends,
-            backoff_parks: t.sched.backoff_parks,
-        })
-        .collect()
-}
-
-/// Reduces the telemetry sample ring to the report's time-series shape.
-fn to_timeseries(run: &RunTelemetry) -> TimeSeriesReport {
-    TimeSeriesReport {
-        sample_every_ns: run.sampled_every_ns.unwrap_or(0),
-        points: run
-            .samples
-            .iter()
-            .map(|s| TimeSeriesPoint {
-                t_ns: s.t_ns,
-                events: s.snap.counter(Counter::EventsProcessed),
-                evaluations: s.snap.counter(Counter::Evaluations),
-                sim_time: s.snap.gauge(Gauge::SimTime),
-                queue_depth: s.snap.gauge(Gauge::QueueDepth),
-                busy_ns: s.snap.counter(Counter::BusyNs),
-                idle_ns: s.snap.counter(Counter::IdleNs),
-            })
-            .collect(),
-    }
-}
-
-/// Folds engine metrics (checkpoint/allocs/lookahead/gating/lane-width/idle/parks) and the
-/// sampled time series into a report, trace-derived or metrics-only.
-fn attach_metrics(
-    mut report: RunReport,
-    m: &Metrics,
-    telemetry: Option<&RunTelemetry>,
-    with_ckpt: bool,
-) -> RunReport {
-    report = report
-        .with_lane_width(m.lane_width)
-        .with_thread_summaries(&thread_summaries(m));
-    if with_ckpt {
-        let c = &m.checkpoint;
-        report = report.with_checkpoint(CheckpointReport {
-            writes: c.writes,
-            bytes: c.bytes,
-            write_ns: c.write_ns,
-            restore_ns: c.restore_ns,
-        });
-    }
-    let a = &m.arena;
-    if !a.is_empty() {
-        report = report.with_allocs(parsim_trace::AllocReport {
-            chunk_allocs: a.chunk_allocs,
-            chunk_frees: a.chunk_frees,
-            mailbox_recycled: a.mailbox_recycled,
-        });
-    }
-    // Only the chaotic engine counts these (every other engine leaves
-    // both at zero and gets no line).
-    if m.empty_activations + m.lookahead_extensions > 0 {
-        report = report.with_lookahead(parsim_trace::LookaheadReport {
-            activations: m.activations,
-            empty_activations: m.empty_activations,
-            extensions: m.lookahead_extensions,
-        });
-    }
-    // Only gated compiled-mode runs skip anything.
-    if m.evals_skipped > 0 {
-        report = report.with_gating(parsim_trace::GatingReport {
-            evaluations: m.evaluations,
-            evals_skipped: m.evals_skipped,
-            time_steps: m.time_steps,
-            quiet_steps: m.quiet_steps,
-        });
-    }
-    if let Some(ts) = telemetry.map(to_timeseries) {
-        if !ts.points.is_empty() {
-            report = report.with_timeseries(ts);
-        }
-    }
-    report
 }
 
 /// Writes the final registry as Prometheus text-format 0.0.4 (self-

@@ -13,11 +13,12 @@
 //!   snapshot time. Counters and gauges are fixed enums ([`Counter`],
 //!   [`Gauge`]) so a publish is an array index away — no hashing, no
 //!   allocation, no branches beyond the bounds check the optimizer drops.
-//! - [`Sampler`]: rides the watchdog/heartbeat monitor thread
-//!   (`parsim-core`'s `watchdog` module), snapshotting the registry on a
-//!   configurable period into a bounded drop-oldest [`SampleRing`] — a
-//!   flight recorder whose contents export as a time-series section of
-//!   `RunReport` and as an endpoint-shaped JSON document.
+//! - [`Sampler`]: rides the watchdog/heartbeat monitor thread (the
+//!   monitor in `parsim-core`'s `exec` module), snapshotting the registry
+//!   on a configurable period into a bounded drop-oldest [`SampleRing`] —
+//!   a flight recorder whose contents export as the time-series section
+//!   of `parsim-core`'s `RunReport` (its `report` module) and as an
+//!   endpoint-shaped JSON document.
 //! - Exposition: [`prometheus::render`] emits text-format 0.0.4 with
 //!   per-worker labels, [`prometheus::lint`] is a vendored, registry-free
 //!   format check for CI, and [`series::render_json`] writes the sample

@@ -72,10 +72,9 @@ pub mod prelude {
     pub use parsim_core::{
         assert_equivalent, checkpoint, ActivityReport, BatchResult, ChaoticAsync,
         CheckpointError, CompiledMode, EngineKind, EventDriven, FaultPlan, LaneStimulus,
-        SimConfig, SimError, SimResult, StorageFault, SyncEventDriven, TestBench, TestRun,
-        TraceConfig, Waveform, WaveformStats,
+        RunReport, SimConfig, SimError, SimResult, StorageFault, SyncEventDriven, TestBench,
+        TestRun, Trace, TraceConfig, Waveform, WaveformStats,
     };
-    pub use parsim_trace::{RunReport, Trace};
     pub use parsim_logic::{Bit, Delay, ElementKind, Time, Value};
     pub use parsim_netlist::{Builder, ElemId, Netlist, NetlistStats, NodeId};
 }
