@@ -158,7 +158,12 @@ mod tests {
     use crate::json::lint;
 
     fn ev(tick_ns: u64, kind: EventKind, mark: Mark, arg: u32) -> TraceEvent {
-        TraceEvent { tick_ns, arg, kind, mark }
+        TraceEvent {
+            tick_ns,
+            arg,
+            kind,
+            mark,
+        }
     }
 
     fn sample_trace() -> Trace {
@@ -220,7 +225,10 @@ mod tests {
         let ends = doc.matches("\"ph\":\"E\"").count();
         assert_eq!(begins, 1);
         assert_eq!(ends, 1, "orphan end dropped, open begin auto-closed");
-        assert!(!doc.contains("time_step"), "orphaned end must not be emitted");
+        assert!(
+            !doc.contains("time_step"),
+            "orphaned end must not be emitted"
+        );
     }
 
     #[test]

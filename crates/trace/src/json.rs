@@ -145,21 +145,19 @@ fn string(b: &[u8], i: usize) -> Result<usize, String> {
     while let Some(&c) = b.get(i) {
         match c {
             b'"' => return Ok(i + 1),
-            b'\\' => {
-                match b.get(i + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
-                    Some(b'u') => {
-                        let hex = b.get(i + 2..i + 6).ok_or_else(|| {
-                            format!("truncated \\u escape at byte {i}")
-                        })?;
-                        if !hex.iter().all(|c| c.is_ascii_hexdigit()) {
-                            return Err(format!("invalid \\u escape at byte {i}"));
-                        }
-                        i += 6;
+            b'\\' => match b.get(i + 1) {
+                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
+                Some(b'u') => {
+                    let hex = b
+                        .get(i + 2..i + 6)
+                        .ok_or_else(|| format!("truncated \\u escape at byte {i}"))?;
+                    if !hex.iter().all(|c| c.is_ascii_hexdigit()) {
+                        return Err(format!("invalid \\u escape at byte {i}"));
                     }
-                    _ => return Err(format!("invalid escape at byte {i}")),
+                    i += 6;
                 }
-            }
+                _ => return Err(format!("invalid escape at byte {i}")),
+            },
             0x00..=0x1f => return Err(format!("unescaped control byte at {i}")),
             _ => i += 1,
         }
