@@ -771,9 +771,11 @@ impl ChaoticAsync {
         }
         // `gc` is the only caller of `ChunkAlloc::free`, so the frees are
         // the GC's reclaims; the totals publish once here, on the driver
-        // shard.
+        // shard. So does the simulated time: the run quiesced, so every
+        // node's behavior is known through the cut.
         {
             let d = registry.driver();
+            d.set_gauge(Gauge::SimTime, end);
             d.add(Counter::GcChunksFreed, chunk_frees);
             d.add(Counter::ArenaChunkAllocs, chunk_allocs);
             d.add(Counter::ArenaChunkFrees, chunk_frees);
@@ -1151,6 +1153,19 @@ mod tests {
                 // and then it exits instead of idling.
                 assert_eq!(m.per_thread[0].idle, Duration::ZERO);
             }
+        }
+    }
+
+    /// The simulated-time gauge reads the cut the run quiesced at, as the
+    /// step engines' reads their last step.
+    #[test]
+    fn finals_carry_the_simulated_time_reached() {
+        let (netlist, watch) = pipeline_circuit();
+        for threads in [1, 2] {
+            let cfg = SimConfig::new(Time(200)).watch_all(watch.clone()).threads(threads);
+            let r = ChaoticAsync::run(&netlist, &cfg).unwrap();
+            let finals = &r.telemetry.expect("every run carries telemetry").finals;
+            assert_eq!(finals.gauge(Gauge::SimTime), 200, "x{threads}");
         }
     }
 

@@ -95,6 +95,20 @@ impl FaultPlan {
         self.panic_at.is_none() && self.stall_at.is_none() && self.storage.is_empty()
     }
 
+    /// The first activation ordinal at which the plan acts on `worker`
+    /// (`u64::MAX` if none). [`FaultPlan::check`] is a no-op below it, so
+    /// a kernel that counts activations a block at a time consults the
+    /// plan only in the block that reaches it.
+    pub(crate) fn first_activation(&self, worker: usize) -> u64 {
+        [self.panic_at, self.stall_at]
+            .into_iter()
+            .flatten()
+            .filter(|&(w, _)| w == worker)
+            .map(|(_, nth)| nth)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// Consults the plan at one activation. `count` is the worker's local
     /// 0-based ordinal of the activation it is about to process.
     ///
@@ -158,5 +172,16 @@ mod tests {
         assert!(matches!(plan.check(0, 3, &cancel), FaultAction::Exit));
         assert!(matches!(plan.check(0, 9, &cancel), FaultAction::Exit));
         assert!(matches!(plan.check(1, 3, &cancel), FaultAction::Continue));
+    }
+
+    #[test]
+    fn first_activation_is_where_check_first_acts() {
+        assert_eq!(FaultPlan::default().first_activation(0), u64::MAX);
+        let plan = FaultPlan::panic_at(1, 7);
+        assert_eq!(plan.first_activation(1), 7);
+        assert_eq!(plan.first_activation(0), u64::MAX);
+        assert_eq!(FaultPlan::stall_at(0, 3).first_activation(0), 3);
+        let storage = FaultPlan::storage_fault(0, StorageFault::FsyncCrash);
+        assert_eq!(storage.first_activation(0), u64::MAX);
     }
 }

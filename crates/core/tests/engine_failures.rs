@@ -187,6 +187,71 @@ fn stalled_worker_trips_the_watchdog_with_a_diagnostic() {
     }
 }
 
+/// 64 columns two deep: every level is 64 inverters, so at two threads a
+/// worker's level splits into full 16-instruction gating blocks, and the
+/// ordinals below fall at a block's start, middle and end.
+fn wide_netlist() -> Netlist {
+    inverter_array(64, 2, 1).expect("valid generator parameters").netlist
+}
+
+#[test]
+fn scalar_compiled_panic_fires_at_its_exact_activation() {
+    // The kernel consults the fault plan per block; the panic must still
+    // land on the named ordinal, in the first step or a later one.
+    for nth in [0u64, 9, 16, 31, 57, 64 * 5 + 7] {
+        let cfg = SimConfig::new(Time(1_000))
+            .threads(2)
+            .with_fault(FaultPlan::panic_at(1, nth));
+        let err = guarded(&format!("compiled panic at {nth}"), move || {
+            CompiledMode::run(&wide_netlist(), &cfg)
+        })
+        .expect_err("injected panic must surface as an error");
+        match err {
+            SimError::WorkerPanicked {
+                engine,
+                worker,
+                payload,
+            } => {
+                assert_eq!((engine, worker), ("compiled-mode", 1));
+                let want = format!("injected fault: worker 1 panicked at activation {nth}");
+                assert!(payload.contains(&want), "{nth}: payload {payload:?}");
+            }
+            other => panic!("{nth}: expected WorkerPanicked, got {other}"),
+        }
+    }
+    assert_clean_rerun("compiled-mode", CompiledMode::run, 2);
+}
+
+#[test]
+fn scalar_compiled_stall_is_reported_with_block_grained_heartbeats() {
+    let nth = 57u64;
+    let cfg = SimConfig::new(Time(100_000))
+        .threads(2)
+        .with_fault(FaultPlan::stall_at(1, nth))
+        .with_stall_timeout(Duration::from_millis(100));
+    let err = guarded("compiled stall", move || {
+        CompiledMode::run(&wide_netlist(), &cfg)
+    })
+    .expect_err("a frozen worker must surface as an error");
+    match err {
+        SimError::Stalled {
+            engine,
+            stalled_for,
+            diagnostic,
+        } => {
+            assert_eq!(engine, "compiled-mode");
+            assert!(stalled_for >= Duration::from_millis(100), "fired early at {stalled_for:?}");
+            assert_eq!(diagnostic.heartbeats.len(), 2);
+            // The victim beat at the step top and once per block it
+            // started, not once per instruction it ran.
+            let beats = diagnostic.heartbeats[1];
+            assert!(beats > 0 && beats < nth, "victim heartbeats {beats}");
+        }
+        other => panic!("expected Stalled, got {other}"),
+    }
+    assert_clean_rerun("compiled-mode", CompiledMode::run, 2);
+}
+
 #[test]
 fn deadline_cancels_parallel_engines_mid_stall() {
     // A worker wedged forever, watched only by the wall-time deadline:

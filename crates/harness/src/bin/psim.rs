@@ -375,17 +375,6 @@ fn run(opts: &Options) -> Result<(), String> {
     t.note(&format!("{}", result.metrics));
     print!("{t}");
 
-    if opts.checkpoint_dir.is_some() {
-        let c = &result.metrics.checkpoint;
-        println!(
-            "\ncheckpoints: {} written ({} bytes) in {:.3} ms; restore {:.3} ms",
-            c.writes,
-            c.bytes,
-            c.write_ns as f64 / 1e6,
-            c.restore_ns as f64 / 1e6
-        );
-    }
-
     if let Some(path) = &opts.vcd {
         result.write_vcd(path).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("\nwrote {path}");

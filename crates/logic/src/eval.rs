@@ -150,23 +150,7 @@ pub fn evaluate(kind: &ElementKind, inputs: &[Value], state: &mut ElemState) -> 
         ElementKind::Xnor => Outputs::one(fold_logic(inputs, Value::xor).not()),
         ElementKind::Not => Outputs::one(inputs[0].to_logic().not()),
         ElementKind::Buf => Outputs::one(inputs[0].to_logic()),
-        ElementKind::Mux { width } => {
-            let sel = inputs[0].to_logic();
-            let a = inputs[1];
-            let b = inputs[2];
-            let out = match sel.to_u64() {
-                Some(0) => a,
-                Some(_) => b,
-                None => {
-                    if a == b {
-                        a
-                    } else {
-                        Value::x(*width)
-                    }
-                }
-            };
-            Outputs::one(out)
-        }
+        ElementKind::Mux { .. } => Outputs::one(Value::mux(&inputs[0], &inputs[1], &inputs[2])),
         ElementKind::Dff { .. } => {
             let clk = inputs[0];
             let d = inputs[1];

@@ -111,6 +111,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if `width` is 0 or greater than 64.
+    #[inline]
     pub fn x(width: u8) -> Value {
         assert_width(width);
         let m = mask(width);
@@ -282,6 +283,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if widths differ.
+    #[inline]
     pub fn and(&self, rhs: &Value) -> Value {
         self.check_width(rhs);
         let zeros = self.k0() | rhs.k0();
@@ -294,6 +296,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if widths differ.
+    #[inline]
     pub fn or(&self, rhs: &Value) -> Value {
         self.check_width(rhs);
         let ones = self.k1() | rhs.k1();
@@ -306,6 +309,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if widths differ.
+    #[inline]
     pub fn xor(&self, rhs: &Value) -> Value {
         self.check_width(rhs);
         let known = self.known() & rhs.known();
@@ -316,12 +320,14 @@ impl Value {
     }
 
     /// Bitwise four-state NOT (`X`/`Z` stay unknown).
+    #[inline]
     pub fn not(&self) -> Value {
         let ones = self.k0();
         let zeros = self.k1();
         Value::from_masks(self.width, zeros, ones)
     }
 
+    #[inline]
     fn from_masks(width: u8, zeros: u64, ones: u64) -> Value {
         let m = mask(width);
         let unknown = m & !(zeros | ones);
@@ -539,6 +545,31 @@ impl Value {
             width,
             a: (self.a >> lo) & mask(width),
             b: (self.b >> lo) & mask(width),
+        }
+    }
+
+    /// A 2:1 multiplexer: `a` when `sel` (read as logic, `Z` as `X`) is
+    /// 0, `b` when it is known non-zero, and when it is unknown `a` if the
+    /// two data inputs agree, all-`X` otherwise.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use parsim_logic::Value;
+    ///
+    /// let (a, b) = (Value::from_u64(3, 4), Value::from_u64(5, 4));
+    /// assert_eq!(Value::mux(&Value::bit(false), &a, &b), a);
+    /// assert_eq!(Value::mux(&Value::bit(true), &a, &b), b);
+    /// assert_eq!(Value::mux(&Value::z(1), &a, &a), a);
+    /// assert_eq!(Value::mux(&Value::x(1), &a, &b), Value::x(4));
+    /// ```
+    #[inline]
+    pub fn mux(sel: &Value, a: &Value, b: &Value) -> Value {
+        match sel.to_logic().to_u64() {
+            Some(0) => *a,
+            Some(_) => *b,
+            None if a == b => *a,
+            None => Value::x(a.width),
         }
     }
 

@@ -349,6 +349,15 @@ impl Tally {
         self.add(c, since.elapsed().as_nanos() as u64);
     }
 
+    /// Charges the span since `*mark` to `c` and restarts `mark` at the
+    /// same clock read, so back-to-back spans neither gap nor overlap.
+    #[inline]
+    pub fn lap(&mut self, c: Counter, mark: &mut Instant) {
+        let now = Instant::now();
+        self.add(c, now.duration_since(*mark).as_nanos() as u64);
+        *mark = now;
+    }
+
     /// Publishes every pending delta into `shard` and zeroes the buffer.
     pub fn flush(&mut self, shard: &Shard) {
         for (c, delta) in Counter::ALL.iter().zip(&mut self.0) {
