@@ -97,7 +97,8 @@ impl Containment {
         self.cancel.store(true, Ordering::Release);
     }
 
-    /// Bumps worker `w`'s heartbeat; call once per processed activation.
+    /// Bumps worker `w`'s heartbeat: once per processed activation (the
+    /// compiled kernels: once per step and per gating block they run).
     pub fn beat(&self, w: usize) {
         self.heartbeats[w].fetch_add(1, Ordering::Relaxed);
     }
