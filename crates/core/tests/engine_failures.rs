@@ -223,6 +223,45 @@ fn scalar_compiled_panic_fires_at_its_exact_activation() {
 }
 
 #[test]
+fn batch_panic_fires_at_its_exact_activation() {
+    // 130 lanes at 64 per word group: chunks 0 and 2 on worker 0, chunk 1
+    // (64 lanes) on worker 1. The batch kernel runs one instruction list
+    // in 16-instruction blocks and consults the fault plan per block.
+    let batch = |cfg: &SimConfig| {
+        let lanes = vec![LaneStimulus::base(); 130];
+        CompiledMode::run_batch(&wide_netlist(), &cfg.clone().with_lane_width(64), &lanes)
+    };
+    let cfg = SimConfig::new(Time(60)).threads(2);
+    // Activations per chunk, from a clean run: every lane runs the same
+    // stimulus, so each of the three chunks counts the same.
+    let total = batch(&cfg).unwrap().metrics.evaluations;
+    assert_eq!(total % 3, 0, "{total} activations in three chunks");
+    let per_chunk = total / 3;
+    assert!(per_chunk > 64 * 3, "{per_chunk} activations per chunk");
+    // The start, mid-block, a block boundary, a later step, and past the
+    // end of worker 0's first chunk: its count carries into the next
+    // chunk instead of starting over.
+    for nth in [0u64, 9, 16, 64 * 2 + 31, per_chunk, per_chunk + 7] {
+        let cfg = cfg.clone().with_fault(FaultPlan::panic_at(0, nth));
+        let err = guarded(&format!("batch panic at {nth}"), move || batch(&cfg))
+            .expect_err("injected panic must surface as an error");
+        match err {
+            SimError::WorkerPanicked {
+                engine,
+                worker,
+                payload,
+            } => {
+                assert_eq!((engine, worker), ("compiled-mode", 0));
+                let want = format!("injected fault: worker 0 panicked at activation {nth}");
+                assert!(payload.contains(&want), "{nth}: payload {payload:?}");
+            }
+            other => panic!("{nth}: expected WorkerPanicked, got {other}"),
+        }
+    }
+    assert_clean_rerun("compiled-mode batch", run_batch, 2);
+}
+
+#[test]
 fn scalar_compiled_stall_is_reported_with_block_grained_heartbeats() {
     let nth = 57u64;
     let cfg = SimConfig::new(Time(100_000))
