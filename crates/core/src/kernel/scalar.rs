@@ -24,9 +24,10 @@
 //!
 //! Shared-state discipline: between two barriers a worker writes only
 //! cache lines no other worker writes. A value slot is written only by the
-//! worker owning its driving instruction (plus worker 0 for generator and
-//! undriven slots) during the *apply* phase and read by everyone during the
-//! *evaluate* phase, with a [`SpinBarrier`] between the phases; the slot
+//! worker owning its driving instruction (a generator or undriven slot by
+//! the worker whose block reads it first, or worker 0 when none does)
+//! during the *apply* phase and read by everyone during the *evaluate*
+//! phase, with a [`SpinBarrier`] between the phases; the slot
 //! file is laid out by writing worker ([`SlotLayout`]), so each worker's
 //! writes land on lines of its own, and the hot loops index it through the
 //! layout's per-worker position lists, never through a remap. Dirty bits
@@ -216,7 +217,7 @@ pub(crate) fn run_segment(
     // events, node updates like any other, each a time-ordered run. Every
     // worker walks all of it ([`StimulusWalk`]): it needs the next
     // stimulus time and applies the events that land in its region (all
-    // of a generator's are worker 0's).
+    // of a generator's land in one region, its first reader's).
     let mut stimulus = Stimulus::default();
     let generators = netlist.generators();
     for &gen in &generators {
