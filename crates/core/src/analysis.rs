@@ -61,12 +61,12 @@ impl WaveformStats {
         end: Time,
         glitch_window: u64,
     ) -> WaveformStats {
-        let changes = waveform.changes();
+        let times = waveform.times();
         let mut min_pulse = None;
         let mut max_pulse = None;
         let mut glitches = 0;
-        for pair in changes.windows(2) {
-            let w = pair[1].0.ticks() - pair[0].0.ticks();
+        for pair in times.windows(2) {
+            let w = pair[1].ticks() - pair[0].ticks();
             min_pulse = Some(min_pulse.map_or(w, |m: u64| m.min(w)));
             max_pulse = Some(max_pulse.map_or(w, |m: u64| m.max(w)));
             if w < glitch_window {
@@ -75,8 +75,8 @@ impl WaveformStats {
         }
         let span = end.ticks().max(1);
         WaveformStats {
-            transitions: changes.len(),
-            toggle_rate: changes.len() as f64 / span as f64,
+            transitions: times.len(),
+            toggle_rate: times.len() as f64 / span as f64,
             min_pulse,
             max_pulse,
             glitches,

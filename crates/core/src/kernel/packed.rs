@@ -62,7 +62,7 @@ use crate::exec::{run_workers, Containment};
 use crate::fault::FaultAction;
 use crate::kernel::{credit_quiet_steps, Csr, ExecPlan};
 use crate::metrics::Metrics;
-use crate::waveform::{SimResult, WatchSlots};
+use crate::waveform::{Encoded, EncodedWriter, SimResult, WatchSlots};
 
 /// Engine tag used in [`SimError`] values.
 const ENGINE: &str = "compiled-mode";
@@ -294,14 +294,10 @@ impl BlockBits {
     /// Clears every bit, handing out the marked blocks in ascending order.
     #[inline]
     fn take_all(&mut self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter_mut().enumerate().flat_map(|(i, word)| {
-            let mut bits = std::mem::take(word);
-            std::iter::from_fn(move || {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits.wrapping_sub(1);
-                (b < 64).then_some(64 * i + b)
-            })
-        })
+        self.words
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(i, word)| set_bits(std::mem::take(word)).map(move |b| 64 * i + b as usize))
     }
 }
 
@@ -309,34 +305,95 @@ impl BlockBits {
 const UNWATCHED: u32 = u32::MAX;
 
 /// Transposes the packed log of one watched slot, `width` bits wide, into
-/// one change list per lane `0..chunk_lanes`, each allocated once at its
-/// exact final length.
+/// one encoded change list per lane `0..chunk_lanes`, each allocated once
+/// at its exact final size and written without building a `Value`. A
+/// one-bit slot reads each record word's two plane words once for all its
+/// lanes; wider slots gather lane by lane.
 fn transpose_slot<const W: usize>(
     log: &SlotLog<W>,
     width: usize,
     chunk_lanes: usize,
-) -> Vec<Vec<(Time, Value)>> {
+) -> Vec<Encoded> {
     debug_assert!(
         log.recs.is_sorted_by(|a, b| a.0 < b.0),
         "a watched slot's log must be in strictly increasing step order"
     );
-    let mut counts = vec![0usize; chunk_lanes];
-    for (_, mask) in &log.recs {
-        wide::for_each_lane(mask, |lane| counts[lane as usize] += 1);
-    }
-    let mut lists: Vec<Vec<(Time, Value)>> = counts.into_iter().map(Vec::with_capacity).collect();
+    let mut lists: Vec<EncodedWriter> = lane_counts(log.recs.iter().map(|(_, m)| m), chunk_lanes)
+        .into_iter()
+        .map(|n| EncodedWriter::new(width as u8, n))
+        .collect();
     for ((t, mask), planes) in log.recs.iter().zip(log.planes.chunks_exact(width)) {
-        wide::for_each_lane(mask, |lane| {
-            lists[lane as usize].push((Time(*t), wide::gather(planes, lane)));
-        });
+        let t = Time(*t);
+        for (w, (lanes, &word)) in lists.chunks_mut(64).zip(mask).enumerate() {
+            match planes {
+                [one] => {
+                    let (a, b) = (one.a[w], one.b[w]);
+                    for i in set_bits(word) {
+                        lanes[i as usize].push(t, a >> i & 1, b >> i & 1);
+                    }
+                }
+                _ => {
+                    for i in set_bits(word) {
+                        let (a, b) = wide::gather_planes(planes, 64 * w as u32 + i);
+                        lanes[i as usize].push(t, a, b);
+                    }
+                }
+            }
+        }
     }
-    lists
+    lists.into_iter().map(EncodedWriter::finish).collect()
+}
+
+/// The positions of `word`'s set bits, ascending.
+#[inline]
+fn set_bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let i = word.trailing_zeros();
+        word &= word.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
+}
+
+/// How many of `masks` hold each lane `0..lanes`, with no branch per lane:
+/// bit `8k + j` of a mask word adds one to byte `k` of that word's `j`-th
+/// counter, and the counters spill into the totals every 255 masks, before
+/// a byte can overflow.
+fn lane_counts<'a, const W: usize>(
+    masks: impl Iterator<Item = &'a LaneMask<W>>,
+    lanes: usize,
+) -> Vec<usize> {
+    const BYTE_LSBS: u64 = 0x0101_0101_0101_0101;
+    let mut totals = vec![0usize; 64 * W];
+    let mut counters = [[0u64; 8]; W];
+    let spill = |counters: &mut [[u64; 8]; W], totals: &mut [usize]| {
+        for (w, word) in counters.iter_mut().enumerate() {
+            for (j, c) in word.iter_mut().enumerate() {
+                for k in 0..8 {
+                    totals[64 * w + 8 * k + j] += (*c >> (8 * k) & 0xff) as usize;
+                }
+                *c = 0;
+            }
+        }
+    };
+    for (n, mask) in masks.enumerate() {
+        for (word, &m) in counters.iter_mut().zip(mask) {
+            for (j, c) in word.iter_mut().enumerate() {
+                *c += m >> j & BYTE_LSBS;
+            }
+        }
+        if n % 255 == 254 {
+            spill(&mut counters, &mut totals);
+        }
+    }
+    spill(&mut counters, &mut totals);
+    totals.truncate(lanes);
+    totals
 }
 
 /// What one chunk hands back, lane by lane: one change list per watched
 /// node in watch order, and a snapshot if the segment captures.
 struct ChunkOut {
-    lanes: Vec<Vec<Vec<(Time, Value)>>>,
+    lanes: Vec<Vec<Encoded>>,
     snapshots: Option<Vec<EngineSnapshot>>,
 }
 
@@ -977,7 +1034,7 @@ fn run_chunk<const W: usize>(
 
     // Slot-major: one slot's `chunk_lanes` list tails stay cache-resident
     // while its log is replayed.
-    let mut lanes: Vec<Vec<Vec<(Time, Value)>>> = (0..chunk_lanes)
+    let mut lanes: Vec<Vec<Encoded>> = (0..chunk_lanes)
         .map(|_| Vec::with_capacity(watch_slots.len()))
         .collect();
     for (log, &slot) in logs.iter().zip(watch_slots) {
@@ -1168,12 +1225,20 @@ mod tests {
         assert_eq!(log.planes.len(), width * log.recs.len());
 
         let got = transpose_slot(&log, width, chunk_lanes);
+        let decoded: Vec<Vec<(Time, Value)>> = got
+            .iter()
+            .map(|list| list.changes(width as u8).collect())
+            .collect();
         assert_eq!(
-            got,
+            decoded,
             per_lane_reference(&writes, chunk_lanes),
             "W={W} width={width}"
         );
-        assert!(got.iter().all(|list| list.capacity() == list.len()));
+        // Exact size: a time and `2·width` plane bits per change.
+        for (list, changes) in got.iter().zip(&decoded) {
+            let n = changes.len();
+            assert_eq!(list.heap_bytes(), 8 * (n + (2 * width * n).div_ceil(64)));
+        }
     }
 
     #[test]
@@ -1202,7 +1267,52 @@ mod tests {
         assert_eq!(lists.len(), 100);
         assert!(lists
             .iter()
-            .all(|list| list.is_empty() && list.capacity() == 0));
+            .all(|list| list.changes(1).len() == 0 && list.heap_bytes() == 0));
+    }
+
+    /// The branch-free lane counts against one increment per set bit, over
+    /// mask counts that spill the byte counters never, once, and twice
+    /// with a remainder, and over full, ragged and one-lane chunks.
+    #[test]
+    fn lane_counts_match_a_count_per_set_bit() {
+        fn case<const W: usize>(rng: &mut SmallRng) {
+            for chunk_lanes in [64 * W, 64 * W - 37, 1] {
+                let live = wide::mask_first::<W>(chunk_lanes);
+                let shapes = [
+                    (0, false),
+                    (1, true),
+                    (254, false),
+                    (255, true),
+                    (600, true),
+                    (600, false),
+                ];
+                for (records, full) in shapes {
+                    // Every lane in every mask, or a mix of dense and sparse.
+                    let masks: Vec<LaneMask<W>> = (0..records)
+                        .map(|_| {
+                            let dense = rng.gen_range(0..3u32) > 0;
+                            let m = [(); W].map(|_| match (full, dense) {
+                                (true, _) => !0,
+                                (false, true) => !rng.gen::<u64>() | rng.gen::<u64>(),
+                                (false, false) => rng.gen::<u64>() & rng.gen::<u64>(),
+                            });
+                            wide::mask_and(&m, &live)
+                        })
+                        .collect();
+                    let mut want = vec![0usize; chunk_lanes];
+                    for m in &masks {
+                        wide::for_each_lane(m, |lane| want[lane as usize] += 1);
+                    }
+                    let got = lane_counts(masks.iter(), chunk_lanes);
+                    assert_eq!(got, want, "W={W} lanes {chunk_lanes} records {records}");
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0xc0_4e75);
+        case::<1>(&mut rng);
+        case::<2>(&mut rng);
+        case::<4>(&mut rng);
+        case::<8>(&mut rng);
     }
 
     /// The chunk rule over lanes 1..=1100 × threads 1..=5 × every forced

@@ -591,8 +591,8 @@ mod tests {
                 }
                 let mut steps = BTreeSet::from([0u64]);
                 for &inp in e.inputs() {
-                    let changes = oracle.waveform(inp).unwrap().changes();
-                    steps.extend(changes.iter().map(|&(t, _)| t.0));
+                    let times = oracle.waveform(inp).unwrap().times();
+                    steps.extend(times.iter().map(|t| t.0));
                 }
                 evaluated[elem_owner.assignment()[id.index()] as usize] += steps.len() as u64;
             }

@@ -125,9 +125,9 @@ fn cut_and_resume_roundtrip_is_exact() {
     // Waveforms: head ++ tail == whole, per lane, per watched node.
     for l in 0..lanes {
         for &n in &watch {
-            let mut stitched = head.lanes[l].waveform(n).unwrap().changes().to_vec();
-            stitched.extend_from_slice(tail.lanes[l].waveform(n).unwrap().changes());
-            let whole_changes = whole.lanes[l].waveform(n).unwrap().changes();
+            let mut stitched: Vec<_> = head.lanes[l].waveform(n).unwrap().changes().collect();
+            stitched.extend(tail.lanes[l].waveform(n).unwrap().changes());
+            let whole_changes: Vec<_> = whole.lanes[l].waveform(n).unwrap().changes().collect();
             assert_eq!(
                 stitched, whole_changes,
                 "lane {l} node {n:?}: stitched segments diverge from uncut run"
@@ -143,15 +143,15 @@ fn cut_and_resume_roundtrip_is_exact() {
             assert!(head.lanes[l]
                 .waveform(n)
                 .unwrap()
-                .changes()
+                .times()
                 .iter()
-                .all(|(t, _)| t.ticks() <= cut));
+                .all(|t| t.ticks() <= cut));
             assert!(tail.lanes[l]
                 .waveform(n)
                 .unwrap()
-                .changes()
+                .times()
                 .iter()
-                .all(|(t, _)| t.ticks() > cut));
+                .all(|t| t.ticks() > cut));
         }
     }
 }
@@ -249,10 +249,15 @@ fn in_flight_events_resume_in_time_order_at_any_thread_count() {
                 let mut stitched = lane.clone();
                 stitched.append_segment(&tail.lanes[l]);
                 for &n in &watch {
-                    let changes = stitched.waveform(n).unwrap().changes();
+                    let w = stitched.waveform(n).unwrap();
                     let case = format!("lane {l} node {n:?}, cut x{threads}, resumed x{resumed}");
-                    assert!(changes.windows(2).all(|w| w[0].0 < w[1].0), "{case}");
-                    assert_eq!(changes, whole.lanes[l].waveform(n).unwrap().changes(), "{case}");
+                    assert!(w.times().windows(2).all(|p| p[0] < p[1]), "{case}");
+                    let whole_w = whole.lanes[l].waveform(n).unwrap();
+                    assert_eq!(
+                        w.changes().collect::<Vec<_>>(),
+                        whole_w.changes().collect::<Vec<_>>(),
+                        "{case}"
+                    );
                 }
             }
         }
@@ -394,7 +399,7 @@ fn override_matches_vector_driver_through_a_cut() {
         CompiledMode::run_batch_segment(&floating, &cfg, &stim, None, Time(25)).unwrap();
     let (tail, _) =
         CompiledMode::run_batch_segment(&floating, &cfg, &stim, Some(&snaps), Time(end)).unwrap();
-    let mut stitched = head.lanes[0].waveform(q).unwrap().changes().to_vec();
-    stitched.extend_from_slice(tail.lanes[0].waveform(q).unwrap().changes());
-    assert_eq!(stitched, oracle.waveform(q).unwrap().changes());
+    let mut stitched: Vec<_> = head.lanes[0].waveform(q).unwrap().changes().collect();
+    stitched.extend(tail.lanes[0].waveform(q).unwrap().changes());
+    assert_eq!(stitched, oracle.waveform(q).unwrap().changes().collect::<Vec<_>>());
 }

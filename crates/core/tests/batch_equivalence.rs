@@ -304,7 +304,7 @@ fn run_lane_segments_cut_quiet_and_active_stitch_to_the_uncut_run() {
     let active: Vec<u64> = uncut
         .waveforms()
         .iter()
-        .flat_map(|w| w.changes().iter().map(|&(t, _)| t.ticks()))
+        .flat_map(|w| w.times().iter().map(|t| t.ticks()))
         .collect();
     let quiet = (1..end)
         .find(|t| !active.contains(t))

@@ -1,15 +1,19 @@
 //! What a batch holds in memory while it runs, as a bound.
 //!
-//! `run_batch` hands back one change list per (lane, watched node). Until
+//! `run_batch` hands back one encoded change list per (lane, watched
+//! node), `Waveform::heap_bytes` each: 8.25 bytes a one-bit change. Until
 //! the step loop ends it may hold those changes packed — one record per
 //! (slot, step), not per lane — so its peak live heap is the returned
-//! lists plus a fraction of them, not several copies: 1.19 × as one
-//! 256-lane chunk, 1.07 × as three 64-lane chunks. The per-lane record
-//! stream this replaced read 3.56 × and 2.21 ×. The test checks three
-//! shapes: one chunk at one thread, three 64-lane chunks, and two 96-lane
-//! chunks running at once on two threads, each holding its own arenas and
-//! packed logs. This file holds one test only: the counting allocator
-//! sees every thread of the process.
+//! lists plus a fraction of them, not several copies: 1.64 × as one
+//! 256-lane chunk, 1.19 × as three 64-lane chunks (the packed logs weigh
+//! more against 8.25-byte changes than against the 32-byte pairs they
+//! were once stored as, which read 1.17 × and 1.05 × in this run, at 2.8 ×
+//! the peak bytes). The per-lane record stream before the packed logs read
+//! 3.56 × and 2.21 × of pairs. The test checks three shapes: one chunk at
+//! one thread, three 64-lane chunks, and two 96-lane chunks running at
+//! once on two threads, each holding its own arenas and packed logs. This
+//! file holds one test only: the counting allocator sees every thread of
+//! the process.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,7 +73,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn batch_peak_heap_is_bounded_by_the_waveforms_it_returns() {
     const BITS: usize = 8;
     const PERIOD: u64 = 128;
-    const PAIRS: usize = 24;
+    const PAIRS: usize = 96;
     const LANES: usize = 192;
 
     let base = gate_multiplier(BITS, &[(0, 0); PAIRS], PERIOD).unwrap();
@@ -116,12 +120,11 @@ fn batch_peak_heap_is_bounded_by_the_waveforms_it_returns() {
             assert_eq!(ran.count(), 2, "both chunks ran, one per worker");
         }
 
-        let change = std::mem::size_of::<(Time, Value)>();
         let returned: usize = batch
             .lanes
             .iter()
             .flat_map(|lane| lane.waveforms())
-            .map(|w| w.num_changes() * change)
+            .map(|w| w.heap_bytes())
             .sum();
         // Big enough that the 4 MiB of slack (value arenas, schedules, the
         // packed logs' own headers) cannot hide a second copy of the result.

@@ -92,7 +92,6 @@ fn tristate_z_reaches_watched_waveforms() {
     let w = r.waveform(tap0).unwrap();
     let saw_z = w
         .changes()
-        .iter()
         .any(|(_, v)| (0..4).all(|i| v.bit_at(i) == Bit::Z));
     assert!(saw_z, "expected the tap to float while disabled");
 }

@@ -55,14 +55,14 @@ fn latch_follower_agrees_and_is_transparent_only_while_enabled() {
     // While en=1 (e.g. ticks 21..40 after the latch delay), q follows d
     // (period-3 toggles); while en=0 (41..60), q freezes.
     let transparent_changes = wq
-        .changes()
+        .times()
         .iter()
-        .filter(|(t, _)| (22..40).contains(&t.ticks()))
+        .filter(|t| (22..40).contains(&t.ticks()))
         .count();
     let opaque_changes = wq
-        .changes()
+        .times()
         .iter()
-        .filter(|(t, _)| (42..60).contains(&t.ticks()))
+        .filter(|t| (42..60).contains(&t.ticks()))
         .count();
     assert!(
         transparent_changes >= 4,

@@ -33,8 +33,8 @@ fn asymmetric_buffer_shifts_edges_by_direction() {
     // rises at 60 (out -> 1 at 65), falls at 80 (out -> 0 at 81).
     // The initial X -> 0 evaluation at t=0 lands at max-delay: t=5.
     assert_eq!(
-        w.changes(),
-        &[
+        w.changes().collect::<Vec<_>>(),
+        [
             (Time(5), Value::bit(false)),
             (Time(25), Value::bit(true)),
             (Time(41), Value::bit(false)),
@@ -68,8 +68,8 @@ fn short_pulse_stretches_not_reorders() {
     let r = check(&Circuit::new("short pulse", &n, [out], Time(60))).oracle;
     let w = r.waveform(out).unwrap();
     assert_eq!(
-        w.changes(),
-        &[
+        w.changes().collect::<Vec<_>>(),
+        [
             (Time(10), Value::bit(false)), // initial X -> 0 via max delay
             (Time(15), Value::bit(true)),
             (Time(16), Value::bit(false)), // stretched, not reordered
@@ -78,7 +78,7 @@ fn short_pulse_stretches_not_reorders() {
         w.changes()
     );
     // Event times stay strictly monotone per node by construction.
-    assert!(w.changes().windows(2).all(|x| x[0].0 < x[1].0));
+    assert!(w.times().windows(2).all(|x| x[0] < x[1]));
 }
 
 /// All engines agree under asymmetric delays, including on feedback.

@@ -22,7 +22,7 @@ fn waveform_hash(result: &SimResult) -> u64 {
     };
     for w in result.waveforms() {
         eat(w.name().as_bytes());
-        for &(t, v) in w.changes() {
+        for (t, v) in w.changes() {
             eat(&t.ticks().to_le_bytes());
             eat(v.to_binary_string().as_bytes());
         }

@@ -265,7 +265,7 @@ fn last_active_tick(lanes: usize) -> u64 {
             let r = EventDriven::run(&own.netlist, &cfg).unwrap();
             r.waveforms()
                 .into_iter()
-                .flat_map(|w| w.changes().iter().map(|(t, _)| t.ticks()))
+                .flat_map(|w| w.times().iter().map(|t| t.ticks()))
                 .filter(|&t| t >= PERIOD)
                 .max()
                 .unwrap()
@@ -292,7 +292,7 @@ fn resume_on_scalar_engine(
         .into_iter()
         .flat_map(|w| {
             let node = w.node().index() as u32;
-            w.changes().iter().map(move |&(t, value)| ChangeRecord { time: t.ticks(), node, value })
+            w.changes().map(move |(t, value)| ChangeRecord { time: t.ticks(), node, value })
         })
         .collect();
     planted.changes.sort_by_key(|c| c.time);

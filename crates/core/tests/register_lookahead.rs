@@ -249,7 +249,7 @@ const KINDS: [(&str, BuildCase); 4] = [
 /// watched node must take known values.
 fn assert_known(tag: &str, case: &Case, oracle: &SimResult) {
     for &w in &case.watch {
-        let known = oracle.waveform(w).unwrap().changes().iter();
+        let known = oracle.waveform(w).unwrap().changes();
         assert!(
             known.filter(|(_, v)| v.to_u64().is_some()).count() >= 4,
             "{tag}: {} stays unknown",

@@ -426,7 +426,7 @@ fn pick_cuts(netlist: &Netlist, end: u64) -> (Option<u64>, Option<u64>) {
     let all = SimConfig::new(Time(end)).watch_all(netlist.iter_nodes().map(|(id, _)| id));
     let r = EventDriven::run(netlist, &all).expect("the all-nodes oracle runs");
     let mut busy = vec![0usize; (hi - lo + 1) as usize];
-    for &(t, _) in r.waveforms().iter().flat_map(|w| w.changes()) {
+    for &t in r.waveforms().iter().flat_map(|w| w.times()) {
         if (lo..=hi).contains(&t.ticks()) {
             busy[(t.ticks() - lo) as usize] += 1;
         }

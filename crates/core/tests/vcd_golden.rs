@@ -53,7 +53,7 @@ fn reference_vcd(r: &SimResult) -> String {
     let mut all: Vec<(Time, usize, Value)> = Vec::new();
     for (i, w) in ws.iter().enumerate() {
         all.push((Time::ZERO, i, w.value_at(Time::ZERO)));
-        for &(t, v) in w.changes() {
+        for (t, v) in w.changes() {
             if t > Time::ZERO {
                 all.push((t, i, v));
             }

@@ -279,7 +279,15 @@ pub fn scatter<const W: usize>(dst: &mut [WideLanes<W>], lane: u32, v: &Value) {
 /// `src.len()`.
 #[inline]
 pub fn gather<const W: usize>(src: &[WideLanes<W>], lane: u32) -> Value {
-    debug_assert!((lane as usize) < 64 * W);
+    let (a, b) = gather_planes(src, lane);
+    Value::from_planes(src.len() as u8, a, b)
+}
+
+/// Reads lane `lane` of `src` back as the two planes `(a, b)` of a
+/// `src.len()`-bit value (see [`Value::to_planes`]), without building it.
+#[inline]
+pub fn gather_planes<const W: usize>(src: &[WideLanes<W>], lane: u32) -> (u64, u64) {
+    debug_assert!((lane as usize) < 64 * W && src.len() <= 64);
     let word = lane as usize / 64;
     let shift = lane % 64;
     let mut a = 0u64;
@@ -288,7 +296,7 @@ pub fn gather<const W: usize>(src: &[WideLanes<W>], lane: u32) -> Value {
         a |= ((s.a[word] >> shift) & 1) << i;
         b |= ((s.b[word] >> shift) & 1) << i;
     }
-    Value::from_planes(src.len() as u8, a, b)
+    (a, b)
 }
 
 /// Replicates `v` into all `64·W` lanes of `dst`.

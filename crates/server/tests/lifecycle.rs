@@ -149,8 +149,8 @@ fn submit_poll_result_matches_standalone_oracle() {
     let c = circuit(None);
     for node in c.watch {
         assert_eq!(
-            artifact.result.waveform(node).unwrap().changes(),
-            oracle.waveform(node).unwrap().changes(),
+            artifact.result.waveform(node).unwrap().changes().collect::<Vec<_>>(),
+            oracle.waveform(node).unwrap().changes().collect::<Vec<_>>(),
             "node {node:?} must match the scalar oracle"
         );
     }

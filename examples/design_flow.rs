@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (orig, new) in keep.iter().zip(&swept.kept) {
         let wb = before.waveform(*orig).expect("watched");
         let wa = after.waveform(*new).expect("watched");
-        assert_eq!(wb.changes(), wa.changes(), "sweep changed {}", wb.name());
+        assert!(wb.changes().eq(wa.changes()), "sweep changed {}", wb.name());
     }
     println!("kept waveforms identical before/after sweep ✓");
 

@@ -47,7 +47,11 @@
 //!
 //! let config = SimConfig::new(Time(40)).watch(out);
 //! let result = EventDriven::run(&netlist, &config)?;
-//! assert!(result.waveform(out).unwrap().changes().len() > 2);
+//! let wave = result.waveform(out).unwrap();
+//! assert!(wave.changes().len() > 2);
+//! // Changes decode as `(time, value)` pairs, in time order.
+//! let (last, value) = wave.changes().next_back().unwrap();
+//! assert_eq!((Some(&last), value), (wave.times().last(), wave.final_value()));
 //! # Ok(())
 //! # }
 //! ```

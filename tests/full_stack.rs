@@ -755,3 +755,83 @@ fn batch_worker_panic_is_contained_and_the_next_run_is_clean() {
         assert_eq!(lane.to_vcd(), oracle);
     }
 }
+
+/// Batch lanes on nodes wider than one bit inside tier-1: a unit-delay RTL
+/// datapath whose watched nodes are 1, 7 (a tri-state slice that floats
+/// to `Z` while the clock is low), 32, 33 and 64 bits wide, run as 70
+/// lanes — a ragged 128-lane word at one thread, two 35-lane chunks at
+/// two. Every lane drives its own 32-bit operands, its VCD is identical
+/// at both thread counts, and every lane's VCD is byte-equal to
+/// `EventDriven::run_lane` of its stimulus.
+#[test]
+fn multi_bit_batch_lanes_match_event_driven_byte_for_byte() {
+    use parsim::netlist::Builder;
+
+    const LANES: u64 = 70;
+    const PERIOD: u64 = 40;
+    let end = Time(4 * PERIOD);
+    let mut b = Builder::new();
+    let operand = |b: &mut Builder, name: &str, seed: u64| {
+        let node = b.node(name, 32);
+        let values: Vec<Value> = (0..4u64)
+            .map(|k| Value::from_u64((seed + k).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32, 32))
+            .collect();
+        let kind = ElementKind::Pattern { period: PERIOD, values: values.into() };
+        b.element(&format!("{name}gen"), kind, parsim::logic::Delay(1), &[], &[node]).unwrap();
+        node
+    };
+    let a = operand(&mut b, "a", 1);
+    let c = operand(&mut b, "b", 2);
+    let one = |kind: ElementKind, b: &mut Builder, name: &str, ins: &[_], width: u8| {
+        let out = b.node(name, width);
+        b.element(&format!("{name}_e"), kind, parsim::logic::Delay(1), ins, &[out]).unwrap();
+        out
+    };
+    let clk = one(ElementKind::Clock { half_period: 5, offset: 5 }, &mut b, "clk", &[], 1);
+    let cin = one(ElementKind::Const { value: Value::bit(false) }, &mut b, "cin", &[], 1);
+    let prod = one(ElementKind::Multiplier { width: 32 }, &mut b, "prod", &[a, c], 64);
+    let acc = one(ElementKind::Dff { width: 64 }, &mut b, "acc", &[clk, prod], 64);
+    let (sum, cout) = (b.node("sum", 32), b.node("cout", 1));
+    let adder = ElementKind::Adder { width: 32 };
+    b.element("add", adder, parsim::logic::Delay(1), &[a, c, cin], &[sum, cout]).unwrap();
+    let ext = ElementKind::ZeroExt { in_width: 32, out_width: 33 };
+    let sum33 = one(ext, &mut b, "sum33", &[sum], 33);
+    let slice = ElementKind::Slice { in_width: 32, lo: 3, width: 7 };
+    let mid = one(slice, &mut b, "mid", &[a], 7);
+    let bus = one(ElementKind::TriBuf { width: 7 }, &mut b, "bus", &[clk, mid], 7);
+    let netlist = b.finish().unwrap();
+
+    let lane = |l: u64| {
+        let schedule = |salt: u64| {
+            (0..4u64)
+                .map(|k| {
+                    let v = (l * 977 + salt + k).wrapping_mul(0xd1b5_4a32_d192_ed03) >> 32;
+                    (Time(k * PERIOD), Value::from_u64(v, 32))
+                })
+                .collect()
+        };
+        match l % 7 {
+            0 => LaneStimulus::base(),
+            _ => LaneStimulus::base().drive(a, schedule(11)).drive(c, schedule(29)),
+        }
+    };
+    let stimuli: Vec<LaneStimulus> = (0..LANES).map(lane).collect();
+    let watch = [a, c, prod, acc, sum, cout, sum33, bus];
+    let cfg = SimConfig::new(end).watch_all(watch);
+    let widths: Vec<u8> = watch.iter().map(|&n| netlist.node(n).width()).collect();
+    assert_eq!(widths, [32, 32, 64, 64, 32, 1, 33, 7]);
+
+    let one_thread = CompiledMode::run_batch(&netlist, &cfg, &stimuli).unwrap();
+    let two_threads = CompiledMode::run_batch(&netlist, &cfg.clone().threads(2), &stimuli).unwrap();
+    assert_eq!(one_thread.metrics.lane_width, 128);
+    assert_eq!(two_threads.metrics.lane_width, 64);
+    let mut saw_z = false;
+    for (l, stim) in stimuli.iter().enumerate() {
+        let vcd = one_thread.lanes[l].to_vcd();
+        assert_eq!(vcd, two_threads.lanes[l].to_vcd(), "lane {l} at two threads");
+        let oracle = EventDriven::run_lane(&netlist, &cfg, stim).unwrap();
+        assert_eq!(vcd, oracle.to_vcd(), "lane {l}");
+        saw_z |= vcd.contains("bzzzzzzz ");
+    }
+    assert!(saw_z, "the tri-state slice floats in the dump");
+}
