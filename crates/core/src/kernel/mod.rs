@@ -24,17 +24,7 @@
 //! per instruction.
 //!
 //! Shared-state discipline (the scalar executor's, the only one whose
-//! workers share a step): between two barriers a worker writes only
-//! cache lines no other worker writes. The scalar executor's slot file is
-//! numbered by writing worker ([`SlotLayout`]): each worker's region of
-//! value slots starts on a fresh line and shares none with another region,
-//! and each worker's instructions read and write it through position lists
-//! fixed when the layout is built. The dirty bits of each worker's blocks
-//! sit in words on lines of their own ([`DirtyMask`]), so the owner's
-//! evaluate-phase `take` touches no line a peer touches in that phase.
-//! Element state is a per-worker `Vec` the worker owns outright. What
-//! crosses workers — a slot value read in the evaluate phase, a dirty mark
-//! set in the apply phase — crosses only at a barrier.
+//! workers share a step): see [`scalar`].
 //!
 //! [`SpinBarrier`]: parsim_queue::SpinBarrier
 //! [`WriteMark::note`]: parsim_queue::WriteMark::note
@@ -43,7 +33,6 @@
 pub(crate) mod packed;
 pub(crate) mod scalar;
 
-use std::mem::size_of;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,6 +40,7 @@ use parsim_logic::Value;
 use parsim_netlist::compile::{CompiledProgram, Opcode};
 use parsim_telemetry::{Counter, Gauge, Shard, Tally};
 
+use crate::layout::{LineGroup, OwnerLayout, LINE, PAD};
 use crate::shared::SharedSlice;
 
 /// Maximum instructions per activity-gating block. Small enough that one
@@ -69,7 +59,7 @@ pub(crate) struct Block {
 
 /// Rows of `T`s in one allocation: row `k` is
 /// `items[start[k]..start[k + 1]]`.
-struct Csr<T = u32> {
+pub(crate) struct Csr<T = u32> {
     start: Vec<u32>,
     items: Vec<T>,
 }
@@ -86,7 +76,7 @@ impl<T> Csr<T> {
     }
 
     #[inline]
-    fn row(&self, k: usize) -> &[T] {
+    pub fn row(&self, k: usize) -> &[T] {
         &self.items[self.start[k] as usize..self.start[k + 1] as usize]
     }
 }
@@ -95,8 +85,9 @@ impl<T> Csr<T> {
 /// partition ([`CompiledProgram::level_partition`]), the one placement
 /// both executors use.
 pub(crate) struct ExecPlan {
-    /// Per-thread instruction indices in stream (level-major) order.
-    pub thread_insns: Vec<Vec<u32>>,
+    /// Instruction indices grouped by thread, each thread's in stream
+    /// (level-major) order: [`ExecPlan::thread_insns`].
+    insns: OwnerLayout,
     /// All gating blocks; ids are global across threads.
     pub blocks: Vec<Block>,
     /// Contiguous block-id range owned by each thread.
@@ -109,15 +100,13 @@ impl ExecPlan {
     /// Binds `prog` to `threads` worker threads.
     pub fn build(prog: &CompiledProgram, threads: usize) -> ExecPlan {
         let partition = prog.level_partition(threads);
-        let mut thread_insns: Vec<Vec<u32>> = vec![Vec::new(); threads];
-        for i in 0..prog.num_insns() {
-            let p = partition.assignment()[prog.elem(i)] as usize;
-            thread_insns[p].push(i as u32);
-        }
+        let owner = |i| partition.assignment()[prog.elem(i)] as usize;
+        let thread_insns = OwnerLayout::build((0..prog.num_insns()).map(owner), threads, 1);
 
         let mut blocks = Vec::new();
         let mut thread_blocks = Vec::with_capacity(threads);
-        for (p, insns) in thread_insns.iter().enumerate() {
+        for p in 0..threads {
+            let insns = thread_insns.items(p);
             let first = blocks.len();
             let mut lo = 0usize;
             while lo < insns.len() {
@@ -142,7 +131,7 @@ impl ExecPlan {
         // Slot → reading-blocks CSR (sorted, deduplicated).
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for (b, block) in blocks.iter().enumerate() {
-            let insns = &thread_insns[block.thread as usize];
+            let insns = thread_insns.items(block.thread as usize);
             for &i in &insns[block.lo as usize..block.hi as usize] {
                 for &slot in prog.inputs(i as usize) {
                     pairs.push((slot, b as u32));
@@ -159,11 +148,17 @@ impl ExecPlan {
         }));
 
         ExecPlan {
-            thread_insns,
+            insns: thread_insns,
             blocks,
             thread_blocks,
             fan,
         }
+    }
+
+    /// Thread `p`'s instruction indices, in stream (level-major) order.
+    #[inline]
+    pub fn thread_insns(&self, p: usize) -> &[u32] {
+        self.insns.items(p)
     }
 
     /// The gating blocks that read `slot`.
@@ -182,8 +177,8 @@ impl ExecPlan {
                 None => 0,
             })
             .collect();
-        for (p, insns) in self.thread_insns.iter().enumerate() {
-            for &i in insns {
+        for p in 0..self.thread_blocks.len() {
+            for &i in self.thread_insns(p) {
                 for &slot in prog.outputs(i as usize) {
                     writer[slot as usize] = p;
                 }
@@ -196,84 +191,38 @@ impl ExecPlan {
     #[cfg(test)]
     pub fn block_insns(&self, b: usize) -> &[u32] {
         let block = self.blocks[b];
-        &self.thread_insns[block.thread as usize][block.lo as usize..block.hi as usize]
-    }
-}
-
-/// Bytes per cache line: the unit two workers must never both write
-/// between barriers.
-const LINE: usize = 64;
-
-const fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
+        &self.thread_insns(block.thread as usize)[block.lo as usize..block.hi as usize]
     }
 }
 
 /// Value slots per slot-file group: the fewest `Value`s that fill whole
 /// cache lines (8 × 24 bytes = 3 lines).
-pub(crate) const GROUP: usize = LINE / gcd(LINE, size_of::<Value>());
+pub(crate) const GROUP: usize = 8;
 
-/// `GROUP` value slots on whole cache lines, the unit the scalar slot file
-/// is allocated in: a region that starts on a group boundary starts on a
-/// fresh line, and one padded to a boundary keeps its last line to itself.
-#[repr(C, align(64))]
-pub(crate) struct SlotGroup(pub [Value; GROUP]);
-
-const _: () = assert!(std::mem::align_of::<SlotGroup>() == LINE);
-const _: () = assert!(size_of::<SlotGroup>() == GROUP * size_of::<Value>());
+const _: () = assert!(size_of::<LineGroup<Value, GROUP>>() == GROUP * size_of::<Value>());
 
 /// One worker's instructions, in its [`ExecPlan::thread_insns`] order:
-/// their opcodes, and their slot lists translated into [`SlotLayout`]
-/// positions.
+/// their opcodes, and their input and output slot lists (rows, in port
+/// order) translated into [`SlotLayout`] positions.
 pub(crate) struct WorkerCode {
-    ops: Vec<Opcode>,
-    inputs: Csr,
-    outputs: Csr,
-}
-
-impl WorkerCode {
-    /// Opcode of the worker's `k`-th instruction.
-    #[inline]
-    pub fn op(&self, k: usize) -> Opcode {
-        self.ops[k]
-    }
-
-    /// Input positions of the worker's `k`-th instruction, in port order.
-    #[inline]
-    pub fn inputs(&self, k: usize) -> &[u32] {
-        self.inputs.row(k)
-    }
-
-    /// Output positions of the worker's `k`-th instruction, in port order.
-    #[inline]
-    pub fn outputs(&self, k: usize) -> &[u32] {
-        self.outputs.row(k)
-    }
+    pub ops: Vec<Opcode>,
+    pub inputs: Csr,
+    pub outputs: Csr,
 }
 
 /// The scalar executor's slot file, numbered by writing worker.
 ///
-/// Every program slot gets a *position*. Worker `p`'s region holds the
-/// slots it writes ([`ExecPlan::writers`]) in program-slot order: the
-/// output slots of its instructions, and each generator or undriven slot
-/// whose first reading block is its own (worker 0 takes those nobody
-/// reads). So locality inside a worker is the stream's, and a stimulus
-/// write lands where the worker that reads it first evaluates. Each
-/// region starts on a [`GROUP`] boundary, and the positions up to the
-/// next region's start are padding nobody touches, so no cache line of
-/// the file holds slots of two writers. The executor works in positions
-/// only; program slots and nodes appear at its edges (stimulus, watch
-/// flags, waveform changes, snapshots).
+/// Program slots are an [`OwnerLayout`] by writer ([`ExecPlan::writers`])
+/// in groups of [`GROUP`]: worker `p`'s region holds the output slots of
+/// its instructions, and each generator or undriven slot whose first
+/// reading block is its own (worker 0 takes those nobody reads). So
+/// locality inside a worker is the stream's, and a stimulus write lands
+/// where the worker that reads it first evaluates. The executor works in
+/// positions only; program slots and nodes appear at its edges (stimulus,
+/// watch flags, waveform changes, snapshots).
 pub(crate) struct SlotLayout {
-    /// Position of each program slot.
-    pos: Vec<u32>,
-    /// Program slot at each position; `u32::MAX` marks padding.
-    slot_at: Vec<u32>,
-    /// Each worker's positions, padding excluded.
-    regions: Vec<Range<u32>>,
+    /// Program slots by writing worker.
+    pub slots: OwnerLayout,
     /// Per worker: its instructions' slot lists in positions.
     code: Vec<WorkerCode>,
     /// Position → blocks reading it.
@@ -283,87 +232,28 @@ pub(crate) struct SlotLayout {
 impl SlotLayout {
     /// Lays out `prog`'s slots for the workers of `plan`.
     pub fn build(prog: &CompiledProgram, plan: &ExecPlan) -> SlotLayout {
-        let writer = plan.writers(prog);
-        // Counting sort by writer; each region rounded up to a group.
-        let mut next = vec![0usize; plan.thread_insns.len()];
-        for &w in &writer {
-            next[w] += 1;
-        }
-        let mut len = 0;
-        for first in &mut next {
-            let count = *first;
-            *first = len;
-            len = (len + count).next_multiple_of(GROUP);
-        }
-        let firsts = next.clone();
-        let mut pos = Vec::with_capacity(writer.len());
-        let mut slot_at = vec![u32::MAX; len];
-        for (slot, &w) in writer.iter().enumerate() {
-            pos.push(next[w] as u32);
-            slot_at[next[w]] = slot as u32;
-            next[w] += 1;
-        }
-        let regions = firsts
-            .iter()
-            .zip(&next)
-            .map(|(&a, &b)| a as u32..b as u32)
-            .collect();
-
-        let code = plan
-            .thread_insns
-            .iter()
-            .map(|insns| {
-                let (pos, rows) = (&pos, insns.iter().map(|&i| i as usize));
+        let threads = plan.thread_blocks.len();
+        let slots = OwnerLayout::build(plan.writers(prog).into_iter(), threads, GROUP);
+        let code = (0..threads)
+            .map(|p| {
+                let pos = |&s: &u32| slots.pos(s as usize);
+                let rows = plan.thread_insns(p).iter().map(|&i| i as usize);
                 WorkerCode {
                     ops: rows.clone().map(|i| prog.opcode(i)).collect(),
-                    inputs: Csr::from_rows(
-                        rows.clone()
-                            .map(|i| prog.inputs(i).iter().map(|&s| pos[s as usize])),
-                    ),
-                    outputs: Csr::from_rows(
-                        rows.map(|i| prog.outputs(i).iter().map(|&s| pos[s as usize])),
-                    ),
+                    inputs: Csr::from_rows(rows.clone().map(|i| prog.inputs(i).iter().map(pos))),
+                    outputs: Csr::from_rows(rows.map(|i| prog.outputs(i).iter().map(pos))),
                 }
             })
             .collect();
-        let fan = Csr::from_rows(slot_at.iter().map(|&slot| {
-            match slot {
-                u32::MAX => &[][..],
+        let fan = Csr::from_rows((0..slots.positions() as u32).map(|pos| {
+            match slots.item_at(pos) {
+                PAD => &[][..],
                 slot => plan.fanout(slot),
             }
             .iter()
             .copied()
         }));
-        SlotLayout {
-            pos,
-            slot_at,
-            regions,
-            code,
-            fan,
-        }
-    }
-
-    /// The number of positions, padding included.
-    pub fn positions(&self) -> usize {
-        self.slot_at.len()
-    }
-
-    /// The position of program slot `slot`.
-    #[inline]
-    pub fn pos(&self, slot: u32) -> u32 {
-        self.pos[slot as usize]
-    }
-
-    /// The program slot at position `pos` (never padding for a position
-    /// an instruction list, the stimulus or a pending write names).
-    #[inline]
-    pub fn slot_at(&self, pos: u32) -> u32 {
-        self.slot_at[pos as usize]
-    }
-
-    /// Worker `p`'s positions: the slots it writes.
-    pub fn region(&self, p: usize) -> Range<u32> {
-        self.regions[p].clone()
+        SlotLayout { slots, code, fan }
     }
 
     /// Worker `p`'s instructions in positions.
@@ -380,13 +270,9 @@ impl SlotLayout {
 
     /// A slot file holding `init(slot)` at each program slot's position
     /// (padding holds an `X` nobody reads).
-    pub fn slot_file(&self, init: impl Fn(u32) -> Value) -> SharedSlice<SlotGroup> {
-        SharedSlice::from_fn(self.slot_at.len() / GROUP, |g| {
-            SlotGroup(std::array::from_fn(|j| match self.slot_at[g * GROUP + j] {
-                u32::MAX => Value::x(1),
-                slot => init(slot),
-            }))
-        })
+    pub fn slot_file(&self, init: impl Fn(u32) -> Value) -> SharedSlice<LineGroup<Value, GROUP>> {
+        let fill = |slot| if slot == PAD { Value::x(1) } else { init(slot) };
+        SharedSlice::new(self.slots.store(fill))
     }
 }
 
@@ -394,9 +280,6 @@ impl SlotLayout {
 const LINE_WORDS: usize = LINE / size_of::<AtomicU64>();
 /// Dirty bits per cache line.
 const LINE_BITS: usize = 64 * LINE_WORDS;
-
-#[repr(C, align(64))]
-struct MaskLine([AtomicU64; LINE_WORDS]);
 
 /// One dirty bit per gating block.
 ///
@@ -420,10 +303,9 @@ struct MaskLine([AtomicU64; LINE_WORDS]);
 /// lines rule out.) `crates/queue/tests/model.rs` checks this protocol on
 /// the real barrier.
 pub(crate) struct DirtyMask {
-    lines: Vec<MaskLine>,
-    /// Bit index of each block: worker `p`'s blocks take consecutive bits
-    /// from the first bit of a line of its own.
-    bit: Vec<u32>,
+    lines: Vec<LineGroup<AtomicU64, LINE_WORDS>>,
+    /// Each block's bit index, by owner in lines of bits.
+    bits: OwnerLayout,
 }
 
 impl DirtyMask {
@@ -431,24 +313,21 @@ impl DirtyMask {
     /// `thread_blocks` are the workers' block ranges, in ascending order
     /// and covering `0..blocks` ([`ExecPlan::thread_blocks`]).
     pub fn all_dirty(thread_blocks: &[Range<usize>]) -> DirtyMask {
-        let mut bit = Vec::new();
-        let mut lines = 0;
-        for blocks in thread_blocks {
-            bit.extend((0..blocks.len()).map(|k| (lines * LINE_BITS + k) as u32));
-            lines += blocks.len().div_ceil(LINE_BITS);
-        }
+        let owners =
+            (thread_blocks.iter().enumerate()).flat_map(|(p, b)| std::iter::repeat_n(p, b.len()));
+        let bits = OwnerLayout::build(owners, thread_blocks.len(), LINE_BITS);
         DirtyMask {
-            lines: (0..lines)
-                .map(|_| MaskLine(std::array::from_fn(|_| AtomicU64::new(!0))))
+            lines: (0..bits.positions() / LINE_BITS)
+                .map(|_| LineGroup(std::array::from_fn(|_| AtomicU64::new(!0))))
                 .collect(),
-            bit,
+            bits,
         }
     }
 
     /// Block `b`'s word and bit.
     #[inline]
     fn word(&self, b: u32) -> (&AtomicU64, u64) {
-        let bit = self.bit[b as usize] as usize;
+        let bit = self.bits.pos(b as usize) as usize;
         (
             &self.lines[bit / LINE_BITS].0[bit / 64 % LINE_WORDS],
             1 << (bit % 64),
@@ -497,7 +376,7 @@ pub(crate) fn credit_quiet_steps(
     );
     tally.add(
         Counter::EvalsSkipped,
-        gated * plan.thread_insns[p].len() as u64,
+        gated * plan.thread_insns(p).len() as u64,
     );
     if let Some(shard) = counts_steps {
         tally.add(Counter::TimeSteps, next - t - 1);
@@ -606,12 +485,28 @@ mod tests {
 
     /// Between barriers no two workers write one cache line: not in the
     /// slot file (its positions times `size_of::<Value>()`, in an
-    /// allocation of line-aligned `SlotGroup`s), not in the dirty mask (the
-    /// words' addresses). And the layout's position lists name the
-    /// program's own slots.
+    /// allocation of line-aligned groups), not in the dirty mask (the
+    /// words' addresses). The layout's position lists name the program's
+    /// own slots. And every placement is the one a stable grouping by
+    /// worker gives, each region rounded up to its line unit, so the
+    /// kernel's memory traffic does not move with the layout code.
     #[test]
     fn workers_write_disjoint_cache_lines() {
         use std::collections::BTreeMap;
+
+        // Positions of items grouped stably by owner, each region starting
+        // on a multiple of `unit`.
+        fn grouped(owner: &[usize], threads: usize, unit: usize) -> Vec<u32> {
+            let (mut pos, mut next) = (vec![0; owner.len()], 0usize);
+            for p in 0..threads {
+                for item in (0..owner.len()).filter(|&i| owner[i] == p) {
+                    pos[item] = next as u32;
+                    next += 1;
+                }
+                next = next.next_multiple_of(unit);
+            }
+            pos
+        }
 
         let array = parsim_circuits::inverter_array(33, 5, 2).unwrap().netlist;
         let cpu = parsim_circuits::pipelined_cpu(8, 48).unwrap().netlist;
@@ -621,6 +516,12 @@ mod tests {
                 let case = format!("{name} x{threads}");
                 let plan = ExecPlan::build(&prog, threads);
                 let layout = SlotLayout::build(&prog, &plan);
+                let part = prog.level_partition(threads);
+                for p in 0..threads {
+                    let insns = (0..prog.num_insns() as u32)
+                        .filter(|&i| part.assignment()[prog.elem(i as usize)] as usize == p);
+                    assert_eq!(plan.thread_insns(p), insns.collect::<Vec<_>>(), "{case}");
+                }
                 // A slot's writer drives it; a generator or undriven slot
                 // goes to the worker whose block reads it first, or to
                 // worker 0 when no block reads it.
@@ -635,8 +536,8 @@ mod tests {
                 }
                 let mut writer: Vec<usize> = first_reader.iter().map(|r| r.unwrap_or(0)).collect();
                 let mut driven = vec![false; prog.num_slots()];
-                for (p, insns) in plan.thread_insns.iter().enumerate() {
-                    for &i in insns {
+                for p in 0..threads {
+                    for &i in plan.thread_insns(p) {
                         for &slot in prog.outputs(i as usize) {
                             writer[slot as usize] = p;
                             driven[slot as usize] = true;
@@ -644,18 +545,21 @@ mod tests {
                     }
                 }
                 assert_eq!(plan.writers(&prog), writer, "{case}");
+                let slot_pos = grouped(&writer, threads, GROUP);
+                for (slot, &pos) in slot_pos.iter().enumerate() {
+                    assert_eq!(layout.slots.pos(slot), pos, "{case}: slot {slot}");
+                }
                 // Each array column has a clock of its own, and at two
                 // threads and more some columns' heads are not worker 0's.
                 if name == "array" {
                     let away = (0..prog.num_slots()).any(|s| !driven[s] && writer[s] != 0);
                     assert_eq!(away, threads > 1, "{case}");
                 }
-                assert_eq!(std::mem::align_of::<SlotGroup>(), LINE);
                 let mut line_writer = BTreeMap::new();
                 for (slot, &w) in writer.iter().enumerate() {
-                    let pos = layout.pos(slot as u32);
-                    assert_eq!(layout.slot_at(pos), slot as u32, "{case}");
-                    assert!(layout.region(w).contains(&pos), "{case}: slot {slot}");
+                    let pos = layout.slots.pos(slot);
+                    assert_eq!(layout.slots.item_at(pos), slot as u32, "{case}");
+                    assert!(layout.slots.region(w).contains(&pos), "{case}: slot {slot}");
                     assert_eq!(layout.fanout(pos), plan.fanout(slot as u32), "{case}");
                     let first = pos as usize * size_of::<Value>();
                     let last = first + size_of::<Value>() - 1;
@@ -664,22 +568,32 @@ mod tests {
                         assert_eq!(owner, w, "{case}: slot-file line {line} written by two");
                     }
                 }
-                let file_bytes = layout.positions() * size_of::<Value>();
+                let file_bytes = layout.slots.positions() * size_of::<Value>();
                 assert!(file_bytes.is_multiple_of(LINE), "{case}");
                 let writers: std::collections::BTreeSet<_> = line_writer.values().collect();
                 assert_eq!(writers.len(), threads, "{case}: every worker writes");
-                for (p, insns) in plan.thread_insns.iter().enumerate() {
+                for p in 0..threads {
                     let code = layout.code(p);
-                    for (k, &i) in insns.iter().enumerate() {
+                    for (k, &i) in plan.thread_insns(p).iter().enumerate() {
                         let slots = |pos: &[u32]| -> Vec<u32> {
-                            pos.iter().map(|&x| layout.slot_at(x)).collect()
+                            pos.iter().map(|&x| layout.slots.item_at(x)).collect()
                         };
-                        assert_eq!(slots(code.inputs(k)), prog.inputs(i as usize), "{case}");
-                        assert_eq!(slots(code.outputs(k)), prog.outputs(i as usize), "{case}");
+                        assert_eq!(slots(code.inputs.row(k)), prog.inputs(i as usize), "{case}");
+                        assert_eq!(
+                            slots(code.outputs.row(k)),
+                            prog.outputs(i as usize),
+                            "{case}"
+                        );
                     }
                 }
 
                 let mask = DirtyMask::all_dirty(&plan.thread_blocks);
+                let block_owner: Vec<usize> =
+                    plan.blocks.iter().map(|b| b.thread as usize).collect();
+                let bits = grouped(&block_owner, threads, LINE_BITS);
+                for (b, &bit) in bits.iter().enumerate() {
+                    assert_eq!(mask.bits.pos(b), bit, "{case}: block {b}");
+                }
                 let mut line_owner = BTreeMap::new();
                 for (p, blocks) in plan.thread_blocks.iter().enumerate() {
                     for b in blocks.clone() {

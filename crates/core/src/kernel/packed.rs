@@ -596,7 +596,7 @@ pub(crate) fn run_batch_segment(
         watch_of[slot as usize] = k as u32;
     }
 
-    let code = PackedCode::decode(prog, &plan.thread_insns[0]);
+    let code = PackedCode::decode(prog, plan.thread_insns(0));
 
     // The batch kernel owns its run-scoped telemetry context (the
     // BatchResult is not a SimResult, so the finished telemetry rides the
@@ -722,7 +722,7 @@ fn run_chunk<const W: usize>(
         ..
     } = *ctx;
     // Plan position → program instruction, for the edges.
-    let insns = &plan.thread_insns[0];
+    let insns = plan.thread_insns(0);
     let (lane_base, chunk_lanes) = (chunk.start, chunk.len());
     let (cut, end) = (bounds.cut, bounds.horizon);
     let first_step = bounds.t0.map_or(0, |t| t + 1);

@@ -23,18 +23,15 @@
 //! clock read per phase boundary, four per step.
 //!
 //! Shared-state discipline: between two barriers a worker writes only
-//! cache lines no other worker writes. A value slot is written only by the
-//! worker owning its driving instruction (a generator or undriven slot by
-//! the worker whose block reads it first, or worker 0 when none does)
-//! during the *apply* phase and read by everyone during the *evaluate*
-//! phase, with a [`SpinBarrier`] between the phases; the slot
-//! file is laid out by writing worker ([`SlotLayout`]), so each worker's
-//! writes land on lines of its own, and the hot loops index it through the
-//! layout's per-worker position lists, never through a remap. Dirty bits
-//! are set during apply and taken by their owner during evaluate, under
-//! the same barrier edges, in words on each owner's own lines
-//! ([`DirtyMask`]). Element state is a `Vec` per worker in its instruction
-//! order, moved into the worker and handed back for the snapshot.
+//! cache lines no other worker writes. A value slot is written by its
+//! writer ([`ExecPlan::writers`]) during the *apply* phase and read by
+//! everyone during the *evaluate* phase, with a [`SpinBarrier`] between
+//! the phases; the slot file ([`SlotLayout`]) and the dirty bits
+//! ([`DirtyMask`], set during apply, taken by their owner during
+//! evaluate) keep each worker's writes on lines of its own, and the hot
+//! loops index the file through per-worker position lists, never a remap.
+//! Element state is a `Vec` per worker in its instruction order, moved
+//! into the worker and handed back for the snapshot.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -203,10 +200,10 @@ pub(crate) fn run_segment(
     let layout = SlotLayout::build(prog, plan);
     let layout = &layout;
     // Program slots and nodes cross into positions here, at the edges.
-    let pos_of = |node: NodeId| layout.pos(prog.slot_of(node));
-    let node_at = |pos: u32| prog.node_of(layout.slot_at(pos));
+    let pos_of = |node: NodeId| layout.slots.pos(prog.slot_of(node) as usize);
+    let node_at = |pos: u32| prog.node_of(layout.slots.item_at(pos));
 
-    let mut watched = vec![false; layout.positions()];
+    let mut watched = vec![false; layout.slots.positions()];
     for &n in &config.watch {
         watched[pos_of(n) as usize] = true;
     }
@@ -255,12 +252,10 @@ pub(crate) fn run_segment(
     let values = layout.slot_file(|slot| start_state.values[prog.node_of(slot).index()]);
     let values = &values;
     // Per-worker element state, in the worker's instruction order.
-    let states: Vec<Vec<ElemState>> = plan
-        .thread_insns
-        .iter()
-        .map(|insns| {
+    let states: Vec<Vec<ElemState>> = (0..threads)
+        .map(|p| {
             let state = |&i: &u32| start_state.elem_states[prog.elem(i as usize)].clone();
-            insns.iter().map(state).collect()
+            plan.thread_insns(p).iter().map(state).collect()
         })
         .collect();
     let dirty = DirtyMask::all_dirty(&plan.thread_blocks);
@@ -289,11 +284,12 @@ pub(crate) fn run_segment(
         states,
         |p, mut states, cont| {
             let code = layout.code(p);
-            let region = layout.region(p);
+            let region = layout.slots.region(p);
             // The element kinds of the worker's instructions, for the
             // opcodes without a native arm: nothing reads the netlist in
             // the step loop.
-            let kinds: Vec<&ElementKind> = plan.thread_insns[p]
+            let kinds: Vec<&ElementKind> = plan
+                .thread_insns(p)
                 .iter()
                 .map(|&i| netlist.elements()[prog.elem(i as usize)].kind())
                 .collect();
@@ -405,17 +401,20 @@ pub(crate) fn run_segment(
                                     break 'run;
                                 }
                             }
-                            let ins = code.inputs(k);
-                            let outs = code.outputs(k);
-                            let native = eval_native(code.op(k), ins, read);
+                            let ins = code.inputs.row(k);
+                            let outs = code.outputs.row(k);
+                            let native = eval_native(code.ops[k], ins, read);
                             if tr.is_active() {
-                                tr.instant(EventKind::Eval, plan.thread_insns[p][k]);
+                                tr.instant(EventKind::Eval, plan.thread_insns(p)[k]);
                             }
                             let mut emit = |pos: u32, v: Value| {
                                 if read(pos) != v {
                                     pending.push((pos, v));
                                     if tr.is_active() {
-                                        tr.instant(EventKind::EventInsert, layout.slot_at(pos));
+                                        tr.instant(
+                                            EventKind::EventInsert,
+                                            layout.slots.item_at(pos),
+                                        );
                                     }
                                 }
                             };
@@ -495,8 +494,8 @@ pub(crate) fn run_segment(
             })
             .collect();
         let mut elem_states = start_state.elem_states.clone();
-        for (insns, states) in plan.thread_insns.iter().zip(worker_states) {
-            for (&i, state) in insns.iter().zip(states) {
+        for (p, states) in worker_states.into_iter().enumerate() {
+            for (&i, state) in plan.thread_insns(p).iter().zip(states) {
                 elem_states[prog.elem(i as usize)] = state;
             }
         }

@@ -64,6 +64,7 @@ mod error;
 mod exec;
 mod fault;
 mod kernel;
+mod layout;
 mod metrics;
 pub mod report;
 pub mod seq;

@@ -33,17 +33,6 @@ impl<T> SharedSlice<T> {
         values.into_iter().collect()
     }
 
-    /// Builds a slice of `len` slots with `f(i)` initial values.
-    pub fn from_fn(len: usize, f: impl FnMut(usize) -> T) -> SharedSlice<T> {
-        (0..len).map(f).collect()
-    }
-
-    /// The number of slots.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Returns a shared reference to slot `i`.
     ///
     /// # Safety
@@ -67,16 +56,10 @@ impl<T> SharedSlice<T> {
         &mut *self.slots[i].get()
     }
 
-    /// Returns a shared reference to the contiguous slot range.
-    ///
-    /// # Safety
-    ///
-    /// As for [`SharedSlice::get`], applied to every slot in `range`.
-    /// `UnsafeCell<T>` has the same layout as `T`, so the cast is sound.
-    #[inline]
-    pub unsafe fn slice(&self, range: std::ops::Range<usize>) -> &[T] {
-        let slots = &self.slots[range];
-        &*(slots as *const [UnsafeCell<T>] as *const [T])
+    /// The slots' values, once no thread shares the slice.
+    pub fn into_vec(self) -> Vec<T> {
+        let slots = self.slots.into_vec().into_iter();
+        slots.map(UnsafeCell::into_inner).collect()
     }
 
     /// Returns an exclusive reference to the contiguous slot range.
@@ -111,20 +94,19 @@ mod tests {
 
     #[test]
     fn single_threaded_access() {
-        let s = SharedSlice::from_fn(4, |i| i * 10);
+        let s: SharedSlice<usize> = (0..4).map(|i| i * 10).collect();
         unsafe {
             *s.get_mut(2) = 99;
             assert_eq!(*s.get(2), 99);
             assert_eq!(*s.get(0), 0);
             s.slice_mut(1..3).copy_from_slice(&[7, 8]);
-            assert_eq!(s.slice(0..4), &[0, 7, 8, 30]);
         }
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.into_vec(), [0, 7, 8, 30]);
     }
 
     #[test]
     fn disjoint_parallel_writes() {
-        let s = SharedSlice::from_fn(8, |_| 0usize);
+        let s = SharedSlice::new(vec![0usize; 8]);
         let done = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for t in 0..2 {
