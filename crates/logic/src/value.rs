@@ -659,20 +659,21 @@ impl FromStr for Value {
                 if digits.is_empty() || digits.len() > width as usize {
                     return Err(err("bad binary digit count"));
                 }
-                let mut bits = Vec::with_capacity(width as usize);
-                for c in digits.chars().rev() {
-                    bits.push(match c {
-                        '0' => Bit::Zero,
-                        '1' => Bit::One,
-                        'x' | 'X' => Bit::X,
-                        'z' | 'Z' => Bit::Z,
+                // Straight into the two planes, as `from_bits` encodes
+                // them; the digit count bounds the shifts below 64.
+                let (mut a, mut b) = (0u64, 0u64);
+                for (i, c) in digits.chars().rev().enumerate() {
+                    let (pa, pb) = match c {
+                        '0' => (0, 0),
+                        '1' => (1, 0),
+                        'x' | 'X' => (1, 1),
+                        'z' | 'Z' => (0, 1),
                         _ => return Err(err("bad binary digit")),
-                    });
+                    };
+                    a |= pa << i;
+                    b |= pb << i;
                 }
-                while bits.len() < width as usize {
-                    bits.push(Bit::Zero);
-                }
-                Ok(Value::from_bits(&bits))
+                Ok(Value { width, a, b })
             }
             "d" => {
                 let v: u64 = digits.parse().map_err(|_| err("bad decimal"))?;

@@ -2,6 +2,7 @@
 
 use parsim_logic::{Delay, ElementKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ids::{ElemId, NodeId};
 
@@ -11,7 +12,7 @@ use crate::ids::{ElemId, NodeId};
 /// activate downstream elements when the node changes.
 #[derive(Debug, Clone)]
 pub struct Node {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) width: u8,
     pub(crate) driver: Option<(ElemId, u8)>,
     pub(crate) fanout: Vec<(ElemId, u16)>,
@@ -44,12 +45,13 @@ impl Node {
 /// connections.
 #[derive(Debug, Clone)]
 pub struct Element {
-    pub(crate) name: String,
+    pub(crate) name: Arc<str>,
     pub(crate) kind: ElementKind,
     pub(crate) delay: Delay,
     pub(crate) fall: Delay,
-    pub(crate) inputs: Vec<NodeId>,
-    pub(crate) outputs: Vec<NodeId>,
+    /// Input nodes then output nodes, in port order: one allocation.
+    pub(crate) ports: Box<[NodeId]>,
+    pub(crate) num_inputs: usize,
 }
 
 impl Element {
@@ -87,12 +89,12 @@ impl Element {
 
     /// Input nodes in port order.
     pub fn inputs(&self) -> &[NodeId] {
-        &self.inputs
+        &self.ports[..self.num_inputs]
     }
 
     /// Output nodes in port order.
     pub fn outputs(&self) -> &[NodeId] {
-        &self.outputs
+        &self.ports[self.num_inputs..]
     }
 }
 
@@ -123,8 +125,10 @@ impl Element {
 pub struct Netlist {
     pub(crate) nodes: Vec<Node>,
     pub(crate) elements: Vec<Element>,
-    pub(crate) node_names: HashMap<String, NodeId>,
-    pub(crate) elem_names: HashMap<String, ElemId>,
+    /// Name lookups; each key shares its allocation with the name stored
+    /// in the node or element.
+    pub(crate) node_names: HashMap<Arc<str>, NodeId>,
+    pub(crate) elem_names: HashMap<Arc<str>, ElemId>,
 }
 
 impl Netlist {
