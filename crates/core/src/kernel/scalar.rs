@@ -11,9 +11,9 @@
 //! The evaluate phase matches on each instruction's [`Opcode`], held per
 //! worker in its own instruction order ([`WorkerCode`](super::WorkerCode)).
 //! Gates, buffers and the mux read their inputs straight from the slot
-//! file and compute with the [`Value`] operations [`evaluate`] uses, so
-//! four-state semantics live in one place; the result is compared with the
-//! output slot in place. Stateful and RTL opcodes gather their inputs and
+//! file through the native arms every scalar engine shares
+//! ([`crate::native`]); the result is compared with the output slot in
+//! place. Stateful and RTL opcodes gather their inputs and
 //! go through [`evaluate`] with an [`ElementKind`] cached per worker, so
 //! the step loop never reads the netlist. Bookkeeping is paid per gating
 //! block, not per instruction: one heartbeat per block run (plus one per
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 use parsim_logic::{evaluate, ElemState, ElementKind, Time, Value};
-use parsim_netlist::compile::{CompiledProgram, Opcode};
+use parsim_netlist::compile::CompiledProgram;
 use parsim_netlist::{Netlist, NodeId};
 use parsim_queue::{SpinBarrier, WriteMark};
 use parsim_telemetry::{Counter, Gauge, Tally};
@@ -51,6 +51,7 @@ use crate::error::SimError;
 use crate::exec::run_workers;
 use crate::fault::FaultAction;
 use crate::kernel::{credit_quiet_steps, DirtyMask, ExecPlan, SlotLayout, GROUP};
+use crate::native::eval_native;
 use crate::waveform::SimResult;
 
 /// Engine tag used in [`SimError`] values.
@@ -131,29 +132,6 @@ impl<'a> StimulusWalk<'a> {
         }
         after
     }
-}
-
-/// The value a gate or mux instruction drives, read straight from the slot
-/// file through `read`: the same [`Value`] operations [`evaluate`] uses for
-/// the element, with no input gather and no element lookup. `None` for the
-/// opcodes that go through [`evaluate`] (stateful and RTL elements).
-#[inline(always)]
-fn eval_native(op: Opcode, ins: &[u32], read: impl Fn(u32) -> Value) -> Option<Value> {
-    let input = |k: usize| read(ins[k]).to_logic();
-    let fold =
-        |f: fn(&Value, &Value) -> Value| (1..ins.len()).fold(input(0), |acc, k| f(&acc, &input(k)));
-    Some(match op {
-        Opcode::And => fold(Value::and),
-        Opcode::Or => fold(Value::or),
-        Opcode::Nand => fold(Value::and).not(),
-        Opcode::Nor => fold(Value::or).not(),
-        Opcode::Xor => fold(Value::xor),
-        Opcode::Xnor => fold(Value::xor).not(),
-        Opcode::Not => input(0).not(),
-        Opcode::Buf => input(0),
-        Opcode::Mux => Value::mux(&read(ins[0]), &read(ins[1]), &read(ins[2])),
-        _ => return None,
-    })
 }
 
 /// Runs the scalar compiled-mode kernel (whole run).
@@ -403,7 +381,7 @@ pub(crate) fn run_segment(
                             }
                             let ins = code.inputs.row(k);
                             let outs = code.outputs.row(k);
-                            let native = eval_native(code.ops[k], ins, read);
+                            let native = eval_native(code.ops[k], ins.len(), |j| read(ins[j]));
                             if tr.is_active() {
                                 tr.instant(EventKind::Eval, plan.thread_insns(p)[k]);
                             }
@@ -518,113 +496,6 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// Every opcode with a native arm, with the element kind it lowers from.
-    fn native_kinds(width: u8) -> Vec<ElementKind> {
-        vec![
-            ElementKind::And,
-            ElementKind::Or,
-            ElementKind::Nand,
-            ElementKind::Nor,
-            ElementKind::Xor,
-            ElementKind::Xnor,
-            ElementKind::Not,
-            ElementKind::Buf,
-            ElementKind::Mux { width },
-        ]
-    }
-
-    /// The fan-ins `kind` takes, up to four.
-    fn fan_ins(kind: &ElementKind) -> Vec<usize> {
-        match kind {
-            ElementKind::Not | ElementKind::Buf => vec![1],
-            ElementKind::Mux { .. } => vec![3],
-            _ => (1..=4).collect(),
-        }
-    }
-
-    /// `eval_native` on `inputs` (positions `0..n` of a slot file holding
-    /// them) against [`evaluate`] of the element kind.
-    fn check(kind: &ElementKind, inputs: &[Value]) {
-        let op = Opcode::of(kind).expect("not a generator");
-        let ins: Vec<u32> = (0..inputs.len() as u32).collect();
-        let native = eval_native(op, &ins, |pos| inputs[pos as usize]);
-        let want = evaluate(kind, inputs, &mut ElemState::None);
-        assert_eq!(want.len(), 1);
-        assert_eq!(native, Some(want.get(0)), "{kind:?} on {inputs:?}");
-    }
-
-    #[test]
-    fn native_arms_match_evaluate_on_every_four_state_input() {
-        let bits = [
-            Value::bit(false),
-            Value::bit(true),
-            Value::x(1),
-            Value::z(1),
-        ];
-        for kind in native_kinds(1) {
-            for n in fan_ins(&kind) {
-                // Every assignment of the four states to `n` inputs.
-                for code in 0..4usize.pow(n as u32) {
-                    let inputs: Vec<Value> = (0..n)
-                        .map(|k| bits[code / 4usize.pow(k as u32) % 4])
-                        .collect();
-                    check(&kind, &inputs);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn native_arms_match_evaluate_on_random_wide_values() {
-        let mut rng = SmallRng::seed_from_u64(0x5ca1_a6e5);
-        for width in 2..=64u8 {
-            // Fully known, a few unknown bits, and mostly unknown.
-            let value = |rng: &mut SmallRng| {
-                let b = match rng.gen_range(0..3u32) {
-                    0 => 0,
-                    1 => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
-                    _ => rng.gen(),
-                };
-                Value::from_planes(width, rng.gen(), b)
-            };
-            for kind in native_kinds(width) {
-                for n in fan_ins(&kind) {
-                    for _ in 0..32 {
-                        let mut inputs: Vec<Value> = (0..n).map(|_| value(&mut rng)).collect();
-                        if let ElementKind::Mux { .. } = kind {
-                            inputs[0] = value(&mut rng).slice(0, 1);
-                        }
-                        check(&kind, &inputs);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn native_mux_matches_evaluate_on_unknown_selects() {
-        let mut rng = SmallRng::seed_from_u64(0x03a5_e1d0);
-        let selects = [
-            Value::bit(false),
-            Value::bit(true),
-            Value::x(1),
-            Value::z(1),
-        ];
-        for width in [1u8, 7, 64] {
-            let kind = ElementKind::Mux { width };
-            for _ in 0..16 {
-                let a = Value::from_planes(width, rng.gen(), 0);
-                let b = Value::from_planes(width, rng.gen(), rng.gen::<u64>() & rng.gen::<u64>());
-                // Equal and differing data under every select.
-                for (a, b) in [(a, a), (a, b), (b, b)] {
-                    for sel in selects {
-                        check(&kind, &[sel, a, b]);
-                    }
-                }
-            }
-        }
-    }
-
     /// The walk hands out the events a sort by `(time, push order)` would,
     /// step by step, and names the next stimulus time after each step.
     #[test]
@@ -658,22 +529,6 @@ mod tests {
             }
             let want: Vec<_> = sorted.iter().map(|(_, &ev)| ev).collect();
             assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn stateful_and_rtl_opcodes_take_the_evaluate_arm() {
-        let read = |_: u32| -> Value { unreachable!("the fallback reads nothing here") };
-        for op in [
-            Opcode::Dff,
-            Opcode::DffR,
-            Opcode::Latch,
-            Opcode::TriBuf,
-            Opcode::Adder,
-            Opcode::Memory,
-            Opcode::Resolver,
-        ] {
-            assert_eq!(eval_native(op, &[0, 1], read), None, "{op:?}");
         }
     }
 }

@@ -66,6 +66,7 @@ mod fault;
 mod kernel;
 mod layout;
 mod metrics;
+mod native;
 pub mod report;
 pub mod seq;
 mod shared;

@@ -212,3 +212,131 @@ fn self_loop_element() {
     let r = check(&Circuit::new("self loop", &n, [q], Time(60))).oracle;
     assert_eq!(r.final_value(q), Some(Value::bit(false)));
 }
+
+#[test]
+fn wide_fan_in_gates_replay_every_pin() {
+    // Every n-ary gate kind at every fan-in from 2 to 9 (with NOT and BUF
+    // as the one-input gates), over sources that toggle at coprime
+    // periods, never change, or go to X and Z; then a second level over
+    // the first, a gate reading one node on two pins, a mux whose select
+    // goes unknown, and a two-output adder. The chaotic engine replays
+    // each pin from its own cursor, so this puts every pin position of
+    // its replay under the oracle.
+    let mut b = Builder::new();
+    let source = |b: &mut Builder, name: &str, width: u8, kind: ElementKind| {
+        let node = b.node(name, width);
+        b.element(&format!("{name}_gen"), kind, Delay(1), &[], &[node])
+            .unwrap();
+        node
+    };
+    let clock = |half_period: u64, offset: u64| ElementKind::Clock {
+        half_period,
+        offset,
+    };
+    let konst = |bit: bool| ElementKind::Const {
+        value: Value::bit(bit),
+    };
+    let (zero, one) = (Value::bit(false), Value::bit(true));
+    let pool = [
+        source(&mut b, "c2", 1, clock(2, 1)),
+        source(&mut b, "c3", 1, clock(3, 2)),
+        source(
+            &mut b,
+            "xz",
+            1,
+            ElementKind::Pattern {
+                period: 4,
+                values: vec![zero, Value::x(1), one, Value::z(1)].into(),
+            },
+        ),
+        source(&mut b, "k1", 1, konst(true)),
+        source(&mut b, "c5", 1, clock(5, 1)),
+        source(
+            &mut b,
+            "v",
+            1,
+            ElementKind::Vector {
+                changes: vec![(0, Value::z(1)), (9, one), (17, Value::x(1)), (30, zero)].into(),
+            },
+        ),
+        source(&mut b, "k0", 1, konst(false)),
+        source(&mut b, "c7", 1, clock(7, 4)),
+        source(
+            &mut b,
+            "l",
+            1,
+            ElementKind::Lfsr {
+                width: 1,
+                period: 3,
+                seed: 5,
+            },
+        ),
+    ];
+    let kinds = [
+        ElementKind::And,
+        ElementKind::Nand,
+        ElementKind::Or,
+        ElementKind::Xor,
+        ElementKind::Xnor,
+    ];
+    let gate = |b: &mut Builder, name: String, kind: ElementKind, ins: &[_]| {
+        let out = b.node(&name, 1);
+        b.element(&format!("{name}_g"), kind, Delay(1), ins, &[out])
+            .unwrap();
+        out
+    };
+    let mut first = Vec::new();
+    for (k, kind) in kinds.iter().enumerate() {
+        for n in 2..=pool.len() {
+            // A different window of the pool for every gate.
+            let ins: Vec<_> = (0..n).map(|i| pool[(k + n + i) % pool.len()]).collect();
+            first.push(gate(&mut b, format!("{kind:?}{n}"), kind.clone(), &ins));
+        }
+    }
+    first.push(gate(&mut b, "not".into(), ElementKind::Not, &[pool[2]]));
+    first.push(gate(&mut b, "buf".into(), ElementKind::Buf, &[pool[5]]));
+    // Second level: inputs that become valid at different times.
+    let mut second = Vec::new();
+    for (k, kind) in kinds.iter().enumerate() {
+        let ins: Vec<_> = (0..9).map(|i| first[(5 * k + 4 * i) % first.len()]).collect();
+        second.push(gate(&mut b, format!("{kind:?}_l2"), kind.clone(), &ins));
+    }
+    let twice = [first[3], pool[0], first[3]];
+    second.push(gate(&mut b, "twice".into(), ElementKind::Xor, &twice));
+    let mux_ins = [pool[2], pool[0], first[20]];
+    second.push(gate(&mut b, "mux".into(), ElementKind::Mux { width: 1 }, &mux_ins));
+
+    let a = source(
+        &mut b,
+        "a",
+        4,
+        ElementKind::Lfsr {
+            width: 4,
+            period: 5,
+            seed: 9,
+        },
+    );
+    let c = source(
+        &mut b,
+        "c",
+        4,
+        ElementKind::Pattern {
+            period: 6,
+            values: vec![Value::from_u64(3, 4), Value::x(4), Value::from_u64(12, 4)].into(),
+        },
+    );
+    let sum = b.node("sum", 4);
+    let cout = b.node("cout", 1);
+    b.element(
+        "add",
+        ElementKind::Adder { width: 4 },
+        Delay(1),
+        &[a, c, second[0]],
+        &[sum, cout],
+    )
+    .unwrap();
+
+    let n = b.finish().unwrap();
+    let watch: Vec<_> = n.iter_nodes().map(|(id, _)| id).collect();
+    check(&Circuit::new("wide fan-in", &n, watch, Time(200)));
+}

@@ -85,6 +85,7 @@ pub struct Outputs {
 
 impl Outputs {
     /// A single-output result.
+    #[inline]
     pub fn one(v: Value) -> Outputs {
         Outputs {
             vals: [v, v],
@@ -93,16 +94,19 @@ impl Outputs {
     }
 
     /// A two-output result.
+    #[inline]
     pub fn two(a: Value, b: Value) -> Outputs {
         Outputs { vals: [a, b], len: 2 }
     }
 
     /// The number of populated output ports (1 or 2).
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True if no outputs are populated (never the case for valid elements).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -112,12 +116,14 @@ impl Outputs {
     /// # Panics
     ///
     /// Panics if `idx >= self.len()`.
+    #[inline]
     pub fn get(&self, idx: usize) -> Value {
         assert!(idx < self.len(), "output index out of range");
         self.vals[idx]
     }
 
     /// Iterates over `(port, value)` pairs.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (usize, Value)> + '_ {
         (0..self.len()).map(move |i| (i, self.vals[i]))
     }

@@ -71,7 +71,10 @@ impl fmt::Display for Bit {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Value {
-    width: u8,
+    /// The width in bits, `1..=64`, held in a whole word: a `u8` here
+    /// would leave seven bytes of padding, which every copy of a value
+    /// moves too, in pieces that stall the loads that follow them.
+    width: u64,
     /// Plane a: set for `1` and `X` bits.
     a: u64,
     /// Plane b: set for `Z` and `X` bits.
@@ -86,7 +89,7 @@ impl Value {
     /// Panics if `width` is 0 or greater than 64.
     pub fn zero(width: u8) -> Value {
         assert_width(width);
-        Value { width, a: 0, b: 0 }
+        Value { width: width as u64, a: 0, b: 0 }
     }
 
     /// Creates an all-ones value of the given width.
@@ -97,7 +100,7 @@ impl Value {
     pub fn ones(width: u8) -> Value {
         assert_width(width);
         Value {
-            width,
+            width: width as u64,
             a: mask(width),
             b: 0,
         }
@@ -115,7 +118,7 @@ impl Value {
     pub fn x(width: u8) -> Value {
         assert_width(width);
         let m = mask(width);
-        Value { width, a: m, b: m }
+        Value { width: width as u64, a: m, b: m }
     }
 
     /// Creates an all-`Z` (high impedance) value of the given width.
@@ -126,7 +129,7 @@ impl Value {
     pub fn z(width: u8) -> Value {
         assert_width(width);
         Value {
-            width,
+            width: width as u64,
             a: 0,
             b: mask(width),
         }
@@ -140,7 +143,7 @@ impl Value {
     pub fn from_u64(v: u64, width: u8) -> Value {
         assert_width(width);
         Value {
-            width,
+            width: width as u64,
             a: v & mask(width),
             b: 0,
         }
@@ -171,7 +174,7 @@ impl Value {
             b |= pb << i;
         }
         Value {
-            width: bits.len() as u8,
+            width: bits.len() as u64,
             a,
             b,
         }
@@ -180,7 +183,7 @@ impl Value {
     /// The width in bits (1..=64).
     #[inline]
     pub fn width(&self) -> u8 {
-        self.width
+        self.width as u8
     }
 
     /// Returns the bit at `index` (0 = LSB).
@@ -189,7 +192,7 @@ impl Value {
     ///
     /// Panics if `index >= self.width()`.
     pub fn bit_at(&self, index: u8) -> Bit {
-        assert!(index < self.width, "bit index out of range");
+        assert!(index < self.width(), "bit index out of range");
         match ((self.a >> index) & 1, (self.b >> index) & 1) {
             (0, 0) => Bit::Zero,
             (1, 0) => Bit::One,
@@ -242,7 +245,7 @@ impl Value {
         assert_width(width);
         let m = mask(width);
         Value {
-            width,
+            width: width as u64,
             a: a & m,
             b: b & m,
         }
@@ -263,7 +266,7 @@ impl Value {
     /// Mask of known bit positions (strong 0 or 1).
     #[inline]
     fn known(&self) -> u64 {
-        mask(self.width) & !self.b
+        mask(self.width()) & !self.b
     }
 
     /// Mask of known-one positions.
@@ -288,7 +291,7 @@ impl Value {
         self.check_width(rhs);
         let zeros = self.k0() | rhs.k0();
         let ones = self.k1() & rhs.k1();
-        Value::from_masks(self.width, zeros, ones)
+        Value::from_masks(self.width(), zeros, ones)
     }
 
     /// Bitwise four-state OR.
@@ -301,7 +304,7 @@ impl Value {
         self.check_width(rhs);
         let ones = self.k1() | rhs.k1();
         let zeros = self.k0() & rhs.k0();
-        Value::from_masks(self.width, zeros, ones)
+        Value::from_masks(self.width(), zeros, ones)
     }
 
     /// Bitwise four-state XOR (unknown if either side is unknown).
@@ -316,7 +319,7 @@ impl Value {
         let v = (self.a ^ rhs.a) & known;
         let ones = v;
         let zeros = known & !v;
-        Value::from_masks(self.width, zeros, ones)
+        Value::from_masks(self.width(), zeros, ones)
     }
 
     /// Bitwise four-state NOT (`X`/`Z` stay unknown).
@@ -324,7 +327,7 @@ impl Value {
     pub fn not(&self) -> Value {
         let ones = self.k0();
         let zeros = self.k1();
-        Value::from_masks(self.width, zeros, ones)
+        Value::from_masks(self.width(), zeros, ones)
     }
 
     #[inline]
@@ -332,7 +335,7 @@ impl Value {
         let m = mask(width);
         let unknown = m & !(zeros | ones);
         Value {
-            width,
+            width: width as u64,
             a: (ones | unknown) & m,
             b: unknown,
         }
@@ -342,7 +345,7 @@ impl Value {
     pub fn reduce_and(&self) -> Value {
         if self.k0() != 0 {
             Value::bit(false)
-        } else if self.k1() == mask(self.width) {
+        } else if self.k1() == mask(self.width()) {
             Value::bit(true)
         } else {
             Value::x(1)
@@ -353,7 +356,7 @@ impl Value {
     pub fn reduce_or(&self) -> Value {
         if self.k1() != 0 {
             Value::bit(true)
-        } else if self.k0() == mask(self.width) {
+        } else if self.k0() == mask(self.width()) {
             Value::bit(false)
         } else {
             Value::x(1)
@@ -377,8 +380,8 @@ impl Value {
     pub fn add(&self, rhs: &Value) -> Value {
         self.check_width(rhs);
         match (self.to_u64(), rhs.to_u64()) {
-            (Some(x), Some(y)) => Value::from_u64(x.wrapping_add(y), self.width),
-            _ => Value::x(self.width),
+            (Some(x), Some(y)) => Value::from_u64(x.wrapping_add(y), self.width()),
+            _ => Value::x(self.width()),
         }
     }
 
@@ -389,18 +392,18 @@ impl Value {
     /// Panics if widths differ or `cin` is not 1 bit wide.
     pub fn add_carry(&self, rhs: &Value, cin: &Value) -> (Value, Value) {
         self.check_width(rhs);
-        assert_eq!(cin.width, 1, "carry-in must be a single bit");
+        assert_eq!(cin.width(), 1, "carry-in must be a single bit");
         match (self.to_u64(), rhs.to_u64(), cin.to_u64()) {
             (Some(x), Some(y), Some(c)) => {
                 let wide = (x as u128) + (y as u128) + (c as u128);
-                let sum = (wide as u64) & mask(self.width);
-                let carry = (wide >> self.width) & 1;
+                let sum = (wide as u64) & mask(self.width());
+                let carry = (wide >> self.width()) & 1;
                 (
-                    Value::from_u64(sum, self.width),
+                    Value::from_u64(sum, self.width()),
                     Value::from_u64(carry as u64, 1),
                 )
             }
-            _ => (Value::x(self.width), Value::x(1)),
+            _ => (Value::x(self.width()), Value::x(1)),
         }
     }
 
@@ -412,8 +415,8 @@ impl Value {
     pub fn sub(&self, rhs: &Value) -> Value {
         self.check_width(rhs);
         match (self.to_u64(), rhs.to_u64()) {
-            (Some(x), Some(y)) => Value::from_u64(x.wrapping_sub(y), self.width),
-            _ => Value::x(self.width),
+            (Some(x), Some(y)) => Value::from_u64(x.wrapping_sub(y), self.width()),
+            _ => Value::x(self.width()),
         }
     }
 
@@ -446,7 +449,7 @@ impl Value {
         let both_known = self.known() & rhs.known();
         if (self.a ^ rhs.a) & both_known != 0 {
             Value::bit(false)
-        } else if both_known == mask(self.width) {
+        } else if both_known == mask(self.width()) {
             Value::bit(true)
         } else {
             Value::x(1)
@@ -500,7 +503,7 @@ impl Value {
         // Allocation-free plane arithmetic: a released (Z) driver yields to
         // the other side, agreeing strong drivers pass through, and every
         // other combination (X on either side, 0-vs-1 conflict) shorts to X.
-        let m = mask(self.width);
+        let m = mask(self.width());
         let (z1, z2) = (!self.a & self.b, !rhs.a & rhs.b);
         let (k1a, k1b) = (self.a & !self.b, rhs.a & !rhs.b);
         let (k0a, k0b) = (!self.a & !self.b & m, !rhs.a & !rhs.b & m);
@@ -521,12 +524,12 @@ impl Value {
     ///
     /// Panics if the combined width exceeds 64.
     pub fn concat(&self, high: &Value) -> Value {
-        let w = self.width as u16 + high.width as u16;
+        let w = self.width() as u16 + high.width() as u16;
         assert!(w <= 64, "concatenated width exceeds 64");
         Value {
-            width: w as u8,
-            a: self.a | (high.a << self.width),
-            b: self.b | (high.b << self.width),
+            width: w as u64,
+            a: self.a | (high.a << self.width()),
+            b: self.b | (high.b << self.width()),
         }
     }
 
@@ -538,11 +541,11 @@ impl Value {
     pub fn slice(&self, lo: u8, width: u8) -> Value {
         assert_width(width);
         assert!(
-            lo as u16 + width as u16 <= self.width as u16,
+            lo as u16 + width as u16 <= self.width() as u16,
             "slice out of range"
         );
         Value {
-            width,
+            width: width as u64,
             a: (self.a >> lo) & mask(width),
             b: (self.b >> lo) & mask(width),
         }
@@ -569,7 +572,7 @@ impl Value {
             Some(0) => *a,
             Some(_) => *b,
             None if a == b => *a,
-            None => Value::x(a.width),
+            None => Value::x(a.width()),
         }
     }
 
@@ -583,7 +586,7 @@ impl Value {
 
     /// Renders as a binary string, MSB first (e.g. `10x1`), for VCD export.
     pub fn to_binary_string(&self) -> String {
-        (0..self.width)
+        (0..self.width())
             .rev()
             .map(|i| match self.bit_at(i) {
                 Bit::Zero => '0',
@@ -597,16 +600,16 @@ impl Value {
     #[inline]
     fn check_width(&self, rhs: &Value) {
         assert_eq!(
-            self.width, rhs.width,
+            self.width(), rhs.width(),
             "operand width mismatch: {} vs {}",
-            self.width, rhs.width
+            self.width(), rhs.width()
         );
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}'b{}", self.width, self.to_binary_string())
+        write!(f, "{}'b{}", self.width(), self.to_binary_string())
     }
 }
 
@@ -673,7 +676,7 @@ impl FromStr for Value {
                     a |= pa << i;
                     b |= pb << i;
                 }
-                Ok(Value { width, a, b })
+                Ok(Value { width: width as u64, a, b })
             }
             "d" => {
                 let v: u64 = digits.parse().map_err(|_| err("bad decimal"))?;
